@@ -30,7 +30,7 @@ from .model import (Decision, LogLinearModel, ParseDistribution,
                     score)
 from .properties import (FeatureMatrix, PropertyDescriptor, PropertyRegistry,
                          add_correction, build_feature_matrix, build_registry,
-                         entry_feature_rows, extract_features, load_registry,
+                         compile_corpus, compile_templates, load_registry,
                          save_registry, select_properties)
 from .trainer import (InitComparison, IterationRecord, TrainingConfig,
                       TrainingTrace, compare_inits, complete_log_likelihood,

@@ -36,8 +36,8 @@ from .lexicalization import (build_freq_table, load_freq_table,
                              load_pair_counts, save_cluster_model,
                              save_freq_table, train_clusters)
 from .model import load_model, save_model
-from .properties import (add_correction, build_registry, save_registry,
-                         select_properties)
+from .properties import (add_correction, compile_corpus, compile_templates,
+                         save_registry, select_properties)
 from .trainer import TrainingConfig, train
 
 MANIFEST_NAME = "manifest.json"
@@ -104,9 +104,6 @@ def verify_manifest(path) -> bool:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="reserved; computations are deterministic for "
-                             "any value (default 1)")
     parser.add_argument("--out-dir", default=argparse.SUPPRESS)
     parser.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON file of flag defaults; explicit flags win")
@@ -155,7 +152,7 @@ TRAIN_DEFAULTS = {
     "select_cutoff": None, "lexicalized": None, "init": "uniform_zero",
     "init_range": 0.5, "max_iterations": 100, "tolerance": 1e-8,
     "checkpoint_every": 5, "complete_data": False,
-    "seed": None, "threads": 1, "out_dir": None,
+    "seed": None, "out_dir": None,
 }
 
 
@@ -179,11 +176,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         lex_table = load_freq_table(conf["lexicalized"])
         inputs.append(conf["lexicalized"])
 
-    registry = build_registry(corpus, include_lexicalized=lex_table is not None,
-                              lex_table=lex_table)
+    # One compile of the corpus serves the registry, the correction and the
+    # trainer.
+    templates = compile_templates(
+        corpus, include_lexicalized=lex_table is not None, lex_table=lex_table)
+    registry = templates.registry
     if conf["select_cutoff"] is not None:
         registry = select_properties(registry, int(conf["select_cutoff"]))
-    registry = add_correction(registry, corpus, lex_table=lex_table)
+    registry = add_correction(registry, features=templates)
+    features = templates.universe().project(registry, strict_correction=True)
 
     training = TrainingConfig(
         init=conf["init"],
@@ -194,7 +195,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         checkpoint_every=int(conf["checkpoint_every"]),
     )
     model, trace = train(corpus, registry, training, complete_data=complete,
-                         lex_table=lex_table)
+                         lex_table=lex_table, features=features)
 
     save_model(model, os.path.join(out_dir, "model.json"))
     save_registry(registry, os.path.join(out_dir, "registry.json"))
@@ -221,7 +222,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 EVAL_DEFAULTS = {
     "model": None, "corpus": None, "task": None, "tie_epsilon": 1e-9,
     "baseline": None, "lambda_range": 1.0, "checkpoints": None,
-    "lex_table": None, "seed": None, "threads": 1, "out_dir": None,
+    "lex_table": None, "seed": None, "out_dir": None,
 }
 
 
@@ -270,10 +271,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigError(f"unknown task {raw!r}")
         tasks.append(TASK_ALIASES[raw])
 
+    checkpoint_models = None
+    if conf["checkpoints"]:
+        checkpoint_models = _load_checkpoint_models(conf["checkpoints"])
+
+    # One compile of the test corpus serves every model scored below.
+    features = compile_corpus(corpus, model.registry, lex_table=lex_table)
     tie = float(conf["tie_epsilon"])
     for task in tasks:
         outcome = evaluate(model, corpus, task=task, tie_epsilon=tie,
-                           lex_table=lex_table)
+                           lex_table=lex_table, features=features)
         print(format_report_table(outcome))
         print()
         write_report_json(outcome, os.path.join(out_dir, f"report_{task}.json"))
@@ -282,7 +289,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             report = random_baseline(
                 corpus, task, model.registry, n_models=int(conf["baseline"]),
                 seed=conf["seed"] or 0, lambda_range=float(conf["lambda_range"]),
-                tie_epsilon=tie, lex_table=lex_table)
+                tie_epsilon=tie, lex_table=lex_table, features=features)
             print(f"random baseline ({task}): mean precision "
                   f"{report.mean_precision:.4f} +- {report.stdev_precision:.4f}")
             with open(os.path.join(out_dir, f"baseline_{task}.json"), "w",
@@ -290,10 +297,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 json.dump(report.to_json_dict(), handle, sort_keys=True)
                 handle.write("\n")
 
-        if conf["checkpoints"]:
-            models = _load_checkpoint_models(conf["checkpoints"])
-            rows = sweep_checkpoints(models, corpus, task=task,
-                                     tie_epsilon=tie, lex_table=lex_table)
+        if checkpoint_models:
+            rows = sweep_checkpoints(checkpoint_models, corpus, task=task,
+                                     tie_epsilon=tie, lex_table=lex_table,
+                                     features=features)
             write_sweep_csv(rows, os.path.join(out_dir, f"sweep_{task}.csv"))
             decided = [r for r in rows if r.precision is not None]
             if decided:
@@ -314,7 +321,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 CLUSTER_DEFAULTS = {
     "pairs": None, "classes": 32, "max_iterations": 100, "tolerance": 1e-6,
-    "seed": None, "threads": 1, "out_dir": None,
+    "seed": None, "out_dir": None,
 }
 
 
@@ -346,7 +353,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 SYNTH_DEFAULTS = {
     "sentences": 1000, "ambiguity": [1, 6], "features": 20, "relations": 4,
-    "split": 0.8, "seed": 0, "threads": 1, "out_dir": None,
+    "split": 0.8, "seed": 0, "out_dir": None,
 }
 
 
@@ -390,7 +397,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # stats
 
-STATS_DEFAULTS = {"corpus": None, "seed": None, "threads": 1, "out_dir": None}
+STATS_DEFAULTS = {"corpus": None, "seed": None, "out_dir": None}
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -167,6 +168,11 @@ def _validate_parse(parse: ParseRecord, n_tokens: int, where: str) -> None:
             )
     if parse.precomputed_features is not None:
         for idx, value in parse.precomputed_features.items():
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{where}: parse {parse.parse_id!r} has a non-finite "
+                    f"precomputed feature ({idx}: {value})"
+                )
             if idx < 0 or value < 0:
                 raise DataError(
                     f"{where}: parse {parse.parse_id!r} has a negative "
@@ -177,9 +183,10 @@ def _validate_parse(parse: ParseRecord, n_tokens: int, where: str) -> None:
 def _validate_entry(entry: SentenceEntry, where: str) -> None:
     if not entry.parses:
         raise DataError(f"{where}: sentence {entry.sentence_id!r} has no parses")
-    if entry.weight < 0:
+    if not math.isfinite(entry.weight) or entry.weight < 0:
         raise DataError(
-            f"{where}: sentence {entry.sentence_id!r} has negative weight"
+            f"{where}: sentence {entry.sentence_id!r} has a negative or "
+            f"non-finite weight ({entry.weight})"
         )
     ids = [p.parse_id for p in entry.parses]
     if len(set(ids)) != len(ids):
@@ -386,13 +393,18 @@ def build_corpus(entries: Iterable[SentenceEntry],
     return Corpus(entries=tuple(entries))
 
 
+def _reject_constant(name: str):
+    raise DataError(f"non-finite number {name} is not allowed")
+
+
 def load_corpus(path, max_parses: Optional[int] = None,
                 normalize_weights: bool = True) -> Corpus:
     """Load a forest-corpus file, optionally dropping high-ambiguity entries.
 
     Entries with more than ``max_parses`` candidate parses are removed before
     weight normalization.  Raises DataError with the offending line number on
-    malformed input, and when filtering leaves the corpus empty.
+    malformed input, non-finite numbers included, and when filtering leaves
+    the corpus empty.
     """
     entries: list[SentenceEntry] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -413,9 +425,11 @@ def load_corpus(path, max_parses: Optional[int] = None,
                 continue
             where = f"{path}: line {lineno}"
             try:
-                record = json.loads(line)
+                record = json.loads(line, parse_constant=_reject_constant)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: invalid JSON") from exc
+            except DataError as exc:
+                raise DataError(f"{where}: {exc}") from None
             try:
                 entry = _entry_from_json(record, where)
             except DataError:

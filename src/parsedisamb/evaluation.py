@@ -23,12 +23,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, SentenceEntry
+from .corpus import Corpus
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable, RelationSpec
-from .model import (DEFAULT_TIE_EPSILON, Decision, LogLinearModel,
-                    ReferenceDistribution, disambiguate)
-from .properties import PropertyRegistry
+from .model import DEFAULT_TIE_EPSILON, Decisions, LogLinearModel, decide
+from .properties import (FeatureMatrix, PropertyRegistry, compile_corpus,
+                         same_columns)
 
 TASKS = ("exact_match", "frame_match")
 
@@ -91,61 +91,102 @@ def outcome_from_verdicts(task: str, verdicts: Sequence[SentenceVerdict]
                        effectiveness=effectiveness, verdicts=tuple(verdicts))
 
 
-def _frame_of(entry: SentenceEntry, parse_id: str) -> str:
-    for parse in entry.parses:
-        if parse.parse_id == parse_id:
-            if parse.frame is None:
-                raise DataError(
-                    f"sentence {entry.sentence_id!r} parse {parse_id!r} has "
-                    "no frame descriptor (required by the frame task)")
-            return parse.frame
-    raise DataError(f"sentence {entry.sentence_id!r} has no parse {parse_id!r}")
+VERDICTS = ("correct", "incorrect", "dont_know")
 
 
-def _judge(entry: SentenceEntry, decision: Decision, task: str) -> SentenceVerdict:
-    if entry.gold_index is None:
-        raise DataError(
-            f"sentence {entry.sentence_id!r} has no gold_index annotation")
-    gold = entry.parses[entry.gold_index]
+def _compiled(corpus: Corpus, registry: PropertyRegistry,
+              features: Optional[FeatureMatrix],
+              lex_table: Optional[LexFrequencyTable],
+              relation_spec: Optional[RelationSpec]) -> FeatureMatrix:
+    """``features`` when it is ``corpus`` compiled against ``registry``'s
+    columns; otherwise a fresh compile."""
+    if (features is not None and features.corpus is corpus
+            and features.n_sentences == len(corpus.entries)
+            and same_columns(features.registry, registry)):
+        return features
+    return compile_corpus(corpus, registry, lex_table, relation_spec)
 
-    if task == "exact_match":
-        if decision.kind == "dont_know":
-            verdict = "dont_know"
-        else:
-            verdict = "correct" if decision.unique_id == gold.parse_id else "incorrect"
-        return SentenceVerdict(entry.sentence_id, verdict, decision.kind,
-                               decision.parse_ids)
 
-    # Frame task: the chosen parse only has to agree on the main verb's frame.
-    gold_frame = _frame_of(entry, gold.parse_id)
-    frames = {_frame_of(entry, pid) for pid in decision.parse_ids}
-    if decision.kind == "unique" or len(frames) == 1:
+class _Judge:
+    """Scores decisions against the gold annotation of one test corpus."""
+
+    def __init__(self, task: str, corpus: Corpus, features: FeatureMatrix):
+        if task not in TASKS:
+            raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
+        missing = np.flatnonzero(features.gold < 0)
+        if missing.size:
+            raise DataError(
+                f"sentence {features.sentence_ids[missing[0]]!r} has no "
+                "gold_index annotation")
+        self.task = task
+        self.features = features
+        self.gold_rows = features.offsets[:-1] + features.gold
+        if task == "frame_match":
+            codes: dict[str, int] = {}
+            self.frames = np.array(
+                [-1 if p.frame is None else codes.setdefault(p.frame, len(codes))
+                 for entry in corpus.entries for p in entry.parses],
+                dtype=np.int64)
+
+    def verdicts(self, decisions: Decisions) -> np.ndarray:
+        """Index into VERDICTS of each sentence's verdict."""
+        unique = decisions.unique
+        if self.task == "exact_match":
+            return np.where(unique,
+                            np.where(decisions.chosen == self.gold_rows, 0, 1), 2)
+
+        # Frame task: the chosen parse only has to agree on the main verb's
+        # frame.  A decision touches its unique pick or every tied parse.
+        features = self.features
+        touched = decisions.tied & ~np.repeat(unique, np.diff(features.offsets))
+        touched[decisions.chosen[unique]] = True
+        needed = touched.copy()
+        needed[self.gold_rows] = True
+        lacking = np.flatnonzero(needed & (self.frames < 0))
+        if lacking.size:
+            r = int(lacking[0])
+            s = int(np.searchsorted(features.offsets, r, side="right")) - 1
+            raise DataError(
+                f"sentence {features.sentence_ids[s]!r} parse "
+                f"{features.parse_ids[s][r - features.offsets[s]]!r} has no "
+                "frame descriptor (required by the frame task)")
+        starts = features.offsets[:-1]
+        lowest = np.minimum.reduceat(
+            np.where(touched, self.frames, np.iinfo(np.int64).max), starts)
+        highest = np.maximum.reduceat(np.where(touched, self.frames, -1), starts)
         # A tie over parses sharing one frame is a unique frame decision.
-        verdict = "correct" if frames == {gold_frame} else "incorrect"
-    else:
-        verdict = "dont_know"
-    return SentenceVerdict(entry.sentence_id, verdict, decision.kind,
-                           decision.parse_ids)
+        return np.where(lowest == highest,
+                        np.where(lowest == self.frames[self.gold_rows], 0, 1), 2)
+
+    def rates(self, decisions: Decisions) -> tuple[Optional[float], float]:
+        """(precision, effectiveness) of the decisions."""
+        counts = np.bincount(self.verdicts(decisions), minlength=3)
+        return _metrics(*(int(c) for c in counts))
 
 
 def evaluate(model: LogLinearModel, test_corpus: Corpus,
              task: str = "exact_match",
              tie_epsilon: float = DEFAULT_TIE_EPSILON,
              lex_table: Optional[LexFrequencyTable] = None,
-             relation_spec: Optional[RelationSpec] = None) -> EvalOutcome:
+             relation_spec: Optional[RelationSpec] = None, *,
+             features: Optional[FeatureMatrix] = None) -> EvalOutcome:
     """Disambiguate every test sentence and score it against the gold parse.
 
     Every entry needs a ``gold_index``; the frame task additionally requires
     frame descriptors on the gold parse and every candidate the decision
     touches.  Deterministic for fixed model, corpus, and tie_epsilon.
+    ``features``, the test corpus compiled against the model's registry
+    (``compile_corpus``), saves compiling it again.
     """
-    if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
+    features = _compiled(test_corpus, model.registry, features, lex_table,
+                         relation_spec)
+    judge = _Judge(task, test_corpus, features)
+    decisions = decide(model.lam, features, tie_epsilon)
     verdicts = []
-    for entry in test_corpus.entries:
-        decision = disambiguate(model, entry, tie_epsilon=tie_epsilon,
-                                lex_table=lex_table, relation_spec=relation_spec)
-        verdicts.append(_judge(entry, decision, task))
+    for s, code in enumerate(judge.verdicts(decisions)):
+        decision = decisions.decision(features, s)
+        verdicts.append(SentenceVerdict(features.sentence_ids[s], VERDICTS[code],
+                                        decision.kind, decision.parse_ids))
     return outcome_from_verdicts(task, verdicts)
 
 
@@ -168,32 +209,30 @@ def random_baseline(test_corpus: Corpus, task: str, registry: PropertyRegistry,
                     lambda_range: float = 1.0,
                     tie_epsilon: float = DEFAULT_TIE_EPSILON,
                     lex_table: Optional[LexFrequencyTable] = None,
-                    relation_spec: Optional[RelationSpec] = None
+                    relation_spec: Optional[RelationSpec] = None, *,
+                    features: Optional[FeatureMatrix] = None
                     ) -> BaselineReport:
     """Average precision of models with uniformly drawn parameter vectors.
 
     This measures the disambiguation power of the candidate sets themselves.
     Models with undefined precision (every sentence a tie) are excluded from
-    the average and counted separately.
+    the average and counted separately.  ``features`` as in ``evaluate``.
     """
     if n_models < 1:
         raise ConfigError("n_models must be >= 1")
+    features = _compiled(test_corpus, registry, features, lex_table,
+                         relation_spec)
+    judge = _Judge(task, test_corpus, features)
     rng = np.random.default_rng(seed)
     precisions = []
     n_undefined = 0
     for _ in range(n_models):
         lam = rng.uniform(-lambda_range, lambda_range, size=registry.size)
-        model = LogLinearModel(lam=lam, registry=registry,
-                               reference=ReferenceDistribution(),
-                               universe=test_corpus.content_digest(),
-                               universe_size=test_corpus.universe_size)
-        outcome = evaluate(model, test_corpus, task=task,
-                           tie_epsilon=tie_epsilon, lex_table=lex_table,
-                           relation_spec=relation_spec)
-        if outcome.precision is None:
+        precision, _ = judge.rates(decide(lam, features, tie_epsilon))
+        if precision is None:
             n_undefined += 1
         else:
-            precisions.append(outcome.precision)
+            precisions.append(precision)
     if not precisions:
         raise DataError("every random model left precision undefined")
     return BaselineReport(
@@ -215,22 +254,27 @@ def sweep_checkpoints(checkpoint_models: Sequence[tuple[int, LogLinearModel]],
                       test_corpus: Corpus, task: str = "exact_match",
                       tie_epsilon: float = DEFAULT_TIE_EPSILON,
                       lex_table: Optional[LexFrequencyTable] = None,
-                      relation_spec: Optional[RelationSpec] = None
+                      relation_spec: Optional[RelationSpec] = None, *,
+                      features: Optional[FeatureMatrix] = None
                       ) -> list[SweepRow]:
     """Evaluate each training checkpoint; rows are ordered by iteration.
 
     The resulting precision curve exposes overtraining: a peak before the
-    final iteration.
+    final iteration.  ``features`` as in ``evaluate``; checkpoints sharing
+    a registry share one compiled test corpus.
     """
     if not checkpoint_models:
         raise ConfigError("no checkpoint models to sweep")
     rows = []
+    judge = None
     for iteration, model in sorted(checkpoint_models, key=lambda p: p[0]):
-        outcome = evaluate(model, test_corpus, task=task,
-                           tie_epsilon=tie_epsilon, lex_table=lex_table,
-                           relation_spec=relation_spec)
-        rows.append(SweepRow(iteration=iteration, precision=outcome.precision,
-                             effectiveness=outcome.effectiveness))
+        features = _compiled(test_corpus, model.registry, features, lex_table,
+                             relation_spec)
+        judge = judge or _Judge(task, test_corpus, features)
+        precision, effectiveness = judge.rates(
+            decide(model.lam, features, tie_epsilon))
+        rows.append(SweepRow(iteration=iteration, precision=precision,
+                             effectiveness=effectiveness))
     return rows
 
 

@@ -390,26 +390,35 @@ def lexicalized_properties(entry: SentenceEntry, table: LexFrequencyTable,
     For every (relation, voice, verb-position) slot of the spec, the parses
     of the sentence that carry the slot compete on the f_c value of their
     (verb, noun) pair; those attaining the maximum get 1 (ties included),
-    the rest get 0, and parses lacking the slot get 0 as well.  Keys are
+    the rest get 0, and parses lacking the slot get 0 as well.  A parse's
+    first relation in a slot is the one that competes.  Keys are
     ``relation/voice/position`` strings.
     """
     spec = relation_spec or RelationSpec()
+    slots = spec.slots()
+    wanted = set(slots)
+    # One pass over the relations buckets the competitors of every slot.
+    occupants: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
+    for j, parse in enumerate(entry.parses):
+        filled = set()
+        for rel in parse.relations:
+            if rel.voice not in VOICES:
+                raise DataError(
+                    f"sentence {entry.sentence_id!r} parse "
+                    f"{parse.parse_id!r}: undefined voice {rel.voice!r}")
+            slot = (rel.name, rel.voice, rel.position)
+            if slot in wanted and slot not in filled:
+                filled.add(slot)
+                occupants.setdefault(slot, []).append(
+                    (j, table.lookup(rel.verb, rel.noun)))
+
     rows: list[dict[str, int]] = [{} for _ in entry.parses]
-    for rel_name, voice, position in spec.slots():
-        key = RelationSpec.slot_key(rel_name, voice, position)
-        occupants: list[tuple[int, float]] = []
-        for j, parse in enumerate(entry.parses):
-            for rel in parse.relations:
-                if rel.voice not in VOICES:
-                    raise DataError(
-                        f"sentence {entry.sentence_id!r} parse "
-                        f"{parse.parse_id!r}: undefined voice {rel.voice!r}")
-                if (rel.name, rel.voice, rel.position) == (rel_name, voice, position):
-                    occupants.append((j, table.lookup(rel.verb, rel.noun)))
-                    break
-        if not occupants:
+    for slot in slots:
+        competitors = occupants.get(slot)
+        if not competitors:
             continue
-        best = max(value for _, value in occupants)
-        for j, value in occupants:
+        key = RelationSpec.slot_key(*slot)
+        best = max(value for _, value in competitors)
+        for j, value in competitors:
             rows[j][key] = 1 if value >= best else 0
     return rows

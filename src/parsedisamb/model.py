@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .corpus import Corpus, SentenceEntry
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable, RelationSpec
 from .properties import (FeatureMatrix, PropertyRegistry, build_feature_matrix,
-                         entry_feature_rows)
+                         compile_corpus)
 
 MODEL_FORMAT = "loglinear-model"
 MODEL_VERSION = 1
@@ -139,26 +139,19 @@ class Decision:
 # ---------------------------------------------------------------------------
 # Scoring
 
-def score(model: LogLinearModel, parse_features: Union[dict, np.ndarray],
+def score(model: LogLinearModel, parse_features: np.ndarray,
           log_p0: Optional[float] = None) -> float:
     """Log-score lam . nu(x) + ln p0(x) of a single parse.
 
-    ``parse_features`` is a sparse index->value mapping or a dense vector
-    indexed against the model registry.  ``log_p0`` defaults to the uniform
-    reference weight over the model universe.
+    ``parse_features`` is the parse's dense property vector, indexed against
+    the model registry.  ``log_p0`` defaults to the uniform reference weight
+    over the model universe.
     """
     if log_p0 is None:
         if model.reference.kind != "uniform":
             raise ConfigError(
                 "explicit reference requires the parse's log_p0 value")
         log_p0 = -float(np.log(model.universe_size))
-    if isinstance(parse_features, dict):
-        total = 0.0
-        for idx, value in parse_features.items():
-            if not 0 <= idx < model.n_features:
-                raise ConfigError(f"feature index {idx} out of range")
-            total += model.lam[idx] * value
-        return total + log_p0
     vec = np.asarray(parse_features, dtype=float)
     if vec.shape != (model.n_features,):
         raise ConfigError(
@@ -166,18 +159,21 @@ def score(model: LogLinearModel, parse_features: Union[dict, np.ndarray],
     return float(vec @ model.lam) + log_p0
 
 
-def _resolve_features(model: LogLinearModel, corpus: Optional[Corpus],
-                      features: Optional[FeatureMatrix],
-                      lex_table: Optional[LexFrequencyTable],
-                      relation_spec: Optional[RelationSpec],
-                      check_universe: bool) -> FeatureMatrix:
+def universe_features(model: LogLinearModel, corpus: Optional[Corpus] = None,
+                      features: Optional[FeatureMatrix] = None,
+                      lex_table: Optional[LexFrequencyTable] = None,
+                      relation_spec: Optional[RelationSpec] = None
+                      ) -> FeatureMatrix:
+    """The compiled universe of ``model``: ``features`` when given, else
+    compiled from ``corpus``; either must be the model's universe."""
     if features is None:
         if corpus is None:
             raise ConfigError("either a corpus or a feature matrix is required")
         features = build_feature_matrix(corpus, model.registry,
                                         lex_table=lex_table,
                                         relation_spec=relation_spec)
-    if check_universe and features.corpus_digest != model.universe:
+    if (features.corpus_digest != model.universe
+            or features.n_parses != model.universe_size):
         raise ConfigError(
             "corpus is not the model's universe (content digest mismatch)")
     return features
@@ -185,7 +181,7 @@ def _resolve_features(model: LogLinearModel, corpus: Optional[Corpus],
 
 def row_scores(model: LogLinearModel, features: FeatureMatrix) -> np.ndarray:
     """Log-scores of every universe parse row."""
-    scores = features.values @ model.lam
+    scores = features.dot(model.lam)
     scores += model.reference.log_weights(features.n_parses)
     if not np.all(np.isfinite(scores)):
         raise DataError("non-finite parse score; parameters diverged")
@@ -201,8 +197,8 @@ def normalize(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
     The corpus must be the model's universe; a prebuilt feature matrix may be
     passed instead to skip re-extraction.
     """
-    features = _resolve_features(model, corpus, features, lex_table,
-                                 relation_spec, check_universe=True)
+    features = universe_features(model, corpus, features, lex_table,
+                                 relation_spec)
     scores = row_scores(model, features)
     shift = scores.max()
     expd = np.exp(scores - shift)
@@ -237,22 +233,52 @@ def model_expectation(model: LogLinearModel, corpus: Optional[Corpus] = None,
     """Expected feature vector under the model distribution, p[nu]."""
     if dist is None:
         dist = normalize(model, corpus, features=features)
-    return dist.probs @ dist.features.values
+    return dist.features.weighted_sum(dist.probs)
 
 
-def sentence_scores(model: LogLinearModel, entry: SentenceEntry,
-                    lex_table: Optional[LexFrequencyTable] = None,
-                    relation_spec: Optional[RelationSpec] = None) -> np.ndarray:
-    """Unnormalized log-scores of one sentence's candidate parses.
+# ---------------------------------------------------------------------------
+# Decisions
 
-    Uses only the linear part lam . nu(x); per-sentence constants (the
+@dataclass(frozen=True, eq=False)
+class Decisions:
+    """The decisions of one parameter vector on every sentence of a
+    compiled corpus.
+
+    ``tied`` marks the rows within ``tie_epsilon`` of their sentence's best
+    score; a sentence is decided (``unique``) when at most one row is, and
+    ``chosen`` holds the row of its last parse at the maximum.
+    """
+
+    unique: np.ndarray
+    chosen: np.ndarray
+    tied: np.ndarray
+
+    def decision(self, features: FeatureMatrix, s: int) -> Decision:
+        ids = features.parse_ids[s]
+        start = features.offsets[s]
+        if self.unique[s]:
+            return Decision(kind="unique", parse_ids=(ids[self.chosen[s] - start],))
+        rows = np.flatnonzero(self.tied[start:features.offsets[s + 1]])
+        return Decision(kind="dont_know", parse_ids=tuple(ids[j] for j in rows))
+
+
+def decide(lam: np.ndarray, features: FeatureMatrix,
+           tie_epsilon: float = DEFAULT_TIE_EPSILON) -> Decisions:
+    """Disambiguate every sentence of ``features`` under parameters ``lam``.
+
+    Ranks by the linear part lam . nu(x) alone: per-sentence constants (the
     normalizer and a uniform reference) do not affect ranking.
     """
-    rows = entry_feature_rows(entry, model.registry, lex_table, relation_spec)
-    scores = np.zeros(len(rows))
-    for j, row in enumerate(rows):
-        scores[j] = sum(model.lam[idx] * value for idx, value in row.items())
-    return scores
+    scores = features.dot(lam)
+    starts = features.offsets[:-1]
+    best = np.repeat(np.maximum.reduceat(scores, starts),
+                     np.diff(features.offsets))
+    tied = best - scores <= tie_epsilon
+    at_max = np.where(scores == best, np.arange(scores.size), -1)
+    return Decisions(
+        unique=np.add.reduceat(tied.astype(np.int64), starts) <= 1,
+        chosen=np.maximum.reduceat(at_max, starts),
+        tied=tied)
 
 
 def disambiguate(model: LogLinearModel, entry: SentenceEntry,
@@ -265,17 +291,9 @@ def disambiguate(model: LogLinearModel, entry: SentenceEntry,
     more than ``tie_epsilon``; otherwise a don't-know decision carrying every
     parse within ``tie_epsilon`` of the maximum.
     """
-    if len(entry.parses) == 1:
-        return Decision(kind="unique", parse_ids=(entry.parses[0].parse_id,))
-    scores = sentence_scores(model, entry, lex_table, relation_spec)
-    order = np.argsort(scores, kind="stable")[::-1]
-    best = scores[order[0]]
-    if best - scores[order[1]] > tie_epsilon:
-        return Decision(kind="unique",
-                        parse_ids=(entry.parses[int(order[0])].parse_id,))
-    tied = [entry.parses[j].parse_id
-            for j in range(len(entry.parses)) if best - scores[j] <= tie_epsilon]
-    return Decision(kind="dont_know", parse_ids=tuple(tied))
+    features = compile_corpus(Corpus(entries=(entry,)), model.registry,
+                              lex_table, relation_spec)
+    return decide(model.lam, features, tie_epsilon).decision(features, 0)
 
 
 def kl_divergence(p: ParseDistribution, q: ParseDistribution) -> float:

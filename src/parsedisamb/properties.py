@@ -1,9 +1,13 @@
-"""Property-function vector: templates, extraction, correction, selection.
+"""Property-function vector: templates, compilation, correction, selection.
 
 Properties are nonnegative real-valued functions of a parse.  A registry
 holds the ordered property inventory; templates are instantiated from a
 defining corpus, a correction property is appended to make the total feature
 mass constant, and low-activation properties can be dropped.
+
+A corpus is compiled once, in one walk over its parses, into a sparse
+``FeatureMatrix``.  Registry activation counts, the correction constant,
+selection, training and evaluation all work on that matrix.
 
 Structural property semantics implemented here (all computed from the
 simplified parse record):
@@ -31,12 +35,13 @@ sentence's competitor set (see lexicalization), and the correction value is
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import Corpus, ParseRecord, SentenceEntry
+from .corpus import Corpus, ParseRecord
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable, RelationSpec, lexicalized_properties
 
@@ -70,6 +75,9 @@ COORDINATION_MARKERS = frozenset({"CC", "CONJ", "KON"})
 COMPLEXITY_BUCKETS = ("1", "2-3", "4-7", "8+")
 
 CORRECTION_KEY = "K"
+
+# Column and row indices of the compiled matrix (array typecode "i").
+INDEX_DTYPE = np.int32
 
 
 @dataclass(frozen=True)
@@ -159,22 +167,26 @@ def load_registry(path) -> PropertyRegistry:
 
 def _iter_internal(node):
     """Yield (label, children) for every internal node, depth first."""
-    if isinstance(node, str):
-        return
-    label, children = node
-    yield label, children
-    for child in children:
-        yield from _iter_internal(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, str):
+            yield node
+            stack.extend(reversed(node[1]))
 
 
 def _symbol(node) -> str:
     return node if isinstance(node, str) else node[0]
 
 
-def _leaf_count(node) -> int:
-    if isinstance(node, str):
-        return 1
-    return sum(_leaf_count(c) for c in node[1])
+def _token_counts(node, counts: dict) -> int:
+    """Tokens dominated by ``node``; records ``counts[id(n)]`` for every
+    internal node ``n`` below it, so one walk serves the whole tree."""
+    total = 0
+    for child in node[1]:
+        total += 1 if isinstance(child, str) else _token_counts(child, counts)
+    counts[id(node)] = total
+    return total
 
 
 def _complexity_bucket(n_tokens: int) -> str:
@@ -197,20 +209,27 @@ def structural_values(parse: ParseRecord, kinds: Iterable[str]) -> dict:
 
     tree = parse.cstructure
     if tree is not None and kinds & TREE_KINDS:
+        production = "production" in kinds
+        complexity = "attachment-complexity" in kinds
+        branching = "non-right-branching" in kinds
+        coordination = "coord-non-parallel" in kinds
+        tokens: dict[int, int] = {}
+        if complexity and not isinstance(tree, str):
+            _token_counts(tree, tokens)
         for label, children in _iter_internal(tree):
-            if "production" in kinds:
+            if production:
                 rhs = " ".join(_symbol(c) for c in children)
                 bump("production", f"{label} -> {rhs}")
-            if "attachment-complexity" in kinds and len(children) >= 2:
+            if complexity and len(children) >= 2:
                 for child in children:
                     if not isinstance(child, str):
                         bump("attachment-complexity",
-                             _complexity_bucket(_leaf_count(child)))
-            if "non-right-branching" in kinds:
+                             _complexity_bucket(tokens[id(child)]))
+            if branching:
                 for child in children[:-1]:
                     if not isinstance(child, str):
                         bump("non-right-branching", "count")
-            if "coord-non-parallel" in kinds:
+            if coordination:
                 marks = [i for i, c in enumerate(children)
                          if _symbol(c) in COORDINATION_MARKERS]
                 if marks:
@@ -240,36 +259,279 @@ def _passthrough_key(index: int) -> str:
     return f"{index:06d}"
 
 
-def _parse_template_values(parse: ParseRecord, kinds: set[str]) -> dict:
-    """(kind, key) -> value for structural plus passthrough kinds."""
-    values = structural_values(parse, kinds & set(STRUCTURAL_KINDS))
-    if "passthrough" in kinds and parse.precomputed_features:
-        for idx, value in parse.precomputed_features.items():
-            if value != 0:
-                values[("passthrough", _passthrough_key(idx))] = float(value)
-    return values
+# ---------------------------------------------------------------------------
+# The compiled feature matrix
+
+@dataclass(eq=False)
+class FeatureMatrix:
+    """Property rows of a corpus, compiled once, in CSR form and corpus order.
+
+    Row ``r`` holds the nonzero values ``data[indptr[r]:indptr[r+1]]`` at the
+    columns ``indices[...]`` (increasing within a row) of ``registry``.
+    Indices are int32, so a matrix holds fewer than 2**31 nonzeros.
+    ``offsets[s]:offsets[s+1]`` delimits sentence ``s``'s rows.  ``gold`` is
+    -1 where no gold index is annotated.  ``clamped_corrections`` counts
+    parses whose feature total exceeded K (possible outside the defining
+    corpus); their correction value was clamped to zero.  Values are checked
+    to be finite and nonnegative here, once, so no consumer rescans them.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    registry: PropertyRegistry
+    offsets: np.ndarray
+    weights: np.ndarray
+    gold: np.ndarray
+    sentence_ids: list[str]
+    parse_ids: list[tuple[str, ...]]
+    corpus: Corpus = field(repr=False)
+    clamped_corrections: int = 0
+    rows: np.ndarray = field(init=False, repr=False)  # row of each nonzero
+
+    def __post_init__(self):
+        if self.data.size and not (self.data.min() >= 0
+                                   and self.data.max() < np.inf):
+            raise DataError("negative or non-finite feature value encountered")
+        self.rows = np.repeat(np.arange(self.n_parses, dtype=INDEX_DTYPE),
+                              np.diff(self.indptr))
+
+    @property
+    def n_sentences(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def n_parses(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def n_features(self) -> int:
+        return self.registry.size
+
+    @property
+    def corpus_digest(self) -> str:
+        return self.corpus.content_digest()
+
+    @property
+    def values(self) -> np.ndarray:
+        """Dense (parses x features) copy, built on demand."""
+        dense = np.zeros((self.n_parses, self.n_features))
+        dense[self.rows, self.indices] = self.data
+        return dense
+
+    def gold_rows(self) -> np.ndarray:
+        """Absolute row index of each sentence's gold parse."""
+        if np.any(self.gold < 0):
+            missing = [self.sentence_ids[i] for i in np.nonzero(self.gold < 0)[0]]
+            raise DataError(f"sentences without gold_index: {missing[:5]}")
+        return self.offsets[:-1] + self.gold
+
+    def dot(self, lam: np.ndarray) -> np.ndarray:
+        """Row scores ``X @ lam``."""
+        terms = lam[self.indices]
+        terms *= self.data
+        return np.bincount(self.rows, weights=terms, minlength=self.n_parses)
+
+    def weighted_sum(self, row_weights: np.ndarray) -> np.ndarray:
+        """Column sums of the rows scaled by ``row_weights``: ``w @ X``."""
+        terms = row_weights[self.rows]
+        terms *= self.data
+        return np.bincount(self.indices, weights=terms,
+                           minlength=self.n_features)
+
+    def row_totals(self) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.data, minlength=self.n_parses)
+
+    def activation_counts(self) -> np.ndarray:
+        """Number of rows on which each column is nonzero."""
+        return np.bincount(self.indices, minlength=self.n_features)
+
+    def universe(self) -> "FeatureMatrix":
+        """The rows of sentences with positive weight (the parse universe)."""
+        if self.registry.correction_K is not None:
+            raise ConfigError("take the universe before adding the correction")
+        keep = self.weights > 0
+        if keep.all():
+            return self
+        if not keep.any():
+            raise DataError("every sentence has zero weight; the universe is empty")
+        row_keep = np.repeat(keep, np.diff(self.offsets))
+        kept = np.flatnonzero(keep)
+        return FeatureMatrix(
+            indptr=np.concatenate(([0], np.cumsum(np.diff(self.indptr)[row_keep]))),
+            indices=self.indices[row_keep[self.rows]],
+            data=self.data[row_keep[self.rows]],
+            registry=self.registry,
+            offsets=np.concatenate(([0], np.cumsum(np.diff(self.offsets)[keep]))),
+            weights=self.weights[keep],
+            gold=self.gold[keep],
+            sentence_ids=[self.sentence_ids[s] for s in kept],
+            parse_ids=[self.parse_ids[s] for s in kept],
+            corpus=self.corpus,
+        )
+
+    def project(self, registry: PropertyRegistry,
+                strict_correction: bool = False) -> "FeatureMatrix":
+        """The same rows over the columns of ``registry``.
+
+        Columns the registry lacks are dropped.  When the registry carries
+        the correction property, each row gets ``K - total`` in the last
+        column; a row whose total exceeds K raises with
+        ``strict_correction`` (a stale registry for its defining corpus) and
+        is otherwise clamped to zero and counted.
+        """
+        K = registry.correction_K
+        colmap = np.full(self.n_features, -1, dtype=INDEX_DTYPE)
+        for d in self.registry.properties:
+            target = registry.index_of(d.kind, d.key)
+            if target is not None and d.kind != "correction":
+                colmap[d.index] = target
+        rows, cols, data = self.rows, colmap[self.indices], self.data
+        keep = cols >= 0
+        if not keep.all():
+            rows, cols, data = rows[keep], cols[keep], data[keep]
+        # Rows are sorted by column; a map that keeps the column order keeps
+        # them sorted.
+        if np.any(np.diff(colmap[colmap >= 0]) <= 0):
+            order = np.lexsort((cols, rows))
+            rows, cols, data = rows[order], cols[order], data[order]
+
+        n = self.n_parses
+        per_row = np.bincount(rows, minlength=n)
+        clamped = 0
+        if K is not None:
+            slack = K - np.bincount(rows, weights=data, minlength=n)
+            over = np.flatnonzero(slack < 0)
+            if over.size and strict_correction:
+                r = int(over[0])
+                s = int(np.searchsorted(self.offsets, r, side="right")) - 1
+                raise DataError(
+                    f"parse {self.parse_ids[s][r - self.offsets[s]]!r} of "
+                    f"sentence {self.sentence_ids[s]!r} has feature mass above "
+                    f"the correction constant {K}; the registry is stale for "
+                    "this corpus")
+            clamped = int(over.size)
+            # The correction is the last column: it goes at the end of its row.
+            fill = slack > 0
+            ends = np.cumsum(per_row)[fill]
+            cols = np.insert(cols, ends, registry.correction_index)
+            data = np.insert(data, ends, slack[fill])
+            per_row = per_row + fill
+        return FeatureMatrix(
+            indptr=np.concatenate(([0], np.cumsum(per_row))),
+            indices=cols, data=data, registry=registry, offsets=self.offsets,
+            weights=self.weights, gold=self.gold,
+            sentence_ids=self.sentence_ids, parse_ids=self.parse_ids,
+            corpus=self.corpus, clamped_corrections=clamped)
+
+
+def _walk(corpus: Corpus, kinds: set[str],
+          lex_table: Optional[LexFrequencyTable],
+          relation_spec: Optional[RelationSpec],
+          registry: Optional[PropertyRegistry] = None) -> FeatureMatrix:
+    """Compile every sentence of ``corpus`` in one pass over its parses.
+
+    With a ``registry`` (no correction property) the columns are its own
+    and unregistered templates are dropped.  Without one, the columns are
+    the templates in order of first occurrence, including lexicalized slots
+    whose only values are zero, so that they can be registered.  Each row's
+    entries are appended to typed arrays sorted by column; ``project`` puts
+    them in registry order and adds the correction.  ``lex_table`` enables
+    the lexicalized slots, computed once per sentence.
+    """
+    structural = kinds & set(STRUCTURAL_KINDS)
+    passthrough = "passthrough" in kinds
+    vocab: dict[tuple[str, str], int] = {}
+    passthrough_cols: dict[int, int] = {}
+    indptr, indices, data = array("q", [0]), array("i"), array("d")
+    offsets, weights, gold = array("q", [0]), array("d"), array("q")
+    sentence_ids, parse_ids = [], []
+    row: list[tuple[int, float]] = []
+
+    def put(key: tuple[str, str], value: float) -> int:
+        if registry is None:
+            col = vocab.setdefault(key, len(vocab))
+        else:
+            col = registry._by_key.get(key, -1)
+        if col >= 0 and value != 0:
+            row.append((col, value))
+        return col
+
+    for entry in corpus.entries:
+        lex_rows = (None if lex_table is None else
+                    lexicalized_properties(entry, lex_table, relation_spec))
+        for j, parse in enumerate(entry.parses):
+            if structural:
+                for key, value in structural_values(parse, structural).items():
+                    put(key, value)
+            if passthrough and parse.precomputed_features:
+                for idx, value in parse.precomputed_features.items():
+                    col = passthrough_cols.get(idx)
+                    if col is None:
+                        passthrough_cols[idx] = put(
+                            ("passthrough", _passthrough_key(idx)), value)
+                    elif col >= 0 and value != 0:
+                        row.append((col, value))
+            if lex_rows is not None:
+                for slot, value in lex_rows[j].items():
+                    put(("lexicalized-relation", slot), value)
+            row.sort()
+            for col, value in row:
+                indices.append(col)
+                data.append(value)
+            row.clear()
+            indptr.append(len(indices))
+        offsets.append(len(indptr) - 1)
+        weights.append(entry.weight)
+        gold.append(-1 if entry.gold_index is None else entry.gold_index)
+        sentence_ids.append(entry.sentence_id)
+        parse_ids.append(tuple(p.parse_id for p in entry.parses))
+
+    if registry is None:
+        registry = PropertyRegistry(properties=[
+            PropertyDescriptor(index=i, kind=kind, key=key)
+            for (kind, key), i in vocab.items()])
+    return FeatureMatrix(
+        indptr=np.frombuffer(indptr, dtype=np.int64),
+        indices=np.frombuffer(indices, dtype=INDEX_DTYPE),
+        data=np.frombuffer(data, dtype=float),
+        registry=registry,
+        offsets=np.frombuffer(offsets, dtype=np.int64),
+        weights=np.frombuffer(weights, dtype=float),
+        gold=np.frombuffer(gold, dtype=np.int64),
+        sentence_ids=sentence_ids, parse_ids=parse_ids, corpus=corpus)
+
+
+def _walk_for(corpus: Corpus, registry: PropertyRegistry,
+              lex_table: Optional[LexFrequencyTable],
+              relation_spec: Optional[RelationSpec]) -> FeatureMatrix:
+    """``_walk`` over the columns of ``registry`` except the correction."""
+    kinds = registry.kinds()
+    if "lexicalized-relation" not in kinds:
+        lex_table = None
+    elif lex_table is None:
+        raise ConfigError(
+            "registry has lexicalized properties but no frequency table "
+            "was provided")
+    if registry.correction_K is not None:
+        registry = PropertyRegistry(properties=registry.properties[:-1])
+    return _walk(corpus, kinds, lex_table, relation_spec or RelationSpec(),
+                 registry)
 
 
 # ---------------------------------------------------------------------------
-# Registry construction
+# Compilation and registry construction
 
-def build_registry(corpus: Corpus,
-                   enabled_kinds: Optional[Iterable[str]] = None,
-                   include_lexicalized: bool = False,
-                   lex_table: Optional[LexFrequencyTable] = None,
-                   relation_spec: Optional[RelationSpec] = None) -> PropertyRegistry:
-    """Instantiate one descriptor per template observed in the corpus.
+def compile_templates(corpus: Corpus,
+                      enabled_kinds: Optional[Iterable[str]] = None,
+                      include_lexicalized: bool = False,
+                      lex_table: Optional[LexFrequencyTable] = None,
+                      relation_spec: Optional[RelationSpec] = None
+                      ) -> FeatureMatrix:
+    """Compile every sentence over every template observed in the corpus.
 
-    ``enabled_kinds`` selects structural kinds (default: all of them when the
-    corpus carries structural data, none otherwise).  When no structural kind
-    is enabled, parses must carry precomputed features and the registry is a
-    passthrough over their index range.  ``include_lexicalized`` additionally
-    registers every pre-disambiguation slot observed in the corpus relations;
-    this requires the class-based frequency table, because activation counts
-    are the number of parses with a nonzero value.
-
-    Descriptors are ordered by (kind, key) lexicographically; the registry is
-    returned unfrozen (no correction property yet).
+    The matrix's registry is the one ``build_registry`` returns; see there
+    for the arguments.  Zero-weight sentences are included.
     """
     has_structure = all(p.has_structure for e in corpus.entries for p in e.parses)
     has_precomputed = all(p.precomputed_features is not None
@@ -295,142 +557,119 @@ def build_registry(corpus: Corpus,
             raise ConfigError(
                 "include_lexicalized requires a class-based frequency table")
         relation_spec = relation_spec or RelationSpec()
+    else:
+        lex_table = None
 
-    activation: dict[tuple[str, str], int] = {}
+    walked = _walk(corpus, enabled, lex_table, relation_spec)
+    counts = walked.activation_counts()
+    activation = {(d.kind, d.key): int(counts[d.index])
+                  for d in walked.registry.properties}
     if "passthrough" in enabled:
-        width = 1 + max(
-            (max(p.precomputed_features) for e in corpus.entries
-             for p in e.parses if p.precomputed_features),
-            default=-1,
-        )
+        # The passthrough registry spans the whole index range.
+        width = 1 + max((int(key) for kind, key in activation
+                         if kind == "passthrough"), default=-1)
         if width <= 0:
             raise DataError("precomputed features are empty on every parse")
         for i in range(width):
-            activation[("passthrough", _passthrough_key(i))] = 0
-
-    for entry in corpus.entries:
-        lex_rows = None
-        if include_lexicalized:
-            lex_rows = lexicalized_properties(entry, lex_table, relation_spec)
-        for j, parse in enumerate(entry.parses):
-            for (kind, key), value in _parse_template_values(parse, enabled).items():
-                if value != 0:
-                    activation[(kind, key)] = activation.get((kind, key), 0) + 1
-                else:
-                    activation.setdefault((kind, key), 0)
-            if lex_rows is not None:
-                for slot, value in lex_rows[j].items():
-                    slot_key = ("lexicalized-relation", slot)
-                    if value != 0:
-                        activation[slot_key] = activation.get(slot_key, 0) + 1
-                    else:
-                        activation.setdefault(slot_key, 0)
+            activation.setdefault(("passthrough", _passthrough_key(i)), 0)
 
     ordered = sorted(activation)
     if not ordered:
         raise DataError("no property template was observed in the corpus")
-    props = [
+    registry = PropertyRegistry(properties=[
         PropertyDescriptor(index=i, kind=kind, key=key,
                            activation_count=activation[(kind, key)])
-        for i, (kind, key) in enumerate(ordered)
-    ]
-    return PropertyRegistry(properties=props)
+        for i, (kind, key) in enumerate(ordered)])
+    return walked.project(registry)
 
 
-# ---------------------------------------------------------------------------
-# Extraction
+def build_registry(corpus: Corpus,
+                   enabled_kinds: Optional[Iterable[str]] = None,
+                   include_lexicalized: bool = False,
+                   lex_table: Optional[LexFrequencyTable] = None,
+                   relation_spec: Optional[RelationSpec] = None) -> PropertyRegistry:
+    """Instantiate one descriptor per template observed in the corpus.
 
-def extract_features(parse: ParseRecord, registry: PropertyRegistry) -> dict[int, float]:
-    """Sparse feature vector of one parse against a registry.
+    ``enabled_kinds`` selects structural kinds (default: all of them when the
+    corpus carries structural data, none otherwise).  When no structural kind
+    is enabled, parses must carry precomputed features and the registry is a
+    passthrough over their index range.  ``include_lexicalized`` additionally
+    registers every pre-disambiguation slot observed in the corpus relations;
+    this requires the class-based frequency table, because activation counts
+    are the number of parses with a nonzero value.
 
-    Pure: identical parse and registry yield the identical mapping.  Covers
-    structural and passthrough kinds only; correction and lexicalized values
-    are contributed by the correction rule and the sentence-level
-    pre-disambiguator respectively.
+    Descriptors are ordered by (kind, key) lexicographically; the registry is
+    returned unfrozen (no correction property yet).
     """
-    kinds = registry.kinds() & (set(STRUCTURAL_KINDS) | {"passthrough"})
-    out: dict[int, float] = {}
-    for (kind, key), value in _parse_template_values(parse, kinds).items():
-        idx = registry.index_of(kind, key)
-        if idx is not None and value != 0:
-            out[idx] = value
-    return out
+    return compile_templates(corpus, enabled_kinds, include_lexicalized,
+                             lex_table, relation_spec).registry
 
 
-def _entry_base_rows(entry: SentenceEntry, registry: PropertyRegistry,
-                     lex_table: Optional[LexFrequencyTable],
-                     relation_spec: Optional[RelationSpec]) -> list[dict[int, float]]:
-    """Per-parse sparse vectors including lexicalized slots, no correction."""
-    rows = [extract_features(parse, registry) for parse in entry.parses]
-    if "lexicalized-relation" in registry.kinds():
-        if lex_table is None:
-            raise ConfigError(
-                "registry has lexicalized properties but no frequency table "
-                "was provided")
-        spec = relation_spec or RelationSpec()
-        lex_rows = lexicalized_properties(entry, lex_table, spec)
-        for row, lex in zip(rows, lex_rows):
-            for slot, value in lex.items():
-                idx = registry.index_of("lexicalized-relation", slot)
-                if idx is not None and value != 0:
-                    row[idx] = float(value)
-    return rows
+def compile_corpus(corpus: Corpus, registry: PropertyRegistry,
+                   lex_table: Optional[LexFrequencyTable] = None,
+                   relation_spec: Optional[RelationSpec] = None) -> FeatureMatrix:
+    """Compile every sentence of ``corpus``, zero-weight ones included,
+    against ``registry``; corrections above K are clamped and counted."""
+    return _walk_for(corpus, registry, lex_table, relation_spec).project(registry)
 
 
-def entry_feature_rows(entry: SentenceEntry, registry: PropertyRegistry,
-                       lex_table: Optional[LexFrequencyTable] = None,
-                       relation_spec: Optional[RelationSpec] = None
-                       ) -> list[dict[int, float]]:
-    """Per-parse sparse vectors of one sentence, correction included.
+def build_feature_matrix(corpus: Corpus, registry: PropertyRegistry,
+                         lex_table: Optional[LexFrequencyTable] = None,
+                         relation_spec: Optional[RelationSpec] = None,
+                         strict_correction: bool = False) -> FeatureMatrix:
+    """The feature matrix of a corpus's parse universe, correction included.
 
-    Parses whose feature mass exceeds the correction constant (possible
-    outside the defining corpus) get a correction value clamped at zero.
+    Rows cover the sentences with positive weight.  With
+    ``strict_correction`` a parse whose feature total exceeds K raises (a
+    stale registry for its defining corpus); otherwise such corrections are
+    clamped at zero and counted.
     """
-    rows = _entry_base_rows(entry, registry, lex_table, relation_spec)
-    correction_idx = registry.correction_index
-    if correction_idx is not None:
-        for row in rows:
-            slack = registry.correction_K - float(sum(row.values()))
-            if slack > 0:
-                row[correction_idx] = slack
-    return rows
+    walked = _walk_for(corpus, registry, lex_table, relation_spec)
+    return walked.universe().project(registry, strict_correction)
 
 
 # ---------------------------------------------------------------------------
 # Correction and selection
 
-def add_correction(registry: PropertyRegistry, corpus: Corpus,
+def same_columns(a: PropertyRegistry, b: PropertyRegistry) -> bool:
+    """True when both registries define the same columns and the same K."""
+    return a is b or (a.correction_K == b.correction_K
+                      and [(d.kind, d.key) for d in a.properties]
+                      == [(d.kind, d.key) for d in b.properties])
+
+
+def add_correction(registry: PropertyRegistry, corpus: Optional[Corpus] = None,
                    lex_table: Optional[LexFrequencyTable] = None,
-                   relation_spec: Optional[RelationSpec] = None) -> PropertyRegistry:
+                   relation_spec: Optional[RelationSpec] = None, *,
+                   features: Optional[FeatureMatrix] = None) -> PropertyRegistry:
     """Append the constant-mass correction property and freeze the registry.
 
     K is the maximum total feature value over the parses of the defining
     universe (sentences with positive weight); the correction value of a
     parse is K minus its feature total, so afterwards every universe parse
-    sums to K exactly (exact for integral inputs).
+    sums to K exactly (exact for integral inputs).  ``features``, compiled
+    from the corpus over a superset of the registry's columns, saves
+    compiling it again.
     """
     if registry.correction_K is not None:
         raise ConfigError("registry already carries a correction property")
-    universe = [e for e in corpus.entries if e.weight > 0]
-    best = None
-    for entry in universe:
-        for row in _entry_base_rows(entry, registry, lex_table, relation_spec):
-            total = float(sum(row.values()))
-            if best is None or total > best:
-                best = total
-    if best is None or best <= 0:
+    if features is not None:
+        features = features.universe().project(registry)
+    elif corpus is not None:
+        features = build_feature_matrix(corpus, registry, lex_table,
+                                        relation_spec)
+    else:
+        raise ConfigError("either a corpus or a feature matrix is required")
+    totals = features.row_totals()
+    K = float(totals.max())
+    if K <= 0:
         raise DataError(
             "cannot fix a correction constant: every parse has zero feature mass")
-    activation = 0
-    for entry in universe:
-        for row in _entry_base_rows(entry, registry, lex_table, relation_spec):
-            if best - float(sum(row.values())) != 0:
-                activation += 1
-    descriptor = PropertyDescriptor(index=registry.size, kind="correction",
-                                    key=CORRECTION_KEY,
-                                    activation_count=activation)
+    descriptor = PropertyDescriptor(
+        index=registry.size, kind="correction", key=CORRECTION_KEY,
+        activation_count=int(np.count_nonzero(K - totals)))
     return PropertyRegistry(properties=registry.properties + [descriptor],
-                            correction_K=best, frozen=True)
+                            correction_K=K, frozen=True)
 
 
 def select_properties(registry: PropertyRegistry, cutoff: int,
@@ -449,132 +688,17 @@ def select_properties(registry: PropertyRegistry, cutoff: int,
     if cutoff < 0:
         raise ConfigError("cutoff must be nonnegative")
 
-    counts = {d.index: d.activation_count for d in registry.properties}
-    if corpus is not None:
-        counts = {d.index: 0 for d in registry.properties}
-        for entry in corpus.entries:
-            for row in _entry_base_rows(entry, registry, lex_table, relation_spec):
-                for idx, value in row.items():
-                    if value != 0:
-                        counts[idx] += 1
-
-    kept = [d for d in registry.properties if counts[d.index] >= cutoff]
-    if not kept:
+    if corpus is None:
+        counts = np.array([d.activation_count for d in registry.properties])
+    else:
+        counts = compile_corpus(corpus, registry, lex_table,
+                                relation_spec).activation_counts()
+    kept = np.flatnonzero(counts >= cutoff)
+    if not kept.size:
         raise DataError(f"property selection with cutoff {cutoff} removed "
                         "every descriptor")
-    props = [
-        PropertyDescriptor(index=i, kind=d.kind, key=d.key,
-                           activation_count=counts[d.index])
-        for i, d in enumerate(kept)
-    ]
-    return PropertyRegistry(properties=props)
-
-
-# ---------------------------------------------------------------------------
-# Corpus-level feature matrices
-
-@dataclass
-class FeatureMatrix:
-    """Dense per-parse feature rows for a corpus, in corpus order.
-
-    ``offsets[s]:offsets[s+1]`` delimits sentence ``s``'s rows.  ``gold`` is
-    -1 where no gold index is annotated.  ``clamped_corrections`` counts
-    parses whose feature total exceeded K (possible outside the defining
-    corpus); their correction value was clamped to zero.
-    """
-
-    values: np.ndarray
-    offsets: np.ndarray
-    weights: np.ndarray
-    gold: np.ndarray
-    sentence_ids: list[str]
-    parse_ids: list[tuple[str, ...]]
-    clamped_corrections: int
-    corpus_digest: str
-
-    @property
-    def n_sentences(self) -> int:
-        return len(self.offsets) - 1
-
-    @property
-    def n_parses(self) -> int:
-        return int(self.offsets[-1])
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
-
-    def sentence_rows(self, s: int) -> np.ndarray:
-        return self.values[self.offsets[s]:self.offsets[s + 1]]
-
-    def gold_rows(self) -> np.ndarray:
-        """Absolute row index of each sentence's gold parse."""
-        if np.any(self.gold < 0):
-            missing = [self.sentence_ids[i] for i in np.nonzero(self.gold < 0)[0]]
-            raise DataError(f"sentences without gold_index: {missing[:5]}")
-        return self.offsets[:-1] + self.gold
-
-
-def build_feature_matrix(corpus: Corpus, registry: PropertyRegistry,
-                         lex_table: Optional[LexFrequencyTable] = None,
-                         relation_spec: Optional[RelationSpec] = None,
-                         strict_correction: bool = False) -> FeatureMatrix:
-    """Materialize the full feature matrix of a corpus, correction included.
-
-    Rows cover the parse universe: sentences with positive weight.  With
-    ``strict_correction`` a parse whose feature total exceeds K raises (a
-    stale registry for its defining corpus); otherwise such corrections are
-    clamped at zero and counted.
-    """
-    n = registry.size
-    rows: list[dict[int, float]] = []
-    offsets = [0]
-    weights = []
-    gold = []
-    sentence_ids = []
-    parse_ids = []
-    clamped = 0
-    correction_idx = registry.correction_index
-
-    kept = [e for e in corpus.entries if e.weight > 0]
-    if not kept:
-        raise DataError("every sentence has zero weight; the universe is empty")
-    for entry in kept:
-        base = _entry_base_rows(entry, registry, lex_table, relation_spec)
-        if correction_idx is not None:
-            for parse, row in zip(entry.parses, base):
-                slack = registry.correction_K - float(sum(row.values()))
-                if slack < 0:
-                    if strict_correction:
-                        raise DataError(
-                            f"parse {parse.parse_id!r} of sentence "
-                            f"{entry.sentence_id!r} has feature mass above the "
-                            f"correction constant {registry.correction_K}; "
-                            "the registry is stale for this corpus")
-                    clamped += 1
-                elif slack > 0:
-                    row[correction_idx] = slack
-        rows.extend(base)
-        offsets.append(offsets[-1] + len(base))
-        weights.append(entry.weight)
-        gold.append(-1 if entry.gold_index is None else entry.gold_index)
-        sentence_ids.append(entry.sentence_id)
-        parse_ids.append(tuple(p.parse_id for p in entry.parses))
-
-    values = np.zeros((offsets[-1], n))
-    for r, row in enumerate(rows):
-        for idx, value in row.items():
-            values[r, idx] = value
-    if values.size and values.min() < 0:
-        raise DataError("negative feature value encountered")
-
-    return FeatureMatrix(
-        values=values,
-        offsets=np.asarray(offsets, dtype=np.int64),
-        weights=np.asarray(weights, dtype=float),
-        gold=np.asarray(gold, dtype=np.int64),
-        sentence_ids=sentence_ids,
-        parse_ids=parse_ids,
-        clamped_corrections=clamped,
-        corpus_digest=corpus.content_digest(),
-    )
+    return PropertyRegistry(properties=[
+        PropertyDescriptor(index=i, kind=registry.properties[c].kind,
+                           key=registry.properties[c].key,
+                           activation_count=int(counts[c]))
+        for i, c in enumerate(kept)])

@@ -34,8 +34,9 @@ from .corpus import Corpus
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .lexicalization import LexFrequencyTable, RelationSpec
 from .model import (LogLinearModel, ReferenceDistribution, new_model,
-                    row_scores)
-from .properties import FeatureMatrix, PropertyRegistry, build_feature_matrix
+                    row_scores, universe_features)
+from .properties import (FeatureMatrix, PropertyRegistry, build_feature_matrix,
+                         same_columns)
 
 DEFAULT_GAMMA_CLAMP_NUMERATOR = 20.0  # default clamp is 20/K
 
@@ -111,13 +112,56 @@ class TrainingTrace:
 # ---------------------------------------------------------------------------
 # Likelihood and expectations
 
-def _sentence_log_masses(scores: np.ndarray, features: FeatureMatrix) -> np.ndarray:
-    """Per-sentence logsumexp of row scores."""
+@dataclass(frozen=True, eq=False)
+class _Fit:
+    """What one update needs of a model, all from one score vector."""
+
+    likelihood: float
+    probs: np.ndarray        # model distribution p(x) over the universe
+    row_weights: np.ndarray  # empirical weight of each row in the numerator
+
+
+def _logsumexp(scores: np.ndarray) -> float:
+    shift = scores.max()
+    return float(shift + np.log(np.exp(scores - shift).sum()))
+
+
+def _fit(scores: np.ndarray, features: FeatureMatrix,
+         complete_data: bool) -> _Fit:
+    """Likelihood, model distribution and numerator row weights of the model
+    with row log-scores ``scores``.
+
+    Incomplete data weights each row by w(y) k(x|y) and raises when a
+    sentence's inner sum underflows to zero; complete data puts w(y) on the
+    gold row.
+    """
+    log_z = _logsumexp(scores)
+    probs = np.exp(scores - log_z)
+    probs /= probs.sum()
+    if complete_data:
+        gold_rows = features.gold_rows()
+        row_weights = np.zeros(features.n_parses)
+        row_weights[gold_rows] = features.weights
+        likelihood = features.weights @ (scores[gold_rows] - log_z)
+        return _Fit(float(likelihood), probs, row_weights)
     starts = features.offsets[:-1]
-    shift = np.maximum.reduceat(scores, starts)
     counts = np.diff(features.offsets)
+    shift = np.maximum.reduceat(scores, starts)
     expd = np.exp(scores - np.repeat(shift, counts))
-    return shift + np.log(np.add.reduceat(expd, starts))
+    mass = np.add.reduceat(expd, starts)
+    log_masses = shift + np.log(mass) - log_z
+    if not np.all(np.isfinite(log_masses)):
+        raise DataError("a sentence's parse mass underflowed to zero")
+    conditional = expd / np.repeat(mass, counts)
+    row_weights = conditional * np.repeat(features.weights, counts)
+    return _Fit(float(features.weights @ log_masses), probs, row_weights)
+
+
+def _model_fit(model: LogLinearModel, corpus: Optional[Corpus],
+               features: Optional[FeatureMatrix], complete_data: bool,
+               lex_table: Optional[LexFrequencyTable]) -> tuple[FeatureMatrix, _Fit]:
+    features = universe_features(model, corpus, features, lex_table)
+    return features, _fit(row_scores(model, features), features, complete_data)
 
 
 def incomplete_log_likelihood(model: LogLinearModel,
@@ -126,13 +170,7 @@ def incomplete_log_likelihood(model: LogLinearModel,
                               lex_table: Optional[LexFrequencyTable] = None) -> float:
     """L = sum_y w(y) ln sum over X(y) of p(x); at most 0 for a normalized
     model.  Raises when a sentence's inner sum underflows to zero."""
-    features = _require_features(model, corpus, features, lex_table)
-    scores = row_scores(model, features)
-    log_z = _logsumexp(scores)
-    log_masses = _sentence_log_masses(scores, features) - log_z
-    if not np.all(np.isfinite(log_masses)):
-        raise DataError("a sentence's parse mass underflowed to zero")
-    return float(features.weights @ log_masses)
+    return _model_fit(model, corpus, features, False, lex_table)[1].likelihood
 
 
 def complete_log_likelihood(model: LogLinearModel,
@@ -140,27 +178,7 @@ def complete_log_likelihood(model: LogLinearModel,
                             features: Optional[FeatureMatrix] = None,
                             lex_table: Optional[LexFrequencyTable] = None) -> float:
     """Gold-parse log-likelihood sum_y w(y) ln p(x_gold(y))."""
-    features = _require_features(model, corpus, features, lex_table)
-    scores = row_scores(model, features)
-    log_z = _logsumexp(scores)
-    gold_scores = scores[features.gold_rows()] - log_z
-    return float(features.weights @ gold_scores)
-
-
-def _logsumexp(scores: np.ndarray) -> float:
-    shift = scores.max()
-    return float(shift + np.log(np.exp(scores - shift).sum()))
-
-
-def _require_features(model, corpus, features, lex_table) -> FeatureMatrix:
-    if features is None:
-        if corpus is None:
-            raise ConfigError("either a corpus or a feature matrix is required")
-        features = build_feature_matrix(corpus, model.registry, lex_table=lex_table)
-    if features.corpus_digest != model.universe:
-        raise ConfigError(
-            "corpus is not the model's universe (content digest mismatch)")
-    return features
+    return _model_fit(model, corpus, features, True, lex_table)[1].likelihood
 
 
 def expectations(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
@@ -176,31 +194,28 @@ def expectations(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
     data).  The difference numerator - denominator is the exact gradient of
     the corresponding log-likelihood.
     """
-    features = _require_features(model, corpus, features, lex_table)
-    scores = row_scores(model, features)
-    log_z = _logsumexp(scores)
-    probs = np.exp(scores - log_z)
-    probs /= probs.sum()
-    denominator = probs @ features.values
-
-    counts = np.diff(features.offsets)
-    if complete_data:
-        gold_rows = features.gold_rows()
-        row_weights = np.zeros(features.n_parses)
-        row_weights[gold_rows] = features.weights
-    else:
-        starts = features.offsets[:-1]
-        shift = np.maximum.reduceat(scores, starts)
-        expd = np.exp(scores - np.repeat(shift, counts))
-        mass = np.add.reduceat(expd, starts)
-        conditional = expd / np.repeat(mass, counts)
-        row_weights = conditional * np.repeat(features.weights, counts)
-    numerator = row_weights @ features.values
-    return numerator, denominator
+    features, fit = _model_fit(model, corpus, features, complete_data, lex_table)
+    return (features.weighted_sum(fit.row_weights),
+            features.weighted_sum(fit.probs))
 
 
 # ---------------------------------------------------------------------------
 # The update
+
+def _update(lam: np.ndarray, fit: _Fit, features: FeatureMatrix, K: float,
+            expectation_floor: float, gamma_clamp: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(new lam, gamma) of one closed-form step from ``fit``."""
+    numerator = features.weighted_sum(fit.row_weights)
+    denominator = features.weighted_sum(fit.probs)
+    frozen = numerator < expectation_floor
+    num = np.maximum(numerator, expectation_floor)
+    den = np.maximum(denominator, expectation_floor)
+    gamma = np.log(num / den) / K
+    np.clip(gamma, -gamma_clamp, gamma_clamp, out=gamma)
+    gamma[frozen] = 0.0
+    return lam + gamma, gamma
+
 
 def im_step(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
             features: Optional[FeatureMatrix] = None,
@@ -212,37 +227,24 @@ def im_step(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
     """One closed-form update; returns (new model, gamma, new likelihood).
 
     Requires a frozen registry with the correction property (constant total
-    feature mass K) and nonnegative feature values.  Numerator and
-    denominator are floored at ``expectation_floor``; features whose (raw)
-    numerator falls below the floor are frozen for this step; gamma is
-    clamped to [-clamp, clamp] with clamp defaulting to 20/K.
+    feature mass K); feature values are nonnegative by construction of the
+    feature matrix.  Numerator and denominator are floored at
+    ``expectation_floor``; features whose (raw) numerator falls below the
+    floor are frozen for this step; gamma is clamped to [-clamp, clamp] with
+    clamp defaulting to 20/K.
     """
-    registry = model.registry
-    if registry.correction_K is None:
+    if model.registry.correction_K is None:
         raise ConfigError(
             "the update requires a registry frozen with the correction property")
-    K = float(registry.correction_K)
-    features = _require_features(model, corpus, features, lex_table)
-    if features.values.min() < 0:
-        raise DataError("negative feature value; the update is undefined")
+    K = float(model.registry.correction_K)
     if gamma_clamp is None:
         gamma_clamp = DEFAULT_GAMMA_CLAMP_NUMERATOR / K
-
-    numerator, denominator = expectations(
-        model, features=features, complete_data=complete_data)
-    frozen = numerator < expectation_floor
-    num = np.maximum(numerator, expectation_floor)
-    den = np.maximum(denominator, expectation_floor)
-    gamma = np.log(num / den) / K
-    np.clip(gamma, -gamma_clamp, gamma_clamp, out=gamma)
-    gamma[frozen] = 0.0
-
-    updated = model.with_lam(model.lam + gamma)
-    if complete_data:
-        likelihood = complete_log_likelihood(updated, features=features)
-    else:
-        likelihood = incomplete_log_likelihood(updated, features=features)
-    return updated, gamma, likelihood
+    features, fit = _model_fit(model, corpus, features, complete_data, lex_table)
+    lam, gamma = _update(model.lam, fit, features, K, expectation_floor,
+                         gamma_clamp)
+    updated = model.with_lam(lam)
+    return updated, gamma, _fit(row_scores(updated, features), features,
+                                complete_data).likelihood
 
 
 def _initial_lam(config: TrainingConfig, n: int) -> np.ndarray:
@@ -257,7 +259,8 @@ def train(corpus: Corpus, registry: PropertyRegistry,
           complete_data: bool = False,
           lex_table: Optional[LexFrequencyTable] = None,
           relation_spec: Optional[RelationSpec] = None,
-          reference: Optional[ReferenceDistribution] = None
+          reference: Optional[ReferenceDistribution] = None,
+          features: Optional[FeatureMatrix] = None
           ) -> tuple[LogLinearModel, TrainingTrace]:
     """Run the estimation loop to convergence or the iteration cap.
 
@@ -266,7 +269,12 @@ def train(corpus: Corpus, registry: PropertyRegistry,
     the parameter vector every ``checkpoint_every`` iterations plus at the
     final one.  A likelihood decrease beyond 1e-10 aborts: the update's
     monotonicity guarantee was violated, which signals an internal bug or
-    corrupted inputs.
+    corrupted inputs.  ``features``, the corpus's universe compiled against
+    ``registry`` as ``build_feature_matrix(..., strict_correction=True)``
+    returns it, saves compiling the corpus again.
+
+    Each iteration scores the universe once: the scores of the updated model
+    give both its likelihood and the next update's expectations.
 
     One symmetry to know about: on incomplete data where every sentence has
     the same number of parses and weights are uniform, the conditional and
@@ -281,28 +289,38 @@ def train(corpus: Corpus, registry: PropertyRegistry,
     if registry.correction_K is None:
         raise ConfigError("training requires a registry with the correction "
                           "property (run add_correction first)")
-    features = build_feature_matrix(corpus, registry, lex_table=lex_table,
-                                    relation_spec=relation_spec,
-                                    strict_correction=True)
+    if features is None:
+        features = build_feature_matrix(corpus, registry, lex_table=lex_table,
+                                        relation_spec=relation_spec,
+                                        strict_correction=True)
+    elif not same_columns(features.registry, registry):
+        raise ConfigError("the feature matrix was compiled against another "
+                          "registry")
     if complete_data and np.any(features.gold < 0):
         raise DataError("complete-data training requires gold_index on every "
                         "sentence")
 
     model = new_model(registry, corpus, lam=_initial_lam(config, registry.size),
                       reference=reference)
-    objective = complete_log_likelihood if complete_data else incomplete_log_likelihood
-    likelihood = objective(model, features=features)
+    features = universe_features(model, features=features)
+    K = float(registry.correction_K)
+    gamma_clamp = (DEFAULT_GAMMA_CLAMP_NUMERATOR / K if config.gamma_clamp is None
+                   else config.gamma_clamp)
+    lam = model.lam
+    fit = _fit(row_scores(model, features), features, complete_data)
+    likelihood = fit.likelihood
 
     trace = TrainingTrace(mode="complete" if complete_data else "incomplete")
     trace.records.append(IterationRecord(
         iteration=0, log_likelihood=likelihood, max_abs_gamma=0.0,
-        lam=model.lam.copy()))
+        lam=lam.copy()))
 
     for iteration in range(1, config.max_iterations + 1):
-        model, gamma, new_likelihood = im_step(
-            model, features=features, complete_data=complete_data,
-            expectation_floor=config.expectation_floor,
-            gamma_clamp=config.gamma_clamp)
+        lam, gamma = _update(lam, fit, features, K, config.expectation_floor,
+                             gamma_clamp)
+        fit = _fit(row_scores(model.with_lam(lam), features), features,
+                   complete_data)
+        new_likelihood = fit.likelihood
         if new_likelihood < likelihood - 1e-10:
             raise InternalConsistencyError(
                 f"log-likelihood decreased at iteration {iteration}: "
@@ -316,11 +334,11 @@ def train(corpus: Corpus, registry: PropertyRegistry,
             iteration=iteration,
             log_likelihood=likelihood,
             max_abs_gamma=float(np.abs(gamma).max()),
-            lam=model.lam.copy() if (at_checkpoint or converged) else None))
+            lam=lam.copy() if (at_checkpoint or converged) else None))
         if converged:
             trace.converged = True
             break
-    return model, trace
+    return model.with_lam(lam), trace
 
 
 @dataclass(frozen=True)
@@ -343,9 +361,11 @@ def compare_inits(corpus: Corpus, registry: PropertyRegistry,
     if n_random_seeds < 0:
         raise ConfigError("n_random_seeds must be nonnegative")
 
+    features = build_feature_matrix(corpus, registry, lex_table=lex_table,
+                                    strict_correction=True)
     base = replace(config, init="uniform_zero")
     _, trace = train(corpus, registry, base, complete_data=complete_data,
-                     lex_table=lex_table)
+                     features=features)
     uniform_final = trace.final_log_likelihood
 
     seed0 = 0 if config.seed is None else config.seed
@@ -353,7 +373,7 @@ def compare_inits(corpus: Corpus, registry: PropertyRegistry,
     for i in range(n_random_seeds):
         rnd = replace(config, init="random", seed=seed0 + i)
         _, rnd_trace = train(corpus, registry, rnd, complete_data=complete_data,
-                             lex_table=lex_table)
+                             features=features)
         random_finals.append(rnd_trace.final_log_likelihood)
 
     wins = sum(1 for L in random_finals if L < uniform_final)

@@ -1,11 +1,18 @@
-"""Independent reference computations for trainer tests.
+"""Independent reference computations.
 
-Everything here is written directly from the defining formulas with its own
-score/likelihood code, so it can serve as an oracle for the training path.
+The trainer oracles are written directly from the defining formulas with
+their own score/likelihood code.  The reference extraction below is the
+per-parse dict path that the compiled feature matrix replaced.
 """
 
 import numpy as np
 from scipy import optimize
+
+from parsedisamb.corpus import VOICES
+from parsedisamb.errors import ConfigError, DataError
+from parsedisamb.lexicalization import RelationSpec
+from parsedisamb.properties import (ADJUNCT_FUNCTIONS, COORDINATION_MARKERS,
+                                    FSTR_KINDS, STRUCTURAL_KINDS, TREE_KINDS)
 
 
 def direct_incomplete_log_likelihood(theta: np.ndarray,
@@ -100,3 +107,270 @@ def sentence_vectors_from_corpus(corpus, n_features: int) -> list[np.ndarray]:
                 V[j, idx] = value
         out.append(V)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference extraction
+#
+# The per-parse dict path that the compiled feature matrix replaced, kept
+# verbatim as the reference for extraction, registry construction, the
+# correction, selection and per-sentence decisions.  Slow by design: it
+# re-walks every subtree per ancestor and rescans every parse's relations
+# per slot.
+
+
+
+def _iter_internal(node):
+    if isinstance(node, str):
+        return
+    label, children = node
+    yield label, children
+    for child in children:
+        yield from _iter_internal(child)
+
+
+def _symbol(node):
+    return node if isinstance(node, str) else node[0]
+
+
+def _leaf_count(node):
+    if isinstance(node, str):
+        return 1
+    return sum(_leaf_count(c) for c in node[1])
+
+
+def _complexity_bucket(n_tokens):
+    if n_tokens <= 1:
+        return "1"
+    if n_tokens <= 3:
+        return "2-3"
+    if n_tokens <= 7:
+        return "4-7"
+    return "8+"
+
+
+def reference_structural_values(parse, kinds):
+    """(kind, key) -> value, in the reference's insertion order."""
+    kinds = set(kinds)
+    values = {}
+
+    def bump(kind, key, amount=1.0):
+        values[(kind, key)] = values.get((kind, key), 0.0) + amount
+
+    tree = parse.cstructure
+    if tree is not None and kinds & TREE_KINDS:
+        for label, children in _iter_internal(tree):
+            if "production" in kinds:
+                rhs = " ".join(_symbol(c) for c in children)
+                bump("production", f"{label} -> {rhs}")
+            if "attachment-complexity" in kinds and len(children) >= 2:
+                for child in children:
+                    if not isinstance(child, str):
+                        bump("attachment-complexity",
+                             _complexity_bucket(_leaf_count(child)))
+            if "non-right-branching" in kinds:
+                for child in children[:-1]:
+                    if not isinstance(child, str):
+                        bump("non-right-branching", "count")
+            if "coord-non-parallel" in kinds:
+                marks = [i for i, c in enumerate(children)
+                         if _symbol(c) in COORDINATION_MARKERS]
+                if marks:
+                    conjuncts = {_symbol(c) for i, c in enumerate(children)
+                                 if i not in marks}
+                    if len(conjuncts) > 1:
+                        bump("coord-non-parallel", "count")
+
+    fstr = parse.fstructure
+    if fstr is not None and kinds & FSTR_KINDS:
+        for function in fstr.functions:
+            if "fstr-attribute" in kinds:
+                bump("fstr-attribute", function)
+            if "subtree-attachment" in kinds:
+                role = "adjunct" if function in ADJUNCT_FUNCTIONS else "argument"
+                bump("subtree-attachment", role)
+        if "fstr-atomic-pair" in kinds:
+            for path, value in fstr.pairs:
+                bump("fstr-atomic-pair", f"{path}={value}")
+    return values
+
+
+def reference_lexicalized_properties(entry, table, relation_spec=None):
+    """Per-parse slot indicators, scanning every parse once per slot."""
+    spec = relation_spec or RelationSpec()
+    rows = [{} for _ in entry.parses]
+    for rel_name, voice, position in spec.slots():
+        key = RelationSpec.slot_key(rel_name, voice, position)
+        occupants = []
+        for j, parse in enumerate(entry.parses):
+            for rel in parse.relations:
+                if rel.voice not in VOICES:
+                    raise DataError(f"undefined voice {rel.voice!r}")
+                if (rel.name, rel.voice, rel.position) == (rel_name, voice, position):
+                    occupants.append((j, table.lookup(rel.verb, rel.noun)))
+                    break
+        if not occupants:
+            continue
+        best = max(value for _, value in occupants)
+        for j, value in occupants:
+            rows[j][key] = 1 if value >= best else 0
+    return rows
+
+
+def _passthrough_key(index):
+    return f"{index:06d}"
+
+
+def _parse_template_values(parse, kinds):
+    values = reference_structural_values(parse, kinds & set(STRUCTURAL_KINDS))
+    if "passthrough" in kinds and parse.precomputed_features:
+        for idx, value in parse.precomputed_features.items():
+            if value != 0:
+                values[("passthrough", _passthrough_key(idx))] = float(value)
+    return values
+
+
+def reference_registry(corpus, enabled_kinds=None, include_lexicalized=False,
+                       lex_table=None, relation_spec=None):
+    """[(kind, key, activation_count)] in registry order."""
+    has_structure = all(p.has_structure for e in corpus.entries for p in e.parses)
+    if enabled_kinds is None:
+        enabled = set(STRUCTURAL_KINDS) if has_structure else set()
+    else:
+        enabled = set(enabled_kinds)
+    if not enabled:
+        enabled = {"passthrough"}
+    relation_spec = relation_spec or RelationSpec()
+
+    activation = {}
+    if "passthrough" in enabled:
+        width = 1 + max(
+            (max(p.precomputed_features) for e in corpus.entries
+             for p in e.parses if p.precomputed_features),
+            default=-1,
+        )
+        for i in range(width):
+            activation[("passthrough", _passthrough_key(i))] = 0
+
+    for entry in corpus.entries:
+        lex_rows = None
+        if include_lexicalized:
+            lex_rows = reference_lexicalized_properties(entry, lex_table,
+                                                        relation_spec)
+        for j, parse in enumerate(entry.parses):
+            for key, value in _parse_template_values(parse, enabled).items():
+                if value != 0:
+                    activation[key] = activation.get(key, 0) + 1
+                else:
+                    activation.setdefault(key, 0)
+            if lex_rows is not None:
+                for slot, value in lex_rows[j].items():
+                    slot_key = ("lexicalized-relation", slot)
+                    if value != 0:
+                        activation[slot_key] = activation.get(slot_key, 0) + 1
+                    else:
+                        activation.setdefault(slot_key, 0)
+    return [(kind, key, activation[(kind, key)])
+            for kind, key in sorted(activation)]
+
+
+def extract_features(parse, registry):
+    """Sparse structural and passthrough vector of one parse."""
+    kinds = registry.kinds() & (set(STRUCTURAL_KINDS) | {"passthrough"})
+    out = {}
+    for (kind, key), value in _parse_template_values(parse, kinds).items():
+        idx = registry.index_of(kind, key)
+        if idx is not None and value != 0:
+            out[idx] = value
+    return out
+
+
+def _entry_base_rows(entry, registry, lex_table, relation_spec):
+    rows = [extract_features(parse, registry) for parse in entry.parses]
+    if "lexicalized-relation" in registry.kinds():
+        if lex_table is None:
+            raise ConfigError("no frequency table")
+        lex_rows = reference_lexicalized_properties(
+            entry, lex_table, relation_spec or RelationSpec())
+        for row, lex in zip(rows, lex_rows):
+            for slot, value in lex.items():
+                idx = registry.index_of("lexicalized-relation", slot)
+                if idx is not None and value != 0:
+                    row[idx] = float(value)
+    return rows
+
+
+def entry_feature_rows(entry, registry, lex_table=None, relation_spec=None):
+    """Per-parse sparse vectors of one sentence, correction clamped at 0."""
+    rows = _entry_base_rows(entry, registry, lex_table, relation_spec)
+    correction_idx = registry.correction_index
+    if correction_idx is not None:
+        for row in rows:
+            slack = registry.correction_K - float(sum(row.values()))
+            if slack > 0:
+                row[correction_idx] = slack
+    return rows
+
+
+def reference_correction(registry, corpus, lex_table=None, relation_spec=None):
+    """(K, correction activation count) over the positive-weight sentences."""
+    universe = [e for e in corpus.entries if e.weight > 0]
+    totals = [float(sum(row.values()))
+              for entry in universe
+              for row in _entry_base_rows(entry, registry, lex_table,
+                                          relation_spec)]
+    best = max(totals)
+    return best, sum(1 for total in totals if best - total != 0)
+
+
+def reference_matrix(corpus, registry, lex_table=None, relation_spec=None,
+                     universe_only=True):
+    """(dense rows, clamped-correction count) of the chosen sentences."""
+    entries = [e for e in corpus.entries if e.weight > 0 or not universe_only]
+    dense, clamped = [], 0
+    for entry in entries:
+        for row in _entry_base_rows(entry, registry, lex_table, relation_spec):
+            if registry.correction_index is not None:
+                slack = registry.correction_K - float(sum(row.values()))
+                if slack < 0:
+                    clamped += 1
+                elif slack > 0:
+                    row[registry.correction_index] = slack
+            vector = np.zeros(registry.size)
+            for idx, value in row.items():
+                vector[idx] = value
+            dense.append(vector)
+    return np.array(dense).reshape(-1, registry.size), clamped
+
+
+def reference_selection(registry, cutoff, corpus=None, lex_table=None,
+                        relation_spec=None):
+    """[(kind, key, count)] of the descriptors that survive ``cutoff``."""
+    counts = {d.index: d.activation_count for d in registry.properties}
+    if corpus is not None:
+        counts = {d.index: 0 for d in registry.properties}
+        for entry in corpus.entries:
+            for row in _entry_base_rows(entry, registry, lex_table,
+                                        relation_spec):
+                for idx, value in row.items():
+                    if value != 0:
+                        counts[idx] += 1
+    return [(d.kind, d.key, counts[d.index]) for d in registry.properties
+            if counts[d.index] >= cutoff]
+
+
+def reference_decision(lam, entry, registry, tie_epsilon=1e-9,
+                       lex_table=None, relation_spec=None):
+    """(kind, parse_ids) of one sentence, from its per-parse dict scores."""
+    if len(entry.parses) == 1:
+        return "unique", (entry.parses[0].parse_id,)
+    rows = entry_feature_rows(entry, registry, lex_table, relation_spec)
+    scores = np.array([sum(lam[idx] * value for idx, value in row.items())
+                       for row in rows])
+    order = np.argsort(scores, kind="stable")[::-1]
+    best = scores[order[0]]
+    if best - scores[order[1]] > tie_epsilon:
+        return "unique", (entry.parses[int(order[0])].parse_id,)
+    return "dont_know", tuple(entry.parses[j].parse_id
+                              for j in range(len(entry.parses))
+                              if best - scores[j] <= tie_epsilon)

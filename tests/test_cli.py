@@ -103,6 +103,21 @@ class TestTrainCommand:
         assert model.universe_size < load_corpus(
             synth_dir / "train.jsonl").universe_size
 
+    @pytest.mark.parametrize("case", ["infinite weight", "NaN feature"])
+    def test_non_finite_corpus_is_data_error(self, tmp_path, capsys, case):
+        from test_corpus import NON_FINITE_LINES, write_non_finite
+        path = write_non_finite(tmp_path, NON_FINITE_LINES[case])
+        code = _run("train", "--corpus", str(path),
+                    "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "non-finite" in err
+
+    def test_threads_flag_is_gone(self, synth_dir, tmp_path):
+        code = _run("train", "--corpus", str(synth_dir / "train.jsonl"),
+                    "--threads", "2", "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = _run("train", "--corpus", str(tmp_path / "absent.jsonl"),
                     "--out-dir", str(tmp_path / "o"))
@@ -281,3 +296,89 @@ class TestManifest:
         with open(synth_dir / "train.jsonl", "a") as handle:
             handle.write("\n")
         assert not verify_manifest(manifest_path)
+
+
+def _structural_corpus(rng, n_sentences):
+    """Random trees, f-structures, relations and frames, with gold parses."""
+    from parsedisamb import build_corpus, SentenceEntry
+    from conftest import relation, structural_parse
+
+    entries = []
+    for s in range(n_sentences):
+        tokens = tuple(f"w{int(t)}" for t in rng.integers(0, 6, size=4))
+        parses = []
+        for j in range(int(rng.integers(1, 4))):
+            cut = int(rng.integers(1, 4))
+            tree = ("S", (("NP", tokens[:cut]),
+                          (str(rng.choice(["VP", "XP"])), tokens[cut:])))
+            parses.append(structural_parse(
+                f"p{j}", tree,
+                functions=list(rng.choice(["SUBJ", "OBJ", "ADJUNCT"], size=2)),
+                pairs=[("TENSE", str(rng.choice(["past", "pres"])))],
+                relations=[relation("subj", "v0",
+                                    f"n{int(rng.integers(0, 3))}")],
+                frame=f"f{int(rng.integers(0, 2))}"))
+        entries.append(SentenceEntry(sentence_id=f"s{s}", tokens=tokens,
+                                     parses=tuple(parses),
+                                     gold_index=int(rng.integers(0, len(parses)))))
+    return build_corpus(entries)
+
+
+class TestCompileOnce:
+    def test_each_parse_is_extracted_once_per_command(self, tmp_path,
+                                                      monkeypatch):
+        import numpy as np
+        import parsedisamb.properties as properties
+        from parsedisamb import (build_freq_table, pair_counts_from_corpus,
+                                 save_corpus, train_clusters)
+        from parsedisamb.lexicalization import save_freq_table
+
+        rng = np.random.default_rng(6)
+        train_corpus, test_corpus = (_structural_corpus(rng, 12),
+                                     _structural_corpus(rng, 6))
+        save_corpus(train_corpus, tmp_path / "train.jsonl")
+        save_corpus(test_corpus, tmp_path / "test.jsonl")
+        pairs = pair_counts_from_corpus(train_corpus)
+        clusters, _ = train_clusters(pairs, n_classes=2, seed=1)
+        save_freq_table(build_freq_table(clusters, pairs),
+                        tmp_path / "table.json")
+
+        extracted, lexicalized = {}, {}
+
+        def counted(calls, function):
+            def wrapper(item, *args, **kwargs):
+                calls.setdefault(id(item), [item, 0])[1] += 1
+                return function(item, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(properties, "structural_values",
+                            counted(extracted, properties.structural_values))
+        monkeypatch.setattr(properties, "lexicalized_properties",
+                            counted(lexicalized,
+                                    properties.lexicalized_properties))
+
+        def run_and_count(*argv):
+            extracted.clear()
+            lexicalized.clear()
+            assert _run(*argv) == 0
+            return ([n for _, n in extracted.values()],
+                    [n for _, n in lexicalized.values()])
+
+        parses, sentences = run_and_count(
+            "train", "--corpus", str(tmp_path / "train.jsonl"),
+            "--lexicalized", str(tmp_path / "table.json"),
+            "--select-cutoff", "1", "--max-iterations", "4",
+            "--checkpoint-every", "2", "--out-dir", str(tmp_path / "model"))
+        assert parses == [1] * train_corpus.universe_size
+        assert sentences == [1] * len(train_corpus.entries)
+
+        parses, sentences = run_and_count(
+            "eval", "--model", str(tmp_path / "model" / "model.json"),
+            "--corpus", str(tmp_path / "test.jsonl"),
+            "--lex-table", str(tmp_path / "table.json"),
+            "--task", "exact", "--task", "frame", "--baseline", "3",
+            "--checkpoints", str(tmp_path / "model" / "checkpoints"),
+            "--out-dir", str(tmp_path / "eval"))
+        assert len(os.listdir(tmp_path / "model" / "checkpoints")) >= 2
+        assert parses == [1] * test_corpus.universe_size
+        assert sentences == [1] * len(test_corpus.entries)

@@ -1,0 +1,284 @@
+"""The compiled feature matrix against the per-parse reference extraction.
+
+Random corpora mix structural templates with lexicalized slots and include
+zero-weight sentences, single-parse sentences, duplicated parses (exact score
+ties) and, in the held-out corpus, parses whose mass exceeds K.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from parsedisamb import (ConfigError, DataError, FStructure,
+                         LexFrequencyTable, LogLinearModel, PairCounts,
+                         ParseRecord, ReferenceDistribution, Relation,
+                         SentenceEntry, add_correction, build_corpus,
+                         build_feature_matrix, compile_corpus,
+                         compile_templates, disambiguate, evaluate,
+                         lexicalized_properties, select_properties,
+                         train_clusters)
+from parsedisamb.properties import structural_values
+from conftest import passthrough_corpus
+from oracles import (reference_correction, reference_decision,
+                     reference_lexicalized_properties, reference_matrix,
+                     reference_registry, reference_selection,
+                     reference_structural_values)
+
+LABELS = ("S", "NP", "VP", "PP", "CC")
+TAGS = ("DT", "NN", "V", "CC", "P")
+FUNCTIONS = ("SUBJ", "OBJ", "ADJUNCT", "MOD", "OBL")
+PAIRS = (("TENSE", "past"), ("TENSE", "pres"), ("NUM", "sg"), ("CASE", "acc"))
+SLOTS = (("subj", "active"), ("dobj", "active"), ("dobj", "passive"),
+         ("iobj", "passive"))
+VERBS = ("v0", "v1")
+NOUNS = ("n0", "n1", "n2", "n3")
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.data_too_large])
+
+
+def _tree(draw, tokens, lo, hi, root=False):
+    if hi - lo == 1 and not root and draw(st.booleans()):
+        return tokens[lo]
+    if hi - lo == 1:
+        return (draw(st.sampled_from(TAGS)), (tokens[lo],))
+    n_children = draw(st.integers(2, min(3, hi - lo)))
+    cuts = sorted(draw(st.lists(st.integers(lo + 1, hi - 1),
+                                min_size=n_children - 1,
+                                max_size=n_children - 1, unique=True)))
+    bounds = [lo, *cuts, hi]
+    return (draw(st.sampled_from(LABELS)),
+            tuple(_tree(draw, tokens, a, b) for a, b in zip(bounds, bounds[1:])))
+
+
+def _parse(draw, parse_id, tokens):
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        name, voice = draw(st.sampled_from(SLOTS))
+        position = draw(st.integers(1, 4))  # 4 lies outside every slot
+        relations.append(Relation(name, VERBS[position % len(VERBS)],
+                                  draw(st.sampled_from(NOUNS)), voice,
+                                  position))
+    return ParseRecord(
+        parse_id=parse_id,
+        cstructure=_tree(draw, tokens, 0, len(tokens), root=True),
+        fstructure=FStructure(
+            pairs=tuple(draw(st.lists(st.sampled_from(PAIRS), max_size=3))),
+            functions=tuple(draw(st.lists(st.sampled_from(FUNCTIONS),
+                                          max_size=4)))),
+        relations=tuple(relations),
+        frame=draw(st.sampled_from(("f0", "f1", "f2"))),
+        precomputed_features=draw(st.dictionaries(
+            st.integers(0, 5), st.sampled_from((0.0, 1.0, 2.0, 3.0)),
+            max_size=3)))
+
+
+@st.composite
+def corpora(draw, max_tokens=5, zero_weights=True):
+    entries = []
+    for s in range(draw(st.integers(1, 5))):
+        tokens = tuple(f"t{draw(st.integers(0, 3))}"
+                       for _ in range(draw(st.integers(1, max_tokens))))
+        parses = []
+        for j in range(draw(st.integers(1, 4))):
+            if parses and draw(st.integers(0, 3)) == 0:
+                # A copy of the previous parse: an exact score tie.
+                parses.append(ParseRecord(
+                    parse_id=f"p{j}", cstructure=parses[-1].cstructure,
+                    fstructure=parses[-1].fstructure,
+                    relations=parses[-1].relations, frame=parses[-1].frame,
+                    precomputed_features=parses[-1].precomputed_features))
+            else:
+                parses.append(_parse(draw, f"p{j}", tokens))
+        weight = 1.0 if s == 0 or not zero_weights else \
+            float(draw(st.sampled_from((0, 1, 2))))
+        entries.append(SentenceEntry(
+            sentence_id=f"s{s}", tokens=tokens, parses=tuple(parses),
+            weight=weight, gold_index=draw(st.integers(0, len(parses) - 1))))
+    return build_corpus(entries)
+
+
+@st.composite
+def lex_tables(draw):
+    single, _ = train_clusters(PairCounts(counts={("v", "n"): 1}), n_classes=1)
+    entries = {(v, n): float(draw(st.integers(1, 3)))
+               for v in VERBS for n in NOUNS if draw(st.booleans())}
+    return LexFrequencyTable(entries=entries, model=single)
+
+
+# Structural templates by default; none enabled selects the passthrough
+# registry over the precomputed features.
+KINDS = st.sampled_from((None, ()))
+
+
+def _lambdas(size):
+    """Dyadic parameters: sums are exact in any order, so ties stay ties."""
+    return st.lists(st.sampled_from((-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)),
+                    min_size=size, max_size=size).map(np.array)
+
+
+class TestAgainstReference:
+    @SETTINGS
+    @given(corpora(), lex_tables())
+    def test_extractors_keep_their_output(self, corpus, table):
+        kinds = ["production", "subtree-attachment", "fstr-attribute",
+                 "fstr-atomic-pair", "attachment-complexity",
+                 "non-right-branching", "coord-non-parallel"]
+        for entry in corpus.entries:
+            assert lexicalized_properties(entry, table) == \
+                reference_lexicalized_properties(entry, table)
+            for parse in entry.parses:
+                fast = structural_values(parse, kinds)
+                slow = reference_structural_values(parse, kinds)
+                assert list(fast.items()) == list(slow.items())  # order too
+
+    @SETTINGS
+    @given(corpora(), corpora(max_tokens=8), lex_tables(), KINDS,
+           st.integers(0, 4))
+    def test_registry_correction_matrix_selection(self, corpus, heldout, table,
+                                                   kinds, cutoff):
+        expected = reference_registry(corpus, kinds, include_lexicalized=True,
+                                      lex_table=table)
+        if not any(kind == "passthrough" for kind, _, _ in expected) \
+                and kinds is not None:
+            with pytest.raises(DataError, match="empty"):
+                compile_templates(corpus, kinds, include_lexicalized=True,
+                                  lex_table=table)
+            return
+        templates = compile_templates(corpus, kinds, include_lexicalized=True,
+                                      lex_table=table)
+        registry = templates.registry
+        assert [(d.kind, d.key, d.activation_count)
+                for d in registry.properties] == expected
+        assert np.array_equal(templates.activation_counts(),
+                              [d.activation_count for d in registry.properties])
+
+        expected = reference_selection(registry, cutoff)
+        if not expected:
+            with pytest.raises(DataError):
+                select_properties(registry, cutoff)
+            return
+        selected = select_properties(registry, cutoff)
+        assert [(d.kind, d.key, d.activation_count)
+                for d in selected.properties] == expected
+        recounted = select_properties(registry, cutoff, corpus=corpus,
+                                      lex_table=table)
+        assert [(d.kind, d.key, d.activation_count)
+                for d in recounted.properties] == reference_selection(
+            registry, cutoff, corpus=corpus, lex_table=table)
+
+        K, activation = reference_correction(selected, corpus, table)
+        if K <= 0:
+            with pytest.raises(DataError, match="zero feature mass"):
+                add_correction(selected, corpus, lex_table=table)
+            return
+        frozen = add_correction(selected, corpus, lex_table=table)
+        assert frozen.correction_K == K
+        assert frozen.properties[-1].activation_count == activation
+        # The compiled templates give the same correction without a walk.
+        assert add_correction(selected, features=templates) == frozen
+
+        dense, clamped = reference_matrix(corpus, frozen, table)
+        assert clamped == 0
+        matrix = build_feature_matrix(corpus, frozen, lex_table=table,
+                                      strict_correction=True)
+        assert np.array_equal(matrix.values, dense)
+        projected = templates.universe().project(frozen, strict_correction=True)
+        for name in ("indptr", "indices", "data", "offsets", "weights", "gold"):
+            assert np.array_equal(getattr(projected, name), getattr(matrix, name))
+        assert projected.sentence_ids == matrix.sentence_ids
+        for rows in (matrix, projected):
+            starts, ends = rows.indptr[:-1], rows.indptr[1:]
+            assert all(np.all(np.diff(rows.indices[a:b]) > 0)
+                       for a, b in zip(starts, ends))
+
+        # Held-out data: every sentence kept, masses above K clamped.
+        dense, clamped = reference_matrix(heldout, frozen, table,
+                                          universe_only=False)
+        compiled = compile_corpus(heldout, frozen, lex_table=table)
+        assert np.array_equal(compiled.values, dense)
+        assert compiled.clamped_corrections == clamped
+        dense, clamped = reference_matrix(heldout, frozen, table)
+        universe = build_feature_matrix(heldout, frozen, lex_table=table)
+        assert np.array_equal(universe.values, dense)
+        assert universe.clamped_corrections == clamped
+        if clamped:
+            with pytest.raises(DataError, match="stale"):
+                build_feature_matrix(heldout, frozen, lex_table=table,
+                                     strict_correction=True)
+
+    @SETTINGS
+    @given(corpora(), corpora(max_tokens=8), lex_tables(), KINDS, st.data())
+    def test_batched_decisions_match_per_sentence_decisions(
+            self, corpus, heldout, table, kinds, data):
+        try:
+            registry = compile_templates(corpus, kinds, include_lexicalized=True,
+                                         lex_table=table).registry
+            registry = add_correction(registry, corpus, lex_table=table)
+        except DataError:  # no feature mass anywhere
+            return
+        lam = data.draw(_lambdas(registry.size))
+        model = LogLinearModel(lam=lam, registry=registry,
+                               reference=ReferenceDistribution(),
+                               universe=corpus.content_digest(),
+                               universe_size=corpus.universe_size)
+        expected = [reference_decision(lam, entry, registry,
+                                       lex_table=table)
+                    for entry in heldout.entries]
+        outcome = evaluate(model, heldout, lex_table=table)
+        assert [(v.decision_kind, v.chosen_parse_ids)
+                for v in outcome.verdicts] == expected
+        for entry, (kind, ids) in zip(heldout.entries, expected):
+            decision = disambiguate(model, entry, lex_table=table)
+            assert (decision.kind, decision.parse_ids) == (kind, ids)
+        exact, frame = [], []
+        for entry, (kind, ids) in zip(heldout.entries, expected):
+            gold = entry.parses[entry.gold_index]
+            frames = {p.frame for p in entry.parses if p.parse_id in ids}
+            exact.append("dont_know" if kind == "dont_know" else
+                         "correct" if ids == (gold.parse_id,) else "incorrect")
+            frame.append("dont_know" if len(frames) > 1 else
+                         "correct" if frames == {gold.frame} else "incorrect")
+        assert [v.verdict for v in outcome.verdicts] == exact
+        assert [v.verdict for v in evaluate(model, heldout, task="frame_match",
+                                            lex_table=table).verdicts] == frame
+
+
+class TestFeatureMatrix:
+    def _matrix(self):
+        corpus = passthrough_corpus([[{0: 3}, {}, {0: 1, 2: 2}], [{1: 1}]],
+                                    weights=[1.0, 0.0], normalize=False)
+        return compile_templates(corpus)
+
+    def test_products_match_the_dense_matrix(self):
+        matrix = self._matrix()
+        dense = matrix.values
+        lam = np.array([0.5, -1.0, 2.0])
+        assert np.array_equal(matrix.dot(lam), dense @ lam)
+        weights = np.array([0.25, 1.0, -0.5, 2.0])
+        assert np.array_equal(matrix.weighted_sum(weights), weights @ dense)
+        assert np.array_equal(matrix.row_totals(), dense.sum(axis=1))
+        assert np.array_equal(matrix.activation_counts(), (dense != 0).sum(axis=0))
+
+    def test_universe_drops_zero_weight_sentences(self):
+        matrix = self._matrix()
+        universe = matrix.universe()
+        assert universe.sentence_ids == ["s0"]
+        assert np.array_equal(universe.values, matrix.values[:3])
+
+    def test_universe_precedes_the_correction(self):
+        matrix = self._matrix()
+        frozen = add_correction(matrix.registry, features=matrix)
+        with pytest.raises(ConfigError):
+            matrix.project(frozen).universe()
+
+    def test_negative_values_rejected_once_at_construction(self):
+        matrix = self._matrix()
+        with pytest.raises(DataError, match="negative"):
+            type(matrix)(indptr=matrix.indptr, indices=matrix.indices,
+                         data=-matrix.data, registry=matrix.registry,
+                         offsets=matrix.offsets, weights=matrix.weights,
+                         gold=matrix.gold, sentence_ids=matrix.sentence_ids,
+                         parse_ids=matrix.parse_ids, corpus=matrix.corpus)

@@ -134,6 +134,47 @@ class TestLoadCorpus:
             load_corpus(path, max_parses=2)
 
 
+NON_FINITE_LINES = {
+    # An infinite weight used to load as weights [nan, 0.0].
+    "infinite weight": '{"sentence_id": "s1", "tokens": ["a"], '
+                       '"weight": Infinity, "parses": [{"parse_id": "p0", '
+                       '"precomputed_features": {"0": 1.0}}]}',
+    "NaN feature": '{"sentence_id": "s1", "tokens": ["a"], "weight": 1.0, '
+                   '"parses": [{"parse_id": "p0", '
+                   '"precomputed_features": {"0": NaN}}]}',
+    "overflowing weight": '{"sentence_id": "s1", "tokens": ["a"], '
+                          '"weight": 1e999, "parses": [{"parse_id": "p0", '
+                          '"precomputed_features": {"0": 1.0}}]}',
+}
+
+
+def write_non_finite(tmp_path, line):
+    """A corpus file whose line 3 carries ``line``."""
+    good = _write(_counts_corpus([2]), tmp_path).read_text()
+    path = tmp_path / "non_finite.jsonl"
+    path.write_text(good + line + "\n")
+    return path
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_LINES))
+    def test_rejected_at_load_with_file_and_line(self, tmp_path, case):
+        path = write_non_finite(tmp_path, NON_FINITE_LINES[case])
+        with pytest.raises(DataError, match="non-finite") as info:
+            load_corpus(path)
+        assert str(path) in str(info.value)
+        assert "line 3" in str(info.value)
+
+    def test_rejected_when_built_in_memory(self):
+        for weight, value in ((float("inf"), 1.0), (1.0, float("nan"))):
+            entry = SentenceEntry(
+                sentence_id="s0", tokens=("t",), weight=weight,
+                parses=(ParseRecord(parse_id="p0",
+                                    precomputed_features={0: value}),))
+            with pytest.raises(DataError, match="non-finite"):
+                build_corpus([entry])
+
+
 class TestParsebank:
     def test_unique_parse_extraction(self):
         bank = extract_parsebank(_counts_corpus([1, 3, 1, 20]))

@@ -24,28 +24,28 @@ def _uniform_setup(sentences, **kwargs):
 class TestScore:
     def test_zero_lambda_uniform_reference(self):
         corpus, registry, model = _uniform_setup([[{0: 1}, {}], [{0: 2}, {}]])
-        for entry in corpus.entries:
-            for parse in entry.parses:
-                value = score(model, {0: parse.precomputed_features.get(0, 0.0)})
-                assert_allclose(value, math.log(1 / 4))
+        matrix = build_feature_matrix(corpus, registry)
+        for row in matrix.values:
+            assert_allclose(score(model, row), math.log(1 / 4))
 
     def test_known_weight(self):
         corpus, registry, model = _uniform_setup([[{0: 1}, {}]])
         model = model.with_lam(np.array([math.log(3), 0.0]))
         log_p0 = -math.log(2)
-        assert_allclose(score(model, {0: 1.0}) - log_p0, math.log(3))
+        assert_allclose(score(model, np.array([1.0, 0.0])) - log_p0,
+                        math.log(3))
 
     def test_all_zero_features(self):
         corpus, registry, model = _uniform_setup([[{0: 1}, {}]])
         model = model.with_lam(np.array([2.5, -1.0]))
-        assert_allclose(score(model, {}), -math.log(2))
+        assert_allclose(score(model, np.zeros(2)), -math.log(2))
 
     def test_dimension_mismatch(self):
         corpus, registry, model = _uniform_setup([[{0: 1}, {}]])
         with pytest.raises(ConfigError):
             score(model, np.zeros(7))
         with pytest.raises(ConfigError):
-            score(model, {99: 1.0})
+            score(model, np.zeros(1))
 
 
 class TestNormalize:

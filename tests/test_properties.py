@@ -4,10 +4,26 @@ from numpy.testing import assert_allclose
 
 from parsedisamb import (ConfigError, DataError, SentenceEntry, add_correction,
                          build_corpus, build_feature_matrix, build_registry,
-                         entry_feature_rows, extract_features, load_registry,
-                         save_registry, select_properties)
+                         compile_corpus, load_registry, save_registry,
+                         select_properties)
 from parsedisamb.properties import PropertyDescriptor, PropertyRegistry
 from conftest import passthrough_corpus, structural_parse
+from oracles import entry_feature_rows
+
+
+def _named_rows(corpus, registry, **kwargs):
+    """Per parse of the compiled corpus: {(kind, key): value} of its row."""
+    matrix = compile_corpus(corpus, registry, **kwargs)
+    rows = []
+    for r in range(matrix.n_parses):
+        a, b = matrix.indptr[r], matrix.indptr[r + 1]
+        rows.append({(registry.properties[c].kind, registry.properties[c].key): v
+                     for c, v in zip(matrix.indices[a:b], matrix.data[a:b])})
+    return rows
+
+
+def _keyed(row):
+    return {key: v for (_, key), v in row.items()}
 
 
 def _structural_corpus(parse_specs):
@@ -38,10 +54,8 @@ class TestStructuralExtractors:
     def test_production_counts(self):
         corpus = _structural_corpus([[structural_parse("p0", FLAT)]])
         registry = build_registry(corpus, enabled_kinds=["production"])
-        parse = corpus.entries[0].parses[0]
-        features = extract_features(parse, registry)
-        named = {registry.properties[i].key: v for i, v in features.items()}
-        assert named == {"S -> NP VP": 1, "NP -> DT NN": 1, "VP -> V": 1}
+        (row,) = _named_rows(corpus, registry)
+        assert _keyed(row) == {"S -> NP VP": 1, "NP -> DT NN": 1, "VP -> V": 1}
 
     def test_right_branching_tree_scores_zero(self):
         right = ("A", ("x", ("B", ("y", ("C", ("z", "w"))))))
@@ -49,9 +63,9 @@ class TestStructuralExtractors:
         corpus = _structural_corpus([
             [structural_parse("p0", right), structural_parse("p1", left)]])
         registry = build_registry(corpus, enabled_kinds=["non-right-branching"])
-        p_right, p_left = corpus.entries[0].parses
-        assert extract_features(p_right, registry) == {}
-        (value,) = extract_features(p_left, registry).values()
+        p_right, p_left = _named_rows(corpus, registry)
+        assert p_right == {}
+        (value,) = p_left.values()
         assert value == 2  # B and C both have a right sibling
 
     def test_coordination_parallelism(self):
@@ -60,9 +74,9 @@ class TestStructuralExtractors:
         corpus = _structural_corpus([
             [structural_parse("p0", same), structural_parse("p1", diff)]])
         registry = build_registry(corpus, enabled_kinds=["coord-non-parallel"])
-        p_same, p_diff = corpus.entries[0].parses
-        assert extract_features(p_same, registry) == {}
-        (value,) = extract_features(p_diff, registry).values()
+        p_same, p_diff = _named_rows(corpus, registry)
+        assert p_same == {}
+        (value,) = p_diff.values()
         assert value == 1
 
     def test_attachment_complexity_buckets(self):
@@ -70,10 +84,8 @@ class TestStructuralExtractors:
         corpus = _structural_corpus([[structural_parse(
             "p0", ("S", (("NP", ("a", "b")), ("VP", ("c",)))))]])
         registry = build_registry(corpus, enabled_kinds=["attachment-complexity"])
-        parse = corpus.entries[0].parses[0]
-        named = {registry.properties[i].key: v
-                 for i, v in extract_features(parse, registry).items()}
-        assert named == {"1": 1, "2-3": 1}
+        (row,) = _named_rows(corpus, registry)
+        assert _keyed(row) == {"1": 1, "2-3": 1}
 
     def test_argument_adjunct_split(self):
         parse = structural_parse(
@@ -81,9 +93,8 @@ class TestStructuralExtractors:
             functions=["SUBJ", "OBJ", "ADJUNCT", "SUBJ"])
         corpus = _structural_corpus([[parse]])
         registry = build_registry(corpus, enabled_kinds=["subtree-attachment"])
-        named = {registry.properties[i].key: v
-                 for i, v in extract_features(parse, registry).items()}
-        assert named == {"argument": 3, "adjunct": 1}
+        (row,) = _named_rows(corpus, registry)
+        assert _keyed(row) == {"argument": 3, "adjunct": 1}
 
     def test_fstr_kinds(self):
         parse = structural_parse(
@@ -93,8 +104,7 @@ class TestStructuralExtractors:
         corpus = _structural_corpus([[parse]])
         registry = build_registry(
             corpus, enabled_kinds=["fstr-attribute", "fstr-atomic-pair"])
-        named = {(registry.properties[i].kind, registry.properties[i].key): v
-                 for i, v in extract_features(parse, registry).items()}
+        (named,) = _named_rows(corpus, registry)
         assert named == {
             ("fstr-attribute", "SUBJ"): 2,
             ("fstr-attribute", "OBJ"): 1,
@@ -105,8 +115,10 @@ class TestStructuralExtractors:
     def test_extraction_is_pure(self):
         corpus = _structural_corpus([[structural_parse("p0", FLAT)]])
         registry = build_registry(corpus)
-        parse = corpus.entries[0].parses[0]
-        assert extract_features(parse, registry) == extract_features(parse, registry)
+        first = compile_corpus(corpus, registry)
+        again = compile_corpus(corpus, registry)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(first, name), getattr(again, name))
 
 
 class TestRegistryConstruction:
@@ -165,17 +177,14 @@ class TestRegistryConstruction:
         assert slot is not None
         # Only the f_c-maximal parse activates the slot.
         assert registry.properties[slot].activation_count == 1
-        # extract_features never emits lexicalized (or correction) values.
+        # The slot values come from the sentence-level pre-disambiguator,
+        # and the correction tops every row up to K.
         frozen = add_correction(registry, corpus, lex_table=table)
-        for parse in corpus.entries[0].parses:
-            features = extract_features(parse, frozen)
-            produced = {frozen.properties[i].kind for i in features}
-            assert "lexicalized-relation" not in produced
-            assert "correction" not in produced
-        # The full rows do carry them.
-        rows = entry_feature_rows(corpus.entries[0], frozen, lex_table=table)
-        slot_values = [row.get(slot, 0) for row in rows]
-        assert slot_values == [0, 1]
+        matrix = compile_corpus(corpus, frozen, lex_table=table)
+        assert list(matrix.values[:, slot]) == [0, 1]
+        assert np.all(matrix.values.sum(axis=1) == frozen.correction_K)
+        with pytest.raises(ConfigError, match="table"):
+            compile_corpus(corpus, frozen)
 
     def test_lexicalized_without_table_is_an_error(self):
         corpus = passthrough_corpus([[{0: 1}]])
@@ -302,12 +311,12 @@ class TestSelection:
         corpus = passthrough_corpus([[{0: 1, 1: 2, 2: 3}, {2: 1}], [{1: 1}]])
         full = build_registry(corpus)
         selected = select_properties(full, cutoff=2, corpus=corpus)
-        parse = corpus.entries[0].parses[0]
-        full_features = extract_features(parse, full)
-        named_full = {full.properties[i].key: v for i, v in full_features.items()}
-        for descriptor in selected.properties:
-            value = extract_features(parse, selected).get(descriptor.index, 0.0)
-            assert value == named_full.get(descriptor.key, 0.0)
+        assert 0 < selected.size < full.size
+        kept = {d.key for d in selected.properties}
+        for row_full, row_selected in zip(_named_rows(corpus, full),
+                                          _named_rows(corpus, selected)):
+            assert row_selected == {k: v for k, v in row_full.items()
+                                    if k[1] in kept}
 
     def test_recount_against_corpus(self):
         corpus = passthrough_corpus([[{0: 1}, {0: 2}], [{1: 1}]])

@@ -43,7 +43,9 @@ class TestLikelihood:
             # Direct formula over pre-correction vectors, with the correction
             # column appended by hand.
             matrix = build_feature_matrix(corpus, registry)
-            vectors = [matrix.sentence_rows(s) for s in range(matrix.n_sentences)]
+            dense, offsets = matrix.values, matrix.offsets
+            vectors = [dense[offsets[s]:offsets[s + 1]]
+                       for s in range(matrix.n_sentences)]
             direct = direct_incomplete_log_likelihood(
                 lam, vectors, matrix.weights)
             assert_allclose(incomplete_log_likelihood(model, corpus), direct,
