@@ -24,10 +24,9 @@ from .lexicalization import (ClusterModel, LexFrequencyTable, PairCounts,
                              pair_counts_from_corpus, save_pair_counts,
                              train_clusters)
 from .model import (Decision, LogLinearModel, ParseDistribution,
-                    ReferenceDistribution, conditional_parse_prob,
-                    disambiguate, kl_divergence, load_model,
-                    model_expectation, new_model, normalize, save_model,
-                    score)
+                    conditional_parse_prob, disambiguate, kl_divergence,
+                    load_model, model_expectation, new_model, normalize,
+                    save_model, score)
 from .properties import (FeatureMatrix, PropertyDescriptor, PropertyRegistry,
                          add_correction, build_feature_matrix, build_registry,
                          compile_corpus, compile_templates, load_registry,

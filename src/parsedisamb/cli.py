@@ -26,9 +26,9 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .corpus import (Corpus, SyntheticConfig, build_corpus, corpus_stats,
-                     extract_parsebank, generate_synthetic, load_corpus,
-                     save_corpus)
+from .corpus import (Corpus, SyntheticConfig, atomic_write, build_corpus,
+                     corpus_stats, extract_parsebank, generate_synthetic,
+                     load_corpus, save_corpus, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .evaluation import (evaluate, format_report_table, random_baseline,
                          sweep_checkpoints, write_report_json, write_sweep_csv)
@@ -79,9 +79,7 @@ def write_manifest(out_dir: str, command: str, config: dict,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     path = os.path.join(out_dir, MANIFEST_NAME)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(manifest, path, indent=1)
     return path
 
 
@@ -199,7 +197,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     save_model(model, os.path.join(out_dir, "model.json"))
     save_registry(registry, os.path.join(out_dir, "registry.json"))
-    with open(os.path.join(out_dir, "trace.jsonl"), "w", encoding="utf-8") as handle:
+    with atomic_write(os.path.join(out_dir, "trace.jsonl")) as handle:
         for record in trace.records:
             handle.write(json.dumps(
                 {"iter": record.iteration, "L": record.log_likelihood,
@@ -292,10 +290,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 tie_epsilon=tie, lex_table=lex_table, features=features)
             print(f"random baseline ({task}): mean precision "
                   f"{report.mean_precision:.4f} +- {report.stdev_precision:.4f}")
-            with open(os.path.join(out_dir, f"baseline_{task}.json"), "w",
-                      encoding="utf-8") as handle:
-                json.dump(report.to_json_dict(), handle, sort_keys=True)
-                handle.write("\n")
+            write_json(report.to_json_dict(),
+                       os.path.join(out_dir, f"baseline_{task}.json"))
 
         if checkpoint_models:
             rows = sweep_checkpoints(checkpoint_models, corpus, task=task,
@@ -384,10 +380,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     save_corpus(train_part, os.path.join(out_dir, "train.jsonl"))
     save_corpus(test_part, os.path.join(out_dir, "test.jsonl"))
-    with open(os.path.join(out_dir, "hidden_model.json"), "w",
-              encoding="utf-8") as handle:
-        json.dump(description, handle, sort_keys=True)
-        handle.write("\n")
+    write_json(description, os.path.join(out_dir, "hidden_model.json"))
     write_manifest(out_dir, "synth", conf, [], config.seed)
     print(f"wrote {len(train_part.entries)} train / {len(test_part.entries)} "
           f"test sentences under {out_dir}")
@@ -414,10 +407,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if conf.get("out_dir"):
         out_dir = conf["out_dir"]
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "stats.json"), "w",
-                  encoding="utf-8") as handle:
-            json.dump(doc, handle, sort_keys=True)
-            handle.write("\n")
+        write_json(doc, os.path.join(out_dir, "stats.json"))
         write_manifest(out_dir, "stats", conf, [conf["corpus"]], conf["seed"])
     return 0
 

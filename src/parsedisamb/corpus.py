@@ -27,6 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -38,6 +40,11 @@ CORPUS_FORMAT = "forest-corpus"
 CORPUS_VERSION = 1
 
 VOICES = ("active", "passive")
+
+# Relation-name inventory, in registration order: the names the generator
+# draws from and the relations of the lexicalized pre-disambiguation slots.
+SYNTHETIC_RELATIONS = ("subj", "dobj", "iobj", "inf-obj",
+                       "obl-dat", "obl-acc", "adj-dat", "adj-acc")
 
 
 @dataclass(frozen=True)
@@ -450,8 +457,36 @@ def load_corpus(path, max_parses: Optional[int] = None,
                         aggregate_duplicates=True)
 
 
+@contextmanager
+def atomic_write(path, newline: Optional[str] = None):
+    """Open ``path`` for writing text, all or nothing.
+
+    The block writes to a temporary file in the target directory, which
+    replaces ``path`` only when the block succeeds; on failure it is removed
+    and any previous file at ``path`` is left intact.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
+
+
+def write_json(doc, path, indent: Optional[int] = None) -> None:
+    """Write ``doc`` as key-sorted JSON plus a newline, atomically."""
+    # json round-trips float64 exactly (shortest-repr decimal encoding).
+    with atomic_write(path) as handle:
+        json.dump(doc, handle, sort_keys=True, indent=indent)
+        handle.write("\n")
+
+
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         handle.write(json.dumps(
             {"format": CORPUS_FORMAT, "version": CORPUS_VERSION},
             sort_keys=True) + "\n")
@@ -490,11 +525,6 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 
 # ---------------------------------------------------------------------------
 # Synthetic generation
-
-# Relation-name inventory used by the generator, in registration order.
-SYNTHETIC_RELATIONS = ("subj", "dobj", "iobj", "inf-obj",
-                       "obl-dat", "obl-acc", "adj-dat", "adj-acc")
-
 
 @dataclass(frozen=True)
 class SyntheticConfig:

@@ -17,15 +17,14 @@ and reported as None, distinct from 0.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, atomic_write, write_json
 from .errors import ConfigError, DataError
-from .lexicalization import LexFrequencyTable, RelationSpec
+from .lexicalization import LexFrequencyTable
 from .model import DEFAULT_TIE_EPSILON, Decisions, LogLinearModel, decide
 from .properties import (FeatureMatrix, PropertyRegistry, compile_corpus,
                          same_columns)
@@ -96,15 +95,14 @@ VERDICTS = ("correct", "incorrect", "dont_know")
 
 def _compiled(corpus: Corpus, registry: PropertyRegistry,
               features: Optional[FeatureMatrix],
-              lex_table: Optional[LexFrequencyTable],
-              relation_spec: Optional[RelationSpec]) -> FeatureMatrix:
+              lex_table: Optional[LexFrequencyTable]) -> FeatureMatrix:
     """``features`` when it is ``corpus`` compiled against ``registry``'s
     columns; otherwise a fresh compile."""
     if (features is not None and features.corpus is corpus
             and features.n_sentences == len(corpus.entries)
             and same_columns(features.registry, registry)):
         return features
-    return compile_corpus(corpus, registry, lex_table, relation_spec)
+    return compile_corpus(corpus, registry, lex_table)
 
 
 class _Judge:
@@ -167,8 +165,7 @@ class _Judge:
 def evaluate(model: LogLinearModel, test_corpus: Corpus,
              task: str = "exact_match",
              tie_epsilon: float = DEFAULT_TIE_EPSILON,
-             lex_table: Optional[LexFrequencyTable] = None,
-             relation_spec: Optional[RelationSpec] = None, *,
+             lex_table: Optional[LexFrequencyTable] = None, *,
              features: Optional[FeatureMatrix] = None) -> EvalOutcome:
     """Disambiguate every test sentence and score it against the gold parse.
 
@@ -178,8 +175,7 @@ def evaluate(model: LogLinearModel, test_corpus: Corpus,
     ``features``, the test corpus compiled against the model's registry
     (``compile_corpus``), saves compiling it again.
     """
-    features = _compiled(test_corpus, model.registry, features, lex_table,
-                         relation_spec)
+    features = _compiled(test_corpus, model.registry, features, lex_table)
     judge = _Judge(task, test_corpus, features)
     decisions = decide(model.lam, features, tie_epsilon)
     verdicts = []
@@ -208,8 +204,7 @@ def random_baseline(test_corpus: Corpus, task: str, registry: PropertyRegistry,
                     n_models: int = 100, seed: int = 0,
                     lambda_range: float = 1.0,
                     tie_epsilon: float = DEFAULT_TIE_EPSILON,
-                    lex_table: Optional[LexFrequencyTable] = None,
-                    relation_spec: Optional[RelationSpec] = None, *,
+                    lex_table: Optional[LexFrequencyTable] = None, *,
                     features: Optional[FeatureMatrix] = None
                     ) -> BaselineReport:
     """Average precision of models with uniformly drawn parameter vectors.
@@ -220,8 +215,7 @@ def random_baseline(test_corpus: Corpus, task: str, registry: PropertyRegistry,
     """
     if n_models < 1:
         raise ConfigError("n_models must be >= 1")
-    features = _compiled(test_corpus, registry, features, lex_table,
-                         relation_spec)
+    features = _compiled(test_corpus, registry, features, lex_table)
     judge = _Judge(task, test_corpus, features)
     rng = np.random.default_rng(seed)
     precisions = []
@@ -253,8 +247,7 @@ class SweepRow:
 def sweep_checkpoints(checkpoint_models: Sequence[tuple[int, LogLinearModel]],
                       test_corpus: Corpus, task: str = "exact_match",
                       tie_epsilon: float = DEFAULT_TIE_EPSILON,
-                      lex_table: Optional[LexFrequencyTable] = None,
-                      relation_spec: Optional[RelationSpec] = None, *,
+                      lex_table: Optional[LexFrequencyTable] = None, *,
                       features: Optional[FeatureMatrix] = None
                       ) -> list[SweepRow]:
     """Evaluate each training checkpoint; rows are ordered by iteration.
@@ -268,8 +261,7 @@ def sweep_checkpoints(checkpoint_models: Sequence[tuple[int, LogLinearModel]],
     rows = []
     judge = None
     for iteration, model in sorted(checkpoint_models, key=lambda p: p[0]):
-        features = _compiled(test_corpus, model.registry, features, lex_table,
-                             relation_spec)
+        features = _compiled(test_corpus, model.registry, features, lex_table)
         judge = judge or _Judge(task, test_corpus, features)
         precision, effectiveness = judge.rates(
             decide(model.lam, features, tie_epsilon))
@@ -296,13 +288,11 @@ def format_report_table(outcome: EvalOutcome) -> str:
 
 
 def write_report_json(outcome: EvalOutcome, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(outcome.to_json_dict(), handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(outcome.to_json_dict(), path, indent=1)
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["iteration", "precision", "effectiveness"])
         for row in rows:

@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus, SentenceEntry, VOICES
+from .corpus import (SYNTHETIC_RELATIONS, VOICES, Corpus, SentenceEntry,
+                     atomic_write, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 
 CLUSTER_FORMAT = "cluster-model"
@@ -33,11 +34,9 @@ CLUSTER_VERSION = 1
 FREQ_TABLE_FORMAT = "lex-frequency-table"
 FREQ_TABLE_VERSION = 1
 
-# Relation inventory for pre-disambiguation slots.  The direct object is
-# excluded under passive voice (it is promoted), which together with two
-# voices and three verb positions yields the default 45 slots.
-DEFAULT_RELATIONS = ("subj", "dobj", "iobj", "inf-obj",
-                     "obl-dat", "obl-acc", "adj-dat", "adj-acc")
+# Pre-disambiguation slots: the direct object is excluded under passive voice
+# (it is promoted), which together with eight relations, two voices and three
+# verb positions yields 45 slots.
 DEFAULT_EXCLUDED = frozenset({("dobj", "passive")})
 
 
@@ -45,7 +44,7 @@ DEFAULT_EXCLUDED = frozenset({("dobj", "passive")})
 class RelationSpec:
     """Inventory of (relation, voice, verb-position) slots."""
 
-    relations: tuple[str, ...] = DEFAULT_RELATIONS
+    relations: tuple[str, ...] = SYNTHETIC_RELATIONS
     voices: tuple[str, ...] = VOICES
     max_verb_position: int = 3
     excluded: frozenset = DEFAULT_EXCLUDED
@@ -110,7 +109,7 @@ def load_pair_counts(path) -> PairCounts:
 
 
 def save_pair_counts(counts: PairCounts, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for (verb, noun) in sorted(counts.counts):
             handle.write(f"{verb}\t{noun}\t{counts.counts[(verb, noun)]}\n")
 
@@ -190,9 +189,7 @@ class ClusterModel:
 
 
 def save_cluster_model(model: ClusterModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model.to_json_dict(), handle, sort_keys=True)
-        handle.write("\n")
+    write_json(model.to_json_dict(), path)
 
 
 def load_cluster_model(path) -> ClusterModel:
@@ -360,9 +357,7 @@ class LexFrequencyTable:
 
 
 def save_freq_table(table: LexFrequencyTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(table.to_json_dict(), handle, sort_keys=True)
-        handle.write("\n")
+    write_json(table.to_json_dict(), path)
 
 
 def load_freq_table(path) -> LexFrequencyTable:
@@ -382,21 +377,23 @@ def build_freq_table(model: ClusterModel, counts: PairCounts) -> LexFrequencyTab
 # ---------------------------------------------------------------------------
 # Pre-disambiguation properties
 
-def lexicalized_properties(entry: SentenceEntry, table: LexFrequencyTable,
-                           relation_spec: Optional[RelationSpec] = None
+# The fixed slot inventory of the lexicalized properties.
+_SLOTS = RelationSpec().slots()
+_SLOT_SET = frozenset(_SLOTS)
+
+
+def lexicalized_properties(entry: SentenceEntry, table: LexFrequencyTable
                            ) -> list[dict[str, int]]:
     """Per-parse indicator features marking the f_c-maximal parses per slot.
 
-    For every (relation, voice, verb-position) slot of the spec, the parses
-    of the sentence that carry the slot compete on the f_c value of their
-    (verb, noun) pair; those attaining the maximum get 1 (ties included),
-    the rest get 0, and parses lacking the slot get 0 as well.  A parse's
+    For each of the 45 (relation, voice, verb-position) slots of
+    ``RelationSpec()``, the parses of the sentence that carry the slot
+    compete on the f_c value of their (verb, noun) pair; those attaining
+    the maximum get 1 (ties included), the rest get 0, and parses lacking
+    the slot get 0 as well.  A parse's
     first relation in a slot is the one that competes.  Keys are
     ``relation/voice/position`` strings.
     """
-    spec = relation_spec or RelationSpec()
-    slots = spec.slots()
-    wanted = set(slots)
     # One pass over the relations buckets the competitors of every slot.
     occupants: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
     for j, parse in enumerate(entry.parses):
@@ -407,13 +404,13 @@ def lexicalized_properties(entry: SentenceEntry, table: LexFrequencyTable,
                     f"sentence {entry.sentence_id!r} parse "
                     f"{parse.parse_id!r}: undefined voice {rel.voice!r}")
             slot = (rel.name, rel.voice, rel.position)
-            if slot in wanted and slot not in filled:
+            if slot in _SLOT_SET and slot not in filled:
                 filled.add(slot)
                 occupants.setdefault(slot, []).append(
                     (j, table.lookup(rel.verb, rel.noun)))
 
     rows: list[dict[str, int]] = [{} for _ in entry.parses]
-    for slot in slots:
+    for slot in _SLOTS:
         competitors = occupants.get(slot)
         if not competitors:
             continue

@@ -5,10 +5,11 @@ A model assigns each parse x the probability
     p(x) = Z^-1 * exp(lam . nu(x)) * p0(x)
 
 where nu(x) is the parse's property vector, lam the log-parameter vector,
-p0 a fixed reference distribution (uniform over the universe by default) and
-Z the normalizer over the defining corpus's parse universe.  All probability
-arithmetic runs in log space with max-subtraction.  Models are immutable
-value objects; scoring and disambiguation are pure.
+p0 the uniform reference distribution over the universe and Z the
+normalizer over the defining corpus's parse universe.  A uniform p0 cancels
+in every conditional and every decision.  All probability arithmetic runs in
+log space with max-subtraction.  Models are immutable value objects; scoring
+and disambiguation are pure.
 
 Normalization is defined over the training universe only; parses of other
 corpora (test data) are scored unnormalized, which leaves per-sentence
@@ -23,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus, SentenceEntry
+from .corpus import Corpus, SentenceEntry, write_json
 from .errors import ConfigError, DataError
-from .lexicalization import LexFrequencyTable, RelationSpec
+from .lexicalization import LexFrequencyTable
 from .properties import (FeatureMatrix, PropertyRegistry, build_feature_matrix,
                          compile_corpus)
 
@@ -36,44 +37,11 @@ DEFAULT_TIE_EPSILON = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class ReferenceDistribution:
-    """Reference p0: uniform over the universe, or explicit positive weights
-    aligned with the universe's parse rows (normalized on construction)."""
-
-    kind: str = "uniform"
-    weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "explicit"):
-            raise ConfigError(f"unknown reference kind {self.kind!r}")
-        if self.kind == "explicit":
-            if self.weights is None or len(self.weights) == 0:
-                raise ConfigError("explicit reference requires weights")
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w <= 0):
-                raise ConfigError("reference weights must be strictly positive")
-            # Normalize only when needed so reload/re-save is ulp-stable.
-            if abs(w.sum() - 1.0) > 1e-12:
-                w = w / w.sum()
-            object.__setattr__(self, "weights", w)
-
-    def log_weights(self, universe_size: int) -> np.ndarray:
-        if self.kind == "uniform":
-            return np.full(universe_size, -np.log(universe_size))
-        if len(self.weights) != universe_size:
-            raise ConfigError(
-                f"reference has {len(self.weights)} weights for a universe "
-                f"of {universe_size} parses")
-        return np.log(self.weights)
-
-
-@dataclass(frozen=True, eq=False)
 class LogLinearModel:
-    """Parameter vector over a frozen registry, tied to a universe corpus."""
+    """Parameter vector over a registry, tied to a universe corpus."""
 
     lam: np.ndarray
     registry: PropertyRegistry
-    reference: ReferenceDistribution
     universe: str           # content digest of the defining corpus
     universe_size: int
 
@@ -94,8 +62,7 @@ class LogLinearModel:
 
 
 def new_model(registry: PropertyRegistry, corpus: Corpus,
-              lam: Optional[np.ndarray] = None,
-              reference: Optional[ReferenceDistribution] = None) -> LogLinearModel:
+              lam: Optional[np.ndarray] = None) -> LogLinearModel:
     """Model over ``corpus``'s parse universe, with lam = 0 by default (the
     minimum-divergence start; maximum entropy under the uniform reference)."""
     if lam is None:
@@ -103,7 +70,6 @@ def new_model(registry: PropertyRegistry, corpus: Corpus,
     return LogLinearModel(
         lam=lam,
         registry=registry,
-        reference=reference or ReferenceDistribution(),
         universe=corpus.content_digest(),
         universe_size=corpus.universe_size,
     )
@@ -139,30 +105,22 @@ class Decision:
 # ---------------------------------------------------------------------------
 # Scoring
 
-def score(model: LogLinearModel, parse_features: np.ndarray,
-          log_p0: Optional[float] = None) -> float:
+def score(model: LogLinearModel, parse_features: np.ndarray) -> float:
     """Log-score lam . nu(x) + ln p0(x) of a single parse.
 
     ``parse_features`` is the parse's dense property vector, indexed against
-    the model registry.  ``log_p0`` defaults to the uniform reference weight
-    over the model universe.
+    the model registry; p0 is uniform over the model universe.
     """
-    if log_p0 is None:
-        if model.reference.kind != "uniform":
-            raise ConfigError(
-                "explicit reference requires the parse's log_p0 value")
-        log_p0 = -float(np.log(model.universe_size))
     vec = np.asarray(parse_features, dtype=float)
     if vec.shape != (model.n_features,):
         raise ConfigError(
             f"feature vector has shape {vec.shape}, expected ({model.n_features},)")
-    return float(vec @ model.lam) + log_p0
+    return float(vec @ model.lam) - float(np.log(model.universe_size))
 
 
 def universe_features(model: LogLinearModel, corpus: Optional[Corpus] = None,
                       features: Optional[FeatureMatrix] = None,
-                      lex_table: Optional[LexFrequencyTable] = None,
-                      relation_spec: Optional[RelationSpec] = None
+                      lex_table: Optional[LexFrequencyTable] = None
                       ) -> FeatureMatrix:
     """The compiled universe of ``model``: ``features`` when given, else
     compiled from ``corpus``; either must be the model's universe."""
@@ -170,8 +128,7 @@ def universe_features(model: LogLinearModel, corpus: Optional[Corpus] = None,
         if corpus is None:
             raise ConfigError("either a corpus or a feature matrix is required")
         features = build_feature_matrix(corpus, model.registry,
-                                        lex_table=lex_table,
-                                        relation_spec=relation_spec)
+                                        lex_table=lex_table)
     if (features.corpus_digest != model.universe
             or features.n_parses != model.universe_size):
         raise ConfigError(
@@ -180,32 +137,34 @@ def universe_features(model: LogLinearModel, corpus: Optional[Corpus] = None,
 
 
 def row_scores(model: LogLinearModel, features: FeatureMatrix) -> np.ndarray:
-    """Log-scores of every universe parse row."""
+    """Log-scores lam . nu(x) + ln p0(x) of every universe parse row."""
     scores = features.dot(model.lam)
-    scores += model.reference.log_weights(features.n_parses)
+    scores -= np.log(features.n_parses)
     if not np.all(np.isfinite(scores)):
         raise DataError("non-finite parse score; parameters diverged")
     return scores
 
 
+def log_normalize(scores: np.ndarray) -> tuple[np.ndarray, float]:
+    """(probabilities, log normalizer) of row log-scores, by
+    max-subtraction; the one normalizer of the package."""
+    shift = scores.max()
+    expd = np.exp(scores - shift)
+    total = expd.sum()
+    return expd / total, float(shift + np.log(total))
+
+
 def normalize(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
               features: Optional[FeatureMatrix] = None,
-              lex_table: Optional[LexFrequencyTable] = None,
-              relation_spec: Optional[RelationSpec] = None) -> ParseDistribution:
+              lex_table: Optional[LexFrequencyTable] = None) -> ParseDistribution:
     """Distribution over the model universe, via stable log-sum-exp.
 
     The corpus must be the model's universe; a prebuilt feature matrix may be
     passed instead to skip re-extraction.
     """
-    features = universe_features(model, corpus, features, lex_table,
-                                 relation_spec)
-    scores = row_scores(model, features)
-    shift = scores.max()
-    expd = np.exp(scores - shift)
-    total = expd.sum()
-    probs = expd / total
-    return ParseDistribution(probs=probs, log_z=float(shift + np.log(total)),
-                             features=features)
+    features = universe_features(model, corpus, features, lex_table)
+    probs, log_z = log_normalize(row_scores(model, features))
+    return ParseDistribution(probs=probs, log_z=log_z, features=features)
 
 
 def conditional_parse_prob(model: LogLinearModel, entry: SentenceEntry,
@@ -283,8 +242,7 @@ def decide(lam: np.ndarray, features: FeatureMatrix,
 
 def disambiguate(model: LogLinearModel, entry: SentenceEntry,
                  tie_epsilon: float = DEFAULT_TIE_EPSILON,
-                 lex_table: Optional[LexFrequencyTable] = None,
-                 relation_spec: Optional[RelationSpec] = None) -> Decision:
+                 lex_table: Optional[LexFrequencyTable] = None) -> Decision:
     """Pick the most probable parse of a sentence.
 
     Returns a unique decision when the best log-score beats the runner-up by
@@ -292,7 +250,7 @@ def disambiguate(model: LogLinearModel, entry: SentenceEntry,
     parse within ``tie_epsilon`` of the maximum.
     """
     features = compile_corpus(Corpus(entries=(entry,)), model.registry,
-                              lex_table, relation_spec)
+                              lex_table)
     return decide(model.lam, features, tie_epsilon).decision(features, 0)
 
 
@@ -312,18 +270,14 @@ def kl_divergence(p: ParseDistribution, q: ParseDistribution) -> float:
 # Serialization
 
 def model_to_json_dict(model: LogLinearModel) -> dict:
-    doc = {
+    return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "lambda": [float(v) for v in model.lam],
         "registry": model.registry.to_json_dict(),
-        "reference_kind": model.reference.kind,
         "universe": model.universe,
         "universe_size": model.universe_size,
     }
-    if model.reference.kind == "explicit":
-        doc["reference_weights"] = [float(w) for w in model.reference.weights]
-    return doc
 
 
 def model_from_json_dict(doc: dict) -> LogLinearModel:
@@ -331,27 +285,21 @@ def model_from_json_dict(doc: dict) -> LogLinearModel:
         raise DataError("not a loglinear-model document")
     if doc.get("version") != MODEL_VERSION:
         raise DataError(f"unsupported model version {doc.get('version')!r}")
+    # Older models record "reference_kind"; only the uniform one is defined.
     kind = doc.get("reference_kind", "uniform")
-    if kind == "explicit":
-        reference = ReferenceDistribution(
-            kind="explicit",
-            weights=np.asarray(doc["reference_weights"], dtype=float))
-    else:
-        reference = ReferenceDistribution()
+    if kind != "uniform":
+        raise DataError(f"unsupported reference kind {kind!r}; the reference "
+                        "distribution is uniform")
     return LogLinearModel(
         lam=np.asarray(doc["lambda"], dtype=float),
         registry=PropertyRegistry.from_json_dict(doc["registry"]),
-        reference=reference,
         universe=doc["universe"],
         universe_size=int(doc["universe_size"]),
     )
 
 
 def save_model(model: LogLinearModel, path) -> None:
-    # json round-trips float64 exactly (shortest-repr decimal encoding).
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_json_dict(model), handle, sort_keys=True)
-        handle.write("\n")
+    write_json(model_to_json_dict(model), path)
 
 
 def load_model(path) -> LogLinearModel:

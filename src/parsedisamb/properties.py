@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import Corpus, ParseRecord
+from .corpus import Corpus, ParseRecord, write_json
 from .errors import ConfigError, DataError
-from .lexicalization import LexFrequencyTable, RelationSpec, lexicalized_properties
+from .lexicalization import LexFrequencyTable, lexicalized_properties
 
 REGISTRY_FORMAT = "property-registry"
 REGISTRY_VERSION = 1
@@ -90,11 +90,11 @@ class PropertyDescriptor:
 
 @dataclass
 class PropertyRegistry:
-    """Ordered property inventory; frozen once the correction is appended."""
+    """Ordered property inventory; complete once the correction property is
+    appended, which sets ``correction_K``."""
 
     properties: list[PropertyDescriptor]
     correction_K: Optional[float] = None
-    frozen: bool = False
     _by_key: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,7 +128,6 @@ class PropertyRegistry:
             "format": REGISTRY_FORMAT,
             "version": REGISTRY_VERSION,
             "correction_K": self.correction_K,
-            "frozen": self.frozen,
             "properties": [
                 {"index": d.index, "kind": d.kind, "key": d.key,
                  "activation_count": d.activation_count}
@@ -147,14 +146,12 @@ class PropertyRegistry:
                                activation_count=p.get("activation_count", 0))
             for p in doc["properties"]
         ]
-        return cls(properties=props, correction_K=doc.get("correction_K"),
-                   frozen=bool(doc.get("frozen", False)))
+        # Older registries also carry "frozen", which repeats correction_K.
+        return cls(properties=props, correction_K=doc.get("correction_K"))
 
 
 def save_registry(registry: PropertyRegistry, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(registry.to_json_dict(), handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(registry.to_json_dict(), path, indent=1)
 
 
 def load_registry(path) -> PropertyRegistry:
@@ -427,7 +424,6 @@ class FeatureMatrix:
 
 def _walk(corpus: Corpus, kinds: set[str],
           lex_table: Optional[LexFrequencyTable],
-          relation_spec: Optional[RelationSpec],
           registry: Optional[PropertyRegistry] = None) -> FeatureMatrix:
     """Compile every sentence of ``corpus`` in one pass over its parses.
 
@@ -459,7 +455,7 @@ def _walk(corpus: Corpus, kinds: set[str],
 
     for entry in corpus.entries:
         lex_rows = (None if lex_table is None else
-                    lexicalized_properties(entry, lex_table, relation_spec))
+                    lexicalized_properties(entry, lex_table))
         for j, parse in enumerate(entry.parses):
             if structural:
                 for key, value in structural_values(parse, structural).items():
@@ -503,8 +499,7 @@ def _walk(corpus: Corpus, kinds: set[str],
 
 
 def _walk_for(corpus: Corpus, registry: PropertyRegistry,
-              lex_table: Optional[LexFrequencyTable],
-              relation_spec: Optional[RelationSpec]) -> FeatureMatrix:
+              lex_table: Optional[LexFrequencyTable]) -> FeatureMatrix:
     """``_walk`` over the columns of ``registry`` except the correction."""
     kinds = registry.kinds()
     if "lexicalized-relation" not in kinds:
@@ -515,8 +510,7 @@ def _walk_for(corpus: Corpus, registry: PropertyRegistry,
             "was provided")
     if registry.correction_K is not None:
         registry = PropertyRegistry(properties=registry.properties[:-1])
-    return _walk(corpus, kinds, lex_table, relation_spec or RelationSpec(),
-                 registry)
+    return _walk(corpus, kinds, lex_table, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +519,7 @@ def _walk_for(corpus: Corpus, registry: PropertyRegistry,
 def compile_templates(corpus: Corpus,
                       enabled_kinds: Optional[Iterable[str]] = None,
                       include_lexicalized: bool = False,
-                      lex_table: Optional[LexFrequencyTable] = None,
-                      relation_spec: Optional[RelationSpec] = None
+                      lex_table: Optional[LexFrequencyTable] = None
                       ) -> FeatureMatrix:
     """Compile every sentence over every template observed in the corpus.
 
@@ -552,15 +545,13 @@ def compile_templates(corpus: Corpus,
                 "no structural kinds enabled and no precomputed features present")
         enabled = {"passthrough"}
 
-    if include_lexicalized:
-        if lex_table is None:
-            raise ConfigError(
-                "include_lexicalized requires a class-based frequency table")
-        relation_spec = relation_spec or RelationSpec()
-    else:
+    if not include_lexicalized:
         lex_table = None
+    elif lex_table is None:
+        raise ConfigError(
+            "include_lexicalized requires a class-based frequency table")
 
-    walked = _walk(corpus, enabled, lex_table, relation_spec)
+    walked = _walk(corpus, enabled, lex_table)
     counts = walked.activation_counts()
     activation = {(d.kind, d.key): int(counts[d.index])
                   for d in walked.registry.properties}
@@ -586,8 +577,7 @@ def compile_templates(corpus: Corpus,
 def build_registry(corpus: Corpus,
                    enabled_kinds: Optional[Iterable[str]] = None,
                    include_lexicalized: bool = False,
-                   lex_table: Optional[LexFrequencyTable] = None,
-                   relation_spec: Optional[RelationSpec] = None) -> PropertyRegistry:
+                   lex_table: Optional[LexFrequencyTable] = None) -> PropertyRegistry:
     """Instantiate one descriptor per template observed in the corpus.
 
     ``enabled_kinds`` selects structural kinds (default: all of them when the
@@ -599,23 +589,21 @@ def build_registry(corpus: Corpus,
     are the number of parses with a nonzero value.
 
     Descriptors are ordered by (kind, key) lexicographically; the registry is
-    returned unfrozen (no correction property yet).
+    returned without the correction property.
     """
     return compile_templates(corpus, enabled_kinds, include_lexicalized,
-                             lex_table, relation_spec).registry
+                             lex_table).registry
 
 
 def compile_corpus(corpus: Corpus, registry: PropertyRegistry,
-                   lex_table: Optional[LexFrequencyTable] = None,
-                   relation_spec: Optional[RelationSpec] = None) -> FeatureMatrix:
+                   lex_table: Optional[LexFrequencyTable] = None) -> FeatureMatrix:
     """Compile every sentence of ``corpus``, zero-weight ones included,
     against ``registry``; corrections above K are clamped and counted."""
-    return _walk_for(corpus, registry, lex_table, relation_spec).project(registry)
+    return _walk_for(corpus, registry, lex_table).project(registry)
 
 
 def build_feature_matrix(corpus: Corpus, registry: PropertyRegistry,
                          lex_table: Optional[LexFrequencyTable] = None,
-                         relation_spec: Optional[RelationSpec] = None,
                          strict_correction: bool = False) -> FeatureMatrix:
     """The feature matrix of a corpus's parse universe, correction included.
 
@@ -624,7 +612,7 @@ def build_feature_matrix(corpus: Corpus, registry: PropertyRegistry,
     stale registry for its defining corpus); otherwise such corrections are
     clamped at zero and counted.
     """
-    walked = _walk_for(corpus, registry, lex_table, relation_spec)
+    walked = _walk_for(corpus, registry, lex_table)
     return walked.universe().project(registry, strict_correction)
 
 
@@ -639,10 +627,9 @@ def same_columns(a: PropertyRegistry, b: PropertyRegistry) -> bool:
 
 
 def add_correction(registry: PropertyRegistry, corpus: Optional[Corpus] = None,
-                   lex_table: Optional[LexFrequencyTable] = None,
-                   relation_spec: Optional[RelationSpec] = None, *,
+                   lex_table: Optional[LexFrequencyTable] = None, *,
                    features: Optional[FeatureMatrix] = None) -> PropertyRegistry:
-    """Append the constant-mass correction property and freeze the registry.
+    """Append the constant-mass correction property to the registry.
 
     K is the maximum total feature value over the parses of the defining
     universe (sentences with positive weight); the correction value of a
@@ -656,8 +643,7 @@ def add_correction(registry: PropertyRegistry, corpus: Optional[Corpus] = None,
     if features is not None:
         features = features.universe().project(registry)
     elif corpus is not None:
-        features = build_feature_matrix(corpus, registry, lex_table,
-                                        relation_spec)
+        features = build_feature_matrix(corpus, registry, lex_table)
     else:
         raise ConfigError("either a corpus or a feature matrix is required")
     totals = features.row_totals()
@@ -669,36 +655,24 @@ def add_correction(registry: PropertyRegistry, corpus: Optional[Corpus] = None,
         index=registry.size, kind="correction", key=CORRECTION_KEY,
         activation_count=int(np.count_nonzero(K - totals)))
     return PropertyRegistry(properties=registry.properties + [descriptor],
-                            correction_K=K, frozen=True)
+                            correction_K=K)
 
 
-def select_properties(registry: PropertyRegistry, cutoff: int,
-                      corpus: Optional[Corpus] = None,
-                      lex_table: Optional[LexFrequencyTable] = None,
-                      relation_spec: Optional[RelationSpec] = None) -> PropertyRegistry:
-    """Drop descriptors activated on fewer than ``cutoff`` parses.
+def select_properties(registry: PropertyRegistry,
+                      cutoff: int) -> PropertyRegistry:
+    """Drop descriptors activated on fewer than ``cutoff`` parses, by the
+    activation counts stored at build time.
 
     Must run before the correction property is added (the correction is
-    re-added afterwards).  Activation counts stored at build time are used;
-    pass a corpus to recount against different data.  Raises when nothing
-    survives the cutoff.
+    re-added afterwards).  Raises when nothing survives the cutoff.
     """
-    if registry.correction_K is not None or registry.frozen:
+    if registry.correction_K is not None:
         raise ConfigError("select_properties must run before add_correction")
     if cutoff < 0:
         raise ConfigError("cutoff must be nonnegative")
-
-    if corpus is None:
-        counts = np.array([d.activation_count for d in registry.properties])
-    else:
-        counts = compile_corpus(corpus, registry, lex_table,
-                                relation_spec).activation_counts()
-    kept = np.flatnonzero(counts >= cutoff)
-    if not kept.size:
+    kept = [d for d in registry.properties if d.activation_count >= cutoff]
+    if not kept:
         raise DataError(f"property selection with cutoff {cutoff} removed "
                         "every descriptor")
-    return PropertyRegistry(properties=[
-        PropertyDescriptor(index=i, kind=registry.properties[c].kind,
-                           key=registry.properties[c].key,
-                           activation_count=int(counts[c]))
-        for i, c in enumerate(kept)])
+    return PropertyRegistry(properties=[replace(d, index=i)
+                                        for i, d in enumerate(kept)])

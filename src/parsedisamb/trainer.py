@@ -32,9 +32,9 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import ConfigError, DataError, InternalConsistencyError
-from .lexicalization import LexFrequencyTable, RelationSpec
-from .model import (LogLinearModel, ReferenceDistribution, new_model,
-                    row_scores, universe_features)
+from .lexicalization import LexFrequencyTable
+from .model import (LogLinearModel, log_normalize, new_model, row_scores,
+                    universe_features)
 from .properties import (FeatureMatrix, PropertyRegistry, build_feature_matrix,
                          same_columns)
 
@@ -121,11 +121,6 @@ class _Fit:
     row_weights: np.ndarray  # empirical weight of each row in the numerator
 
 
-def _logsumexp(scores: np.ndarray) -> float:
-    shift = scores.max()
-    return float(shift + np.log(np.exp(scores - shift).sum()))
-
-
 def _fit(scores: np.ndarray, features: FeatureMatrix,
          complete_data: bool) -> _Fit:
     """Likelihood, model distribution and numerator row weights of the model
@@ -135,9 +130,7 @@ def _fit(scores: np.ndarray, features: FeatureMatrix,
     sentence's inner sum underflows to zero; complete data puts w(y) on the
     gold row.
     """
-    log_z = _logsumexp(scores)
-    probs = np.exp(scores - log_z)
-    probs /= probs.sum()
+    probs, log_z = log_normalize(scores)
     if complete_data:
         gold_rows = features.gold_rows()
         row_weights = np.zeros(features.n_parses)
@@ -226,7 +219,7 @@ def im_step(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
             ) -> tuple[LogLinearModel, np.ndarray, float]:
     """One closed-form update; returns (new model, gamma, new likelihood).
 
-    Requires a frozen registry with the correction property (constant total
+    Requires a registry with the correction property (constant total
     feature mass K); feature values are nonnegative by construction of the
     feature matrix.  Numerator and denominator are floored at
     ``expectation_floor``; features whose (raw) numerator falls below the
@@ -235,7 +228,7 @@ def im_step(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
     """
     if model.registry.correction_K is None:
         raise ConfigError(
-            "the update requires a registry frozen with the correction property")
+            "the update requires a registry with the correction property")
     K = float(model.registry.correction_K)
     if gamma_clamp is None:
         gamma_clamp = DEFAULT_GAMMA_CLAMP_NUMERATOR / K
@@ -258,8 +251,6 @@ def train(corpus: Corpus, registry: PropertyRegistry,
           config: Optional[TrainingConfig] = None, *,
           complete_data: bool = False,
           lex_table: Optional[LexFrequencyTable] = None,
-          relation_spec: Optional[RelationSpec] = None,
-          reference: Optional[ReferenceDistribution] = None,
           features: Optional[FeatureMatrix] = None
           ) -> tuple[LogLinearModel, TrainingTrace]:
     """Run the estimation loop to convergence or the iteration cap.
@@ -291,7 +282,6 @@ def train(corpus: Corpus, registry: PropertyRegistry,
                           "property (run add_correction first)")
     if features is None:
         features = build_feature_matrix(corpus, registry, lex_table=lex_table,
-                                        relation_spec=relation_spec,
                                         strict_correction=True)
     elif not same_columns(features.registry, registry):
         raise ConfigError("the feature matrix was compiled against another "
@@ -300,8 +290,7 @@ def train(corpus: Corpus, registry: PropertyRegistry,
         raise DataError("complete-data training requires gold_index on every "
                         "sentence")
 
-    model = new_model(registry, corpus, lam=_initial_lam(config, registry.size),
-                      reference=reference)
+    model = new_model(registry, corpus, lam=_initial_lam(config, registry.size))
     features = universe_features(model, features=features)
     K = float(registry.correction_K)
     gamma_clamp = (DEFAULT_GAMMA_CLAMP_NUMERATOR / K if config.gamma_clamp is None

@@ -195,11 +195,10 @@ def reference_structural_values(parse, kinds):
     return values
 
 
-def reference_lexicalized_properties(entry, table, relation_spec=None):
+def reference_lexicalized_properties(entry, table):
     """Per-parse slot indicators, scanning every parse once per slot."""
-    spec = relation_spec or RelationSpec()
     rows = [{} for _ in entry.parses]
-    for rel_name, voice, position in spec.slots():
+    for rel_name, voice, position in RelationSpec().slots():
         key = RelationSpec.slot_key(rel_name, voice, position)
         occupants = []
         for j, parse in enumerate(entry.parses):
@@ -231,7 +230,7 @@ def _parse_template_values(parse, kinds):
 
 
 def reference_registry(corpus, enabled_kinds=None, include_lexicalized=False,
-                       lex_table=None, relation_spec=None):
+                       lex_table=None):
     """[(kind, key, activation_count)] in registry order."""
     has_structure = all(p.has_structure for e in corpus.entries for p in e.parses)
     if enabled_kinds is None:
@@ -240,7 +239,6 @@ def reference_registry(corpus, enabled_kinds=None, include_lexicalized=False,
         enabled = set(enabled_kinds)
     if not enabled:
         enabled = {"passthrough"}
-    relation_spec = relation_spec or RelationSpec()
 
     activation = {}
     if "passthrough" in enabled:
@@ -255,8 +253,7 @@ def reference_registry(corpus, enabled_kinds=None, include_lexicalized=False,
     for entry in corpus.entries:
         lex_rows = None
         if include_lexicalized:
-            lex_rows = reference_lexicalized_properties(entry, lex_table,
-                                                        relation_spec)
+            lex_rows = reference_lexicalized_properties(entry, lex_table)
         for j, parse in enumerate(entry.parses):
             for key, value in _parse_template_values(parse, enabled).items():
                 if value != 0:
@@ -285,13 +282,12 @@ def extract_features(parse, registry):
     return out
 
 
-def _entry_base_rows(entry, registry, lex_table, relation_spec):
+def _entry_base_rows(entry, registry, lex_table):
     rows = [extract_features(parse, registry) for parse in entry.parses]
     if "lexicalized-relation" in registry.kinds():
         if lex_table is None:
             raise ConfigError("no frequency table")
-        lex_rows = reference_lexicalized_properties(
-            entry, lex_table, relation_spec or RelationSpec())
+        lex_rows = reference_lexicalized_properties(entry, lex_table)
         for row, lex in zip(rows, lex_rows):
             for slot, value in lex.items():
                 idx = registry.index_of("lexicalized-relation", slot)
@@ -300,9 +296,9 @@ def _entry_base_rows(entry, registry, lex_table, relation_spec):
     return rows
 
 
-def entry_feature_rows(entry, registry, lex_table=None, relation_spec=None):
+def entry_feature_rows(entry, registry, lex_table=None):
     """Per-parse sparse vectors of one sentence, correction clamped at 0."""
-    rows = _entry_base_rows(entry, registry, lex_table, relation_spec)
+    rows = _entry_base_rows(entry, registry, lex_table)
     correction_idx = registry.correction_index
     if correction_idx is not None:
         for row in rows:
@@ -312,24 +308,22 @@ def entry_feature_rows(entry, registry, lex_table=None, relation_spec=None):
     return rows
 
 
-def reference_correction(registry, corpus, lex_table=None, relation_spec=None):
+def reference_correction(registry, corpus, lex_table=None):
     """(K, correction activation count) over the positive-weight sentences."""
     universe = [e for e in corpus.entries if e.weight > 0]
     totals = [float(sum(row.values()))
               for entry in universe
-              for row in _entry_base_rows(entry, registry, lex_table,
-                                          relation_spec)]
+              for row in _entry_base_rows(entry, registry, lex_table)]
     best = max(totals)
     return best, sum(1 for total in totals if best - total != 0)
 
 
-def reference_matrix(corpus, registry, lex_table=None, relation_spec=None,
-                     universe_only=True):
+def reference_matrix(corpus, registry, lex_table=None, universe_only=True):
     """(dense rows, clamped-correction count) of the chosen sentences."""
     entries = [e for e in corpus.entries if e.weight > 0 or not universe_only]
     dense, clamped = [], 0
     for entry in entries:
-        for row in _entry_base_rows(entry, registry, lex_table, relation_spec):
+        for row in _entry_base_rows(entry, registry, lex_table):
             if registry.correction_index is not None:
                 slack = registry.correction_K - float(sum(row.values()))
                 if slack < 0:
@@ -343,15 +337,13 @@ def reference_matrix(corpus, registry, lex_table=None, relation_spec=None,
     return np.array(dense).reshape(-1, registry.size), clamped
 
 
-def reference_selection(registry, cutoff, corpus=None, lex_table=None,
-                        relation_spec=None):
+def reference_selection(registry, cutoff, corpus=None, lex_table=None):
     """[(kind, key, count)] of the descriptors that survive ``cutoff``."""
     counts = {d.index: d.activation_count for d in registry.properties}
     if corpus is not None:
         counts = {d.index: 0 for d in registry.properties}
         for entry in corpus.entries:
-            for row in _entry_base_rows(entry, registry, lex_table,
-                                        relation_spec):
+            for row in _entry_base_rows(entry, registry, lex_table):
                 for idx, value in row.items():
                     if value != 0:
                         counts[idx] += 1
@@ -360,11 +352,11 @@ def reference_selection(registry, cutoff, corpus=None, lex_table=None,
 
 
 def reference_decision(lam, entry, registry, tie_epsilon=1e-9,
-                       lex_table=None, relation_spec=None):
+                       lex_table=None):
     """(kind, parse_ids) of one sentence, from its per-parse dict scores."""
     if len(entry.parses) == 1:
         return "unique", (entry.parses[0].parse_id,)
-    rows = entry_feature_rows(entry, registry, lex_table, relation_spec)
+    rows = entry_feature_rows(entry, registry, lex_table)
     scores = np.array([sum(lam[idx] * value for idx, value in row.items())
                        for row in rows])
     order = np.argsort(scores, kind="stable")[::-1]

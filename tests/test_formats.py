@@ -1,0 +1,171 @@
+"""Artifact files: atomic writes, older formats, bit-exact round-trips."""
+
+import json
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parsedisamb import (DataError, evaluate, load_model, load_registry,
+                         new_model, save_corpus, save_model, save_registry)
+from parsedisamb.cli import main
+from parsedisamb.corpus import atomic_write, write_json
+from parsedisamb.model import LogLinearModel
+from parsedisamb.properties import (ALL_KINDS, PropertyDescriptor,
+                                    PropertyRegistry)
+from conftest import corrected_registry, passthrough_corpus
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json({"kept": True}, path)
+        before = path.read_bytes()
+        # json.dump writes the first keys before it meets the bad value.
+        with pytest.raises(TypeError):
+            write_json({"a": list(range(1000)), "b": object()}, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_exception_in_the_block(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as handle:
+                handle.write("partial\n")
+                raise RuntimeError("interrupted")
+        assert os.listdir(tmp_path) == []
+
+    def test_bytes_and_mode_match_a_plain_write(self, tmp_path):
+        doc = {"b": [1.5, -0.1], "a": "é"}
+        write_json(doc, tmp_path / "atomic.json", indent=1)
+        with open(tmp_path / "plain.json", "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, sort_keys=True, indent=1)
+            handle.write("\n")
+        assert (tmp_path / "atomic.json").read_bytes() == \
+            (tmp_path / "plain.json").read_bytes()
+        assert os.stat(tmp_path / "atomic.json").st_mode == \
+            os.stat(tmp_path / "plain.json").st_mode
+
+
+# A model and its registry as written before models dropped the reference
+# kind and registries the "frozen" flag.
+OLDER_REGISTRY = {
+    "correction_K": 3.0, "format": "property-registry", "frozen": True,
+    "properties": [
+        {"activation_count": 3, "index": 0, "key": "000000",
+         "kind": "passthrough"},
+        {"activation_count": 2, "index": 1, "key": "000001",
+         "kind": "passthrough"},
+        {"activation_count": 2, "index": 2, "key": "000002",
+         "kind": "passthrough"},
+        {"activation_count": 3, "index": 3, "key": "K", "kind": "correction"}],
+    "version": 1}
+OLDER_MODEL = {
+    "format": "loglinear-model", "lambda": [0.5, -0.25, 0.125, 0.0],
+    "reference_kind": "uniform", "registry": OLDER_REGISTRY,
+    "universe": "9a7b6e7221830e97ee7c223ea973d91500e543886dd8ac8c8deebfa24ea98bc6",
+    "universe_size": 5, "version": 1}
+
+
+def _older_corpus():
+    return passthrough_corpus([[{0: 1, 1: 2}, {1: 1}],
+                               [{0: 2}, {0: 1, 2: 1}, {2: 3}]], golds=[0, 2])
+
+
+def _decisions(model, corpus):
+    return [(v.decision_kind, v.chosen_parse_ids)
+            for v in evaluate(model, corpus).verdicts]
+
+
+class TestOlderFormats:
+    def test_older_model_and_registry_load(self, tmp_path):
+        corpus = _older_corpus()
+        registry = corrected_registry(corpus)
+        model = new_model(registry, corpus, lam=np.array(OLDER_MODEL["lambda"]))
+        write_json(OLDER_MODEL, tmp_path / "model.json")
+        write_json(OLDER_REGISTRY, tmp_path / "registry.json", indent=1)
+
+        older = load_model(tmp_path / "model.json")
+        assert older.universe == model.universe
+        assert older.registry == registry
+        assert load_registry(tmp_path / "registry.json") == registry
+        assert _decisions(older, corpus) == _decisions(model, corpus)
+        # Saving again writes neither key.
+        save_model(older, tmp_path / "again.json")
+        doc = json.loads((tmp_path / "again.json").read_text())
+        assert "reference_kind" not in doc
+        assert "frozen" not in doc["registry"]
+
+    def test_explicit_reference_is_a_data_error(self, tmp_path):
+        doc = dict(OLDER_MODEL, reference_kind="explicit",
+                   reference_weights=[0.2] * 5)
+        write_json(doc, tmp_path / "model.json")
+        with pytest.raises(DataError, match="reference"):
+            load_model(tmp_path / "model.json")
+
+    def test_eval_of_an_explicit_reference_exits_2(self, tmp_path, capsys):
+        save_corpus(_older_corpus(), tmp_path / "test.jsonl")
+        doc = dict(OLDER_MODEL, reference_kind="explicit",
+                   reference_weights=[0.2] * 5)
+        write_json(doc, tmp_path / "model.json")
+        code = main(["eval", "--model", str(tmp_path / "model.json"),
+                     "--corpus", str(tmp_path / "test.jsonl"),
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 2
+        assert "reference" in capsys.readouterr().err
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def registries(draw):
+    keys = draw(st.lists(st.tuples(st.sampled_from(ALL_KINDS[:-1]), st.text()),
+                         min_size=1, max_size=8, unique=True))
+    counts = draw(st.lists(st.integers(0, 10**6), min_size=len(keys),
+                           max_size=len(keys)))
+    properties = [PropertyDescriptor(index=i, kind=kind, key=key,
+                                     activation_count=c)
+                  for i, ((kind, key), c) in enumerate(zip(keys, counts))]
+    K = draw(st.one_of(st.none(), st.floats(min_value=1e-300, max_value=1e300)))
+    if K is not None:
+        properties.append(PropertyDescriptor(
+            index=len(properties), kind="correction", key="K",
+            activation_count=draw(st.integers(0, 10**6))))
+    return PropertyRegistry(properties=properties, correction_K=K)
+
+
+class TestRoundTrips:
+    @settings(max_examples=60, deadline=None)
+    @given(registries())
+    def test_registry(self, tmp_path_factory, registry):
+        path = tmp_path_factory.mktemp("registry") / "registry.json"
+        save_registry(registry, path)
+        again = load_registry(path)
+        assert again == registry
+        assert again.correction_K == registry.correction_K
+        data = path.read_bytes()
+        save_registry(again, path)
+        assert path.read_bytes() == data
+
+    @settings(max_examples=60, deadline=None)
+    @given(registries(), st.data())
+    def test_model(self, tmp_path_factory, registry, data):
+        lam = np.array(data.draw(st.lists(FLOATS, min_size=registry.size,
+                                          max_size=registry.size)))
+        model = LogLinearModel(lam=lam, registry=registry,
+                               universe=data.draw(st.text()),
+                               universe_size=data.draw(st.integers(1, 10**9)))
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        again = load_model(path)
+        assert np.array_equal(again.lam, model.lam)
+        assert np.array_equal(np.signbit(again.lam), np.signbit(model.lam))
+        assert again.registry == registry
+        assert (again.universe, again.universe_size) == \
+            (model.universe, model.universe_size)
+        data_bytes = path.read_bytes()
+        save_model(again, path)
+        assert path.read_bytes() == data_bytes

@@ -258,39 +258,6 @@ class TestKL:
             assert d >= 0.0
 
 
-class TestExplicitReference:
-    def test_weights_shape_model(self):
-        corpus = passthrough_corpus([[{0: 1}, {}]])
-        from parsedisamb import ReferenceDistribution, build_registry
-        registry = build_registry(corpus)
-        reference = ReferenceDistribution(kind="explicit",
-                                          weights=np.array([3.0, 1.0]))
-        model = new_model(registry, corpus, reference=reference)
-        # At lambda = 0 the distribution is the normalized reference.
-        dist = normalize(model, corpus)
-        assert_allclose(dist.probs, [0.75, 0.25])
-
-    def test_positive_weights_required(self):
-        from parsedisamb import ReferenceDistribution
-        with pytest.raises(ConfigError):
-            ReferenceDistribution(kind="explicit", weights=np.array([1.0, 0.0]))
-
-    def test_round_trip(self, tmp_path):
-        corpus = passthrough_corpus([[{0: 1}, {}]])
-        from parsedisamb import ReferenceDistribution, build_registry
-        registry = build_registry(corpus)
-        reference = ReferenceDistribution(kind="explicit",
-                                          weights=np.array([3.0, 1.0]))
-        model = new_model(registry, corpus, lam=np.array([0.25]),
-                          reference=reference)
-        path = tmp_path / "explicit.json"
-        save_model(model, path)
-        again = load_model(path)
-        assert again.reference.kind == "explicit"
-        assert np.array_equal(again.reference.weights,
-                              model.reference.weights)
-
-
 class TestSerialization:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

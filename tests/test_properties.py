@@ -310,7 +310,7 @@ class TestSelection:
     def test_selected_extraction_is_a_subvector(self):
         corpus = passthrough_corpus([[{0: 1, 1: 2, 2: 3}, {2: 1}], [{1: 1}]])
         full = build_registry(corpus)
-        selected = select_properties(full, cutoff=2, corpus=corpus)
+        selected = select_properties(full, cutoff=2)
         assert 0 < selected.size < full.size
         kept = {d.key for d in selected.properties}
         for row_full, row_selected in zip(_named_rows(corpus, full),
@@ -319,7 +319,11 @@ class TestSelection:
                                     if k[1] in kept}
 
     def test_recount_against_corpus(self):
+        # Selection uses the stored counts, which are a count over the corpus.
         corpus = passthrough_corpus([[{0: 1}, {0: 2}], [{1: 1}]])
         registry = build_registry(corpus)
-        recounted = select_properties(registry, cutoff=2, corpus=corpus)
-        assert [d.key for d in recounted.properties] == ["000000"]
+        recount = compile_corpus(corpus, registry).activation_counts()
+        assert [d.activation_count for d in registry.properties] == \
+            recount.tolist()
+        selected = select_properties(registry, cutoff=2)
+        assert [d.key for d in selected.properties] == ["000000"]

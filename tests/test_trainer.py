@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parsedisamb import (ConfigError, DataError, TrainingConfig,
-                         build_feature_matrix, build_registry, compare_inits,
-                         expectations, im_step, incomplete_log_likelihood,
+from parsedisamb import (ConfigError, DataError, SyntheticConfig,
+                         TrainingConfig, add_correction, build_feature_matrix,
+                         build_registry, compare_inits, expectations,
+                         generate_synthetic, im_step,
+                         incomplete_log_likelihood, model_expectation,
                          new_model, train)
 from conftest import (corrected_registry, passthrough_corpus,
                       random_passthrough_instance, tiny_instance,
@@ -50,6 +52,19 @@ class TestLikelihood:
                 lam, vectors, matrix.weights)
             assert_allclose(incomplete_log_likelihood(model, corpus), direct,
                             rtol=1e-10, atol=1e-12)
+
+
+class TestNormalizer:
+    def test_trainer_denominator_is_the_model_expectation(self):
+        # The trainer and normalize share one normalizer, bit for bit.
+        corpus, _ = generate_synthetic(SyntheticConfig(n_sentences=200, seed=3))
+        registry = add_correction(build_registry(corpus), corpus)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            model = new_model(registry, corpus,
+                              lam=rng.uniform(-1, 1, registry.size))
+            assert np.array_equal(expectations(model, corpus)[1],
+                                  model_expectation(model, corpus))
 
 
 class TestImStep:
