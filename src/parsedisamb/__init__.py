@@ -23,16 +23,14 @@ from .lexicalization import (ClusterModel, LexFrequencyTable, PairCounts,
                              lexicalized_properties, load_pair_counts,
                              pair_counts_from_corpus, save_pair_counts,
                              train_clusters)
-from .model import (Decision, LogLinearModel, ParseDistribution,
-                    conditional_parse_prob, disambiguate, kl_divergence,
-                    load_model, model_expectation, new_model, normalize,
-                    save_model, score)
+from .model import (Decision, LogLinearModel, ParseDistribution, disambiguate,
+                    load_model, new_model, normalize, save_model)
 from .properties import (FeatureMatrix, PropertyDescriptor, PropertyRegistry,
                          add_correction, build_feature_matrix, build_registry,
                          compile_corpus, compile_templates, load_registry,
                          save_registry, select_properties)
 from .trainer import (InitComparison, IterationRecord, TrainingConfig,
-                      TrainingTrace, compare_inits, complete_log_likelihood,
-                      expectations, im_step, incomplete_log_likelihood, train)
+                      TrainingTrace, compare_inits, expectations, im_step,
+                      incomplete_log_likelihood, train)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

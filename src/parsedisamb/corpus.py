@@ -404,8 +404,7 @@ def _reject_constant(name: str):
     raise DataError(f"non-finite number {name} is not allowed")
 
 
-def load_corpus(path, max_parses: Optional[int] = None,
-                normalize_weights: bool = True) -> Corpus:
+def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     """Load a forest-corpus file, optionally dropping high-ambiguity entries.
 
     Entries with more than ``max_parses`` candidate parses are removed before
@@ -453,8 +452,7 @@ def load_corpus(path, max_parses: Optional[int] = None,
                 f"{path}: no sentences left after max_parses={max_parses} cutoff")
     if not entries:
         raise DataError(f"{path}: corpus contains no sentence entries")
-    return build_corpus(entries, normalize_weights=normalize_weights,
-                        aggregate_duplicates=True)
+    return build_corpus(entries, aggregate_duplicates=True)
 
 
 @contextmanager
@@ -483,6 +481,25 @@ def write_json(doc, path, indent: Optional[int] = None) -> None:
     with atomic_write(path) as handle:
         json.dump(doc, handle, sort_keys=True, indent=indent)
         handle.write("\n")
+
+
+def read_json(path, from_json_dict):
+    """``from_json_dict`` of the JSON document at ``path``.
+
+    Every way the document can be bad (invalid JSON, a non-finite number, a
+    missing key, a malformed value, a value its constructor rejects) is a
+    DataError naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return from_json_dict(json.load(handle,
+                                            parse_constant=_reject_constant))
+        except (DataError, ConfigError) as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        except KeyError as exc:
+            raise DataError(f"{path}: missing field {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise DataError(f"{path}: malformed document ({exc})") from exc
 
 
 def save_corpus(corpus: Corpus, path) -> None:

@@ -19,14 +19,13 @@ cluster models and frequency tables as versioned JSON documents.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .corpus import (SYNTHETIC_RELATIONS, VOICES, Corpus, SentenceEntry,
-                     atomic_write, write_json)
+                     atomic_write, read_json, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 
 CLUSTER_FORMAT = "cluster-model"
@@ -193,8 +192,7 @@ def save_cluster_model(model: ClusterModel, path) -> None:
 
 
 def load_cluster_model(path) -> ClusterModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return ClusterModel.from_json_dict(json.load(handle))
+    return read_json(path, ClusterModel.from_json_dict)
 
 
 def _pair_arrays(counts: PairCounts, verbs, nouns):
@@ -361,8 +359,7 @@ def save_freq_table(table: LexFrequencyTable, path) -> None:
 
 
 def load_freq_table(path) -> LexFrequencyTable:
-    with open(path, "r", encoding="utf-8") as handle:
-        return LexFrequencyTable.from_json_dict(json.load(handle))
+    return read_json(path, LexFrequencyTable.from_json_dict)
 
 
 def build_freq_table(model: ClusterModel, counts: PairCounts) -> LexFrequencyTable:

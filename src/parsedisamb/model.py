@@ -18,13 +18,13 @@ ranking unaffected.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus, SentenceEntry, write_json
+from .corpus import Corpus, SentenceEntry, read_json, write_json
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable
 from .properties import (FeatureMatrix, PropertyRegistry, build_feature_matrix,
@@ -77,14 +77,44 @@ def new_model(registry: PropertyRegistry, corpus: Corpus,
 
 @dataclass(frozen=True, eq=False)
 class ParseDistribution:
-    """Probabilities over the universe's parse rows, with the normalizer."""
+    """Everything one score vector over the universe yields.
 
-    probs: np.ndarray
-    log_z: float
+    ``scores`` holds the row log-scores, ``probs`` the model distribution
+    p(x) and ``log_z`` its log normalizer.  ``log_masses`` (each sentence's
+    ln p(X(y))) and ``conditional`` (each row's k(x|y)) are computed when
+    first read; they shift each sentence by its own maximum, so they stay
+    finite where a whole sentence's p(x) underflows.
+    """
+
+    scores: np.ndarray
     features: FeatureMatrix
+    probs: np.ndarray = field(init=False)
+    log_z: float = field(init=False)
 
-    def sentence_probs(self, s: int) -> np.ndarray:
-        return self.probs[self.features.offsets[s]:self.features.offsets[s + 1]]
+    def __post_init__(self):
+        shift = self.scores.max()
+        expd = np.exp(self.scores - shift)
+        total = expd.sum()
+        object.__setattr__(self, "probs", expd / total)
+        object.__setattr__(self, "log_z", float(shift + np.log(total)))
+
+    @cached_property
+    def _per_sentence(self) -> tuple[np.ndarray, np.ndarray]:
+        offsets = self.features.offsets
+        starts, counts = offsets[:-1], np.diff(offsets)
+        shift = np.maximum.reduceat(self.scores, starts)
+        expd = np.exp(self.scores - np.repeat(shift, counts))
+        mass = np.add.reduceat(expd, starts)
+        return (shift + np.log(mass) - self.log_z,
+                expd / np.repeat(mass, counts))
+
+    @property
+    def log_masses(self) -> np.ndarray:
+        return self._per_sentence[0]
+
+    @property
+    def conditional(self) -> np.ndarray:
+        return self._per_sentence[1]
 
 
 @dataclass(frozen=True)
@@ -105,25 +135,11 @@ class Decision:
 # ---------------------------------------------------------------------------
 # Scoring
 
-def score(model: LogLinearModel, parse_features: np.ndarray) -> float:
-    """Log-score lam . nu(x) + ln p0(x) of a single parse.
-
-    ``parse_features`` is the parse's dense property vector, indexed against
-    the model registry; p0 is uniform over the model universe.
-    """
-    vec = np.asarray(parse_features, dtype=float)
-    if vec.shape != (model.n_features,):
-        raise ConfigError(
-            f"feature vector has shape {vec.shape}, expected ({model.n_features},)")
-    return float(vec @ model.lam) - float(np.log(model.universe_size))
-
-
-def universe_features(model: LogLinearModel, corpus: Optional[Corpus] = None,
-                      features: Optional[FeatureMatrix] = None,
-                      lex_table: Optional[LexFrequencyTable] = None
-                      ) -> FeatureMatrix:
-    """The compiled universe of ``model``: ``features`` when given, else
-    compiled from ``corpus``; either must be the model's universe."""
+def normalize(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
+              features: Optional[FeatureMatrix] = None,
+              lex_table: Optional[LexFrequencyTable] = None) -> ParseDistribution:
+    """Distribution of ``model`` over its universe: ``features`` when given,
+    else compiled from ``corpus``; either must be the model's universe."""
     if features is None:
         if corpus is None:
             raise ConfigError("either a corpus or a feature matrix is required")
@@ -133,66 +149,11 @@ def universe_features(model: LogLinearModel, corpus: Optional[Corpus] = None,
             or features.n_parses != model.universe_size):
         raise ConfigError(
             "corpus is not the model's universe (content digest mismatch)")
-    return features
-
-
-def row_scores(model: LogLinearModel, features: FeatureMatrix) -> np.ndarray:
-    """Log-scores lam . nu(x) + ln p0(x) of every universe parse row."""
     scores = features.dot(model.lam)
-    scores -= np.log(features.n_parses)
+    scores -= np.log(features.n_parses)  # the uniform reference p0
     if not np.all(np.isfinite(scores)):
         raise DataError("non-finite parse score; parameters diverged")
-    return scores
-
-
-def log_normalize(scores: np.ndarray) -> tuple[np.ndarray, float]:
-    """(probabilities, log normalizer) of row log-scores, by
-    max-subtraction; the one normalizer of the package."""
-    shift = scores.max()
-    expd = np.exp(scores - shift)
-    total = expd.sum()
-    return expd / total, float(shift + np.log(total))
-
-
-def normalize(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
-              features: Optional[FeatureMatrix] = None,
-              lex_table: Optional[LexFrequencyTable] = None) -> ParseDistribution:
-    """Distribution over the model universe, via stable log-sum-exp.
-
-    The corpus must be the model's universe; a prebuilt feature matrix may be
-    passed instead to skip re-extraction.
-    """
-    features = universe_features(model, corpus, features, lex_table)
-    probs, log_z = log_normalize(row_scores(model, features))
-    return ParseDistribution(probs=probs, log_z=log_z, features=features)
-
-
-def conditional_parse_prob(model: LogLinearModel, entry: SentenceEntry,
-                           dist: ParseDistribution) -> np.ndarray:
-    """Conditional probability of each parse of ``entry`` among its own
-    candidate set, k(x|y) = p(x) / sum over X(y) of p(x')."""
-    try:
-        s = dist.features.sentence_ids.index(entry.sentence_id)
-    except ValueError as exc:
-        raise ConfigError(
-            f"sentence {entry.sentence_id!r} is not part of the universe"
-        ) from exc
-    probs = dist.sentence_probs(s)
-    mass = probs.sum()
-    if mass <= 0:
-        raise DataError(
-            f"sentence {entry.sentence_id!r}: all parse probabilities "
-            "underflowed; conditional is undefined")
-    return probs / mass
-
-
-def model_expectation(model: LogLinearModel, corpus: Optional[Corpus] = None,
-                      dist: Optional[ParseDistribution] = None, *,
-                      features: Optional[FeatureMatrix] = None) -> np.ndarray:
-    """Expected feature vector under the model distribution, p[nu]."""
-    if dist is None:
-        dist = normalize(model, corpus, features=features)
-    return dist.features.weighted_sum(dist.probs)
+    return ParseDistribution(scores, features)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +215,6 @@ def disambiguate(model: LogLinearModel, entry: SentenceEntry,
     return decide(model.lam, features, tie_epsilon).decision(features, 0)
 
 
-def kl_divergence(p: ParseDistribution, q: ParseDistribution) -> float:
-    """D(p || q) = sum p ln(p/q); requires a shared universe and q positive
-    wherever p is."""
-    if p.features.corpus_digest != q.features.corpus_digest:
-        raise ConfigError("distributions live on different universes")
-    pp, qq = p.probs, q.probs
-    support = pp > 0
-    if np.any(qq[support] <= 0):
-        raise DataError("q is zero on p's support; divergence is infinite")
-    return float(np.sum(pp[support] * (np.log(pp[support]) - np.log(qq[support]))))
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -290,8 +239,11 @@ def model_from_json_dict(doc: dict) -> LogLinearModel:
     if kind != "uniform":
         raise DataError(f"unsupported reference kind {kind!r}; the reference "
                         "distribution is uniform")
+    lam = np.asarray(doc["lambda"], dtype=float)
+    if not np.all(np.isfinite(lam)):  # e.g. 1e400, which JSON reads as inf
+        raise DataError("lambda has a non-finite entry")
     return LogLinearModel(
-        lam=np.asarray(doc["lambda"], dtype=float),
+        lam=lam,
         registry=PropertyRegistry.from_json_dict(doc["registry"]),
         universe=doc["universe"],
         universe_size=int(doc["universe_size"]),
@@ -303,5 +255,4 @@ def save_model(model: LogLinearModel, path) -> None:
 
 
 def load_model(path) -> LogLinearModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return model_from_json_dict(json.load(handle))
+    return read_json(path, model_from_json_dict)

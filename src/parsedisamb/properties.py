@@ -34,14 +34,13 @@ sentence's competitor set (see lexicalization), and the correction value is
 
 from __future__ import annotations
 
-import json
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import Corpus, ParseRecord, write_json
+from .corpus import Corpus, ParseRecord, read_json, write_json
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable, lexicalized_properties
 
@@ -71,8 +70,6 @@ ADJUNCT_FUNCTIONS = frozenset({"ADJUNCT", "ADJ", "MOD"})
 
 # Child labels marking a coordination node.
 COORDINATION_MARKERS = frozenset({"CC", "CONJ", "KON"})
-
-COMPLEXITY_BUCKETS = ("1", "2-3", "4-7", "8+")
 
 CORRECTION_KEY = "K"
 
@@ -155,8 +152,7 @@ def save_registry(registry: PropertyRegistry, path) -> None:
 
 
 def load_registry(path) -> PropertyRegistry:
-    with open(path, "r", encoding="utf-8") as handle:
-        return PropertyRegistry.from_json_dict(json.load(handle))
+    return read_json(path, PropertyRegistry.from_json_dict)
 
 
 # ---------------------------------------------------------------------------

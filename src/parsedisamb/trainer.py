@@ -33,12 +33,12 @@ import numpy as np
 from .corpus import Corpus
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .lexicalization import LexFrequencyTable
-from .model import (LogLinearModel, log_normalize, new_model, row_scores,
-                    universe_features)
+from .model import LogLinearModel, ParseDistribution, new_model, normalize
 from .properties import (FeatureMatrix, PropertyRegistry, build_feature_matrix,
                          same_columns)
 
-DEFAULT_GAMMA_CLAMP_NUMERATOR = 20.0  # default clamp is 20/K
+EXPECTATION_FLOOR = 1e-12
+GAMMA_CLAMP_NUMERATOR = 20.0  # gamma is clamped to [-20/K, 20/K]
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,8 @@ class TrainingConfig:
 
     ``init`` is "uniform_zero" (lam = 0, the minimum-divergence start) or
     "random" (i.i.d. uniform on [-init_range, +init_range], seeded).
-    ``gamma_clamp`` defaults to 20/K at training time, a safeguard against
-    boundary optima; ``checkpoint_every`` controls how often the parameter
-    vector is snapshotted into the trace.
+    ``checkpoint_every`` controls how often the parameter vector is
+    snapshotted into the trace.
     """
 
     init: str = "uniform_zero"
@@ -58,8 +57,6 @@ class TrainingConfig:
     max_iterations: int = 100
     likelihood_tolerance: float = 1e-8
     checkpoint_every: int = 5
-    expectation_floor: float = 1e-12
-    gamma_clamp: Optional[float] = None
 
     def validate(self) -> None:
         if self.init not in ("uniform_zero", "random"):
@@ -72,10 +69,6 @@ class TrainingConfig:
             raise ConfigError("likelihood_tolerance must be positive")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
-        if self.expectation_floor <= 0:
-            raise ConfigError("expectation_floor must be positive")
-        if self.gamma_clamp is not None and self.gamma_clamp <= 0:
-            raise ConfigError("gamma_clamp must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +85,6 @@ class TrainingTrace:
 
     records: list[IterationRecord] = field(default_factory=list)
     converged: bool = False
-    mode: str = "incomplete"
 
     @property
     def final_log_likelihood(self) -> float:
@@ -112,49 +104,27 @@ class TrainingTrace:
 # ---------------------------------------------------------------------------
 # Likelihood and expectations
 
-@dataclass(frozen=True, eq=False)
-class _Fit:
-    """What one update needs of a model, all from one score vector."""
-
-    likelihood: float
-    probs: np.ndarray        # model distribution p(x) over the universe
-    row_weights: np.ndarray  # empirical weight of each row in the numerator
-
-
-def _fit(scores: np.ndarray, features: FeatureMatrix,
-         complete_data: bool) -> _Fit:
-    """Likelihood, model distribution and numerator row weights of the model
-    with row log-scores ``scores``.
-
-    Incomplete data weights each row by w(y) k(x|y) and raises when a
-    sentence's inner sum underflows to zero; complete data puts w(y) on the
-    gold row.
-    """
-    probs, log_z = log_normalize(scores)
+def _likelihood(dist: ParseDistribution, complete_data: bool) -> float:
+    """sum_y w(y) ln p(X(y)), or sum_y w(y) ln p(x_gold(y)) on complete
+    data."""
+    features = dist.features
     if complete_data:
-        gold_rows = features.gold_rows()
+        return float(features.weights
+                     @ (dist.scores[features.gold_rows()] - dist.log_z))
+    return float(features.weights @ dist.log_masses)
+
+
+def _expectations(dist: ParseDistribution, complete_data: bool
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    features = dist.features
+    if complete_data:
         row_weights = np.zeros(features.n_parses)
-        row_weights[gold_rows] = features.weights
-        likelihood = features.weights @ (scores[gold_rows] - log_z)
-        return _Fit(float(likelihood), probs, row_weights)
-    starts = features.offsets[:-1]
-    counts = np.diff(features.offsets)
-    shift = np.maximum.reduceat(scores, starts)
-    expd = np.exp(scores - np.repeat(shift, counts))
-    mass = np.add.reduceat(expd, starts)
-    log_masses = shift + np.log(mass) - log_z
-    if not np.all(np.isfinite(log_masses)):
-        raise DataError("a sentence's parse mass underflowed to zero")
-    conditional = expd / np.repeat(mass, counts)
-    row_weights = conditional * np.repeat(features.weights, counts)
-    return _Fit(float(features.weights @ log_masses), probs, row_weights)
-
-
-def _model_fit(model: LogLinearModel, corpus: Optional[Corpus],
-               features: Optional[FeatureMatrix], complete_data: bool,
-               lex_table: Optional[LexFrequencyTable]) -> tuple[FeatureMatrix, _Fit]:
-    features = universe_features(model, corpus, features, lex_table)
-    return features, _fit(row_scores(model, features), features, complete_data)
+        row_weights[features.gold_rows()] = features.weights
+    else:
+        row_weights = dist.conditional * np.repeat(features.weights,
+                                                   np.diff(features.offsets))
+    return (features.weighted_sum(row_weights),
+            features.weighted_sum(dist.probs))
 
 
 def incomplete_log_likelihood(model: LogLinearModel,
@@ -162,16 +132,9 @@ def incomplete_log_likelihood(model: LogLinearModel,
                               features: Optional[FeatureMatrix] = None,
                               lex_table: Optional[LexFrequencyTable] = None) -> float:
     """L = sum_y w(y) ln sum over X(y) of p(x); at most 0 for a normalized
-    model.  Raises when a sentence's inner sum underflows to zero."""
-    return _model_fit(model, corpus, features, False, lex_table)[1].likelihood
-
-
-def complete_log_likelihood(model: LogLinearModel,
-                            corpus: Optional[Corpus] = None, *,
-                            features: Optional[FeatureMatrix] = None,
-                            lex_table: Optional[LexFrequencyTable] = None) -> float:
-    """Gold-parse log-likelihood sum_y w(y) ln p(x_gold(y))."""
-    return _model_fit(model, corpus, features, True, lex_table)[1].likelihood
+    model."""
+    dist = normalize(model, corpus, features=features, lex_table=lex_table)
+    return _likelihood(dist, complete_data=False)
 
 
 def expectations(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
@@ -187,57 +150,48 @@ def expectations(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
     data).  The difference numerator - denominator is the exact gradient of
     the corresponding log-likelihood.
     """
-    features, fit = _model_fit(model, corpus, features, complete_data, lex_table)
-    return (features.weighted_sum(fit.row_weights),
-            features.weighted_sum(fit.probs))
+    dist = normalize(model, corpus, features=features, lex_table=lex_table)
+    return _expectations(dist, complete_data)
 
 
 # ---------------------------------------------------------------------------
 # The update
 
-def _update(lam: np.ndarray, fit: _Fit, features: FeatureMatrix, K: float,
-            expectation_floor: float, gamma_clamp: float
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """(new lam, gamma) of one closed-form step from ``fit``."""
-    numerator = features.weighted_sum(fit.row_weights)
-    denominator = features.weighted_sum(fit.probs)
-    frozen = numerator < expectation_floor
-    num = np.maximum(numerator, expectation_floor)
-    den = np.maximum(denominator, expectation_floor)
+def _step(model: LogLinearModel, dist: ParseDistribution,
+          complete_data: bool) -> tuple[LogLinearModel, np.ndarray]:
+    """(updated model, gamma) of one closed-form step from ``dist``, the
+    distribution of ``model``."""
+    K = float(model.registry.correction_K)
+    numerator, denominator = _expectations(dist, complete_data)
+    frozen = numerator < EXPECTATION_FLOOR
+    num = np.maximum(numerator, EXPECTATION_FLOOR)
+    den = np.maximum(denominator, EXPECTATION_FLOOR)
     gamma = np.log(num / den) / K
-    np.clip(gamma, -gamma_clamp, gamma_clamp, out=gamma)
+    clamp = GAMMA_CLAMP_NUMERATOR / K
+    np.clip(gamma, -clamp, clamp, out=gamma)
     gamma[frozen] = 0.0
-    return lam + gamma, gamma
+    return model.with_lam(model.lam + gamma), gamma
 
 
 def im_step(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
             features: Optional[FeatureMatrix] = None,
             complete_data: bool = False,
-            expectation_floor: float = 1e-12,
-            gamma_clamp: Optional[float] = None,
             lex_table: Optional[LexFrequencyTable] = None
-            ) -> tuple[LogLinearModel, np.ndarray, float]:
-    """One closed-form update; returns (new model, gamma, new likelihood).
+            ) -> tuple[LogLinearModel, np.ndarray]:
+    """One closed-form update, from one scoring of the universe; returns
+    (new model, gamma).
 
     Requires a registry with the correction property (constant total
     feature mass K); feature values are nonnegative by construction of the
     feature matrix.  Numerator and denominator are floored at
-    ``expectation_floor``; features whose (raw) numerator falls below the
-    floor are frozen for this step; gamma is clamped to [-clamp, clamp] with
-    clamp defaulting to 20/K.
+    ``EXPECTATION_FLOOR``; features whose (raw) numerator falls below the
+    floor are frozen for this step; gamma is clamped to [-20/K, 20/K].
     """
     if model.registry.correction_K is None:
         raise ConfigError(
             "the update requires a registry with the correction property")
-    K = float(model.registry.correction_K)
-    if gamma_clamp is None:
-        gamma_clamp = DEFAULT_GAMMA_CLAMP_NUMERATOR / K
-    features, fit = _model_fit(model, corpus, features, complete_data, lex_table)
-    lam, gamma = _update(model.lam, fit, features, K, expectation_floor,
-                         gamma_clamp)
-    updated = model.with_lam(lam)
-    return updated, gamma, _fit(row_scores(updated, features), features,
-                                complete_data).likelihood
+    dist = normalize(model, corpus, features=features, lex_table=lex_table)
+    return _step(model, dist, complete_data)
 
 
 def _initial_lam(config: TrainingConfig, n: int) -> np.ndarray:
@@ -264,8 +218,8 @@ def train(corpus: Corpus, registry: PropertyRegistry,
     ``registry`` as ``build_feature_matrix(..., strict_correction=True)``
     returns it, saves compiling the corpus again.
 
-    Each iteration scores the universe once: the scores of the updated model
-    give both its likelihood and the next update's expectations.
+    Each iteration scores the universe once: the distribution of the updated
+    model gives both its likelihood and the next update's expectations.
 
     One symmetry to know about: on incomplete data where every sentence has
     the same number of parses and weights are uniform, the conditional and
@@ -291,25 +245,18 @@ def train(corpus: Corpus, registry: PropertyRegistry,
                         "sentence")
 
     model = new_model(registry, corpus, lam=_initial_lam(config, registry.size))
-    features = universe_features(model, features=features)
-    K = float(registry.correction_K)
-    gamma_clamp = (DEFAULT_GAMMA_CLAMP_NUMERATOR / K if config.gamma_clamp is None
-                   else config.gamma_clamp)
-    lam = model.lam
-    fit = _fit(row_scores(model, features), features, complete_data)
-    likelihood = fit.likelihood
+    dist = normalize(model, features=features)
+    likelihood = _likelihood(dist, complete_data)
 
-    trace = TrainingTrace(mode="complete" if complete_data else "incomplete")
+    trace = TrainingTrace()
     trace.records.append(IterationRecord(
         iteration=0, log_likelihood=likelihood, max_abs_gamma=0.0,
-        lam=lam.copy()))
+        lam=model.lam.copy()))
 
     for iteration in range(1, config.max_iterations + 1):
-        lam, gamma = _update(lam, fit, features, K, config.expectation_floor,
-                             gamma_clamp)
-        fit = _fit(row_scores(model.with_lam(lam), features), features,
-                   complete_data)
-        new_likelihood = fit.likelihood
+        model, gamma = _step(model, dist, complete_data)
+        dist = normalize(model, features=features)
+        new_likelihood = _likelihood(dist, complete_data)
         if new_likelihood < likelihood - 1e-10:
             raise InternalConsistencyError(
                 f"log-likelihood decreased at iteration {iteration}: "
@@ -323,11 +270,11 @@ def train(corpus: Corpus, registry: PropertyRegistry,
             iteration=iteration,
             log_likelihood=likelihood,
             max_abs_gamma=float(np.abs(gamma).max()),
-            lam=lam.copy() if (at_checkpoint or converged) else None))
+            lam=model.lam.copy() if (at_checkpoint or converged) else None))
         if converged:
             trace.converged = True
             break
-    return model.with_lam(lam), trace
+    return model, trace
 
 
 @dataclass(frozen=True)

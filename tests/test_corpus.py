@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 from numpy.testing import assert_allclose
 
 from parsedisamb import (DataError, ParseRecord, SentenceEntry,
@@ -9,6 +11,7 @@ from parsedisamb import (DataError, ParseRecord, SentenceEntry,
                          extract_parsebank, generate_synthetic, load_corpus,
                          save_corpus)
 from conftest import passthrough_corpus
+from test_compile import SETTINGS, corpora
 
 
 def _counts_corpus(parse_counts, **kwargs):
@@ -22,12 +25,23 @@ def _write(corpus, tmp_path, name="corpus.jsonl"):
 
 
 class TestLoadCorpus:
-    def test_round_trip(self, tmp_path):
-        corpus = _counts_corpus([1, 3, 2], golds=[0, 1, None],
-                                frames=[["a"], ["a", "b", "a"], ["c", "c"]])
+    @SETTINGS
+    @given(corpus=corpora())
+    @example(corpus=_counts_corpus([1, 3, 2], golds=[0, 1, None],
+                                   frames=[["a"], ["a", "b", "a"], ["c", "c"]]))
+    def test_round_trip(self, tmp_path_factory, corpus):
+        # load_corpus merges sentences with equal payloads; parse ids that
+        # carry the sentence id keep every payload distinct.
+        corpus = build_corpus([
+            replace(e, parses=tuple(
+                replace(p, parse_id=f"{e.sentence_id}.{p.parse_id}")
+                for p in e.parses))
+            for e in corpus.entries])
+        tmp_path = tmp_path_factory.mktemp("corpus")
         path = _write(corpus, tmp_path)
         again = load_corpus(path)
-        assert again == corpus
+        assert again.entries == corpus.entries
+        assert again.content_digest() == corpus.content_digest()
         # A second round trip is byte-stable.
         path2 = _write(again, tmp_path, "again.jsonl")
         assert path.read_bytes() == path2.read_bytes()
@@ -42,7 +56,7 @@ class TestLoadCorpus:
     def test_weight_normalization(self, tmp_path):
         corpus = _counts_corpus([1, 1], weights=[2.0, 2.0], normalize=False)
         path = _write(corpus, tmp_path)
-        loaded = load_corpus(path, normalize_weights=True)
+        loaded = load_corpus(path)
         assert_allclose([e.weight for e in loaded.entries], [0.5, 0.5])
 
     def test_parse_without_any_features_is_rejected(self, tmp_path):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsedisamb import (DataError, evaluate, load_model, load_registry,
-                         new_model, save_corpus, save_model, save_registry)
+from parsedisamb import (DataError, PairCounts, build_freq_table, evaluate,
+                         load_model, load_registry, new_model, save_corpus,
+                         save_model, save_registry, train_clusters)
 from parsedisamb.cli import main
 from parsedisamb.corpus import atomic_write, write_json
+from parsedisamb.lexicalization import load_freq_table
 from parsedisamb.model import LogLinearModel
 from parsedisamb.properties import (ALL_KINDS, PropertyDescriptor,
                                     PropertyRegistry)
@@ -115,6 +117,44 @@ class TestOlderFormats:
                      "--out-dir", str(tmp_path / "eval")])
         assert code == 2
         assert "reference" in capsys.readouterr().err
+
+
+class TestBadDocuments:
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda doc: doc.pop("lambda"), id="missing-lambda"),
+        pytest.param(lambda doc: doc["lambda"].pop(), id="short-lambda"),
+        pytest.param(lambda doc: doc.update(universe_size="five"),
+                     id="malformed-size"),
+        pytest.param(lambda doc: doc["lambda"].__setitem__(0, float("nan")),
+                     id="nan-lambda")])
+    def test_eval_of_a_bad_model_exits_2(self, tmp_path, capsys, change):
+        save_corpus(_older_corpus(), tmp_path / "test.jsonl")
+        doc = json.loads(json.dumps(OLDER_MODEL))
+        change(doc)
+        write_json(doc, tmp_path / "model.json")
+        code = main(["eval", "--model", str(tmp_path / "model.json"),
+                     "--corpus", str(tmp_path / "test.jsonl"),
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 2
+        assert str(tmp_path / "model.json") in capsys.readouterr().err
+
+    def test_overflowing_lambda(self, tmp_path):
+        text = json.dumps(OLDER_MODEL).replace('"lambda": [0.5',
+                                               '"lambda": [1e400')
+        (tmp_path / "model.json").write_text(text)
+        with pytest.raises(DataError, match="non-finite"):
+            load_model(tmp_path / "model.json")
+
+    def test_freq_table_without_entries(self, tmp_path):
+        pairs = PairCounts(counts={("v", "n"): 2})
+        clusters, _ = train_clusters(pairs, n_classes=1)
+        doc = build_freq_table(clusters, pairs).to_json_dict()
+        del doc["entries"]
+        path = tmp_path / "table.json"
+        write_json(doc, path)
+        with pytest.raises(DataError, match="entries") as info:
+            load_freq_table(path)
+        assert str(path) in str(info.value)
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)

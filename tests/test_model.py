@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parsedisamb import (ConfigError, DataError,
-                         build_feature_matrix, conditional_parse_prob,
-                         disambiguate, kl_divergence, load_model,
-                         model_expectation, new_model, normalize, save_model,
-                         score)
-from parsedisamb.model import ParseDistribution
+from parsedisamb import (ConfigError, build_feature_matrix, disambiguate,
+                         expectations, load_model, new_model, normalize,
+                         save_model)
 from conftest import corrected_registry, passthrough_corpus, \
     random_passthrough_instance
 
@@ -19,33 +16,6 @@ def _uniform_setup(sentences, **kwargs):
     registry = corrected_registry(corpus)
     model = new_model(registry, corpus)
     return corpus, registry, model
-
-
-class TestScore:
-    def test_zero_lambda_uniform_reference(self):
-        corpus, registry, model = _uniform_setup([[{0: 1}, {}], [{0: 2}, {}]])
-        matrix = build_feature_matrix(corpus, registry)
-        for row in matrix.values:
-            assert_allclose(score(model, row), math.log(1 / 4))
-
-    def test_known_weight(self):
-        corpus, registry, model = _uniform_setup([[{0: 1}, {}]])
-        model = model.with_lam(np.array([math.log(3), 0.0]))
-        log_p0 = -math.log(2)
-        assert_allclose(score(model, np.array([1.0, 0.0])) - log_p0,
-                        math.log(3))
-
-    def test_all_zero_features(self):
-        corpus, registry, model = _uniform_setup([[{0: 1}, {}]])
-        model = model.with_lam(np.array([2.5, -1.0]))
-        assert_allclose(score(model, np.zeros(2)), -math.log(2))
-
-    def test_dimension_mismatch(self):
-        corpus, registry, model = _uniform_setup([[{0: 1}, {}]])
-        with pytest.raises(ConfigError):
-            score(model, np.zeros(7))
-        with pytest.raises(ConfigError):
-            score(model, np.zeros(1))
 
 
 class TestNormalize:
@@ -110,17 +80,20 @@ class TestNormalize:
         assert_allclose(pa, pb[::-1])
 
 
+def _sentence_conditional(dist, s):
+    offsets = dist.features.offsets
+    return dist.conditional[offsets[s]:offsets[s + 1]]
+
+
 class TestConditional:
     def test_symmetric(self):
         corpus, registry, model = _uniform_setup([[{0: 1}, {0: 1}]])
-        dist = normalize(model, corpus)
-        k = conditional_parse_prob(model, corpus.entries[0], dist)
+        k = _sentence_conditional(normalize(model, corpus), 0)
         assert_allclose(k, [0.5, 0.5])
 
     def test_singleton(self):
         corpus, registry, model = _uniform_setup([[{0: 1}], [{0: 2}, {0: 3}]])
-        dist = normalize(model, corpus)
-        k = conditional_parse_prob(model, corpus.entries[0], dist)
+        k = _sentence_conditional(normalize(model, corpus), 0)
         assert_allclose(k, [1.0])
 
     def test_three_to_one_restriction(self):
@@ -128,8 +101,7 @@ class TestConditional:
         from parsedisamb import build_registry
         registry = build_registry(corpus)
         model = new_model(registry, corpus, lam=np.array([math.log(3)]))
-        dist = normalize(model, corpus)
-        k = conditional_parse_prob(model, corpus.entries[0], dist)
+        k = _sentence_conditional(normalize(model, corpus), 0)
         assert_allclose(k, [0.75, 0.25])
 
     def test_sums_to_one_per_sentence(self):
@@ -139,9 +111,25 @@ class TestConditional:
             model = new_model(registry, corpus,
                               lam=rng.uniform(-3, 3, registry.size))
             dist = normalize(model, corpus)
-            for entry in corpus.entries:
-                k = conditional_parse_prob(model, entry, dist)
+            for s in range(len(corpus.entries)):
+                k = _sentence_conditional(dist, s)
                 assert abs(k.sum() - 1.0) < 1e-12
+
+    def test_finite_where_a_whole_sentence_underflows(self):
+        # A lambda gap of 1000 puts every parse of sentence 1 about e^-1000
+        # below sentence 0's, so its p(x) is exactly 0 in double precision;
+        # the conditional and the log mass are still defined.
+        corpus = passthrough_corpus([[{0: 1}, {0: 2}], [{1: 1}, {1: 2}, {}]])
+        registry = corrected_registry(corpus)
+        model = new_model(registry, corpus, lam=np.array([1000.0, 0.0, 0.0]))
+        dist = normalize(model, corpus)
+        assert np.all(dist.probs[2:] == 0.0)
+        assert np.all(np.isfinite(dist.conditional))
+        for s in range(2):
+            assert_allclose(_sentence_conditional(dist, s).sum(), 1.0,
+                            rtol=1e-15)
+        assert np.all(np.isfinite(dist.log_masses))
+        assert dist.log_masses[1] < -1000
 
 
 class TestExpectation:
@@ -150,7 +138,7 @@ class TestExpectation:
         from parsedisamb import build_registry
         registry = build_registry(corpus)
         model = new_model(registry, corpus)
-        assert_allclose(model_expectation(model, corpus), [0.5])
+        assert_allclose(expectations(model, corpus)[1], [0.5])
 
     def test_identically_zero_feature_has_zero_expectation(self):
         # Passthrough index 1 exists (width spans the gap) but never fires.
@@ -159,7 +147,7 @@ class TestExpectation:
         idx = next(i for i, d in enumerate(registry.properties)
                    if d.key == "000001")
         model = new_model(registry, corpus)
-        expectation = model_expectation(model, corpus)
+        _, expectation = expectations(model, corpus)
         assert expectation[idx] == 0.0
 
     def test_correction_expectation_identity(self):
@@ -169,7 +157,7 @@ class TestExpectation:
         corpus, registry = random_passthrough_instance(rng)
         model = new_model(registry, corpus, lam=rng.uniform(-1, 1, registry.size))
         dist = normalize(model, corpus)
-        expectation = model_expectation(model, corpus, dist)
+        _, expectation = expectations(model, corpus)
         matrix = build_feature_matrix(corpus, registry)
         K = registry.correction_K
         direct = sum(p * matrix.values[r, :-1].sum()
@@ -221,41 +209,6 @@ class TestDisambiguate:
         d1 = disambiguate(m1, corpus.entries[0])
         d2 = disambiguate(m2, corpus.entries[0])
         assert d1 == d2
-
-
-class TestKL:
-    def _dist(self, probs, features):
-        return ParseDistribution(probs=np.asarray(probs, dtype=float),
-                                 log_z=0.0, features=features)
-
-    def test_self_divergence_zero(self):
-        corpus, registry, model = _uniform_setup([[{0: 1}, {0: 2}]])
-        dist = normalize(model, corpus)
-        assert kl_divergence(dist, dist) == 0.0
-
-    def test_closed_form(self):
-        corpus, registry, model = _uniform_setup([[{0: 1}, {0: 2}]])
-        features = normalize(model, corpus).features
-        p = self._dist([1.0, 0.0], features)
-        q = self._dist([0.5, 0.5], features)
-        assert_allclose(kl_divergence(p, q), math.log(2))
-
-    def test_support_violation(self):
-        corpus, registry, model = _uniform_setup([[{0: 1}, {0: 2}]])
-        features = normalize(model, corpus).features
-        p = self._dist([0.5, 0.5], features)
-        q = self._dist([1.0, 0.0], features)
-        with pytest.raises(DataError):
-            kl_divergence(p, q)
-
-    def test_nonnegative_on_random_pairs(self):
-        rng = np.random.default_rng(11)
-        corpus, registry = random_passthrough_instance(rng)
-        for _ in range(1000):
-            m1 = new_model(registry, corpus, lam=rng.uniform(-2, 2, registry.size))
-            m2 = new_model(registry, corpus, lam=rng.uniform(-2, 2, registry.size))
-            d = kl_divergence(normalize(m1, corpus), normalize(m2, corpus))
-            assert d >= 0.0
 
 
 class TestSerialization:

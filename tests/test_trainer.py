@@ -8,8 +8,8 @@ from parsedisamb import (ConfigError, DataError, SyntheticConfig,
                          TrainingConfig, add_correction, build_feature_matrix,
                          build_registry, compare_inits, expectations,
                          generate_synthetic, im_step,
-                         incomplete_log_likelihood, model_expectation,
-                         new_model, train)
+                         incomplete_log_likelihood, new_model, normalize,
+                         train)
 from conftest import (corrected_registry, passthrough_corpus,
                       random_passthrough_instance, tiny_instance,
                       weighted_parsebank)
@@ -56,15 +56,17 @@ class TestLikelihood:
 
 class TestNormalizer:
     def test_trainer_denominator_is_the_model_expectation(self):
-        # The trainer and normalize share one normalizer, bit for bit.
+        # The trainer's denominator is the expectation under normalize's
+        # distribution, bit for bit.
         corpus, _ = generate_synthetic(SyntheticConfig(n_sentences=200, seed=3))
         registry = add_correction(build_registry(corpus), corpus)
         rng = np.random.default_rng(3)
         for _ in range(20):
             model = new_model(registry, corpus,
                               lam=rng.uniform(-1, 1, registry.size))
+            dist = normalize(model, corpus)
             assert np.array_equal(expectations(model, corpus)[1],
-                                  model_expectation(model, corpus))
+                                  dist.features.weighted_sum(dist.probs))
 
 
 class TestImStep:
@@ -82,7 +84,7 @@ class TestImStep:
         numerator, denominator = expectations(model, corpus, complete_data=True)
         assert_allclose(numerator[0], 1.0, atol=1e-15)
         assert_allclose(denominator[0], 0.5, atol=1e-15)
-        _, gamma, _ = im_step(model, corpus, complete_data=True)
+        _, gamma = im_step(model, corpus, complete_data=True)
         assert_allclose(gamma[0], math.log(2), atol=1e-12)
         # The correction's numerator is zero (the gold parse has full mass),
         # so the floor rule freezes it.
@@ -94,7 +96,7 @@ class TestImStep:
         corpus = passthrough_corpus([[{0: 2}, {1: 1}, {0: 1, 1: 1}]])
         registry = corrected_registry(corpus)
         model = new_model(registry, corpus, lam=np.array([0.4, -0.8, 0.1]))
-        updated, gamma, _ = im_step(model, corpus)
+        updated, gamma = im_step(model, corpus)
         assert_allclose(gamma, 0.0, atol=1e-12)
         assert_allclose(updated.lam, model.lam, atol=1e-12)
 
@@ -105,7 +107,7 @@ class TestImStep:
                                     golds=[0, 1])
         registry = corrected_registry(corpus)
         model = new_model(registry, corpus)
-        updated, gamma, _ = im_step(model, corpus)
+        updated, gamma = im_step(model, corpus)
         frozen_idx = next(i for i, d in enumerate(registry.properties)
                           if d.key == "000001")
         assert gamma[frozen_idx] == 0.0
@@ -126,12 +128,31 @@ class TestImStep:
             im_step(model, corpus, complete_data=True)
 
     def test_gamma_clamp(self):
+        # At lam_0 = -40 the gold parse's model probability is about e^-40,
+        # below the expectation floor, so the unclamped step is
+        # ln(1 / 1e-12) / K, about 27.6 with K = 1; the clamp is 20/K.
         corpus = passthrough_corpus([[{0: 1}, {}]], golds=[0])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus)
-        _, gamma, _ = im_step(model, corpus, complete_data=True,
-                              gamma_clamp=0.05)
-        assert np.all(np.abs(gamma) <= 0.05 + 1e-15)
+        assert registry.correction_K == 1
+        model = new_model(registry, corpus, lam=np.array([-40.0, 0.0]))
+        numerator, denominator = expectations(model, corpus, complete_data=True)
+        unclamped = math.log(numerator[0] / max(denominator[0], 1e-12))
+        assert_allclose(unclamped, 27.63, atol=0.01)
+        _, gamma = im_step(model, corpus, complete_data=True)
+        assert gamma[0] == 20.0
+
+    def test_matches_one_training_iteration(self):
+        # im_step and the training loop share one step, bit for bit.
+        rng = np.random.default_rng(5)
+        for complete_data in (False, True):
+            corpus, registry = random_passthrough_instance(
+                rng, with_gold=complete_data)
+            config = TrainingConfig(init="random", seed=3, max_iterations=1)
+            trained, trace = train(corpus, registry, config,
+                                   complete_data=complete_data)
+            start = new_model(registry, corpus, lam=trace.records[0].lam)
+            stepped, _ = im_step(start, corpus, complete_data=complete_data)
+            assert np.array_equal(stepped.lam, trained.lam)
 
 
 class TestTrain:
@@ -223,7 +244,7 @@ class TestTrain:
             if not trace.converged:
                 continue
             converged_runs += 1
-            _, gamma, _ = im_step(model, corpus)
+            _, gamma = im_step(model, corpus)
             assert np.abs(gamma).max() <= bound
         assert converged_runs >= 6
 
@@ -323,7 +344,6 @@ class TestCompareInits:
 class TestConfigValidation:
     def test_bad_values(self):
         for bad in (dict(init="nope"), dict(max_iterations=0),
-                    dict(likelihood_tolerance=0.0), dict(checkpoint_every=0),
-                    dict(expectation_floor=0.0), dict(gamma_clamp=0.0)):
+                    dict(likelihood_tolerance=0.0), dict(checkpoint_every=0)):
             with pytest.raises(ConfigError):
                 TrainingConfig(**bad).validate()
