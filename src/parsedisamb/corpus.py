@@ -81,7 +81,9 @@ class ParseRecord:
     fstructure: Optional[FStructure] = None
     relations: tuple[Relation, ...] = ()
     frame: Optional[str] = None
-    precomputed_features: Optional[dict[int, float]] = None
+    # Left out of the hash so records stay hashable; equality compares it.
+    precomputed_features: Optional[dict[int, float]] = field(default=None,
+                                                             hash=False)
 
     @property
     def has_structure(self) -> bool:
@@ -235,44 +237,30 @@ def tree_from_json(obj):
     return (label, tuple(tree_from_json(c) for c in children))
 
 
-def tree_to_json(node):
-    if isinstance(node, str):
-        return node
-    label, children = node
-    return [label, [tree_to_json(c) for c in children]]
-
-
 # ---------------------------------------------------------------------------
 # JSON encoding / decoding
 
 def _parse_to_json(parse: ParseRecord) -> dict:
-    rec: dict = {"parse_id": parse.parse_id}
-    rec["cstructure"] = None if parse.cstructure is None else tree_to_json(parse.cstructure)
-    if parse.fstructure is None:
-        rec["fstructure"] = None
-    else:
-        rec["fstructure"] = {
-            "pairs": [list(p) for p in parse.fstructure.pairs],
-            "functions": list(parse.fstructure.functions),
-        }
-    rec["relations"] = [
-        [r.name, r.verb, r.noun, r.voice, r.position] for r in parse.relations
-    ]
-    rec["frame"] = parse.frame
-    if parse.precomputed_features is None:
-        rec["precomputed_features"] = None
-    else:
-        rec["precomputed_features"] = {
-            str(k): parse.precomputed_features[k]
-            for k in sorted(parse.precomputed_features)
-        }
-    return rec
+    # Dumped with sort_keys; json writes tuples, the nested ones of a
+    # c-structure included, as arrays.
+    fs, features = parse.fstructure, parse.precomputed_features
+    return {
+        "parse_id": parse.parse_id,
+        "cstructure": parse.cstructure,
+        "fstructure": None if fs is None else {"pairs": fs.pairs,
+                                               "functions": fs.functions},
+        "relations": [[r.name, r.verb, r.noun, r.voice, r.position]
+                      for r in parse.relations],
+        "frame": parse.frame,
+        "precomputed_features": None if features is None else {
+            str(k): v for k, v in features.items()},
+    }
 
 
 def _entry_to_json(entry: SentenceEntry) -> dict:
     return {
         "sentence_id": entry.sentence_id,
-        "tokens": list(entry.tokens),
+        "tokens": entry.tokens,
         "weight": entry.weight,
         "gold_index": entry.gold_index,
         "parses": [_parse_to_json(p) for p in entry.parses],
@@ -306,6 +294,9 @@ def _parse_from_json(rec: dict, where: str) -> ParseRecord:
             raise DataError(f"{where}: malformed relations field")
         relations.append(Relation(str(item[0]), str(item[1]), str(item[2]),
                                   str(item[3]), int(item[4])))
+    frame = rec.get("frame")
+    if frame is not None and not isinstance(frame, str):
+        raise DataError(f"{where}: field 'frame' must be a string or null")
     features = rec.get("precomputed_features")
     if features is not None:
         try:
@@ -317,7 +308,7 @@ def _parse_from_json(rec: dict, where: str) -> ParseRecord:
         cstructure=cstructure,
         fstructure=fstructure,
         relations=tuple(relations),
-        frame=rec.get("frame"),
+        frame=frame,
         precomputed_features=features,
     )
 
@@ -353,37 +344,24 @@ def _entry_from_json(rec: dict, where: str) -> SentenceEntry:
 # Loading / saving
 
 def build_corpus(entries: Iterable[SentenceEntry],
-                 normalize_weights: bool = True,
-                 aggregate_duplicates: bool = False) -> Corpus:
+                 normalize_weights: bool = True) -> Corpus:
     """Validate entries and assemble a corpus.
 
     Weights default to uniform when every entry still carries weight 1.
-    Entries with identical token/parse payloads are merged by summing
-    weights when ``aggregate_duplicates`` is set (the first sentence_id is
-    kept); distinct entries reusing a sentence_id are always an error.
+    Distinct entries reusing a sentence_id are an error.
     """
     entries = list(entries)
-    if not entries:
-        raise DataError("corpus has no entries")
     for entry in entries:
         _validate_entry(entry, f"sentence {entry.sentence_id!r}")
+    return _assemble(entries, normalize_weights)
 
-    if aggregate_duplicates:
-        merged: dict[str, SentenceEntry] = {}
-        order: list[str] = []
-        for entry in entries:
-            key = json.dumps(
-                {"tokens": list(entry.tokens),
-                 "parses": [_parse_to_json(p) for p in entry.parses]},
-                sort_keys=True)
-            if key in merged:
-                kept = merged[key]
-                merged[key] = replace(kept, weight=kept.weight + entry.weight)
-            else:
-                merged[key] = entry
-                order.append(key)
-        entries = [merged[k] for k in order]
 
+def _assemble(entries: list[SentenceEntry],
+              normalize_weights: bool = True) -> Corpus:
+    """Corpus of validated entries: unique sentence ids, weights summing to
+    one when ``normalize_weights`` is set."""
+    if not entries:
+        raise DataError("corpus has no entries")
     ids = [e.sentence_id for e in entries]
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})
@@ -407,12 +385,14 @@ def _reject_constant(name: str):
 def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     """Load a forest-corpus file, optionally dropping high-ambiguity entries.
 
-    Entries with more than ``max_parses`` candidate parses are removed before
-    weight normalization.  Raises DataError with the offending line number on
+    Entries with identical tokens and parses are merged: the first keeps its
+    position and sentence_id and takes the summed weight.  Entries with more
+    than ``max_parses`` candidate parses are removed before weight
+    normalization.  Raises DataError with the offending line number on
     malformed input, non-finite numbers included, and when filtering leaves
     the corpus empty.
     """
-    entries: list[SentenceEntry] = []
+    merged: dict[tuple, SentenceEntry] = {}
     with open(path, "r", encoding="utf-8") as handle:
         header_line = handle.readline()
         if not header_line.strip():
@@ -443,8 +423,13 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
             except (TypeError, ValueError, KeyError) as exc:
                 raise DataError(f"{where}: malformed record ({exc})") from exc
             _validate_entry(entry, where)
-            entries.append(entry)
+            key = (entry.tokens, entry.parses)
+            if key in merged:
+                kept = merged[key]
+                entry = replace(kept, weight=kept.weight + entry.weight)
+            merged[key] = entry
 
+    entries = list(merged.values())
     if max_parses is not None:
         entries = [e for e in entries if len(e.parses) <= max_parses]
         if not entries:
@@ -452,7 +437,7 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
                 f"{path}: no sentences left after max_parses={max_parses} cutoff")
     if not entries:
         raise DataError(f"{path}: corpus contains no sentence entries")
-    return build_corpus(entries, aggregate_duplicates=True)
+    return _assemble(entries)
 
 
 @contextmanager
@@ -478,9 +463,9 @@ def atomic_write(path, newline: Optional[str] = None):
 def write_json(doc, path, indent: Optional[int] = None) -> None:
     """Write ``doc`` as key-sorted JSON plus a newline, atomically."""
     # json round-trips float64 exactly (shortest-repr decimal encoding).
+    # json.dumps, unlike json.dump, encodes an unindented document in C.
     with atomic_write(path) as handle:
-        json.dump(doc, handle, sort_keys=True, indent=indent)
-        handle.write("\n")
+        handle.write(json.dumps(doc, sort_keys=True, indent=indent) + "\n")
 
 
 def read_json(path, from_json_dict):

@@ -195,24 +195,14 @@ def load_cluster_model(path) -> ClusterModel:
     return read_json(path, ClusterModel.from_json_dict)
 
 
-def _pair_arrays(counts: PairCounts, verbs, nouns):
-    verb_index = {v: i for i, v in enumerate(verbs)}
-    noun_index = {n: i for i, n in enumerate(nouns)}
+def _pair_arrays(counts: PairCounts):
+    verb_index = {v: i for i, v in enumerate(counts.verbs)}
+    noun_index = {n: i for i, n in enumerate(counts.nouns)}
     pairs = sorted(counts.counts)
     vi = np.array([verb_index[v] for v, _ in pairs], dtype=np.int64)
     ni = np.array([noun_index[n] for _, n in pairs], dtype=np.int64)
     f = np.array([counts.counts[p] for p in pairs], dtype=float)
-    return pairs, vi, ni, f
-
-
-def _pair_likelihood(model: ClusterModel, vi, ni, f) -> float:
-    joint = (model.priors[:, None]
-             * model.verb_emissions[:, vi]
-             * model.noun_emissions[:, ni])  # (C, P)
-    totals = joint.sum(axis=0)
-    if np.any(totals <= 0):
-        raise InternalConsistencyError("pair with zero probability under the model")
-    return float(np.dot(f, np.log(totals)))
+    return vi, ni, f
 
 
 def train_clusters(counts: PairCounts, n_classes: int,
@@ -240,7 +230,7 @@ def train_clusters(counts: PairCounts, n_classes: int,
         raise ConfigError("tolerance must be positive")
 
     verbs, nouns = counts.verbs, counts.nouns
-    _, vi, ni, f = _pair_arrays(counts, verbs, nouns)
+    vi, ni, f = _pair_arrays(counts)
     total = f.sum()
     if total <= 0:
         raise DataError("all pair counts are zero")
@@ -267,21 +257,36 @@ def train_clusters(counts: PairCounts, n_classes: int,
         model = ClusterModel(priors=priors, verb_emissions=ve,
                              noun_emissions=ne, verbs=verbs, nouns=nouns)
 
-    trace = [_pair_likelihood(model, vi, ni, f)]
-    for _ in range(max_iterations):
+    # Row c of the flattened (class, word) bins holds class c's counts.
+    rows = np.arange(n_classes)[:, None]
+    verb_bins = (rows * len(verbs) + vi).ravel()
+    noun_bins = (rows * len(nouns) + ni).ravel()
+    trace: list[float] = []
+    while True:
+        # One joint (C, P) per model: its column sums are the pair
+        # probabilities, giving both the likelihood and the E-step.
         joint = (model.priors[:, None]
                  * model.verb_emissions[:, vi]
-                 * model.noun_emissions[:, ni])  # (C, P)
-        resp = joint / joint.sum(axis=0, keepdims=True)
-        weighted = resp * f[None, :]  # (C, P)
-        mass = weighted.sum(axis=1)  # (C,)
+                 * model.noun_emissions[:, ni])
+        totals = joint.sum(axis=0)
+        if np.any(totals <= 0):
+            raise InternalConsistencyError(
+                "pair with zero probability under the model")
+        likelihood = float(np.dot(f, np.log(totals)))
+        if trace and likelihood < trace[-1] - 1e-10:
+            raise InternalConsistencyError(
+                f"EM likelihood decreased from {trace[-1]} to {likelihood}")
+        trace.append(likelihood)
+        if len(trace) > max_iterations or (
+                len(trace) > 1 and abs(trace[-1] - trace[-2]) < tolerance):
+            return model, trace
 
-        priors = mass / total
-        ve = np.zeros((n_classes, len(verbs)))
-        ne = np.zeros((n_classes, len(nouns)))
-        for c in range(n_classes):
-            ve[c] = np.bincount(vi, weights=weighted[c], minlength=len(verbs))
-            ne[c] = np.bincount(ni, weights=weighted[c], minlength=len(nouns))
+        weighted = joint / totals * f  # responsibilities times frequencies
+        mass = weighted.sum(axis=1)  # (C,)
+        ve = np.bincount(verb_bins, weighted.ravel(),
+                         n_classes * len(verbs)).reshape(n_classes, -1)
+        ne = np.bincount(noun_bins, weighted.ravel(),
+                         n_classes * len(nouns)).reshape(n_classes, -1)
         # A class that lost all mass keeps its previous emissions with a
         # zero prior instead of dividing by zero.
         alive = mass > 0
@@ -289,18 +294,8 @@ def train_clusters(counts: PairCounts, n_classes: int,
         ne[alive] /= mass[alive, None]
         ve[~alive] = model.verb_emissions[~alive]
         ne[~alive] = model.noun_emissions[~alive]
-
-        model = ClusterModel(priors=priors, verb_emissions=ve,
+        model = ClusterModel(priors=mass / total, verb_emissions=ve,
                              noun_emissions=ne, verbs=verbs, nouns=nouns)
-        likelihood = _pair_likelihood(model, vi, ni, f)
-        if likelihood < trace[-1] - 1e-10:
-            raise InternalConsistencyError(
-                f"EM likelihood decreased from {trace[-1]} to {likelihood}")
-        delta = likelihood - trace[-1]
-        trace.append(likelihood)
-        if abs(delta) < tolerance:
-            break
-    return model, trace
 
 
 def class_membership(model: ClusterModel, verb: str, noun: str) -> np.ndarray:

@@ -187,9 +187,12 @@ def decide(lam: np.ndarray, features: FeatureMatrix,
     """Disambiguate every sentence of ``features`` under parameters ``lam``.
 
     Ranks by the linear part lam . nu(x) alone: per-sentence constants (the
-    normalizer and a uniform reference) do not affect ranking.
+    normalizer and a uniform reference) do not affect ranking.  A
+    non-finite score is a DataError.
     """
     scores = features.dot(lam)
+    if not np.all(np.isfinite(scores)):
+        raise DataError("non-finite parse score; cannot rank the parses")
     starts = features.offsets[:-1]
     best = np.repeat(np.maximum.reduceat(scores, starts),
                      np.diff(features.offsets))

@@ -2,15 +2,16 @@
 
 The trainer oracles are written directly from the defining formulas with
 their own score/likelihood code.  The reference extraction below is the
-per-parse dict path that the compiled feature matrix replaced.
+per-parse dict path that the compiled feature matrix replaced, and the
+reference cluster EM the loop that built two joints per iteration.
 """
 
 import numpy as np
 from scipy import optimize
 
 from parsedisamb.corpus import VOICES
-from parsedisamb.errors import ConfigError, DataError
-from parsedisamb.lexicalization import RelationSpec
+from parsedisamb.errors import ConfigError, DataError, InternalConsistencyError
+from parsedisamb.lexicalization import ClusterModel, RelationSpec
 from parsedisamb.properties import (ADJUNCT_FUNCTIONS, COORDINATION_MARKERS,
                                     FSTR_KINDS, STRUCTURAL_KINDS, TREE_KINDS)
 
@@ -366,3 +367,84 @@ def reference_decision(lam, entry, registry, tie_epsilon=1e-9,
     return "dont_know", tuple(entry.parses[j].parse_id
                               for j in range(len(entry.parses))
                               if best - scores[j] <= tie_epsilon)
+
+
+# ---------------------------------------------------------------------------
+# Reference cluster EM
+#
+# The latent-class EM loop before it shared one joint per iteration: the
+# E-step and the likelihood each build the (classes x pairs) joint, and the
+# M-step counts each class with its own bincount.
+
+
+def _reference_pair_likelihood(model, vi, ni, f):
+    joint = (model.priors[:, None]
+             * model.verb_emissions[:, vi]
+             * model.noun_emissions[:, ni])  # (C, P)
+    totals = joint.sum(axis=0)
+    if np.any(totals <= 0):
+        raise InternalConsistencyError("pair with zero probability under the model")
+    return float(np.dot(f, np.log(totals)))
+
+
+def reference_train_clusters(counts, n_classes, max_iterations=100,
+                             tolerance=1e-6, seed=0, init_model=None):
+    """(model, trace) of ``train_clusters`` on valid arguments."""
+    verbs, nouns = counts.verbs, counts.nouns
+    verb_index = {v: i for i, v in enumerate(verbs)}
+    noun_index = {n: i for i, n in enumerate(nouns)}
+    pairs = sorted(counts.counts)
+    vi = np.array([verb_index[v] for v, _ in pairs], dtype=np.int64)
+    ni = np.array([noun_index[n] for _, n in pairs], dtype=np.int64)
+    f = np.array([counts.counts[p] for p in pairs], dtype=float)
+    total = f.sum()
+
+    if init_model is not None:
+        model = init_model
+    elif n_classes == 1:
+        ve = np.bincount(vi, weights=f, minlength=len(verbs)) / total
+        ne = np.bincount(ni, weights=f, minlength=len(nouns)) / total
+        model = ClusterModel(priors=np.ones(1), verb_emissions=ve[None, :],
+                             noun_emissions=ne[None, :], verbs=verbs, nouns=nouns)
+    else:
+        rng = np.random.default_rng(seed)
+        priors = np.full(n_classes, 1.0 / n_classes)
+        ve = 1.0 + 0.1 * rng.random((n_classes, len(verbs)))
+        ne = 1.0 + 0.1 * rng.random((n_classes, len(nouns)))
+        ve /= ve.sum(axis=1, keepdims=True)
+        ne /= ne.sum(axis=1, keepdims=True)
+        model = ClusterModel(priors=priors, verb_emissions=ve,
+                             noun_emissions=ne, verbs=verbs, nouns=nouns)
+
+    trace = [_reference_pair_likelihood(model, vi, ni, f)]
+    for _ in range(max_iterations):
+        joint = (model.priors[:, None]
+                 * model.verb_emissions[:, vi]
+                 * model.noun_emissions[:, ni])  # (C, P)
+        resp = joint / joint.sum(axis=0, keepdims=True)
+        weighted = resp * f[None, :]  # (C, P)
+        mass = weighted.sum(axis=1)  # (C,)
+
+        priors = mass / total
+        ve = np.zeros((n_classes, len(verbs)))
+        ne = np.zeros((n_classes, len(nouns)))
+        for c in range(n_classes):
+            ve[c] = np.bincount(vi, weights=weighted[c], minlength=len(verbs))
+            ne[c] = np.bincount(ni, weights=weighted[c], minlength=len(nouns))
+        alive = mass > 0
+        ve[alive] /= mass[alive, None]
+        ne[alive] /= mass[alive, None]
+        ve[~alive] = model.verb_emissions[~alive]
+        ne[~alive] = model.noun_emissions[~alive]
+
+        model = ClusterModel(priors=priors, verb_emissions=ve,
+                             noun_emissions=ne, verbs=verbs, nouns=nouns)
+        likelihood = _reference_pair_likelihood(model, vi, ni, f)
+        if likelihood < trace[-1] - 1e-10:
+            raise InternalConsistencyError(
+                f"EM likelihood decreased from {trace[-1]} to {likelihood}")
+        delta = likelihood - trace[-1]
+        trace.append(likelihood)
+        if abs(delta) < tolerance:
+            break
+    return model, trace

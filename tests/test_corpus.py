@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from numpy.testing import assert_allclose
 
+import parsedisamb.corpus as corpus_module
 from parsedisamb import (DataError, ParseRecord, SentenceEntry,
                          SyntheticConfig, build_corpus, corpus_stats,
                          extract_parsebank, generate_synthetic, load_corpus,
@@ -137,15 +138,61 @@ class TestLoadCorpus:
         repeated["sentence_id"] = "s0-copy"
         path.write_text("\n".join(lines + [json.dumps(repeated)]) + "\n")
         loaded = load_corpus(path)
-        assert len(loaded.entries) == 2
+        # The copy merges into s0's position, past s1.
+        assert [e.sentence_id for e in loaded.entries] == ["s0", "s1"]
         weights = {e.sentence_id: e.weight for e in loaded.entries}
         assert_allclose(weights["s0"], 2 / 3)
         assert_allclose(weights["s1"], 1 / 3)
+
+    def test_non_string_frame_is_rejected(self, tmp_path):
+        header = json.dumps({"format": "forest-corpus", "version": 1})
+        record = {"sentence_id": "s0", "tokens": ["a"],
+                  "parses": [{"parse_id": "p0", "frame": ["f0"],
+                              "precomputed_features": {"0": 1}}]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DataError, match="line 2: field 'frame'"):
+            load_corpus(path)
 
     def test_empty_after_cutoff(self, tmp_path):
         path = _write(_counts_corpus([4, 5]), tmp_path)
         with pytest.raises(DataError, match="cutoff"):
             load_corpus(path, max_parses=2)
+
+
+class TestMerge:
+    def test_parse_records_hash_by_value(self):
+        record = ParseRecord(parse_id="p0", frame="f0",
+                             precomputed_features={0: 1.0, 3: 2.0})
+        same = ParseRecord(parse_id="p0", frame="f0",
+                           precomputed_features={3: 2.0, 0: 1.0})
+        assert record == same
+        assert hash(record) == hash(same)
+        assert record != replace(same, precomputed_features={0: 1.0, 3: 2.5})
+
+    def test_one_feature_value_apart_stays_two_entries(self, tmp_path):
+        path = _write(passthrough_corpus([[{0: 1, 1: 2}], [{0: 1, 1: 3}]]),
+                      tmp_path)
+        # Equal tokens and parse ids: only the feature value of 1 differs.
+        lines = path.read_text().replace("tok1", "tok0")
+        path.write_text(lines)
+        loaded = load_corpus(path)
+        assert [e.sentence_id for e in loaded.entries] == ["s0", "s1"]
+        assert [e.parses[0].precomputed_features[1]
+                for e in loaded.entries] == [2.0, 3.0]
+
+    def test_each_line_is_validated_once(self, tmp_path, monkeypatch):
+        path = _write(_counts_corpus([1, 2, 3]), tmp_path)
+        calls = []
+        validate = corpus_module._validate_entry
+
+        def counting(entry, where):
+            calls.append(where)
+            validate(entry, where)
+
+        monkeypatch.setattr(corpus_module, "_validate_entry", counting)
+        load_corpus(path)
+        assert calls == [f"{path}: line {n}" for n in (2, 3, 4)]
 
 
 NON_FINITE_LINES = {

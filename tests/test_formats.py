@@ -25,7 +25,7 @@ class TestAtomicWrite:
         path = tmp_path / "out.json"
         write_json({"kept": True}, path)
         before = path.read_bytes()
-        # json.dump writes the first keys before it meets the bad value.
+        # The unencodable value raises inside the atomic block.
         with pytest.raises(TypeError):
             write_json({"a": list(range(1000)), "b": object()}, path)
         assert path.read_bytes() == before
@@ -40,15 +40,17 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == []
 
     def test_bytes_and_mode_match_a_plain_write(self, tmp_path):
-        doc = {"b": [1.5, -0.1], "a": "é"}
-        write_json(doc, tmp_path / "atomic.json", indent=1)
-        with open(tmp_path / "plain.json", "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, sort_keys=True, indent=1)
-            handle.write("\n")
-        assert (tmp_path / "atomic.json").read_bytes() == \
-            (tmp_path / "plain.json").read_bytes()
-        assert os.stat(tmp_path / "atomic.json").st_mode == \
-            os.stat(tmp_path / "plain.json").st_mode
+        doc = {"b": [1.5, -0.1, 1e-300, 2**60], "a": "é", "c": {"z": None}}
+        # Unindented documents are encoded by json's C encoder.
+        for indent in (None, 1):
+            write_json(doc, tmp_path / "atomic.json", indent=indent)
+            with open(tmp_path / "plain.json", "w", encoding="utf-8") as handle:
+                json.dump(doc, handle, sort_keys=True, indent=indent)
+                handle.write("\n")
+            assert (tmp_path / "atomic.json").read_bytes() == \
+                (tmp_path / "plain.json").read_bytes()
+            assert os.stat(tmp_path / "atomic.json").st_mode == \
+                os.stat(tmp_path / "plain.json").st_mode
 
 
 # A model and its registry as written before models dropped the reference

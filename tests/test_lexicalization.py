@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from parsedisamb import (ClusterModel, ConfigError, DataError,
@@ -9,9 +13,11 @@ from parsedisamb import (ClusterModel, ConfigError, DataError,
                          load_pair_counts, pair_counts_from_corpus,
                          save_pair_counts, train_clusters)
 from parsedisamb.corpus import ParseRecord
+from parsedisamb.errors import InternalConsistencyError
 from parsedisamb.lexicalization import (load_cluster_model, load_freq_table,
                                         save_cluster_model, save_freq_table)
 from conftest import relation
+from oracles import reference_train_clusters
 
 
 TOY_COUNTS = PairCounts(counts={
@@ -114,6 +120,46 @@ class TestTrainClusters:
                                       max_iterations=60, tolerance=1e-12,
                                       seed=3)
             assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_the_two_joint_reference(self, data):
+        counts = PairCounts(counts=data.draw(st.dictionaries(
+            st.tuples(st.sampled_from(("v0", "v1", "v2", "v3", "v4")),
+                      st.sampled_from(("n0", "n1", "n2", "n3", "n4", "n5"))),
+            st.integers(0, 9), min_size=1, max_size=20)))
+        assume(any(counts.counts.values()))
+        n_classes = data.draw(st.integers(1, 6))
+        init = None
+        if data.draw(st.booleans()):
+            def rows(height, width):
+                raw = np.array(data.draw(st.lists(
+                    st.floats(0.01, 1.0), min_size=height * width,
+                    max_size=height * width))).reshape(height, width)
+                return raw / raw.sum(axis=1, keepdims=True)
+            init = ClusterModel(priors=rows(1, n_classes)[0],
+                                verb_emissions=rows(n_classes, len(counts.verbs)),
+                                noun_emissions=rows(n_classes, len(counts.nouns)),
+                                verbs=counts.verbs, nouns=counts.nouns)
+        kwargs = dict(
+            n_classes=n_classes,
+            max_iterations=data.draw(st.integers(1, 20)),
+            # The larger tolerances stop EM before max_iterations.
+            tolerance=data.draw(st.sampled_from((1e-300, 1e-6, 1e-2, 1.0))),
+            seed=data.draw(st.integers(0, 1000)), init_model=init)
+        try:
+            expected, expected_trace = reference_train_clusters(counts, **kwargs)
+        except InternalConsistencyError as exc:
+            # A verb or noun seen only with count 0 loses all its mass.
+            with pytest.raises(InternalConsistencyError,
+                               match=re.escape(str(exc))):
+                train_clusters(counts, **kwargs)
+            return
+        model, trace = train_clusters(counts, **kwargs)
+        assert trace == expected_trace
+        assert np.array_equal(model.priors, expected.priors)
+        assert np.array_equal(model.verb_emissions, expected.verb_emissions)
+        assert np.array_equal(model.noun_emissions, expected.noun_emissions)
 
     def test_misconfiguration(self):
         with pytest.raises(ConfigError):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parsedisamb import (ConfigError, build_feature_matrix, disambiguate,
-                         expectations, load_model, new_model, normalize,
-                         save_model)
+from parsedisamb import (ConfigError, DataError, build_feature_matrix,
+                         disambiguate, evaluate, expectations, load_model,
+                         new_model, normalize, save_model, sweep_checkpoints)
 from conftest import corrected_registry, passthrough_corpus, \
     random_passthrough_instance
 
@@ -209,6 +209,23 @@ class TestDisambiguate:
         d1 = disambiguate(m1, corpus.entries[0])
         d2 = disambiguate(m2, corpus.entries[0])
         assert d1 == d2
+
+
+class TestNonFiniteScores:
+    # Sentence 0's parses all carry feature 0; sentence 1's do not.
+    SENTENCES = [[{0: 1}, {0: 2}], [{0: 1}, {1: 1}]]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_decision_path_raises(self, value):
+        corpus, registry, model = _uniform_setup(self.SENTENCES, golds=[0, 0])
+        lam = np.zeros(registry.size)
+        lam[0] = value
+        model = model.with_lam(lam)
+        for call in (lambda: disambiguate(model, corpus.entries[0]),
+                     lambda: evaluate(model, corpus),
+                     lambda: sweep_checkpoints([(1, model)], corpus)):
+            with pytest.raises(DataError, match="non-finite"):
+                call()
 
 
 class TestSerialization:
