@@ -6,11 +6,11 @@ Run:  python demos/03_lexicalized_clustering.py
 
 import numpy as np
 
-from parsedisamb import (PairCounts, RelationSpec, SyntheticConfig,
-                         TrainingConfig, add_correction, build_freq_table,
-                         build_registry, class_membership, evaluate,
-                         generate_synthetic, lexicalized_properties,
-                         pair_counts_from_corpus, train, train_clusters)
+from parsedisamb import (SLOTS, PairCounts, SyntheticConfig, TrainingConfig,
+                         add_correction, build_freq_table, build_registry,
+                         class_membership, evaluate, generate_synthetic,
+                         lexicalized_properties, pair_counts_from_corpus,
+                         slot_key, train, train_clusters)
 
 print("=" * 70)
 print("1. Latent-class clustering of (verb, noun) pairs")
@@ -67,7 +67,7 @@ entry = SentenceEntry(
                     precomputed_features={0: 1.0}),
     ))
 rows = lexicalized_properties(entry, table)
-key = RelationSpec.slot_key("dobj", "active", 1)
+key = slot_key("dobj", "active", 1)
 for parse, row in zip(entry.parses, rows):
     print(f"  parse {parse.parse_id!r}: indicator[{key}] = {row.get(key, 0)}")
 print("the parse whose pair is most plausible under the clusters wins the "
@@ -102,7 +102,7 @@ lex_model, _ = train(corpus, lex_registry, config, lex_table=corpus_table)
 n_slots = sum(1 for d in lex_registry.properties
               if d.kind == "lexicalized-relation")
 print(f"basic registry: {basic_registry.size} properties; lexicalized adds "
-      f"{n_slots} relation slots")
+      f"{n_slots} of the {len(SLOTS)} relation slots")
 p_basic = evaluate(basic_model, held_out, task="exact_match").precision
 p_lex = evaluate(lex_model, held_out, task="exact_match",
                  lex_table=corpus_table).precision

@@ -18,11 +18,11 @@ from .evaluation import (BaselineReport, EvalOutcome, SentenceVerdict,
                          SweepRow, evaluate, format_report_table,
                          random_baseline, sweep_checkpoints,
                          write_report_json, write_sweep_csv)
-from .lexicalization import (ClusterModel, LexFrequencyTable, PairCounts,
-                             RelationSpec, build_freq_table, class_membership,
+from .lexicalization import (SLOTS, ClusterModel, LexFrequencyTable,
+                             PairCounts, build_freq_table, class_membership,
                              lexicalized_properties, load_pair_counts,
                              pair_counts_from_corpus, save_pair_counts,
-                             train_clusters)
+                             slot_key, train_clusters)
 from .model import (Decision, LogLinearModel, ParseDistribution, disambiguate,
                     load_model, new_model, normalize, save_model)
 from .properties import (FeatureMatrix, PropertyDescriptor, PropertyRegistry,

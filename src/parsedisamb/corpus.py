@@ -151,7 +151,7 @@ def _validate_parse(parse: ParseRecord, n_tokens: int, where: str) -> None:
             "information nor precomputed_features"
         )
     if parse.cstructure is not None:
-        n_leaves = len(tree_leaves(parse.cstructure))
+        n_leaves = count_leaves(parse.cstructure)
         if n_leaves != n_tokens:
             raise DataError(
                 f"{where}: parse {parse.parse_id!r} has {n_leaves} c-structure "
@@ -214,15 +214,18 @@ def _validate_entry(entry: SentenceEntry, where: str) -> None:
 # ---------------------------------------------------------------------------
 # Trees
 
-def tree_leaves(node) -> list[str]:
-    """Leaves of a nested (label, (children...)) tree, left to right."""
+def count_leaves(node, counts: Optional[dict] = None) -> int:
+    """Leaves of a nested (label, (children...)) tree.  With ``counts``, also
+    records ``counts[id(n)]`` for every internal node ``n``, so one walk
+    serves the whole tree."""
     if isinstance(node, str):
-        return [node]
-    _, children = node
-    out: list[str] = []
-    for child in children:
-        out.extend(tree_leaves(child))
-    return out
+        return 1
+    total = 0
+    for child in node[1]:
+        total += 1 if isinstance(child, str) else count_leaves(child, counts)
+    if counts is not None:
+        counts[id(node)] = total
+    return total
 
 
 def tree_from_json(obj):
@@ -285,7 +288,7 @@ def _parse_from_json(rec: dict, where: str) -> ParseRecord:
         try:
             pairs = tuple((str(a), str(v)) for a, v in fstructure.get("pairs", []))
             functions = tuple(str(f) for f in fstructure.get("functions", []))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, AttributeError) as exc:
             raise DataError(f"{where}: malformed fstructure field") from exc
         fstructure = FStructure(pairs=pairs, functions=functions)
     relations = []
@@ -401,7 +404,7 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: line 1: invalid JSON header") from exc
-        if header.get("format") != CORPUS_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
             raise DataError(f"{path}: line 1: not a {CORPUS_FORMAT} file")
         if header.get("version") != CORPUS_VERSION:
             raise DataError(

@@ -20,6 +20,7 @@ cluster models and frequency tables as versioned JSON documents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,34 +34,18 @@ CLUSTER_VERSION = 1
 FREQ_TABLE_FORMAT = "lex-frequency-table"
 FREQ_TABLE_VERSION = 1
 
-# Pre-disambiguation slots: the direct object is excluded under passive voice
-# (it is promoted), which together with eight relations, two voices and three
-# verb positions yields 45 slots.
-DEFAULT_EXCLUDED = frozenset({("dobj", "passive")})
+# Pre-disambiguation slots (relation, voice, verb position): eight relations,
+# two voices and three verb positions, less the direct object under passive
+# voice (it is promoted), give 45 slots.
+SLOTS = tuple((rel, voice, position) for rel in SYNTHETIC_RELATIONS
+              for voice in VOICES if (rel, voice) != ("dobj", "passive")
+              for position in (1, 2, 3))
+_SLOT_SET = frozenset(SLOTS)
 
 
-@dataclass(frozen=True)
-class RelationSpec:
-    """Inventory of (relation, voice, verb-position) slots."""
-
-    relations: tuple[str, ...] = SYNTHETIC_RELATIONS
-    voices: tuple[str, ...] = VOICES
-    max_verb_position: int = 3
-    excluded: frozenset = DEFAULT_EXCLUDED
-
-    def slots(self) -> list[tuple[str, str, int]]:
-        out = []
-        for rel in self.relations:
-            for voice in self.voices:
-                if (rel, voice) in self.excluded:
-                    continue
-                for pos in range(1, self.max_verb_position + 1):
-                    out.append((rel, voice, pos))
-        return out
-
-    @staticmethod
-    def slot_key(relation: str, voice: str, position: int) -> str:
-        return f"{relation}/{voice}/{position}"
+def slot_key(relation: str, voice: str, position: int) -> str:
+    """Property key of a slot: ``relation/voice/position``."""
+    return f"{relation}/{voice}/{position}"
 
 
 @dataclass
@@ -75,6 +60,9 @@ class PairCounts:
         for (v, n), f in self.counts.items():
             if f < 0:
                 raise DataError(f"negative count for pair ({v!r}, {n!r})")
+        # Zero-count pairs carry no evidence and would leave their words no
+        # mass under EM; f_c of one is computed on demand like any unseen's.
+        self.counts = {pair: f for pair, f in self.counts.items() if f}
         self.verbs = tuple(sorted({v for v, _ in self.counts}))
         self.nouns = tuple(sorted({n for _, n in self.counts}))
 
@@ -102,9 +90,10 @@ def load_pair_counts(path) -> PairCounts:
                 ) from exc
             key = (verb, noun)
             counts[key] = counts.get(key, 0) + count
-    if not counts:
-        raise DataError(f"{path}: pair-counts file is empty")
-    return PairCounts(counts=counts)
+    pairs = PairCounts(counts=counts)
+    if not pairs.counts:
+        raise DataError(f"{path}: pair counts are empty")
+    return pairs
 
 
 def save_pair_counts(counts: PairCounts, path) -> None:
@@ -142,12 +131,14 @@ class ClusterModel:
     noun_emissions: np.ndarray
     verbs: tuple[str, ...]
     nouns: tuple[str, ...]
-    _verb_index: dict = field(default=None, repr=False)
-    _noun_index: dict = field(default=None, repr=False)
 
     def __post_init__(self):
-        self._verb_index = {v: i for i, v in enumerate(self.verbs)}
-        self._noun_index = {n: i for i, n in enumerate(self.nouns)}
+        n_classes = len(self.priors) if self.priors.ndim == 1 else 0
+        if (n_classes == 0
+                or self.verb_emissions.shape != (n_classes, len(self.verbs))
+                or self.noun_emissions.shape != (n_classes, len(self.nouns))):
+            raise DataError("priors, emissions and vocabularies have "
+                            "mismatched shapes")
         for name, dist in (("priors", self.priors[None, :]),
                            ("verb_emissions", self.verb_emissions),
                            ("noun_emissions", self.noun_emissions)):
@@ -160,6 +151,14 @@ class ClusterModel:
     @property
     def n_classes(self) -> int:
         return len(self.priors)
+
+    @cached_property
+    def _verb_index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.verbs)}
+
+    @cached_property
+    def _noun_index(self) -> dict[str, int]:
+        return {n: i for i, n in enumerate(self.nouns)}
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,14 +194,14 @@ def load_cluster_model(path) -> ClusterModel:
     return read_json(path, ClusterModel.from_json_dict)
 
 
-def _pair_arrays(counts: PairCounts):
-    verb_index = {v: i for i, v in enumerate(counts.verbs)}
-    noun_index = {n: i for i, n in enumerate(counts.nouns)}
-    pairs = sorted(counts.counts)
-    vi = np.array([verb_index[v] for v, _ in pairs], dtype=np.int64)
-    ni = np.array([noun_index[n] for _, n in pairs], dtype=np.int64)
-    f = np.array([counts.counts[p] for p in pairs], dtype=float)
-    return vi, ni, f
+def _joint(model: ClusterModel, vi: np.ndarray, ni: np.ndarray) -> np.ndarray:
+    """p(c) p(v|c) p(n|c) of the pairs (vi[k], ni[k]), as a (C, P) array.
+
+    Fancy indexing makes it F-contiguous, so each column sums bit for bit
+    as a one-pair joint does."""
+    return (model.priors[:, None]
+            * model.verb_emissions[:, vi]
+            * model.noun_emissions[:, ni])
 
 
 def train_clusters(counts: PairCounts, n_classes: int,
@@ -230,10 +229,13 @@ def train_clusters(counts: PairCounts, n_classes: int,
         raise ConfigError("tolerance must be positive")
 
     verbs, nouns = counts.verbs, counts.nouns
-    vi, ni, f = _pair_arrays(counts)
+    verb_index = {v: i for i, v in enumerate(verbs)}
+    noun_index = {n: i for i, n in enumerate(nouns)}
+    pairs = sorted(counts.counts)
+    vi = np.array([verb_index[v] for v, _ in pairs], dtype=np.int64)
+    ni = np.array([noun_index[n] for _, n in pairs], dtype=np.int64)
+    f = np.array([counts.counts[p] for p in pairs], dtype=float)
     total = f.sum()
-    if total <= 0:
-        raise DataError("all pair counts are zero")
 
     if init_model is not None:
         model = init_model
@@ -257,17 +259,17 @@ def train_clusters(counts: PairCounts, n_classes: int,
         model = ClusterModel(priors=priors, verb_emissions=ve,
                              noun_emissions=ne, verbs=verbs, nouns=nouns)
 
-    # Row c of the flattened (class, word) bins holds class c's counts.
+    # Row c of the (class, word) bins holds class c's counts.  Bins and
+    # weights are flattened column-major, the joint's own layout, so ravel
+    # copies nothing and each bin still adds its pairs in ascending order.
     rows = np.arange(n_classes)[:, None]
-    verb_bins = (rows * len(verbs) + vi).ravel()
-    noun_bins = (rows * len(nouns) + ni).ravel()
+    verb_bins = (rows * len(verbs) + vi).ravel(order="F")
+    noun_bins = (rows * len(nouns) + ni).ravel(order="F")
     trace: list[float] = []
     while True:
-        # One joint (C, P) per model: its column sums are the pair
-        # probabilities, giving both the likelihood and the E-step.
-        joint = (model.priors[:, None]
-                 * model.verb_emissions[:, vi]
-                 * model.noun_emissions[:, ni])
+        # One joint per model: its column sums are the pair probabilities,
+        # giving both the likelihood and the E-step.
+        joint = _joint(model, vi, ni)
         totals = joint.sum(axis=0)
         if np.any(totals <= 0):
             raise InternalConsistencyError(
@@ -283,9 +285,9 @@ def train_clusters(counts: PairCounts, n_classes: int,
 
         weighted = joint / totals * f  # responsibilities times frequencies
         mass = weighted.sum(axis=1)  # (C,)
-        ve = np.bincount(verb_bins, weighted.ravel(),
+        ve = np.bincount(verb_bins, weighted.ravel(order="F"),
                          n_classes * len(verbs)).reshape(n_classes, -1)
-        ne = np.bincount(noun_bins, weighted.ravel(),
+        ne = np.bincount(noun_bins, weighted.ravel(order="F"),
                          n_classes * len(nouns)).reshape(n_classes, -1)
         # A class that lost all mass keeps its previous emissions with a
         # zero prior instead of dividing by zero.
@@ -299,17 +301,17 @@ def train_clusters(counts: PairCounts, n_classes: int,
 
 
 def class_membership(model: ClusterModel, verb: str, noun: str) -> np.ndarray:
-    """Posterior p(c|v,n); pairs with an out-of-vocabulary side fall back to
-    the class priors so the posterior is defined for every pair."""
+    """Posterior p(c|v,n).  A pair with an out-of-vocabulary side or zero
+    probability falls back to the class priors, so the posterior is defined
+    for every pair."""
     vi = model._verb_index.get(verb)
     ni = model._noun_index.get(noun)
-    if vi is None or ni is None:
-        return model.priors.copy()
-    joint = model.priors * model.verb_emissions[:, vi] * model.noun_emissions[:, ni]
-    total = joint.sum()
-    if total <= 0:
-        return model.priors.copy()
-    return joint / total
+    if vi is not None and ni is not None:
+        joint = _joint(model, [vi], [ni])[:, 0]
+        total = joint.sum()
+        if total > 0:
+            return joint / total
+    return model.priors.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -358,33 +360,34 @@ def load_freq_table(path) -> LexFrequencyTable:
 
 
 def build_freq_table(model: ClusterModel, counts: PairCounts) -> LexFrequencyTable:
-    """f_c(v, n) = max_c p(c|v,n) * (f(v,n) + 1) for every counted pair."""
-    entries = {}
-    for (verb, noun), freq in counts.counts.items():
-        posterior = class_membership(model, verb, noun)
-        entries[(verb, noun)] = float(posterior.max() * (freq + 1.0))
-    return LexFrequencyTable(entries=entries, model=model)
+    """f_c(v, n) = max_c p(c|v,n) * (f(v,n) + 1) for every counted pair, with
+    the posterior and its fallback of ``class_membership``."""
+    pairs = list(counts.counts)
+    vi = np.array([model._verb_index.get(v, -1) for v, _ in pairs], dtype=int)
+    ni = np.array([model._noun_index.get(n, -1) for _, n in pairs], dtype=int)
+    best = np.full(len(pairs), model.priors.max())
+    known = np.flatnonzero((vi >= 0) & (ni >= 0))
+    joint = _joint(model, vi[known], ni[known])
+    totals = joint.sum(axis=0)
+    live = totals > 0
+    best[known[live]] = (joint[:, live] / totals[live]).max(axis=0)
+    freqs = np.array(list(counts.counts.values()), dtype=float)
+    return LexFrequencyTable(
+        entries=dict(zip(pairs, (best * (freqs + 1.0)).tolist())), model=model)
 
 
 # ---------------------------------------------------------------------------
 # Pre-disambiguation properties
 
-# The fixed slot inventory of the lexicalized properties.
-_SLOTS = RelationSpec().slots()
-_SLOT_SET = frozenset(_SLOTS)
-
-
 def lexicalized_properties(entry: SentenceEntry, table: LexFrequencyTable
                            ) -> list[dict[str, int]]:
     """Per-parse indicator features marking the f_c-maximal parses per slot.
 
-    For each of the 45 (relation, voice, verb-position) slots of
-    ``RelationSpec()``, the parses of the sentence that carry the slot
-    compete on the f_c value of their (verb, noun) pair; those attaining
-    the maximum get 1 (ties included), the rest get 0, and parses lacking
-    the slot get 0 as well.  A parse's
-    first relation in a slot is the one that competes.  Keys are
-    ``relation/voice/position`` strings.
+    For each of the 45 ``SLOTS``, the parses of the sentence that carry the
+    slot compete on the f_c value of their (verb, noun) pair; those
+    attaining the maximum get 1 (ties included), the rest get 0, and parses
+    lacking the slot get 0 as well.  A parse's first relation in a slot is
+    the one that competes.  Keys are ``slot_key`` strings.
     """
     # One pass over the relations buckets the competitors of every slot.
     occupants: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
@@ -402,11 +405,11 @@ def lexicalized_properties(entry: SentenceEntry, table: LexFrequencyTable
                     (j, table.lookup(rel.verb, rel.noun)))
 
     rows: list[dict[str, int]] = [{} for _ in entry.parses]
-    for slot in _SLOTS:
+    for slot in SLOTS:
         competitors = occupants.get(slot)
         if not competitors:
             continue
-        key = RelationSpec.slot_key(*slot)
+        key = slot_key(*slot)
         best = max(value for _, value in competitors)
         for j, value in competitors:
             rows[j][key] = 1 if value >= best else 0

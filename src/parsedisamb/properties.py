@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import Corpus, ParseRecord, read_json, write_json
+from .corpus import Corpus, ParseRecord, count_leaves, read_json, write_json
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable, lexicalized_properties
 
@@ -172,16 +172,6 @@ def _symbol(node) -> str:
     return node if isinstance(node, str) else node[0]
 
 
-def _token_counts(node, counts: dict) -> int:
-    """Tokens dominated by ``node``; records ``counts[id(n)]`` for every
-    internal node ``n`` below it, so one walk serves the whole tree."""
-    total = 0
-    for child in node[1]:
-        total += 1 if isinstance(child, str) else _token_counts(child, counts)
-    counts[id(node)] = total
-    return total
-
-
 def _complexity_bucket(n_tokens: int) -> str:
     if n_tokens <= 1:
         return "1"
@@ -207,8 +197,8 @@ def structural_values(parse: ParseRecord, kinds: Iterable[str]) -> dict:
         branching = "non-right-branching" in kinds
         coordination = "coord-non-parallel" in kinds
         tokens: dict[int, int] = {}
-        if complexity and not isinstance(tree, str):
-            _token_counts(tree, tokens)
+        if complexity:
+            count_leaves(tree, tokens)
         for label, children in _iter_internal(tree):
             if production:
                 rhs = " ".join(_symbol(c) for c in children)

@@ -2,8 +2,9 @@
 
 The trainer oracles are written directly from the defining formulas with
 their own score/likelihood code.  The reference extraction below is the
-per-parse dict path that the compiled feature matrix replaced, and the
-reference cluster EM the loop that built two joints per iteration.
+per-parse dict path that the compiled feature matrix replaced, the
+reference cluster EM the loop that built two joints per iteration, and the
+reference frequency table the per-pair loop over ``class_membership``.
 """
 
 import numpy as np
@@ -11,7 +12,8 @@ from scipy import optimize
 
 from parsedisamb.corpus import VOICES
 from parsedisamb.errors import ConfigError, DataError, InternalConsistencyError
-from parsedisamb.lexicalization import ClusterModel, RelationSpec
+from parsedisamb.lexicalization import (SLOTS, ClusterModel, LexFrequencyTable,
+                                        class_membership, slot_key)
 from parsedisamb.properties import (ADJUNCT_FUNCTIONS, COORDINATION_MARKERS,
                                     FSTR_KINDS, STRUCTURAL_KINDS, TREE_KINDS)
 
@@ -199,8 +201,8 @@ def reference_structural_values(parse, kinds):
 def reference_lexicalized_properties(entry, table):
     """Per-parse slot indicators, scanning every parse once per slot."""
     rows = [{} for _ in entry.parses]
-    for rel_name, voice, position in RelationSpec().slots():
-        key = RelationSpec.slot_key(rel_name, voice, position)
+    for rel_name, voice, position in SLOTS:
+        key = slot_key(rel_name, voice, position)
         occupants = []
         for j, parse in enumerate(entry.parses):
             for rel in parse.relations:
@@ -448,3 +450,12 @@ def reference_train_clusters(counts, n_classes, max_iterations=100,
         if abs(delta) < tolerance:
             break
     return model, trace
+
+
+def reference_build_freq_table(model, counts):
+    """``build_freq_table`` as one ``class_membership`` call per pair."""
+    entries = {}
+    for (verb, noun), freq in counts.counts.items():
+        posterior = class_membership(model, verb, noun)
+        entries[(verb, noun)] = float(posterior.max() * (freq + 1.0))
+    return LexFrequencyTable(entries=entries, model=model)

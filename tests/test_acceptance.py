@@ -12,13 +12,13 @@ import time
 
 import numpy as np
 
-from parsedisamb import (ClusterModel, LexFrequencyTable, PairCounts,
-                         RelationSpec, SentenceEntry, SyntheticConfig,
-                         TrainingConfig, build_corpus, build_feature_matrix,
-                         compare_inits, evaluate, expectations,
-                         generate_synthetic, incomplete_log_likelihood,
-                         lexicalized_properties, new_model, normalize,
-                         random_baseline, train, train_clusters)
+from parsedisamb import (SLOTS, ClusterModel, LexFrequencyTable, PairCounts,
+                         SentenceEntry, SyntheticConfig, TrainingConfig,
+                         build_corpus, build_feature_matrix, compare_inits,
+                         evaluate, expectations, generate_synthetic,
+                         incomplete_log_likelihood, lexicalized_properties,
+                         new_model, normalize, random_baseline, slot_key,
+                         train, train_clusters)
 from parsedisamb.cli import main as cli_main
 from parsedisamb.corpus import ParseRecord
 from parsedisamb.evaluation import SentenceVerdict, outcome_from_verdicts
@@ -233,7 +233,7 @@ def test_c08_lexicalized_indicator_contract():
                                  precomputed_features={0: 1.0})
                      for j, noun in enumerate("abc")))
     rows = lexicalized_properties(entry, table)
-    key = RelationSpec.slot_key("subj", "active", 1)
+    key = slot_key("subj", "active", 1)
     ok = ok and [r.get(key) for r in rows] == [1, 0, 1]
     details.append("tie handled")
 
@@ -257,8 +257,6 @@ def test_c08_lexicalized_indicator_contract():
     # Randomized: at least one winner per occupied slot, winners exactly the
     # argmax set.
     rng = np.random.default_rng(88)
-    spec = RelationSpec()
-    slots = spec.slots()
     values = {(f"v{i}", f"n{j}"): float(rng.integers(1, 9))
               for i in range(4) for j in range(6)}
     table = LexFrequencyTable(entries=values, model=single)
@@ -267,7 +265,7 @@ def test_c08_lexicalized_indicator_contract():
         for p in range(int(rng.integers(1, 5))):
             rels = []
             for _ in range(int(rng.integers(0, 3))):
-                name, voice, pos = slots[int(rng.integers(0, len(slots)))]
+                name, voice, pos = SLOTS[int(rng.integers(0, len(SLOTS)))]
                 rels.append(relation(name, f"v{int(rng.integers(0, 4))}",
                                      f"n{int(rng.integers(0, 6))}", voice, pos))
             parses.append(ParseRecord(parse_id=f"p{p}", relations=tuple(rels),
@@ -275,12 +273,12 @@ def test_c08_lexicalized_indicator_contract():
         entry = SentenceEntry(sentence_id=f"r{case}", tokens=("t",),
                               parses=tuple(parses))
         rows = lexicalized_properties(entry, table)
-        for slot_key in {k for row in rows for k in row}:
-            competitors = {j: _slot_value(parses[j], slot_key, table)
-                           for j, row in enumerate(rows) if slot_key in row}
+        for slot in {k for row in rows for k in row}:
+            competitors = {j: _slot_value(parses[j], slot, table)
+                           for j, row in enumerate(rows) if slot in row}
             best = max(competitors.values())
             winners = {j for j, row in enumerate(rows)
-                       if row.get(slot_key) == 1}
+                       if row.get(slot) == 1}
             expected = {j for j, v in competitors.items() if v >= best}
             ok = ok and winners == expected and len(winners) >= 1
     details.append("30 randomized sentences")
@@ -288,8 +286,8 @@ def test_c08_lexicalized_indicator_contract():
             "; ".join(details))
 
 
-def _slot_value(parse, slot_key, table):
-    name, voice, pos = slot_key.split("/")
+def _slot_value(parse, slot, table):
+    name, voice, pos = slot.split("/")
     for rel in parse.relations:
         if (rel.name, rel.voice, rel.position) == (name, voice, int(pos)):
             return table.lookup(rel.verb, rel.noun)

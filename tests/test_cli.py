@@ -240,6 +240,24 @@ class TestClusterCommand:
                     "--out-dir", str(tmp_path / "o"))
         assert code == 2
 
+    def test_zero_count_pairs_are_dropped(self, tmp_path, capsys):
+        # v1 and n2 occur only in a zero-count pair; EM never sees them.
+        path = tmp_path / "pairs.tsv"
+        path.write_text("v0\tn0\t3\nv0\tn1\t2\nv1\tn2\t0\n")
+        out = tmp_path / "c"
+        assert _run("cluster", "--pairs", str(path), "--classes", "2",
+                    "--out-dir", str(out)) == 0
+        assert "clustered 2 pairs" in capsys.readouterr().out
+        doc = json.loads((out / "cluster_model.json").read_text())
+        assert doc["verbs"] == ["v0"] and doc["nouns"] == ["n0", "n1"]
+
+        path.write_text("v0\tn0\t0\nv1\tn2\t0\n")
+        assert _run("cluster", "--pairs", str(path), "--classes", "2",
+                    "--out-dir", str(tmp_path / "z")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: pair counts are empty" in err
+        assert "Traceback" not in err
+
 
 class TestLexicalizedPipeline:
     def test_train_and_eval_with_frequency_table(self, synth_dir, tmp_path):
@@ -277,6 +295,20 @@ class TestStatsCommand:
         assert doc["n_sentences"] == 96
         assert set(doc) == {"n_sentences", "mean_ambiguity", "mean_length",
                             "universe_size"}
+
+    @pytest.mark.parametrize("lines", [
+        pytest.param(["null"], id="null-header"),
+        pytest.param(['{"format": "forest-corpus", "version": 1}',
+                      '{"sentence_id": "s0", "tokens": ["a"], "parses": '
+                      '[{"parse_id": "p0", "cstructure": ["S", ["a"]], '
+                      '"fstructure": ["x"]}]}'], id="list-fstructure")])
+    def test_malformed_corpus_exits_2(self, tmp_path, capsys, lines):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert _run("stats", "--corpus", str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line {len(lines)}:" in err
+        assert "Traceback" not in err
 
     def test_writes_stats_file(self, synth_dir, tmp_path):
         out = tmp_path / "stats"

@@ -97,6 +97,13 @@ class TestLoadCorpus:
             path.write_text(header + "\n" + bad_line + "\n")
             with pytest.raises(DataError, match="line 2"):
                 load_corpus(path)
+        for fstructure in (["x"], 3, "text"):
+            record = {"sentence_id": "s0", "tokens": ["a"],
+                      "parses": [{"parse_id": "p0", "cstructure": ["S", ["a"]],
+                                  "fstructure": fstructure}]}
+            path.write_text(header + "\n" + json.dumps(record) + "\n")
+            with pytest.raises(DataError, match="line 2.*fstructure"):
+                load_corpus(path)
 
     def test_malformed_weight_and_gold(self, tmp_path):
         header = json.dumps({"format": "forest-corpus", "version": 1})
@@ -115,9 +122,10 @@ class TestLoadCorpus:
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"sentence_id": "s0"}\n')
-        with pytest.raises(DataError, match="forest-corpus"):
-            load_corpus(path)
+        for header in ('{"sentence_id": "s0"}', "null", "[1]", '"forest-corpus"'):
+            path.write_text(header + "\n")
+            with pytest.raises(DataError, match="line 1: not a forest-corpus"):
+                load_corpus(path)
 
     def test_duplicate_sentence_id_rejected(self):
         entry = SentenceEntry(

@@ -13,7 +13,7 @@ from parsedisamb import (DataError, PairCounts, build_freq_table, evaluate,
                          save_model, save_registry, train_clusters)
 from parsedisamb.cli import main
 from parsedisamb.corpus import atomic_write, write_json
-from parsedisamb.lexicalization import load_freq_table
+from parsedisamb.lexicalization import load_cluster_model, load_freq_table
 from parsedisamb.model import LogLinearModel
 from parsedisamb.properties import (ALL_KINDS, PropertyDescriptor,
                                     PropertyRegistry)
@@ -157,6 +157,37 @@ class TestBadDocuments:
         with pytest.raises(DataError, match="entries") as info:
             load_freq_table(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda doc: doc.update(priors=0.5), id="scalar-priors"),
+        pytest.param(lambda doc: doc.update(priors=[[0.5, 0.5]]),
+                     id="nested-priors"),
+        pytest.param(lambda doc: doc.update(priors=[], verb_emissions=[],
+                                            noun_emissions=[]),
+                     id="no-classes"),
+        pytest.param(lambda doc: doc.update(verb_emissions=[
+            row + [0.0] for row in doc["verb_emissions"]]), id="wide-emissions"),
+        pytest.param(lambda doc: doc["nouns"].append("n9"),
+                     id="long-vocabulary")])
+    def test_misshapen_cluster_arrays_exit_2(self, tmp_path, capsys, change):
+        pairs = PairCounts(counts={("v0", "n0"): 2, ("v1", "n1"): 1})
+        clusters, _ = train_clusters(pairs, n_classes=2, seed=1)
+        table = build_freq_table(clusters, pairs).to_json_dict()
+        change(table["model"])
+        write_json(table, tmp_path / "table.json")
+        write_json(table["model"], tmp_path / "clusters.json")
+        with pytest.raises(DataError, match="mismatched shapes") as info:
+            load_cluster_model(tmp_path / "clusters.json")
+        assert str(tmp_path / "clusters.json") in str(info.value)
+
+        save_corpus(_older_corpus(), tmp_path / "train.jsonl")
+        code = main(["train", "--corpus", str(tmp_path / "train.jsonl"),
+                     "--lexicalized", str(tmp_path / "table.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(tmp_path / "table.json") in err
+        assert "Traceback" not in err
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,23 +1,20 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from parsedisamb import (ClusterModel, ConfigError, DataError,
-                         LexFrequencyTable, PairCounts, RelationSpec,
-                         SentenceEntry, build_corpus, build_freq_table,
-                         class_membership, lexicalized_properties,
-                         load_pair_counts, pair_counts_from_corpus,
-                         save_pair_counts, train_clusters)
+from parsedisamb import (SLOTS, ClusterModel, ConfigError, DataError,
+                         LexFrequencyTable, PairCounts, SentenceEntry,
+                         build_corpus, build_freq_table, class_membership,
+                         lexicalized_properties, load_pair_counts,
+                         pair_counts_from_corpus, save_pair_counts, slot_key,
+                         train_clusters)
 from parsedisamb.corpus import ParseRecord
-from parsedisamb.errors import InternalConsistencyError
 from parsedisamb.lexicalization import (load_cluster_model, load_freq_table,
                                         save_cluster_model, save_freq_table)
 from conftest import relation
-from oracles import reference_train_clusters
+from oracles import reference_build_freq_table, reference_train_clusters
 
 
 TOY_COUNTS = PairCounts(counts={
@@ -38,11 +35,16 @@ def _uniform_two_class_model(counts: PairCounts) -> ClusterModel:
 
 class TestDefaultSlots:
     def test_forty_five_slots(self):
-        spec = RelationSpec()
-        slots = spec.slots()
-        assert len(slots) == 45
-        assert ("dobj", "passive", 1) not in slots
-        assert ("dobj", "active", 3) in slots
+        assert len(SLOTS) == len(set(SLOTS)) == 45
+        assert ("dobj", "passive", 1) not in SLOTS
+        assert ("dobj", "active", 3) in SLOTS
+        # Relation-major, then voice, then verb position.
+        assert SLOTS[:4] == (("subj", "active", 1), ("subj", "active", 2),
+                             ("subj", "active", 3), ("subj", "passive", 1))
+        assert SLOTS[6:9] == (("dobj", "active", 1), ("dobj", "active", 2),
+                              ("dobj", "active", 3))
+        assert SLOTS[-1] == ("adj-acc", "passive", 3)
+        assert slot_key(*SLOTS[0]) == "subj/active/1"
 
 
 class TestTrainClusters:
@@ -128,7 +130,7 @@ class TestTrainClusters:
             st.tuples(st.sampled_from(("v0", "v1", "v2", "v3", "v4")),
                       st.sampled_from(("n0", "n1", "n2", "n3", "n4", "n5"))),
             st.integers(0, 9), min_size=1, max_size=20)))
-        assume(any(counts.counts.values()))
+        assume(len(counts))  # all-zero draws leave no pairs
         n_classes = data.draw(st.integers(1, 6))
         init = None
         if data.draw(st.booleans()):
@@ -147,19 +149,29 @@ class TestTrainClusters:
             # The larger tolerances stop EM before max_iterations.
             tolerance=data.draw(st.sampled_from((1e-300, 1e-6, 1e-2, 1.0))),
             seed=data.draw(st.integers(0, 1000)), init_model=init)
-        try:
-            expected, expected_trace = reference_train_clusters(counts, **kwargs)
-        except InternalConsistencyError as exc:
-            # A verb or noun seen only with count 0 loses all its mass.
-            with pytest.raises(InternalConsistencyError,
-                               match=re.escape(str(exc))):
-                train_clusters(counts, **kwargs)
-            return
+        # Zero-count pairs are dropped, so no verb or noun is left without
+        # mass and every draw trains.
+        assert 0 not in counts.counts.values()
+        expected, expected_trace = reference_train_clusters(counts, **kwargs)
         model, trace = train_clusters(counts, **kwargs)
         assert trace == expected_trace
         assert np.array_equal(model.priors, expected.priors)
         assert np.array_equal(model.verb_emissions, expected.verb_emissions)
         assert np.array_equal(model.noun_emissions, expected.noun_emissions)
+
+    def test_zero_count_pairs_are_dropped(self):
+        counts = PairCounts(counts={("v0", "n0"): 3, ("v0", "n1"): 2,
+                                    ("v1", "n2"): 0})
+        assert counts.counts == {("v0", "n0"): 3, ("v0", "n1"): 2}
+        assert counts.verbs == ("v0",)
+        assert counts.nouns == ("n0", "n1")
+        model, _ = train_clusters(counts, n_classes=2, seed=1)
+        table = build_freq_table(model, counts)
+        assert ("v1", "n2") not in table.entries
+        # The dropped pair's f_c is computed on demand, with f = 0.
+        assert table.lookup("v1", "n2") == model.priors.max() * (0 + 1)
+        with pytest.raises(DataError, match="negative"):
+            PairCounts(counts={("v0", "n0"): 3, ("v1", "n2"): -1})
 
     def test_misconfiguration(self):
         with pytest.raises(ConfigError):
@@ -228,6 +240,55 @@ class TestFreqTable:
         for pair, f in TOY_COUNTS.counts.items():
             assert 0 <= table.lookup(*pair) <= f + 1
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_the_per_pair_loop(self, data):
+        verbs, nouns = ("v0", "v1", "v2", "v3"), ("n0", "n1", "n2", "n3", "n4")
+
+        def draw_counts():
+            return PairCounts(counts=data.draw(st.dictionaries(
+                st.tuples(st.sampled_from(verbs), st.sampled_from(nouns)),
+                st.integers(1, 9), min_size=1, max_size=12)))
+
+        counts = draw_counts()
+        n_classes = data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            # Trained on other counts: some pairs are out of its vocabulary.
+            model, _ = train_clusters(draw_counts(), n_classes=n_classes,
+                                      max_iterations=data.draw(st.integers(1, 8)),
+                                      seed=data.draw(st.integers(0, 100)))
+        else:
+            # Zero emissions give some pairs a zero total.
+            def rows(height, width):
+                raw = np.array(data.draw(st.lists(
+                    st.sampled_from((0.0, 0.3, 1.0, 2.5)),
+                    min_size=height * width,
+                    max_size=height * width))).reshape(height, width)
+                raw[raw.sum(axis=1) == 0, 0] = 1.0
+                return raw / raw.sum(axis=1, keepdims=True)
+            model = ClusterModel(priors=rows(1, n_classes)[0],
+                                 verb_emissions=rows(n_classes, len(counts.verbs)),
+                                 noun_emissions=rows(n_classes, len(counts.nouns)),
+                                 verbs=counts.verbs, nouns=counts.nouns)
+        table = build_freq_table(model, counts)
+        expected = reference_build_freq_table(model, counts)
+        assert list(table.entries.items()) == list(expected.entries.items())
+        # An unseen pair, in or out of the vocabulary, is computed on demand.
+        for pair in [(v, n) for v in verbs + ("vx",) for n in nouns + ("nx",)
+                     if (v, n) not in counts.counts]:
+            assert table.lookup(*pair) == class_membership(model, *pair).max()
+
+    def test_zero_total_falls_back_to_the_priors(self):
+        # v0 lives only in class 0 and n1 only in class 1: p(v0, n1) = 0.
+        model = ClusterModel(priors=np.array([0.25, 0.75]),
+                             verb_emissions=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                             noun_emissions=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                             verbs=("v0", "v1"), nouns=("n0", "n1"))
+        counts = PairCounts(counts={("v0", "n0"): 2, ("v0", "n1"): 3})
+        assert_allclose(class_membership(model, "v0", "n1"), model.priors)
+        table = build_freq_table(model, counts)
+        assert table.entries == {("v0", "n0"): 3.0, ("v0", "n1"): 0.75 * 4}
+
     def test_monotone_in_frequency(self):
         # For fixed posteriors f_c grows strictly with the raw count.
         model = ClusterModel(priors=np.array([0.7, 0.3]),
@@ -264,14 +325,14 @@ class TestLexicalizedProperties:
             [relation("subj", "v", "c")],
         ])
         rows = lexicalized_properties(entry, table)
-        key = RelationSpec.slot_key("subj", "active", 1)
+        key = slot_key("subj", "active", 1)
         assert [r.get(key) for r in rows] == [1, 0, 1]
 
     def test_single_parse_vacuous_maximum(self):
         table = _table_for({("v", "a"): 0.5})
         entry = _entry_with_relations([[relation("subj", "v", "a")]])
         rows = lexicalized_properties(entry, table)
-        assert rows[0][RelationSpec.slot_key("subj", "active", 1)] == 1
+        assert rows[0][slot_key("subj", "active", 1)] == 1
 
     def test_parse_without_the_slot_gets_zero(self):
         table = _table_for({("v", "a"): 1.0, ("v", "b"): 2.0})
@@ -281,7 +342,7 @@ class TestLexicalizedProperties:
             [relation("subj", "v", "b")],
         ])
         rows = lexicalized_properties(entry, table)
-        key = RelationSpec.slot_key("subj", "active", 1)
+        key = slot_key("subj", "active", 1)
         assert rows[0].get(key, 0) == 0
         assert key not in rows[1]
         assert rows[2][key] == 1
@@ -293,14 +354,13 @@ class TestLexicalizedProperties:
         values = {(v, n): float(rng.integers(1, 9))
                   for v in verbs for n in nouns}
         table = _table_for(values)
-        spec = RelationSpec()
         for _ in range(25):
             parse_relations = []
             for _ in range(int(rng.integers(1, 5))):
                 rels = []
                 for _ in range(int(rng.integers(0, 3))):
-                    rel_name, voice, pos = spec.slots()[
-                        int(rng.integers(0, len(spec.slots())))]
+                    rel_name, voice, pos = SLOTS[
+                        int(rng.integers(0, len(SLOTS)))]
                     rels.append(relation(rel_name, str(rng.choice(verbs)),
                                          str(rng.choice(nouns)), voice, pos))
                 parse_relations.append(rels)
@@ -350,9 +410,11 @@ class TestIO:
         path.write_text("eat\tapple\tmany\n")
         with pytest.raises(DataError, match="integer"):
             load_pair_counts(path)
-        path.write_text("")
-        with pytest.raises(DataError, match="empty"):
-            load_pair_counts(path)
+        for text in ("", "eat\tapple\t0\ndrive\tcar\t0\n"):
+            path.write_text(text)
+            with pytest.raises(DataError, match="empty") as info:
+                load_pair_counts(path)
+            assert str(path) in str(info.value)
 
     def test_cluster_model_round_trip(self, tmp_path):
         model, _ = train_clusters(TOY_COUNTS, n_classes=2, seed=1,

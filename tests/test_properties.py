@@ -152,8 +152,7 @@ class TestRegistryConstruction:
         assert counts == {"000000": 2, "000001": 2}
 
     def test_structural_plus_lexicalized(self):
-        from parsedisamb import (LexFrequencyTable, RelationSpec,
-                                 train_clusters)
+        from parsedisamb import LexFrequencyTable, slot_key, train_clusters
         from parsedisamb.lexicalization import PairCounts
         from conftest import relation
 
@@ -173,7 +172,7 @@ class TestRegistryConstruction:
         kinds = registry.kinds()
         assert "production" in kinds and "lexicalized-relation" in kinds
         slot = registry.index_of("lexicalized-relation",
-                                 RelationSpec.slot_key("subj", "active", 1))
+                                 slot_key("subj", "active", 1))
         assert slot is not None
         # Only the f_c-maximal parse activates the slot.
         assert registry.properties[slot].activation_count == 1
