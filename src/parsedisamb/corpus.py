@@ -282,7 +282,10 @@ def _parse_from_json(rec: dict, where: str) -> ParseRecord:
     parse_id = _require(rec, "parse_id", where)
     cstructure = rec.get("cstructure")
     if cstructure is not None:
-        cstructure = tree_from_json(cstructure)
+        try:
+            cstructure = tree_from_json(cstructure)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
     fstructure = rec.get("fstructure")
     if fstructure is not None:
         try:
@@ -346,23 +349,19 @@ def _entry_from_json(rec: dict, where: str) -> SentenceEntry:
 # ---------------------------------------------------------------------------
 # Loading / saving
 
-def build_corpus(entries: Iterable[SentenceEntry],
-                 normalize_weights: bool = True) -> Corpus:
-    """Validate entries and assemble a corpus.
-
-    Weights default to uniform when every entry still carries weight 1.
-    Distinct entries reusing a sentence_id are an error.
+def build_corpus(entries: Iterable[SentenceEntry]) -> Corpus:
+    """Validate entries and assemble a corpus, weights normalized to sum to
+    one.  Distinct entries reusing a sentence_id are an error.
     """
     entries = list(entries)
     for entry in entries:
         _validate_entry(entry, f"sentence {entry.sentence_id!r}")
-    return _assemble(entries, normalize_weights)
+    return _assemble(entries)
 
 
-def _assemble(entries: list[SentenceEntry],
-              normalize_weights: bool = True) -> Corpus:
+def _assemble(entries: list[SentenceEntry]) -> Corpus:
     """Corpus of validated entries: unique sentence ids, weights summing to
-    one when ``normalize_weights`` is set."""
+    one."""
     if not entries:
         raise DataError("corpus has no entries")
     ids = [e.sentence_id for e in entries]
@@ -370,14 +369,13 @@ def _assemble(entries: list[SentenceEntry],
         dup = sorted({i for i in ids if ids.count(i) > 1})
         raise DataError(f"duplicate sentence_id(s): {dup}")
 
-    if normalize_weights:
-        total = sum(e.weight for e in entries)
-        if total <= 0:
-            raise DataError("total corpus weight is zero; cannot normalize")
-        # Skip the division when already normalized, so renormalizing is
-        # idempotent at the last ulp.
-        if abs(total - 1.0) > 1e-12:
-            entries = [replace(e, weight=e.weight / total) for e in entries]
+    total = sum(e.weight for e in entries)
+    if total <= 0:
+        raise DataError("total corpus weight is zero; cannot normalize")
+    # Skip the division when already normalized, so renormalizing is
+    # idempotent at the last ulp.
+    if abs(total - 1.0) > 1e-12:
+        entries = [replace(e, weight=e.weight / total) for e in entries]
     return Corpus(entries=tuple(entries))
 
 
@@ -407,8 +405,8 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
         if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
             raise DataError(f"{path}: line 1: not a {CORPUS_FORMAT} file")
         if header.get("version") != CORPUS_VERSION:
-            raise DataError(
-                f"{path}: unsupported corpus version {header.get('version')!r}")
+            raise DataError(f"{path}: line 1: unsupported corpus version "
+                            f"{header.get('version')!r}")
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
@@ -440,7 +438,10 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
                 f"{path}: no sentences left after max_parses={max_parses} cutoff")
     if not entries:
         raise DataError(f"{path}: corpus contains no sentence entries")
-    return _assemble(entries)
+    try:
+        return _assemble(entries)
+    except DataError as exc:  # duplicate sentence ids or zero total weight
+        raise DataError(f"{path}: {exc}") from None
 
 
 @contextmanager
@@ -512,7 +513,7 @@ def extract_parsebank(corpus: Corpus) -> Corpus:
     kept = [replace(e, gold_index=0) for e in corpus.entries if len(e.parses) == 1]
     if not kept:
         raise DataError("no unambiguous sentences: parsebank would be empty")
-    return build_corpus(kept, normalize_weights=True)
+    return build_corpus(kept)
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
@@ -681,7 +682,7 @@ def generate_synthetic(config: SyntheticConfig,
             gold_index=gold,
         ))
 
-    corpus = build_corpus(entries, normalize_weights=True)
+    corpus = build_corpus(entries)
     description = {
         "n_features": config.n_features,
         "true_params": [float(v) for v in theta],

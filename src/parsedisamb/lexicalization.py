@@ -88,6 +88,9 @@ def load_pair_counts(path) -> PairCounts:
                 raise DataError(
                     f"{path}: line {lineno}: count {raw!r} is not an integer"
                 ) from exc
+            if count < 0:
+                raise DataError(f"{path}: line {lineno}: negative count {count} "
+                                f"for pair ({verb!r}, {noun!r})")
             key = (verb, noun)
             counts[key] = counts.get(key, 0) + count
     pairs = PairCounts(counts=counts)
@@ -139,6 +142,8 @@ class ClusterModel:
                 or self.noun_emissions.shape != (n_classes, len(self.nouns))):
             raise DataError("priors, emissions and vocabularies have "
                             "mismatched shapes")
+        if not all(isinstance(w, str) for w in self.verbs + self.nouns):
+            raise DataError("verbs and nouns must be strings")
         for name, dist in (("priors", self.priors[None, :]),
                            ("verb_emissions", self.verb_emissions),
                            ("noun_emissions", self.noun_emissions)):

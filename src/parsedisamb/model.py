@@ -125,12 +125,6 @@ class Decision:
     kind: str                   # "unique" | "dont_know"
     parse_ids: tuple[str, ...]
 
-    @property
-    def unique_id(self) -> str:
-        if self.kind != "unique":
-            raise ValueError("decision is not unique")
-        return self.parse_ids[0]
-
 
 # ---------------------------------------------------------------------------
 # Scoring

@@ -35,7 +35,7 @@ sentence's competitor set (see lexicalization), and the correction value is
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -79,7 +79,6 @@ INDEX_DTYPE = np.int32
 
 @dataclass(frozen=True)
 class PropertyDescriptor:
-    index: int
     kind: str
     key: str
     activation_count: int = 0
@@ -88,21 +87,18 @@ class PropertyDescriptor:
 @dataclass
 class PropertyRegistry:
     """Ordered property inventory; complete once the correction property is
-    appended, which sets ``correction_K``."""
+    appended, which sets ``correction_K``.  A descriptor's column is its
+    position."""
 
     properties: list[PropertyDescriptor]
     correction_K: Optional[float] = None
     _by_key: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        keys = [(d.kind, d.key) for d in self.properties]
-        if len(set(keys)) != len(keys):
+        self._by_key = {(d.kind, d.key): i
+                        for i, d in enumerate(self.properties)}
+        if len(self._by_key) != len(self.properties):
             raise ConfigError("registry descriptors must be unique by (kind, key)")
-        for i, d in enumerate(self.properties):
-            if d.index != i:
-                raise ConfigError(
-                    f"descriptor index {d.index} does not match position {i}")
-        self._by_key = {(d.kind, d.key): d.index for d in self.properties}
 
     @property
     def size(self) -> int:
@@ -126,7 +122,7 @@ class PropertyRegistry:
             "version": REGISTRY_VERSION,
             "correction_K": self.correction_K,
             "properties": [
-                {"index": d.index, "kind": d.kind, "key": d.key,
+                {"kind": d.kind, "key": d.key,
                  "activation_count": d.activation_count}
                 for d in self.properties
             ],
@@ -138,13 +134,19 @@ class PropertyRegistry:
             raise DataError("not a property-registry document")
         if doc.get("version") != REGISTRY_VERSION:
             raise DataError(f"unsupported registry version {doc.get('version')!r}")
-        props = [
-            PropertyDescriptor(index=p["index"], kind=p["kind"], key=p["key"],
-                               activation_count=p.get("activation_count", 0))
-            for p in doc["properties"]
-        ]
+        props = []
+        for i, p in enumerate(doc["properties"]):
+            # Older registries record each descriptor's position as "index".
+            if p.get("index", i) != i:
+                raise DataError(f"descriptor {i} records index {p['index']!r}")
+            props.append(PropertyDescriptor(
+                kind=p["kind"], key=p["key"],
+                activation_count=p.get("activation_count", 0)))
+        K = doc.get("correction_K")
+        if K is not None and not (isinstance(K, (int, float)) and 0 < K < np.inf):
+            raise DataError(f"correction_K {K!r} is not a positive number")
         # Older registries also carry "frozen", which repeats correction_K.
-        return cls(properties=props, correction_K=doc.get("correction_K"))
+        return cls(properties=props, correction_K=K)
 
 
 def save_registry(registry: PropertyRegistry, path) -> None:
@@ -353,22 +355,19 @@ class FeatureMatrix:
             corpus=self.corpus,
         )
 
-    def project(self, registry: PropertyRegistry,
-                strict_correction: bool = False) -> "FeatureMatrix":
+    def project(self, registry: PropertyRegistry) -> "FeatureMatrix":
         """The same rows over the columns of ``registry``.
 
         Columns the registry lacks are dropped.  When the registry carries
         the correction property, each row gets ``K - total`` in the last
-        column; a row whose total exceeds K raises with
-        ``strict_correction`` (a stale registry for its defining corpus) and
-        is otherwise clamped to zero and counted.
+        column; a row whose total exceeds K is clamped to zero and counted.
         """
         K = registry.correction_K
         colmap = np.full(self.n_features, -1, dtype=INDEX_DTYPE)
-        for d in self.registry.properties:
+        for i, d in enumerate(self.registry.properties):
             target = registry.index_of(d.kind, d.key)
             if target is not None and d.kind != "correction":
-                colmap[d.index] = target
+                colmap[i] = target
         rows, cols, data = self.rows, colmap[self.indices], self.data
         keep = cols >= 0
         if not keep.all():
@@ -384,16 +383,7 @@ class FeatureMatrix:
         clamped = 0
         if K is not None:
             slack = K - np.bincount(rows, weights=data, minlength=n)
-            over = np.flatnonzero(slack < 0)
-            if over.size and strict_correction:
-                r = int(over[0])
-                s = int(np.searchsorted(self.offsets, r, side="right")) - 1
-                raise DataError(
-                    f"parse {self.parse_ids[s][r - self.offsets[s]]!r} of "
-                    f"sentence {self.sentence_ids[s]!r} has feature mass above "
-                    f"the correction constant {K}; the registry is stale for "
-                    "this corpus")
-            clamped = int(over.size)
+            clamped = int(np.count_nonzero(slack < 0))
             # The correction is the last column: it goes at the end of its row.
             fill = slack > 0
             ends = np.cumsum(per_row)[fill]
@@ -471,8 +461,7 @@ def _walk(corpus: Corpus, kinds: set[str],
 
     if registry is None:
         registry = PropertyRegistry(properties=[
-            PropertyDescriptor(index=i, kind=kind, key=key)
-            for (kind, key), i in vocab.items()])
+            PropertyDescriptor(kind=kind, key=key) for kind, key in vocab])
     return FeatureMatrix(
         indptr=np.frombuffer(indptr, dtype=np.int64),
         indices=np.frombuffer(indices, dtype=INDEX_DTYPE),
@@ -502,8 +491,26 @@ def _walk_for(corpus: Corpus, registry: PropertyRegistry,
 # ---------------------------------------------------------------------------
 # Compilation and registry construction
 
+def _template_kinds(corpus: Corpus) -> set[str]:
+    """Every structural kind when every parse has a c- and an f-structure,
+    otherwise passthrough, which needs precomputed features on every parse."""
+    def first(test) -> Optional[str]:
+        return next((f"parse {p.parse_id!r} of sentence {e.sentence_id!r}"
+                     for e in corpus.entries for p in e.parses if test(p)), None)
+
+    unstructured = first(lambda p: not p.has_structure)
+    if unstructured is None:
+        return set(STRUCTURAL_KINDS)
+    featureless = first(lambda p: p.precomputed_features is None)
+    if featureless is not None:
+        raise DataError(
+            f"the corpus mixes parses with only c-/f-structure ({featureless}) "
+            f"and parses with only precomputed features ({unstructured}); "
+            "templates need one or the other on every parse")
+    return {"passthrough"}
+
+
 def compile_templates(corpus: Corpus,
-                      enabled_kinds: Optional[Iterable[str]] = None,
                       include_lexicalized: bool = False,
                       lex_table: Optional[LexFrequencyTable] = None
                       ) -> FeatureMatrix:
@@ -512,24 +519,7 @@ def compile_templates(corpus: Corpus,
     The matrix's registry is the one ``build_registry`` returns; see there
     for the arguments.  Zero-weight sentences are included.
     """
-    has_structure = all(p.has_structure for e in corpus.entries for p in e.parses)
-    has_precomputed = all(p.precomputed_features is not None
-                          for e in corpus.entries for p in e.parses)
-    if enabled_kinds is None:
-        enabled = set(STRUCTURAL_KINDS) if has_structure else set()
-    else:
-        enabled = set(enabled_kinds)
-        unknown = enabled - set(STRUCTURAL_KINDS)
-        if unknown:
-            raise ConfigError(f"unknown structural kinds: {sorted(unknown)}")
-    if enabled and not has_structure:
-        raise DataError(
-            "structural kinds enabled but some parses lack c-/f-structure")
-    if not enabled:
-        if not has_precomputed:
-            raise ConfigError(
-                "no structural kinds enabled and no precomputed features present")
-        enabled = {"passthrough"}
+    enabled = _template_kinds(corpus)
 
     if not include_lexicalized:
         lex_table = None
@@ -538,9 +528,8 @@ def compile_templates(corpus: Corpus,
             "include_lexicalized requires a class-based frequency table")
 
     walked = _walk(corpus, enabled, lex_table)
-    counts = walked.activation_counts()
-    activation = {(d.kind, d.key): int(counts[d.index])
-                  for d in walked.registry.properties}
+    activation = {(d.kind, d.key): int(count) for d, count in
+                  zip(walked.registry.properties, walked.activation_counts())}
     if "passthrough" in enabled:
         # The passthrough registry spans the whole index range.
         width = 1 + max((int(key) for kind, key in activation
@@ -554,22 +543,22 @@ def compile_templates(corpus: Corpus,
     if not ordered:
         raise DataError("no property template was observed in the corpus")
     registry = PropertyRegistry(properties=[
-        PropertyDescriptor(index=i, kind=kind, key=key,
+        PropertyDescriptor(kind=kind, key=key,
                            activation_count=activation[(kind, key)])
-        for i, (kind, key) in enumerate(ordered)])
+        for kind, key in ordered])
     return walked.project(registry)
 
 
 def build_registry(corpus: Corpus,
-                   enabled_kinds: Optional[Iterable[str]] = None,
                    include_lexicalized: bool = False,
                    lex_table: Optional[LexFrequencyTable] = None) -> PropertyRegistry:
     """Instantiate one descriptor per template observed in the corpus.
 
-    ``enabled_kinds`` selects structural kinds (default: all of them when the
-    corpus carries structural data, none otherwise).  When no structural kind
-    is enabled, parses must carry precomputed features and the registry is a
-    passthrough over their index range.  ``include_lexicalized`` additionally
+    The templates are every structural kind when every parse carries a c-
+    and an f-structure.  Otherwise every parse must carry precomputed
+    features and the registry is a passthrough over their index range; a
+    corpus that mixes the two sorts of parse is a DataError.
+    ``include_lexicalized`` additionally
     registers every pre-disambiguation slot observed in the corpus relations;
     this requires the class-based frequency table, because activation counts
     are the number of parses with a nonzero value.
@@ -577,8 +566,7 @@ def build_registry(corpus: Corpus,
     Descriptors are ordered by (kind, key) lexicographically; the registry is
     returned without the correction property.
     """
-    return compile_templates(corpus, enabled_kinds, include_lexicalized,
-                             lex_table).registry
+    return compile_templates(corpus, include_lexicalized, lex_table).registry
 
 
 def compile_corpus(corpus: Corpus, registry: PropertyRegistry,
@@ -589,17 +577,14 @@ def compile_corpus(corpus: Corpus, registry: PropertyRegistry,
 
 
 def build_feature_matrix(corpus: Corpus, registry: PropertyRegistry,
-                         lex_table: Optional[LexFrequencyTable] = None,
-                         strict_correction: bool = False) -> FeatureMatrix:
+                         lex_table: Optional[LexFrequencyTable] = None
+                         ) -> FeatureMatrix:
     """The feature matrix of a corpus's parse universe, correction included.
 
-    Rows cover the sentences with positive weight.  With
-    ``strict_correction`` a parse whose feature total exceeds K raises (a
-    stale registry for its defining corpus); otherwise such corrections are
-    clamped at zero and counted.
+    Rows cover the sentences with positive weight.  Corrections of parses
+    whose feature total exceeds K are clamped at zero and counted.
     """
-    walked = _walk_for(corpus, registry, lex_table)
-    return walked.universe().project(registry, strict_correction)
+    return _walk_for(corpus, registry, lex_table).universe().project(registry)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +623,7 @@ def add_correction(registry: PropertyRegistry, corpus: Optional[Corpus] = None,
         raise DataError(
             "cannot fix a correction constant: every parse has zero feature mass")
     descriptor = PropertyDescriptor(
-        index=registry.size, kind="correction", key=CORRECTION_KEY,
+        kind="correction", key=CORRECTION_KEY,
         activation_count=int(np.count_nonzero(K - totals)))
     return PropertyRegistry(properties=registry.properties + [descriptor],
                             correction_K=K)
@@ -660,5 +645,4 @@ def select_properties(registry: PropertyRegistry,
     if not kept:
         raise DataError(f"property selection with cutoff {cutoff} removed "
                         "every descriptor")
-    return PropertyRegistry(properties=[replace(d, index=i)
-                                        for i, d in enumerate(kept)])
+    return PropertyRegistry(properties=kept)

@@ -215,8 +215,9 @@ def train(corpus: Corpus, registry: PropertyRegistry,
     final one.  A likelihood decrease beyond 1e-10 aborts: the update's
     monotonicity guarantee was violated, which signals an internal bug or
     corrupted inputs.  ``features``, the corpus's universe compiled against
-    ``registry`` as ``build_feature_matrix(..., strict_correction=True)``
-    returns it, saves compiling the corpus again.
+    ``registry`` as ``build_feature_matrix`` returns it, saves compiling the
+    corpus again.  A universe parse whose feature mass exceeds K means the
+    registry is stale for the corpus, which is a DataError.
 
     Each iteration scores the universe once: the distribution of the updated
     model gives both its likelihood and the next update's expectations.
@@ -235,11 +236,15 @@ def train(corpus: Corpus, registry: PropertyRegistry,
         raise ConfigError("training requires a registry with the correction "
                           "property (run add_correction first)")
     if features is None:
-        features = build_feature_matrix(corpus, registry, lex_table=lex_table,
-                                        strict_correction=True)
+        features = build_feature_matrix(corpus, registry, lex_table=lex_table)
     elif not same_columns(features.registry, registry):
         raise ConfigError("the feature matrix was compiled against another "
                           "registry")
+    if features.clamped_corrections:
+        raise DataError(
+            f"{features.clamped_corrections} parse(s) have feature mass above "
+            f"the correction constant {registry.correction_K}; the registry is "
+            "stale for this corpus")
     if complete_data and np.any(features.gold < 0):
         raise DataError("complete-data training requires gold_index on every "
                         "sentence")
@@ -297,8 +302,7 @@ def compare_inits(corpus: Corpus, registry: PropertyRegistry,
     if n_random_seeds < 0:
         raise ConfigError("n_random_seeds must be nonnegative")
 
-    features = build_feature_matrix(corpus, registry, lex_table=lex_table,
-                                    strict_correction=True)
+    features = build_feature_matrix(corpus, registry, lex_table=lex_table)
     base = replace(config, init="uniform_zero")
     _, trace = train(corpus, registry, base, complete_data=complete_data,
                      features=features)

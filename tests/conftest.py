@@ -12,8 +12,7 @@ from parsedisamb import (Corpus, FStructure, ParseRecord, Relation,
 def passthrough_corpus(sentences: Sequence[Sequence[dict]],
                        golds: Optional[Sequence[Optional[int]]] = None,
                        frames: Optional[Sequence[Sequence[str]]] = None,
-                       weights: Optional[Sequence[float]] = None,
-                       normalize: bool = True) -> Corpus:
+                       weights: Optional[Sequence[float]] = None) -> Corpus:
     """Corpus from per-sentence lists of sparse feature dicts."""
     entries = []
     for s, rows in enumerate(sentences):
@@ -32,7 +31,7 @@ def passthrough_corpus(sentences: Sequence[Sequence[dict]],
             weight=1.0 if weights is None else weights[s],
             gold_index=None if golds is None else golds[s],
         ))
-    return build_corpus(entries, normalize_weights=normalize)
+    return build_corpus(entries)
 
 
 def corrected_registry(corpus: Corpus):

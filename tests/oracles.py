@@ -232,16 +232,10 @@ def _parse_template_values(parse, kinds):
     return values
 
 
-def reference_registry(corpus, enabled_kinds=None, include_lexicalized=False,
-                       lex_table=None):
+def reference_registry(corpus, include_lexicalized=False, lex_table=None):
     """[(kind, key, activation_count)] in registry order."""
     has_structure = all(p.has_structure for e in corpus.entries for p in e.parses)
-    if enabled_kinds is None:
-        enabled = set(STRUCTURAL_KINDS) if has_structure else set()
-    else:
-        enabled = set(enabled_kinds)
-    if not enabled:
-        enabled = {"passthrough"}
+    enabled = set(STRUCTURAL_KINDS) if has_structure else {"passthrough"}
 
     activation = {}
     if "passthrough" in enabled:
@@ -342,16 +336,16 @@ def reference_matrix(corpus, registry, lex_table=None, universe_only=True):
 
 def reference_selection(registry, cutoff, corpus=None, lex_table=None):
     """[(kind, key, count)] of the descriptors that survive ``cutoff``."""
-    counts = {d.index: d.activation_count for d in registry.properties}
+    counts = [d.activation_count for d in registry.properties]
     if corpus is not None:
-        counts = {d.index: 0 for d in registry.properties}
+        counts = [0] * registry.size
         for entry in corpus.entries:
             for row in _entry_base_rows(entry, registry, lex_table):
                 for idx, value in row.items():
                     if value != 0:
                         counts[idx] += 1
-    return [(d.kind, d.key, counts[d.index]) for d in registry.properties
-            if counts[d.index] >= cutoff]
+    return [(d.kind, d.key, count)
+            for d, count in zip(registry.properties, counts) if count >= cutoff]
 
 
 def reference_decision(lam, entry, registry, tie_epsilon=1e-9,

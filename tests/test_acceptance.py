@@ -105,12 +105,14 @@ def test_c04_correction_exactness():
                         n_features=12, seed=6))[0])
     for corpus in corpora:
         registry = corrected_registry(corpus)
-        matrix = build_feature_matrix(corpus, registry, strict_correction=True)
+        matrix = build_feature_matrix(corpus, registry)
         totals = matrix.values.sum(axis=1)
-        exact = exact and bool(np.all(totals == registry.correction_K))
+        exact = (exact and matrix.clamped_corrections == 0
+                 and bool(np.all(totals == registry.correction_K)))
         parses_checked += matrix.n_parses
     _report(4, "correction exactness", exact,
-            f"{parses_checked} parses, integer totals equal K exactly")
+            f"{parses_checked} parses, none clamped, integer totals equal K "
+            "exactly")
 
 
 def test_c05_normalization():

@@ -113,6 +113,24 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "line 3" in err and "non-finite" in err
 
+    def test_mixed_corpus_is_data_error(self, tmp_path, capsys):
+        # One parse carries only a c- and an f-structure, the other only
+        # precomputed features: neither template rule covers both.
+        path = tmp_path / "mixed.jsonl"
+        lines = [{"format": "forest-corpus", "version": 1},
+                 {"sentence_id": "s0", "tokens": ["a"], "parses": [
+                     {"parse_id": "p0", "cstructure": ["S", ["a"]],
+                      "fstructure": {"functions": ["SUBJ"]}}]},
+                 {"sentence_id": "s1", "tokens": ["b"], "parses": [
+                     {"parse_id": "p1", "precomputed_features": {"0": 1}}]}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert _run("train", "--corpus", str(path),
+                    "--out-dir", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "mixes" in err
+        assert "'p0' of sentence 's0'" in err and "'p1' of sentence 's1'" in err
+        assert "Traceback" not in err
+
     def test_threads_flag_is_gone(self, synth_dir, tmp_path):
         code = _run("train", "--corpus", str(synth_dir / "train.jsonl"),
                     "--threads", "2", "--out-dir", str(tmp_path / "o"))
@@ -258,6 +276,19 @@ class TestClusterCommand:
         assert f"{path}: pair counts are empty" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("v0\tn0\t3\nv1\tn1\t-2\n", id="new-pair"),
+        pytest.param("v0\tn0\t3\nv0\tn0\t-2\n", id="repeated-pair"),
+    ])
+    def test_negative_count_names_file_and_line(self, tmp_path, capsys, text):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(text)
+        assert _run("cluster", "--pairs", str(path), "--classes", "2",
+                    "--out-dir", str(tmp_path / "c")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 2: negative count -2" in err
+        assert "Traceback" not in err
+
 
 class TestLexicalizedPipeline:
     def test_train_and_eval_with_frequency_table(self, synth_dir, tmp_path):
@@ -316,6 +347,16 @@ class TestStatsCommand:
                     "--out-dir", str(out)) == 0
         assert (out / "stats.json").exists()
         assert verify_manifest(out / "manifest.json")
+        assert json.loads((out / "manifest.json").read_text())["seed"] is None
+
+    def test_seed_is_rejected(self, synth_dir, tmp_path, capsys):
+        corpus = str(synth_dir / "train.jsonl")
+        assert _run("stats", "--corpus", corpus, "--seed", "1") == 1
+        assert "--seed" in capsys.readouterr().err
+        config = tmp_path / "stats.json"
+        config.write_text(json.dumps({"seed": 1}))
+        assert _run("stats", "--corpus", corpus, "--config", str(config)) == 1
+        assert "unknown config keys ['seed']" in capsys.readouterr().err
 
 
 class TestManifest:

@@ -1,8 +1,9 @@
 """The compiled feature matrix against the per-parse reference extraction.
 
-Random corpora mix structural templates with lexicalized slots and include
-zero-weight sentences, single-parse sentences, duplicated parses (exact score
-ties) and, in the held-out corpus, parses whose mass exceeds K.
+Random corpora carry either structural templates or only precomputed
+features (the passthrough registry), together with lexicalized slots, and
+include zero-weight sentences, single-parse sentences, duplicated parses
+(exact score ties) and, in the held-out corpus, parses whose mass exceeds K.
 """
 
 import numpy as np
@@ -52,7 +53,7 @@ def _tree(draw, tokens, lo, hi, root=False):
             tuple(_tree(draw, tokens, a, b) for a, b in zip(bounds, bounds[1:])))
 
 
-def _parse(draw, parse_id, tokens):
+def _parse(draw, parse_id, tokens, structured):
     relations = []
     for _ in range(draw(st.integers(0, 3))):
         name, voice = draw(st.sampled_from(SLOTS))
@@ -60,13 +61,17 @@ def _parse(draw, parse_id, tokens):
         relations.append(Relation(name, VERBS[position % len(VERBS)],
                                   draw(st.sampled_from(NOUNS)), voice,
                                   position))
-    return ParseRecord(
-        parse_id=parse_id,
-        cstructure=_tree(draw, tokens, 0, len(tokens), root=True),
-        fstructure=FStructure(
+    tree = fstructure = None
+    if structured:
+        tree = _tree(draw, tokens, 0, len(tokens), root=True)
+        fstructure = FStructure(
             pairs=tuple(draw(st.lists(st.sampled_from(PAIRS), max_size=3))),
             functions=tuple(draw(st.lists(st.sampled_from(FUNCTIONS),
-                                          max_size=4)))),
+                                          max_size=4))))
+    return ParseRecord(
+        parse_id=parse_id,
+        cstructure=tree,
+        fstructure=fstructure,
         relations=tuple(relations),
         frame=draw(st.sampled_from(("f0", "f1", "f2"))),
         precomputed_features=draw(st.dictionaries(
@@ -76,6 +81,9 @@ def _parse(draw, parse_id, tokens):
 
 @st.composite
 def corpora(draw, max_tokens=5, zero_weights=True):
+    """Structural corpora, or corpora whose parses carry only precomputed
+    features."""
+    structured = draw(st.booleans())
     entries = []
     for s in range(draw(st.integers(1, 5))):
         tokens = tuple(f"t{draw(st.integers(0, 3))}"
@@ -90,7 +98,7 @@ def corpora(draw, max_tokens=5, zero_weights=True):
                     relations=parses[-1].relations, frame=parses[-1].frame,
                     precomputed_features=parses[-1].precomputed_features))
             else:
-                parses.append(_parse(draw, f"p{j}", tokens))
+                parses.append(_parse(draw, f"p{j}", tokens, structured))
         weight = 1.0 if s == 0 or not zero_weights else \
             float(draw(st.sampled_from((0, 1, 2))))
         entries.append(SentenceEntry(
@@ -105,11 +113,6 @@ def lex_tables(draw):
     entries = {(v, n): float(draw(st.integers(1, 3)))
                for v in VERBS for n in NOUNS if draw(st.booleans())}
     return LexFrequencyTable(entries=entries, model=single)
-
-
-# Structural templates by default; none enabled selects the passthrough
-# registry over the precomputed features.
-KINDS = st.sampled_from((None, ()))
 
 
 def _lambdas(size):
@@ -134,19 +137,19 @@ class TestAgainstReference:
                 assert list(fast.items()) == list(slow.items())  # order too
 
     @SETTINGS
-    @given(corpora(), corpora(max_tokens=8), lex_tables(), KINDS,
-           st.integers(0, 4))
+    @given(corpora(), corpora(max_tokens=8), lex_tables(), st.integers(0, 4))
     def test_registry_correction_matrix_selection(self, corpus, heldout, table,
-                                                   kinds, cutoff):
-        expected = reference_registry(corpus, kinds, include_lexicalized=True,
+                                                   cutoff):
+        expected = reference_registry(corpus, include_lexicalized=True,
                                       lex_table=table)
-        if not any(kind == "passthrough" for kind, _, _ in expected) \
-                and kinds is not None:
+        passthrough = not corpus.entries[0].parses[0].has_structure
+        if passthrough and not any(kind == "passthrough"
+                                   for kind, _, _ in expected):
             with pytest.raises(DataError, match="empty"):
-                compile_templates(corpus, kinds, include_lexicalized=True,
+                compile_templates(corpus, include_lexicalized=True,
                                   lex_table=table)
             return
-        templates = compile_templates(corpus, kinds, include_lexicalized=True,
+        templates = compile_templates(corpus, include_lexicalized=True,
                                       lex_table=table)
         registry = templates.registry
         assert [(d.kind, d.key, d.activation_count)
@@ -179,10 +182,11 @@ class TestAgainstReference:
 
         dense, clamped = reference_matrix(corpus, frozen, table)
         assert clamped == 0
-        matrix = build_feature_matrix(corpus, frozen, lex_table=table,
-                                      strict_correction=True)
+        matrix = build_feature_matrix(corpus, frozen, lex_table=table)
+        assert matrix.clamped_corrections == 0
         assert np.array_equal(matrix.values, dense)
-        projected = templates.universe().project(frozen, strict_correction=True)
+        projected = templates.universe().project(frozen)
+        assert projected.clamped_corrections == 0
         for name in ("indptr", "indices", "data", "offsets", "weights", "gold"):
             assert np.array_equal(getattr(projected, name), getattr(matrix, name))
         assert projected.sentence_ids == matrix.sentence_ids
@@ -201,17 +205,13 @@ class TestAgainstReference:
         universe = build_feature_matrix(heldout, frozen, lex_table=table)
         assert np.array_equal(universe.values, dense)
         assert universe.clamped_corrections == clamped
-        if clamped:
-            with pytest.raises(DataError, match="stale"):
-                build_feature_matrix(heldout, frozen, lex_table=table,
-                                     strict_correction=True)
 
     @SETTINGS
-    @given(corpora(), corpora(max_tokens=8), lex_tables(), KINDS, st.data())
+    @given(corpora(), corpora(max_tokens=8), lex_tables(), st.data())
     def test_batched_decisions_match_per_sentence_decisions(
-            self, corpus, heldout, table, kinds, data):
+            self, corpus, heldout, table, data):
         try:
-            registry = compile_templates(corpus, kinds, include_lexicalized=True,
+            registry = compile_templates(corpus, include_lexicalized=True,
                                          lex_table=table).registry
             registry = add_correction(registry, corpus, lex_table=table)
         except DataError:  # no feature mass anywhere
@@ -245,7 +245,7 @@ class TestAgainstReference:
 class TestFeatureMatrix:
     def _matrix(self):
         corpus = passthrough_corpus([[{0: 3}, {}, {0: 1, 2: 2}], [{1: 1}]],
-                                    weights=[1.0, 0.0], normalize=False)
+                                    weights=[1.0, 0.0])
         return compile_templates(corpus)
 
     def test_products_match_the_dense_matrix(self):

@@ -55,10 +55,26 @@ class TestLoadCorpus:
         assert loaded.universe_size == 25
 
     def test_weight_normalization(self, tmp_path):
-        corpus = _counts_corpus([1, 1], weights=[2.0, 2.0], normalize=False)
-        path = _write(corpus, tmp_path)
+        path = tmp_path / "corpus.jsonl"
+        lines = [{"format": "forest-corpus", "version": 1}] + [
+            {"sentence_id": f"s{s}", "tokens": [f"t{s}"], "weight": weight,
+             "parses": [{"parse_id": "p0", "precomputed_features": {"0": 1}}]}
+            for s, weight in enumerate([1.0, 3.0])]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
         loaded = load_corpus(path)
-        assert_allclose([e.weight for e in loaded.entries], [0.5, 0.5])
+        assert_allclose([e.weight for e in loaded.entries], [0.25, 0.75])
+
+    def test_zero_total_weight_names_the_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        lines = [{"format": "forest-corpus", "version": 1},
+                 {"sentence_id": "s0", "tokens": ["a"], "weight": 0.0,
+                  "parses": [{"parse_id": "p0",
+                              "precomputed_features": {"0": 1}}]}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(DataError, match="total corpus weight is zero") \
+                as info:
+            load_corpus(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_parse_without_any_features_is_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

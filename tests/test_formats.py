@@ -54,7 +54,7 @@ class TestAtomicWrite:
 
 
 # A model and its registry as written before models dropped the reference
-# kind and registries the "frozen" flag.
+# kind and registries the "frozen" flag and each descriptor's "index".
 OLDER_REGISTRY = {
     "correction_K": 3.0, "format": "property-registry", "frozen": True,
     "properties": [
@@ -96,11 +96,13 @@ class TestOlderFormats:
         assert older.registry == registry
         assert load_registry(tmp_path / "registry.json") == registry
         assert _decisions(older, corpus) == _decisions(model, corpus)
-        # Saving again writes neither key.
+        # Saving again writes none of these keys.
         save_model(older, tmp_path / "again.json")
         doc = json.loads((tmp_path / "again.json").read_text())
         assert "reference_kind" not in doc
         assert "frozen" not in doc["registry"]
+        assert all(set(d) == {"kind", "key", "activation_count"}
+                   for d in doc["registry"]["properties"])
 
     def test_explicit_reference_is_a_data_error(self, tmp_path):
         doc = dict(OLDER_MODEL, reference_kind="explicit",
@@ -119,6 +121,26 @@ class TestOlderFormats:
                      "--out-dir", str(tmp_path / "eval")])
         assert code == 2
         assert "reference" in capsys.readouterr().err
+
+    def test_eval_of_a_wrong_index_exits_2(self, tmp_path, capsys):
+        save_corpus(_older_corpus(), tmp_path / "test.jsonl")
+        doc = json.loads(json.dumps(OLDER_MODEL))
+        doc["registry"]["properties"][1]["index"] = 2
+        write_json(doc, tmp_path / "model.json")
+        code = main(["eval", "--model", str(tmp_path / "model.json"),
+                     "--corpus", str(tmp_path / "test.jsonl"),
+                     "--out-dir", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{tmp_path / 'model.json'}: descriptor 1 records index 2" in err
+        assert "Traceback" not in err
+
+        registry = dict(OLDER_REGISTRY, properties=doc["registry"]["properties"])
+        write_json(registry, tmp_path / "registry.json")
+        with pytest.raises(DataError, match="descriptor 1 records index 2") \
+                as info:
+            load_registry(tmp_path / "registry.json")
+        assert str(tmp_path / "registry.json") in str(info.value)
 
 
 class TestBadDocuments:
@@ -199,13 +221,12 @@ def registries(draw):
                          min_size=1, max_size=8, unique=True))
     counts = draw(st.lists(st.integers(0, 10**6), min_size=len(keys),
                            max_size=len(keys)))
-    properties = [PropertyDescriptor(index=i, kind=kind, key=key,
-                                     activation_count=c)
-                  for i, ((kind, key), c) in enumerate(zip(keys, counts))]
+    properties = [PropertyDescriptor(kind=kind, key=key, activation_count=c)
+                  for (kind, key), c in zip(keys, counts)]
     K = draw(st.one_of(st.none(), st.floats(min_value=1e-300, max_value=1e300)))
     if K is not None:
         properties.append(PropertyDescriptor(
-            index=len(properties), kind="correction", key="K",
+            kind="correction", key="K",
             activation_count=draw(st.integers(0, 10**6))))
     return PropertyRegistry(properties=properties, correction_K=K)
 

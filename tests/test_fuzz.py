@@ -1,0 +1,168 @@
+"""Loader fuzz: one JSON value at a time replaced by a value of another shape.
+
+Every variant of a corpus line (structural and passthrough), the corpus
+header, a model with its embedded registry, and a frequency table either
+loads or raises a DataError naming the file, and for corpora the line.
+Through the CLI (``stats`` and ``eval``) the exit code is 0 or 2; any other
+exception would escape ``main`` and fail the test.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from parsedisamb import (DataError, load_corpus, load_model,
+                         pair_counts_from_corpus, save_pair_counts)
+from parsedisamb.cli import main
+from parsedisamb.lexicalization import load_freq_table
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# Replacement values: null, numbers, strings, lists and objects.
+VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(0, 2), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=2))
+
+HEADER = {"format": "forest-corpus", "version": 1}
+STRUCTURAL_LINE = {
+    "sentence_id": "fuzzed", "tokens": ["a", "b"], "weight": 1.0,
+    "gold_index": 0,
+    "parses": [
+        {"parse_id": "p0",
+         "cstructure": ["S", [["NP", ["a"]], ["VP", ["b"]]]],
+         "fstructure": {"pairs": [["TENSE", "past"]],
+                        "functions": ["SUBJ", "ADJUNCT"]},
+         "relations": [["subj", "v0", "n1", "active", 1]], "frame": "f0"},
+        {"parse_id": "p1", "cstructure": ["S", ["a", ["VP", ["b"]]]],
+         "fstructure": {"pairs": [], "functions": ["OBJ"]},
+         "relations": [["dobj", "v0", "n2", "passive", 1]], "frame": "f1"}]}
+
+
+def _paths(value, prefix=()):
+    """Every location in a JSON document, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _paths(value[key], prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, prefix + (i,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _variants(doc):
+    return st.tuples(st.sampled_from(list(_paths(doc))), VALUES)
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A small synthetic corpus, its cluster model and frequency table, and
+    a lexicalized model trained on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["synth", "--sentences", "24", "--ambiguity", "1", "4",
+                 "--features", "5", "--seed", "3", "--split", "0.75",
+                 "--out-dir", str(root / "synth")]) == 0
+    save_pair_counts(pair_counts_from_corpus(
+        load_corpus(root / "synth" / "train.jsonl")), root / "pairs.tsv")
+    assert main(["cluster", "--pairs", str(root / "pairs.tsv"),
+                 "--classes", "2", "--max-iterations", "5",
+                 "--out-dir", str(root / "clusters")]) == 0
+    assert main(["train", "--corpus", str(root / "synth" / "train.jsonl"),
+                 "--lexicalized", str(root / "clusters" / "freq_table.json"),
+                 "--max-iterations", "3",
+                 "--out-dir", str(root / "model")]) == 0
+    return root
+
+
+def _eval(artifacts, model, corpus, table):
+    return main(["eval", "--model", str(model), "--corpus", str(corpus),
+                 "--lex-table", str(table),
+                 "--out-dir", str(artifacts / "eval")])
+
+
+def _check_corpus(artifacts, lines, fuzzed_line):
+    path = artifacts / "fuzzed.jsonl"
+    path.write_text("".join(json.dumps(line, sort_keys=True) + "\n"
+                            for line in lines))
+    try:
+        load_corpus(path)
+    except DataError as exc:
+        assert str(exc).startswith(f"{path}: line {fuzzed_line}: "), str(exc)
+    assert main(["stats", "--corpus", str(path)]) in (0, 2)
+    assert _eval(artifacts, artifacts / "model" / "model.json", path,
+                 artifacts / "clusters" / "freq_table.json") in (0, 2)
+
+
+def _test_lines(artifacts):
+    text = (artifacts / "synth" / "test.jsonl").read_text()
+    return [json.loads(line) for line in text.splitlines()[1:3]]
+
+
+class TestLoaderFuzz:
+    @FUZZ
+    @given(_variants(STRUCTURAL_LINE))
+    def test_structural_corpus_line(self, artifacts, variant):
+        other = _test_lines(artifacts)[0]
+        _check_corpus(artifacts, [HEADER, _replaced(STRUCTURAL_LINE, *variant),
+                                  other], 2)
+
+    @FUZZ
+    @given(st.data())
+    def test_passthrough_corpus_line(self, artifacts, data):
+        line, other = _test_lines(artifacts)
+        fuzzed = _replaced(line, *data.draw(_variants(line)))
+        _check_corpus(artifacts, [HEADER, fuzzed, other], 2)
+
+    @FUZZ
+    @given(_variants(HEADER))
+    def test_corpus_header(self, artifacts, variant):
+        _check_corpus(artifacts, [_replaced(HEADER, *variant),
+                                  *_test_lines(artifacts)], 1)
+
+    @FUZZ
+    @given(st.data())
+    def test_model(self, artifacts, data):
+        doc = json.loads((artifacts / "model" / "model.json").read_text())
+        path = artifacts / "fuzzed_model.json"
+        _write_json(path, _replaced(doc, *data.draw(_variants(doc))))
+        try:
+            load_model(path)
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+        assert _eval(artifacts, path, artifacts / "synth" / "test.jsonl",
+                     artifacts / "clusters" / "freq_table.json") in (0, 2)
+
+    @FUZZ
+    @given(st.data())
+    def test_freq_table(self, artifacts, data):
+        doc = json.loads(
+            (artifacts / "clusters" / "freq_table.json").read_text())
+        path = artifacts / "fuzzed_table.json"
+        _write_json(path, _replaced(doc, *data.draw(_variants(doc))))
+        try:
+            load_freq_table(path)
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+        assert _eval(artifacts, artifacts / "model" / "model.json",
+                     artifacts / "synth" / "test.jsonl", path) in (0, 2)

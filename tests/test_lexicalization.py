@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -415,6 +417,14 @@ class TestIO:
             with pytest.raises(DataError, match="empty") as info:
                 load_pair_counts(path)
             assert str(path) in str(info.value)
+        # A negative count is rejected on its own line, also when the pair
+        # occurred before with a larger count.
+        for text in ("v0\tn0\t3\nv1\tn1\t-2\n", "v0\tn0\t3\nv0\tn0\t-2\n"):
+            path.write_text(text)
+            with pytest.raises(DataError,
+                               match=f"{re.escape(str(path))}: line 2: "
+                                     "negative count -2"):
+                load_pair_counts(path)
 
     def test_cluster_model_round_trip(self, tmp_path):
         model, _ = train_clusters(TOY_COUNTS, n_classes=2, seed=1,

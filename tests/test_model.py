@@ -171,7 +171,7 @@ class TestDisambiguate:
         model = model.with_lam(np.array([1.0, 0.0]))
         decision = disambiguate(model, corpus.entries[0])
         assert decision.kind == "unique"
-        assert decision.unique_id == "p0"
+        assert decision.parse_ids == ("p0",)
 
     def test_exact_tie(self):
         corpus, registry, model = _uniform_setup([[{0: 4}, {0: 4}, {0: 2}]])
@@ -184,7 +184,7 @@ class TestDisambiguate:
         corpus, registry, model = _uniform_setup([[{0: 1}]])
         decision = disambiguate(model, corpus.entries[0])
         assert decision.kind == "unique"
-        assert decision.unique_id == "p0"
+        assert decision.parse_ids == ("p0",)
 
     def test_zero_lambda_identical_vectors_dont_know(self):
         corpus, registry, model = _uniform_setup(

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parsedisamb import (ConfigError, DataError, SentenceEntry, add_correction,
-                         build_corpus, build_feature_matrix, build_registry,
-                         compile_corpus, load_registry, save_registry,
-                         select_properties)
+from parsedisamb import (ConfigError, DataError, ParseRecord, SentenceEntry,
+                         add_correction, build_corpus, build_feature_matrix,
+                         build_registry, compile_corpus, load_registry,
+                         save_registry, select_properties, train)
 from parsedisamb.properties import PropertyDescriptor, PropertyRegistry
 from conftest import passthrough_corpus, structural_parse
 from oracles import entry_feature_rows
@@ -20,6 +22,12 @@ def _named_rows(corpus, registry, **kwargs):
         rows.append({(registry.properties[c].kind, registry.properties[c].key): v
                      for c, v in zip(matrix.indices[a:b], matrix.data[a:b])})
     return rows
+
+
+def _kind_rows(corpus, *kinds):
+    """Per parse: the entries of ``kinds`` in its row over the full registry."""
+    return [{name: v for name, v in row.items() if name[0] in kinds}
+            for row in _named_rows(corpus, build_registry(corpus))]
 
 
 def _keyed(row):
@@ -53,8 +61,7 @@ FLAT = ("S", (("NP", ("DT", "NN")), ("VP", ("V",))))
 class TestStructuralExtractors:
     def test_production_counts(self):
         corpus = _structural_corpus([[structural_parse("p0", FLAT)]])
-        registry = build_registry(corpus, enabled_kinds=["production"])
-        (row,) = _named_rows(corpus, registry)
+        (row,) = _kind_rows(corpus, "production")
         assert _keyed(row) == {"S -> NP VP": 1, "NP -> DT NN": 1, "VP -> V": 1}
 
     def test_right_branching_tree_scores_zero(self):
@@ -62,8 +69,7 @@ class TestStructuralExtractors:
         left = ("A", (("B", (("C", ("z", "w")), "y")), "x"))
         corpus = _structural_corpus([
             [structural_parse("p0", right), structural_parse("p1", left)]])
-        registry = build_registry(corpus, enabled_kinds=["non-right-branching"])
-        p_right, p_left = _named_rows(corpus, registry)
+        p_right, p_left = _kind_rows(corpus, "non-right-branching")
         assert p_right == {}
         (value,) = p_left.values()
         assert value == 2  # B and C both have a right sibling
@@ -73,8 +79,7 @@ class TestStructuralExtractors:
         diff = ("NP", (("NP", ("a",)), ("CC", ("und",)), ("S", ("b",))))
         corpus = _structural_corpus([
             [structural_parse("p0", same), structural_parse("p1", diff)]])
-        registry = build_registry(corpus, enabled_kinds=["coord-non-parallel"])
-        p_same, p_diff = _named_rows(corpus, registry)
+        p_same, p_diff = _kind_rows(corpus, "coord-non-parallel")
         assert p_same == {}
         (value,) = p_diff.values()
         assert value == 1
@@ -83,8 +88,7 @@ class TestStructuralExtractors:
         # NP dominates 2 tokens -> bucket 2-3; VP dominates 1 -> bucket 1.
         corpus = _structural_corpus([[structural_parse(
             "p0", ("S", (("NP", ("a", "b")), ("VP", ("c",)))))]])
-        registry = build_registry(corpus, enabled_kinds=["attachment-complexity"])
-        (row,) = _named_rows(corpus, registry)
+        (row,) = _kind_rows(corpus, "attachment-complexity")
         assert _keyed(row) == {"1": 1, "2-3": 1}
 
     def test_argument_adjunct_split(self):
@@ -92,8 +96,7 @@ class TestStructuralExtractors:
             "p0", ("S", ("a",)),
             functions=["SUBJ", "OBJ", "ADJUNCT", "SUBJ"])
         corpus = _structural_corpus([[parse]])
-        registry = build_registry(corpus, enabled_kinds=["subtree-attachment"])
-        (row,) = _named_rows(corpus, registry)
+        (row,) = _kind_rows(corpus, "subtree-attachment")
         assert _keyed(row) == {"argument": 3, "adjunct": 1}
 
     def test_fstr_kinds(self):
@@ -102,9 +105,7 @@ class TestStructuralExtractors:
             functions=["SUBJ", "SUBJ", "OBJ"],
             pairs=[("TENSE", "past"), ("CASE", "acc"), ("TENSE", "past")])
         corpus = _structural_corpus([[parse]])
-        registry = build_registry(
-            corpus, enabled_kinds=["fstr-attribute", "fstr-atomic-pair"])
-        (named,) = _named_rows(corpus, registry)
+        (named,) = _kind_rows(corpus, "fstr-attribute", "fstr-atomic-pair")
         assert named == {
             ("fstr-attribute", "SUBJ"): 2,
             ("fstr-attribute", "OBJ"): 1,
@@ -135,15 +136,29 @@ class TestRegistryConstruction:
         keys = [(d.kind, d.key) for d in registry.properties]
         assert keys == sorted(keys)
 
-    def test_no_kinds_no_features_is_an_error(self):
-        corpus = _structural_corpus([[structural_parse("p0", FLAT)]])
-        with pytest.raises(ConfigError):
-            build_registry(corpus, enabled_kinds=[])
+    def test_one_parse_without_structure_selects_passthrough(self):
+        with_both = replace(structural_parse("p0", FLAT),
+                            precomputed_features={0: 1.0})
+        features_only = ParseRecord(parse_id="p1",
+                                    precomputed_features={1: 2.0})
+        corpus = build_corpus([SentenceEntry(
+            sentence_id="s0", tokens=("a", "b", "c"),
+            parses=(with_both, features_only))])
+        assert build_registry(corpus).kinds() == {"passthrough"}
 
-    def test_structural_kind_without_structure_is_an_error(self):
-        corpus = passthrough_corpus([[{0: 1}]])
-        with pytest.raises(DataError):
-            build_registry(corpus, enabled_kinds=["production"])
+    def test_mixed_corpus_is_a_data_error(self):
+        structure_only = structural_parse("p0", FLAT)
+        features_only = ParseRecord(parse_id="p1",
+                                    precomputed_features={0: 1.0})
+        corpus = build_corpus([
+            SentenceEntry(sentence_id="s0", tokens=("a", "b", "c"),
+                          parses=(structure_only,)),
+            SentenceEntry(sentence_id="s1", tokens=("a",),
+                          parses=(features_only,))])
+        with pytest.raises(DataError, match="mixes") as info:
+            build_registry(corpus)
+        assert "'p0' of sentence 's0'" in str(info.value)
+        assert "'p1' of sentence 's1'" in str(info.value)
 
     def test_activation_counts(self):
         corpus = passthrough_corpus([[{0: 1}, {0: 2, 1: 1}], [{1: 3}]])
@@ -249,15 +264,19 @@ class TestCorrection:
         corpus = passthrough_corpus([[{0: 1}]])
         registry = add_correction(build_registry(corpus), corpus)
         bigger = passthrough_corpus([[{0: 9}]])
-        with pytest.raises(DataError, match="stale"):
-            build_feature_matrix(bigger, registry, strict_correction=True)
         matrix = build_feature_matrix(bigger, registry)
         assert matrix.clamped_corrections == 1
         assert matrix.values[0, registry.correction_index] == 0
+        # Training on the universe of a stale registry is a data error,
+        # whether train compiles the corpus or is handed the matrix.
+        with pytest.raises(DataError, match="stale"):
+            train(bigger, registry)
+        with pytest.raises(DataError, match="stale"):
+            train(bigger, registry, features=matrix)
 
     def test_zero_weight_sentences_leave_the_universe(self):
         corpus = passthrough_corpus([[{0: 1}, {0: 2}], [{0: 3}]],
-                                    weights=[1.0, 0.0], normalize=False)
+                                    weights=[1.0, 0.0])
         assert corpus.universe_size == 2
         registry = add_correction(build_registry(corpus), corpus)
         matrix = build_feature_matrix(corpus, registry)
@@ -280,7 +299,7 @@ class TestCorrection:
 
 class TestSelection:
     def _registry(self, counts):
-        props = [PropertyDescriptor(index=i, kind="passthrough",
+        props = [PropertyDescriptor(kind="passthrough",
                                     key=f"{i:06d}", activation_count=c)
                  for i, c in enumerate(counts)]
         return PropertyRegistry(properties=props)
