@@ -10,9 +10,10 @@ Run:  python demos/02_training_workflow.py
 import numpy as np
 
 from parsedisamb import (SyntheticConfig, TrainingConfig, add_correction,
-                         build_registry, compare_inits, generate_synthetic,
-                         expectations, incomplete_log_likelihood, normalize,
-                         new_model, train)
+                         build_feature_matrix, build_registry, compare_inits,
+                         generate_synthetic, expectations,
+                         incomplete_log_likelihood, normalize, new_model,
+                         train)
 
 print("=" * 70)
 print("1. Build the property registry and append the correction")
@@ -76,10 +77,12 @@ print(f"random start final L  : best {max(report.random_final_Ls):.6f}, "
 print(f"random runs ending below the uniform run: "
       f"{report.win_rate:.0%} of 10")
 
-random_start = new_model(registry, corpus,
+# A model is tied to the compiled parse universe it normalizes over.
+features = build_feature_matrix(corpus, registry)
+random_start = new_model(features,
                          lam=np.random.default_rng(0).uniform(
                              -1.0, 1.0, registry.size))
-L_random_start = incomplete_log_likelihood(random_start, corpus)
+L_random_start = incomplete_log_likelihood(random_start, features=features)
 print(f"\nstarting likelihoods tell the story: the zero start opens at "
       f"{trace.records[0].log_likelihood:.4f},\nalready close to the final "
       f"{trace.final_log_likelihood:.4f}, while a random start opens down "

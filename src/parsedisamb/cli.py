@@ -141,6 +141,23 @@ def _load_input_corpus(path, max_parses=None) -> Corpus:
     return load_corpus(path, max_parses=max_parses)
 
 
+def _require_gold(corpus: Corpus, path) -> None:
+    """DataError naming the file and line of the first sentence of
+    ``corpus`` (loaded from ``path``) without a gold_index."""
+    missing = next((e.sentence_id for e in corpus.entries
+                    if e.gold_index is None), None)
+    if missing is None:
+        return
+    # A merged duplicate keeps the sentence_id of its first line.
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if (lineno > 1 and line.strip()
+                    and json.loads(line)["sentence_id"] == missing):
+                break
+    raise DataError(f"{path}: line {lineno}: sentence {missing!r} has no "
+                    "gold_index annotation")
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -247,6 +264,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     model = load_model(conf["model"])
     corpus = _load_input_corpus(conf["corpus"])
+    _require_gold(corpus, conf["corpus"])
     inputs = [conf["model"], conf["corpus"]]
 
     lex_table = None

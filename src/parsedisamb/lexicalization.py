@@ -121,6 +121,11 @@ def pair_counts_from_corpus(corpus: Corpus) -> PairCounts:
 # ---------------------------------------------------------------------------
 # Latent-class model
 
+def _check_words(words: tuple) -> None:
+    if not all(isinstance(w, str) for w in words):
+        raise DataError("verbs and nouns must be strings")
+
+
 @dataclass
 class ClusterModel:
     """Latent classes over (verb, noun) pairs.
@@ -142,8 +147,6 @@ class ClusterModel:
                 or self.noun_emissions.shape != (n_classes, len(self.nouns))):
             raise DataError("priors, emissions and vocabularies have "
                             "mismatched shapes")
-        if not all(isinstance(w, str) for w in self.verbs + self.nouns):
-            raise DataError("verbs and nouns must be strings")
         for name, dist in (("priors", self.priors[None, :]),
                            ("verb_emissions", self.verb_emissions),
                            ("noun_emissions", self.noun_emissions)):
@@ -182,12 +185,14 @@ class ClusterModel:
             raise DataError("not a cluster-model document")
         if doc.get("version") != CLUSTER_VERSION:
             raise DataError(f"unsupported cluster-model version {doc.get('version')!r}")
+        verbs, nouns = tuple(doc["verbs"]), tuple(doc["nouns"])
+        _check_words(verbs + nouns)
         return cls(
             priors=np.asarray(doc["priors"], dtype=float),
             verb_emissions=np.asarray(doc["verb_emissions"], dtype=float),
             noun_emissions=np.asarray(doc["noun_emissions"], dtype=float),
-            verbs=tuple(doc["verbs"]),
-            nouns=tuple(doc["nouns"]),
+            verbs=verbs,
+            nouns=nouns,
         )
 
 
@@ -234,6 +239,8 @@ def train_clusters(counts: PairCounts, n_classes: int,
         raise ConfigError("tolerance must be positive")
 
     verbs, nouns = counts.verbs, counts.nouns
+    # Checked once here: every ClusterModel below shares these vocabularies.
+    _check_words(verbs + nouns)
     verb_index = {v: i for i, v in enumerate(verbs)}
     noun_index = {n: i for i, n in enumerate(nouns)}
     pairs = sorted(counts.counts)

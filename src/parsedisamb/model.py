@@ -42,7 +42,7 @@ class LogLinearModel:
 
     lam: np.ndarray
     registry: PropertyRegistry
-    universe: str           # content digest of the defining corpus
+    universe: str           # FeatureMatrix.digest of the defining universe
     universe_size: int
 
     def __post_init__(self):
@@ -61,17 +61,18 @@ class LogLinearModel:
         return replace(self, lam=np.asarray(lam, dtype=float))
 
 
-def new_model(registry: PropertyRegistry, corpus: Corpus,
+def new_model(features: FeatureMatrix,
               lam: Optional[np.ndarray] = None) -> LogLinearModel:
-    """Model over ``corpus``'s parse universe, with lam = 0 by default (the
-    minimum-divergence start; maximum entropy under the uniform reference)."""
+    """Model over the parse universe ``features`` (as ``build_feature_matrix``
+    compiles it), with lam = 0 by default (the minimum-divergence start;
+    maximum entropy under the uniform reference)."""
     if lam is None:
-        lam = np.zeros(registry.size)
+        lam = np.zeros(features.n_features)
     return LogLinearModel(
         lam=lam,
-        registry=registry,
-        universe=corpus.content_digest(),
-        universe_size=corpus.universe_size,
+        registry=features.registry,
+        universe=features.digest,
+        universe_size=features.n_parses,
     )
 
 
@@ -139,10 +140,10 @@ def normalize(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
             raise ConfigError("either a corpus or a feature matrix is required")
         features = build_feature_matrix(corpus, model.registry,
                                         lex_table=lex_table)
-    if (features.corpus_digest != model.universe
+    if (features.digest != model.universe
             or features.n_parses != model.universe_size):
         raise ConfigError(
-            "corpus is not the model's universe (content digest mismatch)")
+            "feature matrix is not the model's universe (digest mismatch)")
     scores = features.dot(model.lam)
     scores -= np.log(features.n_parses)  # the uniform reference p0
     if not np.all(np.isfinite(scores)):

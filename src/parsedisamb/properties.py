@@ -34,8 +34,11 @@ sentence's competitor set (see lexicalization), and the correction value is
 
 from __future__ import annotations
 
+import hashlib
+import json
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -73,8 +76,9 @@ COORDINATION_MARKERS = frozenset({"CC", "CONJ", "KON"})
 
 CORRECTION_KEY = "K"
 
-# Column and row indices of the compiled matrix (array typecode "i").
-INDEX_DTYPE = np.int32
+# Column and row indices of the compiled matrix: numpy's native index type,
+# so gathers and bincounts use them without a cast.
+INDEX_DTYPE = np.intp
 
 
 @dataclass(frozen=True)
@@ -252,13 +256,14 @@ class FeatureMatrix:
     """Property rows of a corpus, compiled once, in CSR form and corpus order.
 
     Row ``r`` holds the nonzero values ``data[indptr[r]:indptr[r+1]]`` at the
-    columns ``indices[...]`` (increasing within a row) of ``registry``.
-    Indices are int32, so a matrix holds fewer than 2**31 nonzeros.
+    columns ``indices[...]`` (increasing within a row) of ``registry``;
+    ``indices`` and ``rows`` are ``INDEX_DTYPE``.
     ``offsets[s]:offsets[s+1]`` delimits sentence ``s``'s rows.  ``gold`` is
     -1 where no gold index is annotated.  ``clamped_corrections`` counts
     parses whose feature total exceeded K (possible outside the defining
     corpus); their correction value was clamped to zero.  Values are checked
     to be finite and nonnegative here, once, so no consumer rescans them.
+    ``digest`` identifies the matrix as a parse universe (see there).
     """
 
     indptr: np.ndarray
@@ -293,9 +298,26 @@ class FeatureMatrix:
     def n_features(self) -> int:
         return self.registry.size
 
-    @property
-    def corpus_digest(self) -> str:
-        return self.corpus.content_digest()
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 over everything scoring the matrix depends on: ``indptr``,
+        ``indices`` and ``offsets`` as little-endian int64, ``data`` and
+        ``weights`` as little-endian float64, and the registry's (kind, key)
+        columns.  A model records it as its universe."""
+        h = hashlib.sha256()
+        for part, dtype in ((self.indptr, "<i8"), (self.indices, "<i8"),
+                            (self.offsets, "<i8"), (self.data, "<f8"),
+                            (self.weights, "<f8")):
+            h.update(part.size.to_bytes(8, "little"))
+            h.update(np.ascontiguousarray(part, dtype=dtype).data)
+        h.update(json.dumps([[d.kind, d.key] for d in self.registry.properties],
+                            ensure_ascii=False).encode("utf-8"))
+        return h.hexdigest()
+
+    @cached_property
+    def parse_weights(self) -> np.ndarray:
+        """Each row's sentence weight."""
+        return np.repeat(self.weights, np.diff(self.offsets))
 
     @property
     def values(self) -> np.ndarray:
@@ -368,7 +390,10 @@ class FeatureMatrix:
             target = registry.index_of(d.kind, d.key)
             if target is not None and d.kind != "correction":
                 colmap[i] = target
-        rows, cols, data = self.rows, colmap[self.indices], self.data
+        # A registry that keeps every column in place needs no remapped copy.
+        in_place = np.array_equal(colmap, np.arange(self.n_features))
+        rows, data = self.rows, self.data
+        cols = self.indices if in_place else colmap[self.indices]
         keep = cols >= 0
         if not keep.all():
             rows, cols, data = rows[keep], cols[keep], data[keep]
@@ -415,7 +440,7 @@ def _walk(corpus: Corpus, kinds: set[str],
     passthrough = "passthrough" in kinds
     vocab: dict[tuple[str, str], int] = {}
     passthrough_cols: dict[int, int] = {}
-    indptr, indices, data = array("q", [0]), array("i"), array("d")
+    indptr, indices, data = array("q", [0]), array("q"), array("d")
     offsets, weights, gold = array("q", [0]), array("d"), array("q")
     sentence_ids, parse_ids = [], []
     row: list[tuple[int, float]] = []
@@ -464,7 +489,8 @@ def _walk(corpus: Corpus, kinds: set[str],
             PropertyDescriptor(kind=kind, key=key) for kind, key in vocab])
     return FeatureMatrix(
         indptr=np.frombuffer(indptr, dtype=np.int64),
-        indices=np.frombuffer(indices, dtype=INDEX_DTYPE),
+        indices=np.frombuffer(indices, dtype=np.int64).astype(INDEX_DTYPE,
+                                                              copy=False),
         data=np.frombuffer(data, dtype=float),
         registry=registry,
         offsets=np.frombuffer(offsets, dtype=np.int64),

@@ -121,8 +121,7 @@ def _expectations(dist: ParseDistribution, complete_data: bool
         row_weights = np.zeros(features.n_parses)
         row_weights[features.gold_rows()] = features.weights
     else:
-        row_weights = dist.conditional * np.repeat(features.weights,
-                                                   np.diff(features.offsets))
+        row_weights = dist.conditional * features.parse_weights
     return (features.weighted_sum(row_weights),
             features.weighted_sum(dist.probs))
 
@@ -216,8 +215,9 @@ def train(corpus: Corpus, registry: PropertyRegistry,
     monotonicity guarantee was violated, which signals an internal bug or
     corrupted inputs.  ``features``, the corpus's universe compiled against
     ``registry`` as ``build_feature_matrix`` returns it, saves compiling the
-    corpus again.  A universe parse whose feature mass exceeds K means the
-    registry is stale for the corpus, which is a DataError.
+    corpus again; the model records that matrix's digest as its universe.
+    A universe parse whose feature mass exceeds K means the registry is
+    stale for the corpus, which is a DataError.
 
     Each iteration scores the universe once: the distribution of the updated
     model gives both its likelihood and the next update's expectations.
@@ -249,7 +249,7 @@ def train(corpus: Corpus, registry: PropertyRegistry,
         raise DataError("complete-data training requires gold_index on every "
                         "sentence")
 
-    model = new_model(registry, corpus, lam=_initial_lam(config, registry.size))
+    model = new_model(features, lam=_initial_lam(config, registry.size))
     dist = normalize(model, features=features)
     likelihood = _likelihood(dist, complete_data)
 

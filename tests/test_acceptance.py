@@ -123,8 +123,7 @@ def test_c05_normalization():
         corpus, registry = random_passthrough_instance(rng)
         features = build_feature_matrix(corpus, registry)
         for _ in range(50):
-            model = new_model(registry, corpus,
-                              lam=rng.uniform(-3, 3, registry.size))
+            model = new_model(features, lam=rng.uniform(-3, 3, registry.size))
             dist = normalize(model, features=features)
             worst = max(worst, abs(float(dist.probs.sum()) - 1.0))
             n_models += 1
@@ -140,8 +139,8 @@ def test_c06_gradient_sign():
         corpus, registry = random_passthrough_instance(
             rng, max_sentences=6, max_ambiguity=4, max_features=4)
         lam = rng.uniform(-1, 1, registry.size)
-        model = new_model(registry, corpus, lam=lam)
         features = build_feature_matrix(corpus, registry)
+        model = new_model(features, lam=lam)
         numerator, denominator = expectations(model, features=features)
         gradient = numerator - denominator
         for i in range(registry.size):
@@ -306,7 +305,8 @@ def test_c09_metric_formulas():
         sentences.append([{}, {}]); golds.append(0); frames.append(["a", "b"])
     corpus = passthrough_corpus(sentences, golds=golds, frames=frames)
     registry = corrected_registry(corpus)
-    model = new_model(registry, corpus, lam=np.array([2.0, 0.0]))
+    model = new_model(build_feature_matrix(corpus, registry),
+                      lam=np.array([2.0, 0.0]))
     outcome = evaluate(model, corpus, task="exact_match")
     hand_ok = (outcome.n_correct, outcome.n_incorrect,
                outcome.n_dont_know) == (6, 2, 2) \

@@ -5,6 +5,7 @@ import pytest
 
 from parsedisamb import load_corpus, load_model, save_pair_counts, PairCounts
 from parsedisamb.cli import main, verify_manifest
+from parsedisamb.corpus import write_json
 
 
 def _run(*argv):
@@ -220,6 +221,55 @@ class TestEvalCommand:
                     "--corpus", str(synth_dir / "test.jsonl"),
                     "--out-dir", str(tmp_path / "o"))
         assert code == 2
+
+    @pytest.mark.parametrize("lineno", [2, 7])
+    def test_missing_gold_is_rejected_at_load(self, synth_dir, trained,
+                                              tmp_path, capsys, monkeypatch,
+                                              lineno):
+        import parsedisamb.cli as cli
+        lines = (synth_dir / "test.jsonl").read_text().splitlines()
+        record = json.loads(lines[lineno - 1])
+        record["gold_index"] = None
+        lines[lineno - 1] = json.dumps(record)
+        path = tmp_path / "ungold.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the corpus was compiled")
+
+        monkeypatch.setattr(cli, "compile_corpus", unreachable)
+        code = _run("eval", "--model", str(trained / "model.json"),
+                    "--corpus", str(path), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line {lineno}: sentence " \
+            f"{record['sentence_id']!r} has no gold_index" in err
+
+    def test_older_model_evaluates_identically(self, synth_dir, trained,
+                                               tmp_path, capsys):
+        # Models written before the universe digest covered the compiled
+        # matrix record the corpus content digest; eval never reads it.
+        doc = json.loads((trained / "model.json").read_text())
+        doc["universe"] = load_corpus(
+            synth_dir / "train.jsonl").content_digest()
+        older = tmp_path / "older.json"
+        write_json(doc, older)
+        outs, printed = [], []
+        for name, model in (("new", trained / "model.json"), ("old", older)):
+            out = tmp_path / name
+            assert _run("eval", "--model", str(model),
+                        "--corpus", str(synth_dir / "test.jsonl"),
+                        "--task", "exact", "--task", "frame",
+                        "--baseline", "5", "--seed", "3",
+                        "--checkpoints", str(trained / "checkpoints"),
+                        "--out-dir", str(out)) == 0
+            outs.append(out)
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        names = sorted(n for n in os.listdir(outs[0]) if n != "manifest.json")
+        assert len(names) == 6
+        for name in names:
+            assert _read(outs[0] / name) == _read(outs[1] / name)
 
 
 class TestClusterCommand:
@@ -455,3 +505,43 @@ class TestCompileOnce:
         assert len(os.listdir(tmp_path / "model" / "checkpoints")) >= 2
         assert parses == [1] * test_corpus.universe_size
         assert sentences == [1] * len(test_corpus.entries)
+
+
+class TestUniverseDigest:
+    @pytest.mark.parametrize("shape", ["structural-lex", "passthrough"])
+    def test_train_records_the_universe_build_feature_matrix_compiles(
+            self, tmp_path, shape):
+        import numpy as np
+        from parsedisamb import (SyntheticConfig, build_feature_matrix,
+                                 build_freq_table, generate_synthetic,
+                                 load_registry, normalize,
+                                 pair_counts_from_corpus, save_corpus,
+                                 train_clusters)
+        from parsedisamb.lexicalization import load_freq_table, save_freq_table
+
+        if shape == "passthrough":
+            corpus, _ = generate_synthetic(SyntheticConfig(
+                n_sentences=40, ambiguity_range=(1, 5), seed=3))
+        else:
+            corpus = _structural_corpus(np.random.default_rng(8), 12)
+        save_corpus(corpus, tmp_path / "train.jsonl")
+        pairs = pair_counts_from_corpus(corpus)
+        clusters, _ = train_clusters(pairs, n_classes=2, seed=1)
+        save_freq_table(build_freq_table(clusters, pairs),
+                        tmp_path / "table.json")
+        assert _run("train", "--corpus", str(tmp_path / "train.jsonl"),
+                    "--lexicalized", str(tmp_path / "table.json"),
+                    "--select-cutoff", "1", "--max-iterations", "5",
+                    "--out-dir", str(tmp_path / "model")) == 0
+
+        model = load_model(tmp_path / "model" / "model.json")
+        features = build_feature_matrix(
+            load_corpus(tmp_path / "train.jsonl"),
+            load_registry(tmp_path / "model" / "registry.json"),
+            lex_table=load_freq_table(tmp_path / "table.json"))
+        assert "lexicalized-relation" in features.registry.kinds()
+        assert (shape == "passthrough") == \
+            ("passthrough" in features.registry.kinds())
+        assert model.universe == features.digest
+        assert model.universe_size == features.n_parses
+        normalize(model, features=features)

@@ -6,6 +6,8 @@ include zero-weight sentences, single-parse sentences, duplicated parses
 (exact score ties) and, in the held-out corpus, parses whose mass exceeds K.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -190,6 +192,8 @@ class TestAgainstReference:
         for name in ("indptr", "indices", "data", "offsets", "weights", "gold"):
             assert np.array_equal(getattr(projected, name), getattr(matrix, name))
         assert projected.sentence_ids == matrix.sentence_ids
+        # The CLI's compile path and build_feature_matrix give one universe.
+        assert projected.digest == matrix.digest
         for rows in (matrix, projected):
             starts, ends = rows.indptr[:-1], rows.indptr[1:]
             assert all(np.all(np.diff(rows.indices[a:b]) > 0)
@@ -205,6 +209,11 @@ class TestAgainstReference:
         universe = build_feature_matrix(heldout, frozen, lex_table=table)
         assert np.array_equal(universe.values, dense)
         assert universe.clamped_corrections == clamped
+
+        for compiled_by in (templates, templates.universe(), projected, matrix,
+                            compiled, universe):
+            assert compiled_by.indices.dtype == np.intp
+            assert compiled_by.rows.dtype == np.intp
 
     @SETTINGS
     @given(corpora(), corpora(max_tokens=8), lex_tables(), st.data())
@@ -269,6 +278,33 @@ class TestFeatureMatrix:
         frozen = add_correction(matrix.registry, features=matrix)
         with pytest.raises(ConfigError):
             matrix.project(frozen).universe()
+
+    def test_index_arrays_are_native(self):
+        matrix = self._matrix()
+        frozen = add_correction(matrix.registry, features=matrix)
+        for compiled in (matrix, matrix.universe(),
+                         matrix.universe().project(frozen),
+                         build_feature_matrix(matrix.corpus, frozen),
+                         compile_corpus(matrix.corpus, frozen)):
+            assert compiled.indices.dtype == np.intp
+            assert compiled.rows.dtype == np.intp
+
+    def test_digest_follows_every_scored_input(self):
+        matrix = self._matrix()
+        frozen = add_correction(matrix.registry, features=matrix)
+        universe = build_feature_matrix(matrix.corpus, frozen)
+        assert universe.digest == \
+            build_feature_matrix(matrix.corpus, frozen).digest
+        value, weight = universe.data.copy(), universe.weights.copy()
+        value[1] += 1.0
+        weight[0] = 0.5
+        renamed = replace(frozen, properties=[
+            replace(d, key="000009") if d.key == "000002" else d
+            for d in frozen.properties])
+        for changed in (replace(universe, data=value),
+                        replace(universe, weights=weight),
+                        replace(universe, registry=renamed)):
+            assert changed.digest != universe.digest
 
     def test_negative_values_rejected_once_at_construction(self):
         matrix = self._matrix()

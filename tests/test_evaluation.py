@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parsedisamb import (ConfigError, DataError, SyntheticConfig, evaluate,
-                         generate_synthetic, new_model, random_baseline,
-                         sweep_checkpoints)
+from parsedisamb import (ConfigError, DataError, SyntheticConfig,
+                         build_feature_matrix, evaluate, generate_synthetic,
+                         new_model, random_baseline, sweep_checkpoints)
 from parsedisamb.evaluation import (SentenceVerdict, format_report_table,
                                     outcome_from_verdicts, write_report_json,
                                     write_sweep_csv)
@@ -33,7 +33,8 @@ def _hand_case():
         frames.append(["fa", "fb"])
     corpus = passthrough_corpus(sentences, golds=golds, frames=frames)
     registry = corrected_registry(corpus)
-    model = new_model(registry, corpus, lam=np.array([2.0, 0.0]))
+    model = new_model(build_feature_matrix(corpus, registry),
+                      lam=np.array([2.0, 0.0]))
     return corpus, registry, model
 
 
@@ -49,7 +50,7 @@ class TestMetrics:
     def test_unambiguous_corpus_is_perfect(self):
         corpus = passthrough_corpus([[{0: 1}], [{0: 2}]], golds=[0, 0])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         outcome = evaluate(model, corpus, task="exact_match")
         assert outcome.precision == 1.0
         assert outcome.effectiveness == 1.0
@@ -58,7 +59,7 @@ class TestMetrics:
         corpus = passthrough_corpus([[{}, {}]], golds=[0],
                                     frames=[["fa", "fb"]])
         registry = corrected_registry(passthrough_corpus([[{0: 1}, {}]]))
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         outcome = evaluate(model, corpus, task="exact_match")
         assert outcome.precision is None
         assert outcome.effectiveness == 0.0
@@ -82,7 +83,7 @@ class TestMetrics:
     def test_missing_gold_is_an_error(self):
         corpus = passthrough_corpus([[{0: 1}, {}]])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         with pytest.raises(DataError, match="gold"):
             evaluate(model, corpus)
 
@@ -99,7 +100,7 @@ class TestFrameTask:
 
     def _model_for(self, corpus):
         registry = corrected_registry(passthrough_corpus([[{0: 1}, {}]]))
-        return new_model(registry, corpus)
+        return new_model(build_feature_matrix(corpus, registry))
 
     def test_shared_frame_tie_counts_against_gold(self):
         corpus = self._frame_corpus([["same", "same"]], golds=[0])
@@ -113,7 +114,8 @@ class TestFrameTask:
         corpus = passthrough_corpus([[{}, {}, {0: 1}]], golds=[2],
                                     frames=[["same", "same", "gold"]])
         registry = corrected_registry(passthrough_corpus([[{0: 1}, {}]]))
-        model = new_model(registry, corpus, lam=np.array([-5.0, 0.0]))
+        model = new_model(build_feature_matrix(corpus, registry),
+                          lam=np.array([-5.0, 0.0]))
         outcome = evaluate(model, corpus, task="frame_match")
         assert outcome.n_incorrect == 1
 
@@ -128,14 +130,15 @@ class TestFrameTask:
         corpus = passthrough_corpus([[{0: 1}, {}]], golds=[1],
                                     frames=[["shared", "shared"]])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus, lam=np.array([3.0, 0.0]))
+        model = new_model(build_feature_matrix(corpus, registry),
+                          lam=np.array([3.0, 0.0]))
         assert evaluate(model, corpus, task="frame_match").n_correct == 1
         assert evaluate(model, corpus, task="exact_match").n_incorrect == 1
 
     def test_missing_frame_is_an_error(self):
         corpus = passthrough_corpus([[{0: 1}, {}]], golds=[0])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         with pytest.raises(DataError, match="frame"):
             evaluate(model, corpus, task="frame_match")
 
@@ -148,7 +151,7 @@ class TestFrameTask:
         corpus, _ = generate_synthetic(config)
         registry = corrected_registry(corpus)
         for _ in range(10):
-            model = new_model(registry, corpus,
+            model = new_model(build_feature_matrix(corpus, registry),
                               lam=rng.uniform(-1, 1, registry.size))
             exact = evaluate(model, corpus, task="exact_match")
             if exact.n_dont_know > 0:

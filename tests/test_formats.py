@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsedisamb import (DataError, PairCounts, build_freq_table, evaluate,
-                         load_model, load_registry, new_model, save_corpus,
-                         save_model, save_registry, train_clusters)
+from parsedisamb import (ConfigError, DataError, PairCounts,
+                         build_feature_matrix, build_freq_table, evaluate,
+                         load_model, load_registry, new_model, normalize,
+                         save_corpus, save_model, save_registry,
+                         train_clusters)
 from parsedisamb.cli import main
 from parsedisamb.corpus import atomic_write, write_json
 from parsedisamb.lexicalization import load_cluster_model, load_freq_table
@@ -87,12 +89,18 @@ class TestOlderFormats:
     def test_older_model_and_registry_load(self, tmp_path):
         corpus = _older_corpus()
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus, lam=np.array(OLDER_MODEL["lambda"]))
+        features = build_feature_matrix(corpus, registry)
+        model = new_model(features, lam=np.array(OLDER_MODEL["lambda"]))
         write_json(OLDER_MODEL, tmp_path / "model.json")
         write_json(OLDER_REGISTRY, tmp_path / "registry.json", indent=1)
 
         older = load_model(tmp_path / "model.json")
-        assert older.universe == model.universe
+        # Older models record the corpus content digest as their universe:
+        # they evaluate as before, but normalize rejects them against the
+        # compiled universe, whose digest covers the matrix.
+        assert older.universe == corpus.content_digest() != model.universe
+        with pytest.raises(ConfigError, match="universe"):
+            normalize(older, features=features)
         assert older.registry == registry
         assert load_registry(tmp_path / "registry.json") == registry
         assert _decisions(older, corpus) == _decisions(model, corpus)

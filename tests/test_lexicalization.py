@@ -12,7 +12,7 @@ from parsedisamb import (SLOTS, ClusterModel, ConfigError, DataError,
                          lexicalized_properties, load_pair_counts,
                          pair_counts_from_corpus, save_pair_counts, slot_key,
                          train_clusters)
-from parsedisamb.corpus import ParseRecord
+from parsedisamb.corpus import ParseRecord, write_json
 from parsedisamb.lexicalization import (load_cluster_model, load_freq_table,
                                         save_cluster_model, save_freq_table)
 from conftest import relation
@@ -184,6 +184,20 @@ class TestTrainClusters:
             train_clusters(TOY_COUNTS, n_classes=2, tolerance=0.0)
         with pytest.raises(DataError):
             train_clusters(PairCounts(counts={}), n_classes=1)
+
+    def test_non_string_words_are_data_errors(self, tmp_path):
+        # Checked once per run, before any model is built ...
+        with pytest.raises(DataError, match="strings"):
+            train_clusters(PairCounts(counts={(1, "n0"): 2}), n_classes=2)
+        # ... and in every loaded document.
+        model, _ = train_clusters(TOY_COUNTS, n_classes=2, seed=1,
+                                  max_iterations=3)
+        doc = model.to_json_dict()
+        doc["nouns"][0] = 7
+        path = tmp_path / "clusters.json"
+        write_json(doc, path)
+        with pytest.raises(DataError, match="strings"):
+            load_cluster_model(path)
 
 
 class TestClassMembership:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from conftest import corrected_registry, passthrough_corpus, \
 def _uniform_setup(sentences, **kwargs):
     corpus = passthrough_corpus(sentences, **kwargs)
     registry = corrected_registry(corpus)
-    model = new_model(registry, corpus)
+    model = new_model(build_feature_matrix(corpus, registry))
     return corpus, registry, model
 
 
@@ -30,7 +31,8 @@ class TestNormalize:
         corpus = passthrough_corpus([[{0: 1}, {}]])
         from parsedisamb import build_registry
         registry = build_registry(corpus)  # no correction: width-1 registry
-        model = new_model(registry, corpus, lam=np.array([math.log(3)]))
+        model = new_model(build_feature_matrix(corpus, registry),
+                          lam=np.array([math.log(3)]))
         dist = normalize(model, corpus)
         assert_allclose(dist.probs, [0.75, 0.25])
 
@@ -39,7 +41,7 @@ class TestNormalize:
         for _ in range(50):
             corpus, registry = random_passthrough_instance(rng)
             lam = rng.uniform(-2, 2, registry.size)
-            model = new_model(registry, corpus, lam=lam)
+            model = new_model(build_feature_matrix(corpus, registry), lam=lam)
             dist = normalize(model, corpus)
             assert abs(dist.probs.sum() - 1.0) < 1e-12
 
@@ -54,10 +56,11 @@ class TestNormalize:
         wide = passthrough_corpus([[{0: 1, 9: 1}, {1: 1, 9: 1}]])
         from parsedisamb import build_registry
         reg = build_registry(wide)
-        m1 = new_model(reg, wide, lam=np.array([0.3, -0.2] + [0.0] * (reg.size - 2)))
+        m1 = new_model(build_feature_matrix(wide, reg),
+                       lam=np.array([0.3, -0.2] + [0.0] * (reg.size - 2)))
         lam2 = m1.lam.copy()
         lam2[reg.size - 1] += 17.0  # feature "9" is constant 1 on every parse
-        m2 = new_model(reg, wide, lam=lam2)
+        m2 = new_model(build_feature_matrix(wide, reg), lam=lam2)
         assert_allclose(normalize(m1, wide).probs, normalize(m2, wide).probs,
                         atol=1e-15)
 
@@ -67,14 +70,31 @@ class TestNormalize:
         with pytest.raises(ConfigError, match="universe"):
             normalize(model, other)
 
+    def test_another_corpus_or_registry_matrix_rejected(self):
+        corpus, registry, model = _uniform_setup(
+            [[{0: 1, 1: 2}, {1: 1}], [{0: 2}, {0: 1, 2: 1}]])
+        normalize(model, features=build_feature_matrix(corpus, registry))
+        # The same shape, one value apart.
+        other = passthrough_corpus(
+            [[{0: 1, 1: 2}, {1: 1}], [{0: 2}, {0: 2, 2: 1}]])
+        # The same corpus and size, one column apart.
+        renamed = replace(registry, properties=[
+            replace(d, key="000009") if d.key == "000002" else d
+            for d in registry.properties])
+        for features in (build_feature_matrix(other, registry),
+                         build_feature_matrix(corpus, renamed)):
+            assert features.n_parses == model.universe_size
+            with pytest.raises(ConfigError, match="universe"):
+                normalize(model, features=features)
+
     def test_permutation_equivariance(self):
         rows = [{0: 2}, {1: 1}, {0: 1, 1: 1}]
         lam = np.array([0.7, -0.4, 0.0])
         corpus_a = passthrough_corpus([rows])
         corpus_b = passthrough_corpus([rows[::-1]])
         registry = corrected_registry(corpus_a)
-        model_a = new_model(registry, corpus_a, lam=lam)
-        model_b = new_model(registry, corpus_b, lam=lam)
+        model_a = new_model(build_feature_matrix(corpus_a, registry), lam=lam)
+        model_b = new_model(build_feature_matrix(corpus_b, registry), lam=lam)
         pa = normalize(model_a, corpus_a).probs
         pb = normalize(model_b, corpus_b).probs
         assert_allclose(pa, pb[::-1])
@@ -100,7 +120,8 @@ class TestConditional:
         corpus = passthrough_corpus([[{0: 1}, {}], [{}, {}]])
         from parsedisamb import build_registry
         registry = build_registry(corpus)
-        model = new_model(registry, corpus, lam=np.array([math.log(3)]))
+        model = new_model(build_feature_matrix(corpus, registry),
+                          lam=np.array([math.log(3)]))
         k = _sentence_conditional(normalize(model, corpus), 0)
         assert_allclose(k, [0.75, 0.25])
 
@@ -108,7 +129,7 @@ class TestConditional:
         rng = np.random.default_rng(7)
         for _ in range(20):
             corpus, registry = random_passthrough_instance(rng)
-            model = new_model(registry, corpus,
+            model = new_model(build_feature_matrix(corpus, registry),
                               lam=rng.uniform(-3, 3, registry.size))
             dist = normalize(model, corpus)
             for s in range(len(corpus.entries)):
@@ -121,7 +142,8 @@ class TestConditional:
         # the conditional and the log mass are still defined.
         corpus = passthrough_corpus([[{0: 1}, {0: 2}], [{1: 1}, {1: 2}, {}]])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus, lam=np.array([1000.0, 0.0, 0.0]))
+        model = new_model(build_feature_matrix(corpus, registry),
+                          lam=np.array([1000.0, 0.0, 0.0]))
         dist = normalize(model, corpus)
         assert np.all(dist.probs[2:] == 0.0)
         assert np.all(np.isfinite(dist.conditional))
@@ -137,7 +159,7 @@ class TestExpectation:
         corpus = passthrough_corpus([[{0: 1}, {}]])
         from parsedisamb import build_registry
         registry = build_registry(corpus)
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         assert_allclose(expectations(model, corpus)[1], [0.5])
 
     def test_identically_zero_feature_has_zero_expectation(self):
@@ -146,7 +168,7 @@ class TestExpectation:
         registry = corrected_registry(corpus)
         idx = next(i for i, d in enumerate(registry.properties)
                    if d.key == "000001")
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         _, expectation = expectations(model, corpus)
         assert expectation[idx] == 0.0
 
@@ -155,10 +177,10 @@ class TestExpectation:
         # an independent dense summation.
         rng = np.random.default_rng(3)
         corpus, registry = random_passthrough_instance(rng)
-        model = new_model(registry, corpus, lam=rng.uniform(-1, 1, registry.size))
+        matrix = build_feature_matrix(corpus, registry)
+        model = new_model(matrix, lam=rng.uniform(-1, 1, registry.size))
         dist = normalize(model, corpus)
         _, expectation = expectations(model, corpus)
-        matrix = build_feature_matrix(corpus, registry)
         K = registry.correction_K
         direct = sum(p * matrix.values[r, :-1].sum()
                      for r, p in enumerate(dist.probs))
@@ -204,8 +226,8 @@ class TestDisambiguate:
         lam = np.array([0.9, -0.3, 0.0])
         lam_shifted = lam.copy()
         lam_shifted[-1] += 5.0  # correction is constant within this sentence
-        m1 = new_model(registry, corpus, lam=lam)
-        m2 = new_model(registry, corpus, lam=lam_shifted)
+        m1 = new_model(build_feature_matrix(corpus, registry), lam=lam)
+        m2 = new_model(build_feature_matrix(corpus, registry), lam=lam_shifted)
         d1 = disambiguate(m1, corpus.entries[0])
         d2 = disambiguate(m2, corpus.entries[0])
         assert d1 == d2
@@ -232,7 +254,7 @@ class TestSerialization:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         corpus, registry = random_passthrough_instance(rng)
-        model = new_model(registry, corpus,
+        model = new_model(build_feature_matrix(corpus, registry),
                           lam=rng.standard_normal(registry.size) * math.pi)
         path = tmp_path / "model.json"
         save_model(model, path)

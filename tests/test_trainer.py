@@ -27,13 +27,13 @@ class TestLikelihood:
     def test_whole_universe_sentence_is_free(self):
         corpus = passthrough_corpus([[{0: 1}, {0: 2}, {}]])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         assert_allclose(incomplete_log_likelihood(model, corpus), 0.0, atol=1e-14)
 
     def test_two_half_universes(self):
         corpus = passthrough_corpus([[{0: 1}, {0: 2}], [{0: 3}, {0: 4}]])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         assert_allclose(incomplete_log_likelihood(model, corpus), math.log(0.5))
 
     def test_agrees_with_direct_formula(self):
@@ -41,10 +41,10 @@ class TestLikelihood:
         for _ in range(10):
             corpus, registry = random_passthrough_instance(rng)
             lam = rng.uniform(-1.5, 1.5, registry.size)
-            model = new_model(registry, corpus, lam=lam)
+            matrix = build_feature_matrix(corpus, registry)
+            model = new_model(matrix, lam=lam)
             # Direct formula over pre-correction vectors, with the correction
             # column appended by hand.
-            matrix = build_feature_matrix(corpus, registry)
             dense, offsets = matrix.values, matrix.offsets
             vectors = [dense[offsets[s]:offsets[s + 1]]
                        for s in range(matrix.n_sentences)]
@@ -62,7 +62,7 @@ class TestNormalizer:
         registry = add_correction(build_registry(corpus), corpus)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            model = new_model(registry, corpus,
+            model = new_model(build_feature_matrix(corpus, registry),
                               lam=rng.uniform(-1, 1, registry.size))
             dist = normalize(model, corpus)
             assert np.array_equal(expectations(model, corpus)[1],
@@ -80,7 +80,7 @@ class TestImStep:
         corpus = passthrough_corpus([[{0: 1}, {}]], golds=[0])
         registry = corrected_registry(corpus)
         assert registry.correction_K == 1
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         numerator, denominator = expectations(model, corpus, complete_data=True)
         assert_allclose(numerator[0], 1.0, atol=1e-15)
         assert_allclose(denominator[0], 0.5, atol=1e-15)
@@ -95,7 +95,8 @@ class TestImStep:
         # the model distribution, so every update is exactly zero.
         corpus = passthrough_corpus([[{0: 2}, {1: 1}, {0: 1, 1: 1}]])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus, lam=np.array([0.4, -0.8, 0.1]))
+        model = new_model(build_feature_matrix(corpus, registry),
+                          lam=np.array([0.4, -0.8, 0.1]))
         updated, gamma = im_step(model, corpus)
         assert_allclose(gamma, 0.0, atol=1e-12)
         assert_allclose(updated.lam, model.lam, atol=1e-12)
@@ -106,7 +107,7 @@ class TestImStep:
         corpus = passthrough_corpus([[{0: 1}, {2: 1}], [{0: 2}, {2: 2}]],
                                     golds=[0, 1])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         updated, gamma = im_step(model, corpus)
         frozen_idx = next(i for i, d in enumerate(registry.properties)
                           if d.key == "000001")
@@ -116,14 +117,14 @@ class TestImStep:
     def test_requires_correction(self):
         corpus = passthrough_corpus([[{0: 1}, {}]])
         registry = build_registry(corpus)
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         with pytest.raises(ConfigError, match="correction"):
             im_step(model, corpus)
 
     def test_complete_data_requires_gold(self):
         corpus = passthrough_corpus([[{0: 1}, {}]])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         with pytest.raises(DataError, match="gold"):
             im_step(model, corpus, complete_data=True)
 
@@ -134,7 +135,8 @@ class TestImStep:
         corpus = passthrough_corpus([[{0: 1}, {}]], golds=[0])
         registry = corrected_registry(corpus)
         assert registry.correction_K == 1
-        model = new_model(registry, corpus, lam=np.array([-40.0, 0.0]))
+        model = new_model(build_feature_matrix(corpus, registry),
+                          lam=np.array([-40.0, 0.0]))
         numerator, denominator = expectations(model, corpus, complete_data=True)
         unclamped = math.log(numerator[0] / max(denominator[0], 1e-12))
         assert_allclose(unclamped, 27.63, atol=0.01)
@@ -150,7 +152,8 @@ class TestImStep:
             config = TrainingConfig(init="random", seed=3, max_iterations=1)
             trained, trace = train(corpus, registry, config,
                                    complete_data=complete_data)
-            start = new_model(registry, corpus, lam=trace.records[0].lam)
+            start = new_model(build_feature_matrix(corpus, registry),
+                              lam=trace.records[0].lam)
             stepped, _ = im_step(start, corpus, complete_data=complete_data)
             assert np.array_equal(stepped.lam, trained.lam)
 
@@ -183,7 +186,7 @@ class TestTrain:
         corpus = passthrough_corpus([[{0: 2}, {1: 1}], [{0: 1, 1: 1}, {1: 2}],
                                      [{0: 3}, {0: 1, 1: 1}]])
         registry = corrected_registry(corpus)
-        model = new_model(registry, corpus)
+        model = new_model(build_feature_matrix(corpus, registry))
         numerator, denominator = expectations(model, corpus)
         assert_allclose(numerator, denominator, atol=1e-15)
         trained, trace = train(corpus, registry,
@@ -269,7 +272,7 @@ class TestTrain:
             corpus, registry = random_passthrough_instance(
                 rng, max_sentences=6, max_ambiguity=4, max_features=4)
             lam = rng.uniform(-1, 1, registry.size)
-            model = new_model(registry, corpus, lam=lam)
+            model = new_model(build_feature_matrix(corpus, registry), lam=lam)
             numerator, denominator = expectations(model, corpus)
             gradient = numerator - denominator
             for i in range(registry.size):
