@@ -53,12 +53,14 @@ print("=" * 70)
 print("3. The update drives the two expectation vectors together")
 print("=" * 70)
 
-numerator, denominator = expectations(model, corpus)
+# A model is tied to the compiled parse universe it normalizes over.
+features = build_feature_matrix(corpus, registry)
+numerator, denominator = expectations(model, features)
 gap = np.abs(numerator - denominator)
 print(f"max |conditional expectation - model expectation| = {gap.max():.2e}")
 print("(the update is log(numerator/denominator)/K per feature, so this gap")
 print(" shrinking toward zero is exactly the approach to a fixed point)")
-dist = normalize(model, corpus)
+dist = normalize(model, features)
 print(f"model distribution sums to 1 within {abs(dist.probs.sum() - 1):.1e}")
 
 print()
@@ -77,12 +79,10 @@ print(f"random start final L  : best {max(report.random_final_Ls):.6f}, "
 print(f"random runs ending below the uniform run: "
       f"{report.win_rate:.0%} of 10")
 
-# A model is tied to the compiled parse universe it normalizes over.
-features = build_feature_matrix(corpus, registry)
 random_start = new_model(features,
                          lam=np.random.default_rng(0).uniform(
                              -1.0, 1.0, registry.size))
-L_random_start = incomplete_log_likelihood(random_start, features=features)
+L_random_start = incomplete_log_likelihood(random_start, features)
 print(f"\nstarting likelihoods tell the story: the zero start opens at "
       f"{trace.records[0].log_likelihood:.4f},\nalready close to the final "
       f"{trace.final_log_likelihood:.4f}, while a random start opens down "

@@ -182,6 +182,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if conf["parsebank"]:
         corpus = extract_parsebank(corpus)
         complete = True
+    elif complete:
+        _require_gold(corpus, conf["corpus"])
 
     lex_table = None
     if conf["lexicalized"]:
@@ -192,8 +194,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     # One compile of the corpus serves the registry, the correction and the
     # trainer.
-    templates = compile_templates(
-        corpus, include_lexicalized=lex_table is not None, lex_table=lex_table)
+    templates = compile_templates(corpus, lex_table)
     registry = templates.registry
     if conf["select_cutoff"] is not None:
         registry = select_properties(registry, int(conf["select_cutoff"]))

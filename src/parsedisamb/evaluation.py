@@ -96,10 +96,9 @@ VERDICTS = ("correct", "incorrect", "dont_know")
 def _compiled(corpus: Corpus, registry: PropertyRegistry,
               features: Optional[FeatureMatrix],
               lex_table: Optional[LexFrequencyTable]) -> FeatureMatrix:
-    """``features`` when it is ``corpus`` compiled against ``registry``'s
-    columns; otherwise a fresh compile."""
-    if (features is not None and features.corpus is corpus
-            and features.n_sentences == len(corpus.entries)
+    """``features`` when it holds ``corpus``'s sentences compiled against
+    ``registry``'s columns; otherwise a fresh compile."""
+    if (features is not None and features.entries is corpus.entries
             and same_columns(features.registry, registry)):
         return features
     return compile_corpus(corpus, registry, lex_table)
@@ -108,22 +107,17 @@ def _compiled(corpus: Corpus, registry: PropertyRegistry,
 class _Judge:
     """Scores decisions against the gold annotation of one test corpus."""
 
-    def __init__(self, task: str, corpus: Corpus, features: FeatureMatrix):
+    def __init__(self, task: str, features: FeatureMatrix):
         if task not in TASKS:
             raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-        missing = np.flatnonzero(features.gold < 0)
-        if missing.size:
-            raise DataError(
-                f"sentence {features.sentence_ids[missing[0]]!r} has no "
-                "gold_index annotation")
         self.task = task
         self.features = features
-        self.gold_rows = features.offsets[:-1] + features.gold
+        self.gold_rows = features.gold_rows()
         if task == "frame_match":
             codes: dict[str, int] = {}
             self.frames = np.array(
                 [-1 if p.frame is None else codes.setdefault(p.frame, len(codes))
-                 for entry in corpus.entries for p in entry.parses],
+                 for entry in features.entries for p in entry.parses],
                 dtype=np.int64)
 
     def verdicts(self, decisions: Decisions) -> np.ndarray:
@@ -144,9 +138,10 @@ class _Judge:
         if lacking.size:
             r = int(lacking[0])
             s = int(np.searchsorted(features.offsets, r, side="right")) - 1
+            entry = features.entries[s]
             raise DataError(
-                f"sentence {features.sentence_ids[s]!r} parse "
-                f"{features.parse_ids[s][r - features.offsets[s]]!r} has no "
+                f"sentence {entry.sentence_id!r} parse "
+                f"{entry.parses[r - features.offsets[s]].parse_id!r} has no "
                 "frame descriptor (required by the frame task)")
         starts = features.offsets[:-1]
         lowest = np.minimum.reduceat(
@@ -176,13 +171,14 @@ def evaluate(model: LogLinearModel, test_corpus: Corpus,
     (``compile_corpus``), saves compiling it again.
     """
     features = _compiled(test_corpus, model.registry, features, lex_table)
-    judge = _Judge(task, test_corpus, features)
+    judge = _Judge(task, features)
     decisions = decide(model.lam, features, tie_epsilon)
     verdicts = []
     for s, code in enumerate(judge.verdicts(decisions)):
         decision = decisions.decision(features, s)
-        verdicts.append(SentenceVerdict(features.sentence_ids[s], VERDICTS[code],
-                                        decision.kind, decision.parse_ids))
+        verdicts.append(SentenceVerdict(
+            features.entries[s].sentence_id, VERDICTS[code], decision.kind,
+            decision.parse_ids))
     return outcome_from_verdicts(task, verdicts)
 
 
@@ -216,7 +212,7 @@ def random_baseline(test_corpus: Corpus, task: str, registry: PropertyRegistry,
     if n_models < 1:
         raise ConfigError("n_models must be >= 1")
     features = _compiled(test_corpus, registry, features, lex_table)
-    judge = _Judge(task, test_corpus, features)
+    judge = _Judge(task, features)
     rng = np.random.default_rng(seed)
     precisions = []
     n_undefined = 0
@@ -262,7 +258,7 @@ def sweep_checkpoints(checkpoint_models: Sequence[tuple[int, LogLinearModel]],
     judge = None
     for iteration, model in sorted(checkpoint_models, key=lambda p: p[0]):
         features = _compiled(test_corpus, model.registry, features, lex_table)
-        judge = judge or _Judge(task, test_corpus, features)
+        judge = judge or _Judge(task, features)
         precision, effectiveness = judge.rates(
             decide(model.lam, features, tie_epsilon))
         rows.append(SweepRow(iteration=iteration, precision=precision,

@@ -27,8 +27,7 @@ import numpy as np
 from .corpus import Corpus, SentenceEntry, read_json, write_json
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable
-from .properties import (FeatureMatrix, PropertyRegistry, build_feature_matrix,
-                         compile_corpus)
+from .properties import FeatureMatrix, PropertyRegistry, compile_corpus
 
 MODEL_FORMAT = "loglinear-model"
 MODEL_VERSION = 1
@@ -130,16 +129,10 @@ class Decision:
 # ---------------------------------------------------------------------------
 # Scoring
 
-def normalize(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
-              features: Optional[FeatureMatrix] = None,
-              lex_table: Optional[LexFrequencyTable] = None) -> ParseDistribution:
-    """Distribution of ``model`` over its universe: ``features`` when given,
-    else compiled from ``corpus``; either must be the model's universe."""
-    if features is None:
-        if corpus is None:
-            raise ConfigError("either a corpus or a feature matrix is required")
-        features = build_feature_matrix(corpus, model.registry,
-                                        lex_table=lex_table)
+def normalize(model: LogLinearModel,
+              features: FeatureMatrix) -> ParseDistribution:
+    """Distribution of ``model`` over its universe ``features``, as
+    ``build_feature_matrix`` compiles it."""
     if (features.digest != model.universe
             or features.n_parses != model.universe_size):
         raise ConfigError(
@@ -169,12 +162,14 @@ class Decisions:
     tied: np.ndarray
 
     def decision(self, features: FeatureMatrix, s: int) -> Decision:
-        ids = features.parse_ids[s]
+        parses = features.entries[s].parses
         start = features.offsets[s]
         if self.unique[s]:
-            return Decision(kind="unique", parse_ids=(ids[self.chosen[s] - start],))
+            return Decision(kind="unique",
+                            parse_ids=(parses[self.chosen[s] - start].parse_id,))
         rows = np.flatnonzero(self.tied[start:features.offsets[s + 1]])
-        return Decision(kind="dont_know", parse_ids=tuple(ids[j] for j in rows))
+        return Decision(kind="dont_know",
+                        parse_ids=tuple(parses[j].parse_id for j in rows))
 
 
 def decide(lam: np.ndarray, features: FeatureMatrix,

@@ -39,11 +39,13 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import Corpus, ParseRecord, count_leaves, read_json, write_json
+from .corpus import (Corpus, ParseRecord, SentenceEntry, count_leaves,
+                     read_json, write_json)
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable, lexicalized_properties
 
@@ -255,14 +257,17 @@ def _passthrough_key(index: int) -> str:
 class FeatureMatrix:
     """Property rows of a corpus, compiled once, in CSR form and corpus order.
 
-    Row ``r`` holds the nonzero values ``data[indptr[r]:indptr[r+1]]`` at the
-    columns ``indices[...]`` (increasing within a row) of ``registry``;
-    ``indices`` and ``rows`` are ``INDEX_DTYPE``.
-    ``offsets[s]:offsets[s+1]`` delimits sentence ``s``'s rows.  ``gold`` is
-    -1 where no gold index is annotated.  ``clamped_corrections`` counts
-    parses whose feature total exceeded K (possible outside the defining
-    corpus); their correction value was clamped to zero.  Values are checked
-    to be finite and nonnegative here, once, so no consumer rescans them.
+    Sentence ``s`` is ``entries[s]``; ``offsets[s]:offsets[s+1]`` delimits
+    its rows, one per parse, in order.  A matrix compiled from a corpus
+    holds that corpus's ``entries`` tuple itself; a ``universe()`` slice
+    holds a new tuple.  Row ``r`` holds the nonzero values
+    ``data[indptr[r]:indptr[r+1]]`` at the columns ``indices[...]``
+    (increasing within a row) of ``registry``; ``indices`` and ``rows`` are
+    ``INDEX_DTYPE``.  ``gold`` is -1 where no gold index is annotated.
+    ``clamped_corrections`` counts parses whose feature total exceeded K
+    (possible outside the defining corpus); their correction value was
+    clamped to zero.  Values are checked to be finite and nonnegative here,
+    once, so no consumer rescans them.
     ``digest`` identifies the matrix as a parse universe (see there).
     """
 
@@ -273,9 +278,7 @@ class FeatureMatrix:
     offsets: np.ndarray
     weights: np.ndarray
     gold: np.ndarray
-    sentence_ids: list[str]
-    parse_ids: list[tuple[str, ...]]
-    corpus: Corpus = field(repr=False)
+    entries: tuple[SentenceEntry, ...] = field(repr=False)
     clamped_corrections: int = 0
     rows: np.ndarray = field(init=False, repr=False)  # row of each nonzero
 
@@ -329,7 +332,8 @@ class FeatureMatrix:
     def gold_rows(self) -> np.ndarray:
         """Absolute row index of each sentence's gold parse."""
         if np.any(self.gold < 0):
-            missing = [self.sentence_ids[i] for i in np.nonzero(self.gold < 0)[0]]
+            missing = [self.entries[i].sentence_id
+                       for i in np.flatnonzero(self.gold < 0)]
             raise DataError(f"sentences without gold_index: {missing[:5]}")
         return self.offsets[:-1] + self.gold
 
@@ -363,7 +367,6 @@ class FeatureMatrix:
         if not keep.any():
             raise DataError("every sentence has zero weight; the universe is empty")
         row_keep = np.repeat(keep, np.diff(self.offsets))
-        kept = np.flatnonzero(keep)
         return FeatureMatrix(
             indptr=np.concatenate(([0], np.cumsum(np.diff(self.indptr)[row_keep]))),
             indices=self.indices[row_keep[self.rows]],
@@ -372,9 +375,7 @@ class FeatureMatrix:
             offsets=np.concatenate(([0], np.cumsum(np.diff(self.offsets)[keep]))),
             weights=self.weights[keep],
             gold=self.gold[keep],
-            sentence_ids=[self.sentence_ids[s] for s in kept],
-            parse_ids=[self.parse_ids[s] for s in kept],
-            corpus=self.corpus,
+            entries=tuple(compress(self.entries, keep)),
         )
 
     def project(self, registry: PropertyRegistry) -> "FeatureMatrix":
@@ -418,9 +419,8 @@ class FeatureMatrix:
         return FeatureMatrix(
             indptr=np.concatenate(([0], np.cumsum(per_row))),
             indices=cols, data=data, registry=registry, offsets=self.offsets,
-            weights=self.weights, gold=self.gold,
-            sentence_ids=self.sentence_ids, parse_ids=self.parse_ids,
-            corpus=self.corpus, clamped_corrections=clamped)
+            weights=self.weights, gold=self.gold, entries=self.entries,
+            clamped_corrections=clamped)
 
 
 def _walk(corpus: Corpus, kinds: set[str],
@@ -442,7 +442,6 @@ def _walk(corpus: Corpus, kinds: set[str],
     passthrough_cols: dict[int, int] = {}
     indptr, indices, data = array("q", [0]), array("q"), array("d")
     offsets, weights, gold = array("q", [0]), array("d"), array("q")
-    sentence_ids, parse_ids = [], []
     row: list[tuple[int, float]] = []
 
     def put(key: tuple[str, str], value: float) -> int:
@@ -481,8 +480,6 @@ def _walk(corpus: Corpus, kinds: set[str],
         offsets.append(len(indptr) - 1)
         weights.append(entry.weight)
         gold.append(-1 if entry.gold_index is None else entry.gold_index)
-        sentence_ids.append(entry.sentence_id)
-        parse_ids.append(tuple(p.parse_id for p in entry.parses))
 
     if registry is None:
         registry = PropertyRegistry(properties=[
@@ -495,8 +492,7 @@ def _walk(corpus: Corpus, kinds: set[str],
         registry=registry,
         offsets=np.frombuffer(offsets, dtype=np.int64),
         weights=np.frombuffer(weights, dtype=float),
-        gold=np.frombuffer(gold, dtype=np.int64),
-        sentence_ids=sentence_ids, parse_ids=parse_ids, corpus=corpus)
+        gold=np.frombuffer(gold, dtype=np.int64), entries=corpus.entries)
 
 
 def _walk_for(corpus: Corpus, registry: PropertyRegistry,
@@ -537,22 +533,15 @@ def _template_kinds(corpus: Corpus) -> set[str]:
 
 
 def compile_templates(corpus: Corpus,
-                      include_lexicalized: bool = False,
                       lex_table: Optional[LexFrequencyTable] = None
                       ) -> FeatureMatrix:
     """Compile every sentence over every template observed in the corpus.
 
-    The matrix's registry is the one ``build_registry`` returns; see there
-    for the arguments.  Zero-weight sentences are included.
+    The matrix's registry is the one ``build_registry`` returns; a
+    ``lex_table`` adds the lexicalized slots.  Zero-weight sentences are
+    included.
     """
     enabled = _template_kinds(corpus)
-
-    if not include_lexicalized:
-        lex_table = None
-    elif lex_table is None:
-        raise ConfigError(
-            "include_lexicalized requires a class-based frequency table")
-
     walked = _walk(corpus, enabled, lex_table)
     activation = {(d.kind, d.key): int(count) for d, count in
                   zip(walked.registry.properties, walked.activation_counts())}
@@ -592,7 +581,11 @@ def build_registry(corpus: Corpus,
     Descriptors are ordered by (kind, key) lexicographically; the registry is
     returned without the correction property.
     """
-    return compile_templates(corpus, include_lexicalized, lex_table).registry
+    if include_lexicalized and lex_table is None:
+        raise ConfigError(
+            "include_lexicalized requires a class-based frequency table")
+    return compile_templates(
+        corpus, lex_table if include_lexicalized else None).registry
 
 
 def compile_corpus(corpus: Corpus, registry: PropertyRegistry,

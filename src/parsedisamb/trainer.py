@@ -127,19 +127,14 @@ def _expectations(dist: ParseDistribution, complete_data: bool
 
 
 def incomplete_log_likelihood(model: LogLinearModel,
-                              corpus: Optional[Corpus] = None, *,
-                              features: Optional[FeatureMatrix] = None,
-                              lex_table: Optional[LexFrequencyTable] = None) -> float:
+                              features: FeatureMatrix) -> float:
     """L = sum_y w(y) ln sum over X(y) of p(x); at most 0 for a normalized
     model."""
-    dist = normalize(model, corpus, features=features, lex_table=lex_table)
-    return _likelihood(dist, complete_data=False)
+    return _likelihood(normalize(model, features), complete_data=False)
 
 
-def expectations(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
-                 features: Optional[FeatureMatrix] = None,
-                 complete_data: bool = False,
-                 lex_table: Optional[LexFrequencyTable] = None
+def expectations(model: LogLinearModel, features: FeatureMatrix,
+                 complete_data: bool = False
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(numerator, denominator) expectation vectors of one update.
 
@@ -149,8 +144,7 @@ def expectations(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
     data).  The difference numerator - denominator is the exact gradient of
     the corresponding log-likelihood.
     """
-    dist = normalize(model, corpus, features=features, lex_table=lex_table)
-    return _expectations(dist, complete_data)
+    return _expectations(normalize(model, features), complete_data)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +166,8 @@ def _step(model: LogLinearModel, dist: ParseDistribution,
     return model.with_lam(model.lam + gamma), gamma
 
 
-def im_step(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
-            features: Optional[FeatureMatrix] = None,
-            complete_data: bool = False,
-            lex_table: Optional[LexFrequencyTable] = None
+def im_step(model: LogLinearModel, features: FeatureMatrix, *,
+            complete_data: bool = False
             ) -> tuple[LogLinearModel, np.ndarray]:
     """One closed-form update, from one scoring of the universe; returns
     (new model, gamma).
@@ -189,8 +181,7 @@ def im_step(model: LogLinearModel, corpus: Optional[Corpus] = None, *,
     if model.registry.correction_K is None:
         raise ConfigError(
             "the update requires a registry with the correction property")
-    dist = normalize(model, corpus, features=features, lex_table=lex_table)
-    return _step(model, dist, complete_data)
+    return _step(model, normalize(model, features), complete_data)
 
 
 def _initial_lam(config: TrainingConfig, n: int) -> np.ndarray:
@@ -245,12 +236,10 @@ def train(corpus: Corpus, registry: PropertyRegistry,
             f"{features.clamped_corrections} parse(s) have feature mass above "
             f"the correction constant {registry.correction_K}; the registry is "
             "stale for this corpus")
-    if complete_data and np.any(features.gold < 0):
-        raise DataError("complete-data training requires gold_index on every "
-                        "sentence")
 
     model = new_model(features, lam=_initial_lam(config, registry.size))
-    dist = normalize(model, features=features)
+    dist = normalize(model, features)
+    # On complete data, gold_rows() names any sentence without gold_index.
     likelihood = _likelihood(dist, complete_data)
 
     trace = TrainingTrace()
@@ -260,7 +249,7 @@ def train(corpus: Corpus, registry: PropertyRegistry,
 
     for iteration in range(1, config.max_iterations + 1):
         model, gamma = _step(model, dist, complete_data)
-        dist = normalize(model, features=features)
+        dist = normalize(model, features)
         new_likelihood = _likelihood(dist, complete_data)
         if new_likelihood < likelihood - 1e-10:
             raise InternalConsistencyError(

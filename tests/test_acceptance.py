@@ -86,8 +86,8 @@ def test_c03_complete_data_moment_matching():
                                         likelihood_tolerance=1e-15,
                                         checkpoint_every=20000),
                          complete_data=True)
-        _, denominator = expectations(model, corpus, complete_data=True)
         matrix = build_feature_matrix(corpus, registry)
+        _, denominator = expectations(model, matrix, complete_data=True)
         empirical = matrix.weights @ matrix.values[matrix.gold_rows()]
         active = empirical > 1e-12
         worst = max(worst, float(np.abs(denominator - empirical)[active].max()))
@@ -124,7 +124,7 @@ def test_c05_normalization():
         features = build_feature_matrix(corpus, registry)
         for _ in range(50):
             model = new_model(features, lam=rng.uniform(-3, 3, registry.size))
-            dist = normalize(model, features=features)
+            dist = normalize(model, features)
             worst = max(worst, abs(float(dist.probs.sum()) - 1.0))
             n_models += 1
     _report(5, "normalization mass", n_models == 1000 and worst <= 1e-12,
@@ -141,15 +141,15 @@ def test_c06_gradient_sign():
         lam = rng.uniform(-1, 1, registry.size)
         features = build_feature_matrix(corpus, registry)
         model = new_model(features, lam=lam)
-        numerator, denominator = expectations(model, features=features)
+        numerator, denominator = expectations(model, features)
         gradient = numerator - denominator
         for i in range(registry.size):
             up, down = lam.copy(), lam.copy()
             up[i] += h
             down[i] -= h
-            cd = (incomplete_log_likelihood(model.with_lam(up), features=features)
-                  - incomplete_log_likelihood(model.with_lam(down),
-                                              features=features)) / (2 * h)
+            cd = (incomplete_log_likelihood(model.with_lam(up), features)
+                  - incomplete_log_likelihood(model.with_lam(down), features)
+                  ) / (2 * h)
             if abs(cd) > 1e-7:
                 checked += 1
                 if np.sign(cd) == np.sign(gradient[i]):

@@ -132,6 +132,34 @@ class TestTrainCommand:
         assert "'p0' of sentence 's0'" in err and "'p1' of sentence 's1'" in err
         assert "Traceback" not in err
 
+    def test_complete_data_missing_gold_is_rejected_at_load(
+            self, synth_dir, tmp_path, capsys, monkeypatch):
+        import parsedisamb.cli as cli
+        lines = (synth_dir / "train.jsonl").read_text().splitlines()
+        record = json.loads(lines[4])
+        record["gold_index"] = None
+        lines[4] = json.dumps(record)
+        path = tmp_path / "ungold.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the corpus was compiled")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "compile_templates", unreachable)
+            code = _run("train", "--corpus", str(path), "--complete-data",
+                        "--max-iterations", "3", "--out-dir",
+                        str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 5: sentence {record['sentence_id']!r} has no " \
+            "gold_index annotation" in err
+        # Incomplete data never reads gold_index, and --parsebank sets it.
+        for flags in ([], ["--parsebank", "--complete-data"]):
+            assert _run("train", "--corpus", str(path), *flags,
+                        "--max-iterations", "3",
+                        "--out-dir", str(tmp_path / "ok")) == 0
+
     def test_threads_flag_is_gone(self, synth_dir, tmp_path):
         code = _run("train", "--corpus", str(synth_dir / "train.jsonl"),
                     "--threads", "2", "--out-dir", str(tmp_path / "o"))
@@ -544,4 +572,4 @@ class TestUniverseDigest:
             ("passthrough" in features.registry.kinds())
         assert model.universe == features.digest
         assert model.universe_size == features.n_parses
-        normalize(model, features=features)
+        normalize(model, features)

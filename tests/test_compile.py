@@ -148,11 +148,9 @@ class TestAgainstReference:
         if passthrough and not any(kind == "passthrough"
                                    for kind, _, _ in expected):
             with pytest.raises(DataError, match="empty"):
-                compile_templates(corpus, include_lexicalized=True,
-                                  lex_table=table)
+                compile_templates(corpus, table)
             return
-        templates = compile_templates(corpus, include_lexicalized=True,
-                                      lex_table=table)
+        templates = compile_templates(corpus, table)
         registry = templates.registry
         assert [(d.kind, d.key, d.activation_count)
                 for d in registry.properties] == expected
@@ -191,7 +189,7 @@ class TestAgainstReference:
         assert projected.clamped_corrections == 0
         for name in ("indptr", "indices", "data", "offsets", "weights", "gold"):
             assert np.array_equal(getattr(projected, name), getattr(matrix, name))
-        assert projected.sentence_ids == matrix.sentence_ids
+        assert projected.entries == matrix.entries
         # The CLI's compile path and build_feature_matrix give one universe.
         assert projected.digest == matrix.digest
         for rows in (matrix, projected):
@@ -220,8 +218,7 @@ class TestAgainstReference:
     def test_batched_decisions_match_per_sentence_decisions(
             self, corpus, heldout, table, data):
         try:
-            registry = compile_templates(corpus, include_lexicalized=True,
-                                         lex_table=table).registry
+            registry = compile_templates(corpus, table).registry
             registry = add_correction(registry, corpus, lex_table=table)
         except DataError:  # no feature mass anywhere
             return
@@ -252,10 +249,11 @@ class TestAgainstReference:
 
 
 class TestFeatureMatrix:
+    CORPUS = passthrough_corpus([[{0: 3}, {}, {0: 1, 2: 2}], [{1: 1}]],
+                                weights=[1.0, 0.0])
+
     def _matrix(self):
-        corpus = passthrough_corpus([[{0: 3}, {}, {0: 1, 2: 2}], [{1: 1}]],
-                                    weights=[1.0, 0.0])
-        return compile_templates(corpus)
+        return compile_templates(self.CORPUS)
 
     def test_products_match_the_dense_matrix(self):
         matrix = self._matrix()
@@ -270,8 +268,22 @@ class TestFeatureMatrix:
     def test_universe_drops_zero_weight_sentences(self):
         matrix = self._matrix()
         universe = matrix.universe()
-        assert universe.sentence_ids == ["s0"]
+        assert universe.entries == self.CORPUS.entries[:1]
         assert np.array_equal(universe.values, matrix.values[:3])
+
+    def test_matrices_hold_the_corpus_sentences(self):
+        matrix = self._matrix()
+        frozen = add_correction(matrix.registry, features=matrix)
+        assert matrix.entries is self.CORPUS.entries
+        assert compile_corpus(self.CORPUS, frozen).entries \
+            is self.CORPUS.entries
+        # The universe is a new tuple of the positive-weight sentences, and
+        # projecting a matrix keeps its sentences.
+        universe = matrix.universe()
+        assert universe.entries is not self.CORPUS.entries
+        assert universe.project(frozen).entries is universe.entries
+        assert build_feature_matrix(self.CORPUS, frozen).entries \
+            == universe.entries
 
     def test_universe_precedes_the_correction(self):
         matrix = self._matrix()
@@ -284,17 +296,17 @@ class TestFeatureMatrix:
         frozen = add_correction(matrix.registry, features=matrix)
         for compiled in (matrix, matrix.universe(),
                          matrix.universe().project(frozen),
-                         build_feature_matrix(matrix.corpus, frozen),
-                         compile_corpus(matrix.corpus, frozen)):
+                         build_feature_matrix(self.CORPUS, frozen),
+                         compile_corpus(self.CORPUS, frozen)):
             assert compiled.indices.dtype == np.intp
             assert compiled.rows.dtype == np.intp
 
     def test_digest_follows_every_scored_input(self):
         matrix = self._matrix()
         frozen = add_correction(matrix.registry, features=matrix)
-        universe = build_feature_matrix(matrix.corpus, frozen)
+        universe = build_feature_matrix(self.CORPUS, frozen)
         assert universe.digest == \
-            build_feature_matrix(matrix.corpus, frozen).digest
+            build_feature_matrix(self.CORPUS, frozen).digest
         value, weight = universe.data.copy(), universe.weights.copy()
         value[1] += 1.0
         weight[0] = 0.5
@@ -312,5 +324,4 @@ class TestFeatureMatrix:
             type(matrix)(indptr=matrix.indptr, indices=matrix.indices,
                          data=-matrix.data, registry=matrix.registry,
                          offsets=matrix.offsets, weights=matrix.weights,
-                         gold=matrix.gold, sentence_ids=matrix.sentence_ids,
-                         parse_ids=matrix.parse_ids, corpus=matrix.corpus)
+                         gold=matrix.gold, entries=matrix.entries)

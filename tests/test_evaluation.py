@@ -5,9 +5,10 @@ from numpy.testing import assert_allclose
 from parsedisamb import (ConfigError, DataError, SyntheticConfig,
                          build_feature_matrix, evaluate, generate_synthetic,
                          new_model, random_baseline, sweep_checkpoints)
-from parsedisamb.evaluation import (SentenceVerdict, format_report_table,
+from parsedisamb.evaluation import (TASKS, SentenceVerdict, format_report_table,
                                     outcome_from_verdicts, write_report_json,
                                     write_sweep_csv)
+from parsedisamb.model import decide
 from conftest import corrected_registry, passthrough_corpus
 
 
@@ -275,3 +276,52 @@ class TestReportJson:
         assert doc["task"] == "exact_match"
         assert doc["counts"] == {"correct": 6, "incorrect": 2, "dont_know": 2}
         assert len(doc["per_sentence"]) == 10
+
+
+class TestCompiledTestCorpus:
+    """The sentences a compiled matrix carries name every verdict, and decide
+    whether a matrix handed in as ``features`` is reused."""
+
+    def _case(self):
+        # Every sentence reuses the parse ids p0 and p1; sentence s1 has zero
+        # weight, so a universe matrix leaves it out.
+        corpus = passthrough_corpus(
+            [[{0: 1}, {}], [{}, {0: 1}], [{0: 1}, {}], [{}, {}]],
+            golds=[0, 0, 1, 0], frames=[["fa", "fb"]] * 4,
+            weights=[1.0, 0.0, 1.0, 1.0])
+        registry = corrected_registry(corpus)
+        model = new_model(build_feature_matrix(corpus, registry),
+                          lam=np.array([2.0, 0.0]))
+        return corpus, registry, model
+
+    def test_verdicts_name_sentences_and_parses_in_row_order(self):
+        corpus, registry, model = self._case()
+        outcome = evaluate(model, corpus)
+        assert [(v.sentence_id, v.verdict, v.decision_kind, v.chosen_parse_ids)
+                for v in outcome.verdicts] == [
+            ("s0", "correct", "unique", ("p0",)),
+            ("s1", "incorrect", "unique", ("p1",)),
+            ("s2", "incorrect", "unique", ("p0",)),
+            ("s3", "dont_know", "dont_know", ("p0", "p1"))]
+        # On the universe, sentence positions skip the zero-weight s1.
+        universe = build_feature_matrix(corpus, registry)
+        decisions = decide(model.lam, universe)
+        assert [(universe.entries[s].sentence_id,
+                 decisions.decision(universe, s).parse_ids)
+                for s in range(universe.n_sentences)] == [
+            ("s0", ("p0",)), ("s2", ("p0",)), ("s3", ("p0", "p1"))]
+
+    def test_a_universe_matrix_is_recompiled(self):
+        corpus, registry, model = self._case()
+        universe = build_feature_matrix(corpus, registry)
+        assert universe.n_sentences == 3
+        for task in TASKS:
+            outcome = evaluate(model, corpus, task, features=universe)
+            assert outcome.n_sentences == 4
+            assert outcome == evaluate(model, corpus, task)
+            assert random_baseline(corpus, task, registry, n_models=5, seed=1,
+                                   features=universe) \
+                == random_baseline(corpus, task, registry, n_models=5, seed=1)
+            assert sweep_checkpoints([(0, model)], corpus, task,
+                                     features=universe) \
+                == sweep_checkpoints([(0, model)], corpus, task)

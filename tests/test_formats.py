@@ -100,7 +100,7 @@ class TestOlderFormats:
         # compiled universe, whose digest covers the matrix.
         assert older.universe == corpus.content_digest() != model.universe
         with pytest.raises(ConfigError, match="universe"):
-            normalize(older, features=features)
+            normalize(older, features)
         assert older.registry == registry
         assert load_registry(tmp_path / "registry.json") == registry
         assert _decisions(older, corpus) == _decisions(model, corpus)

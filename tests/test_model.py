@@ -19,10 +19,14 @@ def _uniform_setup(sentences, **kwargs):
     return corpus, registry, model
 
 
+def _universe(corpus, model):
+    return build_feature_matrix(corpus, model.registry)
+
+
 class TestNormalize:
     def test_uniform_case(self):
         corpus, registry, model = _uniform_setup([[{0: 1}, {0: 1}], [{0: 1}, {0: 1}]])
-        dist = normalize(model, corpus)
+        dist = normalize(model, _universe(corpus, model))
         assert_allclose(dist.probs, 0.25)
 
     def test_three_to_one(self):
@@ -33,7 +37,7 @@ class TestNormalize:
         registry = build_registry(corpus)  # no correction: width-1 registry
         model = new_model(build_feature_matrix(corpus, registry),
                           lam=np.array([math.log(3)]))
-        dist = normalize(model, corpus)
+        dist = normalize(model, _universe(corpus, model))
         assert_allclose(dist.probs, [0.75, 0.25])
 
     def test_sums_to_one_tightly(self):
@@ -42,15 +46,16 @@ class TestNormalize:
             corpus, registry = random_passthrough_instance(rng)
             lam = rng.uniform(-2, 2, registry.size)
             model = new_model(build_feature_matrix(corpus, registry), lam=lam)
-            dist = normalize(model, corpus)
+            dist = normalize(model, _universe(corpus, model))
             assert abs(dist.probs.sum() - 1.0) < 1e-12
 
     def test_constant_score_shift_is_invariant(self):
         # The correction feature is constant over sentences with equal mass:
         # shifting its weight shifts every score equally.
         corpus, registry, model = _uniform_setup([[{0: 2}, {1: 2}, {0: 1, 1: 1}]])
-        base = normalize(model, corpus)
-        shifted = normalize(model.with_lam(model.lam + 0.0), corpus)
+        base = normalize(model, _universe(corpus, model))
+        shifted = normalize(model.with_lam(model.lam + 0.0),
+                            _universe(corpus, model))
         assert_allclose(base.probs, shifted.probs)
         # Explicit shift: add c to a feature that is constant across parses.
         wide = passthrough_corpus([[{0: 1, 9: 1}, {1: 1, 9: 1}]])
@@ -61,19 +66,19 @@ class TestNormalize:
         lam2 = m1.lam.copy()
         lam2[reg.size - 1] += 17.0  # feature "9" is constant 1 on every parse
         m2 = new_model(build_feature_matrix(wide, reg), lam=lam2)
-        assert_allclose(normalize(m1, wide).probs, normalize(m2, wide).probs,
-                        atol=1e-15)
+        assert_allclose(normalize(m1, _universe(wide, m1)).probs,
+                        normalize(m2, _universe(wide, m2)).probs, atol=1e-15)
 
     def test_wrong_universe_rejected(self):
         corpus, registry, model = _uniform_setup([[{0: 1}, {}]])
         other = passthrough_corpus([[{0: 2}, {}]])
         with pytest.raises(ConfigError, match="universe"):
-            normalize(model, other)
+            normalize(model, _universe(other, model))
 
     def test_another_corpus_or_registry_matrix_rejected(self):
         corpus, registry, model = _uniform_setup(
             [[{0: 1, 1: 2}, {1: 1}], [{0: 2}, {0: 1, 2: 1}]])
-        normalize(model, features=build_feature_matrix(corpus, registry))
+        normalize(model, build_feature_matrix(corpus, registry))
         # The same shape, one value apart.
         other = passthrough_corpus(
             [[{0: 1, 1: 2}, {1: 1}], [{0: 2}, {0: 2, 2: 1}]])
@@ -85,7 +90,7 @@ class TestNormalize:
                          build_feature_matrix(corpus, renamed)):
             assert features.n_parses == model.universe_size
             with pytest.raises(ConfigError, match="universe"):
-                normalize(model, features=features)
+                normalize(model, features)
 
     def test_permutation_equivariance(self):
         rows = [{0: 2}, {1: 1}, {0: 1, 1: 1}]
@@ -95,8 +100,8 @@ class TestNormalize:
         registry = corrected_registry(corpus_a)
         model_a = new_model(build_feature_matrix(corpus_a, registry), lam=lam)
         model_b = new_model(build_feature_matrix(corpus_b, registry), lam=lam)
-        pa = normalize(model_a, corpus_a).probs
-        pb = normalize(model_b, corpus_b).probs
+        pa = normalize(model_a, _universe(corpus_a, model_a)).probs
+        pb = normalize(model_b, _universe(corpus_b, model_b)).probs
         assert_allclose(pa, pb[::-1])
 
 
@@ -108,12 +113,12 @@ def _sentence_conditional(dist, s):
 class TestConditional:
     def test_symmetric(self):
         corpus, registry, model = _uniform_setup([[{0: 1}, {0: 1}]])
-        k = _sentence_conditional(normalize(model, corpus), 0)
+        k = _sentence_conditional(normalize(model, _universe(corpus, model)), 0)
         assert_allclose(k, [0.5, 0.5])
 
     def test_singleton(self):
         corpus, registry, model = _uniform_setup([[{0: 1}], [{0: 2}, {0: 3}]])
-        k = _sentence_conditional(normalize(model, corpus), 0)
+        k = _sentence_conditional(normalize(model, _universe(corpus, model)), 0)
         assert_allclose(k, [1.0])
 
     def test_three_to_one_restriction(self):
@@ -122,7 +127,7 @@ class TestConditional:
         registry = build_registry(corpus)
         model = new_model(build_feature_matrix(corpus, registry),
                           lam=np.array([math.log(3)]))
-        k = _sentence_conditional(normalize(model, corpus), 0)
+        k = _sentence_conditional(normalize(model, _universe(corpus, model)), 0)
         assert_allclose(k, [0.75, 0.25])
 
     def test_sums_to_one_per_sentence(self):
@@ -131,7 +136,7 @@ class TestConditional:
             corpus, registry = random_passthrough_instance(rng)
             model = new_model(build_feature_matrix(corpus, registry),
                               lam=rng.uniform(-3, 3, registry.size))
-            dist = normalize(model, corpus)
+            dist = normalize(model, _universe(corpus, model))
             for s in range(len(corpus.entries)):
                 k = _sentence_conditional(dist, s)
                 assert abs(k.sum() - 1.0) < 1e-12
@@ -144,7 +149,7 @@ class TestConditional:
         registry = corrected_registry(corpus)
         model = new_model(build_feature_matrix(corpus, registry),
                           lam=np.array([1000.0, 0.0, 0.0]))
-        dist = normalize(model, corpus)
+        dist = normalize(model, _universe(corpus, model))
         assert np.all(dist.probs[2:] == 0.0)
         assert np.all(np.isfinite(dist.conditional))
         for s in range(2):
@@ -160,7 +165,7 @@ class TestExpectation:
         from parsedisamb import build_registry
         registry = build_registry(corpus)
         model = new_model(build_feature_matrix(corpus, registry))
-        assert_allclose(expectations(model, corpus)[1], [0.5])
+        assert_allclose(expectations(model, _universe(corpus, model))[1], [0.5])
 
     def test_identically_zero_feature_has_zero_expectation(self):
         # Passthrough index 1 exists (width spans the gap) but never fires.
@@ -169,7 +174,7 @@ class TestExpectation:
         idx = next(i for i, d in enumerate(registry.properties)
                    if d.key == "000001")
         model = new_model(build_feature_matrix(corpus, registry))
-        _, expectation = expectations(model, corpus)
+        _, expectation = expectations(model, _universe(corpus, model))
         assert expectation[idx] == 0.0
 
     def test_correction_expectation_identity(self):
@@ -179,8 +184,8 @@ class TestExpectation:
         corpus, registry = random_passthrough_instance(rng)
         matrix = build_feature_matrix(corpus, registry)
         model = new_model(matrix, lam=rng.uniform(-1, 1, registry.size))
-        dist = normalize(model, corpus)
-        _, expectation = expectations(model, corpus)
+        dist = normalize(model, _universe(corpus, model))
+        _, expectation = expectations(model, _universe(corpus, model))
         K = registry.correction_K
         direct = sum(p * matrix.values[r, :-1].sum()
                      for r, p in enumerate(dist.probs))

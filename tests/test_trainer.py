@@ -27,14 +27,18 @@ class TestLikelihood:
     def test_whole_universe_sentence_is_free(self):
         corpus = passthrough_corpus([[{0: 1}, {0: 2}, {}]])
         registry = corrected_registry(corpus)
-        model = new_model(build_feature_matrix(corpus, registry))
-        assert_allclose(incomplete_log_likelihood(model, corpus), 0.0, atol=1e-14)
+        features = build_feature_matrix(corpus, registry)
+        model = new_model(features)
+        assert_allclose(incomplete_log_likelihood(model, features), 0.0,
+                        atol=1e-14)
 
     def test_two_half_universes(self):
         corpus = passthrough_corpus([[{0: 1}, {0: 2}], [{0: 3}, {0: 4}]])
         registry = corrected_registry(corpus)
-        model = new_model(build_feature_matrix(corpus, registry))
-        assert_allclose(incomplete_log_likelihood(model, corpus), math.log(0.5))
+        features = build_feature_matrix(corpus, registry)
+        model = new_model(features)
+        assert_allclose(incomplete_log_likelihood(model, features),
+                        math.log(0.5))
 
     def test_agrees_with_direct_formula(self):
         rng = np.random.default_rng(21)
@@ -50,7 +54,7 @@ class TestLikelihood:
                        for s in range(matrix.n_sentences)]
             direct = direct_incomplete_log_likelihood(
                 lam, vectors, matrix.weights)
-            assert_allclose(incomplete_log_likelihood(model, corpus), direct,
+            assert_allclose(incomplete_log_likelihood(model, matrix), direct,
                             rtol=1e-10, atol=1e-12)
 
 
@@ -60,12 +64,12 @@ class TestNormalizer:
         # distribution, bit for bit.
         corpus, _ = generate_synthetic(SyntheticConfig(n_sentences=200, seed=3))
         registry = add_correction(build_registry(corpus), corpus)
+        features = build_feature_matrix(corpus, registry)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            model = new_model(build_feature_matrix(corpus, registry),
-                              lam=rng.uniform(-1, 1, registry.size))
-            dist = normalize(model, corpus)
-            assert np.array_equal(expectations(model, corpus)[1],
+            model = new_model(features, lam=rng.uniform(-1, 1, registry.size))
+            dist = normalize(model, features)
+            assert np.array_equal(expectations(model, features)[1],
                                   dist.features.weighted_sum(dist.probs))
 
 
@@ -80,11 +84,13 @@ class TestImStep:
         corpus = passthrough_corpus([[{0: 1}, {}]], golds=[0])
         registry = corrected_registry(corpus)
         assert registry.correction_K == 1
-        model = new_model(build_feature_matrix(corpus, registry))
-        numerator, denominator = expectations(model, corpus, complete_data=True)
+        features = build_feature_matrix(corpus, registry)
+        model = new_model(features)
+        numerator, denominator = expectations(model, features,
+                                              complete_data=True)
         assert_allclose(numerator[0], 1.0, atol=1e-15)
         assert_allclose(denominator[0], 0.5, atol=1e-15)
-        _, gamma = im_step(model, corpus, complete_data=True)
+        _, gamma = im_step(model, features, complete_data=True)
         assert_allclose(gamma[0], math.log(2), atol=1e-12)
         # The correction's numerator is zero (the gold parse has full mass),
         # so the floor rule freezes it.
@@ -95,9 +101,9 @@ class TestImStep:
         # the model distribution, so every update is exactly zero.
         corpus = passthrough_corpus([[{0: 2}, {1: 1}, {0: 1, 1: 1}]])
         registry = corrected_registry(corpus)
-        model = new_model(build_feature_matrix(corpus, registry),
-                          lam=np.array([0.4, -0.8, 0.1]))
-        updated, gamma = im_step(model, corpus)
+        features = build_feature_matrix(corpus, registry)
+        model = new_model(features, lam=np.array([0.4, -0.8, 0.1]))
+        updated, gamma = im_step(model, features)
         assert_allclose(gamma, 0.0, atol=1e-12)
         assert_allclose(updated.lam, model.lam, atol=1e-12)
 
@@ -107,8 +113,8 @@ class TestImStep:
         corpus = passthrough_corpus([[{0: 1}, {2: 1}], [{0: 2}, {2: 2}]],
                                     golds=[0, 1])
         registry = corrected_registry(corpus)
-        model = new_model(build_feature_matrix(corpus, registry))
-        updated, gamma = im_step(model, corpus)
+        features = build_feature_matrix(corpus, registry)
+        updated, gamma = im_step(new_model(features), features)
         frozen_idx = next(i for i, d in enumerate(registry.properties)
                           if d.key == "000001")
         assert gamma[frozen_idx] == 0.0
@@ -116,17 +122,15 @@ class TestImStep:
 
     def test_requires_correction(self):
         corpus = passthrough_corpus([[{0: 1}, {}]])
-        registry = build_registry(corpus)
-        model = new_model(build_feature_matrix(corpus, registry))
+        features = build_feature_matrix(corpus, build_registry(corpus))
         with pytest.raises(ConfigError, match="correction"):
-            im_step(model, corpus)
+            im_step(new_model(features), features)
 
     def test_complete_data_requires_gold(self):
         corpus = passthrough_corpus([[{0: 1}, {}]])
-        registry = corrected_registry(corpus)
-        model = new_model(build_feature_matrix(corpus, registry))
+        features = build_feature_matrix(corpus, corrected_registry(corpus))
         with pytest.raises(DataError, match="gold"):
-            im_step(model, corpus, complete_data=True)
+            im_step(new_model(features), features, complete_data=True)
 
     def test_gamma_clamp(self):
         # At lam_0 = -40 the gold parse's model probability is about e^-40,
@@ -135,12 +139,13 @@ class TestImStep:
         corpus = passthrough_corpus([[{0: 1}, {}]], golds=[0])
         registry = corrected_registry(corpus)
         assert registry.correction_K == 1
-        model = new_model(build_feature_matrix(corpus, registry),
-                          lam=np.array([-40.0, 0.0]))
-        numerator, denominator = expectations(model, corpus, complete_data=True)
+        features = build_feature_matrix(corpus, registry)
+        model = new_model(features, lam=np.array([-40.0, 0.0]))
+        numerator, denominator = expectations(model, features,
+                                              complete_data=True)
         unclamped = math.log(numerator[0] / max(denominator[0], 1e-12))
         assert_allclose(unclamped, 27.63, atol=0.01)
-        _, gamma = im_step(model, corpus, complete_data=True)
+        _, gamma = im_step(model, features, complete_data=True)
         assert gamma[0] == 20.0
 
     def test_matches_one_training_iteration(self):
@@ -152,9 +157,9 @@ class TestImStep:
             config = TrainingConfig(init="random", seed=3, max_iterations=1)
             trained, trace = train(corpus, registry, config,
                                    complete_data=complete_data)
-            start = new_model(build_feature_matrix(corpus, registry),
-                              lam=trace.records[0].lam)
-            stepped, _ = im_step(start, corpus, complete_data=complete_data)
+            features = build_feature_matrix(corpus, registry)
+            start = new_model(features, lam=trace.records[0].lam)
+            stepped, _ = im_step(start, features, complete_data=complete_data)
             assert np.array_equal(stepped.lam, trained.lam)
 
 
@@ -186,8 +191,8 @@ class TestTrain:
         corpus = passthrough_corpus([[{0: 2}, {1: 1}], [{0: 1, 1: 1}, {1: 2}],
                                      [{0: 3}, {0: 1, 1: 1}]])
         registry = corrected_registry(corpus)
-        model = new_model(build_feature_matrix(corpus, registry))
-        numerator, denominator = expectations(model, corpus)
+        features = build_feature_matrix(corpus, registry)
+        numerator, denominator = expectations(new_model(features), features)
         assert_allclose(numerator, denominator, atol=1e-15)
         trained, trace = train(corpus, registry,
                                TrainingConfig(max_iterations=50,
@@ -218,10 +223,10 @@ class TestTrain:
                                                likelihood_tolerance=1e-15,
                                                checkpoint_every=20000),
                                  complete_data=True)
-            numerator, denominator = expectations(model, corpus,
-                                                  complete_data=True)
             # Independent empirical expectation: sum of weight * gold row.
             matrix = build_feature_matrix(corpus, registry)
+            numerator, denominator = expectations(model, matrix,
+                                                  complete_data=True)
             empirical = np.zeros(registry.size)
             for s, entry in enumerate(corpus.entries):
                 row = matrix.values[matrix.offsets[s] + entry.gold_index]
@@ -247,7 +252,7 @@ class TestTrain:
             if not trace.converged:
                 continue
             converged_runs += 1
-            _, gamma = im_step(model, corpus)
+            _, gamma = im_step(model, build_feature_matrix(corpus, registry))
             assert np.abs(gamma).max() <= bound
         assert converged_runs >= 6
 
@@ -272,15 +277,16 @@ class TestTrain:
             corpus, registry = random_passthrough_instance(
                 rng, max_sentences=6, max_ambiguity=4, max_features=4)
             lam = rng.uniform(-1, 1, registry.size)
-            model = new_model(build_feature_matrix(corpus, registry), lam=lam)
-            numerator, denominator = expectations(model, corpus)
+            features = build_feature_matrix(corpus, registry)
+            model = new_model(features, lam=lam)
+            numerator, denominator = expectations(model, features)
             gradient = numerator - denominator
             for i in range(registry.size):
                 up = lam.copy(); up[i] += h
                 down = lam.copy(); down[i] -= h
-                cd = (incomplete_log_likelihood(model.with_lam(up), corpus)
-                      - incomplete_log_likelihood(model.with_lam(down), corpus)
-                      ) / (2 * h)
+                cd = (incomplete_log_likelihood(model.with_lam(up), features)
+                      - incomplete_log_likelihood(model.with_lam(down),
+                                                  features)) / (2 * h)
                 if abs(cd) > 1e-7:
                     assert np.sign(cd) == np.sign(gradient[i])
 
