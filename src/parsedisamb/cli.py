@@ -10,8 +10,8 @@ timestamps.
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
 consistency failure (a violated likelihood guarantee).
 
-A JSON config file (``--config``) may supply defaults using the long flag
-names; explicit flags win.
+A JSON config file (``--config``) supplies defaults by long flag name,
+parsed as the flags are; explicit flags win.
 """
 
 from __future__ import annotations
@@ -100,6 +100,13 @@ def verify_manifest(path) -> bool:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of ``--seed``: numpy seeds are nonnegative."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", default=argparse.SUPPRESS)
     parser.add_argument("--config", default=argparse.SUPPRESS,
@@ -107,24 +114,49 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """builtin defaults < config file < explicit flags."""
+    """builtin defaults < config file < explicit flags.
+
+    The config file's values are parsed as the command's flags: a list gives
+    a flag's arguments, true the bare switch, false and null leave the
+    default, and any other value is the flag's one argument.
+    """
     given = dict(vars(args))
     given.pop("func", None)
-    config_path = given.pop("config", None)
-    layered = dict(defaults)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as handle:
-            try:
-                file_conf = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{config_path}: invalid JSON config") from exc
-        unknown = set(file_conf) - set(defaults)
-        if unknown:
-            raise ConfigError(
-                f"{config_path}: unknown config keys {sorted(unknown)}")
-        layered.update(file_conf)
-    layered.update(given)
-    return layered
+    path = given.pop("config", None)
+    if not path:
+        return {**defaults, **given}
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            file_conf = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON config") from exc
+    if not isinstance(file_conf, dict):
+        raise ConfigError(f"{path}: a config file holds one JSON object")
+    unknown = set(file_conf) - set(defaults)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    argv = [args.command]
+    for key, value in file_conf.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            # argparse would read an argument that starts with "-" as a flag.
+            if any(isinstance(v, str) and v.startswith("-") for v in value):
+                raise ConfigError(f"{path}: argument {flag}: invalid "
+                                  f"arguments {value!r}")
+            argv += [flag, *map(str, value)]
+        elif value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv.append(f"{flag}={value}")
+    # No command line carries a NUL, and open() raises ValueError on one.
+    if any("\0" in arg for arg in argv):
+        raise ConfigError(f"{path}: a value holds a NUL character")
+    try:
+        parsed = vars(build_parser().parse_args(argv))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return {**defaults, **{key: parsed[key] for key in file_conf
+                           if key in parsed}, **given}
 
 
 def _require_out_dir(conf: dict) -> str:
@@ -133,12 +165,6 @@ def _require_out_dir(conf: dict) -> str:
         raise ConfigError("--out-dir is required for this command")
     os.makedirs(out_dir, exist_ok=True)
     return out_dir
-
-
-def _load_input_corpus(path, max_parses=None) -> Corpus:
-    if not os.path.exists(path):
-        raise DataError(f"corpus file not found: {path}")
-    return load_corpus(path, max_parses=max_parses)
 
 
 def _require_gold(corpus: Corpus, path) -> None:
@@ -152,7 +178,7 @@ def _require_gold(corpus: Corpus, path) -> None:
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if (lineno > 1 and line.strip()
-                    and json.loads(line)["sentence_id"] == missing):
+                    and str(json.loads(line)["sentence_id"]) == missing):
                 break
     raise DataError(f"{path}: line {lineno}: sentence {missing!r} has no "
                     "gold_index annotation")
@@ -176,9 +202,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not conf["corpus"]:
         raise ConfigError("--corpus is required")
 
-    corpus = _load_input_corpus(conf["corpus"], max_parses=conf["max_parses"])
+    corpus = load_corpus(conf["corpus"], max_parses=conf["max_parses"])
     inputs = [conf["corpus"]]
-    complete = bool(conf["complete_data"])
+    complete = conf["complete_data"]
     if conf["parsebank"]:
         corpus = extract_parsebank(corpus)
         complete = True
@@ -187,8 +213,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     lex_table = None
     if conf["lexicalized"]:
-        if not os.path.exists(conf["lexicalized"]):
-            raise DataError(f"frequency table not found: {conf['lexicalized']}")
         lex_table = load_freq_table(conf["lexicalized"])
         inputs.append(conf["lexicalized"])
 
@@ -197,17 +221,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     templates = compile_templates(corpus, lex_table)
     registry = templates.registry
     if conf["select_cutoff"] is not None:
-        registry = select_properties(registry, int(conf["select_cutoff"]))
+        registry = select_properties(registry, conf["select_cutoff"])
     registry = add_correction(registry, features=templates)
     features = templates.universe().project(registry)
 
     training = TrainingConfig(
         init=conf["init"],
-        init_range=float(conf["init_range"]),
+        init_range=conf["init_range"],
         seed=conf["seed"],
-        max_iterations=int(conf["max_iterations"]),
-        likelihood_tolerance=float(conf["tolerance"]),
-        checkpoint_every=int(conf["checkpoint_every"]),
+        max_iterations=conf["max_iterations"],
+        likelihood_tolerance=conf["tolerance"],
+        checkpoint_every=conf["checkpoint_every"],
     )
     model, trace = train(corpus, registry, training, complete_data=complete,
                          lex_table=lex_table, features=features)
@@ -242,8 +266,6 @@ EVAL_DEFAULTS = {
 
 
 def _load_checkpoint_models(directory: str) -> list:
-    if not os.path.isdir(directory):
-        raise DataError(f"checkpoint directory not found: {directory}")
     found = []
     for name in sorted(os.listdir(directory)):
         match = CHECKPOINT_PATTERN.match(name)
@@ -260,32 +282,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = _require_out_dir(conf)
     if not conf["model"] or not conf["corpus"]:
         raise ConfigError("--model and --corpus are required")
-    if not os.path.exists(conf["model"]):
-        raise DataError(f"model file not found: {conf['model']}")
 
     model = load_model(conf["model"])
-    corpus = _load_input_corpus(conf["corpus"])
+    corpus = load_corpus(conf["corpus"])
     _require_gold(corpus, conf["corpus"])
     inputs = [conf["model"], conf["corpus"]]
 
     lex_table = None
     if conf["lex_table"]:
-        if not os.path.exists(conf["lex_table"]):
-            raise DataError(f"frequency table not found: {conf['lex_table']}")
         lex_table = load_freq_table(conf["lex_table"])
         inputs.append(conf["lex_table"])
-    elif "lexicalized-relation" in model.registry.kinds():
-        raise ConfigError(
-            "the model has lexicalized properties; pass --lex-table")
 
-    raw_tasks = conf["task"] or ["exact"]
-    if isinstance(raw_tasks, str):
-        raw_tasks = [raw_tasks]
-    tasks = []
-    for raw in raw_tasks:
-        if raw not in TASK_ALIASES:
-            raise ConfigError(f"unknown task {raw!r}")
-        tasks.append(TASK_ALIASES[raw])
+    tasks = [TASK_ALIASES[task] for task in conf["task"] or ["exact"]]
 
     checkpoint_models = None
     if conf["checkpoints"]:
@@ -293,7 +301,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     # One compile of the test corpus serves every model scored below.
     features = compile_corpus(corpus, model.registry, lex_table=lex_table)
-    tie = float(conf["tie_epsilon"])
+    tie = conf["tie_epsilon"]
     for task in tasks:
         outcome = evaluate(model, corpus, task=task, tie_epsilon=tie,
                            lex_table=lex_table, features=features)
@@ -303,8 +311,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
         if conf["baseline"]:
             report = random_baseline(
-                corpus, task, model.registry, n_models=int(conf["baseline"]),
-                seed=conf["seed"] or 0, lambda_range=float(conf["lambda_range"]),
+                corpus, task, model.registry, n_models=conf["baseline"],
+                seed=conf["seed"] or 0, lambda_range=conf["lambda_range"],
                 tie_epsilon=tie, lex_table=lex_table, features=features)
             print(f"random baseline ({task}): mean precision "
                   f"{report.mean_precision:.4f} +- {report.stdev_precision:.4f}")
@@ -344,14 +352,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     out_dir = _require_out_dir(conf)
     if not conf["pairs"]:
         raise ConfigError("--pairs is required")
-    if not os.path.exists(conf["pairs"]):
-        raise DataError(f"pair-counts file not found: {conf['pairs']}")
 
     counts = load_pair_counts(conf["pairs"])
     model, trace = train_clusters(
-        counts, n_classes=int(conf["classes"]),
-        max_iterations=int(conf["max_iterations"]),
-        tolerance=float(conf["tolerance"]), seed=conf["seed"] or 0)
+        counts, n_classes=conf["classes"],
+        max_iterations=conf["max_iterations"],
+        tolerance=conf["tolerance"], seed=conf["seed"] or 0)
     table = build_freq_table(model, counts)
 
     save_cluster_model(model, os.path.join(out_dir, "cluster_model.json"))
@@ -374,19 +380,16 @@ SYNTH_DEFAULTS = {
 def cmd_synth(args: argparse.Namespace) -> int:
     conf = _resolve(args, SYNTH_DEFAULTS)
     out_dir = _require_out_dir(conf)
-    ambiguity = conf["ambiguity"]
-    if not (isinstance(ambiguity, (list, tuple)) and len(ambiguity) == 2):
-        raise ConfigError("--ambiguity takes two integers: LO HI")
-    split = float(conf["split"])
+    split = conf["split"]
     if not (0.0 < split < 1.0):
         raise ConfigError("--split must lie strictly between 0 and 1")
 
     config = SyntheticConfig(
-        n_sentences=int(conf["sentences"]),
-        ambiguity_range=(int(ambiguity[0]), int(ambiguity[1])),
-        n_features=int(conf["features"]),
-        n_relations=int(conf["relations"]),
-        seed=int(conf["seed"] if conf["seed"] is not None else 0),
+        n_sentences=conf["sentences"],
+        ambiguity_range=tuple(conf["ambiguity"]),
+        n_features=conf["features"],
+        n_relations=conf["relations"],
+        seed=conf["seed"],
     )
     corpus, description = generate_synthetic(config)
 
@@ -415,7 +418,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     conf = _resolve(args, STATS_DEFAULTS)
     if not conf["corpus"]:
         raise ConfigError("--corpus is required")
-    corpus = _load_input_corpus(conf["corpus"])
+    corpus = load_corpus(conf["corpus"])
     stats = corpus_stats(corpus)
     doc = {"n_sentences": stats.n_sentences,
            "mean_ambiguity": stats.mean_ambiguity,
@@ -461,15 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complete-data", action="store_true",
                    default=argparse.SUPPRESS,
                    help="use gold parses for the empirical side of the update")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=nonnegative_int, default=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a gold corpus")
     p.add_argument("--model", default=argparse.SUPPRESS)
     p.add_argument("--corpus", default=argparse.SUPPRESS)
-    p.add_argument("--task", action="append", choices=sorted(TASK_ALIASES),
-                   default=argparse.SUPPRESS)
+    p.add_argument("--task", action="extend", nargs="+",
+                   choices=sorted(TASK_ALIASES), default=argparse.SUPPRESS)
     p.add_argument("--tie-epsilon", type=float, default=argparse.SUPPRESS)
     p.add_argument("--baseline", type=int, metavar="N_MODELS",
                    default=argparse.SUPPRESS,
@@ -478,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", metavar="DIR", default=argparse.SUPPRESS,
                    help="sweep the checkpoint models in this directory")
     p.add_argument("--lex-table", default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=nonnegative_int, default=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -488,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=argparse.SUPPRESS)
     p.add_argument("--max-iterations", type=int, default=argparse.SUPPRESS)
     p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=nonnegative_int, default=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_cluster)
 
@@ -500,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relations", type=int, default=argparse.SUPPRESS)
     p.add_argument("--split", type=float, default=argparse.SUPPRESS,
                    help="train fraction; the rest is held out")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=nonnegative_int, default=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 

@@ -270,45 +270,43 @@ def _entry_to_json(entry: SentenceEntry) -> dict:
     }
 
 
-def _require(record: dict, name: str, where: str):
+def _require(record: dict, name: str):
     if name not in record:
-        raise DataError(f"{where}: missing field {name!r}")
+        raise DataError(f"missing field {name!r}")
     return record[name]
 
 
-def _parse_from_json(rec: dict, where: str) -> ParseRecord:
+def _parse_from_json(rec: dict) -> ParseRecord:
     if not isinstance(rec, dict):
-        raise DataError(f"{where}: parse record must be a JSON object")
-    parse_id = _require(rec, "parse_id", where)
+        raise DataError("parse record must be a JSON object")
+    parse_id = _require(rec, "parse_id")
     cstructure = rec.get("cstructure")
     if cstructure is not None:
-        try:
-            cstructure = tree_from_json(cstructure)
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from None
+        cstructure = tree_from_json(cstructure)
     fstructure = rec.get("fstructure")
     if fstructure is not None:
         try:
             pairs = tuple((str(a), str(v)) for a, v in fstructure.get("pairs", []))
             functions = tuple(str(f) for f in fstructure.get("functions", []))
         except (TypeError, ValueError, AttributeError) as exc:
-            raise DataError(f"{where}: malformed fstructure field") from exc
+            raise DataError("malformed fstructure field") from exc
         fstructure = FStructure(pairs=pairs, functions=functions)
     relations = []
     for item in rec.get("relations") or []:
-        if not (isinstance(item, list) and len(item) == 5):
-            raise DataError(f"{where}: malformed relations field")
+        if not (isinstance(item, list) and len(item) == 5
+                and type(item[4]) is int):  # bool is not int
+            raise DataError("malformed relations field")
         relations.append(Relation(str(item[0]), str(item[1]), str(item[2]),
-                                  str(item[3]), int(item[4])))
+                                  str(item[3]), item[4]))
     frame = rec.get("frame")
     if frame is not None and not isinstance(frame, str):
-        raise DataError(f"{where}: field 'frame' must be a string or null")
+        raise DataError("field 'frame' must be a string or null")
     features = rec.get("precomputed_features")
     if features is not None:
         try:
             features = {int(k): float(v) for k, v in features.items()}
         except (TypeError, ValueError, AttributeError) as exc:
-            raise DataError(f"{where}: malformed precomputed_features field") from exc
+            raise DataError("malformed precomputed_features field") from exc
     return ParseRecord(
         parse_id=str(parse_id),
         cstructure=cstructure,
@@ -319,29 +317,26 @@ def _parse_from_json(rec: dict, where: str) -> ParseRecord:
     )
 
 
-def _entry_from_json(rec: dict, where: str) -> SentenceEntry:
+def _entry_from_json(rec: dict) -> SentenceEntry:
     if not isinstance(rec, dict):
-        raise DataError(f"{where}: sentence record must be a JSON object")
-    sentence_id = str(_require(rec, "sentence_id", where))
-    raw_tokens = _require(rec, "tokens", where)
+        raise DataError("sentence record must be a JSON object")
+    sentence_id = str(_require(rec, "sentence_id"))
+    raw_tokens = _require(rec, "tokens")
     if not isinstance(raw_tokens, list):
-        raise DataError(f"{where}: field 'tokens' must be a list")
+        raise DataError("field 'tokens' must be a list")
     tokens = tuple(str(t) for t in raw_tokens)
-    raw_parses = _require(rec, "parses", where)
+    raw_parses = _require(rec, "parses")
     if not isinstance(raw_parses, list) or not raw_parses:
-        raise DataError(f"{where}: field 'parses' must be a nonempty list")
-    parses = tuple(_parse_from_json(p, where) for p in raw_parses)
+        raise DataError("field 'parses' must be a nonempty list")
+    parses = tuple(_parse_from_json(p) for p in raw_parses)
     gold = rec.get("gold_index")
-    try:
-        weight = float(rec.get("weight", 1.0))
-        gold = None if gold is None else int(gold)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where}: malformed weight or gold_index field") from exc
+    if gold is not None and type(gold) is not int:  # bool is not int
+        raise DataError("gold_index must be an integer or null")
     return SentenceEntry(
         sentence_id=sentence_id,
         tokens=tokens,
         parses=parses,
-        weight=weight,
+        weight=float(rec.get("weight", 1.0)),
         gold_index=gold,
     )
 
@@ -386,10 +381,10 @@ def _reject_constant(name: str):
 def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     """Load a forest-corpus file, optionally dropping high-ambiguity entries.
 
-    Entries with identical tokens and parses are merged: the first keeps its
-    position and sentence_id and takes the summed weight.  Entries with more
-    than ``max_parses`` candidate parses are removed before weight
-    normalization.  Raises DataError with the offending line number on
+    Entries with identical tokens, parses and gold_index are merged: the
+    first keeps its position and sentence_id and takes the summed weight.
+    Entries with more than ``max_parses`` candidate parses are removed
+    before weight normalization.  Raises DataError with the offending line number on
     malformed input, non-finite numbers included, and when filtering leaves
     the corpus empty.
     """
@@ -399,32 +394,27 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
         if not header_line.strip():
             raise DataError(f"{path}: empty file")
         try:
-            header = json.loads(header_line)
+            check_envelope(json.loads(header_line), CORPUS_FORMAT,
+                           CORPUS_VERSION)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: line 1: invalid JSON header") from exc
-        if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
-            raise DataError(f"{path}: line 1: not a {CORPUS_FORMAT} file")
-        if header.get("version") != CORPUS_VERSION:
-            raise DataError(f"{path}: line 1: unsupported corpus version "
-                            f"{header.get('version')!r}")
+        except DataError as exc:
+            raise DataError(f"{path}: line 1: {exc}") from None
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
             try:
-                record = json.loads(line, parse_constant=_reject_constant)
+                entry = _entry_from_json(
+                    json.loads(line, parse_constant=_reject_constant))
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: invalid JSON") from exc
             except DataError as exc:
                 raise DataError(f"{where}: {exc}") from None
-            try:
-                entry = _entry_from_json(record, where)
-            except DataError:
-                raise
-            except (TypeError, ValueError, KeyError) as exc:
+            except (TypeError, ValueError, KeyError, OverflowError) as exc:
                 raise DataError(f"{where}: malformed record ({exc})") from exc
             _validate_entry(entry, where)
-            key = (entry.tokens, entry.parses)
+            key = (entry.tokens, entry.parses, entry.gold_index)
             if key in merged:
                 kept = merged[key]
                 entry = replace(kept, weight=kept.weight + entry.weight)
@@ -472,6 +462,14 @@ def write_json(doc, path, indent: Optional[int] = None) -> None:
         handle.write(json.dumps(doc, sort_keys=True, indent=indent) + "\n")
 
 
+def check_envelope(doc, fmt: str, version: int) -> None:
+    """DataError unless ``doc`` is a ``fmt`` document at ``version``."""
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise DataError(f"not a {fmt} document")
+    if doc.get("version") != version:
+        raise DataError(f"unsupported {fmt} version {doc.get('version')!r}")
+
+
 def read_json(path, from_json_dict):
     """``from_json_dict`` of the JSON document at ``path``.
 
@@ -487,7 +485,7 @@ def read_json(path, from_json_dict):
             raise DataError(f"{path}: {exc}") from exc
         except KeyError as exc:
             raise DataError(f"{path}: missing field {exc}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise DataError(f"{path}: malformed document ({exc})") from exc
 
 

@@ -211,6 +211,9 @@ def random_baseline(test_corpus: Corpus, task: str, registry: PropertyRegistry,
     """
     if n_models < 1:
         raise ConfigError("n_models must be >= 1")
+    # numpy's uniform draw needs a finite width.
+    if not 0 <= 2 * lambda_range < np.inf:
+        raise ConfigError("lambda_range must be nonnegative and finite")
     features = _compiled(test_corpus, registry, features, lex_table)
     judge = _Judge(task, features)
     rng = np.random.default_rng(seed)

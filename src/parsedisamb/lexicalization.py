@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .corpus import (SYNTHETIC_RELATIONS, VOICES, Corpus, SentenceEntry,
-                     atomic_write, read_json, write_json)
+                     atomic_write, check_envelope, read_json, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 
 CLUSTER_FORMAT = "cluster-model"
@@ -181,10 +181,7 @@ class ClusterModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ClusterModel":
-        if doc.get("format") != CLUSTER_FORMAT:
-            raise DataError("not a cluster-model document")
-        if doc.get("version") != CLUSTER_VERSION:
-            raise DataError(f"unsupported cluster-model version {doc.get('version')!r}")
+        check_envelope(doc, CLUSTER_FORMAT, CLUSTER_VERSION)
         verbs, nouns = tuple(doc["verbs"]), tuple(doc["nouns"])
         _check_words(verbs + nouns)
         return cls(
@@ -354,12 +351,11 @@ class LexFrequencyTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LexFrequencyTable":
-        if doc.get("format") != FREQ_TABLE_FORMAT:
-            raise DataError("not a lex-frequency-table document")
-        if doc.get("version") != FREQ_TABLE_VERSION:
-            raise DataError(f"unsupported table version {doc.get('version')!r}")
+        check_envelope(doc, FREQ_TABLE_FORMAT, FREQ_TABLE_VERSION)
         model = ClusterModel.from_json_dict(doc["model"])
         entries = {(v, n): float(x) for v, n, x in doc["entries"]}
+        if not all(0 <= x < np.inf for x in entries.values()):
+            raise DataError("an entry's f_c is negative or not finite")
         return cls(entries=entries, model=model)
 
 

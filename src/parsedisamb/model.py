@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus, SentenceEntry, read_json, write_json
+from .corpus import (Corpus, SentenceEntry, check_envelope, read_json,
+                     write_json)
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable
 from .properties import FeatureMatrix, PropertyRegistry, compile_corpus
@@ -223,10 +224,7 @@ def model_to_json_dict(model: LogLinearModel) -> dict:
 
 
 def model_from_json_dict(doc: dict) -> LogLinearModel:
-    if doc.get("format") != MODEL_FORMAT:
-        raise DataError("not a loglinear-model document")
-    if doc.get("version") != MODEL_VERSION:
-        raise DataError(f"unsupported model version {doc.get('version')!r}")
+    check_envelope(doc, MODEL_FORMAT, MODEL_VERSION)
     # Older models record "reference_kind"; only the uniform one is defined.
     kind = doc.get("reference_kind", "uniform")
     if kind != "uniform":

@@ -44,8 +44,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import (Corpus, ParseRecord, SentenceEntry, count_leaves,
-                     read_json, write_json)
+from .corpus import (Corpus, ParseRecord, SentenceEntry, check_envelope,
+                     count_leaves, read_json, write_json)
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable, lexicalized_properties
 
@@ -136,10 +136,7 @@ class PropertyRegistry:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PropertyRegistry":
-        if doc.get("format") != REGISTRY_FORMAT:
-            raise DataError("not a property-registry document")
-        if doc.get("version") != REGISTRY_VERSION:
-            raise DataError(f"unsupported registry version {doc.get('version')!r}")
+        check_envelope(doc, REGISTRY_FORMAT, REGISTRY_VERSION)
         props = []
         for i, p in enumerate(doc["properties"]):
             # Older registries record each descriptor's position as "index".

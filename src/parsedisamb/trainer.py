@@ -61,8 +61,9 @@ class TrainingConfig:
     def validate(self) -> None:
         if self.init not in ("uniform_zero", "random"):
             raise ConfigError(f"unknown init strategy {self.init!r}")
-        if self.init == "random" and self.init_range <= 0:
-            raise ConfigError("init_range must be positive for random init")
+        # numpy's uniform draw needs a finite width.
+        if self.init == "random" and not 0 < 2 * self.init_range < math.inf:
+            raise ConfigError("random init needs a positive, finite init_range")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if self.likelihood_tolerance <= 0:

@@ -17,6 +17,14 @@ def _read(path):
         return handle.read()
 
 
+def _numeric_ids(lines, first=10):
+    """Corpus lines with the sentence ids rewritten as JSON integers."""
+    records = [json.loads(line) for line in lines[1:]]
+    for i, record in enumerate(records):
+        record["sentence_id"] = first + i
+    return lines[:1] + [json.dumps(record) for record in records]
+
+
 @pytest.fixture()
 def synth_dir(tmp_path):
     out = tmp_path / "synth"
@@ -154,6 +162,12 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"{path}: line 5: sentence {record['sentence_id']!r} has no " \
             "gold_index annotation" in err
+        # Integer ids load as strings; the line is still the fifth.
+        path.write_text("\n".join(_numeric_ids(lines)) + "\n")
+        assert _run("train", "--corpus", str(path), "--complete-data",
+                    "--out-dir", str(tmp_path / "o")) == 2
+        assert f"{path}: line 5: sentence '13' has no gold_index" in \
+            capsys.readouterr().err
         # Incomplete data never reads gold_index, and --parsebank sets it.
         for flags in ([], ["--parsebank", "--complete-data"]):
             assert _run("train", "--corpus", str(path), *flags,
@@ -175,6 +189,9 @@ class TestTrainCommand:
         code = _run("train", "--corpus", str(synth_dir / "train.jsonl"),
                     "--max-iterations", "0", "--out-dir", str(tmp_path / "o"))
         assert code == 1
+        # numpy takes no negative seed.
+        assert _run("synth", "--seed", "-1", "--out-dir",
+                    str(tmp_path / "s")) == 1
 
     def test_internal_consistency_exit_code(self, synth_dir, tmp_path,
                                             monkeypatch):
@@ -272,6 +289,12 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert f"{path}: line {lineno}: sentence " \
             f"{record['sentence_id']!r} has no gold_index" in err
+        # Integer ids load as strings; the line is still found.
+        path.write_text("\n".join(_numeric_ids(lines)) + "\n")
+        assert _run("eval", "--model", str(trained / "model.json"),
+                    "--corpus", str(path), "--out-dir", str(tmp_path / "o")) == 2
+        assert f"{path}: line {lineno}: sentence '{lineno + 8}' has no " \
+            "gold_index" in capsys.readouterr().err
 
     def test_older_model_evaluates_identically(self, synth_dir, trained,
                                                tmp_path, capsys):
@@ -298,6 +321,114 @@ class TestEvalCommand:
         assert len(names) == 6
         for name in names:
             assert _read(outs[0] / name) == _read(outs[1] / name)
+
+
+@pytest.fixture()
+def command_argv(synth_dir, tmp_path):
+    """Minimal argv of each command that takes a config file."""
+    from parsedisamb import pair_counts_from_corpus
+    pairs = tmp_path / "pairs.tsv"
+    save_pair_counts(pair_counts_from_corpus(
+        load_corpus(synth_dir / "train.jsonl")), pairs)
+    model = tmp_path / "model"
+    assert _run("train", "--corpus", str(synth_dir / "train.jsonl"),
+                "--max-iterations", "4", "--checkpoint-every", "2",
+                "--out-dir", str(model)) == 0
+    return {"train": ["train", "--corpus", str(synth_dir / "train.jsonl"),
+                      "--max-iterations", "4"],
+            "eval": ["eval", "--model", str(model / "model.json"),
+                     "--corpus", str(synth_dir / "test.jsonl")],
+            "cluster": ["cluster", "--pairs", str(pairs), "--classes", "2"],
+            "synth": ["synth", "--sentences", "30"]}
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command, doc", [
+        pytest.param("train", 5, id="train-number"),
+        pytest.param("eval", ["task", "exact"], id="eval-list"),
+        pytest.param("cluster", "classes", id="cluster-string"),
+        pytest.param("synth", None, id="synth-null"),
+        pytest.param("train", {"max_iterations": "ten"}, id="train-int"),
+        pytest.param("eval", {"tie_epsilon": "small"}, id="eval-float"),
+        pytest.param("eval", {"task": "all"}, id="eval-choice"),
+        pytest.param("cluster", {"classes": "x"}, id="cluster-int"),
+        pytest.param("synth", {"ambiguity": 3}, id="synth-pair"),
+        pytest.param("synth", {"ambiguity": [1, 2, "-h"]}, id="synth-dash"),
+        pytest.param("train", {"complete_data": "yes"}, id="train-switch"),
+        pytest.param("train", {"seed": -1}, id="train-seed"),
+        pytest.param("train", {"corpus": "a\0b"}, id="train-nul")])
+    def test_bad_config_is_a_config_error(self, command_argv, tmp_path,
+                                          capsys, command, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert _run(*command_argv[command], "--config", str(config),
+                    "--out-dir", str(tmp_path / "out")) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {config}: ")
+        assert "Traceback" not in captured.err and not captured.out
+
+    @pytest.mark.parametrize("command, doc, flags", [
+        pytest.param("eval", {"task": ["exact", "frame"]},
+                     ["--task", "exact", "--task", "frame"], id="task-list"),
+        pytest.param("eval", {"task": "frame", "baseline": 3, "seed": 2},
+                     ["--task", "frame", "--baseline", "3", "--seed", "2"],
+                     id="task-string"),
+        pytest.param("synth", {"ambiguity": [2, 3], "split": 0.5},
+                     ["--ambiguity", "2", "3", "--split", "0.5"],
+                     id="ambiguity-pair"),
+        pytest.param("train", {"complete_data": True, "parsebank": False,
+                               "tolerance": 1e-3, "init": None},
+                     ["--complete-data", "--tolerance", "1e-3"],
+                     id="switches-and-null")])
+    def test_values_behave_as_the_flags(self, command_argv, tmp_path, capsys,
+                                        command, doc, flags):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        outs, printed = [], []
+        for name, extra in (("config", ["--config", str(config)]),
+                            ("flags", flags)):
+            out = tmp_path / name
+            assert _run(*command_argv[command], *extra,
+                        "--out-dir", str(out)) == 0
+            outs.append(out)
+            printed.append(capsys.readouterr().out.replace(str(out), "OUT"))
+        assert printed[0] == printed[1]
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        for name in names:
+            if name == "manifest.json":
+                configs = [json.loads((out / name).read_text())["config"]
+                           for out in outs]
+                assert {**configs[0], "out_dir": None} == \
+                    {**configs[1], "out_dir": None}
+            elif os.path.isfile(outs[0] / name):
+                assert _read(outs[0] / name) == _read(outs[1] / name)
+
+    def test_explicit_flags_win_over_a_list(self, command_argv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"task": ["exact", "frame"]}))
+        out = tmp_path / "out"
+        assert _run(*command_argv["eval"], "--config", str(config),
+                    "--task", "frame", "--out-dir", str(out)) == 0
+        assert sorted(n for n in os.listdir(out) if n.startswith("report")) \
+            == ["report_frame_match.json"]
+
+
+class TestMissingInputs:
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--model"), ("eval", "--lex-table"), ("eval", "--checkpoints"),
+        ("cluster", "--pairs"), ("train", "--lexicalized")])
+    def test_exits_2_naming_the_path(self, command_argv, tmp_path, capsys,
+                                     command, flag):
+        absent = tmp_path / "absent"
+        argv = command_argv[command]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(absent)
+        else:
+            argv += [flag, str(absent)]
+        assert _run(*argv, "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert str(absent) in err and "Traceback" not in err
 
 
 class TestClusterCommand:

@@ -136,6 +136,32 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("gold_index", 1.7, id="fractional-gold"),
+        pytest.param("gold_index", True, id="boolean-gold"),
+        pytest.param("position", 1.9, id="fractional-position"),
+        pytest.param("position", True, id="boolean-position"),
+        pytest.param("weight", 10 ** 400, id="overflowing-weight")])
+    def test_numbers_are_not_truncated_or_coerced(self, tmp_path, field,
+                                                  value):
+        header = json.dumps({"format": "forest-corpus", "version": 1})
+        record = {"sentence_id": "s0", "tokens": ["a"], "gold_index": 0,
+                  "parses": [{"parse_id": "p0", "cstructure": ["S", ["a"]],
+                              "fstructure": {"functions": ["SUBJ"]},
+                              "relations": [["subj", "v", "n", "active", 1]]},
+                             {"parse_id": "p1", "cstructure": ["S", ["a"]],
+                              "fstructure": {"functions": ["OBJ"]}}]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        assert load_corpus(path).entries[0].parses[0].relations[0].position == 1
+        if field == "position":
+            record["parses"][0]["relations"][0][4] = value
+        else:
+            record[field] = value
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DataError, match=f"^{path}: line 2: "):
+            load_corpus(path)
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         for header in ('{"sentence_id": "s0"}', "null", "[1]", '"forest-corpus"'):
@@ -167,6 +193,19 @@ class TestLoadCorpus:
         weights = {e.sentence_id: e.weight for e in loaded.entries}
         assert_allclose(weights["s0"], 2 / 3)
         assert_allclose(weights["s1"], 1 / 3)
+
+    def test_duplicates_with_different_gold_stay_apart(self, tmp_path):
+        corpus = _counts_corpus([2, 1], golds=[0, 0])
+        path = tmp_path / "gold.jsonl"
+        lines = _write(corpus, tmp_path).read_text().splitlines()
+        # Same tokens and parses as s0, but the other parse is gold.
+        other = json.loads(lines[1])
+        other.update(sentence_id="s0-other", gold_index=1)
+        path.write_text("\n".join(lines + [json.dumps(other)]) + "\n")
+        loaded = load_corpus(path)
+        assert [(e.sentence_id, e.gold_index) for e in loaded.entries] == \
+            [("s0", 0), ("s1", 0), ("s0-other", 1)]
+        assert_allclose([e.weight for e in loaded.entries], [1 / 3] * 3)
 
     def test_non_string_frame_is_rejected(self, tmp_path):
         header = json.dumps({"format": "forest-corpus", "version": 1})

@@ -201,6 +201,14 @@ class TestRandomBaseline:
         with pytest.raises(ConfigError):
             random_baseline(corpus, "exact_match", registry, n_models=0)
 
+    def test_lambda_range_validated(self):
+        # numpy rejects a negative width and overflows past 8.9e307.
+        corpus, registry, _ = _hand_case()
+        for bad in (-1.0, 1e308, float("nan")):
+            with pytest.raises(ConfigError, match="lambda_range"):
+                random_baseline(corpus, "exact_match", registry, n_models=1,
+                                lambda_range=bad)
+
 
 class TestSweep:
     def test_single_checkpoint_equals_evaluate(self):

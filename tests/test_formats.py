@@ -177,6 +177,42 @@ class TestBadDocuments:
         with pytest.raises(DataError, match="non-finite"):
             load_model(tmp_path / "model.json")
 
+    def test_overflowing_integer_lambda(self, tmp_path):
+        text = json.dumps(OLDER_MODEL).replace('"lambda": [0.5',
+                                               '"lambda": [1' + "0" * 400)
+        (tmp_path / "model.json").write_text(text)
+        with pytest.raises(DataError, match="too large") as info:
+            load_model(tmp_path / "model.json")
+        assert str(tmp_path / "model.json") in str(info.value)
+
+    @pytest.mark.parametrize("value", [
+        pytest.param("1e400", id="inf"), pytest.param("-1.0", id="negative"),
+        pytest.param("1" + "0" * 400, id="overflowing-integer")])
+    def test_freq_table_entry_must_be_finite_and_nonnegative(
+            self, tmp_path, capsys, value):
+        pairs = PairCounts(counts={("v0", "n0"): 2, ("v1", "n1"): 1})
+        clusters, _ = train_clusters(pairs, n_classes=2, seed=1)
+        doc = build_freq_table(clusters, pairs).to_json_dict()
+        doc["entries"][0][2] = "VALUE"
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        with pytest.raises(DataError) as info:
+            load_freq_table(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+        corpus = _older_corpus()
+        save_corpus(corpus, tmp_path / "corpus.jsonl")
+        save_model(new_model(build_feature_matrix(
+            corpus, corrected_registry(corpus))), tmp_path / "model.json")
+        for argv in (["train", "--corpus", str(tmp_path / "corpus.jsonl"),
+                      "--lexicalized", str(path)],
+                     ["eval", "--model", str(tmp_path / "model.json"),
+                      "--corpus", str(tmp_path / "corpus.jsonl"),
+                      "--lex-table", str(path)]):
+            assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and "Traceback" not in err
+
     def test_freq_table_without_entries(self, tmp_path):
         pairs = PairCounts(counts={("v", "n"): 2})
         clusters, _ = train_clusters(pairs, n_classes=1)

@@ -4,7 +4,8 @@ Every variant of a corpus line (structural and passthrough), the corpus
 header, a model with its embedded registry, and a frequency table either
 loads or raises a DataError naming the file, and for corpora the line.
 Through the CLI (``stats`` and ``eval``) the exit code is 0 or 2; any other
-exception would escape ``main`` and fail the test.
+exception would escape ``main`` and fail the test.  A config file of any
+command, one value replaced, exits 0, 1 or 2.
 """
 
 import copy
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from parsedisamb import (DataError, load_corpus, load_model,
                          pair_counts_from_corpus, save_pair_counts)
+from parsedisamb import cli
 from parsedisamb.cli import main
 from parsedisamb.lexicalization import load_freq_table
 
@@ -166,3 +168,53 @@ class TestLoaderFuzz:
             assert str(exc).startswith(f"{path}: "), str(exc)
         assert _eval(artifacts, artifacts / "model" / "model.json",
                      artifacts / "synth" / "test.jsonl", path) in (0, 2)
+
+
+def _configs(artifacts):
+    """A config file of each command that sets every key."""
+    synth, model = artifacts / "synth", artifacts / "model"
+    table = str(artifacts / "clusters" / "freq_table.json")
+    return {
+        "train": {"corpus": str(synth / "train.jsonl"), "parsebank": False,
+                  "max_parses": 4, "select_cutoff": 1, "lexicalized": table,
+                  "init": "random", "init_range": 0.5, "max_iterations": 3,
+                  "tolerance": 1e-8, "checkpoint_every": 2,
+                  "complete_data": False, "seed": 1, "out_dir": "unused"},
+        "eval": {"model": str(model / "model.json"),
+                 "corpus": str(synth / "test.jsonl"),
+                 "task": ["exact", "frame"], "tie_epsilon": 1e-9,
+                 "baseline": 2, "lambda_range": 1.0,
+                 "checkpoints": str(model / "checkpoints"),
+                 "lex_table": table, "seed": 1, "out_dir": "unused"},
+        "cluster": {"pairs": str(artifacts / "pairs.tsv"), "classes": 2,
+                    "max_iterations": 5, "tolerance": 1e-6, "seed": 1,
+                    "out_dir": "unused"},
+        "synth": {"sentences": 20, "ambiguity": [1, 4], "features": 5,
+                  "relations": 2, "split": 0.5, "seed": 1,
+                  "out_dir": "unused"},
+        "stats": {"corpus": str(synth / "test.jsonl"), "out_dir": "unused"}}
+
+
+def _main_with_config(artifacts, command, doc):
+    # The explicit --out-dir wins, so a fuzzed out_dir writes nowhere.
+    path = artifacts / "fuzzed_config.json"
+    _write_json(path, doc)
+    return main([command, "--config", str(path),
+                 "--out-dir", str(artifacts / "config_out")])
+
+
+class TestConfigFuzz:
+    def test_every_key_of_every_command_runs(self, artifacts):
+        for command, doc in _configs(artifacts).items():
+            assert set(doc) == set(getattr(cli, f"{command.upper()}_DEFAULTS"))
+            assert _main_with_config(artifacts, command, doc) == 0
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_one_value_replaced(self, artifacts, data):
+        configs = _configs(artifacts)
+        command = data.draw(st.sampled_from(sorted(configs)))
+        key = data.draw(st.sampled_from(sorted(configs[command])))
+        doc = {**configs[command], key: data.draw(VALUES)}
+        assert _main_with_config(artifacts, command, doc) in (0, 1, 2)

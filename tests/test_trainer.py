@@ -353,6 +353,8 @@ class TestCompareInits:
 class TestConfigValidation:
     def test_bad_values(self):
         for bad in (dict(init="nope"), dict(max_iterations=0),
-                    dict(likelihood_tolerance=0.0), dict(checkpoint_every=0)):
+                    dict(likelihood_tolerance=0.0), dict(checkpoint_every=0),
+                    dict(init="random", init_range=-1.0),
+                    dict(init="random", init_range=1e308)):
             with pytest.raises(ConfigError):
                 TrainingConfig(**bad).validate()
