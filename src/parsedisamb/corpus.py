@@ -144,19 +144,23 @@ class Corpus:
 # ---------------------------------------------------------------------------
 # Validation
 
-def _validate_parse(parse: ParseRecord, n_tokens: int, where: str) -> None:
+def _check_leaves(parse_id: str, n_leaves: int, n_tokens: int) -> None:
+    """DataError unless a c-structure has one leaf per sentence token."""
+    if n_leaves != n_tokens:
+        raise DataError(
+            f"parse {parse_id!r} has {n_leaves} c-structure leaves but the "
+            f"sentence has {n_tokens} tokens"
+        )
+
+
+def _validate_parse(parse: ParseRecord, where: str) -> None:
+    """Every check of a parse but its leaf count, which ``load_corpus`` makes
+    while it decodes the tree and ``build_corpus`` makes on its own."""
     if parse.precomputed_features is None and not parse.has_structure:
         raise DataError(
             f"{where}: parse {parse.parse_id!r} has neither structural "
             "information nor precomputed_features"
         )
-    if parse.cstructure is not None:
-        n_leaves = count_leaves(parse.cstructure)
-        if n_leaves != n_tokens:
-            raise DataError(
-                f"{where}: parse {parse.parse_id!r} has {n_leaves} c-structure "
-                f"leaves but the sentence has {n_tokens} tokens"
-            )
     position_verb: dict[int, str] = {}
     for rel in parse.relations:
         if rel.voice not in VOICES:
@@ -208,7 +212,7 @@ def _validate_entry(entry: SentenceEntry, where: str) -> None:
             f"{entry.gold_index} out of range"
         )
     for parse in entry.parses:
-        _validate_parse(parse, len(entry.tokens), where)
+        _validate_parse(parse, where)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +232,27 @@ def count_leaves(node, counts: Optional[dict] = None) -> int:
     return total
 
 
-def tree_from_json(obj):
-    """Decode a nested [label, [children...]] array into tuples."""
-    if isinstance(obj, str):
-        return obj
-    if not (isinstance(obj, list) and len(obj) == 2 and isinstance(obj[0], str)):
+def tree_from_json(obj) -> tuple[object, int]:
+    """Decode a nested [label, [children...]] array into tuples; returns
+    the tree and its number of leaves, counted in the same walk."""
+    if obj.__class__ is str:
+        return obj, 1
+    if not (obj.__class__ is list and len(obj) == 2
+            and obj[0].__class__ is str):
         raise DataError(f"malformed c-structure node: {obj!r}")
     label, children = obj
-    if not isinstance(children, list):
+    if children.__class__ is not list:
         raise DataError(f"malformed c-structure children of {label!r}")
-    return (label, tuple(tree_from_json(c) for c in children))
+    decoded = []
+    leaves = 0
+    for child in children:
+        if child.__class__ is str:
+            leaves += 1
+        else:
+            child, n = tree_from_json(child)
+            leaves += n
+        decoded.append(child)
+    return (label, tuple(decoded)), leaves
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +291,21 @@ def _require(record: dict, name: str):
     return record[name]
 
 
-def _parse_from_json(rec: dict) -> ParseRecord:
+def _number(value) -> float:
+    """A JSON number as a float; a string or a boolean is not one."""
+    if value.__class__ is not float and value.__class__ is not int:
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
+def _parse_from_json(rec: dict, n_tokens: int) -> ParseRecord:
     if not isinstance(rec, dict):
         raise DataError("parse record must be a JSON object")
-    parse_id = _require(rec, "parse_id")
+    parse_id = str(_require(rec, "parse_id"))
     cstructure = rec.get("cstructure")
     if cstructure is not None:
-        cstructure = tree_from_json(cstructure)
+        cstructure, n_leaves = tree_from_json(cstructure)
+        _check_leaves(parse_id, n_leaves, n_tokens)
     fstructure = rec.get("fstructure")
     if fstructure is not None:
         try:
@@ -304,11 +327,11 @@ def _parse_from_json(rec: dict) -> ParseRecord:
     features = rec.get("precomputed_features")
     if features is not None:
         try:
-            features = {int(k): float(v) for k, v in features.items()}
+            features = {int(k): _number(v) for k, v in features.items()}
         except (TypeError, ValueError, AttributeError) as exc:
             raise DataError("malformed precomputed_features field") from exc
     return ParseRecord(
-        parse_id=str(parse_id),
+        parse_id=parse_id,
         cstructure=cstructure,
         fstructure=fstructure,
         relations=tuple(relations),
@@ -328,7 +351,7 @@ def _entry_from_json(rec: dict) -> SentenceEntry:
     raw_parses = _require(rec, "parses")
     if not isinstance(raw_parses, list) or not raw_parses:
         raise DataError("field 'parses' must be a nonempty list")
-    parses = tuple(_parse_from_json(p) for p in raw_parses)
+    parses = tuple(_parse_from_json(p, len(tokens)) for p in raw_parses)
     gold = rec.get("gold_index")
     if gold is not None and type(gold) is not int:  # bool is not int
         raise DataError("gold_index must be an integer or null")
@@ -336,7 +359,7 @@ def _entry_from_json(rec: dict) -> SentenceEntry:
         sentence_id=sentence_id,
         tokens=tokens,
         parses=parses,
-        weight=float(rec.get("weight", 1.0)),
+        weight=_number(rec.get("weight", 1.0)),
         gold_index=gold,
     )
 
@@ -350,7 +373,15 @@ def build_corpus(entries: Iterable[SentenceEntry]) -> Corpus:
     """
     entries = list(entries)
     for entry in entries:
-        _validate_entry(entry, f"sentence {entry.sentence_id!r}")
+        where = f"sentence {entry.sentence_id!r}"
+        _validate_entry(entry, where)
+        try:
+            for parse in entry.parses:
+                if parse.cstructure is not None:
+                    _check_leaves(parse.parse_id, count_leaves(parse.cstructure),
+                                  len(entry.tokens))
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
     return _assemble(entries)
 
 
@@ -466,7 +497,8 @@ def check_envelope(doc, fmt: str, version: int) -> None:
     """DataError unless ``doc`` is a ``fmt`` document at ``version``."""
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise DataError(f"not a {fmt} document")
-    if doc.get("version") != version:
+    # A JSON integer: true and 1.0 compare equal to 1 but are not versions.
+    if type(doc.get("version")) is not int or doc["version"] != version:
         raise DataError(f"unsupported {fmt} version {doc.get('version')!r}")
 
 
@@ -529,6 +561,14 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 
 # ---------------------------------------------------------------------------
 # Synthetic generation
+
+def seeded_rng(seed: Optional[int]) -> np.random.Generator:
+    """numpy's generator for ``seed`` (None draws fresh entropy).  numpy
+    takes no negative seed, so one is a ConfigError."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -601,7 +641,7 @@ def generate_synthetic(config: SyntheticConfig,
     sufficient to recompute the hidden model.
     """
     config.validate()
-    rng = np.random.default_rng(config.seed)
+    rng = seeded_rng(config.seed)
     if true_params is None:
         theta = rng.uniform(-1.5, 1.5, size=config.n_features)
     else:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, atomic_write, write_json
+from .corpus import Corpus, atomic_write, seeded_rng, write_json
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable
 from .model import DEFAULT_TIE_EPSILON, Decisions, LogLinearModel, decide
@@ -216,7 +216,7 @@ def random_baseline(test_corpus: Corpus, task: str, registry: PropertyRegistry,
         raise ConfigError("lambda_range must be nonnegative and finite")
     features = _compiled(test_corpus, registry, features, lex_table)
     judge = _Judge(task, features)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     precisions = []
     n_undefined = 0
     for _ in range(n_models):

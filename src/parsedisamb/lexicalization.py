@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .corpus import (SYNTHETIC_RELATIONS, VOICES, Corpus, SentenceEntry,
-                     atomic_write, check_envelope, read_json, write_json)
+                     atomic_write, check_envelope, read_json, seeded_rng,
+                     write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 
 CLUSTER_FORMAT = "cluster-model"
@@ -232,7 +233,7 @@ def train_clusters(counts: PairCounts, n_classes: int,
         raise ConfigError("n_classes must be >= 1")
     if max_iterations < 1:
         raise ConfigError("max_iterations must be >= 1")
-    if tolerance <= 0:
+    if not tolerance > 0:  # NaN included
         raise ConfigError("tolerance must be positive")
 
     verbs, nouns = counts.verbs, counts.nouns
@@ -259,7 +260,7 @@ def train_clusters(counts: PairCounts, n_classes: int,
         model = ClusterModel(priors=np.ones(1), verb_emissions=ve[None, :],
                              noun_emissions=ne[None, :], verbs=verbs, nouns=nouns)
     else:
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         priors = np.full(n_classes, 1.0 / n_classes)
         ve = 1.0 + 0.1 * rng.random((n_classes, len(verbs)))
         ne = 1.0 + 0.1 * rng.random((n_classes, len(nouns)))

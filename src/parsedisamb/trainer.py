@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, seeded_rng
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .lexicalization import LexFrequencyTable
 from .model import LogLinearModel, ParseDistribution, new_model, normalize
@@ -66,7 +66,7 @@ class TrainingConfig:
             raise ConfigError("random init needs a positive, finite init_range")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if self.likelihood_tolerance <= 0:
+        if not self.likelihood_tolerance > 0:  # NaN included
             raise ConfigError("likelihood_tolerance must be positive")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
@@ -188,7 +188,7 @@ def im_step(model: LogLinearModel, features: FeatureMatrix, *,
 def _initial_lam(config: TrainingConfig, n: int) -> np.ndarray:
     if config.init == "uniform_zero":
         return np.zeros(n)
-    rng = np.random.default_rng(config.seed)
+    rng = seeded_rng(config.seed)
     return rng.uniform(-config.init_range, config.init_range, size=n)
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 
@@ -412,6 +413,76 @@ class TestConfigFile:
                     "--task", "frame", "--out-dir", str(out)) == 0
         assert sorted(n for n in os.listdir(out) if n.startswith("report")) \
             == ["report_frame_match.json"]
+
+
+class TestNanTolerance:
+    """Every comparison with NaN is false, so a NaN tolerance would train to
+    the iteration cap without a word."""
+
+    @pytest.mark.parametrize("command", ["train", "cluster"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_exits_1(self, command_argv, tmp_path, capsys, command, source):
+        extra = ["--tolerance", "nan"]
+        if source == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"tolerance": float("nan")}))
+            extra = ["--config", str(config)]
+        assert _run(*command_argv[command], *extra,
+                    "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "tolerance" in err
+
+
+class TestCollectorState:
+    """``main`` pauses the cyclic garbage collector while a command runs and
+    restores the state it found on every exit."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_success_runs_paused(self, synth_dir, monkeypatch, collector):
+        import parsedisamb.cli as cli
+        seen = []
+        stats = cli.corpus_stats
+
+        def recording(corpus):
+            seen.append(gc.isenabled())
+            return stats(corpus)
+
+        monkeypatch.setattr(cli, "corpus_stats", recording)
+        assert _run("stats", "--corpus", str(synth_dir / "train.jsonl")) == 0
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["train", "--out-dir", "{tmp}/o"], 1, id="config-error"),
+        pytest.param(["stats", "--corpus", "{tmp}/absent.jsonl"], 2,
+                     id="data-error")])
+    def test_failures(self, tmp_path, collector, argv, code):
+        assert _run(*[a.format(tmp=tmp_path) for a in argv]) == code
+        assert gc.isenabled() is collector
+
+    def test_internal_consistency_failure(self, synth_dir, tmp_path,
+                                          monkeypatch, collector):
+        from parsedisamb.errors import InternalConsistencyError
+        import parsedisamb.cli as cli
+
+        def broken_train(*args, **kwargs):
+            raise InternalConsistencyError("log-likelihood decreased")
+
+        monkeypatch.setattr(cli, "train", broken_train)
+        assert _run("train", "--corpus", str(synth_dir / "train.jsonl"),
+                    "--out-dir", str(tmp_path / "o")) == 3
+        assert gc.isenabled() is collector
+
+    def test_version_exit(self, capsys, collector):
+        with pytest.raises(SystemExit):
+            _run("--version")
+        assert gc.isenabled() is collector
 
 
 class TestMissingInputs:

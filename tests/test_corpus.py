@@ -11,7 +11,7 @@ from parsedisamb import (DataError, ParseRecord, SentenceEntry,
                          SyntheticConfig, build_corpus, corpus_stats,
                          extract_parsebank, generate_synthetic, load_corpus,
                          save_corpus)
-from conftest import passthrough_corpus
+from conftest import passthrough_corpus, structural_parse
 from test_compile import SETTINGS, corpora
 
 
@@ -141,7 +141,9 @@ class TestLoadCorpus:
         pytest.param("gold_index", True, id="boolean-gold"),
         pytest.param("position", 1.9, id="fractional-position"),
         pytest.param("position", True, id="boolean-position"),
-        pytest.param("weight", 10 ** 400, id="overflowing-weight")])
+        pytest.param("weight", 10 ** 400, id="overflowing-weight"),
+        pytest.param("weight", "0.5", id="string-weight"),
+        pytest.param("weight", True, id="boolean-weight")])
     def test_numbers_are_not_truncated_or_coerced(self, tmp_path, field,
                                                   value):
         header = json.dumps({"format": "forest-corpus", "version": 1})
@@ -168,6 +170,32 @@ class TestLoadCorpus:
             path.write_text(header + "\n")
             with pytest.raises(DataError, match="line 1: not a forest-corpus"):
                 load_corpus(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_is_a_json_integer(self, tmp_path, version):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"format": "forest-corpus",
+                                    "version": version}) + "\n"
+                        + _write(_counts_corpus([1]), tmp_path,
+                                 "good.jsonl").read_text().splitlines()[1])
+        with pytest.raises(DataError,
+                           match=f"^{path}: line 1: unsupported forest-corpus"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("value", ["2", False])
+    def test_feature_values_are_json_numbers(self, tmp_path, value):
+        header = json.dumps({"format": "forest-corpus", "version": 1})
+        record = {"sentence_id": "s0", "tokens": ["a"],
+                  "parses": [{"parse_id": "p0",
+                              "precomputed_features": {"0": 2}}]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        assert load_corpus(path).entries[0].parses[0] \
+            .precomputed_features == {0: 2.0}
+        record["parses"][0]["precomputed_features"]["0"] = value
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DataError, match=f"^{path}: line 2: "):
+            load_corpus(path)
 
     def test_duplicate_sentence_id_rejected(self):
         entry = SentenceEntry(
@@ -256,6 +284,74 @@ class TestMerge:
         monkeypatch.setattr(corpus_module, "_validate_entry", counting)
         load_corpus(path)
         assert calls == [f"{path}: line {n}" for n in (2, 3, 4)]
+
+
+def _tree_line(tree, tokens=("a", "b"), parse_id="p0", sentence_id="s0"):
+    """A corpus line with one structural parse of ``tree``."""
+    return json.dumps({
+        "sentence_id": sentence_id, "tokens": list(tokens),
+        "parses": [{"parse_id": parse_id, "cstructure": tree,
+                    "fstructure": {"functions": ["SUBJ"]}}]})
+
+
+class TestTrees:
+    HEADER = json.dumps({"format": "forest-corpus", "version": 1})
+
+    def test_load_walks_each_tree_once(self, tmp_path, monkeypatch):
+        # Decoding counts the leaves: nothing walks a loaded tree again.
+        path = tmp_path / "trees.jsonl"
+        path.write_text("\n".join([
+            self.HEADER, _tree_line(["S", [["NP", ["a"]], ["VP", ["b"]]]]),
+            _tree_line(["S", ["a", ["X", ["b", "c"]]]], ("a", "b", "c"),
+                       sentence_id="s1")])
+            + "\n")
+        calls = []
+        count = corpus_module.count_leaves
+
+        def counting(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(corpus_module, "count_leaves", counting)
+        loaded = load_corpus(path)
+        assert calls == []
+        assert loaded.entries[0].parses[0].cstructure == \
+            ("S", (("NP", ("a",)), ("VP", ("b",))))
+        assert loaded.entries[1].parses[0].cstructure == \
+            ("S", ("a", ("X", ("b", "c"))))
+
+    def test_leaf_mismatch_names_file_line_and_parse(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([
+            self.HEADER, _tree_line(["S", ["a", "b"]]),
+            _tree_line(["S", [["NP", ["a"]], "b", "c"]], parse_id="long",
+                       sentence_id="s1")])
+            + "\n")
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value) == (
+            f"{path}: line 3: parse 'long' has 3 c-structure leaves but the "
+            "sentence has 2 tokens")
+
+    @pytest.mark.parametrize("tree", [["S"], ["S", "x"], [1, []],
+                                      ["S", [["NP"], "b"]]])
+    def test_malformed_trees_fail_at_load(self, tmp_path, tree):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self.HEADER + "\n" + _tree_line(tree) + "\n")
+        with pytest.raises(DataError,
+                           match=f"^{path}: line 2: malformed c-structure"):
+            load_corpus(path)
+
+    def test_build_corpus_counts_leaves_in_memory(self):
+        entry = SentenceEntry(
+            sentence_id="s0", tokens=("a", "b"),
+            parses=(structural_parse("p0", ("S", ("a", ("X", ("b", "c"))))),))
+        with pytest.raises(DataError) as info:
+            build_corpus([entry])
+        assert str(info.value) == (
+            "sentence 's0': parse 'p0' has 3 c-structure leaves but the "
+            "sentence has 2 tokens")
+        build_corpus([replace(entry, tokens=("a", "b", "c"))])
 
 
 NON_FINITE_LINES = {
@@ -371,6 +467,11 @@ class TestSyntheticGeneration:
         with pytest.raises(ConfigError):
             generate_synthetic(
                 SyntheticConfig(n_sentences=5, ambiguity_range=(2, 60)))
+
+    def test_negative_seed_is_a_config_error(self):
+        from parsedisamb import ConfigError
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            generate_synthetic(SyntheticConfig(n_sentences=5, seed=-1))
 
     def test_zero_params_give_uniform_gold(self):
         # Monte Carlo against binomial bounds: with all-zero parameters each

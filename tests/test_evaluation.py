@@ -201,6 +201,12 @@ class TestRandomBaseline:
         with pytest.raises(ConfigError):
             random_baseline(corpus, "exact_match", registry, n_models=0)
 
+    def test_negative_seed_is_a_config_error(self):
+        corpus, registry, _ = _hand_case()
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            random_baseline(corpus, "exact_match", registry, n_models=1,
+                            seed=-1)
+
     def test_lambda_range_validated(self):
         # numpy rejects a negative width and overflows past 8.9e307.
         corpus, registry, _ = _hand_case()

@@ -180,10 +180,16 @@ class TestTrainClusters:
             train_clusters(TOY_COUNTS, n_classes=0)
         with pytest.raises(ConfigError):
             train_clusters(TOY_COUNTS, n_classes=2, max_iterations=0)
-        with pytest.raises(ConfigError):
-            train_clusters(TOY_COUNTS, n_classes=2, tolerance=0.0)
+        # NaN <= 0 is false: a NaN tolerance would run to the cap.
+        for tolerance in (0.0, float("nan")):
+            with pytest.raises(ConfigError):
+                train_clusters(TOY_COUNTS, n_classes=2, tolerance=tolerance)
         with pytest.raises(DataError):
             train_clusters(PairCounts(counts={}), n_classes=1)
+
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            train_clusters(TOY_COUNTS, n_classes=2, seed=-1)
 
     def test_non_string_words_are_data_errors(self, tmp_path):
         # Checked once per run, before any model is built ...

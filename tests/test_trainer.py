@@ -353,8 +353,17 @@ class TestCompareInits:
 class TestConfigValidation:
     def test_bad_values(self):
         for bad in (dict(init="nope"), dict(max_iterations=0),
-                    dict(likelihood_tolerance=0.0), dict(checkpoint_every=0),
+                    dict(likelihood_tolerance=0.0),
+                    # NaN <= 0 is false: the run would go to the cap.
+                    dict(likelihood_tolerance=math.nan),
+                    dict(checkpoint_every=0),
                     dict(init="random", init_range=-1.0),
                     dict(init="random", init_range=1e308)):
             with pytest.raises(ConfigError):
                 TrainingConfig(**bad).validate()
+
+    def test_negative_seed_of_a_random_start(self):
+        corpus = passthrough_corpus([[{0: 1}, {1: 1}]])
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            train(corpus, corrected_registry(corpus),
+                  TrainingConfig(init="random", seed=-1))
