@@ -285,82 +285,59 @@ def _entry_to_json(entry: SentenceEntry) -> dict:
     }
 
 
-def _require(record: dict, name: str):
-    if name not in record:
-        raise DataError(f"missing field {name!r}")
-    return record[name]
+def _relation_from_json(item) -> Relation:
+    name, verb, noun, voice, position = typed(item, list, "relation")
+    return Relation(*strings([name, verb, noun, voice], "relation fields"),
+                    typed(position, int, "relation position"))
 
 
-def _number(value) -> float:
-    """A JSON number as a float; a string or a boolean is not one."""
-    if value.__class__ is not float and value.__class__ is not int:
-        raise TypeError(f"{value!r} is not a JSON number")
-    return float(value)
-
-
-def _parse_from_json(rec: dict, n_tokens: int) -> ParseRecord:
-    if not isinstance(rec, dict):
-        raise DataError("parse record must be a JSON object")
-    parse_id = str(_require(rec, "parse_id"))
+def _parse_from_json(rec, n_tokens: int) -> ParseRecord:
+    parse_id = identifier(typed(rec, dict, "parse record")["parse_id"],
+                          "field 'parse_id'")
     cstructure = rec.get("cstructure")
     if cstructure is not None:
         cstructure, n_leaves = tree_from_json(cstructure)
         _check_leaves(parse_id, n_leaves, n_tokens)
     fstructure = rec.get("fstructure")
     if fstructure is not None:
-        try:
-            pairs = tuple((str(a), str(v)) for a, v in fstructure.get("pairs", []))
-            functions = tuple(str(f) for f in fstructure.get("functions", []))
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise DataError("malformed fstructure field") from exc
-        fstructure = FStructure(pairs=pairs, functions=functions)
-    relations = []
-    for item in rec.get("relations") or []:
-        if not (isinstance(item, list) and len(item) == 5
-                and type(item[4]) is int):  # bool is not int
-            raise DataError("malformed relations field")
-        relations.append(Relation(str(item[0]), str(item[1]), str(item[2]),
-                                  str(item[3]), item[4]))
-    frame = rec.get("frame")
-    if frame is not None and not isinstance(frame, str):
-        raise DataError("field 'frame' must be a string or null")
+        typed(fstructure, dict, "field 'fstructure'")
+        fstructure = FStructure(
+            pairs=tuple(strings(pair, "fstructure pair", 2) for pair in
+                        typed(fstructure.get("pairs", []), list,
+                              "fstructure pairs")),
+            functions=strings(fstructure.get("functions", []),
+                              "fstructure functions"))
+    relations, frame = rec.get("relations"), rec.get("frame")
     features = rec.get("precomputed_features")
-    if features is not None:
-        try:
-            features = {int(k): _number(v) for k, v in features.items()}
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise DataError("malformed precomputed_features field") from exc
     return ParseRecord(
         parse_id=parse_id,
         cstructure=cstructure,
         fstructure=fstructure,
-        relations=tuple(relations),
-        frame=frame,
-        precomputed_features=features,
+        relations=() if relations is None else tuple(map(
+            _relation_from_json, typed(relations, list, "field 'relations'"))),
+        frame=None if frame is None else typed(frame, str, "field 'frame'"),
+        precomputed_features=None if features is None else {
+            canonical_int(k, "precomputed feature index"):
+                typed(v, float, "precomputed feature value")
+            for k, v in typed(features, dict,
+                              "field 'precomputed_features'").items()},
     )
 
 
-def _entry_from_json(rec: dict) -> SentenceEntry:
-    if not isinstance(rec, dict):
-        raise DataError("sentence record must be a JSON object")
-    sentence_id = str(_require(rec, "sentence_id"))
-    raw_tokens = _require(rec, "tokens")
-    if not isinstance(raw_tokens, list):
-        raise DataError("field 'tokens' must be a list")
-    tokens = tuple(str(t) for t in raw_tokens)
-    raw_parses = _require(rec, "parses")
-    if not isinstance(raw_parses, list) or not raw_parses:
-        raise DataError("field 'parses' must be a nonempty list")
-    parses = tuple(_parse_from_json(p, len(tokens)) for p in raw_parses)
+def _entry_from_json(rec) -> SentenceEntry:
+    sentence_id = identifier(typed(rec, dict, "sentence record")["sentence_id"],
+                             "field 'sentence_id'")
+    tokens = strings(rec["tokens"], "field 'tokens'")
+    parses = tuple(_parse_from_json(p, len(tokens)) for p in
+                   typed(rec["parses"], list, "field 'parses'"))
     gold = rec.get("gold_index")
-    if gold is not None and type(gold) is not int:  # bool is not int
-        raise DataError("gold_index must be an integer or null")
     return SentenceEntry(
         sentence_id=sentence_id,
         tokens=tokens,
         parses=parses,
-        weight=_number(rec.get("weight", 1.0)),
-        gold_index=gold,
+        weight=typed(rec.get("weight", 1.0), float, "field 'weight'"),
+        gold_index=None if gold is None else typed(gold, int,
+                                                   "field 'gold_index'"),
     )
 
 
@@ -405,10 +382,6 @@ def _assemble(entries: list[SentenceEntry]) -> Corpus:
     return Corpus(entries=tuple(entries))
 
 
-def _reject_constant(name: str):
-    raise DataError(f"non-finite number {name} is not allowed")
-
-
 def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     """Load a forest-corpus file, optionally dropping high-ambiguity entries.
 
@@ -424,26 +397,13 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
         header_line = handle.readline()
         if not header_line.strip():
             raise DataError(f"{path}: empty file")
-        try:
-            check_envelope(json.loads(header_line), CORPUS_FORMAT,
-                           CORPUS_VERSION)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: line 1: invalid JSON header") from exc
-        except DataError as exc:
-            raise DataError(f"{path}: line 1: {exc}") from None
+        _decode_json(f"{path}: line 1", header_line, lambda doc: check_envelope(
+            doc, CORPUS_FORMAT, CORPUS_VERSION))
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
-            try:
-                entry = _entry_from_json(
-                    json.loads(line, parse_constant=_reject_constant))
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: invalid JSON") from exc
-            except DataError as exc:
-                raise DataError(f"{where}: {exc}") from None
-            except (TypeError, ValueError, KeyError, OverflowError) as exc:
-                raise DataError(f"{where}: malformed record ({exc})") from exc
+            entry = _decode_json(where, line, _entry_from_json)
             _validate_entry(entry, where)
             key = (entry.tokens, entry.parses, entry.gold_index)
             if key in merged:
@@ -457,11 +417,9 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
         if not entries:
             raise DataError(
                 f"{path}: no sentences left after max_parses={max_parses} cutoff")
-    if not entries:
-        raise DataError(f"{path}: corpus contains no sentence entries")
     try:
         return _assemble(entries)
-    except DataError as exc:  # duplicate sentence ids or zero total weight
+    except DataError as exc:  # no entries, duplicate ids or zero total weight
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -502,23 +460,82 @@ def check_envelope(doc, fmt: str, version: int) -> None:
         raise DataError(f"unsupported {fmt} version {doc.get('version')!r}")
 
 
-def read_json(path, from_json_dict):
-    """``from_json_dict`` of the JSON document at ``path``.
+def _decode_json(where, text: str, from_json):
+    """``from_json`` of the JSON document ``text``.
 
     Every way the document can be bad (invalid JSON, a non-finite number, a
     missing key, a malformed value, a value its constructor rejects) is a
-    DataError naming the file.
+    DataError that starts with ``where``, the file and for a corpus the line.
     """
+    try:
+        return from_json(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}: invalid JSON") from exc
+    except (DataError, ConfigError) as exc:
+        raise DataError(f"{where}: {exc}") from exc
+    except KeyError as exc:
+        raise DataError(f"{where}: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise DataError(f"{where}: malformed value ({exc})") from exc
+
+
+def read_json(path, from_json_dict):
+    """``from_json_dict`` of the JSON document at ``path``; see _decode_json."""
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return from_json_dict(json.load(handle,
-                                            parse_constant=_reject_constant))
-        except (DataError, ConfigError) as exc:
-            raise DataError(f"{path}: {exc}") from exc
-        except KeyError as exc:
-            raise DataError(f"{path}: missing field {exc}") from exc
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise DataError(f"{path}: malformed document ({exc})") from exc
+        return _decode_json(path, handle.read(), from_json_dict)
+
+
+# The typed readers, through which every loader reads decoded JSON values.
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number",
+               list: "a list", dict: "an object"}
+
+
+def typed(value, cls, what, low=None):
+    """``value`` if of JSON type ``cls`` (the one class json.loads gives it,
+    so a bool is no int; float takes any finite number) and >= ``low``."""
+    if cls is float and value.__class__ is int:
+        value = float(value)
+    if value.__class__ is not cls:
+        raise DataError(f"{what} must be {_JSON_TYPES[cls]}, not {value!r:.40}")
+    if cls is float and not math.isfinite(value):
+        raise DataError(f"{what} is a non-finite number ({value})")
+    if low is not None and value < low:
+        raise DataError(f"{what} {value!r} is below {low}")
+    return value
+
+
+def strings(value, what, length=None) -> tuple[str, ...]:
+    """A JSON list of strings, of ``length`` items when given, as a tuple."""
+    if (value.__class__ is not list
+            or (length is not None and len(value) != length)
+            or any(s.__class__ is not str for s in value)):
+        raise DataError(f"{what} must be a list of {length or 'only'} "
+                        f"strings, not {value!r:.40}")
+    return tuple(value)
+
+
+def floats(value, what) -> np.ndarray:
+    """Finite JSON numbers, nested in lists, as a float array of any shape."""
+    if value.__class__ is not list:
+        return np.array(typed(value, float, what))
+    return np.array([floats(v, what) if v.__class__ is list
+                     else typed(v, float, what) for v in value], dtype=float)
+
+
+def identifier(value, what) -> str:
+    """A sentence or parse id: a string, or an integer as its decimal text."""
+    return str(value) if value.__class__ is int else typed(value, str, what)
+
+
+def canonical_int(text: str, what) -> int:
+    """``int(text)`` when ``text`` is its one ``str()`` spelling."""
+    try:
+        value = int(text)
+        if str(value) == text:
+            return value
+    except ValueError:
+        pass
+    raise DataError(f"{what} {text!r} is not an integer")
 
 
 def save_corpus(corpus: Corpus, path) -> None:

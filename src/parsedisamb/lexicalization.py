@@ -26,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .corpus import (SYNTHETIC_RELATIONS, VOICES, Corpus, SentenceEntry,
-                     atomic_write, check_envelope, read_json, seeded_rng,
-                     write_json)
+                     atomic_write, canonical_int, check_envelope, floats,
+                     read_json, seeded_rng, strings, typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 
 CLUSTER_FORMAT = "cluster-model"
@@ -75,7 +75,7 @@ def load_pair_counts(path) -> PairCounts:
     counts: dict[tuple[str, str], int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line.strip():
                 continue
             parts = line.split("\t")
@@ -83,12 +83,7 @@ def load_pair_counts(path) -> PairCounts:
                 raise DataError(
                     f"{path}: line {lineno}: expected verb<TAB>noun<TAB>count")
             verb, noun, raw = parts
-            try:
-                count = int(raw)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: line {lineno}: count {raw!r} is not an integer"
-                ) from exc
+            count = canonical_int(raw, f"{path}: line {lineno}: count")
             if count < 0:
                 raise DataError(f"{path}: line {lineno}: negative count {count} "
                                 f"for pair ({verb!r}, {noun!r})")
@@ -121,11 +116,6 @@ def pair_counts_from_corpus(corpus: Corpus) -> PairCounts:
 
 # ---------------------------------------------------------------------------
 # Latent-class model
-
-def _check_words(words: tuple) -> None:
-    if not all(isinstance(w, str) for w in words):
-        raise DataError("verbs and nouns must be strings")
-
 
 @dataclass
 class ClusterModel:
@@ -183,14 +173,12 @@ class ClusterModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ClusterModel":
         check_envelope(doc, CLUSTER_FORMAT, CLUSTER_VERSION)
-        verbs, nouns = tuple(doc["verbs"]), tuple(doc["nouns"])
-        _check_words(verbs + nouns)
         return cls(
-            priors=np.asarray(doc["priors"], dtype=float),
-            verb_emissions=np.asarray(doc["verb_emissions"], dtype=float),
-            noun_emissions=np.asarray(doc["noun_emissions"], dtype=float),
-            verbs=verbs,
-            nouns=nouns,
+            priors=floats(doc["priors"], "priors"),
+            verb_emissions=floats(doc["verb_emissions"], "verb_emissions"),
+            noun_emissions=floats(doc["noun_emissions"], "noun_emissions"),
+            verbs=strings(doc["verbs"], "verbs"),
+            nouns=strings(doc["nouns"], "nouns"),
         )
 
 
@@ -238,7 +226,7 @@ def train_clusters(counts: PairCounts, n_classes: int,
 
     verbs, nouns = counts.verbs, counts.nouns
     # Checked once here: every ClusterModel below shares these vocabularies.
-    _check_words(verbs + nouns)
+    strings([*verbs, *nouns], "verbs and nouns")
     verb_index = {v: i for i, v in enumerate(verbs)}
     noun_index = {n: i for i, n in enumerate(nouns)}
     pairs = sorted(counts.counts)
@@ -354,10 +342,10 @@ class LexFrequencyTable:
     def from_json_dict(cls, doc: dict) -> "LexFrequencyTable":
         check_envelope(doc, FREQ_TABLE_FORMAT, FREQ_TABLE_VERSION)
         model = ClusterModel.from_json_dict(doc["model"])
-        entries = {(v, n): float(x) for v, n, x in doc["entries"]}
-        if not all(0 <= x < np.inf for x in entries.values()):
-            raise DataError("an entry's f_c is negative or not finite")
-        return cls(entries=entries, model=model)
+        return cls(model=model, entries={
+            (typed(v, str, "verb"), typed(n, str, "noun")):
+                typed(x, float, "f_c", low=0)
+            for v, n, x in typed(doc["entries"], list, "entries")})
 
 
 def save_freq_table(table: LexFrequencyTable, path) -> None:

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import (Corpus, SentenceEntry, check_envelope, read_json,
-                     write_json)
+from .corpus import (Corpus, SentenceEntry, check_envelope, floats,
+                     read_json, typed, write_json)
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable
 from .properties import FeatureMatrix, PropertyRegistry, compile_corpus
@@ -230,14 +230,11 @@ def model_from_json_dict(doc: dict) -> LogLinearModel:
     if kind != "uniform":
         raise DataError(f"unsupported reference kind {kind!r}; the reference "
                         "distribution is uniform")
-    lam = np.asarray(doc["lambda"], dtype=float)
-    if not np.all(np.isfinite(lam)):  # e.g. 1e400, which JSON reads as inf
-        raise DataError("lambda has a non-finite entry")
     return LogLinearModel(
-        lam=lam,
+        lam=floats(doc["lambda"], "lambda"),
         registry=PropertyRegistry.from_json_dict(doc["registry"]),
-        universe=doc["universe"],
-        universe_size=int(doc["universe_size"]),
+        universe=typed(doc["universe"], str, "universe"),
+        universe_size=typed(doc["universe_size"], int, "universe_size", low=0),
     )
 
 

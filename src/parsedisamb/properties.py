@@ -45,7 +45,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .corpus import (Corpus, ParseRecord, SentenceEntry, check_envelope,
-                     count_leaves, read_json, write_json)
+                     count_leaves, read_json, typed, write_json)
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable, lexicalized_properties
 
@@ -138,15 +138,20 @@ class PropertyRegistry:
     def from_json_dict(cls, doc: dict) -> "PropertyRegistry":
         check_envelope(doc, REGISTRY_FORMAT, REGISTRY_VERSION)
         props = []
-        for i, p in enumerate(doc["properties"]):
+        for i, p in enumerate(typed(doc["properties"], list, "properties")):
+            what = f"descriptor {i}"
             # Older registries record each descriptor's position as "index".
-            if p.get("index", i) != i:
-                raise DataError(f"descriptor {i} records index {p['index']!r}")
+            if typed(typed(p, dict, what).get("index", i), int, what) != i:
+                raise DataError(f"{what} records index {p['index']!r}")
+            kind = typed(p["kind"], str, f"{what} kind")
+            if kind not in ALL_KINDS:
+                raise DataError(f"{what} has unknown kind {kind!r}")
             props.append(PropertyDescriptor(
-                kind=p["kind"], key=p["key"],
-                activation_count=p.get("activation_count", 0)))
+                kind=kind, key=typed(p["key"], str, f"{what} key"),
+                activation_count=typed(p.get("activation_count", 0), int,
+                                       f"{what} activation_count", low=0)))
         K = doc.get("correction_K")
-        if K is not None and not (isinstance(K, (int, float)) and 0 < K < np.inf):
+        if K is not None and typed(K, float, "correction_K") <= 0:
             raise DataError(f"correction_K {K!r} is not a positive number")
         # Older registries also carry "frozen", which repeats correction_K.
         return cls(properties=props, correction_K=K)

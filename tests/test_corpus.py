@@ -15,6 +15,10 @@ from conftest import passthrough_corpus, structural_parse
 from test_compile import SETTINGS, corpora
 
 
+# The location of the first relation in a corpus line.
+RELATION = ("parses", 0, "relations", 0)
+
+
 def _counts_corpus(parse_counts, **kwargs):
     return passthrough_corpus([[{0: 1}] * k for k in parse_counts], **kwargs)
 
@@ -137,29 +141,45 @@ class TestLoadCorpus:
             load_corpus(path)
 
     @pytest.mark.parametrize("field, value", [
-        pytest.param("gold_index", 1.7, id="fractional-gold"),
-        pytest.param("gold_index", True, id="boolean-gold"),
-        pytest.param("position", 1.9, id="fractional-position"),
-        pytest.param("position", True, id="boolean-position"),
-        pytest.param("weight", 10 ** 400, id="overflowing-weight"),
-        pytest.param("weight", "0.5", id="string-weight"),
-        pytest.param("weight", True, id="boolean-weight")])
+        pytest.param(("gold_index",), 1.7, id="fractional-gold"),
+        pytest.param(("gold_index",), True, id="boolean-gold"),
+        pytest.param(RELATION + (4,), 1.9, id="fractional-position"),
+        pytest.param(RELATION + (4,), True, id="boolean-position"),
+        pytest.param(("weight",), 10 ** 400, id="overflowing-weight"),
+        pytest.param(("weight",), "0.5", id="string-weight"),
+        pytest.param(("weight",), True, id="boolean-weight"),
+        pytest.param(("tokens", 0), 5, id="integer-token"),
+        pytest.param(("sentence_id",), [1], id="list-sentence-id"),
+        pytest.param(("parses", 1, "parse_id"), 1.5, id="fractional-parse-id"),
+        pytest.param(("parses", 0, "fstructure", "pairs"), ["ab"],
+                     id="string-fstructure-pair"),
+        pytest.param(("parses", 0, "fstructure", "functions", 0), 3,
+                     id="integer-fstructure-function"),
+        pytest.param(RELATION + (1,), 7, id="integer-relation-verb"),
+        pytest.param(("parses", 0, "relations"), {}, id="object-relations"),
+        pytest.param(("parses", 1, "precomputed_features"),
+                     {"1": 1.0, " 1": 2.0, "1_0": 3.0},
+                     id="colliding-feature-keys"),
+        pytest.param(("parses", 1, "precomputed_features"), {"01": 1.0},
+                     id="zero-padded-feature-key")])
     def test_numbers_are_not_truncated_or_coerced(self, tmp_path, field,
                                                   value):
         header = json.dumps({"format": "forest-corpus", "version": 1})
         record = {"sentence_id": "s0", "tokens": ["a"], "gold_index": 0,
                   "parses": [{"parse_id": "p0", "cstructure": ["S", ["a"]],
-                              "fstructure": {"functions": ["SUBJ"]},
+                              "fstructure": {"pairs": [["TENSE", "past"]],
+                                             "functions": ["SUBJ"]},
                               "relations": [["subj", "v", "n", "active", 1]]},
                              {"parse_id": "p1", "cstructure": ["S", ["a"]],
-                              "fstructure": {"functions": ["OBJ"]}}]}
+                              "fstructure": {"functions": ["OBJ"]},
+                              "precomputed_features": {"1": 1.0}}]}
         path = tmp_path / "bad.jsonl"
         path.write_text(header + "\n" + json.dumps(record) + "\n")
         assert load_corpus(path).entries[0].parses[0].relations[0].position == 1
-        if field == "position":
-            record["parses"][0]["relations"][0][4] = value
-        else:
-            record[field] = value
+        target = record
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
         path.write_text(header + "\n" + json.dumps(record) + "\n")
         with pytest.raises(DataError, match=f"^{path}: line 2: "):
             load_corpus(path)

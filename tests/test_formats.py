@@ -158,7 +158,25 @@ class TestBadDocuments:
         pytest.param(lambda doc: doc.update(universe_size="five"),
                      id="malformed-size"),
         pytest.param(lambda doc: doc["lambda"].__setitem__(0, float("nan")),
-                     id="nan-lambda")])
+                     id="nan-lambda"),
+        pytest.param(lambda doc: doc.update(universe_size="5"),
+                     id="numeric-string-size"),
+        pytest.param(lambda doc: doc.update(universe_size=5.7),
+                     id="fractional-size"),
+        pytest.param(lambda doc: doc.update(universe_size=True),
+                     id="boolean-size"),
+        pytest.param(lambda doc: doc["lambda"].__setitem__(0, "1.5"),
+                     id="string-lambda"),
+        pytest.param(lambda doc: doc["lambda"].__setitem__(0, True),
+                     id="boolean-lambda"),
+        pytest.param(lambda doc: doc["registry"].update(correction_K=True),
+                     id="boolean-correction-K"),
+        pytest.param(lambda doc: doc["registry"]["properties"][1].update(
+            kind="bogus"), id="unknown-kind"),
+        pytest.param(lambda doc: doc["registry"]["properties"][1].update(
+            key=3), id="integer-key"),
+        pytest.param(lambda doc: doc["registry"]["properties"][1].update(
+            activation_count="x"), id="string-activation-count")])
     def test_eval_of_a_bad_model_exits_2(self, tmp_path, capsys, change):
         save_corpus(_older_corpus(), tmp_path / "test.jsonl")
         doc = json.loads(json.dumps(OLDER_MODEL))
@@ -185,15 +203,19 @@ class TestBadDocuments:
             load_model(tmp_path / "model.json")
         assert str(tmp_path / "model.json") in str(info.value)
 
-    @pytest.mark.parametrize("value", [
-        pytest.param("1e400", id="inf"), pytest.param("-1.0", id="negative"),
-        pytest.param("1" + "0" * 400, id="overflowing-integer")])
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(2, "1e400", id="inf"),
+        pytest.param(2, "-1.0", id="negative"),
+        pytest.param(2, "1" + "0" * 400, id="overflowing-integer"),
+        pytest.param(2, '"0.5"', id="numeric-string"),
+        pytest.param(2, "true", id="boolean"),
+        pytest.param(0, "7", id="integer-verb")])
     def test_freq_table_entry_must_be_finite_and_nonnegative(
-            self, tmp_path, capsys, value):
+            self, tmp_path, capsys, field, value):
         pairs = PairCounts(counts={("v0", "n0"): 2, ("v1", "n1"): 1})
         clusters, _ = train_clusters(pairs, n_classes=2, seed=1)
         doc = build_freq_table(clusters, pairs).to_json_dict()
-        doc["entries"][0][2] = "VALUE"
+        doc["entries"][0][field] = "VALUE"
         path = tmp_path / "table.json"
         path.write_text(json.dumps(doc).replace('"VALUE"', value))
         with pytest.raises(DataError) as info:

@@ -3,9 +3,13 @@
 Every variant of a corpus line (structural and passthrough), the corpus
 header, a model with its embedded registry, and a frequency table either
 loads or raises a DataError naming the file, and for corpora the line.
-Through the CLI (``stats`` and ``eval``) the exit code is 0 or 2; any other
-exception would escape ``main`` and fail the test.  A config file of any
-command, one value replaced, exits 0, 1 or 2.
+A variant whose new value has another JSON type than the old one (integers
+and fractions are one number type) is rejected, with three exceptions: null,
+which optional fields take; an integer sentence or parse id; and a string
+leaf in place of a c-structure node.  Through the CLI (``stats`` and
+``eval``) the exit code is 0 or 2; any other exception would escape
+``main`` and fail the test.  A config file of any command, one value
+replaced, exits 0, 1 or 2.
 """
 
 import copy
@@ -24,10 +28,12 @@ from parsedisamb.lexicalization import load_freq_table
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-# Replacement values: null, numbers, strings, lists and objects.
+# Replacement values: null, numbers, strings, lists and objects.  Numeric
+# strings and small fractions probe loaders that convert or truncate.
 VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3),
     st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.5, 1.5, 2.9, "1", "0.5", "1_0", " 1"]),
     st.text(max_size=4),
     st.lists(st.one_of(st.integers(0, 2), st.text(max_size=2)), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=2))
@@ -73,6 +79,32 @@ def _variants(doc):
     return st.tuples(st.sampled_from(list(_paths(doc))), VALUES)
 
 
+def _json_type(value):
+    return float if value.__class__ is int else value.__class__
+
+
+def _retyped(doc, path, value):
+    """Whether the variant changes the JSON type of a value that must keep
+    it (see the module docstring)."""
+    old = doc
+    for key in path:
+        old = old[key]
+    return not (value is None or old is None
+                or _json_type(value) is _json_type(old)
+                or (path[-1:] in (("sentence_id",), ("parse_id",))
+                    and value.__class__ is int)
+                or ("cstructure" in path and value.__class__ is str))
+
+
+def _check_load(load, path, prefix, must_fail):
+    try:
+        load(path)
+    except DataError as exc:
+        assert str(exc).startswith(prefix), str(exc)
+    else:
+        assert not must_fail, "a value of another JSON type loaded"
+
+
 def _write_json(path, doc):
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
@@ -103,14 +135,11 @@ def _eval(artifacts, model, corpus, table):
                  "--out-dir", str(artifacts / "eval")])
 
 
-def _check_corpus(artifacts, lines, fuzzed_line):
+def _check_corpus(artifacts, lines, fuzzed_line, must_fail):
     path = artifacts / "fuzzed.jsonl"
     path.write_text("".join(json.dumps(line, sort_keys=True) + "\n"
                             for line in lines))
-    try:
-        load_corpus(path)
-    except DataError as exc:
-        assert str(exc).startswith(f"{path}: line {fuzzed_line}: "), str(exc)
+    _check_load(load_corpus, path, f"{path}: line {fuzzed_line}: ", must_fail)
     assert main(["stats", "--corpus", str(path)]) in (0, 2)
     assert _eval(artifacts, artifacts / "model" / "model.json", path,
                  artifacts / "clusters" / "freq_table.json") in (0, 2)
@@ -127,31 +156,32 @@ class TestLoaderFuzz:
     def test_structural_corpus_line(self, artifacts, variant):
         other = _test_lines(artifacts)[0]
         _check_corpus(artifacts, [HEADER, _replaced(STRUCTURAL_LINE, *variant),
-                                  other], 2)
+                                  other], 2,
+                      _retyped(STRUCTURAL_LINE, *variant))
 
     @FUZZ
     @given(st.data())
     def test_passthrough_corpus_line(self, artifacts, data):
         line, other = _test_lines(artifacts)
-        fuzzed = _replaced(line, *data.draw(_variants(line)))
-        _check_corpus(artifacts, [HEADER, fuzzed, other], 2)
+        variant = data.draw(_variants(line))
+        _check_corpus(artifacts, [HEADER, _replaced(line, *variant), other], 2,
+                      _retyped(line, *variant))
 
     @FUZZ
     @given(_variants(HEADER))
     def test_corpus_header(self, artifacts, variant):
         _check_corpus(artifacts, [_replaced(HEADER, *variant),
-                                  *_test_lines(artifacts)], 1)
+                                  *_test_lines(artifacts)], 1,
+                      _retyped(HEADER, *variant))
 
     @FUZZ
     @given(st.data())
     def test_model(self, artifacts, data):
         doc = json.loads((artifacts / "model" / "model.json").read_text())
         path = artifacts / "fuzzed_model.json"
-        _write_json(path, _replaced(doc, *data.draw(_variants(doc))))
-        try:
-            load_model(path)
-        except DataError as exc:
-            assert str(exc).startswith(f"{path}: "), str(exc)
+        variant = data.draw(_variants(doc))
+        _write_json(path, _replaced(doc, *variant))
+        _check_load(load_model, path, f"{path}: ", _retyped(doc, *variant))
         assert _eval(artifacts, path, artifacts / "synth" / "test.jsonl",
                      artifacts / "clusters" / "freq_table.json") in (0, 2)
 
@@ -161,11 +191,9 @@ class TestLoaderFuzz:
         doc = json.loads(
             (artifacts / "clusters" / "freq_table.json").read_text())
         path = artifacts / "fuzzed_table.json"
-        _write_json(path, _replaced(doc, *data.draw(_variants(doc))))
-        try:
-            load_freq_table(path)
-        except DataError as exc:
-            assert str(exc).startswith(f"{path}: "), str(exc)
+        variant = data.draw(_variants(doc))
+        _write_json(path, _replaced(doc, *variant))
+        _check_load(load_freq_table, path, f"{path}: ", _retyped(doc, *variant))
         assert _eval(artifacts, artifacts / "model" / "model.json",
                      artifacts / "synth" / "test.jsonl", path) in (0, 2)
 

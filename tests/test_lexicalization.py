@@ -423,15 +423,20 @@ class TestIO:
         again = load_pair_counts(path)
         assert again.counts == TOY_COUNTS.counts
         assert again.verbs == TOY_COUNTS.verbs
+        # Windows line ends read the same.
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_pair_counts(path).counts == TOY_COUNTS.counts
 
     def test_malformed_pair_counts(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("eat\tapple\n")
         with pytest.raises(DataError, match="line 1"):
             load_pair_counts(path)
-        path.write_text("eat\tapple\tmany\n")
-        with pytest.raises(DataError, match="integer"):
-            load_pair_counts(path)
+        for count in ("many", "1_0", "+5", " 5"):
+            path.write_text(f"eat\tapple\t{count}\n")
+            with pytest.raises(DataError, match="line 1: count .* is not an "
+                                                "integer"):
+                load_pair_counts(path)
         for text in ("", "eat\tapple\t0\ndrive\tcar\t0\n"):
             path.write_text(text)
             with pytest.raises(DataError, match="empty") as info:
