@@ -218,17 +218,13 @@ def _validate_entry(entry: SentenceEntry, where: str) -> None:
 # ---------------------------------------------------------------------------
 # Trees
 
-def count_leaves(node, counts: Optional[dict] = None) -> int:
-    """Leaves of a nested (label, (children...)) tree.  With ``counts``, also
-    records ``counts[id(n)]`` for every internal node ``n``, so one walk
-    serves the whole tree."""
+def count_leaves(node) -> int:
+    """Leaves of a nested (label, (children...)) tree."""
     if isinstance(node, str):
         return 1
     total = 0
     for child in node[1]:
-        total += 1 if isinstance(child, str) else count_leaves(child, counts)
-    if counts is not None:
-        counts[id(node)] = total
+        total += 1 if isinstance(child, str) else count_leaves(child)
     return total
 
 
@@ -291,8 +287,17 @@ def _relation_from_json(item) -> Relation:
                     typed(position, int, "relation position"))
 
 
+# The keys each record may carry; any other key, a misspelling say, is a
+# DataError rather than a field that silently keeps its default.
+_SENTENCE_KEYS = frozenset({"sentence_id", "tokens", "weight", "gold_index",
+                            "parses"})
+_PARSE_KEYS = frozenset({"parse_id", "cstructure", "fstructure", "relations",
+                         "frame", "precomputed_features"})
+_FSTRUCTURE_KEYS = frozenset({"pairs", "functions"})
+
+
 def _parse_from_json(rec, n_tokens: int) -> ParseRecord:
-    parse_id = identifier(typed(rec, dict, "parse record")["parse_id"],
+    parse_id = identifier(record(rec, _PARSE_KEYS, "parse record")["parse_id"],
                           "field 'parse_id'")
     cstructure = rec.get("cstructure")
     if cstructure is not None:
@@ -300,7 +305,7 @@ def _parse_from_json(rec, n_tokens: int) -> ParseRecord:
         _check_leaves(parse_id, n_leaves, n_tokens)
     fstructure = rec.get("fstructure")
     if fstructure is not None:
-        typed(fstructure, dict, "field 'fstructure'")
+        record(fstructure, _FSTRUCTURE_KEYS, "field 'fstructure'")
         fstructure = FStructure(
             pairs=tuple(strings(pair, "fstructure pair", 2) for pair in
                         typed(fstructure.get("pairs", []), list,
@@ -325,8 +330,9 @@ def _parse_from_json(rec, n_tokens: int) -> ParseRecord:
 
 
 def _entry_from_json(rec) -> SentenceEntry:
-    sentence_id = identifier(typed(rec, dict, "sentence record")["sentence_id"],
-                             "field 'sentence_id'")
+    sentence_id = identifier(
+        record(rec, _SENTENCE_KEYS, "sentence record")["sentence_id"],
+        "field 'sentence_id'")
     tokens = strings(rec["tokens"], "field 'tokens'")
     parses = tuple(_parse_from_json(p, len(tokens)) for p in
                    typed(rec["parses"], list, "field 'parses'"))
@@ -460,15 +466,30 @@ def check_envelope(doc, fmt: str, version: int) -> None:
         raise DataError(f"unsupported {fmt} version {doc.get('version')!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``; a key that repeats is a DataError
+    (``json.loads`` would keep its last value)."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise DataError(f"duplicate key {repeated!r}")
+    return doc
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _decode_json(where, text: str, from_json):
     """``from_json`` of the JSON document ``text``.
 
-    Every way the document can be bad (invalid JSON, a non-finite number, a
-    missing key, a malformed value, a value its constructor rejects) is a
-    DataError that starts with ``where``, the file and for a corpus the line.
+    Every way the document can be bad (invalid JSON, a repeated key, a
+    non-finite number, a missing key, a malformed value, a value its
+    constructor rejects) is a DataError that starts with ``where``, the file
+    and for a corpus the line.
     """
     try:
-        return from_json(json.loads(text))
+        return from_json(_DECODER.decode(text))
     except json.JSONDecodeError as exc:
         raise DataError(f"{where}: invalid JSON") from exc
     except (DataError, ConfigError) as exc:
@@ -501,6 +522,14 @@ def typed(value, cls, what, low=None):
         raise DataError(f"{what} is a non-finite number ({value})")
     if low is not None and value < low:
         raise DataError(f"{what} {value!r} is below {low}")
+    return value
+
+
+def record(value, keys: frozenset, what) -> dict:
+    """A JSON object with no key outside ``keys``."""
+    if not keys.issuperset(typed(value, dict, what)):
+        unknown = ", ".join(map(repr, sorted(value.keys() - keys)))
+        raise DataError(f"{what} has unknown keys: {unknown:.80}")
     return value
 
 
@@ -627,6 +656,12 @@ def _feature_base_weights(n_features: int) -> np.ndarray:
     return weights
 
 
+def _pick(rng: np.random.Generator, items: Sequence[str]) -> str:
+    """``rng.choice(items)`` without the array conversion: the same single
+    bounded-integer draw, so the random stream is unchanged."""
+    return items[int(rng.integers(0, len(items)))]
+
+
 def generate_synthetic(config: SyntheticConfig,
                        true_params: Optional[Sequence[float]] = None
                        ) -> tuple[Corpus, dict]:
@@ -690,7 +725,7 @@ def generate_synthetic(config: SyntheticConfig,
         verb_pool = [f"v{int(i)}" for i in rng.integers(0, n_verbs, size=2)]
 
         # One relation slot is contested by every parse of the sentence.
-        shared_name = str(rng.choice(relation_names))
+        shared_name = _pick(rng, relation_names)
         shared_voice = "passive" if rng.random() < 0.25 else "active"
         shared_position = int(rng.integers(1, len(verb_pool) + 1))
         shared_verb = verb_pool[shared_position - 1]
@@ -705,7 +740,8 @@ def generate_synthetic(config: SyntheticConfig,
             # cumulative sum may round below 1, and the index must stay
             # within the value domain.
             drawn = _FEATURE_VALUES[(u[:, None] >= cum[:, :-1]).sum(axis=1)]
-            features = {int(i): float(v) for i, v in enumerate(drawn) if v}
+            active = np.flatnonzero(drawn)
+            features = dict(zip(active.tolist(), drawn[active].tolist()))
             if j == gold and rng.random() < 0.85:
                 # Selectional preference: one of the nouns whose index is
                 # congruent to the verb's index modulo 5.
@@ -718,7 +754,7 @@ def generate_synthetic(config: SyntheticConfig,
             if rng.random() < 0.4:
                 position = int(rng.integers(1, len(verb_pool) + 1))
                 relations.append(Relation(
-                    name=str(rng.choice(relation_names)),
+                    name=_pick(rng, relation_names),
                     verb=verb_pool[position - 1],
                     noun=f"n{int(rng.integers(0, n_nouns))}",
                     voice="passive" if rng.random() < 0.25 else "active",
@@ -727,7 +763,7 @@ def generate_synthetic(config: SyntheticConfig,
             parses.append(ParseRecord(
                 parse_id=f"p{j}",
                 relations=tuple(relations),
-                frame=str(rng.choice(frame_pool)),
+                frame=_pick(rng, frame_pool),
                 precomputed_features=features,
             ))
         entries.append(SentenceEntry(

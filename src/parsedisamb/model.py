@@ -25,13 +25,16 @@ from typing import Optional
 import numpy as np
 
 from .corpus import (Corpus, SentenceEntry, check_envelope, floats,
-                     read_json, typed, write_json)
+                     read_json, record, typed, write_json)
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable
 from .properties import FeatureMatrix, PropertyRegistry, compile_corpus
 
 MODEL_FORMAT = "loglinear-model"
 MODEL_VERSION = 1
+# The keys a model may carry.
+MODEL_KEYS = frozenset({"format", "version", "lambda", "registry", "universe",
+                        "universe_size", "reference_kind"})
 
 DEFAULT_TIE_EPSILON = 1e-9
 
@@ -230,6 +233,7 @@ def model_from_json_dict(doc: dict) -> LogLinearModel:
     if kind != "uniform":
         raise DataError(f"unsupported reference kind {kind!r}; the reference "
                         "distribution is uniform")
+    record(doc, MODEL_KEYS, "model")
     return LogLinearModel(
         lam=floats(doc["lambda"], "lambda"),
         registry=PropertyRegistry.from_json_dict(doc["registry"]),

@@ -20,7 +20,9 @@ from parsedisamb import (ConfigError, DataError, FStructure,
                          compile_templates, disambiguate, evaluate,
                          lexicalized_properties, select_properties,
                          train_clusters)
-from parsedisamb.properties import structural_values
+from parsedisamb import corpus as corpus_module
+from parsedisamb import properties
+from parsedisamb.properties import STRUCTURAL_KINDS, structural_values
 from conftest import passthrough_corpus
 from oracles import (reference_correction, reference_decision,
                      reference_lexicalized_properties, reference_matrix,
@@ -125,11 +127,10 @@ def _lambdas(size):
 
 class TestAgainstReference:
     @SETTINGS
-    @given(corpora(), lex_tables())
-    def test_extractors_keep_their_output(self, corpus, table):
-        kinds = ["production", "subtree-attachment", "fstr-attribute",
-                 "fstr-atomic-pair", "attachment-complexity",
-                 "non-right-branching", "coord-non-parallel"]
+    @given(corpora(), lex_tables(),
+           st.lists(st.sampled_from(STRUCTURAL_KINDS), min_size=1,
+                    unique=True))
+    def test_extractors_keep_their_output(self, corpus, table, kinds):
         for entry in corpus.entries:
             assert lexicalized_properties(entry, table) == \
                 reference_lexicalized_properties(entry, table)
@@ -246,6 +247,37 @@ class TestAgainstReference:
         assert [v.verdict for v in outcome.verdicts] == exact
         assert [v.verdict for v in evaluate(model, heldout, task="frame_match",
                                             lex_table=table).verdicts] == frame
+
+
+class TestCompileWalk:
+    def test_compile_walks_each_tree_once(self, monkeypatch):
+        # structural_values counts the leaves in its own walk of the tree.
+        tokens = ("a", "b", "c")
+        parses = tuple(ParseRecord(
+            parse_id=f"p{j}", cstructure=tree,
+            fstructure=FStructure(functions=("SUBJ",)))
+            for j, tree in enumerate((
+                ("S", (("NP", ("a",)), ("VP", ("b", ("N", ("c",)))))),
+                ("S", ("a", ("X", ("b", "c")))))))
+        corpus = build_corpus([SentenceEntry(
+            sentence_id="s0", tokens=tokens, parses=parses, gold_index=0)])
+        registry = add_correction(compile_templates(corpus).registry, corpus)
+        calls = []
+        count = corpus_module.count_leaves
+
+        def counting(*args):
+            calls.append(args)
+            return count(*args)
+
+        for module in (corpus_module, properties):
+            monkeypatch.setattr(module, "count_leaves", counting, raising=False)
+        compiled = compile_corpus(corpus, registry)
+        templates = compile_templates(corpus)
+        assert calls == []
+        assert templates.registry.index_of("attachment-complexity", "2-3") \
+            is not None
+        assert np.array_equal(compiled.values,
+                              templates.project(registry).values)
 
 
 class TestFeatureMatrix:

@@ -184,6 +184,44 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match=f"^{path}: line 2: "):
             load_corpus(path)
 
+    @pytest.mark.parametrize("field", [
+        pytest.param(("gold_idx",), id="sentence"),
+        pytest.param(("parses", 0, "cstructur"), id="parse"),
+        pytest.param(("parses", 0, "fstructure", "function"), id="fstructure")])
+    def test_misspelled_keys_name_the_file_and_line(self, tmp_path, field):
+        header = json.dumps({"format": "forest-corpus", "version": 1})
+        record = {"sentence_id": "s0", "tokens": ["a"], "weight": 0.5,
+                  "parses": [{"parse_id": "p0", "cstructure": ["S", ["a"]],
+                              "fstructure": {"functions": ["SUBJ"]}}]}
+        target = record
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = 1
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DataError, match=f"^{path}: line 2: .*unknown "
+                           f"keys: '{field[-1]}'"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("text, repeated", [
+        pytest.param('"weight": 1.0', '"weight": 1.0, "weight": 0.5',
+                     id="sentence"),
+        pytest.param('{"0": 1.0}', '{"0": 1.0, "0": 2.0}',
+                     id="precomputed-features")])
+    def test_duplicate_keys_name_the_file_and_line(self, tmp_path, text,
+                                                   repeated):
+        header = json.dumps({"format": "forest-corpus", "version": 1})
+        line = json.dumps({"sentence_id": "s0", "tokens": ["a"], "weight": 1.0,
+                           "parses": [{"parse_id": "p0",
+                                       "precomputed_features": {"0": 1.0}}]})
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n" + line + "\n")
+        load_corpus(path)
+        path.write_text(header + "\n" + line.replace(text, repeated) + "\n")
+        with pytest.raises(DataError,
+                           match=f"^{path}: line 2: duplicate key"):
+            load_corpus(path)
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         for header in ('{"sentence_id": "s0"}', "null", "[1]", '"forest-corpus"'):

@@ -176,7 +176,13 @@ class TestBadDocuments:
         pytest.param(lambda doc: doc["registry"]["properties"][1].update(
             key=3), id="integer-key"),
         pytest.param(lambda doc: doc["registry"]["properties"][1].update(
-            activation_count="x"), id="string-activation-count")])
+            activation_count="x"), id="string-activation-count"),
+        pytest.param(lambda doc: doc["registry"]["properties"][1].update(
+            activation_cout=2), id="misspelled-activation-count"),
+        pytest.param(lambda doc: doc["registry"].update(correction_k=3.0),
+                     id="misspelled-correction-K"),
+        pytest.param(lambda doc: doc.update(universe_sise=5),
+                     id="misspelled-universe-size")])
     def test_eval_of_a_bad_model_exits_2(self, tmp_path, capsys, change):
         save_corpus(_older_corpus(), tmp_path / "test.jsonl")
         doc = json.loads(json.dumps(OLDER_MODEL))
@@ -202,6 +208,25 @@ class TestBadDocuments:
         with pytest.raises(DataError, match="too large") as info:
             load_model(tmp_path / "model.json")
         assert str(tmp_path / "model.json") in str(info.value)
+
+    def test_duplicate_model_key_names_the_file(self, tmp_path):
+        text = json.dumps(OLDER_MODEL).replace(
+            '"universe_size": 5', '"universe_size": 5, "universe_size": 6')
+        (tmp_path / "model.json").write_text(text)
+        with pytest.raises(DataError, match="duplicate key 'universe_size'") \
+                as info:
+            load_model(tmp_path / "model.json")
+        assert str(tmp_path / "model.json") in str(info.value)
+
+    def test_misspelled_descriptor_key_names_the_file(self, tmp_path):
+        doc = json.loads(json.dumps(OLDER_REGISTRY))
+        first = doc["properties"][0]
+        first["activation_cout"] = first.pop("activation_count")
+        write_json(doc, tmp_path / "registry.json", indent=1)
+        with pytest.raises(DataError, match="descriptor 0 has unknown keys: "
+                           "'activation_cout'") as info:
+            load_registry(tmp_path / "registry.json")
+        assert str(tmp_path / "registry.json") in str(info.value)
 
     @pytest.mark.parametrize("field, value", [
         pytest.param(2, "1e400", id="inf"),

@@ -3,6 +3,8 @@
 Every variant of a corpus line (structural and passthrough), the corpus
 header, a model with its embedded registry, and a frequency table either
 loads or raises a DataError naming the file, and for corpora the line.
+An object of a corpus line or a model that gains a key no loader knows is
+rejected the same way.
 A variant whose new value has another JSON type than the old one (integers
 and fractions are one number type) is rejected, with three exceptions: null,
 which optional fields take; an integer sentence or parse id; and a string
@@ -22,8 +24,11 @@ from hypothesis import strategies as st
 from parsedisamb import (DataError, load_corpus, load_model,
                          pair_counts_from_corpus, save_pair_counts)
 from parsedisamb import cli
+from parsedisamb import corpus as corpus_module
 from parsedisamb.cli import main
 from parsedisamb.lexicalization import load_freq_table
+from parsedisamb.model import MODEL_KEYS
+from parsedisamb.properties import DESCRIPTOR_KEYS, REGISTRY_KEYS
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -37,6 +42,17 @@ VALUES = st.one_of(
     st.text(max_size=4),
     st.lists(st.one_of(st.integers(0, 2), st.text(max_size=2)), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=2))
+
+# Keys that no object of a corpus line or a model may carry: not a field
+# name of any record, and not an integer, which a precomputed feature takes.
+FIELDS = (corpus_module._SENTENCE_KEYS | corpus_module._PARSE_KEYS
+          | corpus_module._FSTRUCTURE_KEYS | MODEL_KEYS | REGISTRY_KEYS
+          | DESCRIPTOR_KEYS)
+EXTRA_KEYS = st.one_of(
+    st.sampled_from(["wieght", "gold_idx", "cstructur", "function",
+                     "activation_cout", "universe_sise", "Weight", ""]),
+    st.text(max_size=6)).filter(
+        lambda key: key not in FIELDS and not key.lstrip("-").isdigit())
 
 HEADER = {"format": "forest-corpus", "version": 1}
 STRUCTURAL_LINE = {
@@ -64,19 +80,29 @@ def _paths(value, prefix=()):
             yield from _paths(item, prefix + (i,))
 
 
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _replaced(doc, path, value):
     if not path:
         return value
     doc = copy.deepcopy(doc)
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    _at(doc, path[:-1])[path[-1]] = value
     return doc
 
 
 def _variants(doc):
     return st.tuples(st.sampled_from(list(_paths(doc))), VALUES)
+
+
+def _extra_keys(doc):
+    """Variants that add a key no loader knows to one object of ``doc``."""
+    objects = [path for path in _paths(doc) if isinstance(_at(doc, path), dict)]
+    return st.tuples(st.tuples(st.sampled_from(objects), EXTRA_KEYS).map(
+        lambda drawn: drawn[0] + (drawn[1],)), VALUES)
 
 
 def _json_type(value):
@@ -86,9 +112,7 @@ def _json_type(value):
 def _retyped(doc, path, value):
     """Whether the variant changes the JSON type of a value that must keep
     it (see the module docstring)."""
-    old = doc
-    for key in path:
-        old = old[key]
+    old = _at(doc, path)
     return not (value is None or old is None
                 or _json_type(value) is _json_type(old)
                 or (path[-1:] in (("sentence_id",), ("parse_id",))
@@ -166,6 +190,23 @@ class TestLoaderFuzz:
         variant = data.draw(_variants(line))
         _check_corpus(artifacts, [HEADER, _replaced(line, *variant), other], 2,
                       _retyped(line, *variant))
+
+    @FUZZ
+    @given(st.data())
+    def test_extra_key(self, artifacts, data):
+        line, other = _test_lines(artifacts)
+        doc = data.draw(st.sampled_from([STRUCTURAL_LINE, line, "model"]))
+        if doc != "model":
+            _check_corpus(artifacts,
+                          [HEADER, _replaced(doc, *data.draw(_extra_keys(doc))),
+                           other], 2, True)
+            return
+        doc = json.loads((artifacts / "model" / "model.json").read_text())
+        path = artifacts / "fuzzed_model.json"
+        _write_json(path, _replaced(doc, *data.draw(_extra_keys(doc))))
+        _check_load(load_model, path, f"{path}: ", True)
+        assert _eval(artifacts, path, artifacts / "synth" / "test.jsonl",
+                     artifacts / "clusters" / "freq_table.json") == 2
 
     @FUZZ
     @given(_variants(HEADER))
