@@ -29,14 +29,14 @@ from typing import Optional
 from . import __version__
 from .corpus import (Corpus, SyntheticConfig, atomic_write, build_corpus,
                      corpus_stats, extract_parsebank, generate_synthetic,
-                     load_corpus, save_corpus, write_json)
+                     load_corpus, read_json, save_corpus, typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .evaluation import (evaluate, format_report_table, random_baseline,
                          sweep_checkpoints, write_report_json, write_sweep_csv)
 from .lexicalization import (build_freq_table, load_freq_table,
                              load_pair_counts, save_cluster_model,
                              save_freq_table, train_clusters)
-from .model import load_model, save_model
+from .model import DEFAULT_TIE_EPSILON, load_model, save_model
 from .properties import (add_correction, compile_corpus, compile_templates,
                          save_registry, select_properties)
 from .trainer import TrainingConfig, train
@@ -126,13 +126,11 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     path = given.pop("config", None)
     if not path:
         return {**defaults, **given}
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            file_conf = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON config") from exc
-    if not isinstance(file_conf, dict):
-        raise ConfigError(f"{path}: a config file holds one JSON object")
+    try:
+        file_conf = read_json(path,
+                              lambda doc: typed(doc, dict, "config file"))
+    except DataError as exc:  # invalid JSON, a repeated key or no object
+        raise ConfigError(str(exc)) from None
     unknown = set(file_conf) - set(defaults)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -260,7 +258,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 # eval
 
 EVAL_DEFAULTS = {
-    "model": None, "corpus": None, "task": None, "tie_epsilon": 1e-9,
+    "model": None, "corpus": None, "task": None,
+    "tie_epsilon": DEFAULT_TIE_EPSILON,
     "baseline": None, "lambda_range": 1.0, "checkpoints": None,
     "lex_table": None, "seed": None, "out_dir": None,
 }
@@ -528,7 +527,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, json.JSONDecodeError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

@@ -294,6 +294,7 @@ _SENTENCE_KEYS = frozenset({"sentence_id", "tokens", "weight", "gold_index",
 _PARSE_KEYS = frozenset({"parse_id", "cstructure", "fstructure", "relations",
                          "frame", "precomputed_features"})
 _FSTRUCTURE_KEYS = frozenset({"pairs", "functions"})
+_HEADER_KEYS = frozenset({"format", "version"})
 
 
 def _parse_from_json(rec, n_tokens: int) -> ParseRecord:
@@ -404,7 +405,7 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
         if not header_line.strip():
             raise DataError(f"{path}: empty file")
         _decode_json(f"{path}: line 1", header_line, lambda doc: check_envelope(
-            doc, CORPUS_FORMAT, CORPUS_VERSION))
+            doc, CORPUS_FORMAT, CORPUS_VERSION, _HEADER_KEYS))
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
@@ -457,13 +458,15 @@ def write_json(doc, path, indent: Optional[int] = None) -> None:
         handle.write(json.dumps(doc, sort_keys=True, indent=indent) + "\n")
 
 
-def check_envelope(doc, fmt: str, version: int) -> None:
-    """DataError unless ``doc`` is a ``fmt`` document at ``version``."""
+def check_envelope(doc, fmt: str, version: int, keys: frozenset) -> None:
+    """DataError unless ``doc`` is a ``fmt`` document at ``version`` with no
+    key outside ``keys``, the keys its writer emits."""
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise DataError(f"not a {fmt} document")
     # A JSON integer: true and 1.0 compare equal to 1 but are not versions.
     if type(doc.get("version")) is not int or doc["version"] != version:
         raise DataError(f"unsupported {fmt} version {doc.get('version')!r}")
+    record(doc, keys, f"{fmt} document")
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -34,6 +34,10 @@ CLUSTER_FORMAT = "cluster-model"
 CLUSTER_VERSION = 1
 FREQ_TABLE_FORMAT = "lex-frequency-table"
 FREQ_TABLE_VERSION = 1
+# The keys each document may carry: those its writer emits.
+CLUSTER_KEYS = frozenset({"format", "version", "priors", "verb_emissions",
+                          "noun_emissions", "verbs", "nouns"})
+FREQ_TABLE_KEYS = frozenset({"format", "version", "entries", "model"})
 
 # Pre-disambiguation slots (relation, voice, verb position): eight relations,
 # two voices and three verb positions, less the direct object under passive
@@ -172,7 +176,7 @@ class ClusterModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ClusterModel":
-        check_envelope(doc, CLUSTER_FORMAT, CLUSTER_VERSION)
+        check_envelope(doc, CLUSTER_FORMAT, CLUSTER_VERSION, CLUSTER_KEYS)
         return cls(
             priors=floats(doc["priors"], "priors"),
             verb_emissions=floats(doc["verb_emissions"], "verb_emissions"),
@@ -340,7 +344,8 @@ class LexFrequencyTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LexFrequencyTable":
-        check_envelope(doc, FREQ_TABLE_FORMAT, FREQ_TABLE_VERSION)
+        check_envelope(doc, FREQ_TABLE_FORMAT, FREQ_TABLE_VERSION,
+                       FREQ_TABLE_KEYS)
         model = ClusterModel.from_json_dict(doc["model"])
         return cls(model=model, entries={
             (typed(v, str, "verb"), typed(n, str, "noun")):

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .corpus import (Corpus, SentenceEntry, check_envelope, floats,
-                     read_json, record, typed, write_json)
+                     read_json, typed, write_json)
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable
 from .properties import FeatureMatrix, PropertyRegistry, compile_corpus
@@ -182,8 +182,12 @@ def decide(lam: np.ndarray, features: FeatureMatrix,
 
     Ranks by the linear part lam . nu(x) alone: per-sentence constants (the
     normalizer and a uniform reference) do not affect ranking.  A
-    non-finite score is a DataError.
+    non-finite score is a DataError; a ``tie_epsilon`` that is negative or
+    not finite, which would decide every tie, is a ConfigError.
     """
+    if not 0 <= tie_epsilon < np.inf:
+        raise ConfigError(f"tie_epsilon must be finite and >= 0, "
+                          f"not {tie_epsilon}")
     scores = features.dot(lam)
     if not np.all(np.isfinite(scores)):
         raise DataError("non-finite parse score; cannot rank the parses")
@@ -227,13 +231,12 @@ def model_to_json_dict(model: LogLinearModel) -> dict:
 
 
 def model_from_json_dict(doc: dict) -> LogLinearModel:
-    check_envelope(doc, MODEL_FORMAT, MODEL_VERSION)
+    check_envelope(doc, MODEL_FORMAT, MODEL_VERSION, MODEL_KEYS)
     # Older models record "reference_kind"; only the uniform one is defined.
     kind = doc.get("reference_kind", "uniform")
     if kind != "uniform":
         raise DataError(f"unsupported reference kind {kind!r}; the reference "
                         "distribution is uniform")
-    record(doc, MODEL_KEYS, "model")
     return LogLinearModel(
         lam=floats(doc["lambda"], "lambda"),
         registry=PropertyRegistry.from_json_dict(doc["registry"]),

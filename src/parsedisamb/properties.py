@@ -143,8 +143,7 @@ class PropertyRegistry:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PropertyRegistry":
-        check_envelope(doc, REGISTRY_FORMAT, REGISTRY_VERSION)
-        record(doc, REGISTRY_KEYS, "registry")
+        check_envelope(doc, REGISTRY_FORMAT, REGISTRY_VERSION, REGISTRY_KEYS)
         props = []
         for i, p in enumerate(typed(doc["properties"], list, "properties")):
             what = f"descriptor {i}"
@@ -263,8 +262,9 @@ class FeatureMatrix:
     holds that corpus's ``entries`` tuple itself; a ``universe()`` slice
     holds a new tuple.  Row ``r`` holds the nonzero values
     ``data[indptr[r]:indptr[r+1]]`` at the columns ``indices[...]``
-    (increasing within a row) of ``registry``; ``indices`` and ``rows`` are
-    ``INDEX_DTYPE``.  ``gold`` is -1 where no gold index is annotated.
+    (increasing within a row: ``_walk`` sorts the rows once, and
+    ``project`` again only when it reorders columns) of ``registry``;
+    ``indices`` and ``rows`` are ``INDEX_DTYPE``.  ``gold`` is -1 where no gold index is annotated.
     ``clamped_corrections`` counts parses whose feature total exceeded K
     (possible outside the defining corpus); their correction value was
     clamped to zero.  Values are checked to be finite and nonnegative here,
@@ -432,10 +432,10 @@ def _walk(corpus: Corpus, kinds: set[str],
     With a ``registry`` (no correction property) the columns are its own
     and unregistered templates are dropped.  Without one, the columns are
     the templates in order of first occurrence, including lexicalized slots
-    whose only values are zero, so that they can be registered.  Each row's
-    entries are appended to typed arrays sorted by column; ``project`` puts
-    them in registry order and adds the correction.  ``lex_table`` enables
-    the lexicalized slots, computed once per sentence.
+    whose only values are zero, so that they can be registered.  Nonzeros
+    are appended in walk order and one ``lexsort`` puts each row in column
+    order; ``project`` puts them in registry order and adds the correction.
+    ``lex_table`` enables the lexicalized slots, computed once per sentence.
     """
     structural = kinds & set(STRUCTURAL_KINDS)
     passthrough = "passthrough" in kinds
@@ -443,7 +443,6 @@ def _walk(corpus: Corpus, kinds: set[str],
     passthrough_cols: dict[int, int] = {}
     indptr, indices, data = array("q", [0]), array("q"), array("d")
     offsets, weights, gold = array("q", [0]), array("d"), array("q")
-    row: list[tuple[int, float]] = []
 
     def put(key: tuple[str, str], value: float) -> int:
         if registry is None:
@@ -451,7 +450,8 @@ def _walk(corpus: Corpus, kinds: set[str],
         else:
             col = registry._by_key.get(key, -1)
         if col >= 0 and value != 0:
-            row.append((col, value))
+            indices.append(col)
+            data.append(value)
         return col
 
     for entry in corpus.entries:
@@ -468,15 +468,11 @@ def _walk(corpus: Corpus, kinds: set[str],
                         passthrough_cols[idx] = put(
                             ("passthrough", _passthrough_key(idx)), value)
                     elif col >= 0 and value != 0:
-                        row.append((col, value))
+                        indices.append(col)
+                        data.append(value)
             if lex_rows is not None:
                 for slot, value in lex_rows[j].items():
                     put(("lexicalized-relation", slot), value)
-            row.sort()
-            for col, value in row:
-                indices.append(col)
-                data.append(value)
-            row.clear()
             indptr.append(len(indices))
         offsets.append(len(indptr) - 1)
         weights.append(entry.weight)
@@ -485,11 +481,14 @@ def _walk(corpus: Corpus, kinds: set[str],
     if registry is None:
         registry = PropertyRegistry(properties=[
             PropertyDescriptor(kind=kind, key=key) for kind, key in vocab])
+    indptr = np.frombuffer(indptr, dtype=np.int64)
+    cols = np.frombuffer(indices, dtype=np.int64).astype(INDEX_DTYPE,
+                                                          copy=False)
+    order = np.lexsort((cols, np.repeat(np.arange(len(indptr) - 1),
+                                        np.diff(indptr))))
     return FeatureMatrix(
-        indptr=np.frombuffer(indptr, dtype=np.int64),
-        indices=np.frombuffer(indices, dtype=np.int64).astype(INDEX_DTYPE,
-                                                              copy=False),
-        data=np.frombuffer(data, dtype=float),
+        indptr=indptr, indices=cols[order],
+        data=np.frombuffer(data, dtype=float)[order],
         registry=registry,
         offsets=np.frombuffer(offsets, dtype=np.int64),
         weights=np.frombuffer(weights, dtype=float),

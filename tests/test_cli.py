@@ -405,6 +405,21 @@ class TestConfigFile:
             elif os.path.isfile(outs[0] / name):
                 assert _read(outs[0] / name) == _read(outs[1] / name)
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param('{{"corpus": "missing.jsonl", "corpus": "{corpus}"}}',
+                     "duplicate key 'corpus'", id="repeated-key"),
+        pytest.param('{{"corpus": "{corpus}"', "invalid JSON",
+                     id="truncated")])
+    def test_undecodable_config_exits_1(self, synth_dir, tmp_path, capsys,
+                                        text, message):
+        corpus = synth_dir / "train.jsonl"
+        config = tmp_path / "config.json"
+        config.write_text(text.format(corpus=corpus))
+        assert _run("stats", "--config", str(config)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {config}: {message}\n"
+        assert not captured.out
+
     def test_explicit_flags_win_over_a_list(self, command_argv, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"task": ["exact", "frame"]}))
@@ -431,6 +446,22 @@ class TestNanTolerance:
                     "--out-dir", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "tolerance" in err
+
+
+class TestTieEpsilon:
+    """A negative or non-finite tie_epsilon would decide every tie."""
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_exits_1(self, command_argv, tmp_path, capsys, value):
+        assert _run(*command_argv["eval"], "--tie-epsilon", value,
+                    "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: tie_epsilon must be "
+                              "finite and >= 0")
+
+    def test_zero_is_valid(self, command_argv, tmp_path):
+        assert _run(*command_argv["eval"], "--tie-epsilon", "0",
+                    "--out-dir", str(tmp_path / "out")) == 0
 
 
 class TestCollectorState:

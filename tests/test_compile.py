@@ -193,10 +193,6 @@ class TestAgainstReference:
         assert projected.entries == matrix.entries
         # The CLI's compile path and build_feature_matrix give one universe.
         assert projected.digest == matrix.digest
-        for rows in (matrix, projected):
-            starts, ends = rows.indptr[:-1], rows.indptr[1:]
-            assert all(np.all(np.diff(rows.indices[a:b]) > 0)
-                       for a, b in zip(starts, ends))
 
         # Held-out data: every sentence kept, masses above K clamped.
         dense, clamped = reference_matrix(heldout, frozen, table,
@@ -213,6 +209,10 @@ class TestAgainstReference:
                             compiled, universe):
             assert compiled_by.indices.dtype == np.intp
             assert compiled_by.rows.dtype == np.intp
+            # Columns increase within a row.
+            starts, ends = compiled_by.indptr[:-1], compiled_by.indptr[1:]
+            assert all(np.all(np.diff(compiled_by.indices[a:b]) > 0)
+                       for a, b in zip(starts, ends))
 
     @SETTINGS
     @given(corpora(), corpora(max_tokens=8), lex_tables(), st.data())

@@ -3,8 +3,8 @@
 Every variant of a corpus line (structural and passthrough), the corpus
 header, a model with its embedded registry, and a frequency table either
 loads or raises a DataError naming the file, and for corpora the line.
-An object of a corpus line or a model that gains a key no loader knows is
-rejected the same way.
+An object of any of these documents, or of a cluster model, that gains a key
+no loader knows is rejected the same way.
 A variant whose new value has another JSON type than the old one (integers
 and fractions are one number type) is rejected, with three exceptions: null,
 which optional fields take; an integer sentence or parse id; and a string
@@ -26,7 +26,8 @@ from parsedisamb import (DataError, load_corpus, load_model,
 from parsedisamb import cli
 from parsedisamb import corpus as corpus_module
 from parsedisamb.cli import main
-from parsedisamb.lexicalization import load_freq_table
+from parsedisamb.lexicalization import (CLUSTER_KEYS, FREQ_TABLE_KEYS,
+                                        load_cluster_model, load_freq_table)
 from parsedisamb.model import MODEL_KEYS
 from parsedisamb.properties import DESCRIPTOR_KEYS, REGISTRY_KEYS
 
@@ -43,14 +44,16 @@ VALUES = st.one_of(
     st.lists(st.one_of(st.integers(0, 2), st.text(max_size=2)), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=2))
 
-# Keys that no object of a corpus line or a model may carry: not a field
-# name of any record, and not an integer, which a precomputed feature takes.
+# Keys that no object of a document may carry: not a field name of any
+# record, and not an integer, which a precomputed feature takes.
 FIELDS = (corpus_module._SENTENCE_KEYS | corpus_module._PARSE_KEYS
-          | corpus_module._FSTRUCTURE_KEYS | MODEL_KEYS | REGISTRY_KEYS
-          | DESCRIPTOR_KEYS)
+          | corpus_module._FSTRUCTURE_KEYS | corpus_module._HEADER_KEYS
+          | MODEL_KEYS | REGISTRY_KEYS | DESCRIPTOR_KEYS | CLUSTER_KEYS
+          | FREQ_TABLE_KEYS)
 EXTRA_KEYS = st.one_of(
     st.sampled_from(["wieght", "gold_idx", "cstructur", "function",
-                     "activation_cout", "universe_sise", "Weight", ""]),
+                     "activation_cout", "universe_sise", "Weight", "entires",
+                     "n_clases", "verison", ""]),
     st.text(max_size=6)).filter(
         lambda key: key not in FIELDS and not key.lstrip("-").isdigit())
 
@@ -164,9 +167,10 @@ def _check_corpus(artifacts, lines, fuzzed_line, must_fail):
     path.write_text("".join(json.dumps(line, sort_keys=True) + "\n"
                             for line in lines))
     _check_load(load_corpus, path, f"{path}: line {fuzzed_line}: ", must_fail)
-    assert main(["stats", "--corpus", str(path)]) in (0, 2)
+    codes = (2,) if must_fail else (0, 2)
+    assert main(["stats", "--corpus", str(path)]) in codes
     assert _eval(artifacts, artifacts / "model" / "model.json", path,
-                 artifacts / "clusters" / "freq_table.json") in (0, 2)
+                 artifacts / "clusters" / "freq_table.json") in codes
 
 
 def _test_lines(artifacts):
@@ -195,18 +199,54 @@ class TestLoaderFuzz:
     @given(st.data())
     def test_extra_key(self, artifacts, data):
         line, other = _test_lines(artifacts)
-        doc = data.draw(st.sampled_from([STRUCTURAL_LINE, line, "model"]))
-        if doc != "model":
+        name = data.draw(st.sampled_from(
+            ["header", "structural line", "passthrough line", "model",
+             "freq_table", "cluster_model"]))
+        if name == "header":
+            _check_corpus(artifacts,
+                          [_replaced(HEADER, *data.draw(_extra_keys(HEADER))),
+                           line, other], 1, True)
+            return
+        if name.endswith("line"):
+            doc = STRUCTURAL_LINE if name == "structural line" else line
             _check_corpus(artifacts,
                           [HEADER, _replaced(doc, *data.draw(_extra_keys(doc))),
                            other], 2, True)
             return
-        doc = json.loads((artifacts / "model" / "model.json").read_text())
-        path = artifacts / "fuzzed_model.json"
+        load, directory = {"model": (load_model, "model"),
+                           "freq_table": (load_freq_table, "clusters"),
+                           "cluster_model": (load_cluster_model, "clusters")
+                           }[name]
+        doc = json.loads((artifacts / directory / f"{name}.json").read_text())
+        path = artifacts / f"fuzzed_{name}.json"
         _write_json(path, _replaced(doc, *data.draw(_extra_keys(doc))))
-        _check_load(load_model, path, f"{path}: ", True)
-        assert _eval(artifacts, path, artifacts / "synth" / "test.jsonl",
-                     artifacts / "clusters" / "freq_table.json") == 2
+        _check_load(load, path, f"{path}: ", True)
+        model = artifacts / "model" / "model.json"
+        table = artifacts / "clusters" / "freq_table.json"
+        if name != "cluster_model":  # no command reads a cluster model
+            assert _eval(artifacts, path if name == "model" else model,
+                         artifacts / "synth" / "test.jsonl",
+                         path if name == "freq_table" else table) == 2
+
+    @pytest.mark.parametrize("name, key", [("header", "verison"),
+                                           ("freq_table", "entires"),
+                                           ("cluster_model", "n_clases")])
+    def test_misspelled_key(self, artifacts, capsys, name, key):
+        if name == "header":
+            path = artifacts / "fuzzed.jsonl"
+            path.write_text("".join(json.dumps(line) + "\n" for line in [
+                {**HEADER, key: 2}, *_test_lines(artifacts)]))
+            assert main(["stats", "--corpus", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"data error: {path}: line 1: forest-corpus document has "
+                f"unknown keys: {key!r}\n")
+            return
+        doc = json.loads(
+            (artifacts / "clusters" / f"{name}.json").read_text())
+        path = artifacts / f"fuzzed_{name}.json"
+        _write_json(path, {**doc, key: []})
+        load = load_freq_table if name == "freq_table" else load_cluster_model
+        _check_load(load, path, f"{path}: ", True)
 
     @FUZZ
     @given(_variants(HEADER))

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from parsedisamb import (ConfigError, DataError, build_feature_matrix,
                          disambiguate, evaluate, expectations, load_model,
-                         new_model, normalize, save_model, sweep_checkpoints)
+                         new_model, normalize, random_baseline, save_model,
+                         sweep_checkpoints)
 from conftest import corrected_registry, passthrough_corpus, \
     random_passthrough_instance
 
@@ -206,6 +207,29 @@ class TestDisambiguate:
         decision = disambiguate(model, corpus.entries[0], tie_epsilon=1e-9)
         assert decision.kind == "dont_know"
         assert set(decision.parse_ids) == {"p0", "p1"}
+
+    def test_zero_tie_epsilon_keeps_exact_ties(self):
+        corpus, registry, model = _uniform_setup([[{0: 4}, {0: 4}, {0: 2}]])
+        model = model.with_lam(np.array([1.0, 0.0]))
+        decision = disambiguate(model, corpus.entries[0], tie_epsilon=0.0)
+        assert decision.kind == "dont_know"
+        assert set(decision.parse_ids) == {"p0", "p1"}
+
+    @pytest.mark.parametrize("tie_epsilon",
+                             [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_tie_epsilon(self, tie_epsilon):
+        # At lam = 0 every parse ties; such an epsilon would decide them all.
+        corpus, registry, model = _uniform_setup([[{0: 4}, {0: 4}, {0: 2}]],
+                                                 golds=[2])
+        with pytest.raises(ConfigError, match="tie_epsilon"):
+            disambiguate(model, corpus.entries[0], tie_epsilon=tie_epsilon)
+        with pytest.raises(ConfigError, match="tie_epsilon"):
+            evaluate(model, corpus, tie_epsilon=tie_epsilon)
+        with pytest.raises(ConfigError, match="tie_epsilon"):
+            sweep_checkpoints([(0, model)], corpus, tie_epsilon=tie_epsilon)
+        with pytest.raises(ConfigError, match="tie_epsilon"):
+            random_baseline(corpus, "exact_match", registry, n_models=2,
+                            tie_epsilon=tie_epsilon)
 
     def test_single_parse(self):
         corpus, registry, model = _uniform_setup([[{0: 1}]])
