@@ -36,7 +36,8 @@ from .evaluation import (evaluate, format_report_table, random_baseline,
 from .lexicalization import (build_freq_table, load_freq_table,
                              load_pair_counts, save_cluster_model,
                              save_freq_table, train_clusters)
-from .model import DEFAULT_TIE_EPSILON, load_model, save_model
+from .model import (DEFAULT_TIE_EPSILON, check_tie_epsilon, load_model,
+                    save_model)
 from .properties import (add_correction, compile_corpus, compile_templates,
                          save_registry, select_properties)
 from .trainer import TrainingConfig, train
@@ -279,6 +280,7 @@ def _load_checkpoint_models(directory: str) -> list:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     conf = _resolve(args, EVAL_DEFAULTS)
+    check_tie_epsilon(conf["tie_epsilon"])
     out_dir = _require_out_dir(conf)
     if not conf["model"] or not conf["corpus"]:
         raise ConfigError("--model and --corpus are required")
@@ -362,6 +364,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     save_cluster_model(model, os.path.join(out_dir, "cluster_model.json"))
     save_freq_table(table, os.path.join(out_dir, "freq_table.json"))
+    with atomic_write(os.path.join(out_dir, "trace.jsonl")) as handle:
+        for iteration, likelihood in enumerate(trace):
+            record = {"iter": iteration, "L": likelihood}
+            if iteration:
+                record["abs_delta_L"] = abs(likelihood - trace[iteration - 1])
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
     write_manifest(out_dir, "cluster", conf, [conf["pairs"]], conf["seed"])
     print(f"clustered {len(counts)} pairs into {model.n_classes} classes in "
           f"{len(trace) - 1} iterations, final L = {trace[-1]:.6f}")

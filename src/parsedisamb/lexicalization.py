@@ -126,7 +126,10 @@ class ClusterModel:
     """Latent classes over (verb, noun) pairs.
 
     ``priors`` has shape (C,); ``verb_emissions`` (C, V) and
-    ``noun_emissions`` (C, N) hold p(v|c) and p(n|c) row-wise.
+    ``noun_emissions`` (C, N) hold p(v|c) and p(n|c) row-wise.  The joint
+    reads them pair-major, through two cached C-contiguous tables:
+    ``verb_table`` (V, C) holds p(c) p(v|c) and ``noun_table`` (N, C)
+    holds p(n|c), so a word's C class terms lie next to each other.
     """
 
     priors: np.ndarray
@@ -163,6 +166,15 @@ class ClusterModel:
     def _noun_index(self) -> dict[str, int]:
         return {n: i for i, n in enumerate(self.nouns)}
 
+    @cached_property
+    def verb_table(self) -> np.ndarray:
+        return np.ascontiguousarray(
+            (self.priors[:, None] * self.verb_emissions).T)
+
+    @cached_property
+    def noun_table(self) -> np.ndarray:
+        return np.ascontiguousarray(self.noun_emissions.T)
+
     def to_json_dict(self) -> dict:
         return {
             "format": CLUSTER_FORMAT,
@@ -194,14 +206,13 @@ def load_cluster_model(path) -> ClusterModel:
     return read_json(path, ClusterModel.from_json_dict)
 
 
-def _joint(model: ClusterModel, vi: np.ndarray, ni: np.ndarray) -> np.ndarray:
-    """p(c) p(v|c) p(n|c) of the pairs (vi[k], ni[k]), as a (C, P) array.
+def _joint(model: ClusterModel, vi, ni) -> np.ndarray:
+    """p(c) p(v|c) p(n|c) of the pairs (vi[k], ni[k]), as a (P, C) array.
 
-    Fancy indexing makes it F-contiguous, so each column sums bit for bit
-    as a one-pair joint does."""
-    return (model.priors[:, None]
-            * model.verb_emissions[:, vi]
-            * model.noun_emissions[:, ni])
+    Row k holds pair k's C class terms contiguously, each the product
+    (p(c) p(v|c)) p(n|c); so a row sums bit for bit as a one-pair joint
+    does, and as a column of a class-major (C, P) joint in F order."""
+    return model.verb_table[vi] * model.noun_table[ni]
 
 
 def train_clusters(counts: PairCounts, n_classes: int,
@@ -218,6 +229,13 @@ def train_clusters(counts: PairCounts, n_classes: int,
     the closed-form solution is used directly, so the likelihood trace is
     constant.  Returns the model and the per-iteration log-likelihood trace,
     which is non-decreasing.
+
+    Each iteration builds one pair-major (P, C) joint and runs the E-step on
+    it in place.  The pairs are sorted by verb, and every verb has a pair,
+    so the verb rows are ``verb_table`` repeated over the verb runs.  Each
+    row is the same C contiguous doubles a column of the class-major joint
+    was, so the pairwise class sums, the ``mass`` sums (pair after pair) and
+    the add order of every bincount bin are those of the (C, P) reference.
     """
     if len(counts) == 0:
         raise DataError("pair counts are empty")
@@ -261,18 +279,19 @@ def train_clusters(counts: PairCounts, n_classes: int,
         model = ClusterModel(priors=priors, verb_emissions=ve,
                              noun_emissions=ne, verbs=verbs, nouns=nouns)
 
-    # Row c of the (class, word) bins holds class c's counts.  Bins and
-    # weights are flattened column-major, the joint's own layout, so ravel
-    # copies nothing and each bin still adds its pairs in ascending order.
-    rows = np.arange(n_classes)[:, None]
-    verb_bins = (rows * len(verbs) + vi).ravel(order="F")
-    noun_bins = (rows * len(nouns) + ni).ravel(order="F")
+    # Bin c * V + v of a flattened (class, word) table holds class c's
+    # counts of word v; each bin adds its pairs in ascending order.
+    verb_runs = np.bincount(vi, minlength=len(verbs))
+    classes = np.arange(n_classes)
+    verb_bins = (vi[:, None] + classes * len(verbs)).ravel()
+    noun_bins = (ni[:, None] + classes * len(nouns)).ravel()
     trace: list[float] = []
     while True:
-        # One joint per model: its column sums are the pair probabilities,
+        # One joint per model: its row sums are the pair probabilities,
         # giving both the likelihood and the E-step.
-        joint = _joint(model, vi, ni)
-        totals = joint.sum(axis=0)
+        joint = np.repeat(model.verb_table, verb_runs, axis=0)
+        joint *= model.noun_table[ni]
+        totals = joint.sum(axis=1)
         if np.any(totals <= 0):
             raise InternalConsistencyError(
                 "pair with zero probability under the model")
@@ -285,11 +304,12 @@ def train_clusters(counts: PairCounts, n_classes: int,
                 len(trace) > 1 and abs(trace[-1] - trace[-2]) < tolerance):
             return model, trace
 
-        weighted = joint / totals * f  # responsibilities times frequencies
-        mass = weighted.sum(axis=1)  # (C,)
-        ve = np.bincount(verb_bins, weighted.ravel(order="F"),
+        joint /= totals[:, None]  # responsibilities,
+        joint *= f[:, None]  # times frequencies
+        mass = joint.sum(axis=0)  # (C,)
+        ve = np.bincount(verb_bins, joint.ravel(),
                          n_classes * len(verbs)).reshape(n_classes, -1)
-        ne = np.bincount(noun_bins, weighted.ravel(order="F"),
+        ne = np.bincount(noun_bins, joint.ravel(),
                          n_classes * len(nouns)).reshape(n_classes, -1)
         # A class that lost all mass keeps its previous emissions with a
         # zero prior instead of dividing by zero.
@@ -309,7 +329,7 @@ def class_membership(model: ClusterModel, verb: str, noun: str) -> np.ndarray:
     vi = model._verb_index.get(verb)
     ni = model._noun_index.get(noun)
     if vi is not None and ni is not None:
-        joint = _joint(model, [vi], [ni])[:, 0]
+        joint = _joint(model, vi, ni)
         total = joint.sum()
         if total > 0:
             return joint / total
@@ -370,9 +390,9 @@ def build_freq_table(model: ClusterModel, counts: PairCounts) -> LexFrequencyTab
     best = np.full(len(pairs), model.priors.max())
     known = np.flatnonzero((vi >= 0) & (ni >= 0))
     joint = _joint(model, vi[known], ni[known])
-    totals = joint.sum(axis=0)
+    totals = joint.sum(axis=1)
     live = totals > 0
-    best[known[live]] = (joint[:, live] / totals[live]).max(axis=0)
+    best[known[live]] = (joint[live] / totals[live, None]).max(axis=1)
     freqs = np.array(list(counts.counts.values()), dtype=float)
     return LexFrequencyTable(
         entries=dict(zip(pairs, (best * (freqs + 1.0)).tolist())), model=model)

@@ -176,18 +176,24 @@ class Decisions:
                         parse_ids=tuple(parses[j].parse_id for j in rows))
 
 
+def check_tie_epsilon(tie_epsilon: float) -> None:
+    """ConfigError for a ``tie_epsilon`` that is negative or not finite,
+    which would decide every tie."""
+    if not 0 <= tie_epsilon < np.inf:
+        raise ConfigError(f"tie_epsilon must be finite and >= 0, "
+                          f"not {tie_epsilon}")
+
+
 def decide(lam: np.ndarray, features: FeatureMatrix,
            tie_epsilon: float = DEFAULT_TIE_EPSILON) -> Decisions:
     """Disambiguate every sentence of ``features`` under parameters ``lam``.
 
     Ranks by the linear part lam . nu(x) alone: per-sentence constants (the
     normalizer and a uniform reference) do not affect ranking.  A
-    non-finite score is a DataError; a ``tie_epsilon`` that is negative or
-    not finite, which would decide every tie, is a ConfigError.
+    non-finite score is a DataError; a bad ``tie_epsilon`` is a ConfigError
+    (``check_tie_epsilon``).
     """
-    if not 0 <= tie_epsilon < np.inf:
-        raise ConfigError(f"tie_epsilon must be finite and >= 0, "
-                          f"not {tie_epsilon}")
+    check_tie_epsilon(tie_epsilon)
     scores = features.dot(lam)
     if not np.all(np.isfinite(scores)):
         raise DataError("non-finite parse score; cannot rank the parses")

@@ -5,6 +5,11 @@ their own score/likelihood code.  The reference extraction below is the
 per-parse dict path that the compiled feature matrix replaced, the
 reference cluster EM the loop that built two joints per iteration, and the
 reference frequency table the per-pair loop over ``class_membership``.
+
+The reference EM stays class-major on purpose: it gathers columns of the
+(C, V) and (C, N) emission tables into a (C, P) joint, an independent
+layout from the library's pair-major (P, C) one, so the bit-identity tests
+check that the pair-major sums keep every summation order.
 """
 
 import numpy as np

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 
 import pytest
 
@@ -459,6 +460,15 @@ class TestTieEpsilon:
         assert err.startswith("configuration error: tie_epsilon must be "
                               "finite and >= 0")
 
+    def test_checked_before_any_load(self, command_argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run("eval", "--model", command_argv["eval"][2],
+                    "--corpus", str(tmp_path / "absent.jsonl"),
+                    "--tie-epsilon", "-1", "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: tie_epsilon must be finite and >= 0")
+        assert not out.exists()
+
     def test_zero_is_valid(self, command_argv, tmp_path):
         assert _run(*command_argv["eval"], "--tie-epsilon", "0",
                     "--out-dir", str(tmp_path / "out")) == 0
@@ -559,8 +569,24 @@ class TestClusterCommand:
                         "--classes", "3", "--seed", "11",
                         "--out-dir", str(out)) == 0
             outs.append(out)
-        for fname in ("cluster_model.json", "freq_table.json"):
+        for fname in ("cluster_model.json", "freq_table.json", "trace.jsonl"):
             assert _read(outs[0] / fname) == _read(outs[1] / fname)
+
+    def test_trace(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert _run("cluster", "--pairs", str(self._pairs(tmp_path)),
+                    "--classes", "3", "--seed", "11", "--max-iterations", "7",
+                    "--out-dir", str(out)) == 0
+        iterations = int(re.search(r"in (\d+) iterations",
+                                   capsys.readouterr().out).group(1))
+        records = [json.loads(line)
+                   for line in (out / "trace.jsonl").read_text().splitlines()]
+        assert len(records) == iterations + 1
+        assert [r["iter"] for r in records] == list(range(iterations + 1))
+        assert "abs_delta_L" not in records[0]
+        for before, after in zip(records, records[1:]):
+            assert after["L"] >= before["L"]
+            assert after["abs_delta_L"] == abs(after["L"] - before["L"])
 
     def test_empty_pairs_is_data_error(self, tmp_path):
         empty = tmp_path / "empty.tsv"

@@ -19,6 +19,11 @@ from conftest import relation
 from oracles import reference_build_freq_table, reference_train_clusters
 
 
+# numpy sums fewer than 8 terms one after another and longer runs pairwise,
+# 8 partial sums at a time, so bit identity over the class axis needs class
+# counts on both sides of 8 and runs with a remainder past a multiple of 8.
+CLASS_COUNTS = (1, 2, 3, 6, 8, 9, 16, 17, 33)
+
 TOY_COUNTS = PairCounts(counts={
     ("eat", "apple"): 4,
     ("eat", "pasta"): 2,
@@ -133,7 +138,7 @@ class TestTrainClusters:
                       st.sampled_from(("n0", "n1", "n2", "n3", "n4", "n5"))),
             st.integers(0, 9), min_size=1, max_size=20)))
         assume(len(counts))  # all-zero draws leave no pairs
-        n_classes = data.draw(st.integers(1, 6))
+        n_classes = data.draw(st.sampled_from(CLASS_COUNTS))
         init = None
         if data.draw(st.booleans()):
             def rows(height, width):
@@ -273,7 +278,7 @@ class TestFreqTable:
                 st.integers(1, 9), min_size=1, max_size=12)))
 
         counts = draw_counts()
-        n_classes = data.draw(st.integers(1, 4))
+        n_classes = data.draw(st.sampled_from(CLASS_COUNTS))
         if data.draw(st.booleans()):
             # Trained on other counts: some pairs are out of its vocabulary.
             model, _ = train_clusters(draw_counts(), n_classes=n_classes,
