@@ -4,7 +4,11 @@ A corpus is a list of sentences, each carrying a finite set of candidate
 parses.  Sentences have an empirical weight (normalized to sum to one on
 load), and optionally a gold parse index for evaluation or complete-data
 training.  Corpus objects are treated as immutable after construction and
-are safe for concurrent reads.
+are safe for concurrent reads.  ``load_corpus`` decodes each string and
+c-structure subtree once: within one loaded corpus, equal strings (tokens,
+labels, leaves, ids, frames, relation fields, f-structure entries) and
+equal subtrees are one object.  Feature values, records and dicts are never
+shared.
 
 File format ("forest-corpus"): UTF-8 JSON Lines.  The first line is a header
 ``{"format": "forest-corpus", "version": 1}``; every following line is one
@@ -154,8 +158,8 @@ def _check_leaves(parse_id: str, n_leaves: int, n_tokens: int) -> None:
 
 
 def _validate_parse(parse: ParseRecord, where: str) -> None:
-    """Every check of a parse but its leaf count, which ``load_corpus`` makes
-    while it decodes the tree and ``build_corpus`` makes on its own."""
+    """Every check of a parse but its leaf count, which ``_parse_from_json``
+    makes while it decodes the tree and ``build_corpus`` makes on its own."""
     if parse.precomputed_features is None and not parse.has_structure:
         raise DataError(
             f"{where}: parse {parse.parse_id!r} has neither structural "
@@ -228,11 +232,13 @@ def count_leaves(node) -> int:
     return total
 
 
-def tree_from_json(obj) -> tuple[object, int]:
+def tree_from_json(obj, share) -> tuple[object, int]:
     """Decode a nested [label, [children...]] array into tuples; returns
-    the tree and its number of leaves, counted in the same walk."""
+    the tree and its number of leaves, counted in the same walk.  Every
+    label, leaf and subtree is taken from ``share``, a ``dict.setdefault``
+    kept for one load, so equal subtrees are one tuple."""
     if obj.__class__ is str:
-        return obj, 1
+        return share(obj, obj), 1
     if not (obj.__class__ is list and len(obj) == 2
             and obj[0].__class__ is str):
         raise DataError(f"malformed c-structure node: {obj!r}")
@@ -244,11 +250,13 @@ def tree_from_json(obj) -> tuple[object, int]:
     for child in children:
         if child.__class__ is str:
             leaves += 1
+            child = share(child, child)
         else:
-            child, n = tree_from_json(child)
+            child, n = tree_from_json(child, share)
             leaves += n
         decoded.append(child)
-    return (label, tuple(decoded)), leaves
+    node = (share(label, label), tuple(decoded))
+    return share(node, node), leaves
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +289,17 @@ def _entry_to_json(entry: SentenceEntry) -> dict:
     }
 
 
-def _relation_from_json(item) -> Relation:
+def _relation_from_json(item, share) -> Relation:
+    if item.__class__ is list and len(item) == 5:
+        name, verb, noun, voice, position = item
+        if (name.__class__ is verb.__class__ is noun.__class__
+                is voice.__class__ is str and position.__class__ is int):
+            return Relation(share(name, name), share(verb, verb),
+                            share(noun, noun), share(voice, voice), position)
+    # Not four strings and an int: the typed readers name the fault.
     name, verb, noun, voice, position = typed(item, list, "relation")
-    return Relation(*strings([name, verb, noun, voice], "relation fields"),
+    fields = strings([name, verb, noun, voice], "relation fields")
+    return Relation(*map(share, fields, fields),
                     typed(position, int, "relation position"))
 
 
@@ -296,32 +312,38 @@ _PARSE_KEYS = frozenset({"parse_id", "cstructure", "fstructure", "relations",
 _FSTRUCTURE_KEYS = frozenset({"pairs", "functions"})
 _HEADER_KEYS = frozenset({"format", "version"})
 
-
-def _parse_from_json(rec, n_tokens: int) -> ParseRecord:
+def _parse_from_json(rec, n_tokens: int, share) -> ParseRecord:
     parse_id = identifier(record(rec, _PARSE_KEYS, "parse record")["parse_id"],
                           "field 'parse_id'")
     cstructure = rec.get("cstructure")
     if cstructure is not None:
-        cstructure, n_leaves = tree_from_json(cstructure)
+        cstructure, n_leaves = tree_from_json(cstructure, share)
         _check_leaves(parse_id, n_leaves, n_tokens)
     fstructure = rec.get("fstructure")
     if fstructure is not None:
         record(fstructure, _FSTRUCTURE_KEYS, "field 'fstructure'")
-        fstructure = FStructure(
-            pairs=tuple(strings(pair, "fstructure pair", 2) for pair in
-                        typed(fstructure.get("pairs", []), list,
-                              "fstructure pairs")),
-            functions=strings(fstructure.get("functions", []),
-                              "fstructure functions"))
-    relations, frame = rec.get("relations"), rec.get("frame")
+        pairs = [strings(pair, "fstructure pair", 2) for pair in
+                 typed(fstructure.get("pairs", []), list, "fstructure pairs")]
+        functions = strings(fstructure.get("functions", []),
+                            "fstructure functions")
+        fstructure = FStructure(pairs=tuple(map(share, pairs, pairs)),
+                                functions=tuple(map(share, functions,
+                                                    functions)))
+    relations = rec.get("relations")
+    relations = () if relations is None else tuple(
+        _relation_from_json(item, share)
+        for item in typed(relations, list, "field 'relations'"))
+    frame = rec.get("frame")
+    if frame is not None:
+        frame = typed(frame, str, "field 'frame'")
+        frame = share(frame, frame)
     features = rec.get("precomputed_features")
     return ParseRecord(
-        parse_id=parse_id,
+        parse_id=share(parse_id, parse_id),
         cstructure=cstructure,
         fstructure=fstructure,
-        relations=() if relations is None else tuple(map(
-            _relation_from_json, typed(relations, list, "field 'relations'"))),
-        frame=None if frame is None else typed(frame, str, "field 'frame'"),
+        relations=relations,
+        frame=frame,
         precomputed_features=None if features is None else {
             canonical_int(k, "precomputed feature index"):
                 typed(v, float, "precomputed feature value")
@@ -330,17 +352,19 @@ def _parse_from_json(rec, n_tokens: int) -> ParseRecord:
     )
 
 
-def _entry_from_json(rec) -> SentenceEntry:
+def _entry_from_json(rec, share) -> SentenceEntry:
+    """The sentence of ``rec``, every string and tuple taken from
+    ``share``."""
     sentence_id = identifier(
         record(rec, _SENTENCE_KEYS, "sentence record")["sentence_id"],
         "field 'sentence_id'")
     tokens = strings(rec["tokens"], "field 'tokens'")
-    parses = tuple(_parse_from_json(p, len(tokens)) for p in
+    parses = tuple(_parse_from_json(p, len(tokens), share) for p in
                    typed(rec["parses"], list, "field 'parses'"))
     gold = rec.get("gold_index")
     return SentenceEntry(
         sentence_id=sentence_id,
-        tokens=tokens,
+        tokens=tuple(map(share, tokens, tokens)),
         parses=parses,
         weight=typed(rec.get("weight", 1.0), float, "field 'weight'"),
         gold_index=None if gold is None else typed(gold, int,
@@ -399,7 +423,13 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     malformed input, non-finite numbers included, and when filtering leaves
     the corpus empty.
     """
-    merged: dict[tuple, SentenceEntry] = {}
+    entries: list[SentenceEntry] = []
+    # Sentences by tokens and gold index, so that parses are compared only
+    # within a group and no parse is hashed.
+    groups: dict[tuple, list[int]] = {}
+    # One table per load: equal strings and tuples decoded from this file
+    # become one object.
+    share = {}.setdefault
     with open(path, "r", encoding="utf-8") as handle:
         header_line = handle.readline()
         if not header_line.strip():
@@ -410,15 +440,19 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
-            entry = _decode_json(where, line, _entry_from_json)
+            entry = _decode_json(where, line,
+                                 lambda rec: _entry_from_json(rec, share))
             _validate_entry(entry, where)
-            key = (entry.tokens, entry.parses, entry.gold_index)
-            if key in merged:
-                kept = merged[key]
-                entry = replace(kept, weight=kept.weight + entry.weight)
-            merged[key] = entry
+            group = groups.setdefault((entry.tokens, entry.gold_index), [])
+            for k in group:
+                kept = entries[k]
+                if kept.parses == entry.parses:
+                    entries[k] = replace(kept, weight=kept.weight + entry.weight)
+                    break
+            else:
+                group.append(len(entries))
+                entries.append(entry)
 
-    entries = list(merged.values())
     if max_parses is not None:
         entries = [e for e in entries if len(e.parses) <= max_parses]
         if not entries:
@@ -536,11 +570,15 @@ def record(value, keys: frozenset, what) -> dict:
     return value
 
 
+# The item class of a flat JSON list of strings or of floats.
+_ONLY_STR, _ONLY_FLOAT = frozenset({str}), frozenset({float})
+
+
 def strings(value, what, length=None) -> tuple[str, ...]:
     """A JSON list of strings, of ``length`` items when given, as a tuple."""
     if (value.__class__ is not list
             or (length is not None and len(value) != length)
-            or any(s.__class__ is not str for s in value)):
+            or not _ONLY_STR.issuperset(map(type, value))):
         raise DataError(f"{what} must be a list of {length or 'only'} "
                         f"strings, not {value!r:.40}")
     return tuple(value)
@@ -550,6 +588,10 @@ def floats(value, what) -> np.ndarray:
     """Finite JSON numbers, nested in lists, as a float array of any shape."""
     if value.__class__ is not list:
         return np.array(typed(value, float, what))
+    if _ONLY_FLOAT.issuperset(map(type, value)):  # a row, checked at once
+        row = np.array(value, dtype=float)
+        if np.isfinite(row).all():
+            return row
     return np.array([floats(v, what) if v.__class__ is list
                      else typed(v, float, what) for v in value], dtype=float)
 

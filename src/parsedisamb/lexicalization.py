@@ -347,11 +347,18 @@ class LexFrequencyTable:
     model: ClusterModel
 
     def lookup(self, verb: str, noun: str) -> float:
-        value = self.entries.get((verb, noun))
-        if value is None:
-            # Unseen pair: f(v, n) = 0, so f_c is the best class posterior.
-            value = float(class_membership(self.model, verb, noun).max())
-        return value
+        return self.lookup_all([(verb, noun)])[0]
+
+    def lookup_all(self, pairs: list[tuple[str, str]]) -> list[float]:
+        """f_c of each pair; the unseen ones (f(v, n) = 0, so f_c is the
+        best class posterior) take their posteriors in one joint."""
+        values = [*map(self.entries.get, pairs)]
+        unseen = [k for k, value in enumerate(values) if value is None]
+        if unseen:
+            best = _best_posteriors(self.model, [pairs[k] for k in unseen])
+            for k, value in zip(unseen, best.tolist()):
+                values[k] = value
+        return values
 
     def to_json_dict(self) -> dict:
         return {
@@ -367,10 +374,15 @@ class LexFrequencyTable:
         check_envelope(doc, FREQ_TABLE_FORMAT, FREQ_TABLE_VERSION,
                        FREQ_TABLE_KEYS)
         model = ClusterModel.from_json_dict(doc["model"])
-        return cls(model=model, entries={
-            (typed(v, str, "verb"), typed(n, str, "noun")):
-                typed(x, float, "f_c", low=0)
-            for v, n, x in typed(doc["entries"], list, "entries")})
+        # Keys share the model's word strings where it has them.
+        verb_of = {v: v for v in model.verbs}
+        noun_of = {n: n for n in model.nouns}
+        entries = {}
+        for v, n, x in typed(doc["entries"], list, "entries"):
+            v, n = typed(v, str, "verb"), typed(n, str, "noun")
+            entries[verb_of.get(v, v), noun_of.get(n, n)] = typed(
+                x, float, "f_c", low=0)
+        return cls(model=model, entries=entries)
 
 
 def save_freq_table(table: LexFrequencyTable, path) -> None:
@@ -381,19 +393,32 @@ def load_freq_table(path) -> LexFrequencyTable:
     return read_json(path, LexFrequencyTable.from_json_dict)
 
 
+def _best_posteriors(model: ClusterModel, pairs) -> np.ndarray:
+    """max_c p(c|v,n) of each (verb, noun) pair, from one joint.
+
+    As in ``class_membership``, a pair with an unknown word or zero
+    probability takes the priors: its row (an unknown word's index -1 reads
+    the last one) is overwritten, over a total of 1.  Each row of the joint
+    sums as a one-pair joint does, so every value equals
+    ``class_membership(model, v, n).max()`` bit for bit."""
+    vi = [model._verb_index.get(v, -1) for v, _ in pairs]
+    ni = [model._noun_index.get(n, -1) for _, n in pairs]
+    joint = _joint(model, vi, ni)
+    totals = joint.sum(axis=1)
+    if -1 in vi or -1 in ni or not (totals > 0).all():
+        fallback = (np.minimum(vi, ni) < 0) | ~(totals > 0)
+        joint[fallback] = model.priors
+        totals[fallback] = 1.0
+    joint /= totals[:, None]
+    return joint.max(axis=1)
+
+
 def build_freq_table(model: ClusterModel, counts: PairCounts) -> LexFrequencyTable:
     """f_c(v, n) = max_c p(c|v,n) * (f(v,n) + 1) for every counted pair, with
     the posterior and its fallback of ``class_membership``."""
     pairs = list(counts.counts)
-    vi = np.array([model._verb_index.get(v, -1) for v, _ in pairs], dtype=int)
-    ni = np.array([model._noun_index.get(n, -1) for _, n in pairs], dtype=int)
-    best = np.full(len(pairs), model.priors.max())
-    known = np.flatnonzero((vi >= 0) & (ni >= 0))
-    joint = _joint(model, vi[known], ni[known])
-    totals = joint.sum(axis=1)
-    live = totals > 0
-    best[known[live]] = (joint[live] / totals[live, None]).max(axis=1)
     freqs = np.array(list(counts.counts.values()), dtype=float)
+    best = _best_posteriors(model, pairs)
     return LexFrequencyTable(
         entries=dict(zip(pairs, (best * (freqs + 1.0)).tolist())), model=model)
 
@@ -411,8 +436,10 @@ def lexicalized_properties(entry: SentenceEntry, table: LexFrequencyTable
     lacking the slot get 0 as well.  A parse's first relation in a slot is
     the one that competes.  Keys are ``slot_key`` strings.
     """
-    # One pass over the relations buckets the competitors of every slot.
-    occupants: dict[tuple[str, str, int], list[tuple[int, float]]] = {}
+    # One pass over the relations buckets the competitors of every slot;
+    # their f_c values come in one lookup per sentence.
+    occupants: dict[tuple[str, str, int], list[tuple[int, int]]] = {}
+    pairs: list[tuple[str, str]] = []
     for j, parse in enumerate(entry.parses):
         filled = set()
         for rel in parse.relations:
@@ -423,8 +450,9 @@ def lexicalized_properties(entry: SentenceEntry, table: LexFrequencyTable
             slot = (rel.name, rel.voice, rel.position)
             if slot in _SLOT_SET and slot not in filled:
                 filled.add(slot)
-                occupants.setdefault(slot, []).append(
-                    (j, table.lookup(rel.verb, rel.noun)))
+                occupants.setdefault(slot, []).append((j, len(pairs)))
+                pairs.append((rel.verb, rel.noun))
+    values = table.lookup_all(pairs)
 
     rows: list[dict[str, int]] = [{} for _ in entry.parses]
     for slot in SLOTS:
@@ -432,7 +460,7 @@ def lexicalized_properties(entry: SentenceEntry, table: LexFrequencyTable
         if not competitors:
             continue
         key = slot_key(*slot)
-        best = max(value for _, value in competitors)
-        for j, value in competitors:
-            rows[j][key] = 1 if value >= best else 0
+        best = max(values[k] for _, k in competitors)
+        for j, k in competitors:
+            rows[j][key] = 1 if values[k] >= best else 0
     return rows

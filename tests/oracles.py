@@ -5,6 +5,9 @@ their own score/likelihood code.  The reference extraction below is the
 per-parse dict path that the compiled feature matrix replaced, the
 reference cluster EM the loop that built two joints per iteration, and the
 reference frequency table the per-pair loop over ``class_membership``.
+The reference corpus reader reads every value through the typed readers,
+one call per value and no value shared, before ``_validate_entry`` checks
+the line.
 
 The reference EM stays class-major on purpose: it gathers columns of the
 (C, V) and (C, N) emission tables into a (C, P) joint, an independent
@@ -15,7 +18,11 @@ check that the pair-major sums keep every summation order.
 import numpy as np
 from scipy import optimize
 
-from parsedisamb.corpus import VOICES
+from parsedisamb.corpus import (_FSTRUCTURE_KEYS, _PARSE_KEYS, _SENTENCE_KEYS,
+                                VOICES, FStructure, ParseRecord, Relation,
+                                SentenceEntry, _check_leaves, _decode_json,
+                                _validate_entry, canonical_int, identifier,
+                                record, strings, tree_from_json, typed)
 from parsedisamb.errors import ConfigError, DataError, InternalConsistencyError
 from parsedisamb.lexicalization import (SLOTS, ClusterModel, LexFrequencyTable,
                                         class_membership, slot_key)
@@ -458,3 +465,69 @@ def reference_build_freq_table(model, counts):
         posterior = class_membership(model, verb, noun)
         entries[(verb, noun)] = float(posterior.max() * (freq + 1.0))
     return LexFrequencyTable(entries=entries, model=model)
+
+
+def _reference_relation_from_json(item):
+    name, verb, noun, voice, position = typed(item, list, "relation")
+    return Relation(*strings([name, verb, noun, voice], "relation fields"),
+                    typed(position, int, "relation position"))
+
+
+def _reference_parse_from_json(rec, n_tokens):
+    parse_id = identifier(record(rec, _PARSE_KEYS, "parse record")["parse_id"],
+                          "field 'parse_id'")
+    cstructure = rec.get("cstructure")
+    if cstructure is not None:
+        cstructure, n_leaves = tree_from_json(cstructure, {}.setdefault)
+        _check_leaves(parse_id, n_leaves, n_tokens)
+    fstructure = rec.get("fstructure")
+    if fstructure is not None:
+        record(fstructure, _FSTRUCTURE_KEYS, "field 'fstructure'")
+        fstructure = FStructure(
+            pairs=tuple(strings(pair, "fstructure pair", 2) for pair in
+                        typed(fstructure.get("pairs", []), list,
+                              "fstructure pairs")),
+            functions=strings(fstructure.get("functions", []),
+                              "fstructure functions"))
+    relations, frame = rec.get("relations"), rec.get("frame")
+    features = rec.get("precomputed_features")
+    return ParseRecord(
+        parse_id=parse_id,
+        cstructure=cstructure,
+        fstructure=fstructure,
+        relations=() if relations is None else tuple(map(
+            _reference_relation_from_json,
+            typed(relations, list, "field 'relations'"))),
+        frame=None if frame is None else typed(frame, str, "field 'frame'"),
+        precomputed_features=None if features is None else {
+            canonical_int(k, "precomputed feature index"):
+                typed(v, float, "precomputed feature value")
+            for k, v in typed(features, dict,
+                              "field 'precomputed_features'").items()},
+    )
+
+
+def _reference_entry_from_json(rec):
+    sentence_id = identifier(
+        record(rec, _SENTENCE_KEYS, "sentence record")["sentence_id"],
+        "field 'sentence_id'")
+    tokens = strings(rec["tokens"], "field 'tokens'")
+    parses = tuple(_reference_parse_from_json(p, len(tokens)) for p in
+                   typed(rec["parses"], list, "field 'parses'"))
+    gold = rec.get("gold_index")
+    return SentenceEntry(
+        sentence_id=sentence_id,
+        tokens=tokens,
+        parses=parses,
+        weight=typed(rec.get("weight", 1.0), float, "field 'weight'"),
+        gold_index=None if gold is None else typed(gold, int,
+                                                   "field 'gold_index'"),
+    )
+
+
+def reference_read_entry(where, line):
+    """The checked sentence on one corpus line, every value read through
+    the typed readers."""
+    entry = _decode_json(where, line, _reference_entry_from_json)
+    _validate_entry(entry, where)
+    return entry

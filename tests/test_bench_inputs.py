@@ -15,7 +15,8 @@ import os
 
 import pytest
 
-from parsedisamb import SyntheticConfig, generate_synthetic, save_corpus
+from parsedisamb import (SyntheticConfig, generate_synthetic, load_corpus,
+                         save_corpus)
 from parsedisamb.corpus import write_json
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -72,3 +73,28 @@ def test_structural_inputs_are_pinned(tmp_path, seed):
                                               STRUCTURAL_SIZES)
     assert {name: _sha256(path) for name, path in paths.items()} \
         == STRUCTURAL_DIGESTS[seed]
+
+
+def _saved_again(path, tmp_path) -> bytes:
+    """The bytes ``save_corpus`` writes for the corpus loaded from ``path``."""
+    again = tmp_path / f"again-{os.path.basename(path)}"
+    save_corpus(load_corpus(path), again)
+    return again.read_bytes()
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTHETIC_DIGESTS))
+def test_synthetic_corpus_survives_load_and_save(tmp_path, seed):
+    corpus, _ = generate_synthetic(SyntheticConfig(
+        n_sentences=60, ambiguity_range=(2, 10), n_features=50, seed=seed))
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, path)
+    assert _saved_again(path, tmp_path) == path.read_bytes()
+
+
+@pytest.mark.parametrize("seed", sorted(STRUCTURAL_DIGESTS))
+def test_structural_corpora_survive_load_and_save(tmp_path, seed):
+    paths = _structural_module().write_inputs(seed, str(tmp_path),
+                                              STRUCTURAL_SIZES)
+    for name in ("train", "test"):
+        with open(paths[name], "rb") as handle:
+            assert _saved_again(paths[name], tmp_path) == handle.read()

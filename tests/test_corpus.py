@@ -1,9 +1,13 @@
+import gc
 import json
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import parsedisamb.corpus as corpus_module
@@ -13,6 +17,8 @@ from parsedisamb import (DataError, ParseRecord, SentenceEntry,
                          save_corpus)
 from conftest import passthrough_corpus, structural_parse
 from test_compile import SETTINGS, corpora
+from test_fuzz import STRUCTURAL_LINE, _replaced, _variants
+from oracles import reference_read_entry
 
 
 # The location of the first relation in a corpus line.
@@ -330,6 +336,18 @@ class TestMerge:
         assert [e.parses[0].precomputed_features[1]
                 for e in loaded.entries] == [2.0, 3.0]
 
+    def test_a_copy_merges_into_the_equal_sentence_of_its_group(
+            self, tmp_path):
+        # Three sentences share tokens and gold index; the third repeats the
+        # second's parses, so it merges there and not into the first.
+        path = _write(passthrough_corpus([[{0: 1}], [{0: 2}], [{0: 2}]]),
+                      tmp_path)
+        path.write_text(path.read_text().replace("tok1", "tok0")
+                        .replace("tok2", "tok0"))
+        loaded = load_corpus(path)
+        assert [e.sentence_id for e in loaded.entries] == ["s0", "s1"]
+        assert_allclose([e.weight for e in loaded.entries], [1 / 3, 2 / 3])
+
     def test_each_line_is_validated_once(self, tmp_path, monkeypatch):
         path = _write(_counts_corpus([1, 2, 3]), tmp_path)
         calls = []
@@ -412,6 +430,188 @@ class TestTrees:
         build_corpus([replace(entry, tokens=("a", "b", "c"))])
 
 
+def _sharing_corpus(path, tree, n_parses, n_sentences=1, tokens=("a", "b")):
+    """A corpus file of sentences whose parses all carry ``tree``; the
+    sentences differ only by their frame."""
+    lines = [json.dumps({"format": "forest-corpus", "version": 1})]
+    for s in range(n_sentences):
+        lines.append(json.dumps({
+            "sentence_id": f"s{s}", "tokens": list(tokens), "gold_index": 0,
+            "parses": [{"parse_id": f"p{j}", "cstructure": tree,
+                        "fstructure": {"functions": ["SUBJ", "OBJ"],
+                                       "pairs": [["TENSE", "past"]]},
+                        "relations": [["subj", "v1", f"n{j}", "active", 1]],
+                        "frame": f"f{s}"} for j in range(n_parses)]}))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _balanced_tree(tokens):
+    """A binary tree over ``tokens``, each under a preterminal."""
+    if len(tokens) == 1:
+        return ["N", [tokens[0]]]
+    half = len(tokens) // 2
+    return ["X", [_balanced_tree(tokens[:half]), _balanced_tree(tokens[half:])]]
+
+
+class TestSharing:
+    def test_equal_values_are_one_object(self, tmp_path):
+        tree = ["S", [["NP", ["a"]], ["VP", [["V", ["b"]], ["NP", ["a"]]]]]]
+        path = _sharing_corpus(tmp_path / "c.jsonl", tree, n_parses=2,
+                               n_sentences=2, tokens=("a", "b", "a"))
+        first, second = load_corpus(path).entries
+        assert [len(first.parses), len(second.parses)] == [2, 2]
+        trees = [p.cstructure for e in (first, second) for p in e.parses]
+        assert all(t is trees[0] for t in trees)
+        np_left, vp = trees[0][1]
+        assert vp[1][1] is np_left  # equal subtrees within one tree
+        assert first.tokens[0] is first.tokens[2] is second.tokens[0]
+        assert np_left[1][0] is first.tokens[0]  # a leaf and its token
+        relations = [p.relations[0] for e in (first, second) for p in e.parses]
+        for field in ("name", "verb", "voice"):
+            assert len({id(getattr(r, field)) for r in relations}) == 1
+        assert relations[0].noun is relations[2].noun
+        assert first.parses[0].parse_id is second.parses[0].parse_id
+        assert first.parses[0].frame is first.parses[1].frame
+        fstructures = [p.fstructure for e in (first, second) for p in e.parses]
+        assert all(f.pairs[0] is fstructures[0].pairs[0] for f in fstructures)
+        assert all(f.functions[1] is fstructures[0].functions[1]
+                   for f in fstructures)
+
+    def test_each_load_has_its_own_table(self, tmp_path):
+        path = _sharing_corpus(tmp_path / "c.jsonl", ["S", ["a", "b"]], 1)
+        once, again = load_corpus(path), load_corpus(path)
+        assert once == again
+        assert once.entries[0].parses[0].cstructure \
+            is not again.entries[0].parses[0].cstructure
+
+    def test_negative_zero_feature_survives_a_round_trip(self, tmp_path):
+        path = _write(passthrough_corpus([[{0: -0.0, 1: 0.0, 2: 1.0},
+                                           {0: 0.0, 1: -0.0}]]), tmp_path)
+        loaded = load_corpus(path)
+        signs = [[np.copysign(1.0, v) for v in p.precomputed_features.values()]
+                 for p in loaded.entries[0].parses]
+        assert signs == [[-1.0, 1.0, 1.0], [1.0, -1.0]]
+        again = _write(loaded, tmp_path, "again.jsonl")
+        assert again.read_bytes() == path.read_bytes()
+        assert '"0": -0.0' in path.read_text()
+
+    def test_parses_of_one_tree_share_its_memory(self, tmp_path):
+        tokens = tuple(f"w{i}" for i in range(64))
+        tree = _balanced_tree(list(tokens))
+        sizes = {}
+        for n in (1, 8):
+            path = _sharing_corpus(tmp_path / f"{n}.jsonl", tree, n_parses=n,
+                                   n_sentences=4, tokens=tokens)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                loaded = load_corpus(path)
+                gc.collect()
+                sizes[n] = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert sum(len(e.parses) for e in loaded.entries) == 4 * n
+            del loaded
+        assert sizes[8] < 2 * sizes[1], sizes
+
+
+PASSTHROUGH_LINE = {
+    "sentence_id": 7, "tokens": ["a", "b"], "weight": 2, "gold_index": 1,
+    "parses": [
+        {"parse_id": "p0", "precomputed_features": {"0": 1.0, "12": 2},
+         "relations": [["subj", "v0", "n1", "active", 1],
+                       ["dobj", "v1", "n1", "passive", 2]], "frame": "f0"},
+        {"parse_id": 1, "precomputed_features": {"3": -0.0},
+         "relations": None, "frame": None}]}
+
+
+class TestReader:
+    """The reader, which checks a relation at once where it can, accepts
+    exactly the lines that the typed readers accept, reads them into equal
+    entries, and names a bad line's first fault as the typed readers do."""
+
+    def _check(self, line):
+        try:
+            expected = reference_read_entry("w", line)
+        except DataError as exc:
+            expected = exc
+        try:
+            entry = corpus_module._decode_json(
+                "w", line, lambda rec: corpus_module._entry_from_json(
+                    rec, {}.setdefault))
+            corpus_module._validate_entry(entry, "w")
+        except DataError as exc:
+            assert str(exc) == str(expected)
+            return
+        assert entry == expected
+        # -0.0 == 0.0: compare the signs of the feature values too.
+        signs = [[np.copysign(1.0, v) for v in (p.precomputed_features
+                                                or {}).values()]
+                 for e in (entry, expected) for p in e.parses]
+        assert signs[:len(signs) // 2] == signs[len(signs) // 2:]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_variants(STRUCTURAL_LINE), _variants(PASSTHROUGH_LINE)),
+           st.booleans())
+    def test_agrees_with_the_typed_readers(self, variant, structural):
+        doc = STRUCTURAL_LINE if structural else PASSTHROUGH_LINE
+        try:
+            line = _replaced(doc, *variant)
+        except (KeyError, IndexError, TypeError):  # a path of the other line
+            return
+        self._check(json.dumps(line))
+
+    @pytest.mark.parametrize("structural, path, value", [
+        (True, RELATION + (3,), "middle"), (True, RELATION + (4,), 0),
+        (True, RELATION + (4,), -1), (True, RELATION + (4,), True),
+        (True, RELATION, ["subj", "v0", "n1", "active"]),
+        (True, RELATION[:-1], ["abcde"]),
+        (True, RELATION[:-1], [["s", "v0", "n", "active", 1],
+                               ["t", "v9", "n", "active", 1]]),
+        (True, ("parses", 1, "parse_id"), "p0"), (True, ("gold_index",), 2),
+        (True, ("weight",), -1.0), (True, ("weight",), math.inf),
+        (True, ("weight",), True), (True, ("sentence_id",), 1.5),
+        (True, ("sentence_id",), True), (True, ("parses",), []),
+        (True, ("tokens",), ["a", 1]), (True, ("parses", 0, "frame"), 3),
+        (True, ("parses", 0, "cstructure"), "a"),
+        (True, ("parses", 0, "cstructure"),
+         ["S", [["NP", ["a"]], ["VP", ["b", "c"]]]]),
+        (True, ("parses", 0, "fstructure"), []),
+        (True, ("parses", 0, "fstructure"), None),
+        (True, ("parses", 0, "fstructure", "pairs"), [["a"]]),
+        (True, ("parses", 0, "fstructure", "pairs"), [["a", 1]]),
+        (True, ("parses", 0, "fstructure", "pairs"), ["ab"]),
+        (True, ("parses", 0, "fstructure", "pairs"), [["a", "b", "c"]]),
+        (True, ("parses", 0, "fstructure", "functions"), "ab"),
+        *[(False, ("parses", 0, "precomputed_features"), features)
+          for features in ({"0": -1.0}, {"-1": 1.0}, {"01": 1.0},
+                           {" 1": 1.0}, {"1_0": 1.0}, {"1": 1.0, "\u0661": 2},
+                           {"0": math.nan}, {"0": True}, {"0": math.inf},
+                           {"0": 10 ** 23}, {"0": 10 ** 400}, [], {},
+                           {"0": 1.0, "1 2": 1.0}, {"0": 1.0, "": 1.0},
+                           {"1" + "0" * 18: 1.0}, {"1" + "0" * 5000: 1.0})],
+        (False, ("parses", 1, "precomputed_features"), None)])
+    def test_agrees_on_one_bad_value(self, structural, path, value):
+        doc = STRUCTURAL_LINE if structural else PASSTHROUGH_LINE
+        self._check(json.dumps(_replaced(doc, path, value)))
+
+    @pytest.mark.parametrize("faults", [
+        [(RELATION + (3,), "middle"), (("parses", 1, "cstructure"), ["S"])],
+        [(("weight",), -1.0), (("parses", 1, "frame"), 3)],
+        [(("gold_index",), 5), (("parses", 1, "fstructure", "pairs"), [[]])],
+        [(RELATION + (4,), 0), (("parses", 1, "relations", 0, 4), True)],
+        [(("parses", 0, "parse_id"), "p1"), (RELATION + (3,), "middle")]])
+    def test_names_the_first_fault_as_the_typed_readers_do(self, faults):
+        doc = STRUCTURAL_LINE
+        for path, value in faults:
+            doc = _replaced(doc, path, value)
+        with pytest.raises(DataError):
+            reference_read_entry("w", json.dumps(doc))
+        self._check(json.dumps(doc))
+
+
 NON_FINITE_LINES = {
     # An infinite weight used to load as weights [nan, 0.0].
     "infinite weight": '{"sentence_id": "s1", "tokens": ["a"], '
@@ -451,6 +651,21 @@ class TestNonFiniteNumbers:
                                     precomputed_features={0: value}),))
             with pytest.raises(DataError, match="non-finite"):
                 build_corpus([entry])
+
+
+@pytest.mark.parametrize("features, fault", [
+    ({0: 1.0, 1: -0.5}, "negative"), ({-1: 1.0}, "negative"),
+    ({0: 1.0, 1: math.nan}, "non-finite"), ({0: math.inf}, "non-finite"),
+    ({0: 1e308, 1: 1e308}, None), ({0: -0.0, 1: 0.0}, None)])
+def test_every_feature_value_is_checked(features, fault):
+    # Values whose sum overflows are each finite, so they pass.
+    entry = SentenceEntry(sentence_id="s0", tokens=("t",), parses=(
+        ParseRecord(parse_id="p0", precomputed_features=features),))
+    if fault is None:
+        build_corpus([entry])
+    else:
+        with pytest.raises(DataError, match=f"has a {fault} precomputed"):
+            build_corpus([entry])
 
 
 class TestParsebank:

@@ -300,10 +300,16 @@ class TestFreqTable:
         table = build_freq_table(model, counts)
         expected = reference_build_freq_table(model, counts)
         assert list(table.entries.items()) == list(expected.entries.items())
-        # An unseen pair, in or out of the vocabulary, is computed on demand.
-        for pair in [(v, n) for v in verbs + ("vx",) for n in nouns + ("nx",)
-                     if (v, n) not in counts.counts]:
+        # An unseen pair, in or out of the vocabulary, is computed on demand,
+        # alone or among others, seen ones included, in one joint.
+        unseen = [(v, n) for v in verbs + ("vx",) for n in nouns + ("nx",)
+                  if (v, n) not in counts.counts]
+        for pair in unseen:
             assert table.lookup(*pair) == class_membership(model, *pair).max()
+        mixed = data.draw(st.permutations(unseen + list(counts.counts)))
+        assert table.lookup_all(mixed) == [
+            table.entries[p] if p in counts.counts
+            else class_membership(model, *p).max() for p in mixed]
 
     def test_zero_total_falls_back_to_the_priors(self):
         # v0 lives only in class 0 and n1 only in class 1: p(v0, n1) = 0.
@@ -475,6 +481,38 @@ class TestIO:
         again = load_freq_table(path)
         assert again.entries == table.entries
         assert_allclose(again.lookup("zz", "yy"), table.lookup("zz", "yy"))
+
+    def test_freq_table_keys_share_the_model_words(self, tmp_path):
+        model, _ = train_clusters(TOY_COUNTS, n_classes=2, seed=1,
+                                  max_iterations=15)
+        counts = PairCounts(counts={**TOY_COUNTS.counts, ("fly", "kite"): 1})
+        path = tmp_path / "table.json"
+        save_freq_table(build_freq_table(model, counts), path)
+        again = load_freq_table(path)
+        verbs = {id(v) for v in again.model.verbs}
+        nouns = {id(n) for n in again.model.nouns}
+        assert again.entries.keys() == counts.counts.keys()
+        for verb, noun in again.entries:
+            known = (verb, noun) != ("fly", "kite")
+            assert (id(verb) in verbs, id(noun) in nouns) == (known, known)
+
+    def test_cluster_model_rows_read_at_once_keep_their_messages(
+            self, tmp_path):
+        model, _ = train_clusters(TOY_COUNTS, n_classes=2, seed=1,
+                                  max_iterations=15)
+        doc = model.to_json_dict()
+        path = tmp_path / "clusters.json"
+        doc["priors"] = [1, 0]  # JSON integers read as numbers
+        write_json(doc, path)
+        assert load_cluster_model(path).priors.tolist() == [1.0, 0.0]
+        for row, message in (([0.5, float("nan")], "a non-finite number"),
+                             ([0.5, True], "must be a number, not True"),
+                             ([0.5, [0.5]], "malformed value")):
+            doc["verb_emissions"][1][:2] = row
+            write_json(doc, path)
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "
+                                                f".*{re.escape(message)}"):
+                load_cluster_model(path)
 
     def test_counts_from_corpus(self):
         entry = _entry_with_relations(
