@@ -31,8 +31,9 @@ from .corpus import (Corpus, SyntheticConfig, atomic_write, build_corpus,
                      corpus_stats, extract_parsebank, generate_synthetic,
                      load_corpus, read_json, save_corpus, typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
-from .evaluation import (evaluate, format_report_table, random_baseline,
-                         sweep_checkpoints, write_report_json, write_sweep_csv)
+from .evaluation import (_check_baseline, evaluate, format_report_table,
+                         random_baseline, sweep_checkpoints, write_report_json,
+                         write_sweep_csv)
 from .lexicalization import (build_freq_table, load_freq_table,
                              load_pair_counts, save_cluster_model,
                              save_freq_table, train_clusters)
@@ -198,9 +199,9 @@ TRAIN_DEFAULTS = {
 
 def cmd_train(args: argparse.Namespace) -> int:
     conf = _resolve(args, TRAIN_DEFAULTS)
-    out_dir = _require_out_dir(conf)
     if not conf["corpus"]:
         raise ConfigError("--corpus is required")
+    out_dir = _require_out_dir(conf)
 
     corpus = load_corpus(conf["corpus"], max_parses=conf["max_parses"])
     inputs = [conf["corpus"]]
@@ -243,10 +244,14 @@ def cmd_train(args: argparse.Namespace) -> int:
             handle.write(json.dumps(
                 {"iter": record.iteration, "L": record.log_likelihood,
                  "max_gamma": record.max_abs_gamma}, sort_keys=True) + "\n")
-    os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
+    # An earlier run's checkpoints would join this run's sweep.
+    checkpoint_dir = os.path.join(out_dir, "checkpoints")
+    os.makedirs(checkpoint_dir, exist_ok=True)
+    for name in filter(CHECKPOINT_PATTERN.match, os.listdir(checkpoint_dir)):
+        os.remove(os.path.join(checkpoint_dir, name))
     for iteration, lam in trace.checkpoints():
         save_model(model.with_lam(lam),
-                   os.path.join(out_dir, "checkpoints",
+                   os.path.join(checkpoint_dir,
                                 f"checkpoint_{iteration:04d}.json"))
     write_manifest(out_dir, "train", conf, inputs, conf["seed"])
     print(f"trained {trace.n_iterations} iterations, "
@@ -266,13 +271,15 @@ EVAL_DEFAULTS = {
 }
 
 
-def _load_checkpoint_models(directory: str) -> list:
+def _load_checkpoint_models(directory: str, inputs: list[str]) -> list:
+    """(iteration, model) of each checkpoint; each path joins ``inputs``."""
     found = []
     for name in sorted(os.listdir(directory)):
         match = CHECKPOINT_PATTERN.match(name)
         if match:
-            found.append((int(match.group(1)),
-                          load_model(os.path.join(directory, name))))
+            path = os.path.join(directory, name)
+            found.append((int(match.group(1)), load_model(path)))
+            inputs.append(path)
     if not found:
         raise DataError(f"no checkpoint models in {directory}")
     return found
@@ -281,9 +288,10 @@ def _load_checkpoint_models(directory: str) -> list:
 def cmd_eval(args: argparse.Namespace) -> int:
     conf = _resolve(args, EVAL_DEFAULTS)
     check_tie_epsilon(conf["tie_epsilon"])
-    out_dir = _require_out_dir(conf)
+    _check_baseline(conf["baseline"], conf["lambda_range"])
     if not conf["model"] or not conf["corpus"]:
         raise ConfigError("--model and --corpus are required")
+    out_dir = _require_out_dir(conf)
 
     model = load_model(conf["model"])
     corpus = load_corpus(conf["corpus"])
@@ -299,7 +307,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     checkpoint_models = None
     if conf["checkpoints"]:
-        checkpoint_models = _load_checkpoint_models(conf["checkpoints"])
+        checkpoint_models = _load_checkpoint_models(conf["checkpoints"],
+                                                    inputs)
 
     # One compile of the test corpus serves every model scored below.
     features = compile_corpus(corpus, model.registry, lex_table=lex_table)
@@ -351,9 +360,9 @@ CLUSTER_DEFAULTS = {
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     conf = _resolve(args, CLUSTER_DEFAULTS)
-    out_dir = _require_out_dir(conf)
     if not conf["pairs"]:
         raise ConfigError("--pairs is required")
+    out_dir = _require_out_dir(conf)
 
     counts = load_pair_counts(conf["pairs"])
     model, trace = train_clusters(
@@ -387,11 +396,9 @@ SYNTH_DEFAULTS = {
 
 def cmd_synth(args: argparse.Namespace) -> int:
     conf = _resolve(args, SYNTH_DEFAULTS)
-    out_dir = _require_out_dir(conf)
     split = conf["split"]
     if not (0.0 < split < 1.0):
         raise ConfigError("--split must lie strictly between 0 and 1")
-
     config = SyntheticConfig(
         n_sentences=conf["sentences"],
         ambiguity_range=tuple(conf["ambiguity"]),
@@ -399,11 +406,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n_relations=conf["relations"],
         seed=conf["seed"],
     )
-    corpus, description = generate_synthetic(config)
-
-    n_train = int(split * len(corpus.entries))
-    if n_train == 0 or n_train == len(corpus.entries):
+    config.validate()
+    # The generator writes exactly n_sentences sentences.
+    n_train = int(split * config.n_sentences)
+    if n_train == 0 or n_train == config.n_sentences:
         raise ConfigError("--split leaves one side of the split empty")
+    out_dir = _require_out_dir(conf)
+
+    corpus, description = generate_synthetic(config)
     train_part = build_corpus(corpus.entries[:n_train])
     test_part = build_corpus(corpus.entries[n_train:])
 
@@ -434,8 +444,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
            "universe_size": stats.universe_size}
     print(json.dumps(doc, sort_keys=True, indent=1))
     if conf.get("out_dir"):
-        out_dir = conf["out_dir"]
-        os.makedirs(out_dir, exist_ok=True)
+        out_dir = _require_out_dir(conf)
         write_json(doc, os.path.join(out_dir, "stats.json"))
         write_manifest(out_dir, "stats", conf, [conf["corpus"]], None)
     return 0

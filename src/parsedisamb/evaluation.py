@@ -196,6 +196,16 @@ class BaselineReport:
                 "n_undefined": self.n_undefined}
 
 
+def _check_baseline(n_models: Optional[int], lambda_range: float) -> None:
+    """ConfigError for a baseline of fewer than one model (None runs none)
+    or a ``lambda_range`` that is negative or not finite."""
+    if n_models is not None and n_models < 1:
+        raise ConfigError(f"n_models must be >= 1, not {n_models}")
+    # numpy's uniform draw needs a finite width.
+    if not 0 <= 2 * lambda_range < np.inf:
+        raise ConfigError("lambda_range must be nonnegative and finite")
+
+
 def random_baseline(test_corpus: Corpus, task: str, registry: PropertyRegistry,
                     n_models: int = 100, seed: int = 0,
                     lambda_range: float = 1.0,
@@ -209,11 +219,7 @@ def random_baseline(test_corpus: Corpus, task: str, registry: PropertyRegistry,
     Models with undefined precision (every sentence a tie) are excluded from
     the average and counted separately.  ``features`` as in ``evaluate``.
     """
-    if n_models < 1:
-        raise ConfigError("n_models must be >= 1")
-    # numpy's uniform draw needs a finite width.
-    if not 0 <= 2 * lambda_range < np.inf:
-        raise ConfigError("lambda_range must be nonnegative and finite")
+    _check_baseline(n_models, lambda_range)
     features = _compiled(test_corpus, registry, features, lex_table)
     judge = _Judge(task, features)
     rng = seeded_rng(seed)

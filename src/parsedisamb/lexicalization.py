@@ -206,15 +206,6 @@ def load_cluster_model(path) -> ClusterModel:
     return read_json(path, ClusterModel.from_json_dict)
 
 
-def _joint(model: ClusterModel, vi, ni) -> np.ndarray:
-    """p(c) p(v|c) p(n|c) of the pairs (vi[k], ni[k]), as a (P, C) array.
-
-    Row k holds pair k's C class terms contiguously, each the product
-    (p(c) p(v|c)) p(n|c); so a row sums bit for bit as a one-pair joint
-    does, and as a column of a class-major (C, P) joint in F order."""
-    return model.verb_table[vi] * model.noun_table[ni]
-
-
 def train_clusters(counts: PairCounts, n_classes: int,
                    max_iterations: int = 100, tolerance: float = 1e-6,
                    seed: int = 0,
@@ -322,18 +313,29 @@ def train_clusters(counts: PairCounts, n_classes: int,
                              noun_emissions=ne, verbs=verbs, nouns=nouns)
 
 
+def _posteriors(model: ClusterModel, pairs) -> np.ndarray:
+    """p(c|v,n) of each (verb, noun) pair, as a (P, C) array.
+
+    Row k holds pair k's C class terms (p(c) p(v|c)) p(n|c) contiguously,
+    so it sums bit for bit as a one-pair joint does.  A pair with an
+    out-of-vocabulary side (whose index -1 reads the last row) or zero
+    probability takes the class priors over a total of 1, so the posterior
+    is defined for every pair."""
+    vi = [model._verb_index.get(v, -1) for v, _ in pairs]
+    ni = [model._noun_index.get(n, -1) for _, n in pairs]
+    joint = model.verb_table[vi] * model.noun_table[ni]
+    totals = joint.sum(axis=1)
+    if -1 in vi or -1 in ni or not (totals > 0).all():
+        fallback = (np.minimum(vi, ni) < 0) | ~(totals > 0)
+        joint[fallback] = model.priors
+        totals[fallback] = 1.0
+    joint /= totals[:, None]
+    return joint
+
+
 def class_membership(model: ClusterModel, verb: str, noun: str) -> np.ndarray:
-    """Posterior p(c|v,n).  A pair with an out-of-vocabulary side or zero
-    probability falls back to the class priors, so the posterior is defined
-    for every pair."""
-    vi = model._verb_index.get(verb)
-    ni = model._noun_index.get(noun)
-    if vi is not None and ni is not None:
-        joint = _joint(model, vi, ni)
-        total = joint.sum()
-        if total > 0:
-            return joint / total
-    return model.priors.copy()
+    """Posterior p(c|v,n): the priors for an unknown word or a zero total."""
+    return _posteriors(model, [(verb, noun)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +353,12 @@ class LexFrequencyTable:
 
     def lookup_all(self, pairs: list[tuple[str, str]]) -> list[float]:
         """f_c of each pair; the unseen ones (f(v, n) = 0, so f_c is the
-        best class posterior) take their posteriors in one joint."""
+        best class posterior) take their posteriors in one call."""
         values = [*map(self.entries.get, pairs)]
         unseen = [k for k, value in enumerate(values) if value is None]
         if unseen:
-            best = _best_posteriors(self.model, [pairs[k] for k in unseen])
+            best = _posteriors(self.model,
+                               [pairs[k] for k in unseen]).max(axis=1)
             for k, value in zip(unseen, best.tolist()):
                 values[k] = value
         return values
@@ -393,32 +396,11 @@ def load_freq_table(path) -> LexFrequencyTable:
     return read_json(path, LexFrequencyTable.from_json_dict)
 
 
-def _best_posteriors(model: ClusterModel, pairs) -> np.ndarray:
-    """max_c p(c|v,n) of each (verb, noun) pair, from one joint.
-
-    As in ``class_membership``, a pair with an unknown word or zero
-    probability takes the priors: its row (an unknown word's index -1 reads
-    the last one) is overwritten, over a total of 1.  Each row of the joint
-    sums as a one-pair joint does, so every value equals
-    ``class_membership(model, v, n).max()`` bit for bit."""
-    vi = [model._verb_index.get(v, -1) for v, _ in pairs]
-    ni = [model._noun_index.get(n, -1) for _, n in pairs]
-    joint = _joint(model, vi, ni)
-    totals = joint.sum(axis=1)
-    if -1 in vi or -1 in ni or not (totals > 0).all():
-        fallback = (np.minimum(vi, ni) < 0) | ~(totals > 0)
-        joint[fallback] = model.priors
-        totals[fallback] = 1.0
-    joint /= totals[:, None]
-    return joint.max(axis=1)
-
-
 def build_freq_table(model: ClusterModel, counts: PairCounts) -> LexFrequencyTable:
-    """f_c(v, n) = max_c p(c|v,n) * (f(v,n) + 1) for every counted pair, with
-    the posterior and its fallback of ``class_membership``."""
+    """f_c(v, n) = max_c p(c|v,n) * (f(v,n) + 1) for every counted pair."""
     pairs = list(counts.counts)
     freqs = np.array(list(counts.counts.values()), dtype=float)
-    best = _best_posteriors(model, pairs)
+    best = _posteriors(model, pairs).max(axis=1)
     return LexFrequencyTable(
         entries=dict(zip(pairs, (best * (freqs + 1.0)).tolist())), model=model)
 

@@ -4,7 +4,8 @@ The trainer oracles are written directly from the defining formulas with
 their own score/likelihood code.  The reference extraction below is the
 per-parse dict path that the compiled feature matrix replaced, the
 reference cluster EM the loop that built two joints per iteration, and the
-reference frequency table the per-pair loop over ``class_membership``.
+reference frequency table a per-pair loop over a one-pair posterior with
+its own priors fallback.
 The reference corpus reader reads every value through the typed readers,
 one call per value and no value shared, before ``_validate_entry`` checks
 the line.
@@ -25,7 +26,7 @@ from parsedisamb.corpus import (_FSTRUCTURE_KEYS, _PARSE_KEYS, _SENTENCE_KEYS,
                                 record, strings, tree_from_json, typed)
 from parsedisamb.errors import ConfigError, DataError, InternalConsistencyError
 from parsedisamb.lexicalization import (SLOTS, ClusterModel, LexFrequencyTable,
-                                        class_membership, slot_key)
+                                        slot_key)
 from parsedisamb.properties import (ADJUNCT_FUNCTIONS, COORDINATION_MARKERS,
                                     FSTR_KINDS, STRUCTURAL_KINDS, TREE_KINDS)
 
@@ -221,7 +222,8 @@ def reference_lexicalized_properties(entry, table):
                 if rel.voice not in VOICES:
                     raise DataError(f"undefined voice {rel.voice!r}")
                 if (rel.name, rel.voice, rel.position) == (rel_name, voice, position):
-                    occupants.append((j, table.lookup(rel.verb, rel.noun)))
+                    occupants.append((j, reference_f_c(table, rel.verb,
+                                                       rel.noun)))
                     break
         if not occupants:
             continue
@@ -458,11 +460,34 @@ def reference_train_clusters(counts, n_classes, max_iterations=100,
     return model, trace
 
 
+def reference_posterior(model, verb, noun):
+    """p(c|v,n) of one pair, read from the class-major emission tables.
+
+    The joint is a 1-D array of the products (p(c) p(v|c)) p(n|c), summed
+    as one; a pair with an unknown word or a zero total takes the priors."""
+    if verb in model.verbs and noun in model.nouns:
+        joint = (model.priors
+                 * model.verb_emissions[:, model.verbs.index(verb)]
+                 * model.noun_emissions[:, model.nouns.index(noun)])
+        total = joint.sum()
+        if total > 0:
+            return joint / total
+    return model.priors.copy()
+
+
+def reference_f_c(table, verb, noun):
+    """f_c of a pair: the table's entry, else (f = 0) its best posterior."""
+    value = table.entries.get((verb, noun))
+    if value is None:
+        value = float(reference_posterior(table.model, verb, noun).max())
+    return value
+
+
 def reference_build_freq_table(model, counts):
-    """``build_freq_table`` as one ``class_membership`` call per pair."""
+    """``build_freq_table`` as one ``reference_posterior`` call per pair."""
     entries = {}
     for (verb, noun), freq in counts.counts.items():
-        posterior = class_membership(model, verb, noun)
+        posterior = reference_posterior(model, verb, noun)
         entries[(verb, noun)] = float(posterior.max() * (freq + 1.0))
     return LexFrequencyTable(entries=entries, model=model)
 

@@ -7,6 +7,9 @@ whatever the library does inside.  A change to the extractor's key order,
 to the draws of the synthetic generator or to the corpus encoding moves
 these digests; such a change also moves the benchmark's inputs, so it
 belongs with a change to the benchmark.
+
+The outputs of the lexicalized pipeline on the seed-1 structural inputs
+are pinned the same way (``PIPELINE_DIGESTS``).
 """
 
 import hashlib
@@ -17,6 +20,7 @@ import pytest
 
 from parsedisamb import (SyntheticConfig, generate_synthetic, load_corpus,
                          save_corpus)
+from parsedisamb.cli import main
 from parsedisamb.corpus import write_json
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,6 +43,21 @@ STRUCTURAL_DIGESTS = {
     2: {"train": "776c18e426e3ca2305f2574742a7857c5e6a80d978a3ec2b9910f38a1122801b",
         "test": "9484bfdc062b391699183ca06b4da8532b2945c75c880d2dcf3990e2333a2735",
         "pairs": "6c7b377d2458fc36a8cc4b1d3bcd7ed87965142e40af5a4296b6e990438b73d0"},
+}
+
+# sha256 of the outputs of cluster -> train --lexicalized -> eval on the
+# seed-1 structural inputs, per command directory.
+PIPELINE_DIGESTS = {
+    "cluster": {
+        "cluster_model.json": "a1422fcf3e40737dfa5cb360b69ca22f60a7763b95579450165d0ccfe884b90e",
+        "freq_table.json": "6581ed27b2dc7c261a37f4f2322e21a693d487f1189d8cf5264390959c647b6a"},
+    "train": {
+        "registry.json": "efd7e0ca1364d07270d81d69e6d0a4f84c066c2b640647c01082c18cd8c70326",
+        "model.json": "3585dd362454cd86c9caed9791b1c6dd2aad242c832dbf3c52edf406ef0110a4",
+        "trace.jsonl": "667749d403d28e34c5164cbf9415f3c86fb143a627a165361867aba98eae7bb8"},
+    "eval": {
+        "report_exact_match.json": "2c3f7670807bb6564e7a6ad1e042adddf3e9d528b56e949b5485ec83e3ccfdb9",
+        "report_frame_match.json": "2abce8cd5cb8921464b2cb584e7f931419a48f7698ca2f4b8b873765f09b1747"},
 }
 
 
@@ -98,3 +117,32 @@ def test_structural_corpora_survive_load_and_save(tmp_path, seed):
     for name in ("train", "test"):
         with open(paths[name], "rb") as handle:
             assert _saved_again(paths[name], tmp_path) == handle.read()
+
+
+def test_lexicalized_pipeline_outputs_are_pinned(tmp_path):
+    """``cluster -> train --lexicalized -> eval``, with the flags of the
+    benchmark's structural-lex workload and seed 1, writes pinned bytes.
+
+    Every step of the class-based lexicalization runs here: cluster EM, the
+    frequency table, lexicalized lookups of seen and unseen pairs, property
+    selection, training and evaluation on two tasks.  A change that moves
+    one of these digests changes what the program writes; it must say why
+    in CHANGES.md.
+    """
+    inputs = _structural_module().write_inputs(1, str(tmp_path / "in"),
+                                               STRUCTURAL_SIZES)
+    out = {command: str(tmp_path / command) for command in PIPELINE_DIGESTS}
+    table = os.path.join(out["cluster"], "freq_table.json")
+    seed = ["--seed", "1"]
+    assert main(["cluster", "--pairs", inputs["pairs"], "--classes", "16",
+                 *seed, "--out-dir", out["cluster"]]) == 0
+    assert main(["train", "--corpus", inputs["train"], "--select-cutoff", "5",
+                 "--max-iterations", "30", "--checkpoint-every", "30",
+                 "--lexicalized", table, *seed, "--out-dir", out["train"]]) == 0
+    assert main(["eval", "--model", os.path.join(out["train"], "model.json"),
+                 "--corpus", inputs["test"], "--task", "exact", "--task",
+                 "frame", "--lex-table", table, *seed,
+                 "--out-dir", out["eval"]]) == 0
+    assert {command: {name: _sha256(os.path.join(out[command], name))
+                      for name in names}
+            for command, names in PIPELINE_DIGESTS.items()} == PIPELINE_DIGESTS

@@ -707,6 +707,99 @@ class TestManifest:
             handle.write("\n")
         assert not verify_manifest(manifest_path)
 
+    def test_eval_digests_the_checkpoints_it_sweeps(self, synth_dir, tmp_path):
+        model = tmp_path / "model"
+        assert _run("train", "--corpus", str(synth_dir / "train.jsonl"),
+                    "--max-iterations", "6", "--checkpoint-every", "3",
+                    "--out-dir", str(model)) == 0
+        out = tmp_path / "eval"
+        assert _run("eval", "--model", str(model / "model.json"),
+                    "--corpus", str(synth_dir / "test.jsonl"),
+                    "--checkpoints", str(model / "checkpoints"),
+                    "--out-dir", str(out)) == 0
+        manifest = out / "manifest.json"
+        swept = sorted(str(path) for path in (model / "checkpoints").iterdir())
+        assert len(swept) > 1
+        assert set(swept) <= set(json.loads(manifest.read_text())
+                                 ["input_digests"])
+        assert verify_manifest(manifest)
+        with open(swept[-1], "a") as handle:
+            handle.write("\n")
+        assert not verify_manifest(manifest)
+
+
+class TestCheckpointDirectory:
+    def test_train_replaces_earlier_checkpoints(self, synth_dir, tmp_path):
+        corpus = str(synth_dir / "train.jsonl")
+        out, fresh = tmp_path / "model", tmp_path / "fresh"
+        assert _run("train", "--corpus", corpus, "--max-iterations", "12",
+                    "--checkpoint-every", "3", "--out-dir", str(out)) == 0
+        (out / "checkpoints" / "notes.txt").write_text("not a checkpoint")
+        for target in (out, fresh):
+            assert _run("train", "--corpus", corpus, "--max-iterations", "10",
+                        "--checkpoint-every", "5",
+                        "--out-dir", str(target)) == 0
+        written = sorted(os.listdir(fresh / "checkpoints"))
+        assert sorted(os.listdir(out / "checkpoints")) == \
+            [*written, "notes.txt"]
+        # The sweep reads this run's checkpoints only.
+        assert _run("eval", "--model", str(out / "model.json"),
+                    "--corpus", str(synth_dir / "test.jsonl"),
+                    "--checkpoints", str(out / "checkpoints"),
+                    "--out-dir", str(tmp_path / "eval")) == 0
+        rows = (tmp_path / "eval" / "sweep_exact_match.csv").read_text()
+        assert [int(line.split(",")[0]) for line in rows.splitlines()[1:]] \
+            == [int(name[11:15]) for name in written]
+
+
+class TestFlagErrors:
+    """A flag error is reported before ``--out-dir`` is created."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["train"], "--corpus is required", id="train"),
+        pytest.param(["eval", "--corpus", "c.jsonl"],
+                     "--model and --corpus are required", id="eval-model"),
+        pytest.param(["eval", "--model", "m.json"],
+                     "--model and --corpus are required", id="eval-corpus"),
+        pytest.param(["cluster"], "--pairs is required", id="cluster"),
+        pytest.param(["synth", "--split", "1.5"],
+                     "--split must lie strictly between 0 and 1", id="synth"),
+        pytest.param(["synth", "--sentences", "3", "--split", "0.2"],
+                     "--split leaves one side of the split empty",
+                     id="synth-empty-side"),
+        pytest.param(["synth", "--ambiguity", "0", "3"],
+                     "ambiguity_range must lie within [1, 50]",
+                     id="synth-ambiguity")])
+    def test_required_flags_leave_no_out_dir(self, tmp_path, capsys, argv,
+                                             message):
+        out = tmp_path / "out"
+        assert _run(*argv, "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--baseline", "0"], "n_models must be >= 1, not 0",
+                     id="no-models"),
+        pytest.param(["--baseline", "-2"], "n_models must be >= 1, not -2",
+                     id="negative-models"),
+        pytest.param(["--baseline", "2", "--lambda-range", "-1"],
+                     "lambda_range must be nonnegative and finite",
+                     id="negative-range"),
+        pytest.param(["--baseline", "2", "--lambda-range", "inf"],
+                     "lambda_range must be nonnegative and finite",
+                     id="infinite-range"),
+        pytest.param(["--lambda-range", "nan"],
+                     "lambda_range must be nonnegative and finite",
+                     id="nan-range")])
+    def test_baseline_is_checked_before_any_load(self, tmp_path, capsys,
+                                                 flags, message):
+        out = tmp_path / "out"
+        assert _run("eval", "--model", str(tmp_path / "absent.json"),
+                    "--corpus", str(tmp_path / "absent.jsonl"), *flags,
+                    "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
 
 def _structural_corpus(rng, n_sentences):
     """Random trees, f-structures, relations and frames, with gold parses."""

@@ -16,7 +16,8 @@ from parsedisamb.corpus import ParseRecord, write_json
 from parsedisamb.lexicalization import (load_cluster_model, load_freq_table,
                                         save_cluster_model, save_freq_table)
 from conftest import relation
-from oracles import reference_build_freq_table, reference_train_clusters
+from oracles import (reference_build_freq_table, reference_posterior,
+                     reference_train_clusters)
 
 
 # numpy sums fewer than 8 terms one after another and longer runs pairwise,
@@ -304,12 +305,15 @@ class TestFreqTable:
         # alone or among others, seen ones included, in one joint.
         unseen = [(v, n) for v in verbs + ("vx",) for n in nouns + ("nx",)
                   if (v, n) not in counts.counts]
+        for pair in unseen + list(counts.counts):
+            assert np.array_equal(class_membership(model, *pair),
+                                  reference_posterior(model, *pair))
         for pair in unseen:
-            assert table.lookup(*pair) == class_membership(model, *pair).max()
+            assert table.lookup(*pair) == reference_posterior(model, *pair).max()
         mixed = data.draw(st.permutations(unseen + list(counts.counts)))
         assert table.lookup_all(mixed) == [
             table.entries[p] if p in counts.counts
-            else class_membership(model, *p).max() for p in mixed]
+            else reference_posterior(model, *p).max() for p in mixed]
 
     def test_zero_total_falls_back_to_the_priors(self):
         # v0 lives only in class 0 and n1 only in class 1: p(v0, n1) = 0.
