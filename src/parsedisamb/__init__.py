@@ -27,8 +27,8 @@ from .model import (Decision, LogLinearModel, ParseDistribution, disambiguate,
                     load_model, new_model, normalize, save_model)
 from .properties import (FeatureMatrix, PropertyDescriptor, PropertyRegistry,
                          add_correction, build_feature_matrix, build_registry,
-                         compile_corpus, compile_templates, load_registry,
-                         save_registry, select_properties)
+                         compile_corpus, compile_templates, save_registry,
+                         select_properties)
 from .trainer import (InitComparison, IterationRecord, TrainingConfig,
                       TrainingTrace, compare_inits, expectations, im_step,
                       incomplete_log_likelihood, train)

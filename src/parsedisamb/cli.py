@@ -5,7 +5,8 @@ command writes its outputs under ``--out-dir`` together with a run manifest
 (command, resolved configuration digest, input file digests, seed, tool
 version, timestamps).  Reruns with identical flags and seed produce
 bit-identical model, trace, and report files; the manifest carries the only
-timestamps.
+timestamps.  A command that fails writes nothing: ``--out-dir`` is created
+only with the outputs, once every one of them has been computed.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
 consistency failure (a violated likelihood guarantee).
@@ -161,10 +162,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _require_out_dir(conf: dict) -> str:
+    """The ``--out-dir`` flag; the command creates it when it writes."""
     out_dir = conf.get("out_dir")
     if not out_dir:
         raise ConfigError("--out-dir is required for this command")
-    os.makedirs(out_dir, exist_ok=True)
     return out_dir
 
 
@@ -201,6 +202,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     conf = _resolve(args, TRAIN_DEFAULTS)
     if not conf["corpus"]:
         raise ConfigError("--corpus is required")
+    training = TrainingConfig(
+        init=conf["init"],
+        init_range=conf["init_range"],
+        seed=conf["seed"],
+        max_iterations=conf["max_iterations"],
+        likelihood_tolerance=conf["tolerance"],
+        checkpoint_every=conf["checkpoint_every"],
+    )
     out_dir = _require_out_dir(conf)
 
     corpus = load_corpus(conf["corpus"], max_parses=conf["max_parses"])
@@ -225,18 +234,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         registry = select_properties(registry, conf["select_cutoff"])
     registry = add_correction(registry, features=templates)
     features = templates.universe().project(registry)
-
-    training = TrainingConfig(
-        init=conf["init"],
-        init_range=conf["init_range"],
-        seed=conf["seed"],
-        max_iterations=conf["max_iterations"],
-        likelihood_tolerance=conf["tolerance"],
-        checkpoint_every=conf["checkpoint_every"],
-    )
     model, trace = train(corpus, registry, training, complete_data=complete,
                          lex_table=lex_table, features=features)
 
+    # An earlier run's checkpoints would join this run's sweep.
+    checkpoint_dir = os.path.join(out_dir, "checkpoints")
+    os.makedirs(checkpoint_dir, exist_ok=True)
+    for name in filter(CHECKPOINT_PATTERN.match, os.listdir(checkpoint_dir)):
+        os.remove(os.path.join(checkpoint_dir, name))
     save_model(model, os.path.join(out_dir, "model.json"))
     save_registry(registry, os.path.join(out_dir, "registry.json"))
     with atomic_write(os.path.join(out_dir, "trace.jsonl")) as handle:
@@ -244,11 +249,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             handle.write(json.dumps(
                 {"iter": record.iteration, "L": record.log_likelihood,
                  "max_gamma": record.max_abs_gamma}, sort_keys=True) + "\n")
-    # An earlier run's checkpoints would join this run's sweep.
-    checkpoint_dir = os.path.join(out_dir, "checkpoints")
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    for name in filter(CHECKPOINT_PATTERN.match, os.listdir(checkpoint_dir)):
-        os.remove(os.path.join(checkpoint_dir, name))
     for iteration, lam in trace.checkpoints():
         save_model(model.with_lam(lam),
                    os.path.join(checkpoint_dir,
@@ -313,12 +313,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # One compile of the test corpus serves every model scored below.
     features = compile_corpus(corpus, model.registry, lex_table=lex_table)
     tie = conf["tie_epsilon"]
+    outputs = []  # (writer, value, file name), written once all are computed
     for task in tasks:
         outcome = evaluate(model, corpus, task=task, tie_epsilon=tie,
                            lex_table=lex_table, features=features)
         print(format_report_table(outcome))
         print()
-        write_report_json(outcome, os.path.join(out_dir, f"report_{task}.json"))
+        outputs.append((write_report_json, outcome, f"report_{task}.json"))
 
         if conf["baseline"]:
             report = random_baseline(
@@ -327,14 +328,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 tie_epsilon=tie, lex_table=lex_table, features=features)
             print(f"random baseline ({task}): mean precision "
                   f"{report.mean_precision:.4f} +- {report.stdev_precision:.4f}")
-            write_json(report.to_json_dict(),
-                       os.path.join(out_dir, f"baseline_{task}.json"))
+            outputs.append((write_json, report.to_json_dict(),
+                            f"baseline_{task}.json"))
 
         if checkpoint_models:
             rows = sweep_checkpoints(checkpoint_models, corpus, task=task,
                                      tie_epsilon=tie, lex_table=lex_table,
                                      features=features)
-            write_sweep_csv(rows, os.path.join(out_dir, f"sweep_{task}.csv"))
+            outputs.append((write_sweep_csv, rows, f"sweep_{task}.csv"))
             decided = [r for r in rows if r.precision is not None]
             if decided:
                 best = max(decided, key=lambda r: r.precision)
@@ -345,6 +346,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 print(f"sweep ({task}): {len(rows)} checkpoints, "
                       "precision undefined everywhere")
 
+    os.makedirs(out_dir, exist_ok=True)
+    for write, value, name in outputs:
+        write(value, os.path.join(out_dir, name))
     write_manifest(out_dir, "eval", conf, inputs, conf["seed"])
     return 0
 
@@ -371,6 +375,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         tolerance=conf["tolerance"], seed=conf["seed"] or 0)
     table = build_freq_table(model, counts)
 
+    os.makedirs(out_dir, exist_ok=True)
     save_cluster_model(model, os.path.join(out_dir, "cluster_model.json"))
     save_freq_table(table, os.path.join(out_dir, "freq_table.json"))
     with atomic_write(os.path.join(out_dir, "trace.jsonl")) as handle:
@@ -406,7 +411,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n_relations=conf["relations"],
         seed=conf["seed"],
     )
-    config.validate()
     # The generator writes exactly n_sentences sentences.
     n_train = int(split * config.n_sentences)
     if n_train == 0 or n_train == config.n_sentences:
@@ -417,6 +421,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     train_part = build_corpus(corpus.entries[:n_train])
     test_part = build_corpus(corpus.entries[n_train:])
 
+    os.makedirs(out_dir, exist_ok=True)
     save_corpus(train_part, os.path.join(out_dir, "train.jsonl"))
     save_corpus(test_part, os.path.join(out_dir, "test.jsonl"))
     write_json(description, os.path.join(out_dir, "hidden_model.json"))
@@ -444,7 +449,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
            "universe_size": stats.universe_size}
     print(json.dumps(doc, sort_keys=True, indent=1))
     if conf.get("out_dir"):
-        out_dir = _require_out_dir(conf)
+        out_dir = conf["out_dir"]
+        os.makedirs(out_dir, exist_ok=True)
         write_json(doc, os.path.join(out_dir, "stats.json"))
         write_manifest(out_dir, "stats", conf, [conf["corpus"]], None)
     return 0

@@ -122,7 +122,6 @@ class Corpus:
     """
 
     entries: tuple[SentenceEntry, ...]
-    _digest: Optional[str] = field(default=None, compare=False, repr=False)
 
     @property
     def universe_size(self) -> int:
@@ -136,13 +135,9 @@ class Corpus:
 
     def content_digest(self) -> str:
         """SHA-256 over the canonical serialization; identifies the universe."""
-        if self._digest is None:
-            payload = "\n".join(
-                json.dumps(_entry_to_json(e), sort_keys=True) for e in self.entries
-            )
-            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_digest", digest)
-        return self._digest
+        payload = "\n".join(json.dumps(_entry_to_json(e), sort_keys=True)
+                            for e in self.entries)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +498,18 @@ def check_envelope(doc, fmt: str, version: int, keys: frozenset) -> None:
     record(doc, keys, f"{fmt} document")
 
 
+def _repeated(items):
+    """The first of ``items`` equal to an earlier one (None if none is)."""
+    seen = set()
+    return next((x for x in items if x in seen or seen.add(x)), None)
+
+
 def _unique_keys(pairs: list) -> dict:
     """The JSON object of ``pairs``; a key that repeats is a DataError
     (``json.loads`` would keep its last value)."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
-        seen = set()
-        repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise DataError(f"duplicate key {repeated!r}")
+        raise DataError(f"duplicate key {_repeated(k for k, _ in pairs)!r}")
     return doc
 
 
@@ -663,7 +662,8 @@ def seeded_rng(seed: Optional[int]) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Generator settings for a desk-scale corpus with a hidden gold model."""
+    """Generator settings for a desk-scale corpus with a hidden gold model;
+    a setting out of range is a ConfigError."""
 
     n_sentences: int
     ambiguity_range: tuple[int, int] = (1, 6)
@@ -671,7 +671,7 @@ class SyntheticConfig:
     n_relations: int = 4
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         lo, hi = self.ambiguity_range
         if self.n_sentences < 1:
             raise ConfigError("n_sentences must be >= 1")
@@ -737,7 +737,6 @@ def generate_synthetic(config: SyntheticConfig,
     Deterministic in ``config.seed``.  Returns the corpus and a description
     sufficient to recompute the hidden model.
     """
-    config.validate()
     rng = seeded_rng(config.seed)
     if true_params is None:
         theta = rng.uniform(-1.5, 1.5, size=config.n_features)

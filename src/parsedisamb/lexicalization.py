@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .corpus import (SYNTHETIC_RELATIONS, VOICES, Corpus, SentenceEntry,
-                     atomic_write, canonical_int, check_envelope, floats,
-                     read_json, seeded_rng, strings, typed, write_json)
+                     _repeated, atomic_write, canonical_int, check_envelope,
+                     floats, read_json, seeded_rng, strings, typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 
 CLUSTER_FORMAT = "cluster-model"
@@ -189,37 +188,34 @@ class ClusterModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ClusterModel":
         check_envelope(doc, CLUSTER_FORMAT, CLUSTER_VERSION, CLUSTER_KEYS)
+        verbs = strings(doc["verbs"], "verbs")
+        nouns = strings(doc["nouns"], "nouns")
+        # A repeated word would read the emission column of its last index.
+        for what, words in (("verbs", verbs), ("nouns", nouns)):
+            if len(set(words)) < len(words):
+                raise DataError(f"{what} lists {_repeated(words)!r} twice")
         return cls(
             priors=floats(doc["priors"], "priors"),
             verb_emissions=floats(doc["verb_emissions"], "verb_emissions"),
             noun_emissions=floats(doc["noun_emissions"], "noun_emissions"),
-            verbs=strings(doc["verbs"], "verbs"),
-            nouns=strings(doc["nouns"], "nouns"),
-        )
+            verbs=verbs, nouns=nouns)
 
 
 def save_cluster_model(model: ClusterModel, path) -> None:
     write_json(model.to_json_dict(), path)
 
 
-def load_cluster_model(path) -> ClusterModel:
-    return read_json(path, ClusterModel.from_json_dict)
-
-
 def train_clusters(counts: PairCounts, n_classes: int,
                    max_iterations: int = 100, tolerance: float = 1e-6,
-                   seed: int = 0,
-                   init_model: Optional[ClusterModel] = None
-                   ) -> tuple[ClusterModel, list[float]]:
+                   seed: int = 0) -> tuple[ClusterModel, list[float]]:
     """Fit the latent-class model with EM.
 
     E-step responsibilities are p(c|v,n) proportional to p(c)p(v|c)p(n|c);
     the M-step reestimates all three families from responsibilities weighted
     by the observed pair frequency.  Initialization is jittered-uniform from
-    ``seed`` (pass ``init_model`` to control it exactly); with a single class
-    the closed-form solution is used directly, so the likelihood trace is
-    constant.  Returns the model and the per-iteration log-likelihood trace,
-    which is non-decreasing.
+    ``seed``; with a single class the closed-form solution is used directly,
+    so the likelihood trace is constant.  Returns the model and the
+    per-iteration log-likelihood trace, which is non-decreasing.
 
     Each iteration builds one pair-major (P, C) joint and runs the E-step on
     it in place.  The pairs are sorted by verb, and every verb has a pair,
@@ -248,13 +244,7 @@ def train_clusters(counts: PairCounts, n_classes: int,
     f = np.array([counts.counts[p] for p in pairs], dtype=float)
     total = f.sum()
 
-    if init_model is not None:
-        model = init_model
-        if model.verbs != verbs or model.nouns != nouns:
-            raise ConfigError("init_model vocabularies do not match the counts")
-        if model.n_classes != n_classes:
-            raise ConfigError("init_model class count does not match n_classes")
-    elif n_classes == 1:
+    if n_classes == 1:
         # Closed form: marginal relative frequencies.
         ve = np.bincount(vi, weights=f, minlength=len(verbs)) / total
         ne = np.bincount(ni, weights=f, minlength=len(nouns)) / total
@@ -380,11 +370,15 @@ class LexFrequencyTable:
         # Keys share the model's word strings where it has them.
         verb_of = {v: v for v in model.verbs}
         noun_of = {n: n for n in model.nouns}
+        rows = typed(doc["entries"], list, "entries")
         entries = {}
-        for v, n, x in typed(doc["entries"], list, "entries"):
+        for v, n, x in rows:
             v, n = typed(v, str, "verb"), typed(n, str, "noun")
             entries[verb_of.get(v, v), noun_of.get(n, n)] = typed(
                 x, float, "f_c", low=0)
+        if len(entries) < len(rows):  # a later f_c would replace an earlier
+            pair = _repeated((v, n) for v, n, _ in rows)
+            raise DataError(f"entries list the pair {pair!r} twice")
         return cls(model=model, entries=entries)
 
 

@@ -45,7 +45,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .corpus import (Corpus, ParseRecord, SentenceEntry, check_envelope,
-                     read_json, record, typed, write_json)
+                     record, typed, write_json)
 from .errors import ConfigError, DataError
 from .lexicalization import LexFrequencyTable, lexicalized_properties
 
@@ -165,10 +165,6 @@ class PropertyRegistry:
 
 def save_registry(registry: PropertyRegistry, path) -> None:
     write_json(registry.to_json_dict(), path, indent=1)
-
-
-def load_registry(path) -> PropertyRegistry:
-    return read_json(path, PropertyRegistry.from_json_dict)
 
 
 # ---------------------------------------------------------------------------

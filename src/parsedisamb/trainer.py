@@ -48,7 +48,7 @@ class TrainingConfig:
     ``init`` is "uniform_zero" (lam = 0, the minimum-divergence start) or
     "random" (i.i.d. uniform on [-init_range, +init_range], seeded).
     ``checkpoint_every`` controls how often the parameter vector is
-    snapshotted into the trace.
+    snapshotted into the trace.  A setting out of range is a ConfigError.
     """
 
     init: str = "uniform_zero"
@@ -58,7 +58,7 @@ class TrainingConfig:
     likelihood_tolerance: float = 1e-8
     checkpoint_every: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.init not in ("uniform_zero", "random"):
             raise ConfigError(f"unknown init strategy {self.init!r}")
         # numpy's uniform draw needs a finite width.
@@ -221,7 +221,6 @@ def train(corpus: Corpus, registry: PropertyRegistry,
     random starts are the way to probe whether better optima exist.
     """
     config = config or TrainingConfig()
-    config.validate()
     if not corpus.entries:
         raise DataError("cannot train on an empty corpus")
     if registry.correction_K is None:
@@ -288,7 +287,6 @@ def compare_inits(corpus: Corpus, registry: PropertyRegistry,
     """Train once from lam = 0 and ``n_random_seeds`` times from random
     starts; report the final likelihoods and how often random ends lower."""
     config = config or TrainingConfig()
-    config.validate()
     if n_random_seeds < 0:
         raise ConfigError("n_random_seeds must be nonnegative")
 

@@ -398,7 +398,7 @@ def _reference_pair_likelihood(model, vi, ni, f):
 
 
 def reference_train_clusters(counts, n_classes, max_iterations=100,
-                             tolerance=1e-6, seed=0, init_model=None):
+                             tolerance=1e-6, seed=0):
     """(model, trace) of ``train_clusters`` on valid arguments."""
     verbs, nouns = counts.verbs, counts.nouns
     verb_index = {v: i for i, v in enumerate(verbs)}
@@ -409,9 +409,7 @@ def reference_train_clusters(counts, n_classes, max_iterations=100,
     f = np.array([counts.counts[p] for p in pairs], dtype=float)
     total = f.sum()
 
-    if init_model is not None:
-        model = init_model
-    elif n_classes == 1:
+    if n_classes == 1:
         ve = np.bincount(vi, weights=f, minlength=len(verbs)) / total
         ne = np.bincount(ni, weights=f, minlength=len(nouns)) / total
         model = ClusterModel(priors=np.ones(1), verb_emissions=ve[None, :],

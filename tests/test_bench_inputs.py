@@ -8,8 +8,8 @@ to the draws of the synthetic generator or to the corpus encoding moves
 these digests; such a change also moves the benchmark's inputs, so it
 belongs with a change to the benchmark.
 
-The outputs of the lexicalized pipeline on the seed-1 structural inputs
-are pinned the same way (``PIPELINE_DIGESTS``).
+The outputs and stdout of the CLI pipeline of each workload, on seed-1
+inputs, are pinned the same way (``PIPELINE_DIGESTS``, ``TRAIN_TOL_DIGESTS``).
 """
 
 import hashlib
@@ -19,7 +19,8 @@ import os
 import pytest
 
 from parsedisamb import (SyntheticConfig, generate_synthetic, load_corpus,
-                         save_corpus)
+                         pair_counts_from_corpus, save_corpus,
+                         save_pair_counts)
 from parsedisamb.cli import main
 from parsedisamb.corpus import write_json
 
@@ -46,19 +47,53 @@ STRUCTURAL_DIGESTS = {
 }
 
 # sha256 of the outputs of cluster -> train --lexicalized -> eval on the
-# seed-1 structural inputs, per command directory.
+# seed-1 structural inputs, per command: every file written but the
+# manifest, and the command's stdout.
 PIPELINE_DIGESTS = {
     "cluster": {
         "cluster_model.json": "a1422fcf3e40737dfa5cb360b69ca22f60a7763b95579450165d0ccfe884b90e",
-        "freq_table.json": "6581ed27b2dc7c261a37f4f2322e21a693d487f1189d8cf5264390959c647b6a"},
+        "freq_table.json": "6581ed27b2dc7c261a37f4f2322e21a693d487f1189d8cf5264390959c647b6a",
+        "stdout": "5a2fa1841f42d942a0e32d12cf2c62e8d021fc4f632f3562f71bad4ef2d3bc2d",
+        "trace.jsonl": "e1298243ba32e28faa1e1400abc132c66e150664afa9fa5e0800b056cc36688e"},
     "train": {
-        "registry.json": "efd7e0ca1364d07270d81d69e6d0a4f84c066c2b640647c01082c18cd8c70326",
+        "checkpoints/checkpoint_0000.json": "a577f346116a85fe6d1a2286afb4294b94c66903907f77b14d0d4969c14002c8",
+        "checkpoints/checkpoint_0030.json": "3585dd362454cd86c9caed9791b1c6dd2aad242c832dbf3c52edf406ef0110a4",
         "model.json": "3585dd362454cd86c9caed9791b1c6dd2aad242c832dbf3c52edf406ef0110a4",
+        "registry.json": "efd7e0ca1364d07270d81d69e6d0a4f84c066c2b640647c01082c18cd8c70326",
+        "stdout": "6946c1f63080ff57456f8aa61e3e89f6253fdd8b3a6f1cf1286f04f7e824945c",
         "trace.jsonl": "667749d403d28e34c5164cbf9415f3c86fb143a627a165361867aba98eae7bb8"},
     "eval": {
         "report_exact_match.json": "2c3f7670807bb6564e7a6ad1e042adddf3e9d528b56e949b5485ec83e3ccfdb9",
-        "report_frame_match.json": "2abce8cd5cb8921464b2cb584e7f931419a48f7698ca2f4b8b873765f09b1747"},
-}
+        "report_frame_match.json": "2abce8cd5cb8921464b2cb584e7f931419a48f7698ca2f4b8b873765f09b1747",
+        "stdout": "ee57ff7cf5db056a743bbe4dd2c5a24522be2cb475171436d509f2ba9bea93b7"}}
+
+# The same for synth -> pairs -> cluster -> train -> eval with the flags of
+# the benchmark's train-tol workload, on a smaller synthetic corpus.
+TRAIN_TOL_DIGESTS = {
+    "synth": {
+        "hidden_model.json": "00809c33e97c162e2b187af411682541436d910a49b5c27f73457f6b500e91a3",
+        "stdout": "6596c5fa65552b9a9fe4f19872897038f53e686b2ab966a7376f083e3ad3b158",
+        "test.jsonl": "5735e5024f1a3aeb6aa6c91ba72c3143def31f496dc389e58a88610d2bc334c5",
+        "train.jsonl": "1a71279a122ec3a46083751e54f571c3b425ea38696fa6cdff58c7b513d4da3d"},
+    "pairs": {
+        "pairs.tsv": "e20ed4301e9514d5aea17de49a8d263d75e315e985c2b307570fe0fafc0c8e81"},
+    "cluster": {
+        "cluster_model.json": "c50510abfbecee0942fadde531fe26196e7a910fb7a036a665aa2315cf8e7b79",
+        "freq_table.json": "8411076150b55d43220e45cde0870f71e1ccd374c16bb89195d1c0ebecde7e29",
+        "stdout": "f6710bb51e7e677dc7fd7ce5a5864546ec9a464f948dce74460d914525399df2",
+        "trace.jsonl": "041816f7bab28a2d5752cc534d58b89173066f3ff38346a628beb811af3e4123"},
+    "train": {
+        "checkpoints/checkpoint_0000.json": "f88d48b1fecc3b0f1a3b0c7f7afe0688b78d3e03456b676bc15af3bdd4dbb011",
+        "checkpoints/checkpoint_0433.json": "0ee51f00d060a3c461064ead105ec3954163d1a9d93b672ae7aa0590b50665af",
+        "model.json": "0ee51f00d060a3c461064ead105ec3954163d1a9d93b672ae7aa0590b50665af",
+        "registry.json": "27176dc0ac7c7075f30eac69b02f17c0738a53f3260383c687746c907db2c6c4",
+        "stdout": "739b400a0754234cafeac8499f34220aa0c0a7aef0194f76938323efde145680",
+        "trace.jsonl": "b7e1949ee5e2ab77953ddde212ec50630014d3dfac279fcd4a1b0e3a19d09107"},
+    "eval": {
+        "baseline_exact_match.json": "03a64af62b1c46868e80613a5226d181f3abf15194b75c4ae6352dcc5850755d",
+        "report_exact_match.json": "226e87f72c95db5a81663c88d54a36ca2671b155b6bd53438713e6551418728d",
+        "stdout": "4c1c32b503432657e957c2d15832e2745e97d914240f80b5109c3d5f36252676",
+        "sweep_exact_match.csv": "a20e5c4c9d88d1c655f09e28598705cdc7a7e6e3af3b6ad0a8a9df2e7f35db3d"}}
 
 
 def _sha256(path) -> str:
@@ -119,7 +154,22 @@ def test_structural_corpora_survive_load_and_save(tmp_path, seed):
             assert _saved_again(paths[name], tmp_path) == handle.read()
 
 
-def test_lexicalized_pipeline_outputs_are_pinned(tmp_path):
+def _pinned_run(argv, out_dir, capsys) -> dict:
+    """sha256 of the stdout of ``main(argv)`` and of each file it writes
+    under ``out_dir``, the manifest aside (it holds a timestamp)."""
+    assert main([*argv, "--out-dir", out_dir]) == 0
+    digests = {"stdout": hashlib.sha256(
+        capsys.readouterr().out.encode("utf-8")).hexdigest()}
+    for root, _, names in os.walk(out_dir):
+        for name in names:
+            if name != "manifest.json":
+                path = os.path.join(root, name)
+                digests[os.path.relpath(path, out_dir)] = _sha256(path)
+    return digests
+
+
+def test_lexicalized_pipeline_outputs_are_pinned(tmp_path, monkeypatch,
+                                                 capsys):
     """``cluster -> train --lexicalized -> eval``, with the flags of the
     benchmark's structural-lex workload and seed 1, writes pinned bytes.
 
@@ -129,20 +179,47 @@ def test_lexicalized_pipeline_outputs_are_pinned(tmp_path):
     one of these digests changes what the program writes; it must say why
     in CHANGES.md.
     """
-    inputs = _structural_module().write_inputs(1, str(tmp_path / "in"),
-                                               STRUCTURAL_SIZES)
-    out = {command: str(tmp_path / command) for command in PIPELINE_DIGESTS}
-    table = os.path.join(out["cluster"], "freq_table.json")
+    monkeypatch.chdir(tmp_path)
+    inputs = _structural_module().write_inputs(1, "in", STRUCTURAL_SIZES)
+    table = os.path.join("cluster", "freq_table.json")
     seed = ["--seed", "1"]
-    assert main(["cluster", "--pairs", inputs["pairs"], "--classes", "16",
-                 *seed, "--out-dir", out["cluster"]]) == 0
-    assert main(["train", "--corpus", inputs["train"], "--select-cutoff", "5",
-                 "--max-iterations", "30", "--checkpoint-every", "30",
-                 "--lexicalized", table, *seed, "--out-dir", out["train"]]) == 0
-    assert main(["eval", "--model", os.path.join(out["train"], "model.json"),
+    argv = {
+        "cluster": ["cluster", "--pairs", inputs["pairs"], "--classes", "16",
+                    *seed],
+        "train": ["train", "--corpus", inputs["train"], "--select-cutoff", "5",
+                  "--max-iterations", "30", "--checkpoint-every", "30",
+                  "--lexicalized", table, *seed],
+        "eval": ["eval", "--model", os.path.join("train", "model.json"),
                  "--corpus", inputs["test"], "--task", "exact", "--task",
-                 "frame", "--lex-table", table, *seed,
-                 "--out-dir", out["eval"]]) == 0
-    assert {command: {name: _sha256(os.path.join(out[command], name))
-                      for name in names}
-            for command, names in PIPELINE_DIGESTS.items()} == PIPELINE_DIGESTS
+                 "frame", "--lex-table", table, *seed]}
+    assert {command: _pinned_run(argv[command], command, capsys)
+            for command in argv} == PIPELINE_DIGESTS
+
+
+def test_unlexicalized_pipeline_outputs_are_pinned(tmp_path, monkeypatch,
+                                                   capsys):
+    """``synth -> pairs -> cluster -> train -> eval`` with the flags of the
+    benchmark's train-tol workload and seed 1, at 200 sentences: training
+    to tolerance (433 iterations), checkpoints, the random baseline and the
+    checkpoint sweep write pinned bytes."""
+    monkeypatch.chdir(tmp_path)
+    seed = ["--seed", "1"]
+    got = {"synth": _pinned_run(
+        ["synth", "--sentences", "200", "--ambiguity", "2", "10",
+         "--features", "8", "--split", "0.8", *seed], "synth", capsys)}
+    save_pair_counts(pair_counts_from_corpus(
+        load_corpus(os.path.join("synth", "train.jsonl"))), "pairs.tsv")
+    got["pairs"] = {"pairs.tsv": _sha256("pairs.tsv")}
+    got["cluster"] = _pinned_run(
+        ["cluster", "--pairs", "pairs.tsv", "--classes", "16", *seed],
+        "cluster", capsys)
+    got["train"] = _pinned_run(
+        ["train", "--corpus", os.path.join("synth", "train.jsonl"),
+         "--tolerance", "1e-8", "--max-iterations", "4000",
+         "--checkpoint-every", "2000", *seed], "train", capsys)
+    got["eval"] = _pinned_run(
+        ["eval", "--model", os.path.join("train", "model.json"),
+         "--corpus", os.path.join("synth", "test.jsonl"), "--task", "exact",
+         "--baseline", "10", "--checkpoints",
+         os.path.join("train", "checkpoints"), *seed], "eval", capsys)
+    assert got == TRAIN_TOL_DIGESTS

@@ -543,6 +543,43 @@ class TestMissingInputs:
         assert str(absent) in err and "Traceback" not in err
 
 
+class TestFailedCommands:
+    """A command that fails leaves no new ``--out-dir`` and no partial
+    output: each command creates it only once its outputs are computed."""
+
+    @pytest.mark.parametrize("case, code", [
+        ("cluster-no-classes", 1), ("train-no-iterations", 1),
+        ("train-missing-corpus", 2), ("eval-missing-model", 2),
+        ("eval-frame-without-frames", 2)])
+    def test_leave_no_out_dir(self, command_argv, synth_dir, tmp_path, capsys,
+                              case, code):
+        lines = (synth_dir / "test.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        for record in records:
+            for parse in record["parses"]:
+                del parse["frame"]
+        frameless = tmp_path / "frameless.jsonl"
+        frameless.write_text("\n".join([lines[0], *map(json.dumps, records)])
+                             + "\n")
+        argv = {
+            "cluster-no-classes": [*command_argv["cluster"], "--classes", "0"],
+            "train-no-iterations": [*command_argv["train"],
+                                    "--max-iterations", "0"],
+            "train-missing-corpus": ["train", "--corpus",
+                                     str(tmp_path / "missing.jsonl")],
+            "eval-missing-model": ["eval", "--model",
+                                   str(tmp_path / "nope.json"), "--corpus",
+                                   str(synth_dir / "test.jsonl")],
+            "eval-frame-without-frames": [
+                "eval", "--model", command_argv["eval"][2], "--corpus",
+                str(frameless), "--task", "exact", "--task", "frame"],
+        }[case]
+        out = tmp_path / "out"
+        assert _run(*argv, "--out-dir", str(out)) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestClusterCommand:
     def _pairs(self, tmp_path):
         path = tmp_path / "pairs.tsv"
@@ -894,10 +931,11 @@ class TestUniverseDigest:
         import numpy as np
         from parsedisamb import (SyntheticConfig, build_feature_matrix,
                                  build_freq_table, generate_synthetic,
-                                 load_registry, normalize,
-                                 pair_counts_from_corpus, save_corpus,
-                                 train_clusters)
+                                 normalize, pair_counts_from_corpus,
+                                 save_corpus, train_clusters)
+        from parsedisamb.corpus import read_json
         from parsedisamb.lexicalization import load_freq_table, save_freq_table
+        from parsedisamb.properties import PropertyRegistry
 
         if shape == "passthrough":
             corpus, _ = generate_synthetic(SyntheticConfig(
@@ -917,7 +955,8 @@ class TestUniverseDigest:
         model = load_model(tmp_path / "model" / "model.json")
         features = build_feature_matrix(
             load_corpus(tmp_path / "train.jsonl"),
-            load_registry(tmp_path / "model" / "registry.json"),
+            read_json(tmp_path / "model" / "registry.json",
+                      PropertyRegistry.from_json_dict),
             lex_table=load_freq_table(tmp_path / "table.json"))
         assert "lexicalized-relation" in features.registry.kinds()
         assert (shape == "passthrough") == \

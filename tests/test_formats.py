@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from parsedisamb import (ConfigError, DataError, PairCounts,
                          build_feature_matrix, build_freq_table, evaluate,
-                         load_model, load_registry, new_model, normalize,
-                         save_corpus, save_model, save_registry,
-                         train_clusters)
+                         load_model, new_model, normalize, save_corpus,
+                         save_model, save_registry, train_clusters)
 from parsedisamb.cli import main
-from parsedisamb.corpus import atomic_write, write_json
-from parsedisamb.lexicalization import load_cluster_model, load_freq_table
+from parsedisamb.corpus import atomic_write, read_json, write_json
+from parsedisamb.lexicalization import ClusterModel, load_freq_table
 from parsedisamb.model import LogLinearModel
 from parsedisamb.properties import (ALL_KINDS, PropertyDescriptor,
                                     PropertyRegistry)
@@ -102,7 +101,8 @@ class TestOlderFormats:
         with pytest.raises(ConfigError, match="universe"):
             normalize(older, features)
         assert older.registry == registry
-        assert load_registry(tmp_path / "registry.json") == registry
+        assert read_json(tmp_path / "registry.json",
+                         PropertyRegistry.from_json_dict) == registry
         assert _decisions(older, corpus) == _decisions(model, corpus)
         # Saving again writes none of these keys.
         save_model(older, tmp_path / "again.json")
@@ -147,7 +147,8 @@ class TestOlderFormats:
         write_json(registry, tmp_path / "registry.json")
         with pytest.raises(DataError, match="descriptor 1 records index 2") \
                 as info:
-            load_registry(tmp_path / "registry.json")
+            read_json(tmp_path / "registry.json",
+                      PropertyRegistry.from_json_dict)
         assert str(tmp_path / "registry.json") in str(info.value)
 
 
@@ -225,7 +226,8 @@ class TestBadDocuments:
         write_json(doc, tmp_path / "registry.json", indent=1)
         with pytest.raises(DataError, match="descriptor 0 has unknown keys: "
                            "'activation_cout'") as info:
-            load_registry(tmp_path / "registry.json")
+            read_json(tmp_path / "registry.json",
+                      PropertyRegistry.from_json_dict)
         assert str(tmp_path / "registry.json") in str(info.value)
 
     @pytest.mark.parametrize("field, value", [
@@ -290,7 +292,7 @@ class TestBadDocuments:
         write_json(table, tmp_path / "table.json")
         write_json(table["model"], tmp_path / "clusters.json")
         with pytest.raises(DataError, match="mismatched shapes") as info:
-            load_cluster_model(tmp_path / "clusters.json")
+            read_json(tmp_path / "clusters.json", ClusterModel.from_json_dict)
         assert str(tmp_path / "clusters.json") in str(info.value)
 
         save_corpus(_older_corpus(), tmp_path / "train.jsonl")
@@ -301,6 +303,41 @@ class TestBadDocuments:
         assert code == 2
         assert str(tmp_path / "table.json") in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(lambda doc: doc["entries"].append(["v0", "n0", 84.0]),
+                     "entries list the pair ('v0', 'n0') twice",
+                     id="repeated-entry"),
+        pytest.param(lambda doc: doc["model"]["verbs"].__setitem__(1, "v0"),
+                     "verbs lists 'v0' twice", id="repeated-verb"),
+        pytest.param(lambda doc: doc["model"]["nouns"].__setitem__(1, "n0"),
+                     "nouns lists 'n0' twice", id="repeated-noun")])
+    def test_repeated_lexical_entries_exit_2(self, tmp_path, capsys, change,
+                                             message):
+        # A later f_c would replace an earlier one, and a repeated word
+        # would read the emission column of its last index.
+        pairs = PairCounts(counts={("v0", "n0"): 2, ("v1", "n1"): 1})
+        clusters, _ = train_clusters(pairs, n_classes=2, seed=1)
+        table = build_freq_table(clusters, pairs).to_json_dict()
+        change(table)
+        path = tmp_path / "table.json"
+        write_json(table, path)
+        with pytest.raises(DataError) as info:
+            load_freq_table(path)
+        assert str(info.value) == f"{path}: {message}"
+        if "entries" not in message:
+            write_json(table["model"], tmp_path / "clusters.json")
+            with pytest.raises(DataError) as info:
+                read_json(tmp_path / "clusters.json",
+                          ClusterModel.from_json_dict)
+            assert str(info.value) == \
+                f"{tmp_path / 'clusters.json'}: {message}"
+
+        save_corpus(_older_corpus(), tmp_path / "train.jsonl")
+        assert main(["train", "--corpus", str(tmp_path / "train.jsonl"),
+                     "--lexicalized", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: {message}\n"
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -328,7 +365,7 @@ class TestRoundTrips:
     def test_registry(self, tmp_path_factory, registry):
         path = tmp_path_factory.mktemp("registry") / "registry.json"
         save_registry(registry, path)
-        again = load_registry(path)
+        again = read_json(path, PropertyRegistry.from_json_dict)
         assert again == registry
         assert again.correction_K == registry.correction_K
         data = path.read_bytes()

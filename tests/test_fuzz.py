@@ -26,8 +26,9 @@ from parsedisamb import (DataError, load_corpus, load_model,
 from parsedisamb import cli
 from parsedisamb import corpus as corpus_module
 from parsedisamb.cli import main
+from parsedisamb.corpus import read_json
 from parsedisamb.lexicalization import (CLUSTER_KEYS, FREQ_TABLE_KEYS,
-                                        load_cluster_model, load_freq_table)
+                                        ClusterModel, load_freq_table)
 from parsedisamb.model import MODEL_KEYS
 from parsedisamb.properties import DESCRIPTOR_KEYS, REGISTRY_KEYS
 
@@ -132,6 +133,10 @@ def _check_load(load, path, prefix, must_fail):
         assert not must_fail, "a value of another JSON type loaded"
 
 
+def _load_cluster_model(path):
+    return read_json(path, ClusterModel.from_json_dict)
+
+
 def _write_json(path, doc):
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
@@ -215,7 +220,7 @@ class TestLoaderFuzz:
             return
         load, directory = {"model": (load_model, "model"),
                            "freq_table": (load_freq_table, "clusters"),
-                           "cluster_model": (load_cluster_model, "clusters")
+                           "cluster_model": (_load_cluster_model, "clusters")
                            }[name]
         doc = json.loads((artifacts / directory / f"{name}.json").read_text())
         path = artifacts / f"fuzzed_{name}.json"
@@ -245,7 +250,7 @@ class TestLoaderFuzz:
             (artifacts / "clusters" / f"{name}.json").read_text())
         path = artifacts / f"fuzzed_{name}.json"
         _write_json(path, {**doc, key: []})
-        load = load_freq_table if name == "freq_table" else load_cluster_model
+        load = load_freq_table if name == "freq_table" else _load_cluster_model
         _check_load(load, path, f"{path}: ", True)
 
     @FUZZ

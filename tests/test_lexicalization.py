@@ -12,9 +12,10 @@ from parsedisamb import (SLOTS, ClusterModel, ConfigError, DataError,
                          lexicalized_properties, load_pair_counts,
                          pair_counts_from_corpus, save_pair_counts, slot_key,
                          train_clusters)
-from parsedisamb.corpus import ParseRecord, write_json
-from parsedisamb.lexicalization import (load_cluster_model, load_freq_table,
-                                        save_cluster_model, save_freq_table)
+from parsedisamb import lexicalization
+from parsedisamb.corpus import ParseRecord, read_json, write_json
+from parsedisamb.lexicalization import (load_freq_table, save_cluster_model,
+                                        save_freq_table)
 from conftest import relation
 from oracles import (reference_build_freq_table, reference_posterior,
                      reference_train_clusters)
@@ -64,30 +65,32 @@ class TestTrainClusters:
         posterior = class_membership(model, "eat", "apple")
         assert_allclose(posterior, [1.0])
 
-    def test_symmetric_init_preserves_the_saddle(self):
-        init = _uniform_two_class_model(TOY_COUNTS)
+    def test_symmetric_init_preserves_the_saddle(self, monkeypatch):
+        # A generator that draws only zeros makes the seeded start uniform.
+        class Zeros:
+            def random(self, shape):
+                return np.zeros(shape)
+        monkeypatch.setattr(lexicalization, "seeded_rng", lambda seed: Zeros())
         model, _ = train_clusters(TOY_COUNTS, n_classes=2, max_iterations=6,
-                                  tolerance=1e-300, init_model=init)
+                                  tolerance=1e-300)
         assert_allclose(model.verb_emissions[0], model.verb_emissions[1])
         assert_allclose(model.noun_emissions[0], model.noun_emissions[1])
         assert_allclose(model.priors, [0.5, 0.5])
 
     def test_one_step_matches_hand_computed_oracle(self):
-        # Independent EM reference: explicit loops over pairs and classes.
+        # Independent EM reference: explicit loops over pairs and classes,
+        # from the start that train_clusters draws from its seed.
         rng = np.random.default_rng(42)
         counts = TOY_COUNTS
         V, N = len(counts.verbs), len(counts.nouns)
-        priors = np.array([0.6, 0.4])
-        ve = rng.random((2, V)) + 0.5
+        priors = np.array([0.5, 0.5])
+        ve = 1.0 + 0.1 * rng.random((2, V))
         ve /= ve.sum(axis=1, keepdims=True)
-        ne = rng.random((2, N)) + 0.5
+        ne = 1.0 + 0.1 * rng.random((2, N))
         ne /= ne.sum(axis=1, keepdims=True)
-        init = ClusterModel(priors=priors.copy(), verb_emissions=ve.copy(),
-                            noun_emissions=ne.copy(),
-                            verbs=counts.verbs, nouns=counts.nouns)
 
         model, _ = train_clusters(counts, n_classes=2, max_iterations=1,
-                                  tolerance=1e-300, init_model=init)
+                                  tolerance=1e-300, seed=42)
 
         # Reference M-step.
         vi = {v: i for i, v in enumerate(counts.verbs)}
@@ -139,24 +142,12 @@ class TestTrainClusters:
                       st.sampled_from(("n0", "n1", "n2", "n3", "n4", "n5"))),
             st.integers(0, 9), min_size=1, max_size=20)))
         assume(len(counts))  # all-zero draws leave no pairs
-        n_classes = data.draw(st.sampled_from(CLASS_COUNTS))
-        init = None
-        if data.draw(st.booleans()):
-            def rows(height, width):
-                raw = np.array(data.draw(st.lists(
-                    st.floats(0.01, 1.0), min_size=height * width,
-                    max_size=height * width))).reshape(height, width)
-                return raw / raw.sum(axis=1, keepdims=True)
-            init = ClusterModel(priors=rows(1, n_classes)[0],
-                                verb_emissions=rows(n_classes, len(counts.verbs)),
-                                noun_emissions=rows(n_classes, len(counts.nouns)),
-                                verbs=counts.verbs, nouns=counts.nouns)
         kwargs = dict(
-            n_classes=n_classes,
+            n_classes=data.draw(st.sampled_from(CLASS_COUNTS)),
             max_iterations=data.draw(st.integers(1, 20)),
             # The larger tolerances stop EM before max_iterations.
             tolerance=data.draw(st.sampled_from((1e-300, 1e-6, 1e-2, 1.0))),
-            seed=data.draw(st.integers(0, 1000)), init_model=init)
+            seed=data.draw(st.integers(0, 1000)))
         # Zero-count pairs are dropped, so no verb or noun is left without
         # mass and every draw trains.
         assert 0 not in counts.counts.values()
@@ -209,7 +200,7 @@ class TestTrainClusters:
         path = tmp_path / "clusters.json"
         write_json(doc, path)
         with pytest.raises(DataError, match="strings"):
-            load_cluster_model(path)
+            read_json(path, ClusterModel.from_json_dict)
 
 
 class TestClassMembership:
@@ -471,7 +462,7 @@ class TestIO:
                                   max_iterations=15)
         path = tmp_path / "clusters.json"
         save_cluster_model(model, path)
-        again = load_cluster_model(path)
+        again = read_json(path, ClusterModel.from_json_dict)
         assert np.array_equal(again.priors, model.priors)
         assert np.array_equal(again.verb_emissions, model.verb_emissions)
         assert again.verbs == model.verbs
@@ -508,7 +499,8 @@ class TestIO:
         path = tmp_path / "clusters.json"
         doc["priors"] = [1, 0]  # JSON integers read as numbers
         write_json(doc, path)
-        assert load_cluster_model(path).priors.tolist() == [1.0, 0.0]
+        loaded = read_json(path, ClusterModel.from_json_dict)
+        assert loaded.priors.tolist() == [1.0, 0.0]
         for row, message in (([0.5, float("nan")], "a non-finite number"),
                              ([0.5, True], "must be a number, not True"),
                              ([0.5, [0.5]], "malformed value")):
@@ -516,7 +508,7 @@ class TestIO:
             write_json(doc, path)
             with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "
                                                 f".*{re.escape(message)}"):
-                load_cluster_model(path)
+                read_json(path, ClusterModel.from_json_dict)
 
     def test_counts_from_corpus(self):
         entry = _entry_with_relations(

@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 
 from parsedisamb import (ConfigError, DataError, ParseRecord, SentenceEntry,
                          add_correction, build_corpus, build_feature_matrix,
-                         build_registry, compile_corpus, load_registry,
-                         save_registry, select_properties, train)
+                         build_registry, compile_corpus, save_registry,
+                         select_properties, train)
+from parsedisamb.corpus import read_json
 from parsedisamb.properties import PropertyDescriptor, PropertyRegistry
 from conftest import passthrough_corpus, structural_parse
 from oracles import entry_feature_rows
@@ -211,7 +212,7 @@ class TestRegistryConstruction:
         registry = add_correction(build_registry(corpus), corpus)
         path = tmp_path / "registry.json"
         save_registry(registry, path)
-        again = load_registry(path)
+        again = read_json(path, PropertyRegistry.from_json_dict)
         assert again.to_json_dict() == registry.to_json_dict()
         assert again.correction_K == registry.correction_K
 

@@ -360,7 +360,7 @@ class TestConfigValidation:
                     dict(init="random", init_range=-1.0),
                     dict(init="random", init_range=1e308)):
             with pytest.raises(ConfigError):
-                TrainingConfig(**bad).validate()
+                TrainingConfig(**bad)
 
     def test_negative_seed_of_a_random_start(self):
         corpus = passthrough_corpus([[{0: 1}, {1: 1}]])
