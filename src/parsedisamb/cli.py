@@ -28,7 +28,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .corpus import (Corpus, SyntheticConfig, atomic_write, build_corpus,
+from .corpus import (Corpus, SyntheticConfig, _assemble, atomic_write,
                      corpus_stats, extract_parsebank, generate_synthetic,
                      load_corpus, read_json, save_corpus, typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
@@ -227,13 +227,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         inputs.append(conf["lexicalized"])
 
     # One compile of the corpus serves the registry, the correction and the
-    # trainer.
+    # trainer; the uncorrected matrix is freed before training starts.
     templates = compile_templates(corpus, lex_table)
     registry = templates.registry
     if conf["select_cutoff"] is not None:
         registry = select_properties(registry, conf["select_cutoff"])
     registry = add_correction(registry, features=templates)
     features = templates.universe().project(registry)
+    del templates
     model, trace = train(corpus, registry, training, complete_data=complete,
                          lex_table=lex_table, features=features)
 
@@ -418,8 +419,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = _require_out_dir(conf)
 
     corpus, description = generate_synthetic(config)
-    train_part = build_corpus(corpus.entries[:n_train])
-    test_part = build_corpus(corpus.entries[n_train:])
+    # The generator validated every sentence; each part only renormalizes.
+    train_part = _assemble(corpus.entries[:n_train])
+    test_part = _assemble(corpus.entries[n_train:])
 
     os.makedirs(out_dir, exist_ok=True)
     save_corpus(train_part, os.path.join(out_dir, "train.jsonl"))

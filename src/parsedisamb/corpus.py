@@ -4,11 +4,12 @@ A corpus is a list of sentences, each carrying a finite set of candidate
 parses.  Sentences have an empirical weight (normalized to sum to one on
 load), and optionally a gold parse index for evaluation or complete-data
 training.  Corpus objects are treated as immutable after construction and
-are safe for concurrent reads.  ``load_corpus`` decodes each string and
-c-structure subtree once: within one loaded corpus, equal strings (tokens,
-labels, leaves, ids, frames, relation fields, f-structure entries) and
-equal subtrees are one object.  Feature values, records and dicts are never
-shared.
+are safe for concurrent reads.  ``load_corpus`` decodes each string,
+c-structure subtree, relation and nonzero feature value once: within one
+loaded corpus, equal strings (tokens, labels, leaves, ids, frames, relation
+fields, f-structure entries), equal subtrees, equal relations and equal
+nonzero feature values are one object.  Zero feature values, dicts and the
+other records are never shared.
 
 File format ("forest-corpus"): UTF-8 JSON Lines.  The first line is a header
 ``{"format": "forest-corpus", "version": 1}``; every following line is one
@@ -51,7 +52,7 @@ SYNTHETIC_RELATIONS = ("subj", "dobj", "iobj", "inf-obj",
                        "obl-dat", "obl-acc", "adj-dat", "adj-acc")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     """A head-to-head grammatical relation annotation of one parse."""
 
@@ -62,7 +63,7 @@ class Relation:
     position: int  # 1-based index of the verb occurrence within the parse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FStructure:
     """Simplified feature structure: atomic attribute/value pairs plus
     grammatical-function entries (both may repeat)."""
@@ -71,7 +72,7 @@ class FStructure:
     functions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseRecord:
     """One candidate analysis of a sentence.
 
@@ -94,7 +95,7 @@ class ParseRecord:
         return self.cstructure is not None and self.fstructure is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceEntry:
     """A sentence with its finite candidate parse set and empirical weight."""
 
@@ -285,17 +286,21 @@ def _entry_to_json(entry: SentenceEntry) -> dict:
 
 
 def _relation_from_json(item, share) -> Relation:
+    """The relation of ``item``, taken from ``share``: a relation holds only
+    strings and an int, so equal relations are interchangeable."""
     if item.__class__ is list and len(item) == 5:
         name, verb, noun, voice, position = item
         if (name.__class__ is verb.__class__ is noun.__class__
                 is voice.__class__ is str and position.__class__ is int):
-            return Relation(share(name, name), share(verb, verb),
-                            share(noun, noun), share(voice, voice), position)
+            rel = Relation(share(name, name), share(verb, verb),
+                           share(noun, noun), share(voice, voice), position)
+            return share(rel, rel)
     # Not four strings and an int: the typed readers name the fault.
     name, verb, noun, voice, position = typed(item, list, "relation")
     fields = strings([name, verb, noun, voice], "relation fields")
-    return Relation(*map(share, fields, fields),
-                    typed(position, int, "relation position"))
+    rel = Relation(*map(share, fields, fields),
+                   typed(position, int, "relation position"))
+    return share(rel, rel)
 
 
 # The keys each record may carry; any other key, a misspelling say, is a
@@ -307,7 +312,20 @@ _PARSE_KEYS = frozenset({"parse_id", "cstructure", "fstructure", "relations",
 _FSTRUCTURE_KEYS = frozenset({"pairs", "functions"})
 _HEADER_KEYS = frozenset({"format", "version"})
 
-def _parse_from_json(rec, n_tokens: int, share) -> ParseRecord:
+def _feature_values(features, share_value) -> dict[int, float]:
+    """The index -> value map of a ``precomputed_features`` object.  Each
+    nonzero value is taken from ``share_value``, a float-keyed
+    ``dict.setdefault`` kept for one load: equal nonzero finite floats have
+    identical bits.  Zeros are never looked up, as ``0.0 == -0.0``."""
+    values = {}
+    for k, v in typed(features, dict, "field 'precomputed_features'").items():
+        k = canonical_int(k, "precomputed feature index")
+        v = typed(v, float, "precomputed feature value")
+        values[k] = share_value(v, v) if v else v
+    return values
+
+
+def _parse_from_json(rec, n_tokens: int, share, share_value) -> ParseRecord:
     parse_id = identifier(record(rec, _PARSE_KEYS, "parse record")["parse_id"],
                           "field 'parse_id'")
     cstructure = rec.get("cstructure")
@@ -339,23 +357,20 @@ def _parse_from_json(rec, n_tokens: int, share) -> ParseRecord:
         fstructure=fstructure,
         relations=relations,
         frame=frame,
-        precomputed_features=None if features is None else {
-            canonical_int(k, "precomputed feature index"):
-                typed(v, float, "precomputed feature value")
-            for k, v in typed(features, dict,
-                              "field 'precomputed_features'").items()},
+        precomputed_features=(None if features is None
+                              else _feature_values(features, share_value)),
     )
 
 
-def _entry_from_json(rec, share) -> SentenceEntry:
-    """The sentence of ``rec``, every string and tuple taken from
-    ``share``."""
+def _entry_from_json(rec, share, share_value) -> SentenceEntry:
+    """The sentence of ``rec``, every string, tuple and relation taken from
+    ``share`` and every nonzero feature value from ``share_value``."""
     sentence_id = identifier(
         record(rec, _SENTENCE_KEYS, "sentence record")["sentence_id"],
         "field 'sentence_id'")
     tokens = strings(rec["tokens"], "field 'tokens'")
-    parses = tuple(_parse_from_json(p, len(tokens), share) for p in
-                   typed(rec["parses"], list, "field 'parses'"))
+    parses = tuple(_parse_from_json(p, len(tokens), share, share_value)
+                   for p in typed(rec["parses"], list, "field 'parses'"))
     gold = rec.get("gold_index")
     return SentenceEntry(
         sentence_id=sentence_id,
@@ -388,7 +403,7 @@ def build_corpus(entries: Iterable[SentenceEntry]) -> Corpus:
     return _assemble(entries)
 
 
-def _assemble(entries: list[SentenceEntry]) -> Corpus:
+def _assemble(entries: Sequence[SentenceEntry]) -> Corpus:
     """Corpus of validated entries: unique sentence ids, weights summing to
     one."""
     if not entries:
@@ -422,9 +437,10 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     # Sentences by tokens and gold index, so that parses are compared only
     # within a group and no parse is hashed.
     groups: dict[tuple, list[int]] = {}
-    # One table per load: equal strings and tuples decoded from this file
-    # become one object.
-    share = {}.setdefault
+    # One table per load: equal strings, tuples and relations decoded from
+    # this file become one object.  Feature values get a table of their
+    # own, as a float compares equal to an int.
+    share, share_value = {}.setdefault, {}.setdefault
     with open(path, "r", encoding="utf-8") as handle:
         header_line = handle.readline()
         if not header_line.strip():
@@ -436,7 +452,8 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
                 continue
             where = f"{path}: line {lineno}"
             entry = _decode_json(where, line,
-                                 lambda rec: _entry_from_json(rec, share))
+                                 lambda rec: _entry_from_json(
+                                     rec, share, share_value))
             _validate_entry(entry, where)
             group = groups.setdefault((entry.tokens, entry.gold_index), [])
             for k in group:

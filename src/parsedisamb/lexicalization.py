@@ -276,7 +276,9 @@ def train_clusters(counts: PairCounts, n_classes: int,
         if np.any(totals <= 0):
             raise InternalConsistencyError(
                 "pair with zero probability under the model")
-        likelihood = float(np.dot(f, np.log(totals)))
+        # A pairwise sum: a BLAS dot product sums in an order that depends
+        # on the thread count.
+        likelihood = float(np.add.reduce(f * np.log(totals)))
         if trace and likelihood < trace[-1] - 1e-10:
             raise InternalConsistencyError(
                 f"EM likelihood decreased from {trace[-1]} to {likelihood}")

@@ -258,9 +258,11 @@ class FeatureMatrix:
     holds that corpus's ``entries`` tuple itself; a ``universe()`` slice
     holds a new tuple.  Row ``r`` holds the nonzero values
     ``data[indptr[r]:indptr[r+1]]`` at the columns ``indices[...]``
-    (increasing within a row: ``_walk`` sorts the rows once, and
-    ``project`` again only when it reorders columns) of ``registry``;
-    ``indices`` and ``rows`` are ``INDEX_DTYPE``.  ``gold`` is -1 where no gold index is annotated.
+    of ``registry``, increasing within a row: every compile sorts its rows
+    once, in ``_walk``, after the columns are mapped to the registry's (for
+    templates, once the registry is ordered), and ``project`` sorts them
+    again only when it reorders columns.  ``indices`` and ``rows`` are
+    ``INDEX_DTYPE``.  ``gold`` is -1 where no gold index is annotated.
     ``clamped_corrections`` counts parses whose feature total exceeded K
     (possible outside the defining corpus); their correction value was
     clamped to zero.  Values are checked to be finite and nonnegative here,
@@ -420,6 +422,32 @@ class FeatureMatrix:
             clamped_corrections=clamped)
 
 
+def _template_registry(vocab: dict[tuple[str, str], int], cols: np.ndarray,
+                       passthrough: bool
+                       ) -> tuple[PropertyRegistry, np.ndarray]:
+    """The registry of the templates in ``vocab`` (key -> column in order of
+    first occurrence), ordered by (kind, key), with the activation counts of
+    the nonzero columns ``cols``; and the registry column of each ``vocab``
+    column."""
+    activation = dict(zip(vocab, np.bincount(cols, minlength=len(vocab))
+                          .tolist()))
+    if passthrough:
+        # The passthrough registry spans the whole index range.
+        width = 1 + max((int(key) for kind, key in activation
+                         if kind == "passthrough"), default=-1)
+        if width <= 0:
+            raise DataError("precomputed features are empty on every parse")
+        for i in range(width):
+            activation.setdefault(("passthrough", _passthrough_key(i)), 0)
+    if not activation:
+        raise DataError("no property template was observed in the corpus")
+    registry = PropertyRegistry(properties=[
+        PropertyDescriptor(kind=kind, key=key, activation_count=count)
+        for (kind, key), count in sorted(activation.items())])
+    return registry, np.array([registry._by_key[key] for key in vocab],
+                              dtype=INDEX_DTYPE)
+
+
 def _walk(corpus: Corpus, kinds: set[str],
           lex_table: Optional[LexFrequencyTable],
           registry: Optional[PropertyRegistry] = None) -> FeatureMatrix:
@@ -427,11 +455,12 @@ def _walk(corpus: Corpus, kinds: set[str],
 
     With a ``registry`` (no correction property) the columns are its own
     and unregistered templates are dropped.  Without one, the columns are
-    the templates in order of first occurrence, including lexicalized slots
-    whose only values are zero, so that they can be registered.  Nonzeros
-    are appended in walk order and one ``lexsort`` puts each row in column
-    order; ``project`` puts them in registry order and adds the correction.
-    ``lex_table`` enables the lexicalized slots, computed once per sentence.
+    the templates observed, including lexicalized slots whose only values
+    are zero, registered as ``_template_registry`` orders them.  Nonzeros
+    are appended in walk order, each in the column of its template's first
+    occurrence when there is no registry; once the columns are final, one
+    ``lexsort`` puts each row in column order.  ``lex_table`` enables the
+    lexicalized slots, computed once per sentence.
     """
     structural = kinds & set(STRUCTURAL_KINDS)
     passthrough = "passthrough" in kinds
@@ -474,12 +503,12 @@ def _walk(corpus: Corpus, kinds: set[str],
         weights.append(entry.weight)
         gold.append(-1 if entry.gold_index is None else entry.gold_index)
 
-    if registry is None:
-        registry = PropertyRegistry(properties=[
-            PropertyDescriptor(kind=kind, key=key) for kind, key in vocab])
     indptr = np.frombuffer(indptr, dtype=np.int64)
     cols = np.frombuffer(indices, dtype=np.int64).astype(INDEX_DTYPE,
                                                           copy=False)
+    if registry is None:
+        registry, colmap = _template_registry(vocab, cols, passthrough)
+        cols = colmap[cols]
     order = np.lexsort((cols, np.repeat(np.arange(len(indptr) - 1),
                                         np.diff(indptr))))
     return FeatureMatrix(
@@ -537,27 +566,7 @@ def compile_templates(corpus: Corpus,
     ``lex_table`` adds the lexicalized slots.  Zero-weight sentences are
     included.
     """
-    enabled = _template_kinds(corpus)
-    walked = _walk(corpus, enabled, lex_table)
-    activation = {(d.kind, d.key): int(count) for d, count in
-                  zip(walked.registry.properties, walked.activation_counts())}
-    if "passthrough" in enabled:
-        # The passthrough registry spans the whole index range.
-        width = 1 + max((int(key) for kind, key in activation
-                         if kind == "passthrough"), default=-1)
-        if width <= 0:
-            raise DataError("precomputed features are empty on every parse")
-        for i in range(width):
-            activation.setdefault(("passthrough", _passthrough_key(i)), 0)
-
-    ordered = sorted(activation)
-    if not ordered:
-        raise DataError("no property template was observed in the corpus")
-    registry = PropertyRegistry(properties=[
-        PropertyDescriptor(kind=kind, key=key,
-                           activation_count=activation[(kind, key)])
-        for kind, key in ordered])
-    return walked.project(registry)
+    return _walk(corpus, _template_kinds(corpus), lex_table)
 
 
 def build_registry(corpus: Corpus,

@@ -107,12 +107,15 @@ class TrainingTrace:
 
 def _likelihood(dist: ParseDistribution, complete_data: bool) -> float:
     """sum_y w(y) ln p(X(y)), or sum_y w(y) ln p(x_gold(y)) on complete
-    data."""
+    data.  Summed by numpy's pairwise reduction, not a BLAS dot product,
+    whose order of summation depends on the BLAS thread count."""
     features = dist.features
     if complete_data:
-        return float(features.weights
-                     @ (dist.scores[features.gold_rows()] - dist.log_z))
-    return float(features.weights @ dist.log_masses)
+        terms = features.weights * (dist.scores[features.gold_rows()]
+                                    - dist.log_z)
+    else:
+        terms = features.weights * dist.log_masses
+    return float(np.add.reduce(terms))
 
 
 def _expectations(dist: ParseDistribution, complete_data: bool

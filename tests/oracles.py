@@ -394,7 +394,7 @@ def _reference_pair_likelihood(model, vi, ni, f):
     totals = joint.sum(axis=0)
     if np.any(totals <= 0):
         raise InternalConsistencyError("pair with zero probability under the model")
-    return float(np.dot(f, np.log(totals)))
+    return float(np.add.reduce(f * np.log(totals)))
 
 
 def reference_train_clusters(counts, n_classes, max_iterations=100,

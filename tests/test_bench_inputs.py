@@ -54,14 +54,14 @@ PIPELINE_DIGESTS = {
         "cluster_model.json": "a1422fcf3e40737dfa5cb360b69ca22f60a7763b95579450165d0ccfe884b90e",
         "freq_table.json": "6581ed27b2dc7c261a37f4f2322e21a693d487f1189d8cf5264390959c647b6a",
         "stdout": "5a2fa1841f42d942a0e32d12cf2c62e8d021fc4f632f3562f71bad4ef2d3bc2d",
-        "trace.jsonl": "e1298243ba32e28faa1e1400abc132c66e150664afa9fa5e0800b056cc36688e"},
+        "trace.jsonl": "3c6d9bf3738e44d9fc636a07de2ede2d7c5fd519ece9a5df66e6fc42855eaf8f"},
     "train": {
         "checkpoints/checkpoint_0000.json": "a577f346116a85fe6d1a2286afb4294b94c66903907f77b14d0d4969c14002c8",
         "checkpoints/checkpoint_0030.json": "3585dd362454cd86c9caed9791b1c6dd2aad242c832dbf3c52edf406ef0110a4",
         "model.json": "3585dd362454cd86c9caed9791b1c6dd2aad242c832dbf3c52edf406ef0110a4",
         "registry.json": "efd7e0ca1364d07270d81d69e6d0a4f84c066c2b640647c01082c18cd8c70326",
         "stdout": "6946c1f63080ff57456f8aa61e3e89f6253fdd8b3a6f1cf1286f04f7e824945c",
-        "trace.jsonl": "667749d403d28e34c5164cbf9415f3c86fb143a627a165361867aba98eae7bb8"},
+        "trace.jsonl": "77dc97000a28a478feb7641adddf55e9313201c8c60f8ff2f044dd35edfa392b"},
     "eval": {
         "report_exact_match.json": "2c3f7670807bb6564e7a6ad1e042adddf3e9d528b56e949b5485ec83e3ccfdb9",
         "report_frame_match.json": "2abce8cd5cb8921464b2cb584e7f931419a48f7698ca2f4b8b873765f09b1747",
@@ -81,14 +81,14 @@ TRAIN_TOL_DIGESTS = {
         "cluster_model.json": "c50510abfbecee0942fadde531fe26196e7a910fb7a036a665aa2315cf8e7b79",
         "freq_table.json": "8411076150b55d43220e45cde0870f71e1ccd374c16bb89195d1c0ebecde7e29",
         "stdout": "f6710bb51e7e677dc7fd7ce5a5864546ec9a464f948dce74460d914525399df2",
-        "trace.jsonl": "041816f7bab28a2d5752cc534d58b89173066f3ff38346a628beb811af3e4123"},
+        "trace.jsonl": "875b8565df380e4dae6723dd91f5ea4860819960f918277c69276078ee901d81"},
     "train": {
         "checkpoints/checkpoint_0000.json": "f88d48b1fecc3b0f1a3b0c7f7afe0688b78d3e03456b676bc15af3bdd4dbb011",
         "checkpoints/checkpoint_0433.json": "0ee51f00d060a3c461064ead105ec3954163d1a9d93b672ae7aa0590b50665af",
         "model.json": "0ee51f00d060a3c461064ead105ec3954163d1a9d93b672ae7aa0590b50665af",
         "registry.json": "27176dc0ac7c7075f30eac69b02f17c0738a53f3260383c687746c907db2c6c4",
         "stdout": "739b400a0754234cafeac8499f34220aa0c0a7aef0194f76938323efde145680",
-        "trace.jsonl": "b7e1949ee5e2ab77953ddde212ec50630014d3dfac279fcd4a1b0e3a19d09107"},
+        "trace.jsonl": "c10617e40a3627787beddcd0ce3951f41d64b876f42cf9d81b5f1dfef2ab3bcb"},
     "eval": {
         "baseline_exact_match.json": "03a64af62b1c46868e80613a5226d181f3abf15194b75c4ae6352dcc5850755d",
         "report_exact_match.json": "226e87f72c95db5a81663c88d54a36ca2671b155b6bd53438713e6551418728d",

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import parsedisamb.corpus as corpus_module
 from parsedisamb import load_corpus, load_model, save_pair_counts, PairCounts
 from parsedisamb.cli import main, verify_manifest
 from parsedisamb.corpus import write_json
@@ -68,6 +69,26 @@ class TestSynth:
     def test_invalid_range_is_config_error(self, tmp_path):
         assert _run("synth", "--sentences", "10", "--ambiguity", "0", "3",
                     "--out-dir", str(tmp_path / "x")) == 1
+
+    def test_each_parse_is_validated_once(self, tmp_path, monkeypatch):
+        # The generator validates its corpus; the split only renormalizes.
+        calls = []
+        validate = corpus_module._validate_parse
+
+        def counting(parse, where):
+            calls.append(parse)
+            validate(parse, where)
+
+        monkeypatch.setattr(corpus_module, "_validate_parse", counting)
+        out = tmp_path / "s"
+        assert _run("synth", "--sentences", "40", "--ambiguity", "1", "4",
+                    "--seed", "3", "--out-dir", str(out)) == 0
+        written = [len(json.loads(line)["parses"])
+                   for name in ("train.jsonl", "test.jsonl")
+                   for line in (out / name).read_text().splitlines()[1:]]
+        assert len(written) == 40
+        assert len(calls) == sum(written)
+        assert len({id(parse) for parse in calls}) == len(calls)
 
 
 class TestTrainCommand:

@@ -297,6 +297,26 @@ class TestFeatureMatrix:
         assert np.array_equal(matrix.row_totals(), dense.sum(axis=1))
         assert np.array_equal(matrix.activation_counts(), (dense != 0).sum(axis=0))
 
+    def test_rows_are_sorted_when_templates_come_in_registry_order(self):
+        # The templates first occur in registry order, so the columns of
+        # the walk already have their final numbers; later rows still list
+        # them out of order.
+        corpus = passthrough_corpus([[{0: 1, 1: 2}, {1: 3, 0: 4}],
+                                     [{2: 5, 1: 6, 0: 7}]])
+        matrix = compile_templates(corpus)
+        assert [d.key for d in matrix.registry.properties] \
+            == ["000000", "000001", "000002"]
+        assert matrix.indices.tolist() == [0, 1, 0, 1, 0, 1, 2]
+        assert matrix.data.tolist() == [1, 2, 4, 3, 7, 6, 5]
+        frozen = add_correction(matrix.registry, features=matrix)
+        for compiled in (matrix.universe().project(frozen),
+                         build_feature_matrix(corpus, frozen),
+                         compile_corpus(corpus, frozen)):
+            starts, ends = compiled.indptr[:-1], compiled.indptr[1:]
+            assert all(np.all(np.diff(compiled.indices[a:b]) > 0)
+                       for a, b in zip(starts, ends))
+            assert np.array_equal(compiled.values[:, :3], matrix.values)
+
     def test_universe_drops_zero_weight_sentences(self):
         matrix = self._matrix()
         universe = matrix.universe()

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import parsedisamb.corpus as corpus_module
-from parsedisamb import (DataError, ParseRecord, SentenceEntry,
-                         SyntheticConfig, build_corpus, corpus_stats,
-                         extract_parsebank, generate_synthetic, load_corpus,
-                         save_corpus)
+from parsedisamb import (DataError, FStructure, ParseRecord, Relation,
+                         SentenceEntry, SyntheticConfig, build_corpus,
+                         corpus_stats, extract_parsebank, generate_synthetic,
+                         load_corpus, save_corpus)
 from conftest import passthrough_corpus, structural_parse
 from test_compile import SETTINGS, corpora
 from test_fuzz import STRUCTURAL_LINE, _replaced, _variants
@@ -517,6 +517,81 @@ class TestSharing:
         assert sizes[8] < 2 * sizes[1], sizes
 
 
+def _passthrough_file(path, sentences):
+    """A corpus file of ``sentences``, each a list of (feature object,
+    relations) per parse, written as given."""
+    lines = [json.dumps({"format": "forest-corpus", "version": 1})]
+    for s, parses in enumerate(sentences):
+        lines.append(json.dumps({
+            "sentence_id": f"s{s}", "tokens": ["a"],
+            "parses": [{"parse_id": f"p{j}", "precomputed_features": features,
+                        "relations": relations}
+                       for j, (features, relations) in enumerate(parses)]}))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestCompactRecords:
+    """Records carry no per-instance dict, and one load keeps one object
+    per distinct relation and per distinct nonzero feature value."""
+
+    SUBJ = ["subj", "v0", "n1", "active", 1]
+    DOBJ = ["dobj", "v0", "n2", "passive", 1]
+
+    def test_records_have_no_instance_dict(self):
+        relation = Relation("subj", "v0", "n1", "active", 1)
+        parse = ParseRecord(parse_id="p0", cstructure=("S", ("a",)),
+                            fstructure=FStructure(functions=("SUBJ",)),
+                            relations=(relation,))
+        entry = SentenceEntry(sentence_id="s0", tokens=("a",), parses=(parse,))
+        for value in (relation, parse.fstructure, parse, entry):
+            assert not hasattr(value, "__dict__"), type(value).__name__
+
+    def test_equal_relations_and_values_are_one_object(self, tmp_path):
+        path = _passthrough_file(tmp_path / "c.jsonl", [
+            [({"0": 2.0, "1": 0.5}, [self.SUBJ, self.DOBJ]),
+             ({"0": 0.5, "2": 2}, [self.SUBJ])],
+            [({"1": 2.0}, [self.DOBJ, self.SUBJ])]])
+        first, second = load_corpus(path).entries
+        subj = first.parses[0].relations[0]
+        dobj = first.parses[0].relations[1]
+        assert subj is first.parses[1].relations[0] is second.parses[0].relations[1]
+        assert dobj is second.parses[0].relations[0]
+        assert subj != dobj
+        values = [v for e in (first, second) for p in e.parses
+                  for v in p.precomputed_features.values()]
+        assert values == [2.0, 0.5, 0.5, 2.0, 2.0]
+        twos, halves = values[0::3] + values[4:], values[1:3]
+        assert all(v is twos[0] for v in twos)  # 2 was written as an int
+        assert halves[0] is halves[1]
+
+    def test_zeros_keep_their_signs_beside_shared_values(self, tmp_path):
+        path = _write(passthrough_corpus([[{0: -0.0, 1: 0.0, 2: 1.0},
+                                           {0: 0.0, 1: -0.0, 2: 1.0}],
+                                          [{0: -0.0, 2: 1.0}]]), tmp_path)
+        loaded = load_corpus(path)
+        rows = [list(p.precomputed_features.values())
+                for e in loaded.entries for p in e.parses]
+        assert [[np.copysign(1.0, v) for v in row] for row in rows] \
+            == [[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0]]
+        assert rows[0][2] is rows[1][2] is rows[2][1]
+        again = _write(loaded, tmp_path, "again.jsonl")
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_two_loads_share_no_object(self, tmp_path):
+        path = _passthrough_file(tmp_path / "c.jsonl", [
+            [({"0": 2.0}, [self.SUBJ]), ({"0": 2.0}, [self.SUBJ])]])
+        once, again = load_corpus(path), load_corpus(path)
+        assert once == again
+
+        def shared(corpus):
+            return {id(x) for e in corpus.entries for p in e.parses
+                    for x in (*p.relations, *p.precomputed_features.values())}
+
+        assert len(shared(once)) == 2
+        assert shared(once).isdisjoint(shared(again))
+
+
 PASSTHROUGH_LINE = {
     "sentence_id": 7, "tokens": ["a", "b"], "weight": 2, "gold_index": 1,
     "parses": [
@@ -540,7 +615,7 @@ class TestReader:
         try:
             entry = corpus_module._decode_json(
                 "w", line, lambda rec: corpus_module._entry_from_json(
-                    rec, {}.setdefault))
+                    rec, {}.setdefault, {}.setdefault))
             corpus_module._validate_entry(entry, "w")
         except DataError as exc:
             assert str(exc) == str(expected)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,50 @@ from conftest import (corrected_registry, passthrough_corpus,
                       random_passthrough_instance, tiny_instance,
                       weighted_parsebank)
 from oracles import direct_incomplete_log_likelihood, grid_search_optimum
+
+
+# Prints the bits of the training likelihoods, incomplete and complete, and
+# of the cluster EM likelihoods, each a sum of 12,000 terms: above 10,000
+# terms OpenBLAS splits a dot product across its threads.
+LIKELIHOODS_OF_12000_TERMS = """
+import numpy as np
+from parsedisamb import (PairCounts, ParseRecord, SentenceEntry,
+                         TrainingConfig, add_correction, build_corpus,
+                         build_registry, train, train_clusters)
+
+rng = np.random.default_rng(0)
+corpus = build_corpus(
+    SentenceEntry(sentence_id=str(s), tokens=("t",), weight=1.0 + s % 7,
+                  gold_index=0, parses=tuple(
+                      ParseRecord(parse_id=str(j), precomputed_features={
+                          j: 1.0, 2: float(rng.integers(0, 4))})
+                      for j in range(2)))
+    for s in range(12_000))
+registry = add_correction(build_registry(corpus), corpus)
+for complete in (False, True):
+    _, trace = train(corpus, registry, TrainingConfig(max_iterations=2),
+                     complete_data=complete)
+    print(*(L.hex() for L in trace.likelihoods()))
+counts = PairCounts({(f"v{i}", f"n{j}"): 1 + (i * j) % 5
+                     for i in range(120) for j in range(100)})
+print(*(L.hex() for L in train_clusters(counts, 4, max_iterations=2)[1]))
+"""
+
+
+def test_likelihoods_do_not_depend_on_the_blas_thread_count():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-c", LIKELIHOODS_OF_12000_TERMS], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert len(outputs[0].split()) == 9
+    assert outputs[0] == outputs[1]
 
 
 def _tight_config(**overrides):
