@@ -68,7 +68,7 @@ print("=" * 70)
 print("4. Uniform-zero start versus random starts")
 print("=" * 70)
 
-report = compare_inits(corpus, registry,
+report = compare_inits(features,
                        TrainingConfig(init_range=1.0, seed=0,
                                       max_iterations=150,
                                       likelihood_tolerance=1e-9),

@@ -1,12 +1,13 @@
 """Command-line entry point for reproducible batch workflows.
 
 Subcommands: ``train``, ``eval``, ``cluster``, ``synth``, ``stats``.  Every
-command writes its outputs under ``--out-dir`` together with a run manifest
-(command, resolved configuration digest, input file digests, seed, tool
-version, timestamps).  Reruns with identical flags and seed produce
-bit-identical model, trace, and report files; the manifest carries the only
-timestamps.  A command that fails writes nothing: ``--out-dir`` is created
-only with the outputs, once every one of them has been computed.
+command writes its outputs under ``--out-dir``, then a run manifest (command,
+resolved configuration digest, input file digests, seed, tool version,
+timestamps); an earlier run's manifest is removed first.  Reruns with
+identical flags and seed produce bit-identical model, trace, and report
+files; the manifest carries the only timestamps.  A command that fails
+writes nothing: ``--out-dir`` is created only with the outputs, once every
+one of them has been computed.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
 consistency failure (a violated likelihood guarantee).
@@ -18,6 +19,7 @@ parsed as the flags are; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import gc
 import hashlib
@@ -70,7 +72,7 @@ def _file_digest(path) -> str:
 
 
 def write_manifest(out_dir: str, command: str, config: dict,
-                   input_paths: list[str], seed: Optional[int]) -> str:
+                   input_paths: list[str], seed: Optional[int]) -> None:
     resolved = {k: config[k] for k in sorted(config)}
     manifest = {
         "command": command,
@@ -82,23 +84,42 @@ def write_manifest(out_dir: str, command: str, config: dict,
         "tool_version": __version__,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    path = os.path.join(out_dir, MANIFEST_NAME)
-    write_json(manifest, path, indent=1)
-    return path
+    write_json(manifest, os.path.join(out_dir, MANIFEST_NAME), indent=1)
 
 
 def verify_manifest(path) -> bool:
-    """Recompute the digests recorded in a manifest; True when all match."""
-    with open(path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    config_digest = hashlib.sha256(
-        json.dumps(manifest["config"], sort_keys=True).encode("utf-8")).hexdigest()
-    if config_digest != manifest["config_digest"]:
+    """Recompute the digests recorded in a manifest; True when all match.
+    A missing, unreadable or incomplete manifest verifies False."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        config = json.dumps(manifest["config"], sort_keys=True)
+        return (hashlib.sha256(config.encode("utf-8")).hexdigest()
+                == manifest["config_digest"]
+                and all(_file_digest(p) == digest
+                        for p, digest in manifest["input_digests"].items()))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
         return False
-    for input_path, digest in manifest["input_digests"].items():
-        if not os.path.exists(input_path) or _file_digest(input_path) != digest:
-            return False
-    return True
+
+
+def _write_jsonl(rows, path) -> None:
+    with atomic_write(path) as handle:
+        handle.writelines(json.dumps(r, sort_keys=True) + "\n" for r in rows)
+
+
+def _write_outputs(command: str, conf: dict, inputs: list[str],
+                   outputs: list) -> None:
+    """Write each (writer, value, path under ``--out-dir``) in order, then the
+    manifest.  An earlier run's manifest goes first, so an interrupted run
+    leaves no manifest that vouches for outputs it did not write."""
+    out_dir = conf["out_dir"]
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, MANIFEST_NAME))
+    for write, value, name in outputs:
+        path = os.path.join(out_dir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write(value, path)
+    write_manifest(out_dir, command, conf, inputs, conf.get("seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +132,16 @@ def nonnegative_int(text: str) -> int:
     return int(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out-dir", default=argparse.SUPPRESS)
-    parser.add_argument("--config", default=argparse.SUPPRESS,
-                        help="JSON file of flag defaults; explicit flags win")
+def _command(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
+    """The subcommand's parser, with ``--out-dir`` and ``--config``.  An
+    absent flag leaves no key, so a ``--config`` value shows through."""
+    p = sub.add_parser(name, help=summary,
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--out-dir")
+    p.add_argument("--config",
+                   help="JSON file of flag defaults; explicit flags win")
+    p.set_defaults(func=func)
+    return p
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -243,18 +270,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     os.makedirs(checkpoint_dir, exist_ok=True)
     for name in filter(CHECKPOINT_PATTERN.match, os.listdir(checkpoint_dir)):
         os.remove(os.path.join(checkpoint_dir, name))
-    save_model(model, os.path.join(out_dir, "model.json"))
-    save_registry(registry, os.path.join(out_dir, "registry.json"))
-    with atomic_write(os.path.join(out_dir, "trace.jsonl")) as handle:
-        for record in trace.records:
-            handle.write(json.dumps(
-                {"iter": record.iteration, "L": record.log_likelihood,
-                 "max_gamma": record.max_abs_gamma}, sort_keys=True) + "\n")
-    for iteration, lam in trace.checkpoints():
-        save_model(model.with_lam(lam),
-                   os.path.join(checkpoint_dir,
-                                f"checkpoint_{iteration:04d}.json"))
-    write_manifest(out_dir, "train", conf, inputs, conf["seed"])
+    rows = [{"iter": r.iteration, "L": r.log_likelihood,
+             "max_gamma": r.max_abs_gamma} for r in trace.records]
+    _write_outputs("train", conf, inputs, [
+        (save_model, model, "model.json"),
+        (save_registry, registry, "registry.json"),
+        (_write_jsonl, rows, "trace.jsonl"),
+        *((save_model, model.with_lam(lam),
+           os.path.join("checkpoints", f"checkpoint_{iteration:04d}.json"))
+          for iteration, lam in trace.checkpoints())])
     print(f"trained {trace.n_iterations} iterations, "
           f"final L = {trace.final_log_likelihood:.6f}, "
           f"converged = {trace.converged}")
@@ -292,7 +316,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _check_baseline(conf["baseline"], conf["lambda_range"])
     if not conf["model"] or not conf["corpus"]:
         raise ConfigError("--model and --corpus are required")
-    out_dir = _require_out_dir(conf)
+    _require_out_dir(conf)
 
     model = load_model(conf["model"])
     corpus = load_corpus(conf["corpus"])
@@ -347,10 +371,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 print(f"sweep ({task}): {len(rows)} checkpoints, "
                       "precision undefined everywhere")
 
-    os.makedirs(out_dir, exist_ok=True)
-    for write, value, name in outputs:
-        write(value, os.path.join(out_dir, name))
-    write_manifest(out_dir, "eval", conf, inputs, conf["seed"])
+    _write_outputs("eval", conf, inputs, outputs)
     return 0
 
 
@@ -367,7 +388,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     conf = _resolve(args, CLUSTER_DEFAULTS)
     if not conf["pairs"]:
         raise ConfigError("--pairs is required")
-    out_dir = _require_out_dir(conf)
+    _require_out_dir(conf)
 
     counts = load_pair_counts(conf["pairs"])
     model, trace = train_clusters(
@@ -376,16 +397,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         tolerance=conf["tolerance"], seed=conf["seed"] or 0)
     table = build_freq_table(model, counts)
 
-    os.makedirs(out_dir, exist_ok=True)
-    save_cluster_model(model, os.path.join(out_dir, "cluster_model.json"))
-    save_freq_table(table, os.path.join(out_dir, "freq_table.json"))
-    with atomic_write(os.path.join(out_dir, "trace.jsonl")) as handle:
-        for iteration, likelihood in enumerate(trace):
-            record = {"iter": iteration, "L": likelihood}
-            if iteration:
-                record["abs_delta_L"] = abs(likelihood - trace[iteration - 1])
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    write_manifest(out_dir, "cluster", conf, [conf["pairs"]], conf["seed"])
+    rows = [{"iter": i, "L": L, **({"abs_delta_L": abs(L - trace[i - 1])}
+                                   if i else {})} for i, L in enumerate(trace)]
+    _write_outputs("cluster", conf, [conf["pairs"]], [
+        (save_cluster_model, model, "cluster_model.json"),
+        (save_freq_table, table, "freq_table.json"),
+        (_write_jsonl, rows, "trace.jsonl")])
     print(f"clustered {len(counts)} pairs into {model.n_classes} classes in "
           f"{len(trace) - 1} iterations, final L = {trace[-1]:.6f}")
     return 0
@@ -423,11 +440,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     train_part = _assemble(corpus.entries[:n_train])
     test_part = _assemble(corpus.entries[n_train:])
 
-    os.makedirs(out_dir, exist_ok=True)
-    save_corpus(train_part, os.path.join(out_dir, "train.jsonl"))
-    save_corpus(test_part, os.path.join(out_dir, "test.jsonl"))
-    write_json(description, os.path.join(out_dir, "hidden_model.json"))
-    write_manifest(out_dir, "synth", conf, [], config.seed)
+    _write_outputs("synth", conf, [], [
+        (save_corpus, train_part, "train.jsonl"),
+        (save_corpus, test_part, "test.jsonl"),
+        (write_json, description, "hidden_model.json")])
     print(f"wrote {len(train_part.entries)} train / {len(test_part.entries)} "
           f"test sentences under {out_dir}")
     return 0
@@ -450,11 +466,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
            "mean_length": stats.mean_length,
            "universe_size": stats.universe_size}
     print(json.dumps(doc, sort_keys=True, indent=1))
-    if conf.get("out_dir"):
-        out_dir = conf["out_dir"]
-        os.makedirs(out_dir, exist_ok=True)
-        write_json(doc, os.path.join(out_dir, "stats.json"))
-        write_manifest(out_dir, "stats", conf, [conf["corpus"]], None)
+    if conf["out_dir"]:
+        _write_outputs("stats", conf, [conf["corpus"]],
+                       [(write_json, doc, "stats.json")])
     return 0
 
 
@@ -468,75 +482,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="estimate a model from a corpus")
-    p.add_argument("--corpus", default=argparse.SUPPRESS)
-    p.add_argument("--parsebank", action="store_true", default=argparse.SUPPRESS,
+    p = _command(sub, "train", cmd_train, "estimate a model from a corpus")
+    p.add_argument("--corpus")
+    p.add_argument("--parsebank", action="store_true",
                    help="train on the unique-parse subcorpus (complete data)")
-    p.add_argument("--max-parses", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--max-parses", type=int,
                    help="drop sentences with more candidate parses than this")
-    p.add_argument("--select-cutoff", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--select-cutoff", type=int,
                    help="drop properties active on fewer parses than this")
     p.add_argument("--lexicalized", metavar="FREQ_TABLE",
-                   default=argparse.SUPPRESS,
                    help="add pre-disambiguation properties backed by this "
                         "class-based frequency table")
-    p.add_argument("--init", choices=["uniform_zero", "random"],
-                   default=argparse.SUPPRESS)
-    p.add_argument("--init-range", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--max-iterations", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--checkpoint-every", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--init", choices=["uniform_zero", "random"])
+    p.add_argument("--init-range", type=float)
+    p.add_argument("--max-iterations", type=int)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--checkpoint-every", type=int)
     p.add_argument("--complete-data", action="store_true",
-                   default=argparse.SUPPRESS,
                    help="use gold parses for the empirical side of the update")
-    p.add_argument("--seed", type=nonnegative_int, default=argparse.SUPPRESS)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--seed", type=nonnegative_int)
 
-    p = sub.add_parser("eval", help="evaluate a model on a gold corpus")
-    p.add_argument("--model", default=argparse.SUPPRESS)
-    p.add_argument("--corpus", default=argparse.SUPPRESS)
+    p = _command(sub, "eval", cmd_eval, "evaluate a model on a gold corpus")
+    p.add_argument("--model")
+    p.add_argument("--corpus")
     p.add_argument("--task", action="extend", nargs="+",
-                   choices=sorted(TASK_ALIASES), default=argparse.SUPPRESS)
-    p.add_argument("--tie-epsilon", type=float, default=argparse.SUPPRESS)
+                   choices=sorted(TASK_ALIASES))
+    p.add_argument("--tie-epsilon", type=float)
     p.add_argument("--baseline", type=int, metavar="N_MODELS",
-                   default=argparse.SUPPRESS,
                    help="also report the random-parameter baseline")
-    p.add_argument("--lambda-range", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--checkpoints", metavar="DIR", default=argparse.SUPPRESS,
+    p.add_argument("--lambda-range", type=float)
+    p.add_argument("--checkpoints", metavar="DIR",
                    help="sweep the checkpoint models in this directory")
-    p.add_argument("--lex-table", default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=nonnegative_int, default=argparse.SUPPRESS)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--lex-table")
+    p.add_argument("--seed", type=nonnegative_int)
 
-    p = sub.add_parser("cluster", help="fit the latent-class pair model")
-    p.add_argument("--pairs", default=argparse.SUPPRESS,
-                   help="tab-separated verb/noun/count file")
-    p.add_argument("--classes", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--max-iterations", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=nonnegative_int, default=argparse.SUPPRESS)
-    _add_common(p)
-    p.set_defaults(func=cmd_cluster)
+    p = _command(sub, "cluster", cmd_cluster,
+                 "fit the latent-class pair model")
+    p.add_argument("--pairs", help="tab-separated verb/noun/count file")
+    p.add_argument("--classes", type=int)
+    p.add_argument("--max-iterations", type=int)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--seed", type=nonnegative_int)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--sentences", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--ambiguity", type=int, nargs=2, metavar=("LO", "HI"),
-                   default=argparse.SUPPRESS)
-    p.add_argument("--features", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--relations", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--split", type=float, default=argparse.SUPPRESS,
+    p = _command(sub, "synth", cmd_synth, "generate a synthetic corpus")
+    p.add_argument("--sentences", type=int)
+    p.add_argument("--ambiguity", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--features", type=int)
+    p.add_argument("--relations", type=int)
+    p.add_argument("--split", type=float,
                    help="train fraction; the rest is held out")
-    p.add_argument("--seed", type=nonnegative_int, default=argparse.SUPPRESS)
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--seed", type=nonnegative_int)
 
-    p = sub.add_parser("stats", help="print corpus statistics")
-    p.add_argument("--corpus", default=argparse.SUPPRESS)
-    _add_common(p)
-    p.set_defaults(func=cmd_stats)
-
+    p = _command(sub, "stats", cmd_stats, "print corpus statistics")
+    p.add_argument("--corpus")
     return parser
 
 

@@ -352,10 +352,6 @@ class FeatureMatrix:
     def row_totals(self) -> np.ndarray:
         return np.bincount(self.rows, weights=self.data, minlength=self.n_parses)
 
-    def activation_counts(self) -> np.ndarray:
-        """Number of rows on which each column is nonzero."""
-        return np.bincount(self.indices, minlength=self.n_features)
-
     def universe(self) -> "FeatureMatrix":
         """The rows of sentences with positive weight (the parse universe)."""
         if self.registry.correction_K is not None:

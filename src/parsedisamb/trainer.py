@@ -281,19 +281,19 @@ class InitComparison:
     win_rate: float  # fraction of random runs strictly below the uniform run
 
 
-def compare_inits(corpus: Corpus, registry: PropertyRegistry,
+def compare_inits(features: FeatureMatrix,
                   config: Optional[TrainingConfig] = None,
                   n_random_seeds: int = 10, *,
-                  complete_data: bool = False,
-                  lex_table: Optional[LexFrequencyTable] = None
-                  ) -> InitComparison:
-    """Train once from lam = 0 and ``n_random_seeds`` times from random
-    starts; report the final likelihoods and how often random ends lower."""
+                  complete_data: bool = False) -> InitComparison:
+    """Train on ``features``, a universe as ``build_feature_matrix`` returns
+    it, once from lam = 0 and ``n_random_seeds`` times from random starts;
+    report the final likelihoods and how often random ends lower."""
     config = config or TrainingConfig()
     if n_random_seeds < 0:
         raise ConfigError("n_random_seeds must be nonnegative")
 
-    features = build_feature_matrix(corpus, registry, lex_table=lex_table)
+    # Given ``features``, train reads the corpus only to see it is nonempty.
+    corpus, registry = Corpus(features.entries), features.registry
     base = replace(config, init="uniform_zero")
     _, trace = train(corpus, registry, base, complete_data=complete_data,
                      features=features)

@@ -382,7 +382,8 @@ def test_c11_uniform_init_dominates_random():
     registry = corrected_registry(corpus)
     config = TrainingConfig(init_range=1.0, seed=100, max_iterations=150,
                             likelihood_tolerance=1e-9)
-    report = compare_inits(corpus, registry, config, n_random_seeds=50)
+    report = compare_inits(build_feature_matrix(corpus, registry), config,
+                           n_random_seeds=50)
     wins = sum(1 for L in report.random_final_Ls
                if report.uniform_final_L >= L)
     _report(11, "uniform init dominates random starts", wins >= 40,

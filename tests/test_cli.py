@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -5,9 +6,10 @@ import re
 
 import pytest
 
+import parsedisamb.cli as cli
 import parsedisamb.corpus as corpus_module
 from parsedisamb import load_corpus, load_model, save_pair_counts, PairCounts
-from parsedisamb.cli import main, verify_manifest
+from parsedisamb.cli import build_parser, main, verify_manifest
 from parsedisamb.corpus import write_json
 
 
@@ -784,6 +786,66 @@ class TestManifest:
         with open(swept[-1], "a") as handle:
             handle.write("\n")
         assert not verify_manifest(manifest)
+
+    @pytest.mark.parametrize("damage", ["missing", "not-json", "config",
+                                        "config_digest", "input_digests"])
+    def test_unreadable_manifest_is_false(self, synth_dir, tmp_path, damage):
+        out = tmp_path / "m"
+        assert _run("stats", "--corpus", str(synth_dir / "train.jsonl"),
+                    "--out-dir", str(out)) == 0
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        if damage == "missing":
+            manifest.unlink()
+        elif damage == "not-json":
+            manifest.write_text(manifest.read_text()[:-2])
+        else:
+            del doc[damage]
+            manifest.write_text(json.dumps(doc))
+        assert verify_manifest(manifest) is False
+
+    def test_interrupted_rerun_leaves_no_valid_manifest(self, tmp_path,
+                                                        monkeypatch):
+        """A rerun stopped after its first output must not leave the earlier
+        run's manifest vouching for the mix of old and new files."""
+        data, out = tmp_path / "data", tmp_path / "o"
+        assert _run("synth", "--sentences", "60", "--seed", "1",
+                    "--out-dir", str(data)) == 0
+        argv = ["train", "--corpus", str(data / "train.jsonl"), "--seed", "1",
+                "--out-dir", str(out)]
+        assert _run(*argv, "--max-iterations", "50") == 0
+        assert verify_manifest(out / "manifest.json")
+
+        def interrupt(registry, path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "save_registry", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            _run(*argv, "--max-iterations", "3")
+        assert load_model(out / "model.json").lam.size
+        assert verify_manifest(out / "manifest.json") is False
+
+
+class TestParser:
+    """Every flag of a subcommand is absent unless given, so a ``--config``
+    value shows through, and each one has a builtin default."""
+
+    DEFAULTS = {"train": cli.TRAIN_DEFAULTS, "eval": cli.EVAL_DEFAULTS,
+                "cluster": cli.CLUSTER_DEFAULTS, "synth": cli.SYNTH_DEFAULTS,
+                "stats": cli.STATS_DEFAULTS}
+
+    @pytest.mark.parametrize("command", sorted(DEFAULTS))
+    def test_flags_are_the_defaults_keys(self, command):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(self.DEFAULTS)
+        dests = {action.dest for action in sub.choices[command]._actions}
+        assert dests - {"help"} == {*self.DEFAULTS[command], "config"}
+
+    @pytest.mark.parametrize("command", sorted(DEFAULTS))
+    def test_bare_command_sets_no_flag(self, command):
+        assert set(vars(build_parser().parse_args([command]))) == \
+            {"command", "func"}
 
 
 class TestCheckpointDirectory:

@@ -155,7 +155,8 @@ class TestAgainstReference:
         registry = templates.registry
         assert [(d.kind, d.key, d.activation_count)
                 for d in registry.properties] == expected
-        assert np.array_equal(templates.activation_counts(),
+        assert np.array_equal(np.bincount(templates.indices,
+                                          minlength=templates.n_features),
                               [d.activation_count for d in registry.properties])
 
         expected = reference_selection(registry, cutoff)
@@ -295,7 +296,9 @@ class TestFeatureMatrix:
         weights = np.array([0.25, 1.0, -0.5, 2.0])
         assert np.array_equal(matrix.weighted_sum(weights), weights @ dense)
         assert np.array_equal(matrix.row_totals(), dense.sum(axis=1))
-        assert np.array_equal(matrix.activation_counts(), (dense != 0).sum(axis=0))
+        assert np.array_equal(np.bincount(matrix.indices,
+                                          minlength=matrix.n_features),
+                              (dense != 0).sum(axis=0))
 
     def test_rows_are_sorted_when_templates_come_in_registry_order(self):
         # The templates first occur in registry order, so the columns of

@@ -341,7 +341,8 @@ class TestSelection:
         # Selection uses the stored counts, which are a count over the corpus.
         corpus = passthrough_corpus([[{0: 1}, {0: 2}], [{1: 1}]])
         registry = build_registry(corpus)
-        recount = compile_corpus(corpus, registry).activation_counts()
+        matrix = compile_corpus(corpus, registry)
+        recount = np.bincount(matrix.indices, minlength=matrix.n_features)
         assert [d.activation_count for d in registry.properties] == \
             recount.tolist()
         selected = select_properties(registry, cutoff=2)

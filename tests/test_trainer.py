@@ -372,7 +372,7 @@ class TestCompareInits:
         corpus = passthrough_corpus([[{0: 2}], [{1: 1}], [{0: 1, 1: 1}]],
                                     golds=[0, 0, 0])
         registry = corrected_registry(corpus)
-        report = compare_inits(corpus, registry,
+        report = compare_inits(build_feature_matrix(corpus, registry),
                                _tight_config(max_iterations=800, seed=1),
                                n_random_seeds=4, complete_data=True)
         for L in report.random_final_Ls:
@@ -381,7 +381,7 @@ class TestCompareInits:
     def test_zero_random_seeds(self):
         corpus = passthrough_corpus([[{0: 1}, {}]])
         registry = corrected_registry(corpus)
-        report = compare_inits(corpus, registry,
+        report = compare_inits(build_feature_matrix(corpus, registry),
                                TrainingConfig(max_iterations=20),
                                n_random_seeds=0)
         assert report.random_final_Ls == ()
