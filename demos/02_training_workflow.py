@@ -10,8 +10,8 @@ Run:  python demos/02_training_workflow.py
 import numpy as np
 
 from parsedisamb import (SyntheticConfig, TrainingConfig, add_correction,
-                         build_feature_matrix, build_registry, compare_inits,
-                         generate_synthetic, expectations,
+                         build_feature_matrix, compare_inits,
+                         compile_templates, generate_synthetic, expectations,
                          incomplete_log_likelihood, normalize, new_model,
                          train)
 
@@ -22,12 +22,17 @@ print("=" * 70)
 corpus, hidden = generate_synthetic(
     SyntheticConfig(n_sentences=300, ambiguity_range=(2, 6),
                     n_features=15, seed=7))
-registry = build_registry(corpus)
+# One walk over the corpus compiles every template it observes; the
+# registry, the correction and training all read that matrix.
+templates = compile_templates(corpus)
+registry = templates.registry
 print(f"registry: {registry.size} properties, kinds {sorted(registry.kinds())}")
 
-registry = add_correction(registry, corpus)
+registry = add_correction(registry, templates)
 print(f"correction appended: K = {registry.correction_K} "
       f"(every training parse's feature total is now exactly K)")
+# A model is tied to the compiled parse universe it normalizes over.
+features = build_feature_matrix(templates, registry)
 
 print()
 print("=" * 70)
@@ -36,7 +41,7 @@ print("=" * 70)
 
 config = TrainingConfig(init="uniform_zero", max_iterations=200,
                         likelihood_tolerance=1e-10, checkpoint_every=5)
-model, trace = train(corpus, registry, config)
+model, trace = train(features, registry, config)
 print(f"converged: {trace.converged} after {trace.n_iterations} iterations")
 print("likelihood trace (every 20th iteration):")
 for record in trace.records[::20]:
@@ -53,8 +58,6 @@ print("=" * 70)
 print("3. The update drives the two expectation vectors together")
 print("=" * 70)
 
-# A model is tied to the compiled parse universe it normalizes over.
-features = build_feature_matrix(corpus, registry)
 numerator, denominator = expectations(model, features)
 gap = np.abs(numerator - denominator)
 print(f"max |conditional expectation - model expectation| = {gap.max():.2e}")

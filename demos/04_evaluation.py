@@ -6,9 +6,9 @@ Run:  python demos/04_evaluation.py
 import numpy as np
 
 from parsedisamb import (SyntheticConfig, TrainingConfig, add_correction,
-                         build_registry, evaluate, format_report_table,
-                         generate_synthetic, random_baseline,
-                         sweep_checkpoints, train)
+                         compile_corpus, compile_templates, evaluate,
+                         format_report_table, generate_synthetic,
+                         random_baseline, sweep_checkpoints, train)
 
 print("=" * 70)
 print("1. Train on unannotated data, evaluate on held-out gold data")
@@ -24,16 +24,21 @@ test_corpus, _ = generate_synthetic(
     SyntheticConfig(n_sentences=300, ambiguity_range=(2, 7),
                     n_features=n_features, seed=22), true_params=theta)
 
-registry = add_correction(build_registry(train_corpus), train_corpus)
-model, trace = train(train_corpus, registry,
+# Each corpus is compiled once, as the CLI does: the training corpus over
+# every template it observes, the test corpus over the model's registry.
+# Every function below takes the compiled matrix where a corpus goes.
+templates = compile_templates(train_corpus)
+registry = add_correction(templates.registry, templates)
+model, trace = train(templates, registry,
                      TrainingConfig(max_iterations=100,
                                     likelihood_tolerance=1e-9,
                                     checkpoint_every=5))
+test = compile_corpus(test_corpus, registry)
 
-exact = evaluate(model, test_corpus, task="exact_match")
+exact = evaluate(model, test, task="exact_match")
 print(format_report_table(exact))
 print()
-frame = evaluate(model, test_corpus, task="frame_match")
+frame = evaluate(model, test, task="frame_match")
 print(format_report_table(frame))
 print("\nframe match is the easier task: a wrong parse with the right "
       "subcategorization frame still counts, and ties sharing one frame "
@@ -44,7 +49,7 @@ print("=" * 70)
 print("2. Random-parameter baseline: the candidate sets' own difficulty")
 print("=" * 70)
 
-baseline = random_baseline(test_corpus, "exact_match", registry,
+baseline = random_baseline(test, "exact_match", registry,
                            n_models=100, seed=5)
 print(f"mean random precision {baseline.mean_precision:.3f} "
       f"+- {baseline.stdev_precision:.3f} over {baseline.n_models} models")
@@ -58,7 +63,7 @@ print("=" * 70)
 
 models = [(iteration, model.with_lam(lam))
           for iteration, lam in trace.checkpoints()]
-rows = sweep_checkpoints(models, test_corpus, task="exact_match")
+rows = sweep_checkpoints(models, test, task="exact_match")
 print("iteration  precision  effectiveness")
 for row in rows:
     # Iteration 0 is the all-ties uniform start: precision is undefined.

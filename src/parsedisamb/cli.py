@@ -27,7 +27,7 @@ import json
 import os
 import re
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
 from .corpus import (Corpus, SyntheticConfig, _assemble, atomic_write,
@@ -108,13 +108,16 @@ def _write_jsonl(rows, path) -> None:
 
 
 def _write_outputs(command: str, conf: dict, inputs: list[str],
-                   outputs: list) -> None:
-    """Write each (writer, value, path under ``--out-dir``) in order, then the
-    manifest.  An earlier run's manifest goes first, so an interrupted run
-    leaves no manifest that vouches for outputs it did not write."""
+                   outputs: list, stale: Iterable[str] = ()) -> None:
+    """Remove an earlier run's manifest, then its ``stale`` outputs; write
+    each (writer, value, path under ``--out-dir``) in order, then the
+    manifest.  So an interrupted run leaves no manifest that vouches for
+    outputs it did not write."""
     out_dir = conf["out_dir"]
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, MANIFEST_NAME))
+    for name in stale:
+        os.remove(os.path.join(out_dir, name))
     for write, value, name in outputs:
         path = os.path.join(out_dir, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -259,17 +262,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     registry = templates.registry
     if conf["select_cutoff"] is not None:
         registry = select_properties(registry, conf["select_cutoff"])
-    registry = add_correction(registry, features=templates)
+    registry = add_correction(registry, templates)
     features = templates.universe().project(registry)
     del templates
-    model, trace = train(corpus, registry, training, complete_data=complete,
-                         lex_table=lex_table, features=features)
+    model, trace = train(features, registry, training, complete_data=complete)
 
     # An earlier run's checkpoints would join this run's sweep.
-    checkpoint_dir = os.path.join(out_dir, "checkpoints")
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    for name in filter(CHECKPOINT_PATTERN.match, os.listdir(checkpoint_dir)):
-        os.remove(os.path.join(checkpoint_dir, name))
+    stale = []
+    with contextlib.suppress(FileNotFoundError):
+        stale = [os.path.join("checkpoints", name) for name in filter(
+            CHECKPOINT_PATTERN.match,
+            os.listdir(os.path.join(out_dir, "checkpoints")))]
     rows = [{"iter": r.iteration, "L": r.log_likelihood,
              "max_gamma": r.max_abs_gamma} for r in trace.records]
     _write_outputs("train", conf, inputs, [
@@ -278,7 +281,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         (_write_jsonl, rows, "trace.jsonl"),
         *((save_model, model.with_lam(lam),
            os.path.join("checkpoints", f"checkpoint_{iteration:04d}.json"))
-          for iteration, lam in trace.checkpoints())])
+          for iteration, lam in trace.checkpoints())], stale)
     print(f"trained {trace.n_iterations} iterations, "
           f"final L = {trace.final_log_likelihood:.6f}, "
           f"converged = {trace.converged}")
@@ -340,26 +343,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
     tie = conf["tie_epsilon"]
     outputs = []  # (writer, value, file name), written once all are computed
     for task in tasks:
-        outcome = evaluate(model, corpus, task=task, tie_epsilon=tie,
-                           lex_table=lex_table, features=features)
+        outcome = evaluate(model, features, task=task, tie_epsilon=tie)
         print(format_report_table(outcome))
         print()
         outputs.append((write_report_json, outcome, f"report_{task}.json"))
 
         if conf["baseline"]:
             report = random_baseline(
-                corpus, task, model.registry, n_models=conf["baseline"],
+                features, task, model.registry, n_models=conf["baseline"],
                 seed=conf["seed"] or 0, lambda_range=conf["lambda_range"],
-                tie_epsilon=tie, lex_table=lex_table, features=features)
+                tie_epsilon=tie)
             print(f"random baseline ({task}): mean precision "
                   f"{report.mean_precision:.4f} +- {report.stdev_precision:.4f}")
             outputs.append((write_json, report.to_json_dict(),
                             f"baseline_{task}.json"))
 
         if checkpoint_models:
-            rows = sweep_checkpoints(checkpoint_models, corpus, task=task,
-                                     tie_epsilon=tie, lex_table=lex_table,
-                                     features=features)
+            rows = sweep_checkpoints(checkpoint_models, features, task=task,
+                                     tie_epsilon=tie)
             outputs.append((write_sweep_csv, rows, f"sweep_{task}.csv"))
             decided = [r for r in rows if r.precision is not None]
             if decided:

@@ -93,17 +93,6 @@ def outcome_from_verdicts(task: str, verdicts: Sequence[SentenceVerdict]
 VERDICTS = ("correct", "incorrect", "dont_know")
 
 
-def _compiled(corpus: Corpus, registry: PropertyRegistry,
-              features: Optional[FeatureMatrix],
-              lex_table: Optional[LexFrequencyTable]) -> FeatureMatrix:
-    """``features`` when it holds ``corpus``'s sentences compiled against
-    ``registry``'s columns; otherwise a fresh compile."""
-    if (features is not None and features.entries is corpus.entries
-            and same_columns(features.registry, registry)):
-        return features
-    return compile_corpus(corpus, registry, lex_table)
-
-
 class _Judge:
     """Scores decisions against the gold annotation of one test corpus."""
 
@@ -157,20 +146,19 @@ class _Judge:
         return _metrics(*(int(c) for c in counts))
 
 
-def evaluate(model: LogLinearModel, test_corpus: Corpus,
+def evaluate(model: LogLinearModel, test_corpus: Corpus | FeatureMatrix,
              task: str = "exact_match",
              tie_epsilon: float = DEFAULT_TIE_EPSILON,
-             lex_table: Optional[LexFrequencyTable] = None, *,
-             features: Optional[FeatureMatrix] = None) -> EvalOutcome:
+             lex_table: Optional[LexFrequencyTable] = None) -> EvalOutcome:
     """Disambiguate every test sentence and score it against the gold parse.
 
     Every entry needs a ``gold_index``; the frame task additionally requires
     frame descriptors on the gold parse and every candidate the decision
     touches.  Deterministic for fixed model, corpus, and tie_epsilon.
-    ``features``, the test corpus compiled against the model's registry
-    (``compile_corpus``), saves compiling it again.
+    ``test_corpus`` may be compiled already, as ``compile_corpus`` takes it;
+    every sentence the matrix holds is scored.
     """
-    features = _compiled(test_corpus, model.registry, features, lex_table)
+    features = compile_corpus(test_corpus, model.registry, lex_table)
     judge = _Judge(task, features)
     decisions = decide(model.lam, features, tie_epsilon)
     verdicts = []
@@ -206,21 +194,21 @@ def _check_baseline(n_models: Optional[int], lambda_range: float) -> None:
         raise ConfigError("lambda_range must be nonnegative and finite")
 
 
-def random_baseline(test_corpus: Corpus, task: str, registry: PropertyRegistry,
+def random_baseline(test_corpus: Corpus | FeatureMatrix, task: str,
+                    registry: PropertyRegistry,
                     n_models: int = 100, seed: int = 0,
                     lambda_range: float = 1.0,
                     tie_epsilon: float = DEFAULT_TIE_EPSILON,
-                    lex_table: Optional[LexFrequencyTable] = None, *,
-                    features: Optional[FeatureMatrix] = None
+                    lex_table: Optional[LexFrequencyTable] = None
                     ) -> BaselineReport:
     """Average precision of models with uniformly drawn parameter vectors.
 
     This measures the disambiguation power of the candidate sets themselves.
     Models with undefined precision (every sentence a tie) are excluded from
-    the average and counted separately.  ``features`` as in ``evaluate``.
+    the average and counted separately.  ``test_corpus`` as in ``evaluate``.
     """
     _check_baseline(n_models, lambda_range)
-    features = _compiled(test_corpus, registry, features, lex_table)
+    features = compile_corpus(test_corpus, registry, lex_table)
     judge = _Judge(task, features)
     rng = seeded_rng(seed)
     precisions = []
@@ -250,23 +238,25 @@ class SweepRow:
 
 
 def sweep_checkpoints(checkpoint_models: Sequence[tuple[int, LogLinearModel]],
-                      test_corpus: Corpus, task: str = "exact_match",
+                      test_corpus: Corpus | FeatureMatrix,
+                      task: str = "exact_match",
                       tie_epsilon: float = DEFAULT_TIE_EPSILON,
-                      lex_table: Optional[LexFrequencyTable] = None, *,
-                      features: Optional[FeatureMatrix] = None
+                      lex_table: Optional[LexFrequencyTable] = None
                       ) -> list[SweepRow]:
     """Evaluate each training checkpoint; rows are ordered by iteration.
 
     The resulting precision curve exposes overtraining: a peak before the
-    final iteration.  ``features`` as in ``evaluate``; checkpoints sharing
-    a registry share one compiled test corpus.
+    final iteration.  ``test_corpus`` as in ``evaluate``; checkpoints with
+    the same columns share one compiled test corpus.
     """
     if not checkpoint_models:
         raise ConfigError("no checkpoint models to sweep")
     rows = []
-    judge = None
+    features = judge = None
     for iteration, model in sorted(checkpoint_models, key=lambda p: p[0]):
-        features = _compiled(test_corpus, model.registry, features, lex_table)
+        if features is None or not same_columns(features.registry,
+                                                model.registry):
+            features = compile_corpus(test_corpus, model.registry, lex_table)
         judge = judge or _Judge(task, features)
         precision, effectiveness = judge.rates(
             decide(model.lam, features, tie_epsilon))

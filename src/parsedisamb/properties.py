@@ -7,7 +7,8 @@ mass constant, and low-activation properties can be dropped.
 
 A corpus is compiled once, in one walk over its parses, into a sparse
 ``FeatureMatrix``.  Registry activation counts, the correction constant,
-selection, training and evaluation all work on that matrix.
+selection, training and evaluation all work on that matrix, and every
+function that compiles a corpus takes the matrix in its place.
 
 Structural property semantics implemented here (all computed from the
 simplified parse record):
@@ -354,11 +355,11 @@ class FeatureMatrix:
 
     def universe(self) -> "FeatureMatrix":
         """The rows of sentences with positive weight (the parse universe)."""
-        if self.registry.correction_K is not None:
-            raise ConfigError("take the universe before adding the correction")
         keep = self.weights > 0
         if keep.all():
             return self
+        if self.registry.correction_K is not None:
+            raise ConfigError("take the universe before adding the correction")
         if not keep.any():
             raise DataError("every sentence has zero weight; the universe is empty")
         row_keep = np.repeat(keep, np.diff(self.offsets))
@@ -376,16 +377,22 @@ class FeatureMatrix:
     def project(self, registry: PropertyRegistry) -> "FeatureMatrix":
         """The same rows over the columns of ``registry``.
 
-        Columns the registry lacks are dropped.  When the registry carries
-        the correction property, each row gets ``K - total`` in the last
-        column; a row whose total exceeds K is clamped to zero and counted.
+        Columns the registry lacks are dropped; a registry column the matrix
+        lacks, the correction aside, is a ConfigError.  When the registry
+        carries the correction property, each row gets ``K - total`` in the
+        last column; a row whose total exceeds K is clamped to zero and
+        counted.  A matrix with ``registry``'s columns is its own projection.
         """
+        if same_columns(self.registry, registry):
+            return self
         K = registry.correction_K
         colmap = np.full(self.n_features, -1, dtype=INDEX_DTYPE)
         for i, d in enumerate(self.registry.properties):
             target = registry.index_of(d.kind, d.key)
             if target is not None and d.kind != "correction":
                 colmap[i] = target
+        if np.count_nonzero(colmap >= 0) < registry.size - (K is not None):
+            raise ConfigError("the registry has columns the matrix lacks")
         # A registry that keeps every column in place needs no remapped copy.
         in_place = np.array_equal(colmap, np.arange(self.n_features))
         rows, data = self.rows, self.data
@@ -516,9 +523,12 @@ def _walk(corpus: Corpus, kinds: set[str],
         gold=np.frombuffer(gold, dtype=np.int64), entries=corpus.entries)
 
 
-def _walk_for(corpus: Corpus, registry: PropertyRegistry,
+def _walk_for(corpus: Corpus | FeatureMatrix, registry: PropertyRegistry,
               lex_table: Optional[LexFrequencyTable]) -> FeatureMatrix:
-    """``_walk`` over the columns of ``registry`` except the correction."""
+    """``_walk`` over the columns of ``registry`` except the correction; a
+    compiled ``corpus``, for the caller to project, as it is."""
+    if isinstance(corpus, FeatureMatrix):
+        return corpus
     kinds = registry.kinds()
     if "lexicalized-relation" not in kinds:
         lex_table = None
@@ -589,20 +599,24 @@ def build_registry(corpus: Corpus,
         corpus, lex_table if include_lexicalized else None).registry
 
 
-def compile_corpus(corpus: Corpus, registry: PropertyRegistry,
+def compile_corpus(corpus: Corpus | FeatureMatrix, registry: PropertyRegistry,
                    lex_table: Optional[LexFrequencyTable] = None) -> FeatureMatrix:
     """Compile every sentence of ``corpus``, zero-weight ones included,
-    against ``registry``; corrections above K are clamped and counted."""
+    against ``registry``; corrections above K are clamped and counted.
+    A compiled ``corpus`` is projected onto ``registry`` (``project``).
+    """
     return _walk_for(corpus, registry, lex_table).project(registry)
 
 
-def build_feature_matrix(corpus: Corpus, registry: PropertyRegistry,
+def build_feature_matrix(corpus: Corpus | FeatureMatrix,
+                         registry: PropertyRegistry,
                          lex_table: Optional[LexFrequencyTable] = None
                          ) -> FeatureMatrix:
     """The feature matrix of a corpus's parse universe, correction included.
 
     Rows cover the sentences with positive weight.  Corrections of parses
     whose feature total exceeds K are clamped at zero and counted.
+    A compiled ``corpus`` gives its universe's projection.
     """
     return _walk_for(corpus, registry, lex_table).universe().project(registry)
 
@@ -617,27 +631,21 @@ def same_columns(a: PropertyRegistry, b: PropertyRegistry) -> bool:
                       == [(d.kind, d.key) for d in b.properties])
 
 
-def add_correction(registry: PropertyRegistry, corpus: Optional[Corpus] = None,
-                   lex_table: Optional[LexFrequencyTable] = None, *,
-                   features: Optional[FeatureMatrix] = None) -> PropertyRegistry:
+def add_correction(registry: PropertyRegistry, corpus: Corpus | FeatureMatrix,
+                   lex_table: Optional[LexFrequencyTable] = None
+                   ) -> PropertyRegistry:
     """Append the constant-mass correction property to the registry.
 
     K is the maximum total feature value over the parses of the defining
     universe (sentences with positive weight); the correction value of a
     parse is K minus its feature total, so afterwards every universe parse
-    sums to K exactly (exact for integral inputs).  ``features``, compiled
-    from the corpus over a superset of the registry's columns, saves
-    compiling it again.
+    sums to K exactly (exact for integral inputs).  ``corpus`` may be its
+    matrix over a superset of the registry's columns, as
+    ``compile_templates`` returns it.
     """
     if registry.correction_K is not None:
         raise ConfigError("registry already carries a correction property")
-    if features is not None:
-        features = features.universe().project(registry)
-    elif corpus is not None:
-        features = build_feature_matrix(corpus, registry, lex_table)
-    else:
-        raise ConfigError("either a corpus or a feature matrix is required")
-    totals = features.row_totals()
+    totals = build_feature_matrix(corpus, registry, lex_table).row_totals()
     K = float(totals.max())
     if K <= 0:
         raise DataError(

@@ -34,8 +34,7 @@ from .corpus import Corpus, seeded_rng
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .lexicalization import LexFrequencyTable
 from .model import LogLinearModel, ParseDistribution, new_model, normalize
-from .properties import (FeatureMatrix, PropertyRegistry, build_feature_matrix,
-                         same_columns)
+from .properties import FeatureMatrix, PropertyRegistry, build_feature_matrix
 
 EXPECTATION_FLOOR = 1e-12
 GAMMA_CLAMP_NUMERATOR = 20.0  # gamma is clamped to [-20/K, 20/K]
@@ -195,11 +194,10 @@ def _initial_lam(config: TrainingConfig, n: int) -> np.ndarray:
     return rng.uniform(-config.init_range, config.init_range, size=n)
 
 
-def train(corpus: Corpus, registry: PropertyRegistry,
+def train(corpus: Corpus | FeatureMatrix, registry: PropertyRegistry,
           config: Optional[TrainingConfig] = None, *,
           complete_data: bool = False,
-          lex_table: Optional[LexFrequencyTable] = None,
-          features: Optional[FeatureMatrix] = None
+          lex_table: Optional[LexFrequencyTable] = None
           ) -> tuple[LogLinearModel, TrainingTrace]:
     """Run the estimation loop to convergence or the iteration cap.
 
@@ -208,11 +206,11 @@ def train(corpus: Corpus, registry: PropertyRegistry,
     the parameter vector every ``checkpoint_every`` iterations plus at the
     final one.  A likelihood decrease beyond 1e-10 aborts: the update's
     monotonicity guarantee was violated, which signals an internal bug or
-    corrupted inputs.  ``features``, the corpus's universe compiled against
-    ``registry`` as ``build_feature_matrix`` returns it, saves compiling the
-    corpus again; the model records that matrix's digest as its universe.
-    A universe parse whose feature mass exceeds K means the registry is
-    stale for the corpus, which is a DataError.
+    corrupted inputs.  ``corpus`` may be compiled already, as
+    ``build_feature_matrix`` takes it; the model records the digest of the
+    universe matrix as its universe.  A universe parse whose feature mass
+    exceeds K means the registry is stale for the corpus, which is a
+    DataError.
 
     Each iteration scores the universe once: the distribution of the updated
     model gives both its likelihood and the next update's expectations.
@@ -229,11 +227,7 @@ def train(corpus: Corpus, registry: PropertyRegistry,
     if registry.correction_K is None:
         raise ConfigError("training requires a registry with the correction "
                           "property (run add_correction first)")
-    if features is None:
-        features = build_feature_matrix(corpus, registry, lex_table=lex_table)
-    elif not same_columns(features.registry, registry):
-        raise ConfigError("the feature matrix was compiled against another "
-                          "registry")
+    features = build_feature_matrix(corpus, registry, lex_table=lex_table)
     if features.clamped_corrections:
         raise DataError(
             f"{features.clamped_corrections} parse(s) have feature mass above "
@@ -292,19 +286,17 @@ def compare_inits(features: FeatureMatrix,
     if n_random_seeds < 0:
         raise ConfigError("n_random_seeds must be nonnegative")
 
-    # Given ``features``, train reads the corpus only to see it is nonempty.
-    corpus, registry = Corpus(features.entries), features.registry
     base = replace(config, init="uniform_zero")
-    _, trace = train(corpus, registry, base, complete_data=complete_data,
-                     features=features)
+    _, trace = train(features, features.registry, base,
+                     complete_data=complete_data)
     uniform_final = trace.final_log_likelihood
 
     seed0 = 0 if config.seed is None else config.seed
     random_finals = []
     for i in range(n_random_seeds):
         rnd = replace(config, init="random", seed=seed0 + i)
-        _, rnd_trace = train(corpus, registry, rnd, complete_data=complete_data,
-                             features=features)
+        _, rnd_trace = train(features, features.registry, rnd,
+                             complete_data=complete_data)
         random_finals.append(rnd_trace.final_log_likelihood)
 
     wins = sum(1 for L in random_finals if L < uniform_final)

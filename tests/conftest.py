@@ -150,3 +150,27 @@ def structural_parse(parse_id: str, tree, functions=(), pairs=(),
 def relation(name, verb, noun, voice="active", position=1) -> Relation:
     return Relation(name=name, verb=verb, noun=noun, voice=voice,
                     position=position)
+
+
+def random_structural_corpus(rng: np.random.Generator,
+                             n_sentences: int) -> Corpus:
+    """Random trees, f-structures, relations and frames, with gold parses."""
+    entries = []
+    for s in range(n_sentences):
+        tokens = tuple(f"w{int(t)}" for t in rng.integers(0, 6, size=4))
+        parses = []
+        for j in range(int(rng.integers(1, 4))):
+            cut = int(rng.integers(1, 4))
+            tree = ("S", (("NP", tokens[:cut]),
+                          (str(rng.choice(["VP", "XP"])), tokens[cut:])))
+            parses.append(structural_parse(
+                f"p{j}", tree,
+                functions=list(rng.choice(["SUBJ", "OBJ", "ADJUNCT"], size=2)),
+                pairs=[("TENSE", str(rng.choice(["past", "pres"])))],
+                relations=[relation("subj", "v0",
+                                    f"n{int(rng.integers(0, 3))}")],
+                frame=f"f{int(rng.integers(0, 2))}"))
+        entries.append(SentenceEntry(sentence_id=f"s{s}", tokens=tokens,
+                                     parses=tuple(parses),
+                                     gold_index=int(rng.integers(0, len(parses)))))
+    return build_corpus(entries)

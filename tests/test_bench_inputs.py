@@ -10,14 +10,27 @@ belongs with a change to the benchmark.
 
 The outputs and stdout of the CLI pipeline of each workload, on seed-1
 inputs, are pinned the same way (``PIPELINE_DIGESTS``, ``TRAIN_TOL_DIGESTS``).
+Training's outputs also depend on the SIMD kernels numpy dispatches to:
+``np.exp`` and ``np.log`` round differently in their AVX-512 kernels.  With
+numpy 2.4, the pins above hold where numpy reports X86_V4, AVX512_ICL and
+AVX512_SPR, and the ``*_WITHOUT_AVX512`` pins where it reports none of
+them, as on a CPU with AVX2 at most.  CPUs with X86_V4 but not all of its
+later AVX-512 subsets are unverified.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
+import json
 import os
+import subprocess
+import sys
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
+import parsedisamb
 from parsedisamb import (SyntheticConfig, generate_synthetic, load_corpus,
                          pair_counts_from_corpus, save_corpus,
                          save_pair_counts)
@@ -96,6 +109,25 @@ TRAIN_TOL_DIGESTS = {
         "sweep_exact_match.csv": "a20e5c4c9d88d1c655f09e28598705cdc7a7e6e3af3b6ad0a8a9df2e7f35db3d"}}
 
 
+# The train outputs of each pipeline where numpy dispatches to no AVX-512
+# kernel (``WITHOUT_AVX512``).  Only the model, the trace and the last
+# checkpoint differ from the pins above.
+PIPELINE_TRAIN_WITHOUT_AVX512 = {
+    "checkpoints/checkpoint_0000.json": "a577f346116a85fe6d1a2286afb4294b94c66903907f77b14d0d4969c14002c8",
+    "checkpoints/checkpoint_0030.json": "1e171c6c1215ccddaad0266f7cf805ef6b275ff9ff16533e70a6881dac819332",
+    "model.json": "1e171c6c1215ccddaad0266f7cf805ef6b275ff9ff16533e70a6881dac819332",
+    "registry.json": "efd7e0ca1364d07270d81d69e6d0a4f84c066c2b640647c01082c18cd8c70326",
+    "stdout": "6946c1f63080ff57456f8aa61e3e89f6253fdd8b3a6f1cf1286f04f7e824945c",
+    "trace.jsonl": "703e7e49de02cb6977f33b7fecb133a9590247318b89cdf1aae04082b1055714"}
+TRAIN_TOL_TRAIN_WITHOUT_AVX512 = {
+    "checkpoints/checkpoint_0000.json": "f88d48b1fecc3b0f1a3b0c7f7afe0688b78d3e03456b676bc15af3bdd4dbb011",
+    "checkpoints/checkpoint_0433.json": "3a166a5478403635968e11c835973f990d7ca18a69288ec58d0ce2d20ee082e4",
+    "model.json": "3a166a5478403635968e11c835973f990d7ca18a69288ec58d0ce2d20ee082e4",
+    "registry.json": "27176dc0ac7c7075f30eac69b02f17c0738a53f3260383c687746c907db2c6c4",
+    "stdout": "739b400a0754234cafeac8499f34220aa0c0a7aef0194f76938323efde145680",
+    "trace.jsonl": "b231558a29d815808f257004f6c6105302866af068bb88a88d2368ecb5bd3e7d"}
+
+
 def _sha256(path) -> str:
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
@@ -154,12 +186,26 @@ def test_structural_corpora_survive_load_and_save(tmp_path, seed):
             assert _saved_again(paths[name], tmp_path) == handle.read()
 
 
-def _pinned_run(argv, out_dir, capsys) -> dict:
+# Makes numpy in a child process dispatch as on a CPU without AVX-512.
+WITHOUT_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def _pinned(digests: dict, train_without_avx512: dict) -> dict:
+    """``digests`` with the train outputs of the dispatch class numpy runs
+    in here."""
+    if __cpu_features__.get("X86_V4"):
+        return digests
+    return {**digests, "train": train_without_avx512}
+
+
+def _pinned_run(argv, out_dir) -> dict:
     """sha256 of the stdout of ``main(argv)`` and of each file it writes
     under ``out_dir``, the manifest aside (it holds a timestamp)."""
-    assert main([*argv, "--out-dir", out_dir]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main([*argv, "--out-dir", out_dir]) == 0
     digests = {"stdout": hashlib.sha256(
-        capsys.readouterr().out.encode("utf-8")).hexdigest()}
+        stdout.getvalue().encode("utf-8")).hexdigest()}
     for root, _, names in os.walk(out_dir):
         for name in names:
             if name != "manifest.json":
@@ -168,18 +214,9 @@ def _pinned_run(argv, out_dir, capsys) -> dict:
     return digests
 
 
-def test_lexicalized_pipeline_outputs_are_pinned(tmp_path, monkeypatch,
-                                                 capsys):
-    """``cluster -> train --lexicalized -> eval``, with the flags of the
-    benchmark's structural-lex workload and seed 1, writes pinned bytes.
-
-    Every step of the class-based lexicalization runs here: cluster EM, the
-    frequency table, lexicalized lookups of seen and unseen pairs, property
-    selection, training and evaluation on two tasks.  A change that moves
-    one of these digests changes what the program writes; it must say why
-    in CHANGES.md.
-    """
-    monkeypatch.chdir(tmp_path)
+def lexicalized_pipeline() -> dict:
+    """Digests of ``cluster -> train --lexicalized -> eval`` on the seed-1
+    structural inputs, written under the working directory."""
     inputs = _structural_module().write_inputs(1, "in", STRUCTURAL_SIZES)
     table = os.path.join("cluster", "freq_table.json")
     seed = ["--seed", "1"]
@@ -192,34 +229,81 @@ def test_lexicalized_pipeline_outputs_are_pinned(tmp_path, monkeypatch,
         "eval": ["eval", "--model", os.path.join("train", "model.json"),
                  "--corpus", inputs["test"], "--task", "exact", "--task",
                  "frame", "--lex-table", table, *seed]}
-    assert {command: _pinned_run(argv[command], command, capsys)
-            for command in argv} == PIPELINE_DIGESTS
+    return {command: _pinned_run(argv[command], command) for command in argv}
 
 
-def test_unlexicalized_pipeline_outputs_are_pinned(tmp_path, monkeypatch,
-                                                   capsys):
-    """``synth -> pairs -> cluster -> train -> eval`` with the flags of the
-    benchmark's train-tol workload and seed 1, at 200 sentences: training
-    to tolerance (433 iterations), checkpoints, the random baseline and the
-    checkpoint sweep write pinned bytes."""
-    monkeypatch.chdir(tmp_path)
+def train_tol_pipeline() -> dict:
+    """Digests of ``synth -> pairs -> cluster -> train -> eval`` with the
+    train-tol flags and seed 1, written under the working directory."""
     seed = ["--seed", "1"]
     got = {"synth": _pinned_run(
         ["synth", "--sentences", "200", "--ambiguity", "2", "10",
-         "--features", "8", "--split", "0.8", *seed], "synth", capsys)}
+         "--features", "8", "--split", "0.8", *seed], "synth")}
     save_pair_counts(pair_counts_from_corpus(
         load_corpus(os.path.join("synth", "train.jsonl"))), "pairs.tsv")
     got["pairs"] = {"pairs.tsv": _sha256("pairs.tsv")}
     got["cluster"] = _pinned_run(
         ["cluster", "--pairs", "pairs.tsv", "--classes", "16", *seed],
-        "cluster", capsys)
+        "cluster")
     got["train"] = _pinned_run(
         ["train", "--corpus", os.path.join("synth", "train.jsonl"),
          "--tolerance", "1e-8", "--max-iterations", "4000",
-         "--checkpoint-every", "2000", *seed], "train", capsys)
+         "--checkpoint-every", "2000", *seed], "train")
     got["eval"] = _pinned_run(
         ["eval", "--model", os.path.join("train", "model.json"),
          "--corpus", os.path.join("synth", "test.jsonl"), "--task", "exact",
          "--baseline", "10", "--checkpoints",
-         os.path.join("train", "checkpoints"), *seed], "eval", capsys)
-    assert got == TRAIN_TOL_DIGESTS
+         os.path.join("train", "checkpoints"), *seed], "eval")
+    return got
+
+
+def test_lexicalized_pipeline_outputs_are_pinned(tmp_path, monkeypatch):
+    """``cluster -> train --lexicalized -> eval``, with the flags of the
+    benchmark's structural-lex workload and seed 1, writes pinned bytes.
+
+    Every step of the class-based lexicalization runs here: cluster EM, the
+    frequency table, lexicalized lookups of seen and unseen pairs, property
+    selection, training and evaluation on two tasks.  A change that moves
+    one of these digests changes what the program writes; it must say why
+    in CHANGES.md.
+    """
+    monkeypatch.chdir(tmp_path)
+    assert lexicalized_pipeline() == _pinned(
+        PIPELINE_DIGESTS, PIPELINE_TRAIN_WITHOUT_AVX512)
+
+
+def test_unlexicalized_pipeline_outputs_are_pinned(tmp_path, monkeypatch):
+    """``synth -> pairs -> cluster -> train -> eval`` with the flags of the
+    benchmark's train-tol workload and seed 1, at 200 sentences: training
+    to tolerance (433 iterations), checkpoints, the random baseline and the
+    checkpoint sweep write pinned bytes."""
+    monkeypatch.chdir(tmp_path)
+    assert train_tol_pipeline() == _pinned(
+        TRAIN_TOL_DIGESTS, TRAIN_TOL_TRAIN_WITHOUT_AVX512)
+
+
+def test_pipelines_are_pinned_without_avx512(tmp_path):
+    """Both pinned pipelines, run in a child process whose numpy dispatches
+    to no AVX-512 kernel, write the other dispatch class's pins."""
+    script = "\n".join([
+        "import json, os, test_bench_inputs as pins",
+        "found = [pins.__cpu_features__.get('X86_V4', False)]",
+        "for name in ('lexicalized', 'train_tol'):",
+        "    os.mkdir(name)",
+        "    os.chdir(name)",
+        "    found.append(getattr(pins, name + '_pipeline')())",
+        "    os.chdir('..')",
+        "print(json.dumps(found))"])
+    path = os.pathsep.join([
+        os.path.dirname(os.path.dirname(parsedisamb.__file__)),
+        os.path.dirname(os.path.abspath(__file__))])
+    child = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+        text=True, env={**os.environ, **WITHOUT_AVX512, "PYTHONPATH": path})
+    assert child.returncode == 0, child.stderr
+    avx512, lexicalized, train_tol = json.loads(child.stdout)
+    assert avx512 is False
+    assert lexicalized == {**PIPELINE_DIGESTS,
+                           "train": PIPELINE_TRAIN_WITHOUT_AVX512}
+    assert train_tol == {**TRAIN_TOL_DIGESTS,
+                         "train": TRAIN_TOL_TRAIN_WITHOUT_AVX512}

@@ -1,16 +1,20 @@
 import argparse
 import gc
+import itertools
 import json
 import os
 import re
+import shutil
 
 import pytest
 
 import parsedisamb.cli as cli
 import parsedisamb.corpus as corpus_module
-from parsedisamb import load_corpus, load_model, save_pair_counts, PairCounts
+from parsedisamb import (load_corpus, load_model, pair_counts_from_corpus,
+                         save_pair_counts, PairCounts)
 from parsedisamb.cli import build_parser, main, verify_manifest
 from parsedisamb.corpus import write_json
+from conftest import random_structural_corpus
 
 
 def _run(*argv):
@@ -825,6 +829,90 @@ class TestManifest:
         assert load_model(out / "model.json").lam.size
         assert verify_manifest(out / "manifest.json") is False
 
+    @staticmethod
+    def _outputs(directory):
+        """Every file under ``directory`` but the manifest, with its bytes."""
+        return {os.path.relpath(os.path.join(root, name), directory):
+                _read(os.path.join(root, name))
+                for root, _, names in os.walk(directory) for name in names
+                if name != "manifest.json"}
+
+    @staticmethod
+    def _interrupt(patch, directory, at):
+        """Raise KeyboardInterrupt just after the ``at``-th file removal or
+        replacement (every atomic write ends in one) under ``directory``."""
+        seen = itertools.count()
+        for name in ("remove", "replace"):
+            def wrapper(path, *rest, real=getattr(os, name), **kwargs):
+                real(path, *rest, **kwargs)
+                target = os.fspath(rest[0] if rest else path)
+                if (target.startswith(os.path.join(directory, ""))
+                        and next(seen) == at):
+                    raise KeyboardInterrupt
+            patch.setattr(os, name, wrapper)
+
+    @pytest.mark.parametrize("command",
+                             ["synth", "stats", "cluster", "train", "eval"])
+    def test_every_interrupted_write_leaves_no_valid_manifest(
+            self, synth_dir, tmp_path, monkeypatch, command):
+        """A rerun into an earlier run's out-dir, stopped at each of its file
+        writes and removals in turn, leaves no manifest that verifies; a
+        clean rerun then writes what a run into a fresh directory writes."""
+        train = str(synth_dir / "train.jsonl")
+        test = str(synth_dir / "test.jsonl")
+        if command == "synth":
+            earlier = ["--sentences", "20", "--seed", "1"]
+            rerun = ["--sentences", "30", "--seed", "2"]
+        elif command == "stats":
+            earlier, rerun = ["--corpus", train], ["--corpus", test]
+        elif command == "cluster":
+            pairs = str(tmp_path / "pairs.tsv")
+            save_pair_counts(pair_counts_from_corpus(load_corpus(train)), pairs)
+            earlier = ["--pairs", pairs, "--max-iterations", "5",
+                       "--classes", "2"]
+            rerun = [*earlier[:-1], "3"]
+        elif command == "train":
+            # The earlier run leaves checkpoints this one does not write.
+            earlier = ["--corpus", train, "--max-iterations", "12",
+                       "--checkpoint-every", "3"]
+            rerun = ["--corpus", train, "--max-iterations", "4",
+                     "--checkpoint-every", "2"]
+        else:
+            model = tmp_path / "model"
+            assert _run("train", "--corpus", train, "--max-iterations", "4",
+                        "--checkpoint-every", "2", "--out-dir", str(model)) == 0
+            earlier = ["--model", str(model / "model.json"), "--corpus", test]
+            rerun = [*earlier, "--baseline", "2",
+                     "--checkpoints", str(model / "checkpoints")]
+
+        def run(out, flags):
+            return _run(command, *flags, "--out-dir", str(out))
+
+        assert run(tmp_path / "fresh", rerun) == 0
+        expected = self._outputs(tmp_path / "fresh")
+        before = tmp_path / "before"
+        assert run(before, earlier) == 0
+        assert verify_manifest(before / "manifest.json")
+        verdicts = []
+        for at in itertools.count():
+            out = tmp_path / f"o{at}"
+            shutil.copytree(before, out)
+            with monkeypatch.context() as patch:
+                self._interrupt(patch, out, at)
+                try:
+                    code = run(out, rerun)
+                except KeyboardInterrupt:
+                    code = None
+            if code is not None:  # ``at`` is past the last write
+                break
+            verdicts.append(verify_manifest(out / "manifest.json"))
+            assert run(out, rerun) == 0
+            assert self._outputs(out) == expected, at
+        assert code == 0 and self._outputs(out) == expected
+        # Only the last write, the manifest's, leaves one that verifies.
+        assert verdicts == [False] * (at - 1) + [True]
+        assert at >= 3
+
 
 class TestParser:
     """Every flag of a subcommand is absent unless given, so a ``--config``
@@ -870,6 +958,27 @@ class TestCheckpointDirectory:
         rows = (tmp_path / "eval" / "sweep_exact_match.csv").read_text()
         assert [int(line.split(",")[0]) for line in rows.splitlines()[1:]] \
             == [int(name[11:15]) for name in written]
+
+    def test_checkpoints_with_columns_the_model_lacks_are_a_config_error(
+            self, synth_dir, tmp_path, capsys):
+        """``eval`` compiles the test corpus once, for ``--model``; it does
+        not compile it again for checkpoints of a wider registry."""
+        def registry(name, *flags):
+            assert _run("train", "--corpus", str(synth_dir / "train.jsonl"),
+                        "--max-iterations", "4", *flags,
+                        "--out-dir", str(tmp_path / name)) == 0
+            return load_model(tmp_path / name / "model.json").registry
+
+        wide = registry("wide")
+        cutoff = max(d.activation_count for d in wide.properties[:-1])
+        assert registry("narrow", "--select-cutoff", str(cutoff)).size \
+            < wide.size
+        assert _run("eval", "--model", str(tmp_path / "narrow" / "model.json"),
+                    "--corpus", str(synth_dir / "test.jsonl"),
+                    "--checkpoints", str(tmp_path / "wide" / "checkpoints"),
+                    "--out-dir", str(tmp_path / "eval")) == 1
+        assert "columns the matrix lacks" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
 
 class TestFlagErrors:
@@ -921,32 +1030,6 @@ class TestFlagErrors:
         assert not out.exists()
 
 
-def _structural_corpus(rng, n_sentences):
-    """Random trees, f-structures, relations and frames, with gold parses."""
-    from parsedisamb import build_corpus, SentenceEntry
-    from conftest import relation, structural_parse
-
-    entries = []
-    for s in range(n_sentences):
-        tokens = tuple(f"w{int(t)}" for t in rng.integers(0, 6, size=4))
-        parses = []
-        for j in range(int(rng.integers(1, 4))):
-            cut = int(rng.integers(1, 4))
-            tree = ("S", (("NP", tokens[:cut]),
-                          (str(rng.choice(["VP", "XP"])), tokens[cut:])))
-            parses.append(structural_parse(
-                f"p{j}", tree,
-                functions=list(rng.choice(["SUBJ", "OBJ", "ADJUNCT"], size=2)),
-                pairs=[("TENSE", str(rng.choice(["past", "pres"])))],
-                relations=[relation("subj", "v0",
-                                    f"n{int(rng.integers(0, 3))}")],
-                frame=f"f{int(rng.integers(0, 2))}"))
-        entries.append(SentenceEntry(sentence_id=f"s{s}", tokens=tokens,
-                                     parses=tuple(parses),
-                                     gold_index=int(rng.integers(0, len(parses)))))
-    return build_corpus(entries)
-
-
 class TestCompileOnce:
     def test_each_parse_is_extracted_once_per_command(self, tmp_path,
                                                       monkeypatch):
@@ -957,8 +1040,8 @@ class TestCompileOnce:
         from parsedisamb.lexicalization import save_freq_table
 
         rng = np.random.default_rng(6)
-        train_corpus, test_corpus = (_structural_corpus(rng, 12),
-                                     _structural_corpus(rng, 6))
+        train_corpus, test_corpus = (random_structural_corpus(rng, 12),
+                                     random_structural_corpus(rng, 6))
         save_corpus(train_corpus, tmp_path / "train.jsonl")
         save_corpus(test_corpus, tmp_path / "test.jsonl")
         pairs = pair_counts_from_corpus(train_corpus)
@@ -1024,7 +1107,7 @@ class TestUniverseDigest:
             corpus, _ = generate_synthetic(SyntheticConfig(
                 n_sentences=40, ambiguity_range=(1, 5), seed=3))
         else:
-            corpus = _structural_corpus(np.random.default_rng(8), 12)
+            corpus = random_structural_corpus(np.random.default_rng(8), 12)
         save_corpus(corpus, tmp_path / "train.jsonl")
         pairs = pair_counts_from_corpus(corpus)
         clusters, _ = train_clusters(pairs, n_classes=2, seed=1)

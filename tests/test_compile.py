@@ -15,15 +15,20 @@ from hypothesis import strategies as st
 
 from parsedisamb import (ConfigError, DataError, FStructure,
                          LexFrequencyTable, LogLinearModel, PairCounts,
-                         ParseRecord, Relation, SentenceEntry, add_correction,
-                         build_corpus, build_feature_matrix, compile_corpus,
-                         compile_templates, disambiguate, evaluate,
-                         lexicalized_properties, select_properties,
+                         ParseRecord, PropertyDescriptor, PropertyRegistry,
+                         Relation, SentenceEntry, TrainingConfig,
+                         add_correction, build_corpus, build_feature_matrix,
+                         build_freq_table, compile_corpus, compile_templates,
+                         disambiguate, evaluate, lexicalized_properties,
+                         pair_counts_from_corpus, random_baseline,
+                         select_properties, sweep_checkpoints, train,
                          train_clusters)
 from parsedisamb import corpus as corpus_module
 from parsedisamb import properties
+from parsedisamb.evaluation import TASKS
 from parsedisamb.properties import STRUCTURAL_KINDS, structural_values
-from conftest import passthrough_corpus
+from conftest import (passthrough_corpus, random_passthrough_instance,
+                      random_structural_corpus)
 from oracles import (reference_correction, reference_decision,
                      reference_lexicalized_properties, reference_matrix,
                      reference_registry, reference_selection,
@@ -180,7 +185,7 @@ class TestAgainstReference:
         assert frozen.correction_K == K
         assert frozen.properties[-1].activation_count == activation
         # The compiled templates give the same correction without a walk.
-        assert add_correction(selected, features=templates) == frozen
+        assert add_correction(selected, templates) == frozen
 
         dense, clamped = reference_matrix(corpus, frozen, table)
         assert clamped == 0
@@ -192,8 +197,10 @@ class TestAgainstReference:
         for name in ("indptr", "indices", "data", "offsets", "weights", "gold"):
             assert np.array_equal(getattr(projected, name), getattr(matrix, name))
         assert projected.entries == matrix.entries
-        # The CLI's compile path and build_feature_matrix give one universe.
+        # The CLI's compile path and build_feature_matrix give one universe,
+        # and so does the template matrix in the corpus's place.
         assert projected.digest == matrix.digest
+        assert build_feature_matrix(templates, frozen).digest == matrix.digest
 
         # Held-out data: every sentence kept, masses above K clamped.
         dense, clamped = reference_matrix(heldout, frozen, table,
@@ -311,7 +318,7 @@ class TestFeatureMatrix:
             == ["000000", "000001", "000002"]
         assert matrix.indices.tolist() == [0, 1, 0, 1, 0, 1, 2]
         assert matrix.data.tolist() == [1, 2, 4, 3, 7, 6, 5]
-        frozen = add_correction(matrix.registry, features=matrix)
+        frozen = add_correction(matrix.registry, matrix)
         for compiled in (matrix.universe().project(frozen),
                          build_feature_matrix(corpus, frozen),
                          compile_corpus(corpus, frozen)):
@@ -328,7 +335,7 @@ class TestFeatureMatrix:
 
     def test_matrices_hold_the_corpus_sentences(self):
         matrix = self._matrix()
-        frozen = add_correction(matrix.registry, features=matrix)
+        frozen = add_correction(matrix.registry, matrix)
         assert matrix.entries is self.CORPUS.entries
         assert compile_corpus(self.CORPUS, frozen).entries \
             is self.CORPUS.entries
@@ -342,13 +349,13 @@ class TestFeatureMatrix:
 
     def test_universe_precedes_the_correction(self):
         matrix = self._matrix()
-        frozen = add_correction(matrix.registry, features=matrix)
+        frozen = add_correction(matrix.registry, matrix)
         with pytest.raises(ConfigError):
             matrix.project(frozen).universe()
 
     def test_index_arrays_are_native(self):
         matrix = self._matrix()
-        frozen = add_correction(matrix.registry, features=matrix)
+        frozen = add_correction(matrix.registry, matrix)
         for compiled in (matrix, matrix.universe(),
                          matrix.universe().project(frozen),
                          build_feature_matrix(self.CORPUS, frozen),
@@ -358,7 +365,7 @@ class TestFeatureMatrix:
 
     def test_digest_follows_every_scored_input(self):
         matrix = self._matrix()
-        frozen = add_correction(matrix.registry, features=matrix)
+        frozen = add_correction(matrix.registry, matrix)
         universe = build_feature_matrix(self.CORPUS, frozen)
         assert universe.digest == \
             build_feature_matrix(self.CORPUS, frozen).digest
@@ -380,3 +387,64 @@ class TestFeatureMatrix:
                          data=-matrix.data, registry=matrix.registry,
                          offsets=matrix.offsets, weights=matrix.weights,
                          gold=matrix.gold, entries=matrix.entries)
+
+
+class TestMatrixInPlaceOfACorpus:
+    """Each function that compiles a corpus takes the matrix compiled from
+    it instead, and gives the same results without compiling again."""
+
+    def _case(self, kind):
+        rng = np.random.default_rng(4)
+        if kind == "passthrough":
+            corpus, _ = random_passthrough_instance(rng, with_gold=True)
+            return corpus, None, ("exact_match",)  # no frames
+        corpus = random_structural_corpus(rng, 12)
+        pairs = pair_counts_from_corpus(corpus)
+        clusters, _ = train_clusters(pairs, n_classes=2, seed=1)
+        return corpus, build_freq_table(clusters, pairs), TASKS
+
+    @pytest.mark.parametrize("kind", ["passthrough", "structural"])
+    def test_the_matrix_gives_the_corpus_results(self, kind):
+        corpus, table, tasks = self._case(kind)
+        templates = compile_templates(corpus, table)
+        registry = add_correction(templates.registry, corpus, lex_table=table)
+        assert add_correction(templates.registry, templates) == registry
+
+        config = TrainingConfig(max_iterations=6, checkpoint_every=2)
+        model, trace = train(corpus, registry, config, lex_table=table)
+        universe = build_feature_matrix(templates, registry)
+        for matrix in (templates, universe):
+            again, again_trace = train(matrix, registry, config)
+            assert np.array_equal(again.lam, model.lam)
+            assert again.universe == model.universe
+            assert again_trace.likelihoods() == trace.likelihoods()
+
+        test = compile_corpus(corpus, registry, table)
+        assert compile_corpus(test, registry) is test
+        checkpoints = [(i, model.with_lam(lam))
+                       for i, lam in trace.checkpoints()]
+        for task in tasks:
+            assert evaluate(model, test, task) \
+                == evaluate(model, corpus, task, lex_table=table)
+            assert random_baseline(test, task, registry, n_models=3, seed=2) \
+                == random_baseline(corpus, task, registry, n_models=3, seed=2,
+                                   lex_table=table)
+            assert sweep_checkpoints(checkpoints, test, task) \
+                == sweep_checkpoints(checkpoints, corpus, task,
+                                     lex_table=table)
+
+    def test_a_column_the_matrix_lacks_is_a_config_error(self):
+        corpus = passthrough_corpus([[{0: 1}, {1: 2}]], golds=[0])
+        matrix = compile_templates(corpus)
+        wider = PropertyRegistry(properties=[
+            *matrix.registry.properties,
+            PropertyDescriptor(kind="passthrough", key="000002")])
+        frozen = add_correction(wider, corpus)
+        for registry in (wider, frozen):
+            with pytest.raises(ConfigError, match="columns the matrix lacks"):
+                matrix.project(registry)
+        with pytest.raises(ConfigError, match="columns the matrix lacks"):
+            random_baseline(matrix, "exact_match", frozen, n_models=1)
+        # The matrix has every column of a narrower registry.
+        narrower = PropertyRegistry(properties=matrix.registry.properties[:1])
+        assert matrix.project(narrower).n_features == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from parsedisamb import (ConfigError, DataError, SyntheticConfig,
+from parsedisamb import (ConfigError, Corpus, DataError, SyntheticConfig,
                          build_feature_matrix, evaluate, generate_synthetic,
                          new_model, random_baseline, sweep_checkpoints)
 from parsedisamb.evaluation import (TASKS, SentenceVerdict, format_report_table,
@@ -293,8 +293,8 @@ class TestReportJson:
 
 
 class TestCompiledTestCorpus:
-    """The sentences a compiled matrix carries name every verdict, and decide
-    whether a matrix handed in as ``features`` is reused."""
+    """The sentences a compiled matrix carries name every verdict, and a
+    matrix handed in for the test corpus is scored as it is."""
 
     def _case(self):
         # Every sentence reuses the parse ids p0 and p1; sentence s1 has zero
@@ -325,17 +325,19 @@ class TestCompiledTestCorpus:
                 for s in range(universe.n_sentences)] == [
             ("s0", ("p0",)), ("s2", ("p0",)), ("s3", ("p0", "p1"))]
 
-    def test_a_universe_matrix_is_recompiled(self):
+    def test_a_universe_matrix_is_scored_as_the_universe(self):
         corpus, registry, model = self._case()
         universe = build_feature_matrix(corpus, registry)
+        kept = Corpus(universe.entries)
         assert universe.n_sentences == 3
         for task in TASKS:
-            outcome = evaluate(model, corpus, task, features=universe)
-            assert outcome.n_sentences == 4
-            assert outcome == evaluate(model, corpus, task)
-            assert random_baseline(corpus, task, registry, n_models=5, seed=1,
-                                   features=universe) \
-                == random_baseline(corpus, task, registry, n_models=5, seed=1)
-            assert sweep_checkpoints([(0, model)], corpus, task,
-                                     features=universe) \
-                == sweep_checkpoints([(0, model)], corpus, task)
+            outcome = evaluate(model, universe, task)
+            assert [v.sentence_id for v in outcome.verdicts] \
+                == ["s0", "s2", "s3"]
+            assert outcome == evaluate(model, kept, task)
+            assert evaluate(model, corpus, task).n_sentences == 4
+            assert random_baseline(universe, task, registry, n_models=5,
+                                   seed=1) \
+                == random_baseline(kept, task, registry, n_models=5, seed=1)
+            assert sweep_checkpoints([(0, model)], universe, task) \
+                == sweep_checkpoints([(0, model)], kept, task)

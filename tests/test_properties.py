@@ -273,7 +273,7 @@ class TestCorrection:
         with pytest.raises(DataError, match="stale"):
             train(bigger, registry)
         with pytest.raises(DataError, match="stale"):
-            train(bigger, registry, features=matrix)
+            train(matrix, registry)
 
     def test_zero_weight_sentences_leave_the_universe(self):
         corpus = passthrough_corpus([[{0: 1}, {0: 2}], [{0: 3}]],
