@@ -211,10 +211,12 @@ def random_baseline(test_corpus: Corpus | FeatureMatrix, task: str,
     features = compile_corpus(test_corpus, registry, lex_table)
     judge = _Judge(task, features)
     rng = seeded_rng(seed)
+    # abs() turns -0.0 into 0.0: numpy reads the sign of a zero width.
+    width = abs(lambda_range)
     precisions = []
     n_undefined = 0
     for _ in range(n_models):
-        lam = rng.uniform(-lambda_range, lambda_range, size=registry.size)
+        lam = rng.uniform(-width, width, size=registry.size)
         precision, _ = judge.rates(decide(lam, features, tie_epsilon))
         if precision is None:
             n_undefined += 1

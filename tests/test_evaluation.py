@@ -215,6 +215,15 @@ class TestRandomBaseline:
                 random_baseline(corpus, "exact_match", registry, n_models=1,
                                 lambda_range=bad)
 
+    def test_negative_zero_lambda_range_is_zero(self):
+        # -0.0 passes the nonnegative check, so it must draw like 0.0 (all
+        # zero vectors, every sentence a tie), not as a negative width.
+        corpus, registry, _ = _hand_case()
+        for width in (0.0, -0.0):
+            with pytest.raises(DataError, match="precision undefined"):
+                random_baseline(corpus, "exact_match", registry, n_models=2,
+                                lambda_range=width)
+
 
 class TestSweep:
     def test_single_checkpoint_equals_evaluate(self):
