@@ -31,8 +31,9 @@ from typing import Iterable, Optional
 
 from . import __version__
 from .corpus import (Corpus, SyntheticConfig, _assemble, atomic_write,
-                     corpus_stats, extract_parsebank, generate_synthetic,
-                     load_corpus, read_json, save_corpus, typed, write_json)
+                     check_max_parses, corpus_stats, extract_parsebank,
+                     generate_synthetic, load_corpus, read_json, save_corpus,
+                     typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .evaluation import (_check_baseline, evaluate, format_report_table,
                          random_baseline, sweep_checkpoints, write_report_json,
@@ -42,8 +43,8 @@ from .lexicalization import (build_freq_table, load_freq_table,
                              save_freq_table, train_clusters)
 from .model import (DEFAULT_TIE_EPSILON, check_tie_epsilon, load_model,
                     save_model)
-from .properties import (add_correction, compile_corpus, compile_templates,
-                         save_registry, select_properties)
+from .properties import (add_correction, check_cutoff, compile_corpus,
+                         compile_templates, save_registry, select_properties)
 from .trainer import TrainingConfig, train
 
 MANIFEST_NAME = "manifest.json"
@@ -240,10 +241,18 @@ def cmd_train(args: argparse.Namespace) -> int:
         likelihood_tolerance=conf["tolerance"],
         checkpoint_every=conf["checkpoint_every"],
     )
+    check_max_parses(conf["max_parses"])
+    check_cutoff(conf["select_cutoff"])
     out_dir = _require_out_dir(conf)
 
-    corpus = load_corpus(conf["corpus"], max_parses=conf["max_parses"])
     inputs = [conf["corpus"]]
+    lex_table = None
+    if conf["lexicalized"]:
+        # Table first: its decode frees ~3x what it keeps, for the corpus.
+        lex_table = load_freq_table(conf["lexicalized"])
+        inputs.append(conf["lexicalized"])
+
+    corpus = load_corpus(conf["corpus"], max_parses=conf["max_parses"])
     complete = conf["complete_data"]
     if conf["parsebank"]:
         corpus = extract_parsebank(corpus)
@@ -251,20 +260,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     elif complete:
         _require_gold(corpus, conf["corpus"])
 
-    lex_table = None
-    if conf["lexicalized"]:
-        lex_table = load_freq_table(conf["lexicalized"])
-        inputs.append(conf["lexicalized"])
-
     # One compile of the corpus serves the registry, the correction and the
-    # trainer; the uncorrected matrix is freed before training starts.
+    # trainer.  The templates are projected once, onto the selected columns,
+    # and freed; the correction then keeps those columns in place.
     templates = compile_templates(corpus, lex_table)
     registry = templates.registry
     if conf["select_cutoff"] is not None:
         registry = select_properties(registry, conf["select_cutoff"])
-    registry = add_correction(registry, templates)
     features = templates.universe().project(registry)
     del templates
+    registry = add_correction(registry, features)
+    features = features.project(registry)
     model, trace = train(features, registry, training, complete_data=complete)
 
     # An earlier run's checkpoints would join this run's sweep.
@@ -322,14 +328,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _require_out_dir(conf)
 
     model = load_model(conf["model"])
-    corpus = load_corpus(conf["corpus"])
-    _require_gold(corpus, conf["corpus"])
     inputs = [conf["model"], conf["corpus"]]
-
     lex_table = None
     if conf["lex_table"]:
+        # Table first: its decode frees ~3x what it keeps, for the corpus.
         lex_table = load_freq_table(conf["lex_table"])
         inputs.append(conf["lex_table"])
+
+    corpus = load_corpus(conf["corpus"])
+    _require_gold(corpus, conf["corpus"])
 
     tasks = [TASK_ALIASES[task] for task in conf["task"] or ["exact"]]
 

@@ -423,6 +423,12 @@ def _assemble(entries: Sequence[SentenceEntry]) -> Corpus:
     return Corpus(entries=tuple(entries))
 
 
+def check_max_parses(max_parses: Optional[int]) -> None:
+    """ConfigError for a parse cap below 1 (None sets none)."""
+    if max_parses is not None and max_parses < 1:
+        raise ConfigError(f"max_parses must be >= 1, not {max_parses}")
+
+
 def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     """Load a forest-corpus file, optionally dropping high-ambiguity entries.
 
@@ -431,8 +437,9 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     Entries with more than ``max_parses`` candidate parses are removed
     before weight normalization.  Raises DataError with the offending line number on
     malformed input, non-finite numbers included, and when filtering leaves
-    the corpus empty.
+    the corpus empty; a ``max_parses`` below 1 is a ConfigError.
     """
+    check_max_parses(max_parses)
     entries: list[SentenceEntry] = []
     # Sentences by tokens and gold index, so that parses are compared only
     # within a group and no parse is hashed.
@@ -499,9 +506,14 @@ def atomic_write(path, newline: Optional[str] = None):
 def write_json(doc, path, indent: Optional[int] = None) -> None:
     """Write ``doc`` as key-sorted JSON plus a newline, atomically."""
     # json round-trips float64 exactly (shortest-repr decimal encoding).
-    # json.dumps, unlike json.dump, encodes an unindented document in C.
+    # json.dumps encodes an unindented document in C; Python encodes an
+    # indented one either way, so json.dump streams it, with no whole string.
     with atomic_write(path) as handle:
-        handle.write(json.dumps(doc, sort_keys=True, indent=indent) + "\n")
+        if indent is None:
+            handle.write(json.dumps(doc, sort_keys=True) + "\n")
+        else:
+            json.dump(doc, handle, sort_keys=True, indent=indent)
+            handle.write("\n")
 
 
 def check_envelope(doc, fmt: str, version: int, keys: frozenset) -> None:

@@ -462,7 +462,7 @@ def _walk(corpus: Corpus, kinds: set[str],
     are zero, registered as ``_template_registry`` orders them.  Nonzeros
     are appended in walk order, each in the column of its template's first
     occurrence when there is no registry; once the columns are final, one
-    ``lexsort`` puts each row in column order.  ``lex_table`` enables the
+    stable sort puts each row in column order.  ``lex_table`` enables the
     lexicalized slots, computed once per sentence.
     """
     structural = kinds & set(STRUCTURAL_KINDS)
@@ -509,15 +509,22 @@ def _walk(corpus: Corpus, kinds: set[str],
     indptr = np.frombuffer(indptr, dtype=np.int64)
     cols = np.frombuffer(indices, dtype=np.int64).astype(INDEX_DTYPE,
                                                           copy=False)
+    del indices
     if registry is None:
         registry, colmap = _template_registry(vocab, cols, passthrough)
         cols = colmap[cols]
-    order = np.lexsort((cols, np.repeat(np.arange(len(indptr) - 1),
-                                        np.diff(indptr))))
+    # A row holds a column at most once, so one stable sort of row *
+    # n_columns + column orders the rows; each buffer is freed once used.
+    key = np.repeat(np.arange(len(indptr) - 1, dtype=INDEX_DTYPE)
+                    * registry.size, np.diff(indptr))
+    key += cols
+    order = np.argsort(key, kind="stable")
+    del key
+    cols = cols[order]
+    values = np.frombuffer(data, dtype=float)[order]
+    del data, order
     return FeatureMatrix(
-        indptr=indptr, indices=cols[order],
-        data=np.frombuffer(data, dtype=float)[order],
-        registry=registry,
+        indptr=indptr, indices=cols, data=values, registry=registry,
         offsets=np.frombuffer(offsets, dtype=np.int64),
         weights=np.frombuffer(weights, dtype=float),
         gold=np.frombuffer(gold, dtype=np.int64), entries=corpus.entries)
@@ -657,6 +664,12 @@ def add_correction(registry: PropertyRegistry, corpus: Corpus | FeatureMatrix,
                             correction_K=K)
 
 
+def check_cutoff(cutoff: Optional[int]) -> None:
+    """ConfigError for a negative selection cutoff (None selects none)."""
+    if cutoff is not None and cutoff < 0:
+        raise ConfigError("cutoff must be nonnegative")
+
+
 def select_properties(registry: PropertyRegistry,
                       cutoff: int) -> PropertyRegistry:
     """Drop descriptors activated on fewer than ``cutoff`` parses, by the
@@ -667,8 +680,7 @@ def select_properties(registry: PropertyRegistry,
     """
     if registry.correction_K is not None:
         raise ConfigError("select_properties must run before add_correction")
-    if cutoff < 0:
-        raise ConfigError("cutoff must be nonnegative")
+    check_cutoff(cutoff)
     kept = [d for d in registry.properties if d.activation_count >= cutoff]
     if not kept:
         raise DataError(f"property selection with cutoff {cutoff} removed "

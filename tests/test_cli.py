@@ -1029,26 +1029,55 @@ class TestFlagErrors:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--max-parses", "0"], "max_parses must be >= 1, not 0",
+                     id="no-parses"),
+        pytest.param(["--max-parses", "-1"],
+                     "max_parses must be >= 1, not -1", id="negative-parses"),
+        pytest.param(["--select-cutoff", "-1"], "cutoff must be nonnegative",
+                     id="negative-cutoff")])
+    def test_train_flags_are_checked_before_any_load(
+            self, synth_dir, tmp_path, capsys, monkeypatch, flags, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("train loaded an input despite a bad flag")
+
+        monkeypatch.setattr(cli, "load_corpus", unreachable)
+        monkeypatch.setattr(cli, "load_freq_table", unreachable)
+        out = tmp_path / "out"
+        assert _run("train", "--corpus", str(synth_dir / "train.jsonl"),
+                    *flags, "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+
+@pytest.fixture()
+def structural_inputs(tmp_path):
+    """(training corpus, test corpus) of random structural sentences, saved
+    as train.jsonl and test.jsonl under ``tmp_path`` next to the
+    frequency table table.json of the training corpus's pairs."""
+    import numpy as np
+    from parsedisamb import (build_freq_table, pair_counts_from_corpus,
+                             save_corpus, train_clusters)
+    from parsedisamb.lexicalization import save_freq_table
+
+    rng = np.random.default_rng(6)
+    train_corpus, test_corpus = (random_structural_corpus(rng, 12),
+                                 random_structural_corpus(rng, 6))
+    save_corpus(train_corpus, tmp_path / "train.jsonl")
+    save_corpus(test_corpus, tmp_path / "test.jsonl")
+    pairs = pair_counts_from_corpus(train_corpus)
+    clusters, _ = train_clusters(pairs, n_classes=2, seed=1)
+    save_freq_table(build_freq_table(clusters, pairs),
+                    tmp_path / "table.json")
+    return train_corpus, test_corpus
+
 
 class TestCompileOnce:
-    def test_each_parse_is_extracted_once_per_command(self, tmp_path,
-                                                      monkeypatch):
-        import numpy as np
+    def test_each_parse_is_extracted_once_per_command(
+            self, tmp_path, monkeypatch, structural_inputs):
         import parsedisamb.properties as properties
-        from parsedisamb import (build_freq_table, pair_counts_from_corpus,
-                                 save_corpus, train_clusters)
-        from parsedisamb.lexicalization import save_freq_table
 
-        rng = np.random.default_rng(6)
-        train_corpus, test_corpus = (random_structural_corpus(rng, 12),
-                                     random_structural_corpus(rng, 6))
-        save_corpus(train_corpus, tmp_path / "train.jsonl")
-        save_corpus(test_corpus, tmp_path / "test.jsonl")
-        pairs = pair_counts_from_corpus(train_corpus)
-        clusters, _ = train_clusters(pairs, n_classes=2, seed=1)
-        save_freq_table(build_freq_table(clusters, pairs),
-                        tmp_path / "table.json")
-
+        train_corpus, test_corpus = structural_inputs
         extracted, lexicalized = {}, {}
 
         def counted(calls, function):
@@ -1130,3 +1159,66 @@ class TestUniverseDigest:
         assert model.universe == features.digest
         assert model.universe_size == features.n_parses
         normalize(model, features)
+
+
+class TestLexicalizedMemory:
+    """What keeps the peak RSS of the lexicalized commands down."""
+
+    def test_train_remaps_the_template_columns_once(
+            self, tmp_path, monkeypatch, structural_inputs):
+        import parsedisamb.properties as properties
+        from parsedisamb.lexicalization import load_freq_table
+
+        templates = properties.compile_templates(
+            structural_inputs[0], load_freq_table(tmp_path / "table.json"))
+        counts = [d.activation_count for d in templates.registry.properties]
+        cutoff = 2
+        # The cutoff drops some columns and keeps others, so no projection
+        # is skipped for having the registry's own columns.
+        assert min(counts) < cutoff <= max(counts)
+
+        remaps = []
+        project = properties.FeatureMatrix.project
+
+        def counted(matrix, registry):
+            projected = project(matrix, registry)
+            source = [(d.kind, d.key) for d in matrix.registry.properties]
+            target = [(d.kind, d.key) for d in registry.properties]
+            # An in-place map keeps every source column where it is.
+            if projected is not matrix and target[:len(source)] != source:
+                remaps.append(registry.size)
+            return projected
+
+        monkeypatch.setattr(properties.FeatureMatrix, "project", counted)
+        assert _run("train", "--corpus", str(tmp_path / "train.jsonl"),
+                    "--lexicalized", str(tmp_path / "table.json"),
+                    "--select-cutoff", str(cutoff), "--max-iterations", "3",
+                    "--out-dir", str(tmp_path / "model")) == 0
+        kept = sum(count >= cutoff for count in counts)
+        assert remaps == [kept]
+        assert load_model(tmp_path / "model" / "model.json").registry.size \
+            == kept + 1
+
+    def test_the_frequency_table_loads_before_the_corpus(
+            self, tmp_path, monkeypatch, structural_inputs):
+        calls = []
+
+        def recorded(function):
+            def wrapper(*args, **kwargs):
+                calls.append(function.__name__)
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in ("load_corpus", "load_freq_table"):
+            monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+        table = str(tmp_path / "table.json")
+        assert _run("train", "--corpus", str(tmp_path / "train.jsonl"),
+                    "--lexicalized", table, "--max-iterations", "3",
+                    "--out-dir", str(tmp_path / "model")) == 0
+        assert calls == ["load_freq_table", "load_corpus"]
+        calls.clear()
+        assert _run("eval", "--model", str(tmp_path / "model" / "model.json"),
+                    "--corpus", str(tmp_path / "test.jsonl"),
+                    "--lex-table", table,
+                    "--out-dir", str(tmp_path / "eval")) == 0
+        assert calls == ["load_freq_table", "load_corpus"]

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import parsedisamb.corpus as corpus_module
-from parsedisamb import (DataError, FStructure, ParseRecord, Relation,
-                         SentenceEntry, SyntheticConfig, build_corpus,
-                         corpus_stats, extract_parsebank, generate_synthetic,
-                         load_corpus, save_corpus)
+from parsedisamb import (ConfigError, DataError, FStructure, ParseRecord,
+                         Relation, SentenceEntry, SyntheticConfig,
+                         build_corpus, corpus_stats, extract_parsebank,
+                         generate_synthetic, load_corpus, save_corpus)
 from conftest import passthrough_corpus, structural_parse
 from test_compile import SETTINGS, corpora
 from test_fuzz import STRUCTURAL_LINE, _replaced, _variants
@@ -313,6 +313,14 @@ class TestLoadCorpus:
         path = _write(_counts_corpus([4, 5]), tmp_path)
         with pytest.raises(DataError, match="cutoff"):
             load_corpus(path, max_parses=2)
+
+    @pytest.mark.parametrize("max_parses", [0, -1])
+    def test_cap_below_one_is_a_config_error(self, tmp_path, max_parses):
+        # No corpus survives such a cap, whatever it holds.
+        path = _write(_counts_corpus([1, 2]), tmp_path)
+        with pytest.raises(ConfigError,
+                           match=f"max_parses must be >= 1, not {max_parses}"):
+            load_corpus(path, max_parses=max_parses)
 
 
 class TestMerge:
