@@ -28,7 +28,8 @@ entry = corpus.entries[0]
 print(f"\nfirst sentence {entry.sentence_id!r}: {len(entry.parses)} parses, "
       f"gold index {entry.gold_index}")
 for parse in entry.parses[:2]:
-    print(f"  parse {parse.parse_id}: features {parse.precomputed_features}, "
+    features = dict(parse.precomputed_features)
+    print(f"  parse {parse.parse_id}: features {features}, "
           f"frame {parse.frame!r}")
     for rel in parse.relations:
         print(f"    relation {rel.name} ({rel.voice}, verb #{rel.position}): "

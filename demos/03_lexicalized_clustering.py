@@ -61,10 +61,10 @@ entry = SentenceEntry(
     parses=(
         ParseRecord(parse_id="subj-apple",
                     relations=(Relation("dobj", "eat", "apple", "active", 1),),
-                    precomputed_features={0: 1.0}),
+                    precomputed_features=((0, 1.0),)),
         ParseRecord(parse_id="subj-car",
                     relations=(Relation("dobj", "eat", "car", "active", 1),),
-                    precomputed_features={0: 1.0}),
+                    precomputed_features=((0, 1.0),)),
     ))
 rows = lexicalized_properties(entry, table)
 key = slot_key("dobj", "active", 1)

@@ -7,9 +7,10 @@ training.  Corpus objects are treated as immutable after construction and
 are safe for concurrent reads.  ``load_corpus`` decodes each string,
 c-structure subtree, relation and nonzero feature value once: within one
 loaded corpus, equal strings (tokens, labels, leaves, ids, frames, relation
-fields, f-structure entries), equal subtrees, equal relations and equal
-nonzero feature values are one object.  Zero feature values, dicts and the
-other records are never shared.
+fields, f-structure entries), equal subtrees, equal relations, equal nonzero
+feature values, equal nonzero (index, value) pairs and equal feature tuples
+without a zero are one object.  Anything that holds a zero feature value,
+and the other records, are never shared.
 
 File format ("forest-corpus"): UTF-8 JSON Lines.  The first line is a header
 ``{"format": "forest-corpus", "version": 1}``; every following line is one
@@ -34,7 +35,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -77,8 +78,9 @@ class ParseRecord:
     """One candidate analysis of a sentence.
 
     ``cstructure`` is a nested ``(label, (children...))`` tuple with string
-    leaves.  ``precomputed_features`` is a sparse index->value map usable in
-    place of structural extraction.
+    leaves.  ``precomputed_features`` holds the sparse (index, value)
+    pairs of a parse, usable in place of structural extraction, sorted by
+    strictly increasing index, so equal features are equal tuples.
     """
 
     parse_id: str
@@ -86,9 +88,7 @@ class ParseRecord:
     fstructure: Optional[FStructure] = None
     relations: tuple[Relation, ...] = ()
     frame: Optional[str] = None
-    # Left out of the hash so records stay hashable; equality compares it.
-    precomputed_features: Optional[dict[int, float]] = field(default=None,
-                                                             hash=False)
+    precomputed_features: Optional[tuple[tuple[int, float], ...]] = None
 
     @property
     def has_structure(self) -> bool:
@@ -135,7 +135,9 @@ class Corpus:
         return iter(self.entries)
 
     def content_digest(self) -> str:
-        """SHA-256 over the canonical serialization; identifies the universe."""
+        """SHA-256 over the canonical serialization, the lines
+        ``save_corpus`` writes: equal corpora have equal digests.  A model
+        records ``FeatureMatrix.digest`` as its universe, not this."""
         payload = "\n".join(json.dumps(_entry_to_json(e), sort_keys=True)
                             for e in self.entries)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -179,18 +181,27 @@ def _validate_parse(parse: ParseRecord, where: str) -> None:
                 f"{where}: parse {parse.parse_id!r} assigns verb position "
                 f"{rel.position} to both {seen!r} and {rel.verb!r}"
             )
-    if parse.precomputed_features is not None:
-        for idx, value in parse.precomputed_features.items():
+    features = parse.precomputed_features
+    if features is None:
+        return
+    if features.__class__ is not tuple:
+        raise DataError(
+            f"{where}: parse {parse.parse_id!r} precomputed_features must be "
+            f"a tuple of (index, value) pairs, not {features!r:.40}")
+    last = -1
+    for idx, value in features:
+        # One test per pair on the way through; a fault is then named.
+        if not (idx > last and 0 <= value < math.inf):
             if not math.isfinite(value):
-                raise DataError(
-                    f"{where}: parse {parse.parse_id!r} has a non-finite "
-                    f"precomputed feature ({idx}: {value})"
-                )
-            if idx < 0 or value < 0:
-                raise DataError(
-                    f"{where}: parse {parse.parse_id!r} has a negative "
-                    f"precomputed feature ({idx}: {value})"
-                )
+                fault = "has a non-finite precomputed feature"
+            elif idx < 0 or value < 0:
+                fault = "has a negative precomputed feature"
+            else:
+                fault = ("has a repeated or out-of-order precomputed feature "
+                         f"index (after {last})")
+            raise DataError(f"{where}: parse {parse.parse_id!r} {fault} "
+                            f"({idx}: {value})")
+        last = idx
 
 
 def _validate_entry(entry: SentenceEntry, where: str) -> None:
@@ -271,7 +282,7 @@ def _parse_to_json(parse: ParseRecord) -> dict:
                       for r in parse.relations],
         "frame": parse.frame,
         "precomputed_features": None if features is None else {
-            str(k): v for k, v in features.items()},
+            str(k): v for k, v in features},
     }
 
 
@@ -312,20 +323,34 @@ _PARSE_KEYS = frozenset({"parse_id", "cstructure", "fstructure", "relations",
 _FSTRUCTURE_KEYS = frozenset({"pairs", "functions"})
 _HEADER_KEYS = frozenset({"format", "version"})
 
-def _feature_values(features, share_value) -> dict[int, float]:
-    """The index -> value map of a ``precomputed_features`` object.  Each
-    nonzero value is taken from ``share_value``, a float-keyed
-    ``dict.setdefault`` kept for one load: equal nonzero finite floats have
-    identical bits.  Zeros are never looked up, as ``0.0 == -0.0``."""
-    values = {}
-    for k, v in typed(features, dict, "field 'precomputed_features'").items():
-        k = canonical_int(k, "precomputed feature index")
-        v = typed(v, float, "precomputed feature value")
-        values[k] = share_value(v, v) if v else v
-    return values
+def _feature_values(features, table: dict) -> tuple[tuple[int, float], ...]:
+    """The (index, value) pairs of a ``precomputed_features`` object, sorted
+    by index.  ``table`` is kept for one load.  It maps each nonzero value
+    to one float (equal nonzero finite floats have identical bits), each
+    decoded (key, value) item with a nonzero value to its one pair, and each
+    tuple of pairs without a zero to one tuple.  Nothing that holds a zero is
+    looked up, as ``0.0 == -0.0``.  A float item is checked once per load:
+    its decoded key and value are the table's key."""
+    if features.__class__ is not dict:
+        typed(features, dict, "field 'precomputed_features'")
+    pairs, zero = [], False
+    for item in features.items():
+        pair = table.get(item) if item[1].__class__ is float else None
+        if pair is None:
+            k = canonical_int(item[0], "precomputed feature index")
+            v = typed(item[1], float, "precomputed feature value")
+            if v:
+                # An integer value, 2 say, finds the pair of 2.0.
+                pair = table.setdefault(item, (k, table.setdefault(v, v)))
+            else:
+                pair, zero = (k, v), True
+        pairs.append(pair)
+    pairs.sort()
+    pairs = tuple(pairs)
+    return pairs if zero else table.setdefault(pairs, pairs)
 
 
-def _parse_from_json(rec, n_tokens: int, share, share_value) -> ParseRecord:
+def _parse_from_json(rec, n_tokens: int, share, values) -> ParseRecord:
     parse_id = identifier(record(rec, _PARSE_KEYS, "parse record")["parse_id"],
                           "field 'parse_id'")
     cstructure = rec.get("cstructure")
@@ -358,18 +383,19 @@ def _parse_from_json(rec, n_tokens: int, share, share_value) -> ParseRecord:
         relations=relations,
         frame=frame,
         precomputed_features=(None if features is None
-                              else _feature_values(features, share_value)),
+                              else _feature_values(features, values)),
     )
 
 
-def _entry_from_json(rec, share, share_value) -> SentenceEntry:
+def _entry_from_json(rec, share, values: dict) -> SentenceEntry:
     """The sentence of ``rec``, every string, tuple and relation taken from
-    ``share`` and every nonzero feature value from ``share_value``."""
+    ``share`` and its precomputed features from ``values`` (see
+    ``_feature_values``)."""
     sentence_id = identifier(
         record(rec, _SENTENCE_KEYS, "sentence record")["sentence_id"],
         "field 'sentence_id'")
     tokens = strings(rec["tokens"], "field 'tokens'")
-    parses = tuple(_parse_from_json(p, len(tokens), share, share_value)
+    parses = tuple(_parse_from_json(p, len(tokens), share, values)
                    for p in typed(rec["parses"], list, "field 'parses'"))
     gold = rec.get("gold_index")
     return SentenceEntry(
@@ -445,9 +471,9 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     # within a group and no parse is hashed.
     groups: dict[tuple, list[int]] = {}
     # One table per load: equal strings, tuples and relations decoded from
-    # this file become one object.  Feature values get a table of their
-    # own, as a float compares equal to an int.
-    share, share_value = {}.setdefault, {}.setdefault
+    # this file become one object.  Precomputed features get a table of
+    # their own, as a float compares equal to an int.
+    share, values = {}.setdefault, {}
     with open(path, "r", encoding="utf-8") as handle:
         header_line = handle.readline()
         if not header_line.strip():
@@ -460,7 +486,7 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
             where = f"{path}: line {lineno}"
             entry = _decode_json(where, line,
                                  lambda rec: _entry_from_json(
-                                     rec, share, share_value))
+                                     rec, share, values))
             _validate_entry(entry, where)
             group = groups.setdefault((entry.tokens, entry.gold_index), [])
             for k in group:
@@ -814,7 +840,7 @@ def generate_synthetic(config: SyntheticConfig,
             # within the value domain.
             drawn = _FEATURE_VALUES[(u[:, None] >= cum[:, :-1]).sum(axis=1)]
             active = np.flatnonzero(drawn)
-            features = dict(zip(active.tolist(), drawn[active].tolist()))
+            features = tuple(zip(active.tolist(), drawn[active].tolist()))
             if j == gold and rng.random() < 0.85:
                 # Selectional preference: one of the nouns whose index is
                 # congruent to the verb's index modulo 5.

@@ -263,7 +263,8 @@ class FeatureMatrix:
     once, in ``_walk``, after the columns are mapped to the registry's (for
     templates, once the registry is ordered), and ``project`` sorts them
     again only when it reorders columns.  ``indices`` and ``rows`` are
-    ``INDEX_DTYPE``.  ``gold`` is -1 where no gold index is annotated.
+    ``INDEX_DTYPE``; ``rows`` is built on first use.  ``gold`` is -1 where
+    no gold index is annotated.
     ``clamped_corrections`` counts parses whose feature total exceeded K
     (possible outside the defining corpus); their correction value was
     clamped to zero.  Values are checked to be finite and nonnegative here,
@@ -280,14 +281,11 @@ class FeatureMatrix:
     gold: np.ndarray
     entries: tuple[SentenceEntry, ...] = field(repr=False)
     clamped_corrections: int = 0
-    rows: np.ndarray = field(init=False, repr=False)  # row of each nonzero
 
     def __post_init__(self):
         if self.data.size and not (self.data.min() >= 0
                                    and self.data.max() < np.inf):
             raise DataError("negative or non-finite feature value encountered")
-        self.rows = np.repeat(np.arange(self.n_parses, dtype=INDEX_DTYPE),
-                              np.diff(self.indptr))
 
     @property
     def n_sentences(self) -> int:
@@ -316,6 +314,12 @@ class FeatureMatrix:
         h.update(json.dumps([[d.kind, d.key] for d in self.registry.properties],
                             ensure_ascii=False).encode("utf-8"))
         return h.hexdigest()
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each nonzero."""
+        return np.repeat(np.arange(self.n_parses, dtype=INDEX_DTYPE),
+                         np.diff(self.indptr))
 
     @cached_property
     def parse_weights(self) -> np.ndarray:
@@ -490,7 +494,7 @@ def _walk(corpus: Corpus, kinds: set[str],
                 for key, value in structural_values(parse, structural).items():
                     put(key, value)
             if passthrough and parse.precomputed_features:
-                for idx, value in parse.precomputed_features.items():
+                for idx, value in parse.precomputed_features:
                     col = passthrough_cols.get(idx)
                     if col is None:
                         passthrough_cols[idx] = put(

@@ -9,6 +9,12 @@ from parsedisamb import (Corpus, FStructure, ParseRecord, Relation,
                          build_registry)
 
 
+def feature_pairs(features: dict) -> tuple:
+    """A parse's ``precomputed_features`` from an index -> value map: its
+    (index, value) items sorted by index."""
+    return tuple(sorted(features.items()))
+
+
 def passthrough_corpus(sentences: Sequence[Sequence[dict]],
                        golds: Optional[Sequence[Optional[int]]] = None,
                        frames: Optional[Sequence[Sequence[str]]] = None,
@@ -22,7 +28,8 @@ def passthrough_corpus(sentences: Sequence[Sequence[dict]],
             parses.append(ParseRecord(
                 parse_id=f"p{j}",
                 frame=frame,
-                precomputed_features={int(k): float(v) for k, v in row.items()},
+                precomputed_features=feature_pairs(
+                    {int(k): float(v) for k, v in row.items()}),
             ))
         entries.append(SentenceEntry(
             sentence_id=f"s{s}",
@@ -91,7 +98,8 @@ def weighted_parsebank(rng: np.random.Generator, max_sentences: int = 10,
             feats = {0: 1.0}
         entries.append(SentenceEntry(
             sentence_id=f"s{s}", tokens=(f"t{s}",),
-            parses=(ParseRecord(parse_id="p0", precomputed_features=feats),),
+            parses=(ParseRecord(parse_id="p0",
+                                precomputed_features=feature_pairs(feats)),),
             weight=float(rng.uniform(0.5, 3.0)), gold_index=0))
     corpus = build_corpus(entries)
     return corpus, corrected_registry(corpus)
@@ -130,7 +138,7 @@ def tiny_instance(rng: np.random.Generator, n_features: int):
         for entry in corpus.entries:
             V = np.zeros((len(entry.parses), n_features))
             for j, parse in enumerate(entry.parses):
-                for idx, value in (parse.precomputed_features or {}).items():
+                for idx, value in parse.precomputed_features or ():
                     V[j, idx] = value
             vectors.append(V)
         return corpus, registry, vectors

@@ -29,6 +29,7 @@ from parsedisamb.lexicalization import (SLOTS, ClusterModel, LexFrequencyTable,
                                         slot_key)
 from parsedisamb.properties import (ADJUNCT_FUNCTIONS, COORDINATION_MARKERS,
                                     FSTR_KINDS, STRUCTURAL_KINDS, TREE_KINDS)
+from conftest import feature_pairs
 
 
 def direct_incomplete_log_likelihood(theta: np.ndarray,
@@ -119,7 +120,7 @@ def sentence_vectors_from_corpus(corpus, n_features: int) -> list[np.ndarray]:
     for entry in corpus.entries:
         V = np.zeros((len(entry.parses), n_features))
         for j, parse in enumerate(entry.parses):
-            for idx, value in (parse.precomputed_features or {}).items():
+            for idx, value in parse.precomputed_features or ():
                 V[j, idx] = value
         out.append(V)
     return out
@@ -240,7 +241,7 @@ def _passthrough_key(index):
 def _parse_template_values(parse, kinds):
     values = reference_structural_values(parse, kinds & set(STRUCTURAL_KINDS))
     if "passthrough" in kinds and parse.precomputed_features:
-        for idx, value in parse.precomputed_features.items():
+        for idx, value in parse.precomputed_features:
             if value != 0:
                 values[("passthrough", _passthrough_key(idx))] = float(value)
     return values
@@ -254,7 +255,7 @@ def reference_registry(corpus, include_lexicalized=False, lex_table=None):
     activation = {}
     if "passthrough" in enabled:
         width = 1 + max(
-            (max(p.precomputed_features) for e in corpus.entries
+            (max(dict(p.precomputed_features)) for e in corpus.entries
              for p in e.parses if p.precomputed_features),
             default=-1,
         )
@@ -522,11 +523,11 @@ def _reference_parse_from_json(rec, n_tokens):
             _reference_relation_from_json,
             typed(relations, list, "field 'relations'"))),
         frame=None if frame is None else typed(frame, str, "field 'frame'"),
-        precomputed_features=None if features is None else {
+        precomputed_features=None if features is None else feature_pairs({
             canonical_int(k, "precomputed feature index"):
                 typed(v, float, "precomputed feature value")
             for k, v in typed(features, dict,
-                              "field 'precomputed_features'").items()},
+                              "field 'precomputed_features'").items()}),
     )
 
 

@@ -22,7 +22,7 @@ from parsedisamb import (SLOTS, LexFrequencyTable, PairCounts,
 from parsedisamb.cli import main as cli_main
 from parsedisamb.corpus import ParseRecord
 from parsedisamb.evaluation import SentenceVerdict, outcome_from_verdicts
-from conftest import (corrected_registry, passthrough_corpus,
+from conftest import (corrected_registry, feature_pairs, passthrough_corpus,
                       random_passthrough_instance, relation, tiny_instance,
                       weighted_parsebank)
 from oracles import grid_search_optimum
@@ -229,7 +229,7 @@ def test_c08_lexicalized_indicator_contract():
         sentence_id="s0", tokens=("t",),
         parses=tuple(ParseRecord(parse_id=f"p{j}",
                                  relations=(relation("subj", "v", noun),),
-                                 precomputed_features={0: 1.0})
+                                 precomputed_features=feature_pairs({0: 1.0}))
                      for j, noun in enumerate("abc")))
     rows = lexicalized_properties(entry, table)
     key = slot_key("subj", "active", 1)
@@ -243,10 +243,11 @@ def test_c08_lexicalized_indicator_contract():
         sentence_id="s1", tokens=("t",),
         parses=(
             ParseRecord(parse_id="p0", relations=(relation("subj", "v", "a"),),
-                        precomputed_features={0: 1.0}),
-            ParseRecord(parse_id="p1", precomputed_features={0: 1.0}),
+                        precomputed_features=feature_pairs({0: 1.0})),
+            ParseRecord(parse_id="p1",
+                        precomputed_features=feature_pairs({0: 1.0})),
             ParseRecord(parse_id="p2", relations=(relation("subj", "v", "b"),),
-                        precomputed_features={0: 1.0}),
+                        precomputed_features=feature_pairs({0: 1.0})),
         ))
     rows = lexicalized_properties(entry, table)
     ok = ok and rows[0].get(key) == 0 and key not in rows[1] \
@@ -267,8 +268,9 @@ def test_c08_lexicalized_indicator_contract():
                 name, voice, pos = SLOTS[int(rng.integers(0, len(SLOTS)))]
                 rels.append(relation(name, f"v{int(rng.integers(0, 4))}",
                                      f"n{int(rng.integers(0, 6))}", voice, pos))
-            parses.append(ParseRecord(parse_id=f"p{p}", relations=tuple(rels),
-                                      precomputed_features={0: 1.0}))
+            parses.append(ParseRecord(
+                parse_id=f"p{p}", relations=tuple(rels),
+                precomputed_features=feature_pairs({0: 1.0})))
         entry = SentenceEntry(sentence_id=f"r{case}", tokens=("t",),
                               parses=tuple(parses))
         rows = lexicalized_properties(entry, table)

@@ -27,8 +27,8 @@ from parsedisamb import corpus as corpus_module
 from parsedisamb import properties
 from parsedisamb.evaluation import TASKS
 from parsedisamb.properties import STRUCTURAL_KINDS, structural_values
-from conftest import (passthrough_corpus, random_passthrough_instance,
-                      random_structural_corpus)
+from conftest import (feature_pairs, passthrough_corpus,
+                      random_passthrough_instance, random_structural_corpus)
 from oracles import (reference_correction, reference_decision,
                      reference_lexicalized_properties, reference_matrix,
                      reference_registry, reference_selection,
@@ -83,9 +83,9 @@ def _parse(draw, parse_id, tokens, structured):
         fstructure=fstructure,
         relations=tuple(relations),
         frame=draw(st.sampled_from(("f0", "f1", "f2"))),
-        precomputed_features=draw(st.dictionaries(
+        precomputed_features=feature_pairs(draw(st.dictionaries(
             st.integers(0, 5), st.sampled_from((0.0, 1.0, 2.0, 3.0)),
-            max_size=3)))
+            max_size=3))))
 
 
 @st.composite

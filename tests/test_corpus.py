@@ -15,7 +15,7 @@ from parsedisamb import (ConfigError, DataError, FStructure, ParseRecord,
                          Relation, SentenceEntry, SyntheticConfig,
                          build_corpus, corpus_stats, extract_parsebank,
                          generate_synthetic, load_corpus, save_corpus)
-from conftest import passthrough_corpus, structural_parse
+from conftest import feature_pairs, passthrough_corpus, structural_parse
 from test_compile import SETTINGS, corpora
 from test_fuzz import STRUCTURAL_LINE, _replaced, _variants
 from oracles import reference_read_entry
@@ -40,6 +40,10 @@ class TestLoadCorpus:
     @given(corpus=corpora())
     @example(corpus=_counts_corpus([1, 3, 2], golds=[0, 1, None],
                                    frames=[["a"], ["a", "b", "a"], ["c", "c"]]))
+    # Keys saved out of numeric order ("12" before "3") load sorted; a -0.0
+    # beside a 0.0 at the same index and a shared pair keeps its sign.
+    @example(corpus=passthrough_corpus([[{12: 1.0, 3: 2.0}, {3: 0.0, 5: 1.0}],
+                                        [{3: -0.0, 5: 1.0}]]))
     def test_round_trip(self, tmp_path_factory, corpus):
         # load_corpus merges sentences with equal payloads; parse ids that
         # carry the sentence id keep every payload distinct.
@@ -255,7 +259,7 @@ class TestLoadCorpus:
         path = tmp_path / "bad.jsonl"
         path.write_text(header + "\n" + json.dumps(record) + "\n")
         assert load_corpus(path).entries[0].parses[0] \
-            .precomputed_features == {0: 2.0}
+            .precomputed_features == feature_pairs({0: 2.0})
         record["parses"][0]["precomputed_features"]["0"] = value
         path.write_text(header + "\n" + json.dumps(record) + "\n")
         with pytest.raises(DataError, match=f"^{path}: line 2: "):
@@ -264,10 +268,12 @@ class TestLoadCorpus:
     def test_duplicate_sentence_id_rejected(self):
         entry = SentenceEntry(
             sentence_id="dup", tokens=("t",),
-            parses=(ParseRecord(parse_id="p0", precomputed_features={0: 1.0}),))
+            parses=(ParseRecord(parse_id="p0",
+                                precomputed_features=feature_pairs({0: 1.0})),))
         other = SentenceEntry(
             sentence_id="dup", tokens=("t",),
-            parses=(ParseRecord(parse_id="p0", precomputed_features={0: 2.0}),))
+            parses=(ParseRecord(parse_id="p0",
+                                precomputed_features=feature_pairs({0: 2.0})),))
         with pytest.raises(DataError, match="dup"):
             build_corpus([entry, other])
 
@@ -325,13 +331,16 @@ class TestLoadCorpus:
 
 class TestMerge:
     def test_parse_records_hash_by_value(self):
-        record = ParseRecord(parse_id="p0", frame="f0",
-                             precomputed_features={0: 1.0, 3: 2.0})
-        same = ParseRecord(parse_id="p0", frame="f0",
-                           precomputed_features={3: 2.0, 0: 1.0})
+        record = ParseRecord(
+            parse_id="p0", frame="f0",
+            precomputed_features=feature_pairs({0: 1.0, 3: 2.0}))
+        same = ParseRecord(
+            parse_id="p0", frame="f0",
+            precomputed_features=feature_pairs({3: 2.0, 0: 1.0}))
         assert record == same
         assert hash(record) == hash(same)
-        assert record != replace(same, precomputed_features={0: 1.0, 3: 2.5})
+        assert record != replace(
+            same, precomputed_features=feature_pairs({0: 1.0, 3: 2.5}))
 
     def test_one_feature_value_apart_stays_two_entries(self, tmp_path):
         path = _write(passthrough_corpus([[{0: 1, 1: 2}], [{0: 1, 1: 3}]]),
@@ -341,7 +350,7 @@ class TestMerge:
         path.write_text(lines)
         loaded = load_corpus(path)
         assert [e.sentence_id for e in loaded.entries] == ["s0", "s1"]
-        assert [e.parses[0].precomputed_features[1]
+        assert [dict(e.parses[0].precomputed_features)[1]
                 for e in loaded.entries] == [2.0, 3.0]
 
     def test_a_copy_merges_into_the_equal_sentence_of_its_group(
@@ -497,7 +506,7 @@ class TestSharing:
         path = _write(passthrough_corpus([[{0: -0.0, 1: 0.0, 2: 1.0},
                                            {0: 0.0, 1: -0.0}]]), tmp_path)
         loaded = load_corpus(path)
-        signs = [[np.copysign(1.0, v) for v in p.precomputed_features.values()]
+        signs = [[np.copysign(1.0, v) for _, v in p.precomputed_features]
                  for p in loaded.entries[0].parses]
         assert signs == [[-1.0, 1.0, 1.0], [1.0, -1.0]]
         again = _write(loaded, tmp_path, "again.jsonl")
@@ -567,7 +576,7 @@ class TestCompactRecords:
         assert dobj is second.parses[0].relations[0]
         assert subj != dobj
         values = [v for e in (first, second) for p in e.parses
-                  for v in p.precomputed_features.values()]
+                  for _, v in p.precomputed_features]
         assert values == [2.0, 0.5, 0.5, 2.0, 2.0]
         twos, halves = values[0::3] + values[4:], values[1:3]
         assert all(v is twos[0] for v in twos)  # 2 was written as an int
@@ -578,13 +587,35 @@ class TestCompactRecords:
                                            {0: 0.0, 1: -0.0, 2: 1.0}],
                                           [{0: -0.0, 2: 1.0}]]), tmp_path)
         loaded = load_corpus(path)
-        rows = [list(p.precomputed_features.values())
+        rows = [[v for _, v in p.precomputed_features]
                 for e in loaded.entries for p in e.parses]
         assert [[np.copysign(1.0, v) for v in row] for row in rows] \
             == [[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0]]
         assert rows[0][2] is rows[1][2] is rows[2][1]
         again = _write(loaded, tmp_path, "again.jsonl")
         assert again.read_bytes() == path.read_bytes()
+
+    def test_a_loaded_corpus_retains_few_bytes_per_parse(self, tmp_path):
+        # 400 sentences, 2,451 parses of 3.0 nonzero features on average.
+        # Retained (tracemalloc): 1,278,713 bytes, 522 per parse, with a
+        # dict per parse; 856,097 bytes, 349 per parse, with shared pairs
+        # in a tuple per parse (Python 3.11).
+        corpus, _ = generate_synthetic(SyntheticConfig(
+            n_sentences=400, ambiguity_range=(2, 10), seed=1))
+        path = _write(corpus, tmp_path)
+        del corpus
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = load_corpus(path)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        parses = sum(len(e.parses) for e in loaded.entries)
+        assert parses == 2451
+        assert retained / parses < 420, retained / parses
 
     def test_two_loads_share_no_object(self, tmp_path):
         path = _passthrough_file(tmp_path / "c.jsonl", [
@@ -594,9 +625,12 @@ class TestCompactRecords:
 
         def shared(corpus):
             return {id(x) for e in corpus.entries for p in e.parses
-                    for x in (*p.relations, *p.precomputed_features.values())}
+                    for x in (*p.relations, p.precomputed_features,
+                              *p.precomputed_features,
+                              *dict(p.precomputed_features).values())}
 
-        assert len(shared(once)) == 2
+        # One relation, one feature tuple, one pair (0, 2.0) and one 2.0.
+        assert len(shared(once)) == 4
         assert shared(once).isdisjoint(shared(again))
 
 
@@ -623,15 +657,15 @@ class TestReader:
         try:
             entry = corpus_module._decode_json(
                 "w", line, lambda rec: corpus_module._entry_from_json(
-                    rec, {}.setdefault, {}.setdefault))
+                    rec, {}.setdefault, {}))
             corpus_module._validate_entry(entry, "w")
         except DataError as exc:
             assert str(exc) == str(expected)
             return
         assert entry == expected
         # -0.0 == 0.0: compare the signs of the feature values too.
-        signs = [[np.copysign(1.0, v) for v in (p.precomputed_features
-                                                or {}).values()]
+        signs = [[np.copysign(1.0, v) for _, v in p.precomputed_features
+                  or ()]
                  for e in (entry, expected) for p in e.parses]
         assert signs[:len(signs) // 2] == signs[len(signs) // 2:]
 
@@ -675,7 +709,12 @@ class TestReader:
                            {"0": 10 ** 23}, {"0": 10 ** 400}, [], {},
                            {"0": 1.0, "1 2": 1.0}, {"0": 1.0, "": 1.0},
                            {"1" + "0" * 18: 1.0}, {"1" + "0" * 5000: 1.0})],
-        (False, ("parses", 1, "precomputed_features"), None)])
+        (False, ("parses", 1, "precomputed_features"), None),
+        # Good values: keys out of numeric order, and a 0.0 at the index
+        # where the other parse has -0.0.
+        *[(False, ("parses", 0, "precomputed_features"), features)
+          for features in ({"12": 1.0, "3": 2.0, "0": 1.0},
+                           {"3": 0.0, "0": 1.0})]])
     def test_agrees_on_one_bad_value(self, structural, path, value):
         doc = STRUCTURAL_LINE if structural else PASSTHROUGH_LINE
         self._check(json.dumps(_replaced(doc, path, value)))
@@ -730,8 +769,9 @@ class TestNonFiniteNumbers:
         for weight, value in ((float("inf"), 1.0), (1.0, float("nan"))):
             entry = SentenceEntry(
                 sentence_id="s0", tokens=("t",), weight=weight,
-                parses=(ParseRecord(parse_id="p0",
-                                    precomputed_features={0: value}),))
+                parses=(ParseRecord(
+                    parse_id="p0",
+                    precomputed_features=feature_pairs({0: value})),))
             with pytest.raises(DataError, match="non-finite"):
                 build_corpus([entry])
 
@@ -743,12 +783,30 @@ class TestNonFiniteNumbers:
 def test_every_feature_value_is_checked(features, fault):
     # Values whose sum overflows are each finite, so they pass.
     entry = SentenceEntry(sentence_id="s0", tokens=("t",), parses=(
-        ParseRecord(parse_id="p0", precomputed_features=features),))
+        ParseRecord(parse_id="p0",
+                    precomputed_features=feature_pairs(features)),))
     if fault is None:
         build_corpus([entry])
     else:
         with pytest.raises(DataError, match=f"has a {fault} precomputed"):
             build_corpus([entry])
+
+
+@pytest.mark.parametrize("features, fault", [
+    (((3, 1.0), (3, 2.0)), "repeated or out-of-order precomputed feature "
+     r"index \(after 3\) \(3: 2.0\)"),
+    (((0, 1.0), (4, 1.0), (2, 1.0)), "repeated or out-of-order precomputed "
+     r"feature index \(after 4\) \(2: 1.0\)"),
+    (((-1, 1.0), (0, 1.0)), "negative precomputed feature"),
+    ({0: 1.0}, None)])
+def test_features_are_pairs_by_increasing_index(features, fault):
+    # A repeated index would put two nonzeros of one row in one column.
+    entry = SentenceEntry(sentence_id="s0", tokens=("t",), parses=(
+        ParseRecord(parse_id="p0", precomputed_features=features),))
+    match = (r"precomputed_features must be a tuple of \(index, value\) "
+             "pairs" if fault is None else f"parse 'p0' has a {fault}")
+    with pytest.raises(DataError, match=match):
+        build_corpus([entry])
 
 
 class TestParsebank:
@@ -783,7 +841,7 @@ class TestStats:
             entries.append(SentenceEntry(
                 sentence_id=f"s{s}", tokens=tuple(f"t{i}" for i in range(length)),
                 parses=tuple(ParseRecord(parse_id=f"p{j}",
-                                         precomputed_features=dict(r))
+                                         precomputed_features=feature_pairs(r))
                              for j, r in enumerate(parses))))
         stats = corpus_stats(build_corpus(entries))
         assert stats.mean_ambiguity == 2.0
@@ -854,7 +912,7 @@ class TestSyntheticGeneration:
         for entry in corpus.entries:
             V = np.zeros((len(entry.parses), config.n_features))
             for j, parse in enumerate(entry.parses):
-                for idx, value in parse.precomputed_features.items():
+                for idx, value in parse.precomputed_features:
                     V[j, idx] = value
             scores = V @ theta
             probs = np.exp(scores - scores.max())

@@ -16,7 +16,7 @@ from parsedisamb import lexicalization
 from parsedisamb.corpus import ParseRecord, read_json, write_json
 from parsedisamb.lexicalization import (load_freq_table, save_cluster_model,
                                         save_freq_table)
-from conftest import relation
+from conftest import feature_pairs, relation
 from oracles import (reference_build_freq_table, reference_posterior,
                      reference_train_clusters)
 
@@ -333,7 +333,7 @@ def _entry_with_relations(parse_relations, sentence_id="s0"):
     parses = []
     for j, rels in enumerate(parse_relations):
         parses.append(ParseRecord(parse_id=f"p{j}", relations=tuple(rels),
-                                  precomputed_features={0: 1.0}))
+                                  precomputed_features=feature_pairs({0: 1.0})))
     return SentenceEntry(sentence_id=sentence_id, tokens=("t",),
                          parses=tuple(parses))
 
@@ -416,7 +416,7 @@ class TestLexicalizedProperties:
         parse = ParseRecord(
             parse_id="p0",
             relations=(relation("subj", "v", "a", voice="middle"),),
-            precomputed_features={0: 1.0})
+            precomputed_features=feature_pairs({0: 1.0}))
         entry = SentenceEntry(sentence_id="s0", tokens=("t",), parses=(parse,))
         with pytest.raises(DataError, match="voice"):
             lexicalized_properties(entry, table)

@@ -10,7 +10,7 @@ from parsedisamb import (ConfigError, DataError, ParseRecord, SentenceEntry,
                          select_properties, train)
 from parsedisamb.corpus import read_json
 from parsedisamb.properties import PropertyDescriptor, PropertyRegistry
-from conftest import passthrough_corpus, structural_parse
+from conftest import feature_pairs, passthrough_corpus, structural_parse
 from oracles import entry_feature_rows
 
 
@@ -139,9 +139,9 @@ class TestRegistryConstruction:
 
     def test_one_parse_without_structure_selects_passthrough(self):
         with_both = replace(structural_parse("p0", FLAT),
-                            precomputed_features={0: 1.0})
+                            precomputed_features=feature_pairs({0: 1.0}))
         features_only = ParseRecord(parse_id="p1",
-                                    precomputed_features={1: 2.0})
+                                    precomputed_features=feature_pairs({1: 2.0}))
         corpus = build_corpus([SentenceEntry(
             sentence_id="s0", tokens=("a", "b", "c"),
             parses=(with_both, features_only))])
@@ -150,7 +150,7 @@ class TestRegistryConstruction:
     def test_mixed_corpus_is_a_data_error(self):
         structure_only = structural_parse("p0", FLAT)
         features_only = ParseRecord(parse_id="p1",
-                                    precomputed_features={0: 1.0})
+                                    precomputed_features=feature_pairs({0: 1.0}))
         corpus = build_corpus([
             SentenceEntry(sentence_id="s0", tokens=("a", "b", "c"),
                           parses=(structure_only,)),

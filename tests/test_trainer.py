@@ -27,13 +27,15 @@ import numpy as np
 from parsedisamb import (PairCounts, ParseRecord, SentenceEntry,
                          TrainingConfig, add_correction, build_corpus,
                          build_registry, train, train_clusters)
+from conftest import feature_pairs
 
 rng = np.random.default_rng(0)
 corpus = build_corpus(
     SentenceEntry(sentence_id=str(s), tokens=("t",), weight=1.0 + s % 7,
                   gold_index=0, parses=tuple(
-                      ParseRecord(parse_id=str(j), precomputed_features={
-                          j: 1.0, 2: float(rng.integers(0, 4))})
+                      ParseRecord(parse_id=str(j),
+                                  precomputed_features=feature_pairs({
+                                      j: 1.0, 2: float(rng.integers(0, 4))}))
                       for j in range(2)))
     for s in range(12_000))
 registry = add_correction(build_registry(corpus), corpus)
@@ -48,11 +50,11 @@ print(*(L.hex() for L in train_clusters(counts, 4, max_iterations=2)[1]))
 
 
 def test_likelihoods_do_not_depend_on_the_blas_thread_count():
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join((os.path.join(os.path.dirname(tests), "src"), tests))
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
         result = subprocess.run(
             [sys.executable, "-c", LIKELIHOODS_OF_12000_TERMS], env=env,
