@@ -2,8 +2,8 @@
 
 Subcommands: ``train``, ``eval``, ``cluster``, ``synth``, ``stats``.  Every
 command writes its outputs under ``--out-dir``, then a run manifest (command,
-resolved configuration digest, input file digests, seed, tool version,
-timestamps); an earlier run's manifest is removed first.  Reruns with
+resolved configuration digest, input and output file digests, seed, tool
+version, timestamps); an earlier run's manifest is removed first.  Reruns with
 identical flags and seed produce bit-identical model, trace, and report
 files; the manifest carries the only timestamps.  A command that fails
 writes nothing: ``--out-dir`` is created only with the outputs, once every
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import gc
 import hashlib
@@ -30,21 +31,23 @@ import sys
 from typing import Iterable, Optional
 
 from . import __version__
-from .corpus import (Corpus, SyntheticConfig, _assemble, atomic_write,
-                     check_max_parses, corpus_stats, extract_parsebank,
-                     generate_synthetic, load_corpus, read_json, save_corpus,
-                     typed, write_json)
+from .corpus import (Corpus, SyntheticConfig, _assemble, _missing_gold,
+                     _Sentences, atomic_write, check_max_parses, corpus_stats,
+                     extract_parsebank, generate_synthetic, load_corpus,
+                     read_json, save_corpus, typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .evaluation import (_check_baseline, evaluate, format_report_table,
                          random_baseline, sweep_checkpoints, write_report_json,
                          write_sweep_csv)
-from .lexicalization import (build_freq_table, load_freq_table,
-                             load_pair_counts, save_cluster_model,
-                             save_freq_table, train_clusters)
+from .lexicalization import (LexFrequencyTable, build_freq_table,
+                             load_freq_table, load_pair_counts,
+                             save_cluster_model, save_freq_table,
+                             train_clusters)
 from .model import (DEFAULT_TIE_EPSILON, check_tie_epsilon, load_model,
                     save_model)
-from .properties import (add_correction, check_cutoff, compile_corpus,
-                         compile_templates, save_registry, select_properties)
+from .properties import (FeatureMatrix, add_correction, check_cutoff,
+                         compile_corpus, compile_templates, save_registry,
+                         select_properties)
 from .trainer import TrainingConfig, train
 
 MANIFEST_NAME = "manifest.json"
@@ -73,7 +76,10 @@ def _file_digest(path) -> str:
 
 
 def write_manifest(out_dir: str, command: str, config: dict,
-                   input_paths: list[str], seed: Optional[int]) -> None:
+                   input_paths: list[str], seed: Optional[int],
+                   outputs: Iterable[str] = ()) -> None:
+    """Write ``out_dir``/manifest.json; ``outputs`` are the paths under
+    ``out_dir`` of the files the command wrote, digested as they are."""
     resolved = {k: config[k] for k in sorted(config)}
     manifest = {
         "command": command,
@@ -81,6 +87,8 @@ def write_manifest(out_dir: str, command: str, config: dict,
         "config_digest": hashlib.sha256(
             json.dumps(resolved, sort_keys=True).encode("utf-8")).hexdigest(),
         "input_digests": {p: _file_digest(p) for p in sorted(set(input_paths))},
+        "output_digests": {name: _file_digest(os.path.join(out_dir, name))
+                           for name in sorted(outputs)},
         "seed": seed,
         "tool_version": __version__,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -89,16 +97,21 @@ def write_manifest(out_dir: str, command: str, config: dict,
 
 
 def verify_manifest(path) -> bool:
-    """Recompute the digests recorded in a manifest; True when all match.
+    """Recompute the digests recorded in a manifest, of the configuration,
+    the inputs and the outputs (beside the manifest); True when all match.
     A missing, unreadable or incomplete manifest verifies False."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
         config = json.dumps(manifest["config"], sort_keys=True)
+        out_dir = os.path.dirname(os.fspath(path))
         return (hashlib.sha256(config.encode("utf-8")).hexdigest()
                 == manifest["config_digest"]
                 and all(_file_digest(p) == digest
-                        for p, digest in manifest["input_digests"].items()))
+                        for p, digest in manifest["input_digests"].items())
+                and all(_file_digest(os.path.join(out_dir, name)) == digest
+                        for name, digest
+                        in manifest["output_digests"].items()))
     except (OSError, ValueError, LookupError, TypeError, AttributeError):
         return False
 
@@ -112,8 +125,9 @@ def _write_outputs(command: str, conf: dict, inputs: list[str],
                    outputs: list, stale: Iterable[str] = ()) -> None:
     """Remove an earlier run's manifest, then its ``stale`` outputs; write
     each (writer, value, path under ``--out-dir``) in order, then the
-    manifest.  So an interrupted run leaves no manifest that vouches for
-    outputs it did not write."""
+    manifest, which digests each output.  So an interrupted run leaves no
+    manifest that vouches for outputs it did not write, and an output
+    changed after the run fails ``verify_manifest``."""
     out_dir = conf["out_dir"]
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, MANIFEST_NAME))
@@ -123,7 +137,8 @@ def _write_outputs(command: str, conf: dict, inputs: list[str],
         path = os.path.join(out_dir, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         write(value, path)
-    write_manifest(out_dir, command, conf, inputs, conf.get("seed"))
+    write_manifest(out_dir, command, conf, inputs, conf.get("seed"),
+                   [name for _, _, name in outputs])
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +220,8 @@ def _require_gold(corpus: Corpus, path) -> None:
     ``corpus`` (loaded from ``path``) without a gold_index."""
     missing = next((e.sentence_id for e in corpus.entries
                     if e.gold_index is None), None)
-    if missing is None:
-        return
-    # A merged duplicate keeps the sentence_id of its first line.
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if (lineno > 1 and line.strip()
-                    and str(json.loads(line)["sentence_id"]) == missing):
-                break
-    raise DataError(f"{path}: line {lineno}: sentence {missing!r} has no "
-                    "gold_index annotation")
+    if missing is not None:
+        raise _missing_gold(path, missing)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +234,18 @@ TRAIN_DEFAULTS = {
     "checkpoint_every": 5, "complete_data": False,
     "seed": None, "out_dir": None,
 }
+
+
+def _streamed_templates(path, max_parses: Optional[int], gold: bool,
+                        lex_table: Optional[LexFrequencyTable]
+                        ) -> FeatureMatrix:
+    """``compile_templates(load_corpus(path, max_parses), lex_table)``,
+    compiled as the file is read, so that no sentence is kept; with
+    ``gold``, a sentence without a gold index is a DataError, as
+    ``_require_gold`` raises it."""
+    sentences = _Sentences(path, max_parses, gold=gold, values={})
+    templates = compile_templates(sentences, lex_table)
+    return dataclasses.replace(templates, weights=sentences.weights)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -252,18 +271,18 @@ def cmd_train(args: argparse.Namespace) -> int:
         lex_table = load_freq_table(conf["lexicalized"])
         inputs.append(conf["lexicalized"])
 
-    corpus = load_corpus(conf["corpus"], max_parses=conf["max_parses"])
+    # One compile of the corpus serves the registry, the correction and the
+    # trainer.  It reads the corpus as it compiles, so no sentence is kept.
+    # The templates are projected once, onto the selected columns, and
+    # freed; the correction then keeps those columns in place.
     complete = conf["complete_data"]
     if conf["parsebank"]:
-        corpus = extract_parsebank(corpus)
+        templates = compile_templates(extract_parsebank(load_corpus(
+            conf["corpus"], max_parses=conf["max_parses"])), lex_table)
         complete = True
-    elif complete:
-        _require_gold(corpus, conf["corpus"])
-
-    # One compile of the corpus serves the registry, the correction and the
-    # trainer.  The templates are projected once, onto the selected columns,
-    # and freed; the correction then keeps those columns in place.
-    templates = compile_templates(corpus, lex_table)
+    else:
+        templates = _streamed_templates(conf["corpus"], conf["max_parses"],
+                                        complete, lex_table)
     registry = templates.registry
     if conf["select_cutoff"] is not None:
         registry = select_properties(registry, conf["select_cutoff"])

@@ -12,6 +12,13 @@ feature values, equal nonzero (index, value) pairs and equal feature tuples
 without a zero are one object.  Anything that holds a zero feature value,
 and the other records, are never shared.
 
+Both ``load_corpus`` and the ``train`` command read a file through one
+reader, ``_Sentences``, which validates every line, merges equal sentences
+and applies ``max_parses``.  ``train`` compiles the sentences as they are
+read and keeps none, so the share tables, which only shrink kept records,
+serve ``load_corpus`` alone.  ``train`` keeps one table of feature values
+per file, in which a float item, once checked, is found again.
+
 File format ("forest-corpus"): UTF-8 JSON Lines.  The first line is a header
 ``{"format": "forest-corpus", "version": 1}``; every following line is one
 sentence entry::
@@ -31,12 +38,14 @@ present on every parse.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -323,14 +332,15 @@ _PARSE_KEYS = frozenset({"parse_id", "cstructure", "fstructure", "relations",
 _FSTRUCTURE_KEYS = frozenset({"pairs", "functions"})
 _HEADER_KEYS = frozenset({"format", "version"})
 
-def _feature_values(features, table: dict) -> tuple[tuple[int, float], ...]:
+def _feature_values(features, table: dict, share
+                    ) -> tuple[tuple[int, float], ...]:
     """The (index, value) pairs of a ``precomputed_features`` object, sorted
-    by index.  ``table`` is kept for one load.  It maps each nonzero value
-    to one float (equal nonzero finite floats have identical bits), each
-    decoded (key, value) item with a nonzero value to its one pair, and each
-    tuple of pairs without a zero to one tuple.  Nothing that holds a zero is
-    looked up, as ``0.0 == -0.0``.  A float item is checked once per load:
-    its decoded key and value are the table's key."""
+    by index.  ``table`` maps each nonzero value to one float (equal nonzero
+    finite floats have identical bits) and each decoded (key, value) item
+    with a nonzero value to its one pair; a tuple of pairs without a zero is
+    taken from ``share`` (no other tuple it holds equals one).  Nothing that
+    holds a zero is looked up, as ``0.0 == -0.0``.  A float item is checked
+    once per table: its decoded key and value are the table's key."""
     if features.__class__ is not dict:
         typed(features, dict, "field 'precomputed_features'")
     pairs, zero = [], False
@@ -347,7 +357,7 @@ def _feature_values(features, table: dict) -> tuple[tuple[int, float], ...]:
         pairs.append(pair)
     pairs.sort()
     pairs = tuple(pairs)
-    return pairs if zero else table.setdefault(pairs, pairs)
+    return pairs if zero else share(pairs, pairs)
 
 
 def _parse_from_json(rec, n_tokens: int, share, values) -> ParseRecord:
@@ -383,7 +393,7 @@ def _parse_from_json(rec, n_tokens: int, share, values) -> ParseRecord:
         relations=relations,
         frame=frame,
         precomputed_features=(None if features is None
-                              else _feature_values(features, values)),
+                              else _feature_values(features, values, share)),
     )
 
 
@@ -429,23 +439,30 @@ def build_corpus(entries: Iterable[SentenceEntry]) -> Corpus:
     return _assemble(entries)
 
 
-def _assemble(entries: Sequence[SentenceEntry]) -> Corpus:
-    """Corpus of validated entries: unique sentence ids, weights summing to
-    one."""
-    if not entries:
+def _normalized(ids: Sequence[str], weights: Sequence[float]):
+    """``weights`` divided by their sum, or ``weights`` itself when they sum
+    to one within 1e-12, so that renormalizing is idempotent at the last
+    ulp.  No sentence, a repeated sentence id or a zero sum is a
+    DataError."""
+    if not ids:
         raise DataError("corpus has no entries")
-    ids = [e.sentence_id for e in entries]
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})
         raise DataError(f"duplicate sentence_id(s): {dup}")
-
-    total = sum(e.weight for e in entries)
+    total = sum(weights)
     if total <= 0:
         raise DataError("total corpus weight is zero; cannot normalize")
-    # Skip the division when already normalized, so renormalizing is
-    # idempotent at the last ulp.
-    if abs(total - 1.0) > 1e-12:
-        entries = [replace(e, weight=e.weight / total) for e in entries]
+    return weights if abs(total - 1.0) <= 1e-12 else [w / total
+                                                       for w in weights]
+
+
+def _assemble(entries: Sequence[SentenceEntry]) -> Corpus:
+    """Corpus of validated entries: unique sentence ids, weights summing to
+    one."""
+    weights = [e.weight for e in entries]
+    normalized = _normalized([e.sentence_id for e in entries], weights)
+    if normalized is not weights:
+        entries = [replace(e, weight=w) for e, w in zip(entries, normalized)]
     return Corpus(entries=tuple(entries))
 
 
@@ -453,6 +470,122 @@ def check_max_parses(max_parses: Optional[int]) -> None:
     """ConfigError for a parse cap below 1 (None sets none)."""
     if max_parses is not None and max_parses < 1:
         raise ConfigError(f"max_parses must be >= 1, not {max_parses}")
+
+
+def _read(path, share=None, values=None, offsets: bool = False
+          ) -> Iterator[tuple[int, SentenceEntry]]:
+    """(offset, sentence) of each sentence line of the forest-corpus file at
+    ``path``, in order: with ``offsets``, where the line starts, for
+    ``_read_at`` (else -1: asking costs about 4% of a load), and its
+    sentence, decoded and validated.  ``share`` and ``values`` are the
+    tables of ``_entry_from_json``; without them each line gets its own.
+    A fault is a DataError that names the file and the line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        header_line = handle.readline()
+        if not header_line.strip():
+            raise DataError(f"{path}: empty file")
+        _decode_json(f"{path}: line 1", header_line, lambda doc: check_envelope(
+            doc, CORPUS_FORMAT, CORPUS_VERSION, _HEADER_KEYS))
+        for lineno in itertools.count(2):
+            # tell() is refused while a text file is iterated, so readline().
+            offset = handle.tell() if offsets else -1
+            line = handle.readline()
+            if not line:
+                return
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
+            entry = _decode_json(where, line, lambda rec: _entry_from_json(
+                rec, share or {}.setdefault, {} if values is None else values))
+            _validate_entry(entry, where)
+            yield offset, entry
+
+
+def _read_at(path, offset: int) -> SentenceEntry:
+    """The sentence of the line that starts at ``offset``, as ``_read``
+    decoded it."""
+    with open(path, "r", encoding="utf-8") as handle:
+        handle.seek(offset)
+        return _decode_json(path, handle.readline(), lambda rec: (
+            _entry_from_json(rec, {}.setdefault, {})))
+
+
+class _Sentences:
+    """The sentences ``load_corpus`` keeps from a forest-corpus file, read
+    anew on each iteration.
+
+    Iterating reads every line (``_read``) and yields each kept sentence
+    once, where it first occurs, as read.  A sentence with more than
+    ``max_parses`` parses is dropped, and one equal to an earlier kept
+    sentence (the same tokens, gold index and parses) adds its weight to
+    that one.  The earlier sentence is ``kept(k)``, the ``k``-th yielded,
+    or else is read again from the file, so that no sentence need be kept.
+    Before the iteration ends, the faults ``_assemble`` finds, and with
+    ``gold`` a kept sentence without a gold index, raise a DataError;
+    ``weights`` then holds the kept sentences' summed weights, normalized
+    by ``_normalized``.
+    """
+
+    def __init__(self, path, max_parses: Optional[int] = None, *,
+                 gold: bool = False, kept=None, share=None, values=None):
+        check_max_parses(max_parses)
+        self.path, self.max_parses, self.gold = path, max_parses, gold
+        self.kept, self.share, self.values = kept, share, values
+        self.weights: Optional[np.ndarray] = None
+
+    def __iter__(self) -> Iterator[SentenceEntry]:
+        path, cap = self.path, self.max_parses
+        ids, weights, offsets = [], array("d"), array("q")
+        # The last kept sentence with each hash of (tokens, gold index);
+        # ``chain[k]`` is the one before sentence k with its hash, or -1.
+        last, chain = {}, array("q")
+        no_gold = None
+        for offset, entry in _read(path, self.share, self.values,
+                                   offsets=self.kept is None):
+            if cap is not None and len(entry.parses) > cap:
+                continue
+            key = hash((entry.tokens, entry.gold_index))
+            k = last.get(key, -1)
+            while k >= 0:
+                kept = (self.kept(k) if self.kept is not None
+                        else _read_at(path, offsets[k]))
+                if (kept.tokens == entry.tokens
+                        and kept.gold_index == entry.gold_index
+                        and kept.parses == entry.parses):
+                    weights[k] += entry.weight
+                    break
+                k = chain[k]
+            else:
+                chain.append(last.get(key, -1))
+                last[key] = len(ids)
+                offsets.append(offset)
+                ids.append(entry.sentence_id)
+                weights.append(entry.weight)
+                if no_gold is None and entry.gold_index is None:
+                    no_gold = entry.sentence_id
+                yield entry
+        if cap is not None and not ids:
+            raise DataError(
+                f"{path}: no sentences left after max_parses={cap} cutoff")
+        try:
+            self.weights = np.array(_normalized(ids, weights), dtype=float)
+        except DataError as exc:  # no entries, duplicate ids or zero weight
+            raise DataError(f"{path}: {exc}") from None
+        if self.gold and no_gold is not None:
+            raise _missing_gold(path, no_gold)
+
+
+def _missing_gold(path, sentence_id: str) -> DataError:
+    """The DataError for sentence ``sentence_id`` of the corpus at ``path``
+    lacking a gold_index; it names the first line with that id (a merged
+    duplicate keeps the sentence_id of its first line)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if (lineno > 1 and line.strip()
+                    and str(json.loads(line)["sentence_id"]) == sentence_id):
+                break
+    return DataError(f"{path}: line {lineno}: sentence {sentence_id!r} has "
+                     "no gold_index annotation")
 
 
 def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
@@ -465,48 +598,19 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     malformed input, non-finite numbers included, and when filtering leaves
     the corpus empty; a ``max_parses`` below 1 is a ConfigError.
     """
-    check_max_parses(max_parses)
     entries: list[SentenceEntry] = []
-    # Sentences by tokens and gold index, so that parses are compared only
-    # within a group and no parse is hashed.
-    groups: dict[tuple, list[int]] = {}
     # One table per load: equal strings, tuples and relations decoded from
     # this file become one object.  Precomputed features get a table of
     # their own, as a float compares equal to an int.
-    share, values = {}.setdefault, {}
-    with open(path, "r", encoding="utf-8") as handle:
-        header_line = handle.readline()
-        if not header_line.strip():
-            raise DataError(f"{path}: empty file")
-        _decode_json(f"{path}: line 1", header_line, lambda doc: check_envelope(
-            doc, CORPUS_FORMAT, CORPUS_VERSION, _HEADER_KEYS))
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            entry = _decode_json(where, line,
-                                 lambda rec: _entry_from_json(
-                                     rec, share, values))
-            _validate_entry(entry, where)
-            group = groups.setdefault((entry.tokens, entry.gold_index), [])
-            for k in group:
-                kept = entries[k]
-                if kept.parses == entry.parses:
-                    entries[k] = replace(kept, weight=kept.weight + entry.weight)
-                    break
-            else:
-                group.append(len(entries))
-                entries.append(entry)
-
-    if max_parses is not None:
-        entries = [e for e in entries if len(e.parses) <= max_parses]
-        if not entries:
-            raise DataError(
-                f"{path}: no sentences left after max_parses={max_parses} cutoff")
-    try:
-        return _assemble(entries)
-    except DataError as exc:  # no entries, duplicate ids or zero total weight
-        raise DataError(f"{path}: {exc}") from None
+    sentences = _Sentences(path, max_parses, kept=entries.__getitem__,
+                           share={}.setdefault, values={})
+    for entry in sentences:
+        entries.append(entry)
+    weights = sentences.weights
+    if array("d", (e.weight for e in entries)).tobytes() != weights.tobytes():
+        entries = [replace(e, weight=w)
+                   for e, w in zip(entries, weights.tolist())]
+    return Corpus(entries=tuple(entries))
 
 
 @contextmanager

@@ -102,12 +102,7 @@ class _Judge:
         self.task = task
         self.features = features
         self.gold_rows = features.gold_rows()
-        if task == "frame_match":
-            codes: dict[str, int] = {}
-            self.frames = np.array(
-                [-1 if p.frame is None else codes.setdefault(p.frame, len(codes))
-                 for entry in features.entries for p in entry.parses],
-                dtype=np.int64)
+        self.frames = features.frames
 
     def verdicts(self, decisions: Decisions) -> np.ndarray:
         """Index into VERDICTS of each sentence's verdict."""
@@ -127,10 +122,9 @@ class _Judge:
         if lacking.size:
             r = int(lacking[0])
             s = int(np.searchsorted(features.offsets, r, side="right")) - 1
-            entry = features.entries[s]
             raise DataError(
-                f"sentence {entry.sentence_id!r} parse "
-                f"{entry.parses[r - features.offsets[s]].parse_id!r} has no "
+                f"sentence {features.sentence_ids[s]!r} parse "
+                f"{features.parse_ids[r]!r} has no "
                 "frame descriptor (required by the frame task)")
         starts = features.offsets[:-1]
         lowest = np.minimum.reduceat(
@@ -165,7 +159,7 @@ def evaluate(model: LogLinearModel, test_corpus: Corpus | FeatureMatrix,
     for s, code in enumerate(judge.verdicts(decisions)):
         decision = decisions.decision(features, s)
         verdicts.append(SentenceVerdict(
-            features.entries[s].sentence_id, VERDICTS[code], decision.kind,
+            features.sentence_ids[s], VERDICTS[code], decision.kind,
             decision.parse_ids))
     return outcome_from_verdicts(task, verdicts)
 

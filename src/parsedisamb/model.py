@@ -166,14 +166,13 @@ class Decisions:
     tied: np.ndarray
 
     def decision(self, features: FeatureMatrix, s: int) -> Decision:
-        parses = features.entries[s].parses
-        start = features.offsets[s]
+        ids = features.parse_ids
         if self.unique[s]:
-            return Decision(kind="unique",
-                            parse_ids=(parses[self.chosen[s] - start].parse_id,))
+            return Decision(kind="unique", parse_ids=(ids[self.chosen[s]],))
+        start = features.offsets[s]
         rows = np.flatnonzero(self.tied[start:features.offsets[s + 1]])
         return Decision(kind="dont_know",
-                        parse_ids=tuple(parses[j].parse_id for j in rows))
+                        parse_ids=tuple(ids[start + j] for j in rows))
 
 
 def check_tie_epsilon(tie_epsilon: float) -> None:

@@ -254,10 +254,10 @@ def _passthrough_key(index: int) -> str:
 class FeatureMatrix:
     """Property rows of a corpus, compiled once, in CSR form and corpus order.
 
-    Sentence ``s`` is ``entries[s]``; ``offsets[s]:offsets[s+1]`` delimits
-    its rows, one per parse, in order.  A matrix compiled from a corpus
-    holds that corpus's ``entries`` tuple itself; a ``universe()`` slice
-    holds a new tuple.  Row ``r`` holds the nonzero values
+    Sentence ``s`` is ``sentence_ids[s]``; ``offsets[s]:offsets[s+1]``
+    delimits its rows, one per parse, in order.  Row ``r`` is the parse
+    ``parse_ids[r]``, whose frame is ``frames[r]``: a code, equal for equal
+    frames within one compile, or -1 for none.  It holds the nonzero values
     ``data[indptr[r]:indptr[r+1]]`` at the columns ``indices[...]``
     of ``registry``, increasing within a row: every compile sorts its rows
     once, in ``_walk``, after the columns are mapped to the registry's (for
@@ -279,7 +279,9 @@ class FeatureMatrix:
     offsets: np.ndarray
     weights: np.ndarray
     gold: np.ndarray
-    entries: tuple[SentenceEntry, ...] = field(repr=False)
+    sentence_ids: tuple[str, ...] = field(repr=False)
+    parse_ids: tuple[str, ...] = field(repr=False)
+    frames: np.ndarray = field(repr=False)
     clamped_corrections: int = 0
 
     def __post_init__(self):
@@ -336,7 +338,7 @@ class FeatureMatrix:
     def gold_rows(self) -> np.ndarray:
         """Absolute row index of each sentence's gold parse."""
         if np.any(self.gold < 0):
-            missing = [self.entries[i].sentence_id
+            missing = [self.sentence_ids[i]
                        for i in np.flatnonzero(self.gold < 0)]
             raise DataError(f"sentences without gold_index: {missing[:5]}")
         return self.offsets[:-1] + self.gold
@@ -375,7 +377,9 @@ class FeatureMatrix:
             offsets=np.concatenate(([0], np.cumsum(np.diff(self.offsets)[keep]))),
             weights=self.weights[keep],
             gold=self.gold[keep],
-            entries=tuple(compress(self.entries, keep)),
+            sentence_ids=tuple(compress(self.sentence_ids, keep)),
+            parse_ids=tuple(compress(self.parse_ids, row_keep)),
+            frames=self.frames[row_keep],
         )
 
     def project(self, registry: PropertyRegistry) -> "FeatureMatrix":
@@ -425,8 +429,9 @@ class FeatureMatrix:
         return FeatureMatrix(
             indptr=np.concatenate(([0], np.cumsum(per_row))),
             indices=cols, data=data, registry=registry, offsets=self.offsets,
-            weights=self.weights, gold=self.gold, entries=self.entries,
-            clamped_corrections=clamped)
+            weights=self.weights, gold=self.gold,
+            sentence_ids=self.sentence_ids, parse_ids=self.parse_ids,
+            frames=self.frames, clamped_corrections=clamped)
 
 
 def _template_registry(vocab: dict[tuple[str, str], int], cols: np.ndarray,
@@ -455,10 +460,10 @@ def _template_registry(vocab: dict[tuple[str, str], int], cols: np.ndarray,
                               dtype=INDEX_DTYPE)
 
 
-def _walk(corpus: Corpus, kinds: set[str],
+def _walk(sentences: Iterable[SentenceEntry], kinds: set[str],
           lex_table: Optional[LexFrequencyTable],
           registry: Optional[PropertyRegistry] = None) -> FeatureMatrix:
-    """Compile every sentence of ``corpus`` in one pass over its parses.
+    """Compile ``sentences`` in one pass over their parses, as they come.
 
     With a ``registry`` (no correction property) the columns are its own
     and unregistered templates are dropped.  Without one, the columns are
@@ -467,7 +472,9 @@ def _walk(corpus: Corpus, kinds: set[str],
     are appended in walk order, each in the column of its template's first
     occurrence when there is no registry; once the columns are final, one
     stable sort puts each row in column order.  ``lex_table`` enables the
-    lexicalized slots, computed once per sentence.
+    lexicalized slots, computed once per sentence.  No sentence is kept:
+    the matrix holds their ids, weights and gold indices, and its parses'
+    ids and frame codes.
     """
     structural = kinds & set(STRUCTURAL_KINDS)
     passthrough = "passthrough" in kinds
@@ -475,6 +482,9 @@ def _walk(corpus: Corpus, kinds: set[str],
     passthrough_cols: dict[int, int] = {}
     indptr, indices, data = array("q", [0]), array("q"), array("d")
     offsets, weights, gold = array("q", [0]), array("d"), array("q")
+    sentence_ids, parse_ids, frames = [], [], array("q")
+    # One string per parse id and one code per frame in the whole compile.
+    share_id, codes = {}.setdefault, {}
 
     def put(key: tuple[str, str], value: float) -> int:
         if registry is None:
@@ -486,7 +496,7 @@ def _walk(corpus: Corpus, kinds: set[str],
             data.append(value)
         return col
 
-    for entry in corpus.entries:
+    for entry in sentences:
         lex_rows = (None if lex_table is None else
                     lexicalized_properties(entry, lex_table))
         for j, parse in enumerate(entry.parses):
@@ -506,7 +516,11 @@ def _walk(corpus: Corpus, kinds: set[str],
                 for slot, value in lex_rows[j].items():
                     put(("lexicalized-relation", slot), value)
             indptr.append(len(indices))
+            parse_ids.append(share_id(parse.parse_id, parse.parse_id))
+            frames.append(-1 if parse.frame is None
+                          else codes.setdefault(parse.frame, len(codes)))
         offsets.append(len(indptr) - 1)
+        sentence_ids.append(entry.sentence_id)
         weights.append(entry.weight)
         gold.append(-1 if entry.gold_index is None else entry.gold_index)
 
@@ -531,7 +545,9 @@ def _walk(corpus: Corpus, kinds: set[str],
         indptr=indptr, indices=cols, data=values, registry=registry,
         offsets=np.frombuffer(offsets, dtype=np.int64),
         weights=np.frombuffer(weights, dtype=float),
-        gold=np.frombuffer(gold, dtype=np.int64), entries=corpus.entries)
+        gold=np.frombuffer(gold, dtype=np.int64),
+        sentence_ids=tuple(sentence_ids), parse_ids=tuple(parse_ids),
+        frames=np.frombuffer(frames, dtype=np.int64))
 
 
 def _walk_for(corpus: Corpus | FeatureMatrix, registry: PropertyRegistry,
@@ -555,35 +571,64 @@ def _walk_for(corpus: Corpus | FeatureMatrix, registry: PropertyRegistry,
 # ---------------------------------------------------------------------------
 # Compilation and registry construction
 
-def _template_kinds(corpus: Corpus) -> set[str]:
-    """Every structural kind when every parse has a c- and an f-structure,
-    otherwise passthrough, which needs precomputed features on every parse."""
-    def first(test) -> Optional[str]:
-        return next((f"parse {p.parse_id!r} of sentence {e.sentence_id!r}"
-                     for e in corpus.entries for p in e.parses if test(p)), None)
-
-    unstructured = first(lambda p: not p.has_structure)
-    if unstructured is None:
-        return set(STRUCTURAL_KINDS)
-    featureless = first(lambda p: p.precomputed_features is None)
-    if featureless is not None:
-        raise DataError(
-            f"the corpus mixes parses with only c-/f-structure ({featureless}) "
-            f"and parses with only precomputed features ({unstructured}); "
-            "templates need one or the other on every parse")
-    return {"passthrough"}
+class _Unstructured(Exception):
+    """A structural template walk met a parse without structure."""
 
 
-def compile_templates(corpus: Corpus,
+def _checked(sentences: Iterable[SentenceEntry], structural: bool):
+    """``sentences`` as they come, checked for the templates of one walk.
+
+    Templates need a c- and an f-structure on every parse (structural) or
+    precomputed features on every parse (passthrough).  A corpus with a
+    parse of each lack is a DataError naming the first of each, raised once
+    ``sentences`` is exhausted, so that any fault found while reading the
+    rest comes first.  Otherwise, with ``structural``, the first parse
+    without structure raises ``_Unstructured``.
+    """
+    def where(parse, entry):
+        return f"parse {parse.parse_id!r} of sentence {entry.sentence_id!r}"
+
+    unstructured = featureless = None
+    sentences = iter(sentences)
+    for entry in sentences:
+        for parse in entry.parses:
+            if parse.precomputed_features is None:
+                featureless = featureless or where(parse, entry)
+            if not parse.has_structure:
+                unstructured = unstructured or where(parse, entry)
+        if unstructured is not None:
+            if featureless is not None:
+                for _ in sentences:
+                    pass
+                raise DataError(
+                    "the corpus mixes parses with only c-/f-structure "
+                    f"({featureless}) and parses with only precomputed "
+                    f"features ({unstructured}); templates need one or the "
+                    "other on every parse")
+            if structural:
+                raise _Unstructured
+        yield entry
+
+
+def compile_templates(corpus: Corpus | Iterable[SentenceEntry],
                       lex_table: Optional[LexFrequencyTable] = None
                       ) -> FeatureMatrix:
     """Compile every sentence over every template observed in the corpus.
 
-    The matrix's registry is the one ``build_registry`` returns; a
-    ``lex_table`` adds the lexicalized slots.  Zero-weight sentences are
-    included.
+    The templates are every structural kind while every parse has a c- and
+    an f-structure; from the first that does not, the corpus is compiled
+    again, from its start, over passthrough templates.  So ``corpus`` may
+    be any iterable of sentences that can be iterated twice, and the matrix
+    takes each sentence's weight as it comes.  The matrix's registry is the
+    one ``build_registry`` returns; a ``lex_table`` adds the lexicalized
+    slots.  Zero-weight sentences are included.
     """
-    return _walk(corpus, _template_kinds(corpus), lex_table)
+    if iter(corpus) is corpus:  # an iterator, which a restart cannot reread
+        corpus = tuple(corpus)
+    try:
+        return _walk(_checked(corpus, True), set(STRUCTURAL_KINDS), lex_table)
+    except _Unstructured:
+        return _walk(_checked(corpus, False), {"passthrough"}, lex_table)
 
 
 def build_registry(corpus: Corpus,

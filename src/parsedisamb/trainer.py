@@ -222,12 +222,12 @@ def train(corpus: Corpus | FeatureMatrix, registry: PropertyRegistry,
     random starts are the way to probe whether better optima exist.
     """
     config = config or TrainingConfig()
-    if not corpus.entries:
-        raise DataError("cannot train on an empty corpus")
     if registry.correction_K is None:
         raise ConfigError("training requires a registry with the correction "
                           "property (run add_correction first)")
     features = build_feature_matrix(corpus, registry, lex_table=lex_table)
+    if not features.sentence_ids:
+        raise DataError("cannot train on an empty corpus")
     if features.clamped_corrections:
         raise DataError(
             f"{features.clamped_corrections} parse(s) have feature mass above "

@@ -10,6 +10,7 @@ import pytest
 
 import parsedisamb.cli as cli
 import parsedisamb.corpus as corpus_module
+import parsedisamb.properties as properties
 from parsedisamb import (load_corpus, load_model, pair_counts_from_corpus,
                          save_pair_counts, PairCounts)
 from parsedisamb.cli import build_parser, main, verify_manifest
@@ -182,8 +183,10 @@ class TestTrainCommand:
         def unreachable(*args, **kwargs):
             raise AssertionError("the corpus was compiled")
 
+        # train compiles the corpus as it reads it; the gold check comes at
+        # the end of the file, before the compiled columns are registered.
         with monkeypatch.context() as patched:
-            patched.setattr(cli, "compile_templates", unreachable)
+            patched.setattr(properties, "_template_registry", unreachable)
             code = _run("train", "--corpus", str(path), "--complete-data",
                         "--max-iterations", "3", "--out-dir",
                         str(tmp_path / "o"))
@@ -792,7 +795,8 @@ class TestManifest:
         assert not verify_manifest(manifest)
 
     @pytest.mark.parametrize("damage", ["missing", "not-json", "config",
-                                        "config_digest", "input_digests"])
+                                        "config_digest", "input_digests",
+                                        "output_digests"])
     def test_unreadable_manifest_is_false(self, synth_dir, tmp_path, damage):
         out = tmp_path / "m"
         assert _run("stats", "--corpus", str(synth_dir / "train.jsonl"),
@@ -912,6 +916,19 @@ class TestManifest:
         # Only the last write, the manifest's, leaves one that verifies.
         assert verdicts == [False] * (at - 1) + [True]
         assert at >= 3
+        # The manifest digests every output: one edited after the run, or
+        # gone, no longer verifies.
+        manifest = out / "manifest.json"
+        assert sorted(json.loads(manifest.read_text())["output_digests"]) \
+            == sorted(expected)
+        for name in expected:
+            edited = out / name
+            edited.write_bytes(expected[name] + b"\n")
+            assert verify_manifest(manifest) is False, name
+            edited.write_bytes(expected[name])
+            assert verify_manifest(manifest), name
+        edited.unlink()
+        assert verify_manifest(manifest) is False
 
 
 class TestParser:
@@ -1211,14 +1228,18 @@ class TestLexicalizedMemory:
 
         for name in ("load_corpus", "load_freq_table"):
             monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+        # Every corpus line is read through corpus._read; train reads the
+        # corpus while it compiles it, without load_corpus.
+        monkeypatch.setattr(corpus_module, "_read",
+                            recorded(corpus_module._read))
         table = str(tmp_path / "table.json")
         assert _run("train", "--corpus", str(tmp_path / "train.jsonl"),
                     "--lexicalized", table, "--max-iterations", "3",
                     "--out-dir", str(tmp_path / "model")) == 0
-        assert calls == ["load_freq_table", "load_corpus"]
+        assert calls == ["load_freq_table", "_read"]
         calls.clear()
         assert _run("eval", "--model", str(tmp_path / "model" / "model.json"),
                     "--corpus", str(tmp_path / "test.jsonl"),
                     "--lex-table", table,
                     "--out-dir", str(tmp_path / "eval")) == 0
-        assert calls == ["load_freq_table", "load_corpus"]
+        assert calls == ["load_freq_table", "load_corpus", "_read"]

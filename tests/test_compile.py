@@ -194,9 +194,11 @@ class TestAgainstReference:
         assert np.array_equal(matrix.values, dense)
         projected = templates.universe().project(frozen)
         assert projected.clamped_corrections == 0
-        for name in ("indptr", "indices", "data", "offsets", "weights", "gold"):
+        for name in ("indptr", "indices", "data", "offsets", "weights", "gold",
+                     "frames"):
             assert np.array_equal(getattr(projected, name), getattr(matrix, name))
-        assert projected.entries == matrix.entries
+        assert projected.sentence_ids == matrix.sentence_ids
+        assert projected.parse_ids == matrix.parse_ids
         # The CLI's compile path and build_feature_matrix give one universe,
         # and so does the template matrix in the corpus's place.
         assert projected.digest == matrix.digest
@@ -330,22 +332,35 @@ class TestFeatureMatrix:
     def test_universe_drops_zero_weight_sentences(self):
         matrix = self._matrix()
         universe = matrix.universe()
-        assert universe.entries == self.CORPUS.entries[:1]
+        assert universe.sentence_ids == ("s0",)
+        assert universe.parse_ids == ("p0", "p1", "p2")
+        assert universe.frames.tolist() == [-1, -1, -1]
         assert np.array_equal(universe.values, matrix.values[:3])
 
     def test_matrices_hold_the_corpus_sentences(self):
         matrix = self._matrix()
         frozen = add_correction(matrix.registry, matrix)
-        assert matrix.entries is self.CORPUS.entries
-        assert compile_corpus(self.CORPUS, frozen).entries \
-            is self.CORPUS.entries
-        # The universe is a new tuple of the positive-weight sentences, and
-        # projecting a matrix keeps its sentences.
+        ids = [(e.sentence_id, tuple(p.parse_id for p in e.parses))
+               for e in self.CORPUS.entries]
+
+        def held(compiled):
+            return [(compiled.sentence_ids[s], compiled.parse_ids[
+                compiled.offsets[s]:compiled.offsets[s + 1]])
+                for s in range(compiled.n_sentences)]
+
+        assert held(matrix) == ids
+        assert held(compile_corpus(self.CORPUS, frozen)) == ids
+        # The universe holds the positive-weight sentences, and projecting
+        # a matrix keeps its sentences.
         universe = matrix.universe()
-        assert universe.entries is not self.CORPUS.entries
-        assert universe.project(frozen).entries is universe.entries
-        assert build_feature_matrix(self.CORPUS, frozen).entries \
-            == universe.entries
+        assert held(universe) == ids[:1]
+        projected = universe.project(frozen)
+        assert projected.sentence_ids is universe.sentence_ids
+        assert projected.parse_ids is universe.parse_ids
+        assert projected.frames is universe.frames
+        again = build_feature_matrix(self.CORPUS, frozen)
+        assert held(again) == ids[:1]
+        assert np.array_equal(again.frames, universe.frames)
 
     def test_universe_precedes_the_correction(self):
         matrix = self._matrix()
@@ -386,7 +401,8 @@ class TestFeatureMatrix:
             type(matrix)(indptr=matrix.indptr, indices=matrix.indices,
                          data=-matrix.data, registry=matrix.registry,
                          offsets=matrix.offsets, weights=matrix.weights,
-                         gold=matrix.gold, entries=matrix.entries)
+                         gold=matrix.gold, sentence_ids=matrix.sentence_ids,
+                         parse_ids=matrix.parse_ids, frames=matrix.frames)
 
 
 class TestMatrixInPlaceOfACorpus:

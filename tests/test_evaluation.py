@@ -329,7 +329,7 @@ class TestCompiledTestCorpus:
         # On the universe, sentence positions skip the zero-weight s1.
         universe = build_feature_matrix(corpus, registry)
         decisions = decide(model.lam, universe)
-        assert [(universe.entries[s].sentence_id,
+        assert [(universe.sentence_ids[s],
                  decisions.decision(universe, s).parse_ids)
                 for s in range(universe.n_sentences)] == [
             ("s0", ("p0",)), ("s2", ("p0",)), ("s3", ("p0", "p1"))]
@@ -337,7 +337,7 @@ class TestCompiledTestCorpus:
     def test_a_universe_matrix_is_scored_as_the_universe(self):
         corpus, registry, model = self._case()
         universe = build_feature_matrix(corpus, registry)
-        kept = Corpus(universe.entries)
+        kept = Corpus(tuple(e for e in corpus.entries if e.weight > 0))
         assert universe.n_sentences == 3
         for task in TASKS:
             outcome = evaluate(model, universe, task)

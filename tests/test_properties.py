@@ -282,7 +282,9 @@ class TestCorrection:
         registry = add_correction(build_registry(corpus), corpus)
         matrix = build_feature_matrix(corpus, registry)
         assert matrix.n_parses == 2
-        assert matrix.entries == corpus.entries[:1]
+        assert matrix.sentence_ids == ("s0",)
+        assert matrix.parse_ids == ("p0", "p1")
+        assert matrix.frames.tolist() == [-1, -1]
 
     def test_entry_rows_match_matrix(self):
         corpus = passthrough_corpus([[{0: 3}, {1: 1}], [{0: 1, 1: 1}]])
