@@ -7,7 +7,9 @@ version, timestamps); an earlier run's manifest is removed first.  Reruns with
 identical flags and seed produce bit-identical model, trace, and report
 files; the manifest carries the only timestamps.  A command that fails
 writes nothing: ``--out-dir`` is created only with the outputs, once every
-one of them has been computed.
+one of them has been computed.  ``train`` and ``eval`` compile their corpus
+as they read it and keep no sentence record; ``stats`` and
+``train --parsebank`` load it.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
 consistency failure (a violated likelihood guarantee).
@@ -31,18 +33,17 @@ import sys
 from typing import Iterable, Optional
 
 from . import __version__
-from .corpus import (Corpus, SyntheticConfig, _assemble, _missing_gold,
-                     _Sentences, atomic_write, check_max_parses, corpus_stats,
-                     extract_parsebank, generate_synthetic, load_corpus,
-                     read_json, save_corpus, typed, write_json)
+from .corpus import (SyntheticConfig, _assemble, _Sentences, atomic_write,
+                     check_max_parses, corpus_stats, extract_parsebank,
+                     generate_synthetic, load_corpus, read_json, save_corpus,
+                     typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .evaluation import (_check_baseline, evaluate, format_report_table,
                          random_baseline, sweep_checkpoints, write_report_json,
                          write_sweep_csv)
-from .lexicalization import (LexFrequencyTable, build_freq_table,
-                             load_freq_table, load_pair_counts,
-                             save_cluster_model, save_freq_table,
-                             train_clusters)
+from .lexicalization import (build_freq_table, load_freq_table,
+                             load_pair_counts, save_cluster_model,
+                             save_freq_table, train_clusters)
 from .model import (DEFAULT_TIE_EPSILON, check_tie_epsilon, load_model,
                     save_model)
 from .properties import (FeatureMatrix, add_correction, check_cutoff,
@@ -215,13 +216,16 @@ def _require_out_dir(conf: dict) -> str:
     return out_dir
 
 
-def _require_gold(corpus: Corpus, path) -> None:
-    """DataError naming the file and line of the first sentence of
-    ``corpus`` (loaded from ``path``) without a gold_index."""
-    missing = next((e.sentence_id for e in corpus.entries
-                    if e.gold_index is None), None)
-    if missing is not None:
-        raise _missing_gold(path, missing)
+def _compiled(compile_, path, *args, max_parses: Optional[int] = None,
+              gold: bool = False) -> FeatureMatrix:
+    """``compile_(sentences, *args)`` over the sentences of the corpus at
+    ``path`` as ``load_corpus(path, max_parses)`` keeps them, compiled as
+    the file is read, so that no sentence is kept; the matrix takes their
+    normalized weights.  With ``gold``, a sentence without a gold index is
+    a DataError that names its line."""
+    sentences = _Sentences(path, max_parses, gold=gold, values={})
+    matrix = compile_(sentences, *args)
+    return dataclasses.replace(matrix, weights=sentences.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +238,6 @@ TRAIN_DEFAULTS = {
     "checkpoint_every": 5, "complete_data": False,
     "seed": None, "out_dir": None,
 }
-
-
-def _streamed_templates(path, max_parses: Optional[int], gold: bool,
-                        lex_table: Optional[LexFrequencyTable]
-                        ) -> FeatureMatrix:
-    """``compile_templates(load_corpus(path, max_parses), lex_table)``,
-    compiled as the file is read, so that no sentence is kept; with
-    ``gold``, a sentence without a gold index is a DataError, as
-    ``_require_gold`` raises it."""
-    sentences = _Sentences(path, max_parses, gold=gold, values={})
-    templates = compile_templates(sentences, lex_table)
-    return dataclasses.replace(templates, weights=sentences.weights)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -281,8 +273,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             conf["corpus"], max_parses=conf["max_parses"])), lex_table)
         complete = True
     else:
-        templates = _streamed_templates(conf["corpus"], conf["max_parses"],
-                                        complete, lex_table)
+        templates = _compiled(compile_templates, conf["corpus"], lex_table,
+                              max_parses=conf["max_parses"], gold=complete)
     registry = templates.registry
     if conf["select_cutoff"] is not None:
         registry = select_properties(registry, conf["select_cutoff"])
@@ -354,9 +346,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         lex_table = load_freq_table(conf["lex_table"])
         inputs.append(conf["lex_table"])
 
-    corpus = load_corpus(conf["corpus"])
-    _require_gold(corpus, conf["corpus"])
-
+    # One compile of the test corpus, as it is read, serves every model
+    # scored below.
+    features = _compiled(compile_corpus, conf["corpus"], model.registry,
+                         lex_table, gold=True)
     tasks = [TASK_ALIASES[task] for task in conf["task"] or ["exact"]]
 
     checkpoint_models = None
@@ -364,8 +357,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         checkpoint_models = _load_checkpoint_models(conf["checkpoints"],
                                                     inputs)
 
-    # One compile of the test corpus serves every model scored below.
-    features = compile_corpus(corpus, model.registry, lex_table=lex_table)
     tie = conf["tie_epsilon"]
     outputs = []  # (writer, value, file name), written once all are computed
     for task in tasks:

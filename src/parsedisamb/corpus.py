@@ -12,14 +12,16 @@ feature values, equal nonzero (index, value) pairs and equal feature tuples
 without a zero are one object.  Anything that holds a zero feature value,
 and the other records, are never shared.
 
-Both ``load_corpus`` and the ``train`` command read a file through one
-reader, ``_Sentences``, which validates every line, merges equal sentences
-and applies ``max_parses``.  ``train`` compiles the sentences as they are
-read and keeps none, so the share tables, which only shrink kept records,
-serve ``load_corpus`` alone.  ``train`` keeps one table of feature values
-per file, in which a float item, once checked, is found again.
+``load_corpus`` and the ``train`` and ``eval`` commands read a file
+through one reader, ``_Sentences``, which validates every line, merges
+equal sentences and applies ``max_parses``.  The commands compile the
+sentences as they are read and keep none, so the share tables, which only
+shrink kept records, serve ``load_corpus`` alone.  A command keeps one
+table of feature values per file, in which a float item, once checked, is
+found again.
 
-File format ("forest-corpus"): UTF-8 JSON Lines.  The first line is a header
+File format ("forest-corpus"): UTF-8 JSON Lines, each line ending at a line
+feed (a CR before it is JSON whitespace).  The first line is a header
 ``{"format": "forest-corpus", "version": 1}``; every following line is one
 sentence entry::
 
@@ -38,7 +40,6 @@ present on every parse.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -472,39 +473,37 @@ def check_max_parses(max_parses: Optional[int]) -> None:
         raise ConfigError(f"max_parses must be >= 1, not {max_parses}")
 
 
-def _read(path, share=None, values=None, offsets: bool = False
-          ) -> Iterator[tuple[int, SentenceEntry]]:
-    """(offset, sentence) of each sentence line of the forest-corpus file at
-    ``path``, in order: with ``offsets``, where the line starts, for
-    ``_read_at`` (else -1: asking costs about 4% of a load), and its
-    sentence, decoded and validated.  ``share`` and ``values`` are the
-    tables of ``_entry_from_json``; without them each line gets its own.
-    A fault is a DataError that names the file and the line."""
-    with open(path, "r", encoding="utf-8") as handle:
+def _read(path, share=None, values=None
+          ) -> Iterator[tuple[int, int, SentenceEntry]]:
+    """(line number, offset, sentence) of each sentence line of the
+    forest-corpus file at ``path``, in order: the offset is the byte where
+    the line starts, for ``_read_at``, and the sentence is decoded and
+    validated.  Lines end at b"\\n"; the JSON decoder reads a b"\\r" before
+    it as whitespace.  ``share`` and ``values`` are the tables of
+    ``_entry_from_json``; without them each line gets its own.  A fault is
+    a DataError that names the file and the line."""
+    with open(path, "rb") as handle:
         header_line = handle.readline()
         if not header_line.strip():
             raise DataError(f"{path}: empty file")
         _decode_json(f"{path}: line 1", header_line, lambda doc: check_envelope(
             doc, CORPUS_FORMAT, CORPUS_VERSION, _HEADER_KEYS))
-        for lineno in itertools.count(2):
-            # tell() is refused while a text file is iterated, so readline().
-            offset = handle.tell() if offsets else -1
-            line = handle.readline()
-            if not line:
-                return
+        offset = len(header_line)
+        for lineno, line in enumerate(handle, start=2):
+            start, offset = offset, offset + len(line)
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
             entry = _decode_json(where, line, lambda rec: _entry_from_json(
                 rec, share or {}.setdefault, {} if values is None else values))
             _validate_entry(entry, where)
-            yield offset, entry
+            yield lineno, start, entry
 
 
 def _read_at(path, offset: int) -> SentenceEntry:
     """The sentence of the line that starts at ``offset``, as ``_read``
     decoded it."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         handle.seek(offset)
         return _decode_json(path, handle.readline(), lambda rec: (
             _entry_from_json(rec, {}.setdefault, {})))
@@ -518,19 +517,18 @@ class _Sentences:
     once, where it first occurs, as read.  A sentence with more than
     ``max_parses`` parses is dropped, and one equal to an earlier kept
     sentence (the same tokens, gold index and parses) adds its weight to
-    that one.  The earlier sentence is ``kept(k)``, the ``k``-th yielded,
-    or else is read again from the file, so that no sentence need be kept.
-    Before the iteration ends, the faults ``_assemble`` finds, and with
-    ``gold`` a kept sentence without a gold index, raise a DataError;
-    ``weights`` then holds the kept sentences' summed weights, normalized
-    by ``_normalized``.
+    that one, which is read again from the file, so that no sentence need
+    be kept.  Before the iteration ends, the faults ``_assemble`` finds,
+    and with ``gold`` a kept sentence without a gold index (named by its
+    line), raise a DataError; ``weights`` then holds the kept sentences'
+    summed weights, normalized by ``_normalized``.
     """
 
     def __init__(self, path, max_parses: Optional[int] = None, *,
-                 gold: bool = False, kept=None, share=None, values=None):
+                 gold: bool = False, share=None, values=None):
         check_max_parses(max_parses)
         self.path, self.max_parses, self.gold = path, max_parses, gold
-        self.kept, self.share, self.values = kept, share, values
+        self.share, self.values = share, values
         self.weights: Optional[np.ndarray] = None
 
     def __iter__(self) -> Iterator[SentenceEntry]:
@@ -540,15 +538,13 @@ class _Sentences:
         # ``chain[k]`` is the one before sentence k with its hash, or -1.
         last, chain = {}, array("q")
         no_gold = None
-        for offset, entry in _read(path, self.share, self.values,
-                                   offsets=self.kept is None):
+        for lineno, offset, entry in _read(path, self.share, self.values):
             if cap is not None and len(entry.parses) > cap:
                 continue
             key = hash((entry.tokens, entry.gold_index))
             k = last.get(key, -1)
             while k >= 0:
-                kept = (self.kept(k) if self.kept is not None
-                        else _read_at(path, offsets[k]))
+                kept = _read_at(path, offsets[k])
                 if (kept.tokens == entry.tokens
                         and kept.gold_index == entry.gold_index
                         and kept.parses == entry.parses):
@@ -562,7 +558,7 @@ class _Sentences:
                 ids.append(entry.sentence_id)
                 weights.append(entry.weight)
                 if no_gold is None and entry.gold_index is None:
-                    no_gold = entry.sentence_id
+                    no_gold = f"line {lineno}: sentence {entry.sentence_id!r}"
                 yield entry
         if cap is not None and not ids:
             raise DataError(
@@ -572,20 +568,7 @@ class _Sentences:
         except DataError as exc:  # no entries, duplicate ids or zero weight
             raise DataError(f"{path}: {exc}") from None
         if self.gold and no_gold is not None:
-            raise _missing_gold(path, no_gold)
-
-
-def _missing_gold(path, sentence_id: str) -> DataError:
-    """The DataError for sentence ``sentence_id`` of the corpus at ``path``
-    lacking a gold_index; it names the first line with that id (a merged
-    duplicate keeps the sentence_id of its first line)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if (lineno > 1 and line.strip()
-                    and str(json.loads(line)["sentence_id"]) == sentence_id):
-                break
-    return DataError(f"{path}: line {lineno}: sentence {sentence_id!r} has "
-                     "no gold_index annotation")
+            raise DataError(f"{path}: {no_gold} has no gold_index annotation")
 
 
 def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
@@ -598,14 +581,11 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     malformed input, non-finite numbers included, and when filtering leaves
     the corpus empty; a ``max_parses`` below 1 is a ConfigError.
     """
-    entries: list[SentenceEntry] = []
     # One table per load: equal strings, tuples and relations decoded from
     # this file become one object.  Precomputed features get a table of
     # their own, as a float compares equal to an int.
-    sentences = _Sentences(path, max_parses, kept=entries.__getitem__,
-                           share={}.setdefault, values={})
-    for entry in sentences:
-        entries.append(entry)
+    sentences = _Sentences(path, max_parses, share={}.setdefault, values={})
+    entries = list(sentences)
     weights = sentences.weights
     if array("d", (e.weight for e in entries)).tobytes() != weights.tobytes():
         entries = [replace(e, weight=w)
@@ -675,16 +655,25 @@ def _unique_keys(pairs: list) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _decode_json(where, text: str, from_json):
-    """``from_json`` of the JSON document ``text``.
+def _utf8(data: bytes) -> str:
+    """``data`` decoded from UTF-8; a byte that is not is a DataError."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not UTF-8 text ({exc.reason} at byte "
+                        f"{exc.start})") from None
 
-    Every way the document can be bad (invalid JSON, a repeated key, a
-    non-finite number, a missing key, a malformed value, a value its
-    constructor rejects) is a DataError that starts with ``where``, the file
-    and for a corpus the line.
+
+def _decode_json(where, data: bytes, from_json):
+    """``from_json`` of the UTF-8 JSON document ``data``.
+
+    Every way the document can be bad (a byte that is not UTF-8, invalid
+    JSON, a repeated key, a non-finite number, a missing key, a malformed
+    value, a value its constructor rejects) is a DataError that starts with
+    ``where``, the file and for a corpus the line.
     """
     try:
-        return from_json(_DECODER.decode(text))
+        return from_json(_DECODER.decode(_utf8(data)))
     except json.JSONDecodeError as exc:
         raise DataError(f"{where}: invalid JSON") from exc
     except (DataError, ConfigError) as exc:
@@ -697,7 +686,7 @@ def _decode_json(where, text: str, from_json):
 
 def read_json(path, from_json_dict):
     """``from_json_dict`` of the JSON document at ``path``; see _decode_json."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return _decode_json(path, handle.read(), from_json_dict)
 
 

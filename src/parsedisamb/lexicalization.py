@@ -25,8 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import (SYNTHETIC_RELATIONS, VOICES, Corpus, SentenceEntry,
-                     _repeated, atomic_write, canonical_int, check_envelope,
-                     floats, read_json, seeded_rng, strings, typed, write_json)
+                     _repeated, _utf8, atomic_write, canonical_int,
+                     check_envelope, floats, read_json, seeded_rng, strings,
+                     typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 
 CLUSTER_FORMAT = "cluster-model"
@@ -75,10 +76,16 @@ class PairCounts:
 
 
 def load_pair_counts(path) -> PairCounts:
+    """The counts of a UTF-8 file of verb<TAB>noun<TAB>count lines, each
+    ending at a line feed (a CR before it is dropped); a pair that repeats
+    adds its count."""
     counts: dict[tuple[str, str], int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
+            try:
+                line = _utf8(line).rstrip("\r\n")
+            except DataError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
             if not line.strip():
                 continue
             parts = line.split("\t")

@@ -552,6 +552,7 @@ def _reference_entry_from_json(rec):
 def reference_read_entry(where, line):
     """The checked sentence on one corpus line, every value read through
     the typed readers."""
-    entry = _decode_json(where, line, _reference_entry_from_json)
+    entry = _decode_json(where, line.encode("utf-8"),
+                         _reference_entry_from_json)
     _validate_entry(entry, where)
     return entry

@@ -312,9 +312,11 @@ class TestEvalCommand:
         path.write_text("\n".join(lines) + "\n")
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("the corpus was compiled")
+            raise AssertionError("the corpus was scored")
 
-        monkeypatch.setattr(cli, "compile_corpus", unreachable)
+        # eval compiles the corpus as it reads it; the gold check comes at
+        # the end of the file, before any model is scored.
+        monkeypatch.setattr(cli, "evaluate", unreachable)
         code = _run("eval", "--model", str(trained / "model.json"),
                     "--corpus", str(path), "--out-dir", str(tmp_path / "o"))
         assert code == 2
@@ -1228,8 +1230,8 @@ class TestLexicalizedMemory:
 
         for name in ("load_corpus", "load_freq_table"):
             monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
-        # Every corpus line is read through corpus._read; train reads the
-        # corpus while it compiles it, without load_corpus.
+        # Every corpus line is read through corpus._read; train and eval
+        # read the corpus while they compile it, without load_corpus.
         monkeypatch.setattr(corpus_module, "_read",
                             recorded(corpus_module._read))
         table = str(tmp_path / "table.json")
@@ -1242,4 +1244,27 @@ class TestLexicalizedMemory:
                     "--corpus", str(tmp_path / "test.jsonl"),
                     "--lex-table", table,
                     "--out-dir", str(tmp_path / "eval")) == 0
-        assert calls == ["load_freq_table", "load_corpus", "_read"]
+        assert calls == ["load_freq_table", "_read"]
+
+
+class TestEvalErrorOrder:
+    def test_a_lexicalized_model_without_a_table_fails_before_the_corpus(
+            self, tmp_path, capsys, structural_inputs):
+        # eval compiles the corpus as it reads it, so the compile's check
+        # of the table comes before any line is read.
+        table = str(tmp_path / "table.json")
+        assert _run("train", "--corpus", str(tmp_path / "train.jsonl"),
+                    "--lexicalized", table, "--max-iterations", "3",
+                    "--out-dir", str(tmp_path / "model")) == 0
+        text = (tmp_path / "test.jsonl").read_text()
+        path = tmp_path / "truncated.jsonl"
+        path.write_text(text[:len(text) // 2])
+        argv = ["eval", "--model", str(tmp_path / "model" / "model.json"),
+                "--corpus", str(path), "--out-dir", str(tmp_path / "eval")]
+        capsys.readouterr()
+        assert _run(*argv) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: registry has lexicalized properties but "
+            "no frequency table was provided\n")
+        assert _run(*argv, "--lex-table", table) == 2
+        assert f"{path}: line " in capsys.readouterr().err

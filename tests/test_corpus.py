@@ -656,7 +656,8 @@ class TestReader:
             expected = exc
         try:
             entry = corpus_module._decode_json(
-                "w", line, lambda rec: corpus_module._entry_from_json(
+                "w", line.encode("utf-8"),
+                lambda rec: corpus_module._entry_from_json(
                     rec, {}.setdefault, {}))
             corpus_module._validate_entry(entry, "w")
         except DataError as exc:

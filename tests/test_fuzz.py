@@ -12,10 +12,23 @@ leaf in place of a c-structure node.  Through the CLI (``stats`` and
 ``eval``) the exit code is 0 or 2; any other exception would escape
 ``main`` and fail the test.  A config file of any command, one value
 replaced, exits 0, 1 or 2.
+
+Byte-level faults: a corpus, a model, a frequency table, a pair file and a
+config file, each with one byte replaced by 0xff (never UTF-8), with CRLF
+line ends and with lone-CR line ends, run through every command that reads
+them.  The 0xff byte is a data error (a configuration error in a config
+file) naming the file, and for a corpus or a pair file the line.  CRLF line
+ends give the stdout and outputs of LF ones.  Lone CRs leave one line,
+which a corpus or a pair file rejects at line 1 and a JSON document reads
+as whitespace.  No run prints a traceback.
 """
 
+import contextlib
 import copy
+import io
 import json
+import os
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -332,3 +345,96 @@ class TestConfigFuzz:
         key = data.draw(st.sampled_from(sorted(configs[command])))
         doc = {**configs[command], key: data.draw(VALUES)}
         assert _main_with_config(artifacts, command, doc) in (0, 1, 2)
+
+
+def _readers(artifacts, kind, path):
+    """argv of each command that reads a file of ``kind``, with ``path`` in
+    its place."""
+    model = str(artifacts / "model" / "model.json")
+    corpus = str(artifacts / "synth" / "test.jsonl")
+    table = str(artifacts / "clusters" / "freq_table.json")
+    out = ["--out-dir", str(artifacts / "bytes_out")]
+    path = str(path)
+    return {
+        "corpus": [["stats", "--corpus", path, *out],
+                   ["eval", "--model", model, "--corpus", path,
+                    "--lex-table", table, *out],
+                   ["train", "--corpus", path, "--lexicalized", table,
+                    "--max-iterations", "2", *out]],
+        "model": [["eval", "--model", path, "--corpus", corpus,
+                   "--lex-table", table, *out]],
+        "table": [["eval", "--model", model, "--corpus", corpus,
+                   "--lex-table", path, *out],
+                  ["train", "--corpus", corpus, "--lexicalized", path,
+                   "--max-iterations", "2", *out]],
+        "pairs": [["cluster", "--pairs", path, "--classes", "2",
+                   "--max-iterations", "5", *out]],
+        "config": [["eval", "--config", path, *out]]}[kind]
+
+
+def _byte_source(artifacts, kind) -> bytes:
+    if kind == "config":  # indented, so that it has line ends
+        return json.dumps(_configs(artifacts)["eval"], indent=1).encode()
+    return (artifacts / {"corpus": "synth/test.jsonl",
+                         "model": "model/model.json",
+                         "table": "clusters/freq_table.json",
+                         "pairs": "pairs.tsv"}[kind]).read_bytes()
+
+
+def _run_quietly(argv, out_dir):
+    """(exit code, stderr, stdout, every output but the manifest) of
+    ``main(argv)``, which writes under ``out_dir``; an exception escapes."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    outputs = {os.path.relpath(os.path.join(root, name), out_dir):
+               open(os.path.join(root, name), "rb").read()
+               for root, _, names in os.walk(out_dir) for name in names
+               if name != "manifest.json"}
+    return code, err.getvalue(), out.getvalue(), outputs
+
+
+BYTE_KINDS = ["corpus", "model", "table", "pairs", "config"]
+NEWLINE = b"\n"
+
+
+class TestByteFuzz:
+    @pytest.mark.parametrize("kind", BYTE_KINDS)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(at=st.floats(0, 1, exclude_max=True))
+    def test_one_byte_replaced_by_0xff(self, artifacts, kind, at):
+        data = _byte_source(artifacts, kind)
+        at = int(at * len(data))
+        path = artifacts / f"bytes_{kind}"
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        where = str(path)
+        if kind in ("corpus", "pairs"):
+            where += f": line {data.count(NEWLINE, 0, at) + 1}"
+        error = "configuration" if kind == "config" else "data"
+        for argv in _readers(artifacts, kind, path):
+            code, err, _, _ = _run_quietly(argv, artifacts / "bytes_out")
+            assert code == (1 if kind == "config" else 2)
+            assert err.startswith(f"{error} error: {where}: not UTF-8 text (")
+
+    @pytest.mark.parametrize("kind", BYTE_KINDS)
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+    def test_line_ends(self, artifacts, kind, ending):
+        data = _byte_source(artifacts, kind)
+        path, original = (artifacts / f"bytes_{kind}",
+                          artifacts / f"bytes_{kind}_lf")
+        path.write_bytes(data.replace(NEWLINE, ending))
+        original.write_bytes(data)
+        out_dir = artifacts / "bytes_out"
+        for argv, original_argv in zip(_readers(artifacts, kind, path),
+                                       _readers(artifacts, kind, original)):
+            run = _run_quietly(argv, out_dir)
+            if ending == b"\r" and kind in ("corpus", "pairs"):
+                fault = ("invalid JSON" if kind == "corpus"
+                         else "expected verb<TAB>noun<TAB>count")
+                assert run[:2] == (2, f"data error: {path}: line 1: {fault}\n")
+            else:
+                assert run[:2] == (0, "")
+                assert run == _run_quietly(original_argv, out_dir)

@@ -1,13 +1,16 @@
-"""``train`` compiles its corpus while reading it and keeps no record.
+"""``train`` and ``eval`` compile their corpus while reading it and keep
+no record.
 
-The streamed compile (``cli._streamed_templates``) equals
+The streamed compile (``cli._compiled``) equals
 ``compile_templates(load_corpus(path))`` array for array, and ``train``
 writes the bytes it writes when it compiles the loaded corpus instead, on
 corpora that probe the reader: merged duplicates (0.0 and -0.0, 2 and 2.0
 feature values), a duplicate sentence id that ``--max-parses`` removes,
 zero weights and weights that sum to one within 1e-12, structural and
 passthrough corpora, and mixed corpora and missing gold indices, whose
-errors are the same.
+errors are the same.  ``eval``'s streamed compile equals
+``compile_corpus(load_corpus(path), registry, lex_table)`` the same way,
+and ``eval`` writes the bytes of the loaded corpus too.
 """
 
 import gc
@@ -19,10 +22,11 @@ import pytest
 
 import parsedisamb.cli as cli
 import parsedisamb.corpus as corpus_module
-from parsedisamb import (DataError, ParseRecord, SentenceEntry, load_corpus,
-                         save_corpus)
+from parsedisamb import (DataError, ParseRecord, SentenceEntry, add_correction,
+                         build_freq_table, load_corpus,
+                         pair_counts_from_corpus, save_corpus, train_clusters)
 from parsedisamb.cli import main
-from parsedisamb.properties import compile_templates
+from parsedisamb.properties import compile_corpus, compile_templates
 from conftest import random_structural_corpus
 
 HEADER = {"format": "forest-corpus", "version": 1}
@@ -50,11 +54,24 @@ def _write(path, sentences):
     return path
 
 
-def _loaded(path, max_parses=None, gold=False, lex_table=None):
+def _loaded_compile(compile_, path, *args, max_parses=None, gold=False):
+    """``cli._compiled`` with the corpus loaded first; with ``gold``, the
+    reader's gold check, the one gold check in the CLI, comes after the
+    load's checks."""
     corpus = load_corpus(path, max_parses)
     if gold:
-        cli._require_gold(corpus, path)
-    return compile_templates(corpus, lex_table)
+        list(corpus_module._Sentences(path, max_parses, gold=True))
+    return compile_(corpus, *args)
+
+
+def _loaded(path, max_parses=None, gold=False, lex_table=None):
+    return _loaded_compile(compile_templates, path, lex_table,
+                           max_parses=max_parses, gold=gold)
+
+
+def _streamed(path, max_parses=None, gold=False, lex_table=None):
+    return cli._compiled(compile_templates, path, lex_table,
+                         max_parses=max_parses, gold=gold)
 
 
 def _assert_same(streamed, loaded):
@@ -66,6 +83,43 @@ def _assert_same(streamed, loaded):
     assert streamed.parse_ids == loaded.parse_ids
     assert streamed.registry == loaded.registry
     assert streamed.digest == loaded.digest
+
+
+def _lex_table(corpus):
+    pairs = pair_counts_from_corpus(corpus)
+    clusters, _ = train_clusters(pairs, n_classes=2, seed=1)
+    return build_freq_table(clusters, pairs)
+
+
+def _outputs(directory):
+    return {os.path.relpath(os.path.join(root, name), directory):
+            open(os.path.join(root, name), "rb").read()
+            for root, _, names in os.walk(directory) for name in names
+            if name != "manifest.json"}
+
+
+def _new_records_at(monkeypatch, name, argv):
+    """The ParseRecord and SentenceEntry objects that ``main(argv)`` made
+    and holds when it calls ``cli.<name>``."""
+    def records():
+        return [o for o in gc.get_objects()
+                if type(o) in (ParseRecord, SentenceEntry)]
+
+    # Records that other tests left alive are held in ``before``, so
+    # that no new record can take the id of one of them.
+    before = records()
+    known = {id(o) for o in before}
+    alive = []
+    real = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        alive.extend(o for o in records() if id(o) not in known)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    assert main(argv) == 0
+    assert len(before) == len(known)
+    return alive
 
 
 def _error(compile_, *args):
@@ -97,7 +151,7 @@ MERGED = [
 class TestStreamedCompile:
     def test_merged_duplicates(self, tmp_path):
         path = _write(tmp_path / "merged.jsonl", MERGED)
-        streamed = cli._streamed_templates(path, None, False, None)
+        streamed = _streamed(path, None, False, None)
         _assert_same(streamed, _loaded(path))
         assert streamed.sentence_ids == ("s0", "s2", "s3", "s6")
         total = 0.5 + 0.25 + 0.0 + 0.125 + 2.0 + 1.0 + 0.0
@@ -110,12 +164,12 @@ class TestStreamedCompile:
         monkeypatch.setattr(corpus_module, "hash", lambda key: 0,
                             raising=False)
         path = _write(tmp_path / "merged.jsonl", MERGED)
-        _assert_same(cli._streamed_templates(path, None, False, None),
+        _assert_same(_streamed(path, None, False, None),
                      _loaded(path))
         rng = np.random.default_rng(3)
         path = tmp_path / "structural.jsonl"
         save_corpus(random_structural_corpus(rng, 30), path)
-        _assert_same(cli._streamed_templates(path, None, False, None),
+        _assert_same(_streamed(path, None, False, None),
                      _loaded(path))
 
     def test_a_duplicate_id_removed_by_the_parse_cap(self, tmp_path):
@@ -124,19 +178,19 @@ class TestStreamedCompile:
             _sentence("s1", [_parse("p0", {"0": 1})], tokens=("b",)),
             _sentence("s0", [_parse(f"p{j}", {str(j): 1}) for j in range(3)],
                       tokens=("c",))])
-        _assert_same(cli._streamed_templates(path, 2, False, None),
+        _assert_same(_streamed(path, 2, False, None),
                      _loaded(path, 2))
         message = _error(_loaded, path)
         assert "duplicate sentence_id(s): ['s0']" in message
-        assert _error(cli._streamed_templates, path, None, False, None) \
+        assert _error(_streamed, path, None, False, None) \
             == message
-        _assert_same(cli._streamed_templates(path, 1, False, None),
+        _assert_same(_streamed(path, 1, False, None),
                      _loaded(path, 1))
         path = _write(tmp_path / "capped.jsonl", [
             _sentence("s0", [_parse("p0", {"0": 1}), _parse("p1", {"1": 1})])])
         message = _error(_loaded, path, 1)
         assert "no sentences left after max_parses=1 cutoff" in message
-        assert _error(cli._streamed_templates, path, 1, False, None) \
+        assert _error(_streamed, path, 1, False, None) \
             == message
 
     @pytest.mark.parametrize("weights", [
@@ -153,26 +207,21 @@ class TestStreamedCompile:
         if sum(weights) == 0:
             message = _error(_loaded, path)
             assert "total corpus weight is zero" in message
-            assert _error(cli._streamed_templates, path, None, False,
+            assert _error(_streamed, path, None, False,
                           None) == message
             return
-        streamed = cli._streamed_templates(path, None, False, None)
+        streamed = _streamed(path, None, False, None)
         _assert_same(streamed, _loaded(path))
         assert streamed.weights.tolist() == [
             e.weight for e in load_corpus(path).entries]
 
     def test_structural_and_lexicalized(self, tmp_path):
-        from parsedisamb import (build_freq_table, pair_counts_from_corpus,
-                                 train_clusters)
         corpus = random_structural_corpus(np.random.default_rng(11), 40)
         path = tmp_path / "structural.jsonl"
         save_corpus(corpus, path)
-        pairs = pair_counts_from_corpus(corpus)
-        clusters, _ = train_clusters(pairs, n_classes=2, seed=1)
-        table = build_freq_table(clusters, pairs)
-        for lex_table in (None, table):
+        for lex_table in (None, _lex_table(corpus)):
             for cap in (None, 2):
-                streamed = cli._streamed_templates(path, cap, True, lex_table)
+                streamed = _streamed(path, cap, True, lex_table)
                 _assert_same(streamed, _loaded(path, cap, True, lex_table))
         assert streamed.registry.kinds() >= {"production",
                                              "lexicalized-relation"}
@@ -182,7 +231,7 @@ class TestStreamedCompile:
         assert main(["synth", "--sentences", "60", "--seed", "2",
                      "--out-dir", str(out)]) == 0
         path = out / "train.jsonl"
-        streamed = cli._streamed_templates(path, 3, False, None)
+        streamed = _streamed(path, 3, False, None)
         _assert_same(streamed, _loaded(path, 3))
         assert streamed.registry.kinds() == {"passthrough"}
 
@@ -204,14 +253,14 @@ class TestStreamedCompile:
         path = _write(tmp_path / "mixed.jsonl", lines)
         message = _error(_loaded, path)
         assert "mixes" in message and "'p0' of sentence 's0'" in message
-        assert _error(cli._streamed_templates, path, None, False, None) \
+        assert _error(_streamed, path, None, False, None) \
             == message
         # A fault on a later line comes first, as when the corpus loads.
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("{\n")
         message = _error(_loaded, path)
         assert "line 5: invalid JSON" in message
-        assert _error(cli._streamed_templates, path, None, False, None) \
+        assert _error(_streamed, path, None, False, None) \
             == message
 
     def test_missing_gold(self, tmp_path):
@@ -223,21 +272,30 @@ class TestStreamedCompile:
         message = _error(_loaded, path, None, True)
         assert message == (f"{path}: line 4: sentence 's2' has no "
                            "gold_index annotation")
-        assert _error(cli._streamed_templates, path, None, True, None) \
+        assert _error(_streamed, path, None, True, None) \
             == message
         # Incomplete data never reads gold_index.
-        _assert_same(cli._streamed_templates(path, None, False, None),
+        _assert_same(_streamed(path, None, False, None),
                      _loaded(path))
+
+    def test_missing_gold_names_the_line_the_cap_keeps(self, tmp_path,
+                                                       capsys):
+        # Line 2 has line 4's id but more parses than the cap, which drops
+        # it; the sentence without a gold index is line 4's.
+        path = _write(tmp_path / "gold.jsonl", [
+            _sentence("s0", [_parse(f"p{j}", {str(j): 1}) for j in range(4)]),
+            _sentence("s1", [_parse("p0", {"0": 1})], tokens=("b",)),
+            _sentence("s0", [_parse("p0", {"0": 1}), _parse("p1", {"1": 1})],
+                      gold=None, tokens=("c",))])
+        message = f"{path}: line 4: sentence 's0' has no gold_index annotation"
+        assert _error(_streamed, path, 3, True, None) == message
+        assert main(["train", "--corpus", str(path), "--complete-data",
+                     "--max-parses", "3", "--out-dir",
+                     str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 class TestTrainCommand:
-    @staticmethod
-    def _outputs(directory):
-        return {os.path.relpath(os.path.join(root, name), directory):
-                open(os.path.join(root, name), "rb").read()
-                for root, _, names in os.walk(directory) for name in names
-                if name != "manifest.json"}
-
     @pytest.mark.parametrize("corpus", ["merged", "synth", "structural"])
     def test_train_writes_the_bytes_of_the_loaded_corpus(
             self, tmp_path, monkeypatch, corpus):
@@ -256,11 +314,11 @@ class TestTrainCommand:
             flags += ["--complete-data", "--select-cutoff", "2"]
         argv = ["train", "--corpus", str(path), *flags, "--out-dir"]
         assert main([*argv, str(tmp_path / "streamed")]) == 0
-        monkeypatch.setattr(cli, "_streamed_templates", _loaded)
+        monkeypatch.setattr(cli, "_compiled", _loaded_compile)
         assert main([*argv, str(tmp_path / "loaded")]) == 0
-        streamed = self._outputs(tmp_path / "streamed")
+        streamed = _outputs(tmp_path / "streamed")
         assert "model.json" in streamed and "trace.jsonl" in streamed
-        assert streamed == self._outputs(tmp_path / "loaded")
+        assert streamed == _outputs(tmp_path / "loaded")
 
     def test_no_record_is_alive_when_training_starts(self, tmp_path,
                                                      monkeypatch):
@@ -268,26 +326,60 @@ class TestTrainCommand:
         SentenceEntry when it enters ``train``."""
         assert main(["synth", "--sentences", "60", "--seed", "1",
                      "--out-dir", str(tmp_path / "synth")]) == 0
+        assert _new_records_at(monkeypatch, "train", [
+            "train", "--corpus", str(tmp_path / "synth" / "train.jsonl"),
+            "--max-iterations", "3", "--out-dir", str(tmp_path / "o")]) == []
 
-        def records():
-            return [o for o in gc.get_objects()
-                    if type(o) in (ParseRecord, SentenceEntry)]
 
-        # Records that other tests left alive are held in ``before``, so
-        # that no new record can take the id of one of them.
-        before = records()
-        known = {id(o) for o in before}
-        alive = []
-        real_train = cli.train
+class TestEvalCommand:
+    @pytest.mark.parametrize("corpus", ["merged", "structural-lex"])
+    def test_the_streamed_matrix_is_the_loaded_one(self, tmp_path, corpus):
+        if corpus == "merged":
+            path = _write(tmp_path / "merged.jsonl", MERGED)
+            training, lex_table = load_corpus(path), None
+        else:
+            rng = np.random.default_rng(12)
+            training = random_structural_corpus(rng, 30)
+            path = tmp_path / "test.jsonl"
+            save_corpus(random_structural_corpus(rng, 20), path)
+            lex_table = _lex_table(training)
+        templates = compile_templates(training, lex_table)
+        registry = add_correction(templates.registry, templates)
+        streamed = cli._compiled(compile_corpus, path, registry, lex_table,
+                                 gold=True)
+        _assert_same(streamed,
+                     compile_corpus(load_corpus(path), registry, lex_table))
+        assert streamed.registry == registry
+        if lex_table is not None:
+            assert "lexicalized-relation" in registry.kinds()
 
-        def counted(*args, **kwargs):
-            alive.extend(o for o in records() if id(o) not in known)
-            return real_train(*args, **kwargs)
+    def test_eval_writes_the_bytes_of_the_loaded_corpus(self, tmp_path,
+                                                        monkeypatch):
+        path = _write(tmp_path / "merged.jsonl", MERGED)
+        model = tmp_path / "model"
+        assert main(["train", "--corpus", str(path), "--max-iterations", "9",
+                     "--checkpoint-every", "4", "--out-dir", str(model)]) == 0
+        argv = ["eval", "--model", str(model / "model.json"), "--corpus",
+                str(path), "--baseline", "3", "--checkpoints",
+                str(model / "checkpoints"), "--out-dir"]
+        assert main([*argv, str(tmp_path / "streamed")]) == 0
+        monkeypatch.setattr(cli, "_compiled", _loaded_compile)
+        assert main([*argv, str(tmp_path / "loaded")]) == 0
+        streamed = _outputs(tmp_path / "streamed")
+        assert "report_exact_match.json" in streamed
+        assert "sweep_exact_match.csv" in streamed
+        assert streamed == _outputs(tmp_path / "loaded")
 
-        monkeypatch.setattr(cli, "train", counted)
-        assert main(["train", "--corpus", str(tmp_path / "synth" /
-                                              "train.jsonl"),
-                     "--max-iterations", "3",
-                     "--out-dir", str(tmp_path / "o")]) == 0
-        assert alive == []
-        assert len(before) == len(known)
+    def test_no_record_is_alive_when_scoring_starts(self, tmp_path,
+                                                    monkeypatch):
+        """Regression guard: ``cmd_eval`` holds no ParseRecord or
+        SentenceEntry when it enters ``evaluate``."""
+        synth, model = tmp_path / "synth", tmp_path / "model"
+        assert main(["synth", "--sentences", "60", "--seed", "1",
+                     "--out-dir", str(synth)]) == 0
+        assert main(["train", "--corpus", str(synth / "train.jsonl"),
+                     "--max-iterations", "3", "--out-dir", str(model)]) == 0
+        assert _new_records_at(monkeypatch, "evaluate", [
+            "eval", "--model", str(model / "model.json"),
+            "--corpus", str(synth / "test.jsonl"),
+            "--out-dir", str(tmp_path / "o")]) == []
