@@ -259,7 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     inputs = [conf["corpus"]]
     lex_table = None
     if conf["lexicalized"]:
-        # Table first: its decode frees ~3x what it keeps, for the corpus.
+        # Table first: its decode frees ~10x what it keeps, for the corpus.
         lex_table = load_freq_table(conf["lexicalized"])
         inputs.append(conf["lexicalized"])
 
@@ -342,7 +342,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     inputs = [conf["model"], conf["corpus"]]
     lex_table = None
     if conf["lex_table"]:
-        # Table first: its decode frees ~3x what it keeps, for the corpus.
+        # Table first: its decode frees ~10x what it keeps, for the corpus.
         lex_table = load_freq_table(conf["lex_table"])
         inputs.append(conf["lex_table"])
 

@@ -39,6 +39,7 @@ present on every parse.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import math
@@ -670,12 +671,15 @@ def _decode_json(where, data: bytes, from_json):
     Every way the document can be bad (a byte that is not UTF-8, invalid
     JSON, a repeated key, a non-finite number, a missing key, a malformed
     value, a value its constructor rejects) is a DataError that starts with
-    ``where``, the file and for a corpus the line.
+    ``where``, the file and for a corpus the line.  A leading byte-order
+    mark, which JSON does not allow, is named.
     """
     try:
         return from_json(_DECODER.decode(_utf8(data)))
     except json.JSONDecodeError as exc:
-        raise DataError(f"{where}: invalid JSON") from exc
+        mark = (" (it starts with a UTF-8 byte-order mark)"
+                if data.startswith(codecs.BOM_UTF8) else "")
+        raise DataError(f"{where}: invalid JSON{mark}") from exc
     except (DataError, ConfigError) as exc:
         raise DataError(f"{where}: {exc}") from exc
     except KeyError as exc:

@@ -13,21 +13,29 @@ which drive a per-relation pre-disambiguation indicator: within a sentence's
 candidate parses, the parses whose (verb, noun) pair for a relation slot
 maximizes f_c are marked 1, everything else 0.
 
+A frequency table keeps its pairs as sorted integer codes into its cluster
+model's vocabulary, next to an array of their f_c values, so a loaded table
+keeps no object its JSON decode made; a lookup is one binary search.
+
 Pair counts are exchanged as tab-separated "verb<TAB>noun<TAB>count" files;
 cluster models and frequency tables as versioned JSON documents.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import (SYNTHETIC_RELATIONS, VOICES, Corpus, SentenceEntry,
-                     _repeated, _utf8, atomic_write, canonical_int,
-                     check_envelope, floats, read_json, seeded_rng, strings,
-                     typed, write_json)
+from .corpus import (_ONLY_FLOAT, _ONLY_STR, SYNTHETIC_RELATIONS, VOICES,
+                     Corpus, SentenceEntry, _repeated, _utf8, atomic_write,
+                     canonical_int, check_envelope, floats, read_json,
+                     seeded_rng, strings, typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 
 CLUSTER_FORMAT = "cluster-model"
@@ -46,6 +54,7 @@ SLOTS = tuple((rel, voice, position) for rel in SYNTHETIC_RELATIONS
               for voice in VOICES if (rel, voice) != ("dobj", "passive")
               for position in (1, 2, 3))
 _SLOT_SET = frozenset(SLOTS)
+_ONLY_LIST = frozenset({list})
 
 
 def slot_key(relation: str, voice: str, position: int) -> str:
@@ -342,10 +351,43 @@ def class_membership(model: ClusterModel, verb: str, noun: str) -> np.ndarray:
 
 @dataclass
 class LexFrequencyTable:
-    """Map (verb, noun) -> f_c(v, n) with on-demand values for unseen pairs."""
+    """f_c(v, n) of the counted pairs, with on-demand values for the rest.
 
-    entries: dict[tuple[str, str], float]
+    A pair whose verb and noun the model knows is stored as its code
+    ``verb_index * len(model.nouns) + noun_index`` in the sorted ``codes``,
+    with its f_c at the same place in ``values``, so it keeps no string or
+    tuple.  A pair with a word the model lacks is a key of ``others``; no
+    table that ``cluster`` writes has one.
+    """
+
     model: ClusterModel
+    codes: array  # array("q"), ascending
+    values: array  # array("d")
+    others: dict[tuple[str, str], float]
+
+    @classmethod
+    def from_columns(cls, model: ClusterModel, verbs: Sequence[str],
+                     nouns: Sequence[str], values: Sequence[float]
+                     ) -> "LexFrequencyTable":
+        """The table giving pair (verbs[k], nouns[k]) f_c ``values[k]``;
+        a pair that repeats is a DataError."""
+        vi = np.array([*map(model._verb_index.get, verbs, repeat(-1))],
+                      dtype=np.int64)
+        ni = np.array([*map(model._noun_index.get, nouns, repeat(-1))],
+                      dtype=np.int64)
+        f = np.array(values, dtype=float)
+        known = (vi >= 0) & (ni >= 0)
+        others = {(verbs[k], nouns[k]): values[k]
+                  for k in np.flatnonzero(~known).tolist()}
+        codes = (vi * len(model.nouns) + ni)[known]
+        order = np.argsort(codes, kind="stable")
+        codes, f = codes[order], f[known][order]
+        if ((codes[1:] == codes[:-1]).any()
+                or len(others) < len(vi) - len(codes)):
+            pair = _repeated(zip(verbs, nouns))
+            raise DataError(f"entries list the pair {pair!r} twice")
+        return cls(model=model, codes=array("q", codes.tobytes()),
+                   values=array("d", f.tobytes()), others=others)
 
     def lookup(self, verb: str, noun: str) -> float:
         return self.lookup_all([(verb, noun)])[0]
@@ -353,9 +395,21 @@ class LexFrequencyTable:
     def lookup_all(self, pairs: list[tuple[str, str]]) -> list[float]:
         """f_c of each pair; the unseen ones (f(v, n) = 0, so f_c is the
         best class posterior) take their posteriors in one call."""
-        values = [*map(self.entries.get, pairs)]
-        unseen = [k for k, value in enumerate(values) if value is None]
-        if unseen:
+        verb_of = self.model._verb_index.get
+        noun_of = self.model._noun_index.get
+        n_nouns, codes, known = len(self.model.nouns), self.codes, self.values
+        size = len(codes)
+        values = []
+        for verb, noun in pairs:
+            v, n = verb_of(verb), noun_of(noun)
+            if v is None or n is None:
+                values.append(self.others.get((verb, noun)))
+                continue
+            code = v * n_nouns + n
+            k = bisect_left(codes, code)
+            values.append(known[k] if k < size and codes[k] == code else None)
+        if None in values:
+            unseen = [k for k, value in enumerate(values) if value is None]
             best = _posteriors(self.model,
                                [pairs[k] for k in unseen]).max(axis=1)
             for k, value in zip(unseen, best.tolist()):
@@ -363,11 +417,14 @@ class LexFrequencyTable:
         return values
 
     def to_json_dict(self) -> dict:
+        verbs, nouns = self.model.verbs, self.model.nouns
+        entries = [[verbs[code // len(nouns)], nouns[code % len(nouns)], value]
+                   for code, value in zip(self.codes, self.values)]
+        entries += [[v, n, value] for (v, n), value in self.others.items()]
         return {
             "format": FREQ_TABLE_FORMAT,
             "version": FREQ_TABLE_VERSION,
-            "entries": [[v, n, self.entries[(v, n)]]
-                        for v, n in sorted(self.entries)],
+            "entries": sorted(entries),  # by (verb, noun): each is unique
             "model": self.model.to_json_dict(),
         }
 
@@ -376,19 +433,29 @@ class LexFrequencyTable:
         check_envelope(doc, FREQ_TABLE_FORMAT, FREQ_TABLE_VERSION,
                        FREQ_TABLE_KEYS)
         model = ClusterModel.from_json_dict(doc["model"])
-        # Keys share the model's word strings where it has them.
-        verb_of = {v: v for v in model.verbs}
-        noun_of = {n: n for n in model.nouns}
-        rows = typed(doc["entries"], list, "entries")
-        entries = {}
-        for v, n, x in rows:
-            v, n = typed(v, str, "verb"), typed(n, str, "noun")
-            entries[verb_of.get(v, v), noun_of.get(n, n)] = typed(
-                x, float, "f_c", low=0)
-        if len(entries) < len(rows):  # a later f_c would replace an earlier
-            pair = _repeated((v, n) for v, n, _ in rows)
-            raise DataError(f"entries list the pair {pair!r} twice")
-        return cls(model=model, entries=entries)
+        return cls.from_columns(
+            model, *_entry_columns(typed(doc["entries"], list, "entries")))
+
+
+def _entry_columns(rows: list) -> list[tuple]:
+    """The verb, noun and f_c columns of the ``entries`` rows.
+
+    The item classes of each column are checked at once; only rows that
+    fail that check are read one by one, so the first bad row raises its
+    own error."""
+    if (_ONLY_LIST.issuperset(map(type, rows))
+            and {3}.issuperset(map(len, rows))):
+        columns = [*zip(*rows)] or [(), (), ()]
+        verbs, nouns, values = columns
+        if (_ONLY_STR.issuperset(map(type, verbs))
+                and _ONLY_STR.issuperset(map(type, nouns))
+                and _ONLY_FLOAT.issuperset(map(type, values))):
+            f = np.array(values, dtype=float)
+            if ((f >= 0) & (f < np.inf)).all():
+                return columns
+    rows = [(typed(v, str, "verb"), typed(n, str, "noun"),
+             typed(x, float, "f_c", low=0)) for v, n, x in rows]
+    return [*zip(*rows)] or [(), (), ()]
 
 
 def save_freq_table(table: LexFrequencyTable, path) -> None:
@@ -404,8 +471,9 @@ def build_freq_table(model: ClusterModel, counts: PairCounts) -> LexFrequencyTab
     pairs = list(counts.counts)
     freqs = np.array(list(counts.counts.values()), dtype=float)
     best = _posteriors(model, pairs).max(axis=1)
-    return LexFrequencyTable(
-        entries=dict(zip(pairs, (best * (freqs + 1.0)).tolist())), model=model)
+    return LexFrequencyTable.from_columns(
+        model, [v for v, _ in pairs], [n for _, n in pairs],
+        (best * (freqs + 1.0)).tolist())
 
 
 # ---------------------------------------------------------------------------

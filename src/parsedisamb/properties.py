@@ -403,19 +403,23 @@ class FeatureMatrix:
             raise ConfigError("the registry has columns the matrix lacks")
         # A registry that keeps every column in place needs no remapped copy.
         in_place = np.array_equal(colmap, np.arange(self.n_features))
-        rows, data = self.rows, self.data
+        n = self.n_parses
         cols = self.indices if in_place else colmap[self.indices]
         keep = cols >= 0
-        if not keep.all():
-            rows, cols, data = rows[keep], cols[keep], data[keep]
+        if keep.all():
+            rows, data, per_row = self.rows, self.data, np.diff(self.indptr)
+        else:
+            # A row keeps the kept nonzeros between its two indptr bounds.
+            kept_before = np.concatenate(([0], np.cumsum(keep)))
+            per_row = np.diff(kept_before[self.indptr])
+            cols, data = cols[keep], self.data[keep]
+            rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), per_row)
         # Rows are sorted by column; a map that keeps the column order keeps
         # them sorted.
         if np.any(np.diff(colmap[colmap >= 0]) <= 0):
             order = np.lexsort((cols, rows))
             rows, cols, data = rows[order], cols[order], data[order]
 
-        n = self.n_parses
-        per_row = np.bincount(rows, minlength=n)
         clamped = 0
         if K is not None:
             slack = K - np.bincount(rows, weights=data, minlength=n)

@@ -4,8 +4,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from parsedisamb import (Corpus, FStructure, ParseRecord, Relation,
-                         SentenceEntry, add_correction, build_corpus,
+from parsedisamb import (Corpus, FStructure, LexFrequencyTable, ParseRecord,
+                         Relation, SentenceEntry, add_correction, build_corpus,
                          build_registry)
 
 
@@ -158,6 +158,14 @@ def structural_parse(parse_id: str, tree, functions=(), pairs=(),
 def relation(name, verb, noun, voice="active", position=1) -> Relation:
     return Relation(name=name, verb=verb, noun=noun, voice=voice,
                     position=position)
+
+
+def freq_table(model, values: dict) -> LexFrequencyTable:
+    """The frequency table over ``model`` that stores ``values``, a
+    (verb, noun) -> f_c map; its words need not be the model's."""
+    return LexFrequencyTable.from_columns(
+        model, [v for v, _ in values], [n for _, n in values],
+        list(values.values()))
 
 
 def random_structural_corpus(rng: np.random.Generator,

@@ -5,7 +5,9 @@ their own score/likelihood code.  The reference extraction below is the
 per-parse dict path that the compiled feature matrix replaced, the
 reference cluster EM the loop that built two joints per iteration, and the
 reference frequency table a per-pair loop over a one-pair posterior with
-its own priors fallback.
+its own priors fallback.  The reference projection sorts and counts the
+kept nonzeros through a row index of every nonzero, as ``project`` did
+before it counted rows from ``indptr``.
 The reference corpus reader reads every value through the typed readers,
 one call per value and no value shared, before ``_validate_entry`` checks
 the line.
@@ -25,11 +27,10 @@ from parsedisamb.corpus import (_FSTRUCTURE_KEYS, _PARSE_KEYS, _SENTENCE_KEYS,
                                 _validate_entry, canonical_int, identifier,
                                 record, strings, tree_from_json, typed)
 from parsedisamb.errors import ConfigError, DataError, InternalConsistencyError
-from parsedisamb.lexicalization import (SLOTS, ClusterModel, LexFrequencyTable,
-                                        slot_key)
+from parsedisamb.lexicalization import SLOTS, ClusterModel, slot_key
 from parsedisamb.properties import (ADJUNCT_FUNCTIONS, COORDINATION_MARKERS,
                                     FSTR_KINDS, STRUCTURAL_KINDS, TREE_KINDS)
-from conftest import feature_pairs
+from conftest import feature_pairs, freq_table
 
 
 def direct_incomplete_log_likelihood(theta: np.ndarray,
@@ -349,6 +350,35 @@ def reference_matrix(corpus, registry, lex_table=None, universe_only=True):
     return np.array(dense).reshape(-1, registry.size), clamped
 
 
+def reference_project(matrix, registry):
+    """(indptr, indices, data, clamped-correction count) of
+    ``matrix.project(registry)``, by the row of every nonzero: the kept
+    nonzeros are sorted by (row, column) and counted per row."""
+    colmap = np.full(matrix.n_features, -1, dtype=np.intp)
+    for i, d in enumerate(matrix.registry.properties):
+        target = registry.index_of(d.kind, d.key)
+        if target is not None and d.kind != "correction":
+            colmap[i] = target
+    n = matrix.n_parses
+    rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(matrix.indptr))
+    cols, data = colmap[matrix.indices], matrix.data
+    keep = cols >= 0
+    order = np.lexsort((cols[keep], rows[keep]))
+    rows, cols, data = rows[keep][order], cols[keep][order], data[keep][order]
+    per_row = np.bincount(rows, minlength=n)
+    clamped = 0
+    if registry.correction_K is not None:
+        slack = registry.correction_K - np.bincount(rows, weights=data,
+                                                    minlength=n)
+        clamped = int(np.count_nonzero(slack < 0))
+        fill = slack > 0
+        ends = np.cumsum(per_row)[fill]
+        cols = np.insert(cols, ends, registry.correction_index)
+        data = np.insert(data, ends, slack[fill])
+        per_row = per_row + fill
+    return np.concatenate(([0], np.cumsum(per_row))), cols, data, clamped
+
+
 def reference_selection(registry, cutoff, corpus=None, lex_table=None):
     """[(kind, key, count)] of the descriptors that survive ``cutoff``."""
     counts = [d.activation_count for d in registry.properties]
@@ -474,9 +504,18 @@ def reference_posterior(model, verb, noun):
     return model.priors.copy()
 
 
+def stored_entries(table) -> dict:
+    """(verb, noun) -> f_c of each pair a frequency table stores: its coded
+    pairs in code order, then its side table."""
+    verbs, nouns = table.model.verbs, table.model.nouns
+    entries = {(verbs[code // len(nouns)], nouns[code % len(nouns)]): value
+               for code, value in zip(table.codes, table.values)}
+    return {**entries, **table.others}
+
+
 def reference_f_c(table, verb, noun):
     """f_c of a pair: the table's entry, else (f = 0) its best posterior."""
-    value = table.entries.get((verb, noun))
+    value = stored_entries(table).get((verb, noun))
     if value is None:
         value = float(reference_posterior(table.model, verb, noun).max())
     return value
@@ -488,7 +527,7 @@ def reference_build_freq_table(model, counts):
     for (verb, noun), freq in counts.counts.items():
         posterior = reference_posterior(model, verb, noun)
         entries[(verb, noun)] = float(posterior.max() * (freq + 1.0))
-    return LexFrequencyTable(entries=entries, model=model)
+    return freq_table(model, entries)
 
 
 def _reference_relation_from_json(item):

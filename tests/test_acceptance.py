@@ -12,9 +12,9 @@ import time
 
 import numpy as np
 
-from parsedisamb import (SLOTS, LexFrequencyTable, PairCounts,
-                         SentenceEntry, SyntheticConfig, TrainingConfig,
-                         build_corpus, build_feature_matrix, compare_inits,
+from parsedisamb import (SLOTS, PairCounts, SentenceEntry, SyntheticConfig,
+                         TrainingConfig, build_corpus, build_feature_matrix,
+                         compare_inits,
                          evaluate, expectations, generate_synthetic,
                          incomplete_log_likelihood, lexicalized_properties,
                          new_model, normalize, random_baseline, slot_key,
@@ -22,9 +22,9 @@ from parsedisamb import (SLOTS, LexFrequencyTable, PairCounts,
 from parsedisamb.cli import main as cli_main
 from parsedisamb.corpus import ParseRecord
 from parsedisamb.evaluation import SentenceVerdict, outcome_from_verdicts
-from conftest import (corrected_registry, feature_pairs, passthrough_corpus,
-                      random_passthrough_instance, relation, tiny_instance,
-                      weighted_parsebank)
+from conftest import (corrected_registry, feature_pairs, freq_table,
+                      passthrough_corpus, random_passthrough_instance,
+                      relation, tiny_instance, weighted_parsebank)
 from oracles import grid_search_optimum
 
 
@@ -223,8 +223,8 @@ def test_c08_lexicalized_indicator_contract():
     details = []
 
     # Exact tie: both maximal parses marked.
-    table = LexFrequencyTable(entries={("v", "a"): 3.5, ("v", "b"): 2.0,
-                                       ("v", "c"): 3.5}, model=single)
+    table = freq_table(single, {("v", "a"): 3.5, ("v", "b"): 2.0,
+                                ("v", "c"): 3.5})
     entry = SentenceEntry(
         sentence_id="s0", tokens=("t",),
         parses=tuple(ParseRecord(parse_id=f"p{j}",
@@ -237,8 +237,7 @@ def test_c08_lexicalized_indicator_contract():
     details.append("tie handled")
 
     # Unique maximum plus a parse lacking the slot.
-    table = LexFrequencyTable(entries={("v", "a"): 1.0, ("v", "b"): 6.0},
-                              model=single)
+    table = freq_table(single, {("v", "a"): 1.0, ("v", "b"): 6.0})
     entry = SentenceEntry(
         sentence_id="s1", tokens=("t",),
         parses=(
@@ -259,7 +258,7 @@ def test_c08_lexicalized_indicator_contract():
     rng = np.random.default_rng(88)
     values = {(f"v{i}", f"n{j}"): float(rng.integers(1, 9))
               for i in range(4) for j in range(6)}
-    table = LexFrequencyTable(entries=values, model=single)
+    table = freq_table(single, values)
     for case in range(30):
         parses = []
         for p in range(int(rng.integers(1, 5))):

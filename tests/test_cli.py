@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import gc
 import itertools
 import json
@@ -1245,6 +1246,92 @@ class TestLexicalizedMemory:
                     "--lex-table", table,
                     "--out-dir", str(tmp_path / "eval")) == 0
         assert calls == ["load_freq_table", "_read"]
+
+    def test_a_loaded_table_keeps_seventeen_bytes_an_entry(self, tmp_path):
+        # A table's entries cost one int64 code and one double each, plus
+        # the 1/16 an array reserves to grow: the strings, lists and floats
+        # the decode made are all freed.
+        import tracemalloc
+
+        import numpy as np
+        from parsedisamb import PairCounts, build_freq_table, train_clusters
+        from parsedisamb.lexicalization import (load_freq_table,
+                                                save_freq_table)
+
+        rng = np.random.default_rng(5)
+        draws = zip(rng.integers(0, 200, 8000).tolist(),
+                    rng.integers(0, 1500, 8000).tolist())
+        counts = PairCounts(counts={(f"verb{v}", f"noun{n}"): 1
+                                    for v, n in draws})
+        model, _ = train_clusters(counts, n_classes=4, max_iterations=2)
+        table = build_freq_table(model, counts)
+        save_freq_table(table, tmp_path / "table.json")
+        doc = table.to_json_dict()
+        doc["entries"] = []
+        write_json(doc, tmp_path / "empty.json")
+
+        def kept(path):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                loaded = load_freq_table(path)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0], loaded
+            finally:
+                tracemalloc.stop()
+
+        (full, loaded), (empty, _) = kept(tmp_path / "table.json"), kept(
+            tmp_path / "empty.json")
+        assert len(loaded.codes) == len(counts) > 7000
+        assert full - empty <= 17 * len(counts) + 4096
+
+
+class TestByteOrderMark:
+    """JSON allows no byte-order mark, and a file some editors saved with
+    one fails with a message that names it."""
+
+    MARK = "invalid JSON (it starts with a UTF-8 byte-order mark)"
+
+    def _marked(self, path):
+        marked = path.with_name("marked_" + path.name)
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        return str(marked)
+
+    def test_corpus_and_table_exit_2(self, tmp_path, capsys,
+                                     structural_inputs):
+        train, table = tmp_path / "train.jsonl", tmp_path / "table.json"
+        corpus = self._marked(train)
+        for argv in (["stats", "--corpus", corpus],
+                     ["train", "--corpus", corpus, "--out-dir",
+                      str(tmp_path / "out")]):
+            assert _run(*argv) == 2
+            assert capsys.readouterr().err \
+                == f"data error: {corpus}: line 1: {self.MARK}\n"
+        assert _run("train", "--corpus", str(train), "--lexicalized",
+                    str(table), "--max-iterations", "3",
+                    "--out-dir", str(tmp_path / "model")) == 0
+        marked = self._marked(table)
+        for argv in (["train", "--corpus", str(train),
+                      "--lexicalized", marked],
+                     ["eval", "--model", str(tmp_path / "model" / "model.json"),
+                      "--corpus", str(tmp_path / "test.jsonl"),
+                      "--lex-table", marked]):
+            capsys.readouterr()
+            assert _run(*argv, "--out-dir", str(tmp_path / "out")) == 2
+            assert capsys.readouterr().err \
+                == f"data error: {marked}: {self.MARK}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_exits_1(self, tmp_path, capsys, structural_inputs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": str(tmp_path / "train.jsonl")}))
+        assert _run("stats", "--config", str(config)) == 0
+        marked = self._marked(config)
+        capsys.readouterr()
+        assert _run("stats", "--config", marked) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {marked}: {self.MARK}\n"
+        assert not captured.out
 
 
 class TestEvalErrorOrder:

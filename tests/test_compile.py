@@ -13,11 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parsedisamb import (ConfigError, DataError, FStructure,
-                         LexFrequencyTable, LogLinearModel, PairCounts,
-                         ParseRecord, PropertyDescriptor, PropertyRegistry,
-                         Relation, SentenceEntry, TrainingConfig,
-                         add_correction, build_corpus, build_feature_matrix,
+from parsedisamb import (ConfigError, DataError, FStructure, LogLinearModel,
+                         PairCounts, ParseRecord, PropertyDescriptor,
+                         PropertyRegistry, Relation, SentenceEntry,
+                         TrainingConfig, add_correction, build_corpus,
+                         build_feature_matrix,
                          build_freq_table, compile_corpus, compile_templates,
                          disambiguate, evaluate, lexicalized_properties,
                          pair_counts_from_corpus, random_baseline,
@@ -27,10 +27,11 @@ from parsedisamb import corpus as corpus_module
 from parsedisamb import properties
 from parsedisamb.evaluation import TASKS
 from parsedisamb.properties import STRUCTURAL_KINDS, structural_values
-from conftest import (feature_pairs, passthrough_corpus,
+from conftest import (feature_pairs, freq_table, passthrough_corpus,
                       random_passthrough_instance, random_structural_corpus)
 from oracles import (reference_correction, reference_decision,
                      reference_lexicalized_properties, reference_matrix,
+                     reference_project,
                      reference_registry, reference_selection,
                      reference_structural_values)
 
@@ -121,7 +122,7 @@ def lex_tables(draw):
     single, _ = train_clusters(PairCounts(counts={("v", "n"): 1}), n_classes=1)
     entries = {(v, n): float(draw(st.integers(1, 3)))
                for v in VERBS for n in NOUNS if draw(st.booleans())}
-    return LexFrequencyTable(entries=entries, model=single)
+    return freq_table(single, entries)
 
 
 def _lambdas(size):
@@ -328,6 +329,36 @@ class TestFeatureMatrix:
             assert all(np.all(np.diff(compiled.indices[a:b]) > 0)
                        for a, b in zip(starts, ends))
             assert np.array_equal(compiled.values[:, :3], matrix.values)
+
+    @SETTINGS
+    @given(st.integers(0, 2 ** 32 - 1), st.data())
+    def test_projection_equals_the_reference(self, seed, data):
+        corpus, _ = random_passthrough_instance(np.random.default_rng(seed))
+        matrix = compile_templates(corpus)
+        columns = matrix.registry.properties
+        # Columns kept in any order, so some maps reorder rows.
+        kept = data.draw(st.lists(st.sampled_from(range(len(columns))),
+                                  min_size=1, unique=True))
+        registry = PropertyRegistry(properties=[columns[i] for i in kept])
+        if data.draw(st.booleans()):
+            registry = add_correction(registry, matrix)
+            if data.draw(st.booleans()):  # a K below some totals clamps
+                registry = replace(registry, correction_K=float(
+                    data.draw(st.integers(0, 8))))
+        projected = matrix.project(registry)
+        # A projection that keeps every column reads the source's row
+        # index; one that drops columns counts rows without it.
+        if projected is not matrix:
+            assert ("rows" in vars(matrix)) == (len(kept) == len(columns))
+        indptr, indices, values, clamped = reference_project(matrix, registry)
+        for got, want in ((projected.indptr, indptr),
+                          (projected.indices, indices),
+                          (projected.data, values)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert projected.clamped_corrections == clamped
+        assert np.array_equal(projected.rows, np.repeat(
+            np.arange(projected.n_parses), np.diff(indptr)))
 
     def test_universe_drops_zero_weight_sentences(self):
         matrix = self._matrix()

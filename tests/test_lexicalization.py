@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from parsedisamb import (SLOTS, ClusterModel, ConfigError, DataError,
-                         LexFrequencyTable, PairCounts, SentenceEntry,
-                         build_corpus, build_freq_table, class_membership,
+                         PairCounts, SentenceEntry, build_corpus,
+                         build_freq_table, class_membership,
                          lexicalized_properties, load_pair_counts,
                          pair_counts_from_corpus, save_pair_counts, slot_key,
                          train_clusters)
@@ -16,9 +17,9 @@ from parsedisamb import lexicalization
 from parsedisamb.corpus import ParseRecord, read_json, write_json
 from parsedisamb.lexicalization import (load_freq_table, save_cluster_model,
                                         save_freq_table)
-from conftest import feature_pairs, relation
+from conftest import feature_pairs, freq_table, relation
 from oracles import (reference_build_freq_table, reference_posterior,
-                     reference_train_clusters)
+                     reference_train_clusters, stored_entries)
 
 
 # numpy sums fewer than 8 terms one after another and longer runs pairwise,
@@ -166,7 +167,7 @@ class TestTrainClusters:
         assert counts.nouns == ("n0", "n1")
         model, _ = train_clusters(counts, n_classes=2, seed=1)
         table = build_freq_table(model, counts)
-        assert ("v1", "n2") not in table.entries
+        assert ("v1", "n2") not in stored_entries(table)
         # The dropped pair's f_c is computed on demand, with f = 0.
         assert table.lookup("v1", "n2") == model.priors.max() * (0 + 1)
         with pytest.raises(DataError, match="negative"):
@@ -291,7 +292,9 @@ class TestFreqTable:
                                  verbs=counts.verbs, nouns=counts.nouns)
         table = build_freq_table(model, counts)
         expected = reference_build_freq_table(model, counts)
-        assert list(table.entries.items()) == list(expected.entries.items())
+        assert table.codes == expected.codes
+        assert list(stored_entries(table).items()) \
+            == list(stored_entries(expected).items())
         # An unseen pair, in or out of the vocabulary, is computed on demand,
         # alone or among others, seen ones included, in one joint.
         unseen = [(v, n) for v in verbs + ("vx",) for n in nouns + ("nx",)
@@ -302,9 +305,41 @@ class TestFreqTable:
         for pair in unseen:
             assert table.lookup(*pair) == reference_posterior(model, *pair).max()
         mixed = data.draw(st.permutations(unseen + list(counts.counts)))
+        stored = stored_entries(table)
         assert table.lookup_all(mixed) == [
-            table.entries[p] if p in counts.counts
+            stored[p] if p in counts.counts
             else reference_posterior(model, *p).max() for p in mixed]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_lookups_equal_a_dict_oracle(self, data):
+        # A vocabulary in any order; "vx" and "nx" are not the model's, so
+        # their stored pairs go to the side table.
+        verbs = tuple(data.draw(st.permutations(("v0", "v1", "v2", "v3"))))
+        nouns = tuple(data.draw(st.permutations(("n0", "n1", "n2"))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 100)))
+        emissions = rng.random((2, len(verbs) + len(nouns)))
+        model = ClusterModel(
+            priors=np.array([0.25, 0.75]),
+            verb_emissions=emissions[:, :len(verbs)]
+            / emissions[:, :len(verbs)].sum(axis=1, keepdims=True),
+            noun_emissions=emissions[:, len(verbs):]
+            / emissions[:, len(verbs):].sum(axis=1, keepdims=True),
+            verbs=verbs, nouns=nouns)
+        pairs = st.tuples(st.sampled_from(verbs + ("vx",)),
+                          st.sampled_from(nouns + ("nx",)))
+        values = data.draw(st.dictionaries(pairs, st.floats(0, 9)))
+        table = freq_table(model, values)
+        assert stored_entries(table) == values
+        assert all(np.diff(table.codes) > 0)
+        assert dict(table.others) == {
+            p: f for p, f in values.items() if "vx" in p or "nx" in p}
+        asked = data.draw(st.lists(pairs, max_size=20))
+        assert table.lookup_all(asked) == [
+            values[p] if p in values else reference_posterior(model, *p).max()
+            for p in asked]
+        assert table.to_json_dict()["entries"] == sorted(
+            [v, n, f] for (v, n), f in values.items())
 
     def test_zero_total_falls_back_to_the_priors(self):
         # v0 lives only in class 0 and n1 only in class 1: p(v0, n1) = 0.
@@ -315,7 +350,8 @@ class TestFreqTable:
         counts = PairCounts(counts={("v0", "n0"): 2, ("v0", "n1"): 3})
         assert_allclose(class_membership(model, "v0", "n1"), model.priors)
         table = build_freq_table(model, counts)
-        assert table.entries == {("v0", "n0"): 3.0, ("v0", "n1"): 0.75 * 4}
+        assert stored_entries(table) == {("v0", "n0"): 3.0,
+                                         ("v0", "n1"): 0.75 * 4}
 
     def test_monotone_in_frequency(self):
         # For fixed posteriors f_c grows strictly with the raw count.
@@ -329,6 +365,26 @@ class TestFreqTable:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
+def _strings_held(obj) -> list[str]:
+    """Each string reachable from ``obj`` through containers and the
+    attribute values of instances (attribute names left out)."""
+    seen, held, stack = set(), [], [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if type(item) is str:
+            held.append(item)
+        elif isinstance(item, dict):
+            stack += [*item.keys(), *item.values()]
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack += item
+        elif hasattr(item, "__dict__") and not isinstance(item, type):
+            stack += vars(item).values()
+    return held
+
+
 def _entry_with_relations(parse_relations, sentence_id="s0"):
     parses = []
     for j, rels in enumerate(parse_relations):
@@ -338,10 +394,10 @@ def _entry_with_relations(parse_relations, sentence_id="s0"):
                          parses=tuple(parses))
 
 
-def _table_for(values: dict) -> LexFrequencyTable:
+def _table_for(values: dict):
     model, _ = train_clusters(PairCounts(counts={k: 1 for k in values}),
                               n_classes=1)
-    return LexFrequencyTable(entries=dict(values), model=model)
+    return freq_table(model, values)
 
 
 class TestLexicalizedProperties:
@@ -474,22 +530,110 @@ class TestIO:
         path = tmp_path / "table.json"
         save_freq_table(table, path)
         again = load_freq_table(path)
-        assert again.entries == table.entries
+        assert stored_entries(again) == stored_entries(table)
+        assert (again.codes, again.values) == (table.codes, table.values)
         assert_allclose(again.lookup("zz", "yy"), table.lookup("zz", "yy"))
+        # Saving the loaded table writes the file's bytes.
+        save_freq_table(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
-    def test_freq_table_keys_share_the_model_words(self, tmp_path):
+    def test_freq_table_writes_sorted_pairs_of_an_unsorted_vocabulary(
+            self, tmp_path):
+        model, _ = train_clusters(TOY_COUNTS, n_classes=2, seed=1,
+                                  max_iterations=15)
+        # The model's words in reverse order: codes follow the model's
+        # indices, the file lists (verb, noun) in string order.
+        reversed_model = ClusterModel(
+            priors=model.priors, verb_emissions=model.verb_emissions[:, ::-1],
+            noun_emissions=model.noun_emissions[:, ::-1],
+            verbs=model.verbs[::-1], nouns=model.nouns[::-1])
+        counts = PairCounts(counts={**TOY_COUNTS.counts, ("fly", "kite"): 1})
+        table = build_freq_table(reversed_model, counts)
+        path = tmp_path / "table.json"
+        save_freq_table(table, path)
+        entries = table.to_json_dict()["entries"]
+        assert [(v, n) for v, n, _ in entries] == sorted(counts.counts)
+        assert {(v, n): f for v, n, f in entries} == stored_entries(table)
+        again = load_freq_table(path)
+        save_freq_table(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        for pair in [*counts.counts, ("fly", "apple"), ("eat", "kite")]:
+            assert again.lookup(*pair) == table.lookup(*pair)
+
+    def test_freq_table_keeps_no_decoded_entry_string(self, tmp_path):
         model, _ = train_clusters(TOY_COUNTS, n_classes=2, seed=1,
                                   max_iterations=15)
         counts = PairCounts(counts={**TOY_COUNTS.counts, ("fly", "kite"): 1})
         path = tmp_path / "table.json"
         save_freq_table(build_freq_table(model, counts), path)
         again = load_freq_table(path)
-        verbs = {id(v) for v in again.model.verbs}
-        nouns = {id(n) for n in again.model.nouns}
-        assert again.entries.keys() == counts.counts.keys()
-        for verb, noun in again.entries:
-            known = (verb, noun) != ("fly", "kite")
-            assert (id(verb) in verbs, id(noun) in nouns) == (known, known)
+        assert stored_entries(again).keys() == counts.counts.keys()
+        # A pair of the model's words is stored as a code; only the pair
+        # the model lacks keeps its decoded strings, in the side table.
+        assert list(again.others) == [("fly", "kite")]
+        words = {id(w) for w in (*again.model.verbs, *again.model.nouns)}
+        held = [s for s in _strings_held(again) if id(s) not in words]
+        assert sorted(held) == ["fly", "kite"]
+        for verb, noun in again.others:
+            assert verb not in again.model.verbs
+            assert noun not in again.model.nouns
+
+    def test_freq_table_entries_read_at_once_keep_their_messages(
+            self, tmp_path):
+        model, _ = train_clusters(TOY_COUNTS, n_classes=2, seed=1,
+                                  max_iterations=15)
+        doc = build_freq_table(model, TOY_COUNTS).to_json_dict()
+        entries = doc["entries"]
+        path = tmp_path / "table.json"
+        # JSON integers read as numbers, and rows may come in any order.
+        doc["entries"] = [*entries[::-1], ["fly", "kite", 2]]
+        write_json(doc, path)
+        loaded = stored_entries(load_freq_table(path))
+        assert loaded == {**{(v, n): f for v, n, f in entries},
+                          ("fly", "kite"): 2.0}
+        assert type(loaded["fly", "kite"]) is float
+        for rows, message in (
+                ([["v", "n"]], "malformed value (not enough values to "
+                               "unpack (expected 3, got 2))"),
+                ([["v", "n", 1.0, 2.0]], "malformed value (too many values "
+                                         "to unpack (expected 3))"),
+                ([7], "malformed value (cannot unpack non-iterable int "
+                      "object)"),
+                (["abc"], "f_c must be a number, not 'c'"),
+                ([[7, "n", 1.0]], "verb must be a string, not 7"),
+                ([["v", None, 1.0]], "noun must be a string, not None"),
+                ([["v", "n", True]], "f_c must be a number, not True"),
+                ([["v", "n", "1.0"]], "f_c must be a number, not '1.0'"),
+                ([["v", "n", -1.0]], "f_c -1.0 is below 0"),
+                ([["v", "n", float("nan")]], "f_c is a non-finite number"),
+                ([["v", "n", float("inf")]], "f_c is a non-finite number"),
+                ([["v", "n", 10 ** 400]], "malformed value (int too large "
+                                          "to convert to float)"),
+                # The first bad row speaks, and a type error comes before a
+                # repeated pair.
+                ([["v", "n", -1.0], ["v", 7, 1.0]], "f_c -1.0 is below 0"),
+                ([["v", 7, 1.0], ["v", "n", -1.0]],
+                 "noun must be a string, not 7"),
+                ([["v", "n", -1.0], ["v", "n"]], "f_c -1.0 is below 0"),
+                ([["v", "n"], ["v", "n", -1.0]], "malformed value (not enough "
+                 "values to unpack (expected 3, got 2))"),
+                ([entries[0], ["v", "n", -1.0]], "f_c -1.0 is below 0"),
+                ([["fly", "kite", 1.0], ["fly", "kite", 1.0], [1]],
+                 "malformed value (not enough values to unpack (expected 3, "
+                 "got 1))"),
+                # The first pair to repeat an earlier one is named.
+                ([entries[1], ["fly", "kite", 1.0], entries[1][:2] + [0.5]],
+                 f"entries list the pair {tuple(entries[1][:2])!r} twice"),
+                ([["fly", "kite", 1.0], ["eat", "kite", 1.0],
+                  ["fly", "kite", 2.0], ["eat", "kite", 2.0]],
+                 "entries list the pair ('fly', 'kite') twice"),
+                ([["eat", "kite", 1.0], ["eat", "kite", 2.0]],
+                 "entries list the pair ('eat', 'kite') twice")):
+            doc["entries"] = [*entries, *rows]
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataError) as info:
+                load_freq_table(path)
+            assert str(info.value).startswith(f"{path}: {message}"), rows
 
     def test_cluster_model_rows_read_at_once_keep_their_messages(
             self, tmp_path):

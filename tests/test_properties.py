@@ -168,14 +168,13 @@ class TestRegistryConstruction:
         assert counts == {"000000": 2, "000001": 2}
 
     def test_structural_plus_lexicalized(self):
-        from parsedisamb import LexFrequencyTable, slot_key, train_clusters
+        from parsedisamb import slot_key, train_clusters
         from parsedisamb.lexicalization import PairCounts
-        from conftest import relation
+        from conftest import freq_table, relation
 
         single, _ = train_clusters(PairCounts(counts={("v", "n"): 1}),
                                    n_classes=1)
-        table = LexFrequencyTable(entries={("v", "a"): 2.0, ("v", "b"): 5.0},
-                                  model=single)
+        table = freq_table(single, {("v", "a"): 2.0, ("v", "b"): 5.0})
         parses = [
             structural_parse("p0", FLAT, functions=["SUBJ"],
                              relations=[relation("subj", "v", "a")]),
