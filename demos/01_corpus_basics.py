@@ -6,8 +6,8 @@ Run:  python demos/01_corpus_basics.py
 import os
 import tempfile
 
-from parsedisamb import (SyntheticConfig, corpus_stats, extract_parsebank,
-                         generate_synthetic, load_corpus, save_corpus)
+from parsedisamb import (SyntheticConfig, corpus_stats, generate_synthetic,
+                         load_corpus, save_corpus)
 
 print("=" * 70)
 print("1. Generate a synthetic corpus with a hidden gold model")
@@ -54,17 +54,10 @@ with tempfile.TemporaryDirectory() as tmp:
 
     print()
     print("=" * 70)
-    print("3. Ambiguity cutoff and the unique-parse subcorpus")
+    print("3. Ambiguity cutoff")
     print("=" * 70)
 
     capped = load_corpus(path, max_parses=3)
     print(f"max_parses=3 keeps {len(capped.entries)} of "
           f"{len(corpus.entries)} sentences "
           f"({capped.universe_size} parses)")
-
-bank = extract_parsebank(corpus)
-bank_stats = corpus_stats(bank)
-print(f"parsebank: {bank_stats.n_sentences} unambiguous sentences, "
-      f"mean ambiguity {bank_stats.mean_ambiguity}, every gold_index = 0")
-print(f"weights renormalized: sum = {sum(e.weight for e in bank.entries):.6f}")
-print(f"idempotent: {extract_parsebank(bank) == bank}")

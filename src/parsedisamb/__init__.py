@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .corpus import (Corpus, CorpusStats, FStructure, ParseRecord, Relation,
                      SentenceEntry, SyntheticConfig, build_corpus,
-                     corpus_stats, extract_parsebank, generate_synthetic,
-                     load_corpus, save_corpus)
+                     corpus_stats, generate_synthetic, load_corpus,
+                     save_corpus)
 from .errors import (ConfigError, DataError, InternalConsistencyError,
                      ParseDisambError)
 from .evaluation import (BaselineReport, EvalOutcome, SentenceVerdict,

@@ -8,8 +8,7 @@ identical flags and seed produce bit-identical model, trace, and report
 files; the manifest carries the only timestamps.  A command that fails
 writes nothing: ``--out-dir`` is created only with the outputs, once every
 one of them has been computed.  ``train`` and ``eval`` compile their corpus
-as they read it and keep no sentence record; ``stats`` and
-``train --parsebank`` load it.
+as they read it and keep no sentence record; ``stats`` alone loads it.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
 consistency failure (a violated likelihood guarantee).
@@ -34,9 +33,8 @@ from typing import Iterable, Optional
 
 from . import __version__
 from .corpus import (SyntheticConfig, _assemble, _Sentences, atomic_write,
-                     check_max_parses, corpus_stats, extract_parsebank,
-                     generate_synthetic, load_corpus, read_json, save_corpus,
-                     typed, write_json)
+                     check_max_parses, corpus_stats, generate_synthetic,
+                     load_corpus, read_json, save_corpus, typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .evaluation import (_check_baseline, evaluate, format_report_table,
                          random_baseline, sweep_checkpoints, write_report_json,
@@ -223,7 +221,7 @@ def _compiled(compile_, path, *args, max_parses: Optional[int] = None,
     the file is read, so that no sentence is kept; the matrix takes their
     normalized weights.  With ``gold``, a sentence without a gold index is
     a DataError that names its line."""
-    sentences = _Sentences(path, max_parses, gold=gold, values={})
+    sentences = _Sentences(path, max_parses, gold=gold)
     matrix = compile_(sentences, *args)
     return dataclasses.replace(matrix, weights=sentences.weights)
 
@@ -232,7 +230,7 @@ def _compiled(compile_, path, *args, max_parses: Optional[int] = None,
 # train
 
 TRAIN_DEFAULTS = {
-    "corpus": None, "parsebank": False, "max_parses": None,
+    "corpus": None, "max_parses": None,
     "select_cutoff": None, "lexicalized": None, "init": "uniform_zero",
     "init_range": 0.5, "max_iterations": 100, "tolerance": 1e-8,
     "checkpoint_every": 5, "complete_data": False,
@@ -268,13 +266,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     # The templates are projected once, onto the selected columns, and
     # freed; the correction then keeps those columns in place.
     complete = conf["complete_data"]
-    if conf["parsebank"]:
-        templates = compile_templates(extract_parsebank(load_corpus(
-            conf["corpus"], max_parses=conf["max_parses"])), lex_table)
-        complete = True
-    else:
-        templates = _compiled(compile_templates, conf["corpus"], lex_table,
-                              max_parses=conf["max_parses"], gold=complete)
+    templates = _compiled(compile_templates, conf["corpus"], lex_table,
+                          max_parses=conf["max_parses"], gold=complete)
     registry = templates.registry
     if conf["select_cutoff"] is not None:
         registry = select_properties(registry, conf["select_cutoff"])
@@ -350,7 +343,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # scored below.
     features = _compiled(compile_corpus, conf["corpus"], model.registry,
                          lex_table, gold=True)
-    tasks = [TASK_ALIASES[task] for task in conf["task"] or ["exact"]]
+    # A task named twice, as "exact" and "exact_match" say, runs once.
+    tasks = dict.fromkeys(TASK_ALIASES[task] for task in conf["task"] or
+                          ["exact"])
 
     checkpoint_models = None
     if conf["checkpoints"]:
@@ -502,8 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "train", cmd_train, "estimate a model from a corpus")
     p.add_argument("--corpus")
-    p.add_argument("--parsebank", action="store_true",
-                   help="train on the unique-parse subcorpus (complete data)")
     p.add_argument("--max-parses", type=int,
                    help="drop sentences with more candidate parses than this")
     p.add_argument("--select-cutoff", type=int,

@@ -4,21 +4,15 @@ A corpus is a list of sentences, each carrying a finite set of candidate
 parses.  Sentences have an empirical weight (normalized to sum to one on
 load), and optionally a gold parse index for evaluation or complete-data
 training.  Corpus objects are treated as immutable after construction and
-are safe for concurrent reads.  ``load_corpus`` decodes each string,
-c-structure subtree, relation and nonzero feature value once: within one
-loaded corpus, equal strings (tokens, labels, leaves, ids, frames, relation
-fields, f-structure entries), equal subtrees, equal relations, equal nonzero
-feature values, equal nonzero (index, value) pairs and equal feature tuples
-without a zero are one object.  Anything that holds a zero feature value,
-and the other records, are never shared.
+are safe for concurrent reads.
 
 ``load_corpus`` and the ``train`` and ``eval`` commands read a file
 through one reader, ``_Sentences``, which validates every line, merges
-equal sentences and applies ``max_parses``.  The commands compile the
-sentences as they are read and keep none, so the share tables, which only
-shrink kept records, serve ``load_corpus`` alone.  A command keeps one
-table of feature values per file, in which a float item, once checked, is
-found again.
+equal sentences and applies ``max_parses``; the commands compile the
+sentences as they are read and keep none.  A read keeps one table of
+feature values, in which a float item, once checked, is found again; it
+interns nothing else, so equal strings, subtrees and relations on
+different lines are distinct objects.
 
 File format ("forest-corpus"): UTF-8 JSON Lines, each line ending at a line
 feed (a CR before it is JSON whitespace).  The first line is a header
@@ -250,13 +244,11 @@ def count_leaves(node) -> int:
     return total
 
 
-def tree_from_json(obj, share) -> tuple[object, int]:
+def tree_from_json(obj) -> tuple[object, int]:
     """Decode a nested [label, [children...]] array into tuples; returns
-    the tree and its number of leaves, counted in the same walk.  Every
-    label, leaf and subtree is taken from ``share``, a ``dict.setdefault``
-    kept for one load, so equal subtrees are one tuple."""
+    the tree and its number of leaves, counted in the same walk."""
     if obj.__class__ is str:
-        return share(obj, obj), 1
+        return obj, 1
     if not (obj.__class__ is list and len(obj) == 2
             and obj[0].__class__ is str):
         raise DataError(f"malformed c-structure node: {obj!r}")
@@ -268,13 +260,11 @@ def tree_from_json(obj, share) -> tuple[object, int]:
     for child in children:
         if child.__class__ is str:
             leaves += 1
-            child = share(child, child)
         else:
-            child, n = tree_from_json(child, share)
+            child, n = tree_from_json(child)
             leaves += n
         decoded.append(child)
-    node = (share(label, label), tuple(decoded))
-    return share(node, node), leaves
+    return (label, tuple(decoded)), leaves
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +297,17 @@ def _entry_to_json(entry: SentenceEntry) -> dict:
     }
 
 
-def _relation_from_json(item, share) -> Relation:
-    """The relation of ``item``, taken from ``share``: a relation holds only
-    strings and an int, so equal relations are interchangeable."""
+def _relation_from_json(item) -> Relation:
+    """The relation of ``item``, four strings and an int checked at once."""
     if item.__class__ is list and len(item) == 5:
         name, verb, noun, voice, position = item
         if (name.__class__ is verb.__class__ is noun.__class__
                 is voice.__class__ is str and position.__class__ is int):
-            rel = Relation(share(name, name), share(verb, verb),
-                           share(noun, noun), share(voice, voice), position)
-            return share(rel, rel)
+            return Relation(name, verb, noun, voice, position)
     # Not four strings and an int: the typed readers name the fault.
     name, verb, noun, voice, position = typed(item, list, "relation")
-    fields = strings([name, verb, noun, voice], "relation fields")
-    rel = Relation(*map(share, fields, fields),
-                   typed(position, int, "relation position"))
-    return share(rel, rel)
+    return Relation(*strings([name, verb, noun, voice], "relation fields"),
+                    typed(position, int, "relation position"))
 
 
 # The keys each record may carry; any other key, a misspelling say, is a
@@ -334,85 +319,73 @@ _PARSE_KEYS = frozenset({"parse_id", "cstructure", "fstructure", "relations",
 _FSTRUCTURE_KEYS = frozenset({"pairs", "functions"})
 _HEADER_KEYS = frozenset({"format", "version"})
 
-def _feature_values(features, table: dict, share
-                    ) -> tuple[tuple[int, float], ...]:
+def _feature_values(features, table: dict) -> tuple[tuple[int, float], ...]:
     """The (index, value) pairs of a ``precomputed_features`` object, sorted
-    by index.  ``table`` maps each nonzero value to one float (equal nonzero
-    finite floats have identical bits) and each decoded (key, value) item
-    with a nonzero value to its one pair; a tuple of pairs without a zero is
-    taken from ``share`` (no other tuple it holds equals one).  Nothing that
-    holds a zero is looked up, as ``0.0 == -0.0``.  A float item is checked
-    once per table: its decoded key and value are the table's key."""
+    by index.  ``table`` maps each decoded (key, value) item with a nonzero
+    value to its checked pair, so a float item is checked once per table.
+    An item with a zero value is not looked up, as ``0.0 == -0.0``."""
     if features.__class__ is not dict:
         typed(features, dict, "field 'precomputed_features'")
-    pairs, zero = [], False
+    pairs = []
     for item in features.items():
         pair = table.get(item) if item[1].__class__ is float else None
         if pair is None:
-            k = canonical_int(item[0], "precomputed feature index")
-            v = typed(item[1], float, "precomputed feature value")
-            if v:
+            pair = (canonical_int(item[0], "precomputed feature index"),
+                    typed(item[1], float, "precomputed feature value"))
+            if pair[1]:
                 # An integer value, 2 say, finds the pair of 2.0.
-                pair = table.setdefault(item, (k, table.setdefault(v, v)))
-            else:
-                pair, zero = (k, v), True
+                pair = table.setdefault(item, pair)
         pairs.append(pair)
     pairs.sort()
-    pairs = tuple(pairs)
-    return pairs if zero else share(pairs, pairs)
+    return tuple(pairs)
 
 
-def _parse_from_json(rec, n_tokens: int, share, values) -> ParseRecord:
+def _parse_from_json(rec, n_tokens: int, values: dict) -> ParseRecord:
     parse_id = identifier(record(rec, _PARSE_KEYS, "parse record")["parse_id"],
                           "field 'parse_id'")
     cstructure = rec.get("cstructure")
     if cstructure is not None:
-        cstructure, n_leaves = tree_from_json(cstructure, share)
+        cstructure, n_leaves = tree_from_json(cstructure)
         _check_leaves(parse_id, n_leaves, n_tokens)
     fstructure = rec.get("fstructure")
     if fstructure is not None:
         record(fstructure, _FSTRUCTURE_KEYS, "field 'fstructure'")
-        pairs = [strings(pair, "fstructure pair", 2) for pair in
-                 typed(fstructure.get("pairs", []), list, "fstructure pairs")]
-        functions = strings(fstructure.get("functions", []),
-                            "fstructure functions")
-        fstructure = FStructure(pairs=tuple(map(share, pairs, pairs)),
-                                functions=tuple(map(share, functions,
-                                                    functions)))
+        pairs = tuple(strings(pair, "fstructure pair", 2) for pair in
+                      typed(fstructure.get("pairs", []), list,
+                            "fstructure pairs"))
+        fstructure = FStructure(pairs=pairs, functions=strings(
+            fstructure.get("functions", []), "fstructure functions"))
     relations = rec.get("relations")
     relations = () if relations is None else tuple(
-        _relation_from_json(item, share)
-        for item in typed(relations, list, "field 'relations'"))
+        map(_relation_from_json, typed(relations, list, "field 'relations'")))
     frame = rec.get("frame")
     if frame is not None:
         frame = typed(frame, str, "field 'frame'")
-        frame = share(frame, frame)
     features = rec.get("precomputed_features")
     return ParseRecord(
-        parse_id=share(parse_id, parse_id),
+        parse_id=parse_id,
         cstructure=cstructure,
         fstructure=fstructure,
         relations=relations,
         frame=frame,
         precomputed_features=(None if features is None
-                              else _feature_values(features, values, share)),
+                              else _feature_values(features, values)),
     )
 
 
-def _entry_from_json(rec, share, values: dict) -> SentenceEntry:
-    """The sentence of ``rec``, every string, tuple and relation taken from
-    ``share`` and its precomputed features from ``values`` (see
-    ``_feature_values``)."""
+def _entry_from_json(rec, values: dict) -> SentenceEntry:
+    """The sentence of ``rec``, its precomputed features read through
+    ``values`` (see ``_feature_values``)."""
     sentence_id = identifier(
         record(rec, _SENTENCE_KEYS, "sentence record")["sentence_id"],
         "field 'sentence_id'")
     tokens = strings(rec["tokens"], "field 'tokens'")
-    parses = tuple(_parse_from_json(p, len(tokens), share, values)
+    parses = tuple(_parse_from_json(p, len(tokens), values)
                    for p in typed(rec["parses"], list, "field 'parses'"))
     gold = rec.get("gold_index")
     return SentenceEntry(
         sentence_id=sentence_id,
-        tokens=tuple(map(share, tokens, tokens)),
+        tokens=tokens,
         parses=parses,
         weight=typed(rec.get("weight", 1.0), float, "field 'weight'"),
         gold_index=None if gold is None else typed(gold, int,
@@ -474,15 +447,15 @@ def check_max_parses(max_parses: Optional[int]) -> None:
         raise ConfigError(f"max_parses must be >= 1, not {max_parses}")
 
 
-def _read(path, share=None, values=None
-          ) -> Iterator[tuple[int, int, SentenceEntry]]:
+def _read(path) -> Iterator[tuple[int, int, SentenceEntry]]:
     """(line number, offset, sentence) of each sentence line of the
     forest-corpus file at ``path``, in order: the offset is the byte where
     the line starts, for ``_read_at``, and the sentence is decoded and
     validated.  Lines end at b"\\n"; the JSON decoder reads a b"\\r" before
-    it as whitespace.  ``share`` and ``values`` are the tables of
-    ``_entry_from_json``; without them each line gets its own.  A fault is
-    a DataError that names the file and the line."""
+    it as whitespace.  One table of feature values (``_feature_values``)
+    serves every line.  A fault is a DataError that names the file and the
+    line."""
+    values: dict = {}
     with open(path, "rb") as handle:
         header_line = handle.readline()
         if not header_line.strip():
@@ -495,8 +468,8 @@ def _read(path, share=None, values=None
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
-            entry = _decode_json(where, line, lambda rec: _entry_from_json(
-                rec, share or {}.setdefault, {} if values is None else values))
+            entry = _decode_json(where, line,
+                                 lambda rec: _entry_from_json(rec, values))
             _validate_entry(entry, where)
             yield lineno, start, entry
 
@@ -506,8 +479,8 @@ def _read_at(path, offset: int) -> SentenceEntry:
     decoded it."""
     with open(path, "rb") as handle:
         handle.seek(offset)
-        return _decode_json(path, handle.readline(), lambda rec: (
-            _entry_from_json(rec, {}.setdefault, {})))
+        return _decode_json(path, handle.readline(),
+                            lambda rec: _entry_from_json(rec, {}))
 
 
 class _Sentences:
@@ -526,10 +499,9 @@ class _Sentences:
     """
 
     def __init__(self, path, max_parses: Optional[int] = None, *,
-                 gold: bool = False, share=None, values=None):
+                 gold: bool = False):
         check_max_parses(max_parses)
         self.path, self.max_parses, self.gold = path, max_parses, gold
-        self.share, self.values = share, values
         self.weights: Optional[np.ndarray] = None
 
     def __iter__(self) -> Iterator[SentenceEntry]:
@@ -539,7 +511,7 @@ class _Sentences:
         # ``chain[k]`` is the one before sentence k with its hash, or -1.
         last, chain = {}, array("q")
         no_gold = None
-        for lineno, offset, entry in _read(path, self.share, self.values):
+        for lineno, offset, entry in _read(path):
             if cap is not None and len(entry.parses) > cap:
                 continue
             key = hash((entry.tokens, entry.gold_index))
@@ -582,10 +554,7 @@ def load_corpus(path, max_parses: Optional[int] = None) -> Corpus:
     malformed input, non-finite numbers included, and when filtering leaves
     the corpus empty; a ``max_parses`` below 1 is a ConfigError.
     """
-    # One table per load: equal strings, tuples and relations decoded from
-    # this file become one object.  Precomputed features get a table of
-    # their own, as a float compares equal to an int.
-    sentences = _Sentences(path, max_parses, share={}.setdefault, values={})
+    sentences = _Sentences(path, max_parses)
     entries = list(sentences)
     weights = sentences.weights
     if array("d", (e.weight for e in entries)).tobytes() != weights.tobytes():
@@ -774,19 +743,6 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 # ---------------------------------------------------------------------------
 # Filtering and statistics
-
-def extract_parsebank(corpus: Corpus) -> Corpus:
-    """Subcorpus of sentences with a unique parse, usable as complete data.
-
-    Weights are renormalized and each retained entry's gold_index is set to
-    its single parse.  Idempotent.  Raises DataError when the corpus has no
-    unambiguous sentences.
-    """
-    kept = [replace(e, gold_index=0) for e in corpus.entries if len(e.parses) == 1]
-    if not kept:
-        raise DataError("no unambiguous sentences: parsebank would be empty")
-    return build_corpus(kept)
-
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
     if not corpus.entries:

@@ -23,6 +23,7 @@ cluster models and frequency tables as versioned JSON documents.
 
 from __future__ import annotations
 
+import codecs
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -87,10 +88,14 @@ class PairCounts:
 def load_pair_counts(path) -> PairCounts:
     """The counts of a UTF-8 file of verb<TAB>noun<TAB>count lines, each
     ending at a line feed (a CR before it is dropped); a pair that repeats
-    adds its count."""
+    adds its count.  A leading byte-order mark is a DataError that names
+    it: kept, it would make a second first verb."""
     counts: dict[tuple[str, str], int] = {}
     with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
+            if lineno == 1 and line.startswith(codecs.BOM_UTF8):
+                raise DataError(f"{path}: line 1: it starts with a UTF-8 "
+                                "byte-order mark")
             try:
                 line = _utf8(line).rstrip("\r\n")
             except DataError as exc:

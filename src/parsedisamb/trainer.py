@@ -12,9 +12,9 @@ where the denominator is the model expectation of feature i over the
 universe and the numerator is the expectation of feature i under the
 empirical sentence distribution combined with the current conditional
 k(x|y) over each sentence's candidate set (incomplete data), or under the
-gold parses (complete data).  For a parsebank, where every candidate set is
-a singleton, both coincide with the empirical expectation and the loop is
-plain iterative scaling.
+gold parses (complete data).  Where every candidate set is a singleton,
+both coincide with the empirical expectation and the loop is plain
+iterative scaling.
 
 The per-step likelihood is non-decreasing; the loop converges on the
 likelihood delta.  Zero expected counts are floored, and features whose

@@ -541,7 +541,7 @@ def _reference_parse_from_json(rec, n_tokens):
                           "field 'parse_id'")
     cstructure = rec.get("cstructure")
     if cstructure is not None:
-        cstructure, n_leaves = tree_from_json(cstructure, {}.setdefault)
+        cstructure, n_leaves = tree_from_json(cstructure)
         _check_leaves(parse_id, n_leaves, n_tokens)
     fstructure = rec.get("fstructure")
     if fstructure is not None:

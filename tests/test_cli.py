@@ -133,16 +133,6 @@ class TestTrainCommand:
             outs.append(out)
         assert _read(outs[0] / "model.json") == _read(outs[1] / "model.json")
 
-    def test_parsebank_flag(self, synth_dir, tmp_path):
-        out = tmp_path / "bank"
-        code = _run("train", "--corpus", str(synth_dir / "train.jsonl"),
-                    "--parsebank", "--max-iterations", "60",
-                    "--out-dir", str(out))
-        assert code == 0
-        model = load_model(out / "model.json")
-        assert model.universe_size < load_corpus(
-            synth_dir / "train.jsonl").universe_size
-
     @pytest.mark.parametrize("case", ["infinite weight", "NaN feature"])
     def test_non_finite_corpus_is_data_error(self, tmp_path, capsys, case):
         from test_corpus import NON_FINITE_LINES, write_non_finite
@@ -201,8 +191,8 @@ class TestTrainCommand:
                     "--out-dir", str(tmp_path / "o")) == 2
         assert f"{path}: line 5: sentence '13' has no gold_index" in \
             capsys.readouterr().err
-        # Incomplete data never reads gold_index, and --parsebank sets it.
-        for flags in ([], ["--parsebank", "--complete-data"]):
+        # Incomplete data never reads gold_index, with or without a cap.
+        for flags in ([], ["--max-parses", "1"]):
             assert _run("train", "--corpus", str(path), *flags,
                         "--max-iterations", "3",
                         "--out-dir", str(tmp_path / "ok")) == 0
@@ -211,6 +201,17 @@ class TestTrainCommand:
         code = _run("train", "--corpus", str(synth_dir / "train.jsonl"),
                     "--threads", "2", "--out-dir", str(tmp_path / "o"))
         assert code == 1
+
+    def test_parsebank_flag_is_gone(self, synth_dir, tmp_path, capsys):
+        # The paper's parsebank is annotated parses: --complete-data.
+        corpus = str(synth_dir / "train.jsonl")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"parsebank": True}))
+        for flags in (["--parsebank"], ["--config", str(config)]):
+            assert _run("train", "--corpus", corpus, *flags,
+                        "--out-dir", str(tmp_path / "o")) == 1
+            assert "parsebank" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = _run("train", "--corpus", str(tmp_path / "absent.jsonl"),
@@ -275,6 +276,23 @@ class TestEvalCommand:
         assert (out / "report_exact_match.json").exists()
         assert (out / "report_frame_match.json").exists()
         assert verify_manifest(out / "manifest.json")
+
+    def test_a_repeated_task_runs_once(self, synth_dir, trained, tmp_path,
+                                       capsys):
+        printed = []
+        for name, tasks in (("once", ["exact"]),
+                            ("twice", ["exact", "exact_match"])):
+            out = tmp_path / name
+            assert _run("eval", "--model", str(trained / "model.json"),
+                        "--corpus", str(synth_dir / "test.jsonl"),
+                        *(f"--task={task}" for task in tasks),
+                        "--baseline", "2", "--out-dir", str(out)) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[1].count("random baseline (exact_match)") == 1
+        assert sorted(os.listdir(tmp_path / "twice")) == [
+            "baseline_exact_match.json", "manifest.json",
+            "report_exact_match.json"]
 
     def test_baseline_and_sweep_reproducible(self, synth_dir, trained, tmp_path):
         outs = []
@@ -411,7 +429,7 @@ class TestConfigFile:
         pytest.param("synth", {"ambiguity": [2, 3], "split": 0.5},
                      ["--ambiguity", "2", "3", "--split", "0.5"],
                      id="ambiguity-pair"),
-        pytest.param("train", {"complete_data": True, "parsebank": False,
+        pytest.param("train", {"complete_data": True, "max_parses": False,
                                "tolerance": 1e-3, "init": None},
                      ["--complete-data", "--tolerance", "1e-3"],
                      id="switches-and-null")])
@@ -1332,6 +1350,18 @@ class TestByteOrderMark:
         captured = capsys.readouterr()
         assert captured.err == f"configuration error: {marked}: {self.MARK}\n"
         assert not captured.out
+
+    def test_pair_file_exits_2(self, tmp_path, capsys):
+        # Kept, the mark would make "\ufeffeat" a second verb beside "eat".
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("eat\tapple\t3\neat\tpasta\t1\n")
+        marked = self._marked(pairs)
+        assert _run("cluster", "--pairs", marked, "--classes", "2",
+                    "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {marked}: line 1: it starts with a UTF-8 "
+            "byte-order mark\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvalErrorOrder:

@@ -1,7 +1,5 @@
-import gc
 import json
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +11,8 @@ from numpy.testing import assert_allclose
 import parsedisamb.corpus as corpus_module
 from parsedisamb import (ConfigError, DataError, FStructure, ParseRecord,
                          Relation, SentenceEntry, SyntheticConfig,
-                         build_corpus, corpus_stats, extract_parsebank,
-                         generate_synthetic, load_corpus, save_corpus)
+                         build_corpus, corpus_stats, generate_synthetic,
+                         load_corpus, save_corpus)
 from conftest import feature_pairs, passthrough_corpus, structural_parse
 from test_compile import SETTINGS, corpora
 from test_fuzz import STRUCTURAL_LINE, _replaced, _variants
@@ -447,56 +445,22 @@ class TestTrees:
         build_corpus([replace(entry, tokens=("a", "b", "c"))])
 
 
-def _sharing_corpus(path, tree, n_parses, n_sentences=1, tokens=("a", "b")):
-    """A corpus file of sentences whose parses all carry ``tree``; the
-    sentences differ only by their frame."""
-    lines = [json.dumps({"format": "forest-corpus", "version": 1})]
-    for s in range(n_sentences):
-        lines.append(json.dumps({
-            "sentence_id": f"s{s}", "tokens": list(tokens), "gold_index": 0,
-            "parses": [{"parse_id": f"p{j}", "cstructure": tree,
-                        "fstructure": {"functions": ["SUBJ", "OBJ"],
-                                       "pairs": [["TENSE", "past"]]},
-                        "relations": [["subj", "v1", f"n{j}", "active", 1]],
-                        "frame": f"f{s}"} for j in range(n_parses)]}))
-    path.write_text("\n".join(lines) + "\n")
+def _sharing_corpus(path, tree):
+    """A corpus file of one sentence whose one parse carries ``tree``."""
+    lines = [{"format": "forest-corpus", "version": 1},
+             {"sentence_id": "s0", "tokens": ["a", "b"], "gold_index": 0,
+              "parses": [{"parse_id": "p0", "cstructure": tree,
+                          "fstructure": {"functions": ["SUBJ", "OBJ"],
+                                         "pairs": [["TENSE", "past"]]},
+                          "relations": [["subj", "v1", "n0", "active", 1]],
+                          "frame": "f0"}]}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     return path
 
 
-def _balanced_tree(tokens):
-    """A binary tree over ``tokens``, each under a preterminal."""
-    if len(tokens) == 1:
-        return ["N", [tokens[0]]]
-    half = len(tokens) // 2
-    return ["X", [_balanced_tree(tokens[:half]), _balanced_tree(tokens[half:])]]
-
-
 class TestSharing:
-    def test_equal_values_are_one_object(self, tmp_path):
-        tree = ["S", [["NP", ["a"]], ["VP", [["V", ["b"]], ["NP", ["a"]]]]]]
-        path = _sharing_corpus(tmp_path / "c.jsonl", tree, n_parses=2,
-                               n_sentences=2, tokens=("a", "b", "a"))
-        first, second = load_corpus(path).entries
-        assert [len(first.parses), len(second.parses)] == [2, 2]
-        trees = [p.cstructure for e in (first, second) for p in e.parses]
-        assert all(t is trees[0] for t in trees)
-        np_left, vp = trees[0][1]
-        assert vp[1][1] is np_left  # equal subtrees within one tree
-        assert first.tokens[0] is first.tokens[2] is second.tokens[0]
-        assert np_left[1][0] is first.tokens[0]  # a leaf and its token
-        relations = [p.relations[0] for e in (first, second) for p in e.parses]
-        for field in ("name", "verb", "voice"):
-            assert len({id(getattr(r, field)) for r in relations}) == 1
-        assert relations[0].noun is relations[2].noun
-        assert first.parses[0].parse_id is second.parses[0].parse_id
-        assert first.parses[0].frame is first.parses[1].frame
-        fstructures = [p.fstructure for e in (first, second) for p in e.parses]
-        assert all(f.pairs[0] is fstructures[0].pairs[0] for f in fstructures)
-        assert all(f.functions[1] is fstructures[0].functions[1]
-                   for f in fstructures)
-
     def test_each_load_has_its_own_table(self, tmp_path):
-        path = _sharing_corpus(tmp_path / "c.jsonl", ["S", ["a", "b"]], 1)
+        path = _sharing_corpus(tmp_path / "c.jsonl", ["S", ["a", "b"]])
         once, again = load_corpus(path), load_corpus(path)
         assert once == again
         assert once.entries[0].parses[0].cstructure \
@@ -512,26 +476,6 @@ class TestSharing:
         again = _write(loaded, tmp_path, "again.jsonl")
         assert again.read_bytes() == path.read_bytes()
         assert '"0": -0.0' in path.read_text()
-
-    def test_parses_of_one_tree_share_its_memory(self, tmp_path):
-        tokens = tuple(f"w{i}" for i in range(64))
-        tree = _balanced_tree(list(tokens))
-        sizes = {}
-        for n in (1, 8):
-            path = _sharing_corpus(tmp_path / f"{n}.jsonl", tree, n_parses=n,
-                                   n_sentences=4, tokens=tokens)
-            gc.collect()
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                loaded = load_corpus(path)
-                gc.collect()
-                sizes[n] = tracemalloc.get_traced_memory()[0] - base
-            finally:
-                tracemalloc.stop()
-            assert sum(len(e.parses) for e in loaded.entries) == 4 * n
-            del loaded
-        assert sizes[8] < 2 * sizes[1], sizes
 
 
 def _passthrough_file(path, sentences):
@@ -549,8 +493,9 @@ def _passthrough_file(path, sentences):
 
 
 class TestCompactRecords:
-    """Records carry no per-instance dict, and one load keeps one object
-    per distinct relation and per distinct nonzero feature value."""
+    """Records carry no per-instance dict, and one load keeps one pair per
+    distinct feature item with a nonzero value, which no other load
+    shares."""
 
     SUBJ = ["subj", "v0", "n1", "active", 1]
     DOBJ = ["dobj", "v0", "n2", "passive", 1]
@@ -564,24 +509,6 @@ class TestCompactRecords:
         for value in (relation, parse.fstructure, parse, entry):
             assert not hasattr(value, "__dict__"), type(value).__name__
 
-    def test_equal_relations_and_values_are_one_object(self, tmp_path):
-        path = _passthrough_file(tmp_path / "c.jsonl", [
-            [({"0": 2.0, "1": 0.5}, [self.SUBJ, self.DOBJ]),
-             ({"0": 0.5, "2": 2}, [self.SUBJ])],
-            [({"1": 2.0}, [self.DOBJ, self.SUBJ])]])
-        first, second = load_corpus(path).entries
-        subj = first.parses[0].relations[0]
-        dobj = first.parses[0].relations[1]
-        assert subj is first.parses[1].relations[0] is second.parses[0].relations[1]
-        assert dobj is second.parses[0].relations[0]
-        assert subj != dobj
-        values = [v for e in (first, second) for p in e.parses
-                  for _, v in p.precomputed_features]
-        assert values == [2.0, 0.5, 0.5, 2.0, 2.0]
-        twos, halves = values[0::3] + values[4:], values[1:3]
-        assert all(v is twos[0] for v in twos)  # 2 was written as an int
-        assert halves[0] is halves[1]
-
     def test_zeros_keep_their_signs_beside_shared_values(self, tmp_path):
         path = _write(passthrough_corpus([[{0: -0.0, 1: 0.0, 2: 1.0},
                                            {0: 0.0, 1: -0.0, 2: 1.0}],
@@ -591,47 +518,43 @@ class TestCompactRecords:
                 for e in loaded.entries for p in e.parses]
         assert [[np.copysign(1.0, v) for v in row] for row in rows] \
             == [[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0]]
-        assert rows[0][2] is rows[1][2] is rows[2][1]
+        # The item ("2", 1.0) is one pair; an item with a zero is never
+        # looked up, as -0.0 == 0.0.
+        pairs = [p.precomputed_features for e in loaded.entries
+                 for p in e.parses]
+        assert pairs[0][2] is pairs[1][2] is pairs[2][1]
+        assert pairs[0][0] is not pairs[2][0]
         again = _write(loaded, tmp_path, "again.jsonl")
         assert again.read_bytes() == path.read_bytes()
 
-    def test_a_loaded_corpus_retains_few_bytes_per_parse(self, tmp_path):
-        # 400 sentences, 2,451 parses of 3.0 nonzero features on average.
-        # Retained (tracemalloc): 1,278,713 bytes, 522 per parse, with a
-        # dict per parse; 856,097 bytes, 349 per parse, with shared pairs
-        # in a tuple per parse (Python 3.11).
-        corpus, _ = generate_synthetic(SyntheticConfig(
-            n_sentences=400, ambiguity_range=(2, 10), seed=1))
-        path = _write(corpus, tmp_path)
-        del corpus
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            loaded = load_corpus(path)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
-        parses = sum(len(e.parses) for e in loaded.entries)
-        assert parses == 2451
-        assert retained / parses < 420, retained / parses
-
     def test_two_loads_share_no_object(self, tmp_path):
         path = _passthrough_file(tmp_path / "c.jsonl", [
-            [({"0": 2.0}, [self.SUBJ]), ({"0": 2.0}, [self.SUBJ])]])
+            [({"0": 2.0, "1": 0.5}, [self.SUBJ, self.DOBJ]),
+             ({"0": 0.5, "2": 2}, [self.SUBJ])],
+            [({"1": 2.0, "0": 2.0}, [self.DOBJ, self.SUBJ])]])
         once, again = load_corpus(path), load_corpus(path)
         assert once == again
+        first, second = once.entries
+        subj, dobj = first.parses[0].relations
+        assert subj == first.parses[1].relations[0] \
+            == second.parses[0].relations[1]
+        assert dobj == second.parses[0].relations[0]
+        assert subj != dobj
+        features = [p.precomputed_features for e in once.entries
+                    for p in e.parses]
+        assert features == [((0, 2.0), (1, 0.5)), ((0, 0.5), (2, 2.0)),
+                            ((0, 2.0), (1, 2.0))]
+        # 2 was written as an int.
+        assert {v.__class__ for row in features for _, v in row} == {float}
+        assert features[0][0] is features[2][0]  # the item ("0", 2.0)
 
-        def shared(corpus):
-            return {id(x) for e in corpus.entries for p in e.parses
-                    for x in (*p.relations, p.precomputed_features,
-                              *p.precomputed_features,
-                              *dict(p.precomputed_features).values())}
+        def pairs(corpus):
+            return {id(pair) for e in corpus.entries for p in e.parses
+                    for pair in p.precomputed_features}
 
-        # One relation, one feature tuple, one pair (0, 2.0) and one 2.0.
-        assert len(shared(once)) == 4
-        assert shared(once).isdisjoint(shared(again))
+        # One pair per distinct item, five in all.
+        assert len(pairs(once)) == 5
+        assert pairs(once).isdisjoint(pairs(again))
 
 
 PASSTHROUGH_LINE = {
@@ -657,8 +580,7 @@ class TestReader:
         try:
             entry = corpus_module._decode_json(
                 "w", line.encode("utf-8"),
-                lambda rec: corpus_module._entry_from_json(
-                    rec, {}.setdefault, {}))
+                lambda rec: corpus_module._entry_from_json(rec, {}))
             corpus_module._validate_entry(entry, "w")
         except DataError as exc:
             assert str(exc) == str(expected)
@@ -810,30 +732,6 @@ def test_features_are_pairs_by_increasing_index(features, fault):
         build_corpus([entry])
 
 
-class TestParsebank:
-    def test_unique_parse_extraction(self):
-        bank = extract_parsebank(_counts_corpus([1, 3, 1, 20]))
-        assert len(bank.entries) == 2
-        assert all(len(e.parses) == 1 for e in bank.entries)
-        assert all(e.gold_index == 0 for e in bank.entries)
-        assert_allclose(sum(e.weight for e in bank.entries), 1.0)
-
-    def test_all_ambiguous_is_an_error(self):
-        with pytest.raises(DataError, match="unambiguous"):
-            extract_parsebank(_counts_corpus([2, 3]))
-
-    def test_single_unambiguous_identity(self):
-        bank = extract_parsebank(_counts_corpus([1]))
-        assert len(bank.entries) == 1
-        assert_allclose(bank.entries[0].weight, 1.0)
-
-    def test_idempotent(self):
-        corpus = _counts_corpus([1, 3, 1])
-        once = extract_parsebank(corpus)
-        twice = extract_parsebank(once)
-        assert once == twice
-
-
 class TestStats:
     def test_arithmetic(self):
         rows = [[{0: 1}], [{0: 1}] * 3]
@@ -851,7 +749,8 @@ class TestStats:
         assert stats.universe_size == 4
 
     def test_parsebank_ambiguity_is_one(self):
-        bank = extract_parsebank(_counts_corpus([1, 2, 1]))
+        # A parsebank: every sentence annotated with its one parse.
+        bank = _counts_corpus([1, 1], golds=[0, 0])
         assert corpus_stats(bank).mean_ambiguity == 1.0
 
 

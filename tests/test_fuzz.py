@@ -302,8 +302,8 @@ def _configs(artifacts):
     synth, model = artifacts / "synth", artifacts / "model"
     table = str(artifacts / "clusters" / "freq_table.json")
     return {
-        "train": {"corpus": str(synth / "train.jsonl"), "parsebank": False,
-                  "max_parses": 4, "select_cutoff": 1, "lexicalized": table,
+        "train": {"corpus": str(synth / "train.jsonl"), "max_parses": 4,
+                  "select_cutoff": 1, "lexicalized": table,
                   "init": "random", "init_range": 0.5, "max_iterations": 3,
                   "tolerance": 1e-8, "checkpoint_every": 2,
                   "complete_data": False, "seed": 1, "out_dir": "unused"},
