@@ -60,4 +60,4 @@ with tempfile.TemporaryDirectory() as tmp:
     capped = load_corpus(path, max_parses=3)
     print(f"max_parses=3 keeps {len(capped.entries)} of "
           f"{len(corpus.entries)} sentences "
-          f"({capped.universe_size} parses)")
+          f"({corpus_stats(capped).universe_size} parses)")

@@ -10,8 +10,8 @@ Run:  python demos/02_training_workflow.py
 import numpy as np
 
 from parsedisamb import (SyntheticConfig, TrainingConfig, add_correction,
-                         build_feature_matrix, compare_inits,
-                         compile_templates, generate_synthetic, expectations,
+                         compare_inits, compile_corpus, compile_templates,
+                         generate_synthetic, expectations,
                          incomplete_log_likelihood, normalize, new_model,
                          train)
 
@@ -32,7 +32,7 @@ registry = add_correction(registry, templates)
 print(f"correction appended: K = {registry.correction_K} "
       f"(every training parse's feature total is now exactly K)")
 # A model is tied to the compiled parse universe it normalizes over.
-features = build_feature_matrix(templates, registry)
+features = compile_corpus(templates, registry)
 
 print()
 print("=" * 70)

@@ -8,7 +8,7 @@ identical flags and seed produce bit-identical model, trace, and report
 files; the manifest carries the only timestamps.  A command that fails
 writes nothing: ``--out-dir`` is created only with the outputs, once every
 one of them has been computed.  ``train`` and ``eval`` compile their corpus
-as they read it and keep no sentence record; ``stats`` alone loads it.
+as they read it, and ``stats`` counts it; none keeps a sentence record.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
 consistency failure (a violated likelihood guarantee).
@@ -34,7 +34,7 @@ from typing import Iterable, Optional
 from . import __version__
 from .corpus import (SyntheticConfig, _assemble, _Sentences, atomic_write,
                      check_max_parses, corpus_stats, generate_synthetic,
-                     load_corpus, read_json, save_corpus, typed, write_json)
+                     read_json, save_corpus, typed, write_json)
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .evaluation import (_check_baseline, evaluate, format_report_table,
                          random_baseline, sweep_checkpoints, write_report_json,
@@ -44,9 +44,9 @@ from .lexicalization import (build_freq_table, load_freq_table,
                              save_freq_table, train_clusters)
 from .model import (DEFAULT_TIE_EPSILON, check_tie_epsilon, load_model,
                     save_model)
-from .properties import (FeatureMatrix, add_correction, check_cutoff,
-                         compile_corpus, compile_templates, save_registry,
-                         select_properties)
+from .properties import (FeatureMatrix, PropertyRegistry, add_correction,
+                         check_cutoff, compile_corpus, compile_templates,
+                         same_columns, save_registry, select_properties)
 from .trainer import TrainingConfig, train
 
 MANIFEST_NAME = "manifest.json"
@@ -271,7 +271,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     registry = templates.registry
     if conf["select_cutoff"] is not None:
         registry = select_properties(registry, conf["select_cutoff"])
-    features = templates.universe().project(registry)
+    features = templates.project(registry)
     del templates
     registry = add_correction(registry, features)
     features = features.project(registry)
@@ -309,14 +309,21 @@ EVAL_DEFAULTS = {
 }
 
 
-def _load_checkpoint_models(directory: str, inputs: list[str]) -> list:
-    """(iteration, model) of each checkpoint; each path joins ``inputs``."""
+def _load_checkpoint_models(directory: str, registry: PropertyRegistry,
+                            inputs: list[str]) -> list:
+    """(iteration, model) of each checkpoint; each path joins ``inputs``.
+    A checkpoint without ``registry``'s columns, of another training run,
+    is a DataError."""
     found = []
     for name in sorted(os.listdir(directory)):
         match = CHECKPOINT_PATTERN.match(name)
         if match:
             path = os.path.join(directory, name)
-            found.append((int(match.group(1)), load_model(path)))
+            checkpoint = load_model(path)
+            if not same_columns(checkpoint.registry, registry):
+                raise DataError(f"{path}: the checkpoint's registry does not "
+                                "have the model's columns")
+            found.append((int(match.group(1)), checkpoint))
             inputs.append(path)
     if not found:
         raise DataError(f"no checkpoint models in {directory}")
@@ -349,8 +356,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     checkpoint_models = None
     if conf["checkpoints"]:
-        checkpoint_models = _load_checkpoint_models(conf["checkpoints"],
-                                                    inputs)
+        checkpoint_models = _load_checkpoint_models(
+            conf["checkpoints"], model.registry, inputs)
 
     tie = conf["tie_epsilon"]
     outputs = []  # (writer, value, file name), written once all are computed
@@ -472,8 +479,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     conf = _resolve(args, STATS_DEFAULTS)
     if not conf["corpus"]:
         raise ConfigError("--corpus is required")
-    corpus = load_corpus(conf["corpus"])
-    stats = corpus_stats(corpus)
+    stats = corpus_stats(_Sentences(conf["corpus"]))
     doc = {"n_sentences": stats.n_sentences,
            "mean_ambiguity": stats.mean_ambiguity,
            "mean_length": stats.mean_length,

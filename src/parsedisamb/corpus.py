@@ -6,10 +6,10 @@ load), and optionally a gold parse index for evaluation or complete-data
 training.  Corpus objects are treated as immutable after construction and
 are safe for concurrent reads.
 
-``load_corpus`` and the ``train`` and ``eval`` commands read a file
-through one reader, ``_Sentences``, which validates every line, merges
-equal sentences and applies ``max_parses``; the commands compile the
-sentences as they are read and keep none.  A read keeps one table of
+``load_corpus`` and the ``train``, ``eval`` and ``stats`` commands read a
+file through one reader, ``_Sentences``, which validates every line, merges
+equal sentences and applies ``max_parses``; the commands compile or count
+the sentences as they are read and keep none.  A read keeps one table of
 feature values, in which a float item, once checked, is found again; it
 interns nothing else, so equal strings, subtrees and relations on
 different lines are distinct objects.
@@ -28,7 +28,8 @@ c-structures are nested ``[label, [children...]]`` arrays with string leaves;
 leaves align one-to-one with the sentence tokens.  f-structures carry a list
 of ``[attribute-path, atomic-value]`` pairs and a list of grammatical-function
 names.  Either the structural fields or ``precomputed_features`` must be
-present on every parse.
+present on every parse.  A weight, 1.0 when absent, must be positive and
+finite, and so must the weights' sum.
 """
 
 from __future__ import annotations
@@ -123,15 +124,11 @@ class CorpusStats:
 class Corpus:
     """An immutable sequence of sentence entries.
 
-    The parse universe is the union of all parse sets of entries with
-    positive weight; ``universe_size`` is its cardinality.
+    Every weight is positive, so the parse universe is every parse of every
+    entry.
     """
 
     entries: tuple[SentenceEntry, ...]
-
-    @property
-    def universe_size(self) -> int:
-        return sum(len(e.parses) for e in self.entries if e.weight > 0)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -212,10 +209,11 @@ def _validate_parse(parse: ParseRecord, where: str) -> None:
 def _validate_entry(entry: SentenceEntry, where: str) -> None:
     if not entry.parses:
         raise DataError(f"{where}: sentence {entry.sentence_id!r} has no parses")
-    if not math.isfinite(entry.weight) or entry.weight < 0:
+    if not 0 < entry.weight < math.inf:
+        fault = "zero" if entry.weight == 0 else "negative or non-finite"
         raise DataError(
-            f"{where}: sentence {entry.sentence_id!r} has a negative or "
-            f"non-finite weight ({entry.weight})"
+            f"{where}: sentence {entry.sentence_id!r} has a {fault} "
+            f"weight ({entry.weight})"
         )
     ids = [p.parse_id for p in entry.parses]
     if len(set(ids)) != len(ids):
@@ -417,7 +415,7 @@ def build_corpus(entries: Iterable[SentenceEntry]) -> Corpus:
 def _normalized(ids: Sequence[str], weights: Sequence[float]):
     """``weights`` divided by their sum, or ``weights`` itself when they sum
     to one within 1e-12, so that renormalizing is idempotent at the last
-    ulp.  No sentence, a repeated sentence id or a zero sum is a
+    ulp.  No sentence, a repeated sentence id or a sum that overflows is a
     DataError."""
     if not ids:
         raise DataError("corpus has no entries")
@@ -425,8 +423,8 @@ def _normalized(ids: Sequence[str], weights: Sequence[float]):
         dup = sorted({i for i in ids if ids.count(i) > 1})
         raise DataError(f"duplicate sentence_id(s): {dup}")
     total = sum(weights)
-    if total <= 0:
-        raise DataError("total corpus weight is zero; cannot normalize")
+    if not math.isfinite(total):
+        raise DataError("total corpus weight overflows; cannot normalize")
     return weights if abs(total - 1.0) <= 1e-12 else [w / total
                                                        for w in weights]
 
@@ -483,6 +481,13 @@ def _read_at(path, offset: int) -> SentenceEntry:
                             lambda rec: _entry_from_json(rec, {}))
 
 
+def _merges(kept: SentenceEntry, entry: SentenceEntry) -> bool:
+    """Whether ``entry`` merges into ``kept``: the same tokens, gold index
+    and parses."""
+    return (kept.tokens == entry.tokens and kept.gold_index == entry.gold_index
+            and kept.parses == entry.parses)
+
+
 class _Sentences:
     """The sentences ``load_corpus`` keeps from a forest-corpus file, read
     anew on each iteration.
@@ -516,29 +521,26 @@ class _Sentences:
                 continue
             key = hash((entry.tokens, entry.gold_index))
             k = last.get(key, -1)
-            while k >= 0:
-                kept = _read_at(path, offsets[k])
-                if (kept.tokens == entry.tokens
-                        and kept.gold_index == entry.gold_index
-                        and kept.parses == entry.parses):
-                    weights[k] += entry.weight
-                    break
+            # The sentence read again is freed once it is compared.
+            while k >= 0 and not _merges(_read_at(path, offsets[k]), entry):
                 k = chain[k]
-            else:
-                chain.append(last.get(key, -1))
-                last[key] = len(ids)
-                offsets.append(offset)
-                ids.append(entry.sentence_id)
-                weights.append(entry.weight)
-                if no_gold is None and entry.gold_index is None:
-                    no_gold = f"line {lineno}: sentence {entry.sentence_id!r}"
-                yield entry
+            if k >= 0:
+                weights[k] += entry.weight
+                continue
+            chain.append(last.get(key, -1))
+            last[key] = len(ids)
+            offsets.append(offset)
+            ids.append(entry.sentence_id)
+            weights.append(entry.weight)
+            if no_gold is None and entry.gold_index is None:
+                no_gold = f"line {lineno}: sentence {entry.sentence_id!r}"
+            yield entry
         if cap is not None and not ids:
             raise DataError(
                 f"{path}: no sentences left after max_parses={cap} cutoff")
         try:
             self.weights = np.array(_normalized(ids, weights), dtype=float)
-        except DataError as exc:  # no entries, duplicate ids or zero weight
+        except DataError as exc:  # no entries, duplicate ids or overflow
             raise DataError(f"{path}: {exc}") from None
         if self.gold and no_gold is not None:
             raise DataError(f"{path}: {no_gold} has no gold_index annotation")
@@ -744,16 +746,21 @@ def save_corpus(corpus: Corpus, path) -> None:
 # ---------------------------------------------------------------------------
 # Filtering and statistics
 
-def corpus_stats(corpus: Corpus) -> CorpusStats:
-    if not corpus.entries:
+def corpus_stats(sentences: Iterable[SentenceEntry]) -> CorpusStats:
+    """Counts of ``sentences``, a ``Corpus`` or any iterable of sentences,
+    such as ``_Sentences``, which keeps none; the universe is every parse."""
+    n_sentences = n_parses = n_tokens = 0
+    for entry in sentences:
+        n_sentences += 1
+        n_parses += len(entry.parses)
+        n_tokens += len(entry.tokens)
+    if not n_sentences:
         raise DataError("cannot compute statistics of an empty corpus")
-    ambiguities = [len(e.parses) for e in corpus.entries]
-    lengths = [len(e.tokens) for e in corpus.entries]
     return CorpusStats(
-        n_sentences=len(corpus.entries),
-        mean_ambiguity=float(np.mean(ambiguities)),
-        mean_length=float(np.mean(lengths)),
-        universe_size=corpus.universe_size,
+        n_sentences=n_sentences,
+        mean_ambiguity=n_parses / n_sentences,
+        mean_length=n_tokens / n_sentences,
+        universe_size=n_parses,
     )
 
 

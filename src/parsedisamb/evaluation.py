@@ -79,18 +79,13 @@ def _metrics(correct: int, incorrect: int, dont_know: int
     return precision, effectiveness
 
 
-def outcome_from_verdicts(task: str, verdicts: Sequence[SentenceVerdict]
-                          ) -> EvalOutcome:
-    n_correct = sum(1 for v in verdicts if v.verdict == "correct")
-    n_incorrect = sum(1 for v in verdicts if v.verdict == "incorrect")
-    n_dont_know = sum(1 for v in verdicts if v.verdict == "dont_know")
-    precision, effectiveness = _metrics(n_correct, n_incorrect, n_dont_know)
-    return EvalOutcome(task=task, n_correct=n_correct, n_incorrect=n_incorrect,
-                       n_dont_know=n_dont_know, precision=precision,
-                       effectiveness=effectiveness, verdicts=tuple(verdicts))
-
-
 VERDICTS = ("correct", "incorrect", "dont_know")
+
+
+def _counts(codes: np.ndarray) -> list[int]:
+    """How many of the verdict ``codes`` (indices into VERDICTS) are each
+    verdict."""
+    return [int(c) for c in np.bincount(codes, minlength=len(VERDICTS))]
 
 
 class _Judge:
@@ -136,8 +131,7 @@ class _Judge:
 
     def rates(self, decisions: Decisions) -> tuple[Optional[float], float]:
         """(precision, effectiveness) of the decisions."""
-        counts = np.bincount(self.verdicts(decisions), minlength=3)
-        return _metrics(*(int(c) for c in counts))
+        return _metrics(*_counts(self.verdicts(decisions)))
 
 
 def evaluate(model: LogLinearModel, test_corpus: Corpus | FeatureMatrix,
@@ -155,13 +149,15 @@ def evaluate(model: LogLinearModel, test_corpus: Corpus | FeatureMatrix,
     features = compile_corpus(test_corpus, model.registry, lex_table)
     judge = _Judge(task, features)
     decisions = decide(model.lam, features, tie_epsilon)
+    codes = judge.verdicts(decisions)
     verdicts = []
-    for s, code in enumerate(judge.verdicts(decisions)):
+    for s, code in enumerate(codes):
         decision = decisions.decision(features, s)
         verdicts.append(SentenceVerdict(
             features.sentence_ids[s], VERDICTS[code], decision.kind,
             decision.parse_ids))
-    return outcome_from_verdicts(task, verdicts)
+    counts = _counts(codes)
+    return EvalOutcome(task, *counts, *_metrics(*counts), tuple(verdicts))
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ class LogLinearModel:
 
 def new_model(features: FeatureMatrix,
               lam: Optional[np.ndarray] = None) -> LogLinearModel:
-    """Model over the parse universe ``features`` (as ``build_feature_matrix``
+    """Model over the parse universe ``features`` (as ``compile_corpus``
     compiles it), with lam = 0 by default (the minimum-divergence start;
     maximum entropy under the uniform reference)."""
     if lam is None:
@@ -136,7 +136,7 @@ class Decision:
 def normalize(model: LogLinearModel,
               features: FeatureMatrix) -> ParseDistribution:
     """Distribution of ``model`` over its universe ``features``, as
-    ``build_feature_matrix`` compiles it."""
+    ``compile_corpus`` compiles it."""
     if (features.digest != model.universe
             or features.n_parses != model.universe_size):
         raise ConfigError(

@@ -40,7 +40,6 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Optional
 
 import numpy as np
@@ -359,29 +358,6 @@ class FeatureMatrix:
     def row_totals(self) -> np.ndarray:
         return np.bincount(self.rows, weights=self.data, minlength=self.n_parses)
 
-    def universe(self) -> "FeatureMatrix":
-        """The rows of sentences with positive weight (the parse universe)."""
-        keep = self.weights > 0
-        if keep.all():
-            return self
-        if self.registry.correction_K is not None:
-            raise ConfigError("take the universe before adding the correction")
-        if not keep.any():
-            raise DataError("every sentence has zero weight; the universe is empty")
-        row_keep = np.repeat(keep, np.diff(self.offsets))
-        return FeatureMatrix(
-            indptr=np.concatenate(([0], np.cumsum(np.diff(self.indptr)[row_keep]))),
-            indices=self.indices[row_keep[self.rows]],
-            data=self.data[row_keep[self.rows]],
-            registry=self.registry,
-            offsets=np.concatenate(([0], np.cumsum(np.diff(self.offsets)[keep]))),
-            weights=self.weights[keep],
-            gold=self.gold[keep],
-            sentence_ids=tuple(compress(self.sentence_ids, keep)),
-            parse_ids=tuple(compress(self.parse_ids, row_keep)),
-            frames=self.frames[row_keep],
-        )
-
     def project(self, registry: PropertyRegistry) -> "FeatureMatrix":
         """The same rows over the columns of ``registry``.
 
@@ -625,7 +601,7 @@ def compile_templates(corpus: Corpus | Iterable[SentenceEntry],
     be any iterable of sentences that can be iterated twice, and the matrix
     takes each sentence's weight as it comes.  The matrix's registry is the
     one ``build_registry`` returns; a ``lex_table`` adds the lexicalized
-    slots.  Zero-weight sentences are included.
+    slots.
     """
     if iter(corpus) is corpus:  # an iterator, which a restart cannot reread
         corpus = tuple(corpus)
@@ -661,24 +637,16 @@ def build_registry(corpus: Corpus,
 
 def compile_corpus(corpus: Corpus | FeatureMatrix, registry: PropertyRegistry,
                    lex_table: Optional[LexFrequencyTable] = None) -> FeatureMatrix:
-    """Compile every sentence of ``corpus``, zero-weight ones included,
-    against ``registry``; corrections above K are clamped and counted.
-    A compiled ``corpus`` is projected onto ``registry`` (``project``).
+    """Compile every sentence of ``corpus``, its parse universe, against
+    ``registry``; corrections above K are clamped and counted.  A compiled
+    ``corpus`` is projected onto ``registry`` (``project``).
     """
     return _walk_for(corpus, registry, lex_table).project(registry)
 
 
-def build_feature_matrix(corpus: Corpus | FeatureMatrix,
-                         registry: PropertyRegistry,
-                         lex_table: Optional[LexFrequencyTable] = None
-                         ) -> FeatureMatrix:
-    """The feature matrix of a corpus's parse universe, correction included.
-
-    Rows cover the sentences with positive weight.  Corrections of parses
-    whose feature total exceeds K are clamped at zero and counted.
-    A compiled ``corpus`` gives its universe's projection.
-    """
-    return _walk_for(corpus, registry, lex_table).universe().project(registry)
+# Kept only for the benchmark's traced replay (perfbench/tracing.py), which
+# calls it; it goes with that replay.
+build_feature_matrix = compile_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -697,15 +665,14 @@ def add_correction(registry: PropertyRegistry, corpus: Corpus | FeatureMatrix,
     """Append the constant-mass correction property to the registry.
 
     K is the maximum total feature value over the parses of the defining
-    universe (sentences with positive weight); the correction value of a
-    parse is K minus its feature total, so afterwards every universe parse
-    sums to K exactly (exact for integral inputs).  ``corpus`` may be its
-    matrix over a superset of the registry's columns, as
-    ``compile_templates`` returns it.
+    corpus; the correction value of a parse is K minus its feature total,
+    so afterwards every universe parse sums to K exactly (exact for
+    integral inputs).  ``corpus`` may be its matrix over a superset of the
+    registry's columns, as ``compile_templates`` returns it.
     """
     if registry.correction_K is not None:
         raise ConfigError("registry already carries a correction property")
-    totals = build_feature_matrix(corpus, registry, lex_table).row_totals()
+    totals = compile_corpus(corpus, registry, lex_table).row_totals()
     K = float(totals.max())
     if K <= 0:
         raise DataError(

@@ -34,7 +34,7 @@ from .corpus import Corpus, seeded_rng
 from .errors import ConfigError, DataError, InternalConsistencyError
 from .lexicalization import LexFrequencyTable
 from .model import LogLinearModel, ParseDistribution, new_model, normalize
-from .properties import FeatureMatrix, PropertyRegistry, build_feature_matrix
+from .properties import FeatureMatrix, PropertyRegistry, compile_corpus
 
 EXPECTATION_FLOOR = 1e-12
 GAMMA_CLAMP_NUMERATOR = 20.0  # gamma is clamped to [-20/K, 20/K]
@@ -207,8 +207,8 @@ def train(corpus: Corpus | FeatureMatrix, registry: PropertyRegistry,
     final one.  A likelihood decrease beyond 1e-10 aborts: the update's
     monotonicity guarantee was violated, which signals an internal bug or
     corrupted inputs.  ``corpus`` may be compiled already, as
-    ``build_feature_matrix`` takes it; the model records the digest of the
-    universe matrix as its universe.  A universe parse whose feature mass
+    ``compile_corpus`` takes it; the model records the digest of the
+    compiled matrix as its universe.  A universe parse whose feature mass
     exceeds K means the registry is stale for the corpus, which is a
     DataError.
 
@@ -225,7 +225,7 @@ def train(corpus: Corpus | FeatureMatrix, registry: PropertyRegistry,
     if registry.correction_K is None:
         raise ConfigError("training requires a registry with the correction "
                           "property (run add_correction first)")
-    features = build_feature_matrix(corpus, registry, lex_table=lex_table)
+    features = compile_corpus(corpus, registry, lex_table=lex_table)
     if not features.sentence_ids:
         raise DataError("cannot train on an empty corpus")
     if features.clamped_corrections:
@@ -279,8 +279,8 @@ def compare_inits(features: FeatureMatrix,
                   config: Optional[TrainingConfig] = None,
                   n_random_seeds: int = 10, *,
                   complete_data: bool = False) -> InitComparison:
-    """Train on ``features``, a universe as ``build_feature_matrix`` returns
-    it, once from lam = 0 and ``n_random_seeds`` times from random starts;
+    """Train on ``features``, a corpus as ``compile_corpus`` returns it,
+    once from lam = 0 and ``n_random_seeds`` times from random starts;
     report the final likelihoods and how often random ends lower."""
     config = config or TrainingConfig()
     if n_random_seeds < 0:

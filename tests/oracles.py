@@ -322,20 +322,18 @@ def entry_feature_rows(entry, registry, lex_table=None):
 
 
 def reference_correction(registry, corpus, lex_table=None):
-    """(K, correction activation count) over the positive-weight sentences."""
-    universe = [e for e in corpus.entries if e.weight > 0]
+    """(K, correction activation count) over every sentence."""
     totals = [float(sum(row.values()))
-              for entry in universe
+              for entry in corpus.entries
               for row in _entry_base_rows(entry, registry, lex_table)]
     best = max(totals)
     return best, sum(1 for total in totals if best - total != 0)
 
 
-def reference_matrix(corpus, registry, lex_table=None, universe_only=True):
-    """(dense rows, clamped-correction count) of the chosen sentences."""
-    entries = [e for e in corpus.entries if e.weight > 0 or not universe_only]
+def reference_matrix(corpus, registry, lex_table=None):
+    """(dense rows, clamped-correction count) of every sentence."""
     dense, clamped = [], 0
-    for entry in entries:
+    for entry in corpus.entries:
         for row in _entry_base_rows(entry, registry, lex_table):
             if registry.correction_index is not None:
                 slack = registry.correction_K - float(sum(row.values()))

@@ -12,8 +12,8 @@ import pytest
 import parsedisamb.cli as cli
 import parsedisamb.corpus as corpus_module
 import parsedisamb.properties as properties
-from parsedisamb import (load_corpus, load_model, pair_counts_from_corpus,
-                         save_pair_counts, PairCounts)
+from parsedisamb import (corpus_stats, load_corpus, load_model,
+                         pair_counts_from_corpus, save_pair_counts, PairCounts)
 from parsedisamb.cli import build_parser, main, verify_manifest
 from parsedisamb.corpus import write_json
 from conftest import random_structural_corpus
@@ -744,6 +744,61 @@ class TestLexicalizedPipeline:
         assert ok == 0
 
 
+class TestSentenceWeights:
+    """Every sentence weighs something: a zero weight is bad input at its
+    line, and so is a sum of weights that overflows, for each command that
+    reads a corpus."""
+
+    def _argv(self, command, synth_dir, tmp_path, path):
+        if command == "stats":
+            return ["stats", "--corpus", str(path)]
+        if command == "train":
+            return ["train", "--corpus", str(path), "--max-iterations", "2",
+                    "--out-dir", str(tmp_path / "out")]
+        assert _run("train", "--corpus", str(synth_dir / "train.jsonl"),
+                    "--max-iterations", "2",
+                    "--out-dir", str(tmp_path / "model")) == 0
+        return ["eval", "--model", str(tmp_path / "model" / "model.json"),
+                "--corpus", str(path), "--out-dir", str(tmp_path / "out")]
+
+    def _error(self, argv, capsys, tmp_path):
+        capsys.readouterr()
+        assert _run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "out").exists()
+        return err
+
+    @pytest.mark.parametrize("command", ["stats", "train", "eval"])
+    def test_a_zero_weight_exits_2_at_its_line(self, synth_dir, tmp_path,
+                                               capsys, command):
+        lines = (synth_dir / "test.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        record["weight"] = 0.0
+        lines[2] = json.dumps(record)
+        path = tmp_path / "zero.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        argv = self._argv(command, synth_dir, tmp_path, path)
+        assert self._error(argv, capsys, tmp_path) == (
+            f"data error: {path}: line 3: sentence "
+            f"{record['sentence_id']!r} has a zero weight (0.0)\n")
+
+    @pytest.mark.parametrize("command", ["stats", "train", "eval"])
+    def test_merged_weights_that_overflow_exit_2(self, synth_dir, tmp_path,
+                                                 capsys, command):
+        # Two equal sentences of weight 1e308 merge into one of weight inf.
+        lines = (synth_dir / "test.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["weight"] = 1e308
+        again = dict(record, sentence_id="again")
+        path = tmp_path / "huge.jsonl"
+        path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:],
+                                   json.dumps(again)]) + "\n")
+        argv = self._argv(command, synth_dir, tmp_path, path)
+        assert self._error(argv, capsys, tmp_path) == (
+            f"data error: {path}: total corpus weight overflows; cannot "
+            "normalize\n")
+
+
 class TestStatsCommand:
     def test_prints_stats(self, synth_dir, capsys):
         assert _run("stats", "--corpus", str(synth_dir / "train.jsonl")) == 0
@@ -997,25 +1052,40 @@ class TestCheckpointDirectory:
         assert [int(line.split(",")[0]) for line in rows.splitlines()[1:]] \
             == [int(name[11:15]) for name in written]
 
-    def test_checkpoints_with_columns_the_model_lacks_are_a_config_error(
-            self, synth_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("other", ["wider", "structural"])
+    def test_checkpoints_with_columns_the_model_lacks_exit_2(
+            self, synth_dir, tmp_path, capsys, other):
         """``eval`` compiles the test corpus once, for ``--model``; it does
-        not compile it again for checkpoints of a wider registry."""
-        def registry(name, *flags):
-            assert _run("train", "--corpus", str(synth_dir / "train.jsonl"),
+        not compile it again for checkpoints of a wider registry or of
+        another corpus, whose first checkpoint file it names as it loads
+        them, before any table is printed."""
+        def registry(name, corpus, *flags):
+            assert _run("train", "--corpus", str(corpus),
                         "--max-iterations", "4", *flags,
                         "--out-dir", str(tmp_path / name)) == 0
             return load_model(tmp_path / name / "model.json").registry
 
-        wide = registry("wide")
+        wide = registry("wide", synth_dir / "train.jsonl")
         cutoff = max(d.activation_count for d in wide.properties[:-1])
-        assert registry("narrow", "--select-cutoff", str(cutoff)).size \
-            < wide.size
+        assert registry("narrow", synth_dir / "train.jsonl",
+                        "--select-cutoff", str(cutoff)).size < wide.size
+        checkpoints = tmp_path / "wide" / "checkpoints"
+        if other == "structural":
+            import numpy as np
+            path = tmp_path / "structural.jsonl"
+            corpus_module.save_corpus(
+                random_structural_corpus(np.random.default_rng(2), 10), path)
+            registry("structural", path)
+            checkpoints = tmp_path / "structural" / "checkpoints"
+        capsys.readouterr()
         assert _run("eval", "--model", str(tmp_path / "narrow" / "model.json"),
                     "--corpus", str(synth_dir / "test.jsonl"),
-                    "--checkpoints", str(tmp_path / "wide" / "checkpoints"),
-                    "--out-dir", str(tmp_path / "eval")) == 1
-        assert "columns the matrix lacks" in capsys.readouterr().err
+                    "--checkpoints", str(checkpoints),
+                    "--out-dir", str(tmp_path / "eval")) == 2
+        first = checkpoints / sorted(os.listdir(checkpoints))[0]
+        assert capsys.readouterr() == ("", (
+            f"data error: {first}: the checkpoint's registry does not have "
+            "the model's columns\n"))
         assert not (tmp_path / "eval").exists()
 
 
@@ -1079,7 +1149,8 @@ class TestFlagErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("train loaded an input despite a bad flag")
 
-        monkeypatch.setattr(cli, "load_corpus", unreachable)
+        # Every corpus line is read through corpus._read.
+        monkeypatch.setattr(corpus_module, "_read", unreachable)
         monkeypatch.setattr(cli, "load_freq_table", unreachable)
         out = tmp_path / "out"
         assert _run("train", "--corpus", str(synth_dir / "train.jsonl"),
@@ -1142,7 +1213,7 @@ class TestCompileOnce:
             "--lexicalized", str(tmp_path / "table.json"),
             "--select-cutoff", "1", "--max-iterations", "4",
             "--checkpoint-every", "2", "--out-dir", str(tmp_path / "model"))
-        assert parses == [1] * train_corpus.universe_size
+        assert parses == [1] * corpus_stats(train_corpus).universe_size
         assert sentences == [1] * len(train_corpus.entries)
 
         parses, sentences = run_and_count(
@@ -1153,7 +1224,7 @@ class TestCompileOnce:
             "--checkpoints", str(tmp_path / "model" / "checkpoints"),
             "--out-dir", str(tmp_path / "eval"))
         assert len(os.listdir(tmp_path / "model" / "checkpoints")) >= 2
-        assert parses == [1] * test_corpus.universe_size
+        assert parses == [1] * corpus_stats(test_corpus).universe_size
         assert sentences == [1] * len(test_corpus.entries)
 
 
@@ -1247,8 +1318,8 @@ class TestLexicalizedMemory:
                 return function(*args, **kwargs)
             return wrapper
 
-        for name in ("load_corpus", "load_freq_table"):
-            monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+        monkeypatch.setattr(cli, "load_freq_table",
+                            recorded(cli.load_freq_table))
         # Every corpus line is read through corpus._read; train and eval
         # read the corpus while they compile it, without load_corpus.
         monkeypatch.setattr(corpus_module, "_read",

@@ -2,7 +2,7 @@
 
 Random corpora carry either structural templates or only precomputed
 features (the passthrough registry), together with lexicalized slots, and
-include zero-weight sentences, single-parse sentences, duplicated parses
+include unequal sentence weights, single-parse sentences, duplicated parses
 (exact score ties) and, in the held-out corpus, parses whose mass exceeds K.
 """
 
@@ -19,6 +19,7 @@ from parsedisamb import (ConfigError, DataError, FStructure, LogLinearModel,
                          TrainingConfig, add_correction, build_corpus,
                          build_feature_matrix,
                          build_freq_table, compile_corpus, compile_templates,
+                         corpus_stats,
                          disambiguate, evaluate, lexicalized_properties,
                          pair_counts_from_corpus, random_baseline,
                          select_properties, sweep_checkpoints, train,
@@ -90,7 +91,7 @@ def _parse(draw, parse_id, tokens, structured):
 
 
 @st.composite
-def corpora(draw, max_tokens=5, zero_weights=True):
+def corpora(draw, max_tokens=5):
     """Structural corpora, or corpora whose parses carry only precomputed
     features."""
     structured = draw(st.booleans())
@@ -109,8 +110,7 @@ def corpora(draw, max_tokens=5, zero_weights=True):
                     precomputed_features=parses[-1].precomputed_features))
             else:
                 parses.append(_parse(draw, f"p{j}", tokens, structured))
-        weight = 1.0 if s == 0 or not zero_weights else \
-            float(draw(st.sampled_from((0, 1, 2))))
+        weight = 1.0 if s == 0 else float(draw(st.sampled_from((0.5, 1, 2))))
         entries.append(SentenceEntry(
             sentence_id=f"s{s}", tokens=tokens, parses=tuple(parses),
             weight=weight, gold_index=draw(st.integers(0, len(parses) - 1))))
@@ -193,31 +193,25 @@ class TestAgainstReference:
         matrix = build_feature_matrix(corpus, frozen, lex_table=table)
         assert matrix.clamped_corrections == 0
         assert np.array_equal(matrix.values, dense)
-        projected = templates.universe().project(frozen)
+        projected = templates.project(frozen)
         assert projected.clamped_corrections == 0
         for name in ("indptr", "indices", "data", "offsets", "weights", "gold",
                      "frames"):
             assert np.array_equal(getattr(projected, name), getattr(matrix, name))
         assert projected.sentence_ids == matrix.sentence_ids
         assert projected.parse_ids == matrix.parse_ids
-        # The CLI's compile path and build_feature_matrix give one universe,
-        # and so does the template matrix in the corpus's place.
+        # The CLI's compile path and compile_corpus give one universe, and
+        # so does the template matrix in the corpus's place.
         assert projected.digest == matrix.digest
         assert build_feature_matrix(templates, frozen).digest == matrix.digest
 
         # Held-out data: every sentence kept, masses above K clamped.
-        dense, clamped = reference_matrix(heldout, frozen, table,
-                                          universe_only=False)
+        dense, clamped = reference_matrix(heldout, frozen, table)
         compiled = compile_corpus(heldout, frozen, lex_table=table)
         assert np.array_equal(compiled.values, dense)
         assert compiled.clamped_corrections == clamped
-        dense, clamped = reference_matrix(heldout, frozen, table)
-        universe = build_feature_matrix(heldout, frozen, lex_table=table)
-        assert np.array_equal(universe.values, dense)
-        assert universe.clamped_corrections == clamped
 
-        for compiled_by in (templates, templates.universe(), projected, matrix,
-                            compiled, universe):
+        for compiled_by in (templates, projected, matrix, compiled):
             assert compiled_by.indices.dtype == np.intp
             assert compiled_by.rows.dtype == np.intp
             # Columns increase within a row.
@@ -235,9 +229,9 @@ class TestAgainstReference:
         except DataError:  # no feature mass anywhere
             return
         lam = data.draw(_lambdas(registry.size))
-        model = LogLinearModel(lam=lam, registry=registry,
-                               universe=corpus.content_digest(),
-                               universe_size=corpus.universe_size)
+        model = LogLinearModel(
+            lam=lam, registry=registry, universe=corpus.content_digest(),
+            universe_size=corpus_stats(corpus).universe_size)
         expected = [reference_decision(lam, entry, registry,
                                        lex_table=table)
                     for entry in heldout.entries]
@@ -293,7 +287,7 @@ class TestCompileWalk:
 
 class TestFeatureMatrix:
     CORPUS = passthrough_corpus([[{0: 3}, {}, {0: 1, 2: 2}], [{1: 1}]],
-                                weights=[1.0, 0.0])
+                                weights=[1.0, 0.5])
 
     def _matrix(self):
         return compile_templates(self.CORPUS)
@@ -322,7 +316,7 @@ class TestFeatureMatrix:
         assert matrix.indices.tolist() == [0, 1, 0, 1, 0, 1, 2]
         assert matrix.data.tolist() == [1, 2, 4, 3, 7, 6, 5]
         frozen = add_correction(matrix.registry, matrix)
-        for compiled in (matrix.universe().project(frozen),
+        for compiled in (matrix.project(frozen),
                          build_feature_matrix(corpus, frozen),
                          compile_corpus(corpus, frozen)):
             starts, ends = compiled.indptr[:-1], compiled.indptr[1:]
@@ -360,14 +354,6 @@ class TestFeatureMatrix:
         assert np.array_equal(projected.rows, np.repeat(
             np.arange(projected.n_parses), np.diff(indptr)))
 
-    def test_universe_drops_zero_weight_sentences(self):
-        matrix = self._matrix()
-        universe = matrix.universe()
-        assert universe.sentence_ids == ("s0",)
-        assert universe.parse_ids == ("p0", "p1", "p2")
-        assert universe.frames.tolist() == [-1, -1, -1]
-        assert np.array_equal(universe.values, matrix.values[:3])
-
     def test_matrices_hold_the_corpus_sentences(self):
         matrix = self._matrix()
         frozen = add_correction(matrix.registry, matrix)
@@ -381,29 +367,19 @@ class TestFeatureMatrix:
 
         assert held(matrix) == ids
         assert held(compile_corpus(self.CORPUS, frozen)) == ids
-        # The universe holds the positive-weight sentences, and projecting
-        # a matrix keeps its sentences.
-        universe = matrix.universe()
-        assert held(universe) == ids[:1]
-        projected = universe.project(frozen)
-        assert projected.sentence_ids is universe.sentence_ids
-        assert projected.parse_ids is universe.parse_ids
-        assert projected.frames is universe.frames
+        # Projecting a matrix keeps its sentences.
+        projected = matrix.project(frozen)
+        assert projected.sentence_ids is matrix.sentence_ids
+        assert projected.parse_ids is matrix.parse_ids
+        assert projected.frames is matrix.frames
         again = build_feature_matrix(self.CORPUS, frozen)
-        assert held(again) == ids[:1]
-        assert np.array_equal(again.frames, universe.frames)
-
-    def test_universe_precedes_the_correction(self):
-        matrix = self._matrix()
-        frozen = add_correction(matrix.registry, matrix)
-        with pytest.raises(ConfigError):
-            matrix.project(frozen).universe()
+        assert held(again) == ids
+        assert np.array_equal(again.frames, matrix.frames)
 
     def test_index_arrays_are_native(self):
         matrix = self._matrix()
         frozen = add_correction(matrix.registry, matrix)
-        for compiled in (matrix, matrix.universe(),
-                         matrix.universe().project(frozen),
+        for compiled in (matrix, matrix.project(frozen),
                          build_feature_matrix(self.CORPUS, frozen),
                          compile_corpus(self.CORPUS, frozen)):
             assert compiled.indices.dtype == np.intp

@@ -64,7 +64,7 @@ class TestLoadCorpus:
         path = _write(corpus, tmp_path)
         loaded = load_corpus(path, max_parses=20)
         assert len(loaded.entries) == 4
-        assert loaded.universe_size == 25
+        assert corpus_stats(loaded).universe_size == 25
 
     def test_weight_normalization(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -77,16 +77,49 @@ class TestLoadCorpus:
         assert_allclose([e.weight for e in loaded.entries], [0.25, 0.75])
 
     def test_zero_total_weight_names_the_file(self, tmp_path):
+        # A total of zero needs a zero weight, which its line names.
         path = tmp_path / "corpus.jsonl"
         lines = [{"format": "forest-corpus", "version": 1},
                  {"sentence_id": "s0", "tokens": ["a"], "weight": 0.0,
                   "parses": [{"parse_id": "p0",
                               "precomputed_features": {"0": 1}}]}]
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        with pytest.raises(DataError, match="total corpus weight is zero") \
-                as info:
+        with pytest.raises(DataError) as info:
             load_corpus(path)
-        assert str(info.value).startswith(f"{path}: ")
+        assert str(info.value) == (f"{path}: line 2: sentence 's0' has a "
+                                   "zero weight (0.0)")
+
+    @pytest.mark.parametrize("weight", [0.0, -0.0, 0])
+    def test_a_zero_weight_is_rejected_at_its_line(self, tmp_path, weight):
+        corpus = _counts_corpus([1, 2, 1])
+        lines = _write(corpus, tmp_path).read_text().splitlines()
+        line = json.loads(lines[2])
+        line["weight"] = weight
+        lines[2] = json.dumps(line)
+        path = tmp_path / "zero.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="has a zero weight") as info:
+            load_corpus(path)
+        assert str(info.value).startswith(f"{path}: line 3: sentence 's1' ")
+        with pytest.raises(DataError, match="sentence 's1' has a zero weight"):
+            build_corpus([replace(e, weight=float(weight)) if e.sentence_id
+                          == "s1" else e for e in corpus.entries])
+
+    def test_merged_weights_that_overflow_name_the_file(self, tmp_path):
+        # Two equal sentences of weight 1e308 merge into one of weight inf.
+        path = tmp_path / "corpus.jsonl"
+        lines = [{"format": "forest-corpus", "version": 1}] + [
+            {"sentence_id": sentence_id, "tokens": ["a"], "weight": 1e308,
+             "parses": [{"parse_id": "p0", "precomputed_features": {"0": 1}}]}
+            for sentence_id in ("s0", "s1")]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value) == (f"{path}: total corpus weight overflows; "
+                                   "cannot normalize")
+        entries = _counts_corpus([2, 1]).entries
+        with pytest.raises(DataError, match="total corpus weight overflows"):
+            build_corpus([replace(e, weight=1e308) for e in entries])
 
     def test_parse_without_any_features_is_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -3,11 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from parsedisamb import (ConfigError, Corpus, DataError, SyntheticConfig,
-                         build_feature_matrix, evaluate, generate_synthetic,
-                         new_model, random_baseline, sweep_checkpoints)
-from parsedisamb.evaluation import (TASKS, SentenceVerdict, format_report_table,
-                                    outcome_from_verdicts, write_report_json,
-                                    write_sweep_csv)
+                         build_feature_matrix, compile_corpus, evaluate,
+                         generate_synthetic, new_model, random_baseline,
+                         sweep_checkpoints)
+from parsedisamb.evaluation import (TASKS, _metrics, format_report_table,
+                                    write_report_json, write_sweep_csv)
 from parsedisamb.model import decide
 from conftest import corrected_registry, passthrough_corpus
 
@@ -70,16 +70,12 @@ class TestMetrics:
         rng = np.random.default_rng(0)
         for _ in range(200):
             n = int(rng.integers(1, 40))
-            verdicts = [SentenceVerdict(f"s{i}",
-                                        str(rng.choice(["correct", "incorrect",
-                                                        "dont_know"])),
-                                        "unique", ("p0",))
-                        for i in range(n)]
-            outcome = outcome_from_verdicts("exact_match", verdicts)
-            assert 0.0 <= outcome.effectiveness <= 1.0
-            if outcome.precision is not None:
-                assert 0.0 <= outcome.precision <= 1.0
-                assert outcome.effectiveness <= outcome.precision
+            counts = np.bincount(rng.integers(0, 3, size=n), minlength=3)
+            precision, effectiveness = _metrics(*counts.tolist())
+            assert 0.0 <= effectiveness <= 1.0
+            if precision is not None:
+                assert 0.0 <= precision <= 1.0
+                assert effectiveness <= precision
 
     def test_missing_gold_is_an_error(self):
         corpus = passthrough_corpus([[{0: 1}, {}]])
@@ -306,12 +302,12 @@ class TestCompiledTestCorpus:
     matrix handed in for the test corpus is scored as it is."""
 
     def _case(self):
-        # Every sentence reuses the parse ids p0 and p1; sentence s1 has zero
-        # weight, so a universe matrix leaves it out.
+        # Every sentence reuses the parse ids p0 and p1; sentence s1 weighs
+        # half the others.
         corpus = passthrough_corpus(
             [[{0: 1}, {}], [{}, {0: 1}], [{0: 1}, {}], [{}, {}]],
             golds=[0, 0, 1, 0], frames=[["fa", "fb"]] * 4,
-            weights=[1.0, 0.0, 1.0, 1.0])
+            weights=[1.0, 0.5, 1.0, 1.0])
         registry = corrected_registry(corpus)
         model = new_model(build_feature_matrix(corpus, registry),
                           lam=np.array([2.0, 0.0]))
@@ -326,18 +322,20 @@ class TestCompiledTestCorpus:
             ("s1", "incorrect", "unique", ("p1",)),
             ("s2", "incorrect", "unique", ("p0",)),
             ("s3", "dont_know", "dont_know", ("p0", "p1"))]
-        # On the universe, sentence positions skip the zero-weight s1.
+        # On the compiled matrix, sentence positions are the corpus's.
         universe = build_feature_matrix(corpus, registry)
         decisions = decide(model.lam, universe)
         assert [(universe.sentence_ids[s],
                  decisions.decision(universe, s).parse_ids)
                 for s in range(universe.n_sentences)] == [
-            ("s0", ("p0",)), ("s2", ("p0",)), ("s3", ("p0", "p1"))]
+            ("s0", ("p0",)), ("s1", ("p1",)), ("s2", ("p0",)),
+            ("s3", ("p0", "p1"))]
 
     def test_a_universe_matrix_is_scored_as_the_universe(self):
+        # The matrix of three of the four sentences scores those three.
         corpus, registry, model = self._case()
-        universe = build_feature_matrix(corpus, registry)
-        kept = Corpus(tuple(e for e in corpus.entries if e.weight > 0))
+        kept = Corpus(tuple(e for e in corpus.entries if e.sentence_id != "s1"))
+        universe = compile_corpus(kept, registry)
         assert universe.n_sentences == 3
         for task in TASKS:
             outcome = evaluate(model, universe, task)

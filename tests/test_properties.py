@@ -274,17 +274,6 @@ class TestCorrection:
         with pytest.raises(DataError, match="stale"):
             train(matrix, registry)
 
-    def test_zero_weight_sentences_leave_the_universe(self):
-        corpus = passthrough_corpus([[{0: 1}, {0: 2}], [{0: 3}]],
-                                    weights=[1.0, 0.0])
-        assert corpus.universe_size == 2
-        registry = add_correction(build_registry(corpus), corpus)
-        matrix = build_feature_matrix(corpus, registry)
-        assert matrix.n_parses == 2
-        assert matrix.sentence_ids == ("s0",)
-        assert matrix.parse_ids == ("p0", "p1")
-        assert matrix.frames.tolist() == [-1, -1]
-
     def test_entry_rows_match_matrix(self):
         corpus = passthrough_corpus([[{0: 3}, {1: 1}], [{0: 1, 1: 1}]])
         registry = add_correction(build_registry(corpus), corpus)

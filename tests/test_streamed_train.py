@@ -6,7 +6,8 @@ The streamed compile (``cli._compiled``) equals
 writes the bytes it writes when it compiles the loaded corpus instead, on
 corpora that probe the reader: merged duplicates (0.0 and -0.0, 2 and 2.0
 feature values), a duplicate sentence id that ``--max-parses`` removes,
-zero weights and weights that sum to one within 1e-12, structural and
+unequal weights, weights that sum to one within 1e-12 and weights whose
+sum overflows, structural and
 passthrough corpora, and mixed corpora and missing gold indices, whose
 errors are the same.  ``eval``'s streamed compile equals
 ``compile_corpus(load_corpus(path), registry, lex_table)`` the same way,
@@ -15,6 +16,7 @@ and ``eval`` writes the bytes of the loaded corpus too.
 
 import gc
 import json
+import math
 import os
 
 import numpy as np
@@ -140,11 +142,11 @@ MERGED = [
     _sentence("s3", [_parse("p0", {"0": 2, "1": 0.0}),
                      _parse("p1", {"1": 3})], weight=2.0),
     _sentence("s4", [_parse("p0", {"1": -0.0, "0": 2.0}, frame="f"),
-                     _parse("p1", {"1": 1})], weight=0.0),
+                     _parse("p1", {"1": 1})], weight=0.0625),
     _sentence("s5", [_parse("p0", {"0": 2, "1": 0.0}),
                      _parse("p1", {"1": 3.0})], weight=1.0),
     _sentence("s6", [_parse("q0", {"0": 1}), _parse("q1", {"2": 1})],
-              weight=0.0, tokens=("b", "c")),
+              weight=0.375, tokens=("b", "c")),
 ]
 
 
@@ -154,9 +156,11 @@ class TestStreamedCompile:
         streamed = _streamed(path, None, False, None)
         _assert_same(streamed, _loaded(path))
         assert streamed.sentence_ids == ("s0", "s2", "s3", "s6")
-        total = 0.5 + 0.25 + 0.0 + 0.125 + 2.0 + 1.0 + 0.0
+        # Dyadic weights: every sum is exact.
+        total = 0.5 + 0.25 + 0.0625 + 0.125 + 2.0 + 1.0 + 0.375
         assert streamed.weights.tolist() == [
-            (0.5 + 0.25 + 0.0) / total, 0.125 / total, 3.0 / total, 0.0]
+            (0.5 + 0.25 + 0.0625) / total, 0.125 / total, 3.0 / total,
+            0.375 / total]
 
     def test_every_sentence_in_one_hash_group(self, tmp_path, monkeypatch):
         # With one hash for every sentence, each is compared with every
@@ -195,18 +199,18 @@ class TestStreamedCompile:
 
     @pytest.mark.parametrize("weights", [
         [0.1] * 10,                      # 0.9999999999999999: no division
-        [0.5, 0.0, 0.25, 0.0, 0.5],      # zero weights, a sum above one
-        [1e-3, 2e-3, 0.0],
-        [0.0, 0.0]])                     # no weight at all
+        [0.5, 0.125, 0.25, 0.0625, 0.5],  # unequal weights, a sum above one
+        [1e-3, 2e-3, 5e-4],
+        [1e308, 1e308]])                 # a sum that overflows
     def test_weights(self, tmp_path, weights):
         path = _write(tmp_path / "w.jsonl", [
             _sentence(f"s{i}", [_parse("p0", {"0": i + 1}),
                                 _parse("p1", {"1": 1})],
                       weight=w, tokens=(f"t{i}",))
             for i, w in enumerate(weights)])
-        if sum(weights) == 0:
+        if sum(weights) == math.inf:
             message = _error(_loaded, path)
-            assert "total corpus weight is zero" in message
+            assert "total corpus weight overflows" in message
             assert _error(_streamed, path, None, False,
                           None) == message
             return
@@ -383,3 +387,36 @@ class TestEvalCommand:
             "eval", "--model", str(model / "model.json"),
             "--corpus", str(synth / "test.jsonl"),
             "--out-dir", str(tmp_path / "o")]) == []
+
+
+class TestStatsCommand:
+    def test_no_record_is_alive_when_the_outputs_are_written(self, tmp_path,
+                                                             monkeypatch):
+        """Regression guard: ``cmd_stats`` counts the sentences as it reads
+        them and holds none once it has its counts."""
+        path = _write(tmp_path / "merged.jsonl", MERGED)
+        assert _new_records_at(monkeypatch, "_write_outputs", [
+            "stats", "--corpus", str(path),
+            "--out-dir", str(tmp_path / "o")]) == []
+
+    def test_no_record_outlives_its_line(self, tmp_path, monkeypatch):
+        # Between two lines, the records alive are the last sentence read
+        # and its parses; MERGED re-reads kept lines to merge later ones.
+        path = _write(tmp_path / "merged.jsonl", MERGED)
+        before = {id(o) for o in gc.get_objects()
+                  if type(o) in (ParseRecord, SentenceEntry)}
+        real, held = cli.corpus_stats, []
+
+        def counting(sentences):
+            def each():
+                for entry in sentences:
+                    yield entry
+                    held.append(({id(o) for o in gc.get_objects()
+                                  if type(o) in (ParseRecord, SentenceEntry)}
+                                 - before)
+                                == {id(entry), *map(id, entry.parses)})
+            return real(each())
+
+        monkeypatch.setattr(cli, "corpus_stats", counting)
+        assert main(["stats", "--corpus", str(path)]) == 0
+        assert held == [True] * 4
